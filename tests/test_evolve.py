@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -13,10 +14,12 @@ from berrysim import (
     SpinState,
     bloch_vector,
     connection_phase_discrete,
+    control_field,
     eigenstate_down,
     eigenstate_up,
     evolve_and_extract,
     noiseless_berry_phase,
+    polar_angles,
     propagate_step,
     sample_path,
 )
@@ -302,3 +305,140 @@ def _wrap(x: float) -> float:
     """Fold into (-pi, pi]."""
     y = math.remainder(x, 2.0 * math.pi)
     return y + 2.0 * math.pi if y <= -math.pi else y
+
+
+def _reference_evolve(spec, path, config, branch):
+    """Step-by-step scalar evolution: the reference the array kernel must match.
+
+    One exact SU(2) step per grid interval, applied to the state with
+    Python complex arithmetic, with the phases and diagnostics
+    accumulated along the way.  Returns the fields of
+    ``PhaseExtraction`` (minus the bookkeeping ones) and the per-node
+    amplitudes and accumulated total phase.
+    """
+    n_steps = config.steps_per_cycle * spec.n_cycles
+    dt = spec.t_total / n_steps
+    times = np.arange(n_steps + 1) * dt
+    k_nodes = np.zeros((n_steps + 1, 3)) if path is None else path.samples
+    b_nodes = control_field(spec, np.minimum(times, spec.t_total)) + k_nodes
+    azimuth = np.unwrap(np.arctan2(b_nodes[:, 1] + 0.0, b_nodes[:, 0] + 0.0))
+    winding = int(round((azimuth[-1] - azimuth[0]) / math.tau))
+
+    t_mid = (np.arange(n_steps) + 0.5) * dt
+    b_mid = control_field(spec, t_mid) + 0.5 * (k_nodes[:-1] + k_nodes[1:])
+    nb = np.linalg.norm(b_mid, axis=1)
+    cos_half = np.cos(0.5 * nb * dt)
+    sin_scaled = np.where(nb >= 1e-300, np.sin(0.5 * nb * dt) / np.maximum(nb, 1e-300), 0.0)
+
+    eigenstate = eigenstate_up if branch == "up" else eigenstate_down
+    state0 = eigenstate(polar_angles(b_nodes[0]))
+    u = complex(state0.amp_up)
+    d = complex(state0.amp_down)
+    u0c = u.conjugate()
+    d0c = d.conjugate()
+    total = 0.0
+    mean_energy = 0.0
+    f_prev = complex(1.0)
+    trace_u, trace_d, trace_total = [u], [d], [0.0]
+    for (bx, by, bz), co, si in zip(b_mid.tolist(), cos_half.tolist(), sin_scaled.tolist()):
+        p = bz * u + (bx - 1j * by) * d
+        q = (bx + 1j * by) * u - bz * d
+        mean_energy += (u.conjugate() * p + d.conjugate() * q).real
+        u = co * u - 1j * si * p
+        d = co * d - 1j * si * q
+        f = u0c * u + d0c * d
+        total += cmath.phase(f * f_prev.conjugate())
+        f_prev = f
+        trace_u.append(u)
+        trace_d.append(d)
+        trace_total.append(total)
+
+    ref = eigenstate(polar_angles(b_nodes[-1]))
+    overlap = ref.amp_up.conjugate() * u + ref.amp_down.conjugate() * d
+    leakage = max(0.0, 1.0 - abs(overlap) ** 2)
+    sign = 1.0 if branch == "up" else -1.0
+    dynamical = -sign * 0.5 * float(nb.sum() * dt)
+    return {
+        "total_phase": total,
+        "geometric_phase": _wrap(total - dynamical + math.pi * winding),
+        "leakage": leakage,
+        "mean_energy_integral": mean_energy * 0.5 * dt,
+        "winding": winding,
+        "degenerate_steps": int(np.count_nonzero(nb < 1e-300)),
+        "non_adiabatic": leakage > config.leakage_warn_threshold,
+        "amp_up": np.array(trace_u),
+        "amp_down": np.array(trace_d),
+        "trace_total_phase": np.array(trace_total),
+    }
+
+
+# Tolerances fixed before the comparison was run: float64 rounding over a
+# few thousand unitary steps, with headroom.
+PHASE_TOL = 1e-12
+ENERGY_RTOL = 1e-12
+
+
+def _assert_matches_reference(spec, path, config, branch):
+    expected = _reference_evolve(spec, path, config, branch)
+    result, trace = evolve_and_extract(
+        spec, path, config, branch=branch, return_trace=True
+    )
+    assert abs(result.total_phase - expected["total_phase"]) <= PHASE_TOL
+    assert abs(_wrap(result.geometric_phase - expected["geometric_phase"])) <= PHASE_TOL
+    assert abs(result.leakage - expected["leakage"]) <= PHASE_TOL
+    assert result.mean_energy_integral == pytest.approx(
+        expected["mean_energy_integral"], rel=ENERGY_RTOL, abs=0.0
+    )
+    assert result.winding == expected["winding"]
+    assert result.degenerate_steps == expected["degenerate_steps"]
+    assert result.non_adiabatic == expected["non_adiabatic"]
+    assert np.max(np.abs(trace.amp_up - expected["amp_up"])) <= PHASE_TOL
+    assert np.max(np.abs(trace.amp_down - expected["amp_down"])) <= PHASE_TOL
+    assert np.max(np.abs(trace.total_phase - expected["trace_total_phase"])) <= PHASE_TOL
+    return result
+
+
+class TestMatchesStepByStepReference:
+    @pytest.mark.parametrize("branch", ["up", "down"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.5])
+    @pytest.mark.parametrize("n_cycles", [1, 5])
+    @pytest.mark.parametrize("theta0", [0.0, 0.05, math.pi / 4, math.pi / 2, math.pi - 0.05])
+    def test_grid(self, theta0, n_cycles, sigma, branch):
+        spec = PrecessionSpec(b0=1.0, theta0=theta0, t_total=100.0, n_cycles=n_cycles)
+        config = IntegratorConfig(steps_per_cycle=1024)
+        model = NoiseModel.from_scalars(sigma, 0.1, sigma, 0.1)
+        n_steps = config.steps_per_cycle * n_cycles
+        for seed in (1, 2, 3):
+            path = sample_path(model, n_steps, spec.t_total / n_steps, seed=seed)
+            _assert_matches_reference(spec, path, config, branch)
+
+    @pytest.mark.parametrize("branch", ["up", "down"])
+    def test_vanishing_field_at_a_step_midpoint(self, branch):
+        # noise that cancels the control field exactly at one midpoint, so
+        # that step is the degenerate identity
+        spec = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)
+        config = IntegratorConfig(steps_per_cycle=1024)
+        n_steps = 1024
+        dt = spec.t_total / n_steps
+        model = NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1)
+        noisy = sample_path(model, n_steps, dt, seed=4)
+        samples = noisy.samples.copy()
+        j = 300
+        b_mid = control_field(spec, (np.arange(n_steps) + 0.5) * dt)
+        samples[j] = samples[j + 1] = -b_mid[j]
+        path = NoisePath(times=noisy.times, samples=samples)
+        result = _assert_matches_reference(spec, path, config, branch)
+        assert result.degenerate_steps == 1
+
+    @pytest.mark.parametrize("branch", ["up", "down"])
+    def test_trace_does_not_change_the_extraction(self, branch):
+        spec = PrecessionSpec(b0=1.0, theta0=0.9, t_total=100.0, n_cycles=3)
+        config = IntegratorConfig(steps_per_cycle=1024)
+        model = NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1)
+        path = sample_path(model, 3072, spec.t_total / 3072, seed=8)
+        plain = evolve_and_extract(spec, path, config, branch=branch)
+        traced, trace = evolve_and_extract(
+            spec, path, config, branch=branch, return_trace=True
+        )
+        assert plain == traced
+        assert trace.total_phase[-1] == plain.total_phase
