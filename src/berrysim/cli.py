@@ -407,6 +407,16 @@ def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) 
         "adiabaticity": adiabaticity_report(spec, model).to_dict(),
         "pass": passed,
     }
+    if config.mode == "full_sim":
+        threshold = config.integrator().leakage_warn_threshold
+        leakage = np.array([r.leakage for r in records])
+        payload["full_sim"] = {
+            "leakage_median": float(np.median(leakage)),
+            "leakage_p95": float(np.percentile(leakage, 95.0)),
+            "leakage_max": float(leakage.max()),
+            "leakage_warn_threshold": threshold,
+            "n_above_leakage_warn_threshold": int(np.count_nonzero(leakage > threshold)),
+        }
     _write_text(summary_path, _dump_json(payload))
     max_z = max(abs(z) for z in report.z_scores.values())
     _say(

@@ -17,6 +17,7 @@ parallel runs bit-identical.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -93,6 +94,10 @@ def run_ensemble(
     and the exact evolution see the same realization.  With a fixed
     ``master_seed`` the innovations of trial k do not depend on the
     noise amplitudes, so ensembles at different sigma share noise shapes.
+
+    ``n_jobs`` threads run trials concurrently, capped at the CPU count
+    and at ``n_trials``; with one worker the trials run serially.  The
+    records do not depend on ``n_jobs``.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -132,9 +137,10 @@ def run_ensemble(
             leakage=leakage,
         )
 
-    if n_jobs == 1:
+    workers = min(int(n_jobs), os.cpu_count() or 1, int(n_trials))
+    if workers == 1:
         return [one(i) for i in range(int(n_trials))]
-    with ThreadPoolExecutor(max_workers=int(n_jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, range(int(n_trials))))
 
 

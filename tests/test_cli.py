@@ -190,6 +190,26 @@ class TestMcCommand:
         assert summary["coherence"] is None
         assert all(z == 0.0 for z in summary["z_scores"].values())
 
+    def test_full_sim_summary_reports_leakage(self, tmp_path):
+        args = [
+            "mc", "--mode", "full_sim", "--n-trials", "40", "--steps-per-cycle", "512",
+            "--seed", "3", "--quiet", "-o", str(tmp_path / "fs"),
+        ]
+        main(args)
+        block = read_json(tmp_path / "fs.summary.json")["full_sim"]
+        rows = (tmp_path / "fs.records.csv").read_text().splitlines()[1:]
+        leakage = sorted(float(row.split(",")[-1]) for row in rows)
+        assert len(leakage) == 40
+        assert block["leakage_median"] == pytest.approx(0.5 * (leakage[19] + leakage[20]))
+        assert leakage[37] <= block["leakage_p95"] <= leakage[38]
+        assert block["leakage_max"] == leakage[-1]
+        threshold = block["leakage_warn_threshold"]
+        assert threshold == 1e-3
+        assert block["n_above_leakage_warn_threshold"] == sum(x > threshold for x in leakage)
+        # first-order summaries carry no full_sim block
+        main(self.ARGS + ["-o", str(tmp_path / "fo")])
+        assert "full_sim" not in read_json(tmp_path / "fo.summary.json")
+
 
 class TestSimulateCommand:
     def test_run_and_outputs(self, tmp_path):

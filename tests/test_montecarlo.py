@@ -17,6 +17,7 @@ from berrysim import (
     summarize,
     trial_seed,
 )
+from berrysim import montecarlo
 
 SPEC = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)
 MODEL = NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1)
@@ -69,6 +70,35 @@ class TestRunEnsemble:
         threaded = run_ensemble(SPEC, MODEL, 24, 13, config=FAST, n_jobs=4)
         assert [r.gamma_fo for r in threaded] == [r.gamma_fo for r in serial]
         assert [r.trial_index for r in threaded] == list(range(24))
+
+    def test_n_jobs_capped_by_cpus_and_trials(self, monkeypatch):
+        # a recording stand-in for the pool, so no thread is started at
+        # the large n_jobs value
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 4)
+        serial = run_ensemble(SPEC, MODEL, 3, 13, config=FAST)
+        assert run_ensemble(SPEC, MODEL, 3, 13, config=FAST, n_jobs=100_000) == serial
+        run_ensemble(SPEC, MODEL, 10, 13, config=FAST, n_jobs=100_000)
+        assert pools == [3, 4]
+        # unknown CPU count: one worker, so the trials run serially
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        assert run_ensemble(SPEC, MODEL, 3, 13, config=FAST, n_jobs=100_000) == serial
+        assert pools == [3, 4]
 
     def test_noise_shapes_shared_across_amplitudes(self):
         # same master seed: doubling sigma exactly doubles the deviations
