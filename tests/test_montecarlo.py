@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from berrysim import (
     IntegratorConfig,
@@ -10,6 +11,8 @@ from berrysim import (
     TrialRecord,
     coherence,
     compare_to_analytic,
+    dynamical_weight,
+    geometric_weight,
     noiseless_berry_phase,
     phase_moments,
     regime_grid,
@@ -22,6 +25,40 @@ from berrysim import montecarlo
 SPEC = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)
 MODEL = NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1)
 FAST = IntegratorConfig(steps_per_cycle=1024)
+
+
+def _reference_first_order(spec, model, n_trials, master_seed, config):
+    """First-order deviations by the per-trial path: sample K, then contract.
+
+    Each trial filters its standard-normal innovations into the OU path
+    K with the exact transition recursion and contracts K with the
+    trapezoid-weighted response weights.  Returns an (n_trials, 2) array
+    of (gamma_fo, delta_fo).
+    """
+    n_steps = config.steps_per_cycle * spec.n_cycles
+    dt = spec.t_total / n_steps
+    times = np.minimum(np.arange(n_steps + 1) * dt, spec.t_total)
+    quad = np.full(n_steps + 1, dt)
+    quad[0] = quad[-1] = 0.5 * dt
+    w_gamma = geometric_weight(spec)(times) * quad[:, None]
+    w_delta = dynamical_weight(spec)(times) * quad[:, None]
+    out = np.empty((n_trials, 2))
+    for i in range(n_trials):
+        rng = np.random.default_rng(np.random.SeedSequence(trial_seed(master_seed, i)))
+        draws = rng.standard_normal((n_steps + 1, 3))
+        k = np.zeros_like(draws)
+        for columns, params in (([0, 1], model.transverse), ([2], model.longitudinal)):
+            if params.sigma == 0.0:
+                continue
+            decay = math.exp(-params.gamma * dt)
+            innov = params.sigma * math.sqrt(-math.expm1(-2.0 * params.gamma * dt))
+            x0 = params.sigma * draws[0, columns]
+            k[0, columns] = x0
+            k[1:, columns], _ = lfilter(
+                [innov], [1.0, -decay], draws[1:, columns], axis=0, zi=(decay * x0)[None, :]
+            )
+        out[i] = np.einsum("ij,ij->", w_gamma, k), np.einsum("ij,ij->", w_delta, k)
+    return out
 
 
 class TestTrialSeed:
@@ -127,6 +164,42 @@ class TestRunEnsemble:
             assert r.leakage < 5e-3
             residual = r.gamma_sim - baseline[0].gamma_sim - r.gamma_fo
             assert abs(residual) < 2e-3
+
+    # (sigma12, sigma3): isotropic, no longitudinal noise, no transverse noise
+    AMPLITUDES = {"isotropic": (0.05, 0.05), "sigma3_zero": (0.05, 0.0), "sigma12_zero": (0.0, 0.05)}
+
+    @pytest.mark.parametrize("amplitudes", sorted(AMPLITUDES))
+    # transverse gamma*dt; the longitudinal one is 3x larger.  At 800 the
+    # one-step decay exp(-gamma*dt) underflows to exactly 0.
+    @pytest.mark.parametrize("gamma_dt", [1e-4, 0.3, 800.0])
+    @pytest.mark.parametrize("n_cycles", [1, 16])
+    def test_first_order_matches_reference(self, amplitudes, gamma_dt, n_cycles):
+        config = IntegratorConfig(steps_per_cycle=256)
+        spec = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=n_cycles)
+        dt = spec.t_total / (config.steps_per_cycle * n_cycles)
+        sigma12, sigma3 = self.AMPLITUDES[amplitudes]
+        model = NoiseModel.from_scalars(sigma12, gamma_dt / dt, sigma3, 3.0 * gamma_dt / dt)
+        for seed in (5, 42, 2024):
+            records = run_ensemble(spec, model, 16, seed, config=config)
+            got = np.array([(r.gamma_fo, r.delta_fo) for r in records])
+            want = _reference_first_order(spec, model, 16, seed, config)
+            scale = np.abs(want).max(axis=0)
+            assert np.all(scale > 0.0)
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("n_cycles", [1, 16])
+    def test_zero_noise_records_are_exactly_zero(self, n_cycles):
+        config = IntegratorConfig(steps_per_cycle=256)
+        spec = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=n_cycles)
+        zero = NoiseModel.from_scalars(0.0, 0.1, 0.0, 800.0)
+        for seed in (5, 42, 2024):
+            want = _reference_first_order(spec, zero, 4, seed, config)
+            assert np.all(want == 0.0)
+            for r in run_ensemble(spec, zero, 4, seed, config=config):
+                # +0.0 exactly: a -0.0 would print as "-0" in the records CSV
+                assert (r.gamma_fo, r.delta_fo, r.alpha_fo) == (0.0, 0.0, 0.0)
+                assert math.copysign(1.0, r.gamma_fo) == 1.0
+                assert math.copysign(1.0, r.delta_fo) == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
