@@ -31,7 +31,7 @@ from .analytics import (
 )
 from .evolve import IntegratorConfig, evolve_and_extract
 from .field import PrecessionSpec
-from .noise import NoiseModel, NoisePath, _sample_matrix
+from .noise import NoiseModel, NoisePath, _draw_innovations, _ou_filter
 
 __all__ = [
     "TrialRecord",
@@ -109,21 +109,25 @@ def run_ensemble(
     n_steps = config.steps_per_cycle * spec.n_cycles
     dt = spec.t_total / n_steps
     times = np.minimum(np.arange(n_steps + 1) * dt, spec.t_total)
-    # Fold the trapezoid quadrature weights into the response weights so
-    # each trial reduces to two inner products.
+    # Fold the trapezoid quadrature weights into the response weights.
     quad = np.full(n_steps + 1, dt)
     quad[0] = quad[-1] = 0.5 * dt
     w_gamma = geometric_weight(spec)(times) * quad[:, None]
     w_delta = dynamical_weight(spec)(times) * quad[:, None]
+    # The path is linear in the innovations, K = L xi, so w.K = (L^T w).xi:
+    # one adjoint pass per ensemble reduces each trial to one product
+    # with its innovations, with no filtered path.
+    adjoint = np.stack(
+        [_ou_filter(model, dt, w, adjoint=True).reshape(-1) for w in (w_gamma, w_delta)]
+    )
 
     def one(index: int) -> TrialRecord:
-        seed = trial_seed(master_seed, index)
-        k = _sample_matrix(model, n_steps, dt, seed)
-        gamma = float(np.einsum("ij,ij->", w_gamma, k))
-        delta = float(np.einsum("ij,ij->", w_delta, k))
+        xi = _draw_innovations(n_steps, trial_seed(master_seed, index))
+        gamma, delta = (adjoint @ xi.reshape(-1)).tolist()
         gamma_sim = None
         leakage = None
         if mode == "full_sim":
+            k = _ou_filter(model, dt, xi)
             path = NoisePath(times=np.arange(n_steps + 1) * dt, samples=k)
             extraction = evolve_and_extract(spec, path, config)
             gamma_sim = extraction.geometric_phase

@@ -141,28 +141,44 @@ class NoisePath:
         return self.samples[:, index]
 
 
-def _sample_matrix(model: NoiseModel, n_steps: int, dt: float, seed: int) -> np.ndarray:
-    """Raw (n_steps + 1, 3) component samples; see :func:`sample_path`.
+def _draw_innovations(n_steps: int, seed: int) -> np.ndarray:
+    """Standard-normal innovations xi of shape (n_steps + 1, 3) for one seed.
 
-    One standard-normal draw per node and component regardless of the
-    amplitudes, so realizations at different sigma share innovations
-    when seeded identically and scale exactly linearly in sigma.
+    One draw per node and component regardless of the amplitudes, so
+    realizations at different sigma share innovations when seeded
+    identically and scale exactly linearly in sigma.
     """
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    draws = rng.standard_normal((int(n_steps) + 1, 3))
-    samples = np.zeros_like(draws)
+    return rng.standard_normal((int(n_steps) + 1, 3))
+
+
+def _ou_filter(
+    model: NoiseModel, dt: float, values: np.ndarray, *, adjoint: bool = False
+) -> np.ndarray:
+    """Apply the exact OU transition L, or its transpose, down the node axis.
+
+    ``values`` has shape (n_steps + 1, 3), one column per component.  The
+    forward map K = L xi is the recursion in the module docstring with
+    K[0] = sigma*xi[0]: an AR(1) pass with the decay over the innovations
+    scaled by s = (sigma, innov, innov, ...).  The adjoint u = L^T w is
+    the same AR(1) pass run backwards over w, then scaled by s, so that
+    ``(w * K).sum() == (u * xi).sum()`` up to rounding.  Components with
+    sigma = 0 come out exactly zero in both directions.
+    """
+    out = np.zeros_like(values)
     for columns, params in (([0, 1], model.transverse), ([2], model.longitudinal)):
         if params.sigma == 0.0:
             continue
         decay = math.exp(-params.gamma * dt)
-        innov = params.sigma * math.sqrt(-math.expm1(-2.0 * params.gamma * dt))
-        x0 = params.sigma * draws[0, columns]
-        samples[0, columns] = x0
-        # AR(1) recursion x[n+1] = decay*x[n] + innov*draws[n+1] via lfilter.
-        samples[1:, columns], _ = lfilter(
-            [innov], [1.0, -decay], draws[1:, columns], axis=0, zi=(decay * x0)[None, :]
-        )
-    return samples
+        scale = np.full((values.shape[0], 1), params.sigma * math.sqrt(
+            -math.expm1(-2.0 * params.gamma * dt)))
+        scale[0] = params.sigma
+        if adjoint:
+            reverse = lfilter([1.0], [1.0, -decay], values[::-1, columns], axis=0)
+            out[:, columns] = scale * reverse[::-1]
+        else:
+            out[:, columns] = lfilter([1.0], [1.0, -decay], scale * values[:, columns], axis=0)
+    return out
 
 
 def sample_path(
@@ -195,7 +211,7 @@ def sample_path(
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    samples = _sample_matrix(model, int(n_steps), float(dt), int(seed))
+    samples = _ou_filter(model, float(dt), _draw_innovations(int(n_steps), int(seed)))
     times = np.arange(int(n_steps) + 1) * float(dt)
     return NoisePath(times=times, samples=samples)
 
