@@ -407,15 +407,17 @@ def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) 
         "adiabaticity": adiabaticity_report(spec, model).to_dict(),
         "pass": passed,
     }
+    n_leaky = 0
     if config.mode == "full_sim":
         threshold = config.integrator().leakage_warn_threshold
         leakage = np.array([r.leakage for r in records])
+        n_leaky = int(np.count_nonzero(leakage > threshold))
         payload["full_sim"] = {
             "leakage_median": float(np.median(leakage)),
             "leakage_p95": float(np.percentile(leakage, 95.0)),
             "leakage_max": float(leakage.max()),
             "leakage_warn_threshold": threshold,
-            "n_above_leakage_warn_threshold": int(np.count_nonzero(leakage > threshold)),
+            "n_above_leakage_warn_threshold": n_leaky,
         }
     _write_text(summary_path, _dump_json(payload))
     max_z = max(abs(z) for z in report.z_scores.values())
@@ -424,6 +426,9 @@ def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) 
         f"mc: n_trials={stats.n_trials} max|z|={max_z:.3f} "
         f"pass={str(passed).lower()} wrote {records_path} {summary_path}",
     )
+    if n_leaky:
+        _say(quiet, f"warning: {n_leaky} of {stats.n_trials} trials have leakage above "
+                    f"{threshold:.1e}; evolution is not adiabatic")
     return 0 if passed else 1
 
 
@@ -542,13 +547,14 @@ def cmd_sweep(
         point.validate()
         spec = point.spec()
         model = point.model()
+        var_gamma = analytics.berry_phase_variance(spec, model)
         row = {
             param: value,
             "n_cycles": spec.n_cycles,
             "omega": spec.omega,
-            "var_gamma_transverse": analytics.berry_phase_variance(spec, model).transverse_term,
-            "var_gamma_longitudinal": analytics.berry_phase_variance(spec, model).longitudinal_term,
-            "var_gamma": analytics.berry_phase_variance(spec, model).total,
+            "var_gamma_transverse": var_gamma.transverse_term,
+            "var_gamma_longitudinal": var_gamma.longitudinal_term,
+            "var_gamma": var_gamma.total,
             "var_delta": analytics.dynamical_phase_variance(spec, model).total,
             "cov_gamma_delta": analytics.phase_covariance(spec, model).total,
             "var_alpha": analytics.total_phase_variance(spec, model).total,

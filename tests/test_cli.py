@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from berrysim import AccuracyError
+from berrysim import AccuracyError, analytics, cli
 from berrysim.cli import RunConfig, config_from_file, format_config, main
 
 
@@ -211,6 +211,26 @@ class TestMcCommand:
         assert "full_sim" not in read_json(tmp_path / "fo.summary.json")
 
 
+    def test_full_sim_warns_on_leakage(self, tmp_path, capsys):
+        # 512 steps/cycle at the reference point is not adiabatic: most
+        # trials leak above the threshold, and the z-gate still passes
+        args = [
+            "mc", "--mode", "full_sim", "--n-trials", "40", "--steps-per-cycle", "512",
+            "--seed", "1", "-o", str(tmp_path / "fs"),
+        ]
+        assert main(args + ["--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        quiet_summary = (tmp_path / "fs.summary.json").read_bytes()
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert (tmp_path / "fs.summary.json").read_bytes() == quiet_summary
+        n_above = read_json(tmp_path / "fs.summary.json")["full_sim"][
+            "n_above_leakage_warn_threshold"
+        ]
+        assert n_above > 0
+        assert f"warning: {n_above} of 40 trials have leakage above 1.0e-03" in out
+
+
 class TestSimulateCommand:
     def test_run_and_outputs(self, tmp_path):
         # slow drive (omega/b0 = 0.016) so the evolution fold and the
@@ -288,6 +308,42 @@ class TestSweepCommand:
         assert main(args) == 0
         table = (tmp_path / "th.sweep.csv").read_text().splitlines()
         assert len(table) == 4
+
+    def test_rows_match_one_closed_form_call_per_row(self, tmp_path, monkeypatch):
+        calls = []
+
+        class CountingAnalytics:
+            def __getattr__(self, name):
+                return getattr(analytics, name)
+
+            def berry_phase_variance(self, spec, model):
+                calls.append(spec)
+                return analytics.berry_phase_variance(spec, model)
+
+        monkeypatch.setattr(cli, "analytics", CountingAnalytics())
+        args = [
+            "sweep", "--param", "theta0", "--values", "0.5,1.0,1.5",
+            "--quiet", "-o", str(tmp_path / "th"),
+        ]
+        assert main(args) == 0
+        assert [spec.theta0 for spec in calls] == [0.5, 1.0, 1.5]
+        model = RunConfig().model()
+        rows = read_json(tmp_path / "th.summary.json")["rows"]
+        table = (tmp_path / "th.sweep.csv").read_text().splitlines()
+        header = table[0].split(",")
+        for spec, row, line in zip(calls, rows, table[1:]):
+            closed = analytics.berry_phase_variance(spec, model)
+            expected = {
+                "var_gamma_transverse": closed.transverse_term,
+                "var_gamma_longitudinal": closed.longitudinal_term,
+                "var_gamma": closed.total,
+                "var_delta": analytics.dynamical_phase_variance(spec, model).total,
+                "var_alpha": analytics.total_phase_variance(spec, model).total,
+            }
+            cells = dict(zip(header, line.split(",")))
+            for key, value in expected.items():
+                assert row[key] == value
+                assert float(cells[key]) == value
 
     def test_bad_values_exit_2(self, capsys):
         assert main(["sweep", "--param", "t_total", "--values", "a,b", "--quiet"]) == 2
