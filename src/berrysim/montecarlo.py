@@ -1,8 +1,14 @@
 """Monte Carlo validation of the closed-form phase statistics.
 
-Each trial draws one OU noise realization, evaluates the first-order
-phase deviations as weighted path integrals, and optionally runs the
-exact spin evolution on the same path.  The recorded ``gamma_fo``,
+Each trial draws the standard-normal innovations xi of one OU noise
+realization and evaluates the first-order phase deviations, and
+optionally runs the exact spin evolution on the path K = L xi those
+innovations give.  The deviations are weighted path integrals w.K,
+linear in the innovations: w.K = (L^T w).xi.  So each ensemble runs its
+two trapezoid-weighted response weights backwards through the exact OU
+recursion once (the adjoint L^T w), and each trial is one product of
+those adjoint weights with its draw; first-order trials build no
+filtered path.  The recorded ``gamma_fo``,
 ``delta_fo`` and ``alpha_fo`` are deviations from the noiseless values
 (so their ensemble means target zero), while ``gamma_sim`` is the
 absolute folded geometric phase from the evolution.

@@ -17,6 +17,9 @@ Paths are sampled with the exact one-step transition kernel
 
 with ``xi`` i.i.d. standard normal, so the discrete marginals are exact
 for any step size and the process is stationary from the first sample.
+The path is linear in the innovations, K = L xi; the same filter also
+applies the transpose L^T, which turns a weighted path integral w.K
+into the inner product (L^T w).xi.
 """
 
 from __future__ import annotations
@@ -170,8 +173,8 @@ def _ou_filter(
         if params.sigma == 0.0:
             continue
         decay = math.exp(-params.gamma * dt)
-        scale = np.full((values.shape[0], 1), params.sigma * math.sqrt(
-            -math.expm1(-2.0 * params.gamma * dt)))
+        innov = params.sigma * math.sqrt(-math.expm1(-2.0 * params.gamma * dt))
+        scale = np.full((values.shape[0], 1), innov)
         scale[0] = params.sigma
         if adjoint:
             reverse = lfilter([1.0], [1.0, -decay], values[::-1, columns], axis=0)

@@ -12,11 +12,13 @@ from berrysim import (
     coherence,
     compare_to_analytic,
     dynamical_weight,
+    evolve_and_extract,
     geometric_weight,
     noiseless_berry_phase,
     phase_moments,
     regime_grid,
     run_ensemble,
+    sample_path,
     summarize,
     trial_seed,
 )
@@ -200,6 +202,19 @@ class TestRunEnsemble:
                 assert (r.gamma_fo, r.delta_fo, r.alpha_fo) == (0.0, 0.0, 0.0)
                 assert math.copysign(1.0, r.gamma_fo) == 1.0
                 assert math.copysign(1.0, r.delta_fo) == 1.0
+
+    def test_full_sim_draws_once_for_both_routes(self):
+        # one draw per trial feeds the first-order contraction and the
+        # path the exact evolution runs on
+        first_order = run_ensemble(SPEC, MODEL, 4, 19, config=FAST)
+        full_sim = run_ensemble(SPEC, MODEL, 4, 19, mode="full_sim", config=FAST)
+        assert [(r.gamma_fo, r.delta_fo) for r in full_sim] == [
+            (r.gamma_fo, r.delta_fo) for r in first_order
+        ]
+        n_steps = FAST.steps_per_cycle * SPEC.n_cycles
+        for r in full_sim:
+            path = sample_path(MODEL, n_steps, SPEC.t_total / n_steps, trial_seed(19, r.trial_index))
+            assert r.gamma_sim == evolve_and_extract(SPEC, path, FAST).geometric_phase
 
     def test_validation(self):
         with pytest.raises(ValueError):
