@@ -120,9 +120,7 @@ def run_ensemble(
     quad[0] = quad[-1] = 0.5 * dt
     w_gamma = geometric_weight(spec)(times) * quad[:, None]
     w_delta = dynamical_weight(spec)(times) * quad[:, None]
-    # The path is linear in the innovations, K = L xi, so w.K = (L^T w).xi:
-    # one adjoint pass per ensemble reduces each trial to one product
-    # with its innovations, with no filtered path.
+    # w.K = (L^T w).xi: one adjoint pass here replaces a filtered path per trial.
     adjoint = np.stack(
         [_ou_filter(model, dt, w, adjoint=True).reshape(-1) for w in (w_gamma, w_delta)]
     )
