@@ -2,14 +2,37 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from berrysim import AccuracyError, analytics, cli
 from berrysim.cli import RunConfig, config_from_file, format_config, main
+from berrysim.evolve import evolve_and_extract
+from berrysim.field import control_field
+from berrysim.montecarlo import run_ensemble
+from berrysim.noise import sample_path
 
 
 def read_json(path: Path) -> dict:
     return json.loads(path.read_text())
+
+
+def _reference_fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "%.17g" % float(value)
+
+
+def _reference_write_table(path: Path, header: list, rows: list) -> None:
+    """The per-cell CSV writer the CLI used before its column writer."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_reference_fmt(v) if not isinstance(v, str) else v for v in row))
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestRunConfig:
@@ -395,3 +418,99 @@ class TestCompareCommand:
         monkeypatch.setattr(analytics, "variance_by_quadrature", explode)
         assert main(["analytic"]) == 3
         assert "accuracy error" in capsys.readouterr().err
+
+
+class TestTableEquivalence:
+    """CLI tables are byte-equal to the per-cell reference writer."""
+
+    SPECIALS = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308, 0.1]
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, 10_001])
+    def test_synthetic_table(self, tmp_path, n_rows):
+        rng = np.random.default_rng(n_rows)
+        floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+        floats[: len(self.SPECIALS)] = self.SPECIALS[:n_rows]
+        ints = rng.integers(-(2**62), 2**62, n_rows)
+        header = ["x", "i", "missing", "y"]
+        rows = [[x, i, None, -x] for x, i in zip(floats, ints)]
+        _reference_write_table(tmp_path / "ref.csv", header, rows)
+        cli._write_table(tmp_path / "new.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("branch", ["up", "down"])
+    def test_simulate(self, tmp_path, branch):
+        config = RunConfig(t_total=40.0, steps_per_cycle=1024, seed=3)
+        args = [
+            "simulate", "--t-total", "40", "--steps-per-cycle", "1024", "--seed", "3",
+            "--branch", branch, "--quiet", "-o", str(tmp_path / "sim"),
+        ]
+        assert main(args) == 0
+        spec = config.spec()
+        n_steps = 1024
+        path = sample_path(config.model(), n_steps, spec.t_total / n_steps, 3)
+        _, trace = evolve_and_extract(
+            spec, path, config.integrator(), branch=branch, return_trace=True
+        )
+        b = control_field(spec, np.minimum(trace.times, spec.t_total))
+        k = path.samples
+        rows = [
+            [
+                trace.times[i], b[i, 0], b[i, 1], b[i, 2], k[i, 0], k[i, 1], k[i, 2],
+                trace.amp_up[i].real, trace.amp_up[i].imag,
+                trace.amp_down[i].real, trace.amp_down[i].imag,
+                trace.energy[i], trace.total_phase[i], trace.dynamical_phase[i],
+            ]
+            for i in range(trace.times.size)
+        ]
+        header = (tmp_path / "sim.trajectory.csv").read_text().splitlines()[0].split(",")
+        _reference_write_table(tmp_path / "ref_traj.csv", header, rows)
+        _reference_write_table(
+            tmp_path / "ref_noise.csv",
+            ["t", "k_1", "k_2", "k_3"],
+            [[path.times[i], *path.samples[i]] for i in range(path.times.size)],
+        )
+        assert (tmp_path / "sim.trajectory.csv").read_bytes() == (
+            tmp_path / "ref_traj.csv"
+        ).read_bytes()
+        assert (tmp_path / "sim.noise.csv").read_bytes() == (
+            tmp_path / "ref_noise.csv"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("mode", ["first_order", "full_sim"])
+    def test_mc_records(self, tmp_path, mode):
+        config = RunConfig(n_trials=50, steps_per_cycle=512, seed=5, mode=mode)
+        args = [
+            "mc", "--n-trials", "50", "--steps-per-cycle", "512", "--seed", "5",
+            "--mode", mode, "--quiet", "-o", str(tmp_path / "mc"),
+        ]
+        main(args)
+        records = run_ensemble(
+            config.spec(), config.model(), 50, 5, mode=mode, config=config.integrator()
+        )
+        _reference_write_table(
+            tmp_path / "ref.csv",
+            ["trial_index", "gamma_fo", "delta_fo", "alpha_fo", "gamma_sim", "leakage"],
+            [
+                [r.trial_index, r.gamma_fo, r.delta_fo, r.alpha_fo, r.gamma_sim, r.leakage]
+                for r in records
+            ],
+        )
+        assert (tmp_path / "mc.records.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("with_mc", [False, True])
+    def test_sweep(self, tmp_path, with_mc):
+        args = [
+            "sweep", "--param", "t_total", "--values", "50,100,200",
+            "--n-trials", "40", "--steps-per-cycle", "512", "--quiet",
+            "-o", str(tmp_path / "sw"),
+        ]
+        assert main(args + (["--with-mc"] if with_mc else [])) == 0
+        # JSON floats round-trip exactly, so the summary rows are the table's values
+        rows = read_json(tmp_path / "sw.summary.json")["rows"]
+        header = (tmp_path / "sw.sweep.csv").read_text().splitlines()[0].split(",")
+        assert sorted(header) == sorted(rows[0])
+        assert ("mc_var_gamma" in header) == with_mc
+        _reference_write_table(
+            tmp_path / "ref.csv", header, [[row[k] for k in header] for row in rows]
+        )
+        assert (tmp_path / "sw.sweep.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
