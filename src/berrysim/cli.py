@@ -226,11 +226,45 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _write_table(path: Path, header: list, rows: list) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+# Rows formatted per write; bounds the writer's memory for any table length.
+_CHUNK_ROWS = 4096
+_CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
+
+
+def _write_columns(path: Path, header: list, columns: list) -> None:
+    """Write equal-length columns as a CSV table, one row per index.
+
+    A 2-D array adds its columns in order and ``None`` is a column of
+    empty cells.  Floats are written ``%.17g`` and integers ``%d``; any
+    other dtype raises ``TypeError``.
+    """
+    formats = []
+    arrays = []
+    for column in columns:
+        if column is None:
+            formats.append("")
+            continue
+        column = np.asarray(column)
+        cell = _CELL_FORMATS.get(column.dtype.kind)
+        if cell is None or column.ndim not in (1, 2):
+            raise TypeError(
+                f"cannot write a column of dtype {column.dtype} and shape {column.shape}"
+            )
+        for array in column.T if column.ndim == 2 else (column,):
+            formats.append(cell)
+            arrays.append(array)
+    if len(formats) != len(header):
+        raise ValueError(f"{len(header)} header names for {len(formats)} columns")
+    lengths = {array.size for array in arrays}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    n_rows = lengths.pop() if lengths else 0
+    row = ",".join(formats) + "\n"
+    with path.open("w") as out:
+        out.write(",".join(header) + "\n")
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            chunk = [array[start:start + _CHUNK_ROWS].tolist() for array in arrays]
+            out.writelines(row % cells for cells in zip(*chunk))
 
 
 def _say(quiet: bool, message: str) -> None:
@@ -337,13 +371,13 @@ def cmd_analytic(config: RunConfig, quiet: bool) -> int:
     return 0
 
 
-def _records_table(records) -> tuple[list, list]:
-    header = ["trial_index", "gamma_fo", "delta_fo", "alpha_fo", "gamma_sim", "leakage"]
-    rows = [
-        [r.trial_index, r.gamma_fo, r.delta_fo, r.alpha_fo, r.gamma_sim, r.leakage]
-        for r in records
-    ]
-    return header, rows
+def _records_table(records) -> dict:
+    """Record fields as named columns; a field no trial filled is ``None``."""
+    table = {}
+    for name in ("trial_index", "gamma_fo", "delta_fo", "alpha_fo", "gamma_sim", "leakage"):
+        values = [getattr(r, name) for r in records]
+        table[name] = None if values[0] is None else np.array(values)
+    return table
 
 
 def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) -> int:
@@ -376,8 +410,8 @@ def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) 
     base = _resolve_base(config, "mc")
     records_path = base.with_name(base.name + ".records.csv")
     summary_path = base.with_name(base.name + ".summary.json")
-    header, rows = _records_table(records)
-    _write_table(records_path, header, rows)
+    table = _records_table(records)
+    _write_columns(records_path, list(table), list(table.values()))
     payload = {
         "config": config.to_dict(),
         "analytic": dataclasses.asdict(moments),
@@ -410,7 +444,7 @@ def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) 
     n_leaky = 0
     if config.mode == "full_sim":
         threshold = config.integrator().leakage_warn_threshold
-        leakage = np.array([r.leakage for r in records])
+        leakage = table["leakage"]
         n_leaky = int(np.count_nonzero(leakage > threshold))
         payload["full_sim"] = {
             "leakage_median": float(np.median(leakage)),
@@ -461,24 +495,13 @@ def cmd_simulate(config: RunConfig, quiet: bool, branch: str) -> int:
         "re_amp_up", "im_amp_up", "re_amp_down", "im_amp_down",
         "energy", "total_phase", "dynamical_phase",
     ]
-    rows = []
-    for i in range(trace.times.size):
-        rows.append(
-            [
-                trace.times[i],
-                b_control[i, 0], b_control[i, 1], b_control[i, 2],
-                path.samples[i, 0], path.samples[i, 1], path.samples[i, 2],
-                trace.amp_up[i].real, trace.amp_up[i].imag,
-                trace.amp_down[i].real, trace.amp_down[i].imag,
-                trace.energy[i], trace.total_phase[i], trace.dynamical_phase[i],
-            ]
-        )
-    _write_table(trajectory_path, header, rows)
-    _write_table(
-        noise_path,
-        ["t", "k_1", "k_2", "k_3"],
-        [[path.times[i], *path.samples[i]] for i in range(path.times.size)],
-    )
+    columns = [
+        trace.times, b_control, path.samples,
+        trace.amp_up.real, trace.amp_up.imag, trace.amp_down.real, trace.amp_down.imag,
+        trace.energy, trace.total_phase, trace.dynamical_phase,
+    ]
+    _write_columns(trajectory_path, header, columns)
+    _write_columns(noise_path, ["t", "k_1", "k_2", "k_3"], [path.times, path.samples])
     payload = {
         "config": config.to_dict(),
         "branch": branch,
@@ -595,7 +618,7 @@ def cmd_sweep(
     table_path = base.with_name(base.name + ".sweep.csv")
     summary_path = base.with_name(base.name + ".summary.json")
     header = list(rows[0].keys())
-    _write_table(table_path, header, [[row[k] for k in header] for row in rows])
+    _write_columns(table_path, header, [np.array([row[k] for row in rows]) for k in header])
     payload = {
         "config": config.to_dict(),
         "param": param,

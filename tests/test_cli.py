@@ -434,8 +434,32 @@ class TestTableEquivalence:
         header = ["x", "i", "missing", "y"]
         rows = [[x, i, None, -x] for x, i in zip(floats, ints)]
         _reference_write_table(tmp_path / "ref.csv", header, rows)
-        cli._write_table(tmp_path / "new.csv", header, rows)
+        cli._write_columns(tmp_path / "new.csv", header, [floats, ints, None, -floats])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_two_dimensional_block_adds_its_columns_in_order(self, tmp_path):
+        block = np.arange(12.0).reshape(4, 3)
+        first = np.arange(4)
+        cli._write_columns(tmp_path / "new.csv", ["i", "a", "b", "c"], [first, block])
+        rows = [[i, *block[i]] for i in range(4)]
+        _reference_write_table(tmp_path / "ref.csv", ["i", "a", "b", "c"], rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "column", [np.array([True, False]), np.array([1j, 2j]), np.array(["a", "b"]),
+                   np.array([None, 1.0]), np.zeros((2, 2, 2))]
+    )
+    def test_other_kinds_raise_type_error(self, tmp_path, column):
+        with pytest.raises(TypeError):
+            cli._write_columns(tmp_path / "t.csv", ["x"], [column])
+
+    def test_unequal_lengths_raise(self, tmp_path):
+        with pytest.raises(ValueError, match="differ in length"):
+            cli._write_columns(tmp_path / "t.csv", ["x", "y"], [np.zeros(3), np.zeros(4)])
+
+    def test_header_must_name_every_column(self, tmp_path):
+        with pytest.raises(ValueError, match="header names"):
+            cli._write_columns(tmp_path / "t.csv", ["x", "y"], [np.zeros((3, 2)), None])
 
     @pytest.mark.parametrize("branch", ["up", "down"])
     def test_simulate(self, tmp_path, branch):
