@@ -12,6 +12,11 @@ Configuration is a flat ``key=value`` file; any key can be overridden
 with a ``--key value`` command-line flag.  Relative output paths are
 resolved under ``$BERRYSIM_OUTPUT_DIR`` when that variable is set.
 
+CSV tables hold one value per cell: floats as ``%.17g`` (round-trip
+exact), integers in decimal, and a missing value as an empty cell.
+Tables are written in chunks of rows, so the writer's memory does not
+grow with the table's length.
+
 Exit codes: 0 success, 1 scientific check failed, 2 usage or
 configuration error, 3 numerical accuracy failure.
 """
@@ -222,22 +227,13 @@ def _resolve_base(config: RunConfig, command: str) -> Path:
     return base
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text)
-
-
-# Rows formatted per write; bounds the writer's memory for any table length.
+# Rows formatted per write, so the writer's memory does not grow with the table.
 _CHUNK_ROWS = 4096
 _CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
 
 
 def _write_columns(path: Path, header: list, columns: list) -> None:
-    """Write equal-length columns as a CSV table, one row per index.
-
-    A 2-D array adds its columns in order and ``None`` is a column of
-    empty cells.  Floats are written ``%.17g`` and integers ``%d``; any
-    other dtype raises ``TypeError``.
-    """
+    """Write equal-length columns as CSV; a 2-D array adds its columns in order."""
     formats = []
     arrays = []
     for column in columns:
@@ -245,24 +241,20 @@ def _write_columns(path: Path, header: list, columns: list) -> None:
             formats.append("")
             continue
         column = np.asarray(column)
-        cell = _CELL_FORMATS.get(column.dtype.kind)
-        if cell is None or column.ndim not in (1, 2):
-            raise TypeError(
-                f"cannot write a column of dtype {column.dtype} and shape {column.shape}"
-            )
+        if column.dtype.kind not in _CELL_FORMATS or column.ndim not in (1, 2):
+            raise TypeError(f"cannot write a {column.dtype} column of shape {column.shape}")
         for array in column.T if column.ndim == 2 else (column,):
-            formats.append(cell)
+            formats.append(_CELL_FORMATS[column.dtype.kind])
             arrays.append(array)
     if len(formats) != len(header):
         raise ValueError(f"{len(header)} header names for {len(formats)} columns")
     lengths = {array.size for array in arrays}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
-    n_rows = lengths.pop() if lengths else 0
     row = ",".join(formats) + "\n"
     with path.open("w") as out:
         out.write(",".join(header) + "\n")
-        for start in range(0, n_rows, _CHUNK_ROWS):
+        for start in range(0, max(lengths, default=0), _CHUNK_ROWS):
             chunk = [array[start:start + _CHUNK_ROWS].tolist() for array in arrays]
             out.writelines(row % cells for cells in zip(*chunk))
 
@@ -366,7 +358,7 @@ def cmd_analytic(config: RunConfig, quiet: bool) -> int:
     else:
         target = _resolve_base(config, "analytic")
         path = target.with_name(target.name + ".analytic." + config.output_format)
-        _write_text(path, rendered)
+        path.write_text(rendered)
         _say(quiet, f"analytic: wrote {path}")
     return 0
 
@@ -415,29 +407,10 @@ def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) 
     payload = {
         "config": config.to_dict(),
         "analytic": dataclasses.asdict(moments),
-        "empirical": {
-            "n_trials": stats.n_trials,
-            "mean": stats.mean,
-            "variance": stats.variance,
-            "sem_mean": stats.sem_mean,
-            "sem_variance": stats.sem_variance,
-            "skewness": stats.skewness,
-            "excess_kurtosis": stats.excess_kurtosis,
-            "se_skewness": stats.se_skewness,
-            "se_kurtosis": stats.se_kurtosis,
-            "cov_gamma_delta": stats.cov_gamma_delta,
-            "se_cov_gamma_delta": stats.se_cov_gamma_delta,
-        },
+        "empirical": dataclasses.asdict(stats),
         "z_scores": report.z_scores,
         "z_threshold": report.threshold,
-        "coherence": None
-        if coh is None
-        else {
-            "measured": coh.measured,
-            "predicted": coh.predicted,
-            "se": coh.se,
-            "z_score": coh.z_score,
-        },
+        "coherence": None if coh is None else dataclasses.asdict(coh),
         "adiabaticity": adiabaticity_report(spec, model).to_dict(),
         "pass": passed,
     }
@@ -453,7 +426,7 @@ def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) 
             "leakage_warn_threshold": threshold,
             "n_above_leakage_warn_threshold": n_leaky,
         }
-    _write_text(summary_path, _dump_json(payload))
+    summary_path.write_text(_dump_json(payload))
     max_z = max(abs(z) for z in report.z_scores.values())
     _say(
         quiet,
@@ -522,7 +495,7 @@ def cmd_simulate(config: RunConfig, quiet: bool, branch: str) -> int:
         "noiseless_berry_phase": analytics.noiseless_berry_phase(spec.theta0),
         "adiabaticity": adiabaticity_report(spec, model).to_dict(),
     }
-    _write_text(summary_path, _dump_json(payload))
+    summary_path.write_text(_dump_json(payload))
     _say(
         quiet,
         f"simulate: geometric={extraction.geometric_phase:.6f} "
@@ -627,7 +600,7 @@ def cmd_sweep(
         "rows": rows,
         "slopes": slopes,
     }
-    _write_text(summary_path, _dump_json(payload))
+    summary_path.write_text(_dump_json(payload))
     slope_note = " ".join(f"{k}={v:.4f}" for k, v in slopes.items())
     _say(quiet, f"sweep: {len(rows)} points over {param} {slope_note} wrote {table_path}")
     return 0
@@ -773,8 +746,7 @@ def cmd_compare(config: RunConfig, quiet: bool) -> int:
     if config.output_path is not None:
         base = _resolve_base(config, "compare")
         path = base.with_name(base.name + ".compare.json")
-        _write_text(
-            path,
+        path.write_text(
             _dump_json(
                 {
                     "config": config.to_dict(),

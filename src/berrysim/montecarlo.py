@@ -196,10 +196,14 @@ def _column_stats(x: np.ndarray) -> dict:
 
 
 def summarize(records: list[TrialRecord]) -> EnsembleStats:
-    """Reduce an ensemble to moment estimates with standard errors."""
+    """Reduce an ensemble to moment estimates with standard errors.
+
+    Needs at least four records: the kurtosis standard error has n - 3
+    in its denominator.
+    """
     n = len(records)
-    if n < 2:
-        raise ValueError(f"need at least two records, got {n}")
+    if n < 4:
+        raise ValueError(f"need at least four records for the moment standard errors, got {n}")
     columns = {
         "gamma_fo": np.array([r.gamma_fo for r in records]),
         "delta_fo": np.array([r.delta_fo for r in records]),

@@ -254,6 +254,23 @@ class TestMcCommand:
         assert f"warning: {n_above} of 40 trials have leakage above 1.0e-03" in out
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["mc"],
+        ["sweep", "--param", "theta0", "--values", "0.5", "--with-mc"],
+        ["compare"],
+    ],
+)
+def test_three_trials_are_a_usage_error(tmp_path, capsys, args):
+    argv = args + ["--n-trials", "3", "--steps-per-cycle", "512", "--quiet",
+                   "-o", str(tmp_path / "tiny")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: need at least four records")
+    assert "Traceback" not in err
+
+
 class TestSimulateCommand:
     def test_run_and_outputs(self, tmp_path):
         # slow drive (omega/b0 = 0.016) so the evolution fold and the
@@ -293,6 +310,30 @@ class TestSimulateCommand:
             -summary["noiseless_berry_phase"], abs=0.2
         )
         assert summary["extraction"]["dynamical_phase"] > 0
+
+    @pytest.mark.parametrize("t_total,n_cycles", [(40.0, 1), (100.0, 3)])
+    def test_noise_rows_repeat_trajectory_cells(self, tmp_path, t_total, n_cycles):
+        args = [
+            "simulate", "--t-total", str(t_total), "--n-cycles", str(n_cycles),
+            "--steps-per-cycle", "1024", "--seed", "5", "--quiet", "-o", str(tmp_path / "sim"),
+        ]
+        assert main(args) == 0
+        trajectory = (tmp_path / "sim.trajectory.csv").read_text().splitlines()
+        noise = (tmp_path / "sim.noise.csv").read_text().splitlines()
+        header = trajectory[0].split(",")
+        assert [header[0], *header[4:7]] == ["t", "k_x", "k_y", "k_z"]
+        assert len(noise) == len(trajectory) == 1024 * n_cycles + 2
+        for trajectory_row, noise_row in zip(trajectory[1:], noise[1:]):
+            cells = trajectory_row.split(",")
+            assert noise_row == ",".join([cells[0], *cells[4:7]])
+        # the trajectory's t comes from the evolution grid, the noise's from the path
+        config = RunConfig(t_total=t_total, n_cycles=n_cycles, steps_per_cycle=1024)
+        n_steps = 1024 * n_cycles
+        path = sample_path(config.model(), n_steps, t_total / n_steps, 5)
+        _, trace = evolve_and_extract(
+            config.spec(), path, config.integrator(), return_trace=True
+        )
+        assert np.array_equal(path.times, trace.times)
 
     def test_pole_skips_noncyclic_term(self, tmp_path):
         base = tmp_path / "pole"

@@ -275,10 +275,17 @@ class TestSummarize:
         se_kurt = 2.0 * se_skew * math.sqrt((n * n - 1) / ((n - 3) * (n + 5)))
         assert stats.se_kurtosis == pytest.approx(se_kurt, rel=1e-12)
 
+    def test_four_records_are_enough(self):
+        stats = summarize(self._records_from([0.0, 1.0, 3.0, 2.0], [1.0, 0.0, 0.0, 2.0]))
+        assert stats.n_trials == 4
+        assert math.isfinite(stats.se_skewness) and math.isfinite(stats.se_kurtosis)
+
     def test_rejects_small_or_mixed_ensembles(self):
-        with pytest.raises(ValueError):
-            summarize(self._records_from([1.0], [1.0]))
-        mixed = self._records_from([1.0, 2.0], [0.0, 0.0])
+        # the skewness and kurtosis standard errors divide by n - 2 and n - 3
+        for n in (1, 2, 3):
+            with pytest.raises(ValueError, match="at least four records"):
+                summarize(self._records_from(np.arange(n, dtype=float), np.zeros(n)))
+        mixed = self._records_from([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0])
         mixed[1] = TrialRecord(
             trial_index=1,
             gamma_fo=2.0,
@@ -287,7 +294,7 @@ class TestSummarize:
             gamma_sim=1.5,
             leakage=0.0,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mix"):
             summarize(mixed)
 
     def test_sim_column_included(self):
