@@ -384,3 +384,175 @@ class TestNoncyclicTerm:
         path = NoisePath(times=times, samples=np.zeros((5, 3)))
         with pytest.raises(DegeneracyError):
             noncyclic_connection_term(spec, path)
+
+
+# --------------------------------------------------------------------------
+# Reference copies of the closed forms, their subterms, both limits and one
+# quadrature pass, as written before the closed forms became one quadratic
+# form over weight amplitudes.  TestMatchesReference pins the package to
+# them on a grid that spans both poles, the equator, both bandwidth
+# extremes and each noise channel alone.
+
+from scipy.signal import lfilter  # noqa: E402
+
+
+def _ref_brackets(spec, model):
+    gamma, omega, t_total = model.transverse.gamma, spec.omega, spec.t_total
+    denom = gamma * gamma + omega * omega
+    j = (
+        gamma * t_total / denom
+        + math.expm1(-gamma * t_total) * (gamma * gamma - omega * omega) / denom**2
+    )
+    gamma = model.longitudinal.gamma
+    u = gamma * t_total
+    if u < 1e-4:
+        ell = t_total * t_total * (0.5 - u / 6.0 + u * u / 24.0 - u**3 / 120.0)
+    else:
+        ell = (u + math.expm1(-u)) / (gamma * gamma)
+    return j, ell
+
+
+def _ref_closed_forms(spec, model):
+    """(transverse, longitudinal) terms of each second moment, and the limits."""
+    s, c = math.sin(spec.theta0), math.cos(spec.theta0)
+    b0, t_total = spec.b0, spec.t_total
+    a = math.pi * c * s / (t_total * b0)
+    b = math.pi * s * s / (t_total * b0)
+    tr, lo = model.transverse, model.longitudinal
+    j, ell = _ref_brackets(spec, model)
+    trans_amp = b0 * s - math.pi * c * s / t_total
+    long_amp = math.pi * s * s / t_total + b0 * c
+    cov = (-2.0 * tr.sigma**2 * a * s * j, 2.0 * lo.sigma**2 * b * c * ell)
+    omega_t = spec.omega * t_total
+    return {
+        "var_gamma": (2.0 * tr.sigma**2 * a * a * j, 2.0 * lo.sigma**2 * b * b * ell),
+        "var_delta": (2.0 * tr.sigma**2 * s * s * j, 2.0 * lo.sigma**2 * c * c * ell),
+        "cov_gamma_delta": cov,
+        "var_alpha": (
+            2.0 * (tr.sigma / b0) ** 2 * trans_amp**2 * j,
+            2.0 * (lo.sigma / b0) ** 2 * long_amp**2 * ell,
+        ),
+        "cross": (2.0 * cov[0], 2.0 * cov[1]),
+        "narrowband": (
+            4.0 * tr.sigma**2 * (math.pi * c * s / b0) ** 2 * tr.gamma * t_total / omega_t**2,
+            2.0 * lo.sigma**2 * (math.pi * s * s / b0) ** 2 * (0.5 - lo.gamma * t_total / 6.0),
+        ),
+        "broadband": (
+            2.0 * tr.sigma**2 * (math.pi * c * s / b0) ** 2 / (tr.gamma * t_total),
+            2.0 * lo.sigma**2 * (math.pi * s * s / b0) ** 2 / (lo.gamma * t_total),
+        ),
+    }
+
+
+def _ref_weight_values(spec, name, t):
+    """Weight of gamma, delta or alpha on the grid t, one component at a time."""
+    s, c = math.sin(spec.theta0), math.cos(spec.theta0)
+    phase = spec.omega * t
+    if name == "alpha":
+        return _ref_weight_values(spec, "gamma", t) + _ref_weight_values(spec, "delta", t)
+    if name == "gamma":
+        amp = math.pi / (spec.t_total * spec.b0)
+        parts = [-amp * c * s * np.cos(phase), -amp * c * s * np.sin(phase),
+                 np.full_like(phase, amp * s * s)]
+    else:
+        parts = [s * np.cos(phase), s * np.sin(phase), np.full_like(phase, c)]
+    return np.stack(parts, axis=-1)
+
+
+def _ref_filtered_kernel(w, gamma, h):
+    u = gamma * h
+    i0 = -math.expm1(-u) / gamma
+    if u < 1e-4:
+        i1 = h * (0.5 - u / 6.0 + u * u / 24.0 - u**3 / 120.0)
+    else:
+        i1 = (u + math.expm1(-u)) / (u * gamma)
+    out, _ = lfilter([i1, i0 - i1], [1.0, -math.exp(-u)], w, zi=np.array([-i1 * w[0]]))
+    return out
+
+
+def _ref_quadrature_pass(spec, name_a, name_b, model, n_nodes):
+    t = np.linspace(0.0, spec.t_total, n_nodes + 1)
+    h = spec.t_total / n_nodes
+    wa = _ref_weight_values(spec, name_a, t)
+    wb = _ref_weight_values(spec, name_b, t)
+    total = 0.0
+    for i in range(3):
+        params = model.params_for(i)
+        if params.sigma == 0.0:
+            continue
+        yb = _ref_filtered_kernel(wb[:, i], params.gamma, h)
+        ya = _ref_filtered_kernel(wa[:, i], params.gamma, h)
+        total += params.sigma**2 * (
+            np.trapezoid(wa[:, i] * yb, dx=h) + np.trapezoid(wb[:, i] * ya, dx=h)
+        )
+    return float(total)
+
+
+def _ref_covariance_by_quadrature(spec, name_a, name_b, model, n_nodes, rtol, max_nodes):
+    """(value, error, nodes), or None where the doubling does not converge."""
+    n = n_nodes
+    prev = _ref_quadrature_pass(spec, name_a, name_b, model, n)
+    while 2 * n <= max_nodes:
+        n *= 2
+        cur = _ref_quadrature_pass(spec, name_a, name_b, model, n)
+        err = abs(cur - prev) / 3.0
+        extrap = cur + (cur - prev) / 3.0
+        if err <= rtol * abs(extrap):
+            return extrap, err, n
+        prev = cur
+    return None
+
+
+# theta0 x gamma*T x (sigma12, sigma3) x n_cycles, at b0 = 1.3 and T = 100
+# with the longitudinal bandwidth three times the transverse one.
+REFERENCE_GRID = [
+    (
+        PrecessionSpec(b0=1.3, theta0=theta0, t_total=100.0, n_cycles=n_cycles),
+        NoiseModel.from_scalars(sigma12, gamma_t / 100.0, sigma3, 3.0 * gamma_t / 100.0),
+    )
+    for theta0 in (0.0, 0.05, math.pi / 4, math.pi / 2, math.pi - 0.05, math.pi)
+    for gamma_t in (1e-6, 1e-2, 1.0, 100.0, 1e4)
+    for sigma12, sigma3 in ((0.05, 0.05), (0.05, 0.0), (0.0, 0.05))
+    for n_cycles in (1, 7)
+]
+
+
+def _same(got, want, rel):
+    return abs(got - want) <= rel * abs(want)
+
+
+class TestMatchesReference:
+    def test_closed_forms(self):
+        for spec, model in REFERENCE_GRID:
+            want = _ref_closed_forms(spec, model)
+            got = {
+                "var_gamma": berry_phase_variance(spec, model),
+                "var_delta": dynamical_phase_variance(spec, model),
+                "cov_gamma_delta": phase_covariance(spec, model),
+                "var_alpha": total_phase_variance(spec, model),
+                "cross": total_phase_subterms(spec, model).cross,
+            }
+            for key, value in got.items():
+                terms = (value.transverse_term, value.longitudinal_term)
+                for term, ref in zip(terms, want[key]):
+                    assert _same(term, ref, 1e-14), (spec, model, key)
+            for key, fn in (("narrowband", berry_phase_variance_narrowband),
+                            ("broadband", berry_phase_variance_broadband)):
+                assert _same(fn(spec, model), sum(want[key]), 1e-14), (spec, model, key)
+
+    @pytest.mark.parametrize("pair", [("gamma", "gamma"), ("alpha", "alpha"),
+                                      ("gamma", "delta")])
+    def test_quadrature(self, pair):
+        weights = {"gamma": geometric_weight, "delta": dynamical_weight}
+        weights["alpha"] = lambda spec: geometric_weight(spec) + dynamical_weight(spec)
+        for spec, model in REFERENCE_GRID:
+            want = _ref_covariance_by_quadrature(spec, *pair, model, 256, 1e-8, 2**16)
+            args = (weights[pair[0]](spec), weights[pair[1]](spec), model, 256)
+            kwargs = dict(rtol=1e-8, max_nodes=2**16)
+            if want is None:
+                with pytest.raises(AccuracyError):
+                    covariance_by_quadrature(*args, **kwargs)
+                continue
+            got = covariance_by_quadrature(*args, **kwargs)
+            assert got.nodes == want[2], (spec, model)
+            assert _same(got.value, want[0], 1e-10), (spec, model)

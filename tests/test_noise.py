@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from berrysim import (
     NoiseModel,
@@ -210,3 +211,37 @@ class TestAnisotropy:
         for a, b in ((x, y), (x, z), (y, z)):
             rho = np.corrcoef(a, b)[0, 1]
             assert abs(rho) < 4.0 / math.sqrt(n) * 5  # generous, correlated samples
+
+
+def _reference_path(model, n_steps, dt, seed):
+    """The OU recursion of the module docstring, run by scipy's lfilter."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    draws = rng.standard_normal((n_steps + 1, 3))
+    k = np.zeros_like(draws)
+    for columns, params in (([0, 1], model.transverse), ([2], model.longitudinal)):
+        if params.sigma == 0.0:
+            continue
+        decay = math.exp(-params.gamma * dt)
+        innov = params.sigma * math.sqrt(-math.expm1(-2.0 * params.gamma * dt))
+        x0 = params.sigma * draws[0, columns]
+        k[0, columns] = x0
+        k[1:, columns], _ = lfilter(
+            [innov], [1.0, -decay], draws[1:, columns], axis=0, zi=(decay * x0)[None, :]
+        )
+    return k
+
+
+class TestMatchesReference:
+    # transverse gamma*dt; the longitudinal one is 3x larger.  At 800 the
+    # one-step decay exp(-gamma*dt) underflows to exactly 0.
+    @pytest.mark.parametrize("gamma_dt", [1e-7, 1e-4, 0.3, 33.0, 800.0])
+    @pytest.mark.parametrize("sigmas", [(0.05, 0.05), (0.05, 0.0), (0.0, 0.05)])
+    @pytest.mark.parametrize("n_steps", [1, 4096, 100_000])
+    def test_sample_path(self, gamma_dt, sigmas, n_steps):
+        dt = 0.01
+        model = NoiseModel.from_scalars(sigmas[0], gamma_dt / dt, sigmas[1], 3.0 * gamma_dt / dt)
+        for seed in (5, 2024):
+            got = sample_path(model, n_steps, dt, seed).samples
+            want = _reference_path(model, n_steps, dt, seed)
+            assert np.all((got == 0.0) == (want == 0.0))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
