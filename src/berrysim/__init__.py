@@ -10,27 +10,21 @@ Carlo validation, and dephasing estimates, plus a CLI wrapping it all.
 
 from .analytics import (
     PhaseMoments,
-    PhaseVarianceSubterms,
     QuadratureEstimate,
     VarianceBreakdown,
-    WeightFunction,
+    Weight,
     berry_connection_phi,
-    berry_phase_variance,
     berry_phase_variance_broadband,
     berry_phase_variance_narrowband,
-    constant_weight,
     covariance_by_quadrature,
     density_matrix_after,
     dephasing_factor,
-    dynamical_phase_variance,
     dynamical_weight,
     geometric_weight,
     noiseless_berry_phase,
     noncyclic_connection_term,
     phase_covariance,
     phase_moments,
-    total_phase_subterms,
-    total_phase_variance,
     variance_by_quadrature,
 )
 from .errors import AccuracyError, BerrysimError, DegeneracyError, ResolutionError
@@ -93,11 +87,9 @@ __all__ = [
     "control_field", "polar_angles", "field_sample", "first_order_cos_theta",
     "adiabaticity_report",
     # analytics
-    "WeightFunction", "geometric_weight", "dynamical_weight", "constant_weight",
+    "Weight", "geometric_weight", "dynamical_weight",
     "berry_connection_phi", "noiseless_berry_phase", "VarianceBreakdown",
-    "berry_phase_variance", "dynamical_phase_variance", "phase_covariance",
-    "total_phase_variance", "PhaseVarianceSubterms", "total_phase_subterms",
-    "berry_phase_variance_narrowband", "berry_phase_variance_broadband",
+    "phase_covariance", "berry_phase_variance_narrowband", "berry_phase_variance_broadband",
     "QuadratureEstimate", "variance_by_quadrature", "covariance_by_quadrature",
     "dephasing_factor", "density_matrix_after", "PhaseMoments", "phase_moments",
     "noncyclic_connection_term",

@@ -11,57 +11,67 @@ linear functionals
     d_gamma = integral w_gamma(t) . K(t) dt
     d_delta = integral w_delta(t) . K(t) dt
 
-with weights (s = sin(theta0), c = cos(theta0), B = b0, T = t_total)
+and every such weight has the form
 
-    w_gamma(t) = (pi / (T*B)) * (-c*s*cos(omega t), -c*s*sin(omega t), s**2)
-    w_delta(t) = (s*cos(omega t), s*sin(omega t), c)
+    w(t) = (x_T*cos(omega t), x_T*sin(omega t), x_L),
+
+so a :class:`Weight` is its two amplitudes (s = sin(theta0),
+c = cos(theta0), B = b0, T = t_total):
+
+    functional   x_T               x_L
+    gamma        -pi*c*s/(T*B)     pi*s**2/(T*B)
+    delta        s                 c
+    alpha        sum of the two rows above
 
 ``delta`` here is the accumulated field-modulus integral, which equals
 the relative dynamical phase between the two adiabatic branches;
 ``alpha = gamma + delta`` is the combined phase whose variance controls
 dephasing through ``exp(-2*var(alpha))``.
 
-For stationary OU noise the variances of these Gaussian functionals
-close in terms of two brackets (u = gamma*T, valid when the drive
-closes, omega*T = 2*pi*n_cycles):
+For stationary OU noise every second moment of these Gaussian
+functionals is one quadratic form in the amplitudes, valid when the
+drive closes (omega*T = 2*pi*n_cycles):
+
+    Cov(x, y) = 2*sigma_T**2 * J * x_T*y_T + 2*sigma_L**2 * L * x_L*y_L
+
+with the brackets (u = gamma*T)
 
     J(gamma, omega, T) = gamma*T/(gamma**2 + omega**2)
                          + expm1(-gamma*T) * (gamma**2 - omega**2)
                            / (gamma**2 + omega**2)**2
     L(gamma, T)        = (gamma*T + expm1(-gamma*T)) / gamma**2
 
+The slow-noise (narrowband) and fast-noise (broadband) limits of
+var(gamma) are the same form with the limits of the brackets:
+
+    narrowband   J = 2*gamma12*T/omega**2    L = T**2*(1/2 - gamma3*T/6)
+    broadband    J = T/gamma12               L = T/gamma3
+
 The quadrature routines integrate the same double integrals directly
-from the weights and the OU kernel, with no reference to the closed
-forms, and serve as an independent cross-check.
+from cos(omega t), sin(omega t), 1 and the OU kernel, with no reference
+to J or L, and serve as an independent cross-check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import AccuracyError, DegeneracyError
 from .field import PrecessionSpec, control_field
-from .noise import NoiseModel, NoisePath
+from .noise import NoiseModel, NoisePath, _ar1
 
 __all__ = [
-    "WeightFunction",
+    "Weight",
     "geometric_weight",
     "dynamical_weight",
-    "constant_weight",
     "berry_connection_phi",
     "noiseless_berry_phase",
     "VarianceBreakdown",
-    "berry_phase_variance",
-    "dynamical_phase_variance",
     "phase_covariance",
-    "total_phase_variance",
-    "PhaseVarianceSubterms",
-    "total_phase_subterms",
     "berry_phase_variance_narrowband",
     "berry_phase_variance_broadband",
     "QuadratureEstimate",
@@ -80,94 +90,52 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class WeightFunction:
-    """A vector-valued weight w(t) on [0, t_total].
+class Weight:
+    """A response weight w(t) = (x_T*cos(omega t), x_T*sin(omega t), x_L).
 
-    ``components`` maps an array of times to an array of shape
-    ``t.shape + (3,)``.  Weights are first-class values so the closed
-    forms, the quadrature oracle and the Monte Carlo pipeline all
-    consume the same object.
+    Only the two amplitudes are stored; the spec supplies omega and the
+    window.  The closed forms, the quadrature oracle and the Monte Carlo
+    pipeline all consume this one value.
     """
 
-    t_total: float
-    components: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
+    transverse: float
+    longitudinal: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t_total) and self.t_total > 0.0):
-            raise ValueError(f"t_total must be finite and positive, got {self.t_total}")
-
-    def __call__(self, t: float | np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        tol = 1e-9 * max(1.0, self.t_total)
-        if np.any(t < -tol) or np.any(t > self.t_total + tol):
-            raise ValueError(f"t must lie within [0, {self.t_total}]")
-        return np.asarray(self.components(t), dtype=float)
-
-    def __add__(self, other: "WeightFunction") -> "WeightFunction":
-        if not isinstance(other, WeightFunction):
+    def __add__(self, other: "Weight") -> "Weight":
+        if not isinstance(other, Weight):
             return NotImplemented
-        if not math.isclose(self.t_total, other.t_total, rel_tol=1e-12):
-            raise ValueError("cannot add weights with different domains")
-        first, second = self.components, other.components
-        label = f"{self.label}+{other.label}" if self.label and other.label else ""
-        return WeightFunction(
-            t_total=self.t_total,
-            components=lambda t: np.asarray(first(t)) + np.asarray(second(t)),
-            label=label,
+        return Weight(
+            self.transverse + other.transverse, self.longitudinal + other.longitudinal
         )
 
-
-def geometric_weight(spec: PrecessionSpec) -> WeightFunction:
-    """First-order response weight of the geometric phase."""
-    s = math.sin(spec.theta0)
-    c = math.cos(spec.theta0)
-    amp = math.pi / (spec.t_total * spec.b0)
-    omega = spec.omega
-
-    def components(t: np.ndarray) -> np.ndarray:
-        phase = omega * t
+    def on_grid(self, spec: PrecessionSpec, t: np.ndarray) -> np.ndarray:
+        """w evaluated at the times ``t``, shape ``t.shape + (3,)``."""
+        phase = spec.omega * np.asarray(t, dtype=float)
         return np.stack(
             [
-                -amp * c * s * np.cos(phase),
-                -amp * c * s * np.sin(phase),
-                np.full_like(phase, amp * s * s),
+                self.transverse * np.cos(phase),
+                self.transverse * np.sin(phase),
+                np.full_like(phase, self.longitudinal),
             ],
             axis=-1,
         )
 
-    return WeightFunction(t_total=spec.t_total, components=components, label="geometric")
+
+def geometric_weight(spec: PrecessionSpec) -> Weight:
+    """First-order response weight of the geometric phase."""
+    s = math.sin(spec.theta0)
+    c = math.cos(spec.theta0)
+    amp = math.pi / (spec.t_total * spec.b0)
+    return Weight(-amp * c * s, amp * s * s)
 
 
-def dynamical_weight(spec: PrecessionSpec) -> WeightFunction:
+def dynamical_weight(spec: PrecessionSpec) -> Weight:
     """First-order response weight of the field-modulus integral.
 
     This is the unit direction of the control field, since
     d|B + K| = B_hat . dK at K = 0.
     """
-    s = math.sin(spec.theta0)
-    c = math.cos(spec.theta0)
-    omega = spec.omega
-
-    def components(t: np.ndarray) -> np.ndarray:
-        phase = omega * t
-        return np.stack(
-            [s * np.cos(phase), s * np.sin(phase), np.full_like(phase, c)], axis=-1
-        )
-
-    return WeightFunction(t_total=spec.t_total, components=components, label="dynamical")
-
-
-def constant_weight(t_total: float, vector) -> WeightFunction:
-    """A time-independent weight, mostly useful for testing the oracle."""
-    v = np.asarray(vector, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"vector must be a 3-vector, got shape {v.shape}")
-    return WeightFunction(
-        t_total=t_total,
-        components=lambda t: np.broadcast_to(v, np.shape(t) + (3,)).copy(),
-        label="constant",
-    )
+    return Weight(math.sin(spec.theta0), math.cos(spec.theta0))
 
 
 # --------------------------------------------------------------------------
@@ -215,7 +183,7 @@ def _longitudinal_bracket(gamma: float, t_total: float) -> float:
 
 @dataclass(frozen=True)
 class VarianceBreakdown:
-    """A variance split into transverse and longitudinal noise contributions."""
+    """A variance or covariance split into transverse and longitudinal noise parts."""
 
     transverse_term: float
     longitudinal_term: float
@@ -225,105 +193,29 @@ class VarianceBreakdown:
         return self.transverse_term + self.longitudinal_term
 
 
-def _angle_factors(spec: PrecessionSpec) -> tuple[float, float, float, float]:
-    s = math.sin(spec.theta0)
-    c = math.cos(spec.theta0)
-    # Transverse / longitudinal amplitudes of the geometric weight.
-    a = math.pi * c * s / (spec.t_total * spec.b0)
-    b = math.pi * s * s / (spec.t_total * spec.b0)
-    return s, c, a, b
-
-
-def berry_phase_variance(spec: PrecessionSpec, model: NoiseModel) -> VarianceBreakdown:
-    """Closed-form variance of the first-order geometric-phase deviation."""
-    _, _, a, b = _angle_factors(spec)
-    tr = model.transverse
-    lo = model.longitudinal
-    j = _transverse_bracket(tr.gamma, spec.omega, spec.t_total)
-    ell = _longitudinal_bracket(lo.gamma, spec.t_total)
+def _form(model: NoiseModel, x: Weight, y: Weight, j: float, ell: float) -> VarianceBreakdown:
+    """The quadratic form of the module docstring at the brackets j and ell."""
     return VarianceBreakdown(
-        transverse_term=2.0 * tr.sigma**2 * a * a * j,
-        longitudinal_term=2.0 * lo.sigma**2 * b * b * ell,
-    )
-
-
-def dynamical_phase_variance(spec: PrecessionSpec, model: NoiseModel) -> VarianceBreakdown:
-    """Closed-form variance of the first-order field-modulus deviation."""
-    s, c, _, _ = _angle_factors(spec)
-    tr = model.transverse
-    lo = model.longitudinal
-    j = _transverse_bracket(tr.gamma, spec.omega, spec.t_total)
-    ell = _longitudinal_bracket(lo.gamma, spec.t_total)
-    return VarianceBreakdown(
-        transverse_term=2.0 * tr.sigma**2 * s * s * j,
-        longitudinal_term=2.0 * lo.sigma**2 * c * c * ell,
-    )
-
-
-def phase_covariance(spec: PrecessionSpec, model: NoiseModel) -> VarianceBreakdown:
-    """Closed-form covariance between the two first-order deviations.
-
-    The transverse part is negative whenever cos(theta0) > 0: a noise
-    kick that raises the field modulus tilts the cone so as to lower
-    the subtended solid angle.
-    """
-    s, c, a, b = _angle_factors(spec)
-    tr = model.transverse
-    lo = model.longitudinal
-    j = _transverse_bracket(tr.gamma, spec.omega, spec.t_total)
-    ell = _longitudinal_bracket(lo.gamma, spec.t_total)
-    return VarianceBreakdown(
-        transverse_term=-2.0 * tr.sigma**2 * a * s * j,
-        longitudinal_term=2.0 * lo.sigma**2 * b * c * ell,
-    )
-
-
-def total_phase_variance(spec: PrecessionSpec, model: NoiseModel) -> VarianceBreakdown:
-    """Closed-form variance of the combined deviation alpha = gamma + delta."""
-    s, c, _, _ = _angle_factors(spec)
-    b0 = spec.b0
-    t_total = spec.t_total
-    tr = model.transverse
-    lo = model.longitudinal
-    j = _transverse_bracket(tr.gamma, spec.omega, t_total)
-    ell = _longitudinal_bracket(lo.gamma, t_total)
-    trans_amp = b0 * s - math.pi * c * s / t_total
-    long_amp = math.pi * s * s / t_total + b0 * c
-    return VarianceBreakdown(
-        transverse_term=2.0 * (tr.sigma / b0) ** 2 * trans_amp**2 * j,
-        longitudinal_term=2.0 * (lo.sigma / b0) ** 2 * long_amp**2 * ell,
-    )
-
-
-@dataclass(frozen=True)
-class PhaseVarianceSubterms:
-    """var(alpha) split by origin: geometric, dynamical and cross terms.
-
-    ``geometric`` equals the geometric-phase variance, ``dynamical`` the
-    field-modulus variance and ``cross`` twice their covariance, so that
-    ``geometric.total + dynamical.total + cross.total`` reproduces
-    ``total_phase_variance(...).total``.
-    """
-
-    geometric: VarianceBreakdown
-    dynamical: VarianceBreakdown
-    cross: VarianceBreakdown
-
-    @property
-    def total(self) -> float:
-        return self.geometric.total + self.dynamical.total + self.cross.total
-
-
-def total_phase_subterms(spec: PrecessionSpec, model: NoiseModel) -> PhaseVarianceSubterms:
-    cov = phase_covariance(spec, model)
-    return PhaseVarianceSubterms(
-        geometric=berry_phase_variance(spec, model),
-        dynamical=dynamical_phase_variance(spec, model),
-        cross=VarianceBreakdown(
-            transverse_term=2.0 * cov.transverse_term,
-            longitudinal_term=2.0 * cov.longitudinal_term,
+        transverse_term=2.0 * model.transverse.sigma**2 * j * x.transverse * y.transverse,
+        longitudinal_term=(
+            2.0 * model.longitudinal.sigma**2 * ell * x.longitudinal * y.longitudinal
         ),
     )
+
+
+def phase_covariance(
+    spec: PrecessionSpec, model: NoiseModel, x: Weight, y: Weight
+) -> VarianceBreakdown:
+    """Closed-form covariance of the first-order functionals with weights x and y.
+
+    With ``x == y`` this is a variance.  For the geometric and dynamical
+    weights the transverse part is negative whenever cos(theta0) > 0: a
+    noise kick that raises the field modulus tilts the cone so as to
+    lower the subtended solid angle.
+    """
+    j = _transverse_bracket(model.transverse.gamma, spec.omega, spec.t_total)
+    ell = _longitudinal_bracket(model.longitudinal.gamma, spec.t_total)
+    return _form(model, x, y, j, ell)
 
 
 def berry_phase_variance_narrowband(spec: PrecessionSpec, model: NoiseModel) -> float:
@@ -334,27 +226,11 @@ def berry_phase_variance_narrowband(spec: PrecessionSpec, model: NoiseModel) -> 
     linearly with gamma12*t_total; the longitudinal part saturates at
     half the squared weight amplitude.
     """
-    s, c, _, _ = _angle_factors(spec)
-    b0 = spec.b0
     t_total = spec.t_total
-    tr = model.transverse
-    lo = model.longitudinal
-    omega_t = spec.omega * t_total
-    trans = (
-        4.0
-        * tr.sigma**2
-        * (math.pi * c * s / b0) ** 2
-        * tr.gamma
-        * t_total
-        / omega_t**2
-    )
-    longi = (
-        2.0
-        * lo.sigma**2
-        * (math.pi * s * s / b0) ** 2
-        * (0.5 - lo.gamma * t_total / 6.0)
-    )
-    return trans + longi
+    j = 2.0 * model.transverse.gamma * t_total / spec.omega**2
+    ell = t_total * t_total * (0.5 - model.longitudinal.gamma * t_total / 6.0)
+    w = geometric_weight(spec)
+    return _form(model, w, w, j, ell).total
 
 
 def berry_phase_variance_broadband(spec: PrecessionSpec, model: NoiseModel) -> float:
@@ -364,14 +240,10 @@ def berry_phase_variance_broadband(spec: PrecessionSpec, model: NoiseModel) -> f
     gamma*t_total >> 1.  Both contributions fall off as
     1/(gamma*t_total): rapid fluctuations self-average over the loop.
     """
-    s, c, _, _ = _angle_factors(spec)
-    b0 = spec.b0
-    t_total = spec.t_total
-    tr = model.transverse
-    lo = model.longitudinal
-    trans = 2.0 * tr.sigma**2 * (math.pi * c * s / b0) ** 2 / (tr.gamma * t_total)
-    longi = 2.0 * lo.sigma**2 * (math.pi * s * s / b0) ** 2 / (lo.gamma * t_total)
-    return trans + longi
+    j = spec.t_total / model.transverse.gamma
+    ell = spec.t_total / model.longitudinal.gamma
+    w = geometric_weight(spec)
+    return _form(model, w, w, j, ell).total
 
 
 # --------------------------------------------------------------------------
@@ -398,43 +270,40 @@ def _filtered_kernel(w: np.ndarray, gamma: float, h: float) -> np.ndarray:
         i1 = h * (0.5 - u / 6.0 + u * u / 24.0 - u**3 / 120.0)
     else:
         i1 = (u + math.expm1(-u)) / (u * gamma)
-    decay = math.exp(-u)
-    out, _ = lfilter(
-        [i1, i0 - i1], [1.0, -decay], w, zi=np.array([-i1 * w[0]])
-    )
-    return out
+    x = np.zeros_like(w)
+    x[1:] = i1 * w[1:] + (i0 - i1) * w[:-1]
+    return _ar1(x, math.exp(-u))
 
 
 def _quadrature_pass(
-    weight_a: WeightFunction,
-    weight_b: WeightFunction,
-    model: NoiseModel,
-    n_nodes: int,
+    spec: PrecessionSpec, x: Weight, y: Weight, model: NoiseModel, n_nodes: int
 ) -> float:
-    t_total = weight_a.t_total
-    t = np.linspace(0.0, t_total, n_nodes + 1)
-    h = t_total / n_nodes
-    wa = weight_a(t)
-    wb = wa if weight_b is weight_a else weight_b(t)
+    """One trapezoid pass of Cov(x, y) over ``n_nodes`` intervals.
+
+    Each weight component is an amplitude times cos(omega t), sin(omega t)
+    or 1, so the pass filters each of those once and scales the result.
+    """
+    t = np.linspace(0.0, spec.t_total, n_nodes + 1)
+    h = spec.t_total / n_nodes
+    phase = spec.omega * t
     total = 0.0
-    for i in range(3):
-        params = model.params_for(i)
-        if params.sigma == 0.0:
+    for params, amp, bases in (
+        (model.transverse, x.transverse * y.transverse, (np.cos, np.sin)),
+        (model.longitudinal, x.longitudinal * y.longitudinal, (np.ones_like,)),
+    ):
+        coeff = 2.0 * params.sigma**2 * amp
+        if coeff == 0.0:
             continue
-        yb = _filtered_kernel(wb[:, i], params.gamma, h)
-        if weight_b is weight_a:
-            total += 2.0 * params.sigma**2 * np.trapezoid(wa[:, i] * yb, dx=h)
-        else:
-            ya = _filtered_kernel(wa[:, i], params.gamma, h)
-            total += params.sigma**2 * (
-                np.trapezoid(wa[:, i] * yb, dx=h) + np.trapezoid(wb[:, i] * ya, dx=h)
-            )
+        for basis in bases:
+            b = basis(phase)
+            total += coeff * np.trapezoid(b * _filtered_kernel(b, params.gamma, h), dx=h)
     return float(total)
 
 
 def covariance_by_quadrature(
-    weight_a: WeightFunction,
-    weight_b: WeightFunction,
+    spec: PrecessionSpec,
+    weight_a: Weight,
+    weight_b: Weight,
     model: NoiseModel,
     n_nodes: int = 4096,
     *,
@@ -453,15 +322,13 @@ def covariance_by_quadrature(
     """
     if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 64:
         raise ValueError(f"n_nodes must be an integer >= 64, got {n_nodes}")
-    if not math.isclose(weight_a.t_total, weight_b.t_total, rel_tol=1e-12):
-        raise ValueError("weights must share the same domain")
     if max_nodes < 2 * n_nodes:
         raise ValueError("max_nodes must allow at least one grid doubling")
     n = int(n_nodes)
-    prev = _quadrature_pass(weight_a, weight_b, model, n)
+    prev = _quadrature_pass(spec, weight_a, weight_b, model, n)
     while 2 * n <= max_nodes:
         n *= 2
-        cur = _quadrature_pass(weight_a, weight_b, model, n)
+        cur = _quadrature_pass(spec, weight_a, weight_b, model, n)
         err = abs(cur - prev) / 3.0
         extrap = cur + (cur - prev) / 3.0
         if err <= rtol * abs(extrap) + atol:
@@ -474,7 +341,8 @@ def covariance_by_quadrature(
 
 
 def variance_by_quadrature(
-    weight: WeightFunction,
+    spec: PrecessionSpec,
+    weight: Weight,
     model: NoiseModel,
     n_nodes: int = 4096,
     *,
@@ -484,7 +352,7 @@ def variance_by_quadrature(
 ) -> QuadratureEstimate:
     """Variance of one first-order functional by direct quadrature."""
     return covariance_by_quadrature(
-        weight, weight, model, n_nodes, rtol=rtol, atol=atol, max_nodes=max_nodes
+        spec, weight, weight, model, n_nodes, rtol=rtol, atol=atol, max_nodes=max_nodes
     )
 
 
@@ -543,16 +411,19 @@ class PhaseMoments:
 
 
 def phase_moments(spec: PrecessionSpec, model: NoiseModel) -> PhaseMoments:
+    gamma = geometric_weight(spec)
+    delta = dynamical_weight(spec)
+    alpha = gamma + delta
     mean_gamma = noiseless_berry_phase(spec.theta0)
     mean_delta = spec.b0 * spec.t_total
     return PhaseMoments(
         mean_gamma=mean_gamma,
-        var_gamma=berry_phase_variance(spec, model).total,
+        var_gamma=phase_covariance(spec, model, gamma, gamma).total,
         mean_delta=mean_delta,
-        var_delta=dynamical_phase_variance(spec, model).total,
-        cov_gamma_delta=phase_covariance(spec, model).total,
+        var_delta=phase_covariance(spec, model, delta, delta).total,
+        cov_gamma_delta=phase_covariance(spec, model, gamma, delta).total,
         mean_alpha=mean_gamma + mean_delta,
-        var_alpha=total_phase_variance(spec, model).total,
+        var_alpha=phase_covariance(spec, model, alpha, alpha).total,
     )
 
 

@@ -24,7 +24,9 @@ configuration error, 3 numerical accuracy failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -208,13 +210,13 @@ def _flatten(payload: dict, prefix: str = "") -> list:
 
 
 def _dump_csv_pairs(payload: dict) -> str:
-    lines = ["key,value"]
+    # csv quotes a cell only when it holds a comma, a quote or a line break.
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["key", "value"])
     for key, value in _flatten(payload):
-        if isinstance(value, str):
-            lines.append(f"{key},{value}")
-        else:
-            lines.append(f"{key},{_fmt(value)}")
-    return "\n".join(lines) + "\n"
+        writer.writerow([key, value if isinstance(value, str) else _fmt(value)])
+    return out.getvalue()
 
 
 def _resolve_base(config: RunConfig, command: str) -> Path:
@@ -278,51 +280,43 @@ def _quad_nodes(spec: PrecessionSpec) -> int:
 # commands
 
 
+def _terms(moment) -> dict:
+    return {
+        "transverse": moment.transverse_term,
+        "longitudinal": moment.longitudinal_term,
+        "total": moment.total,
+    }
+
+
 def _analytic_payload(config: RunConfig) -> dict:
     spec = config.spec()
     model = config.model()
-    var_gamma = analytics.berry_phase_variance(spec, model)
-    var_delta = analytics.dynamical_phase_variance(spec, model)
-    cov = analytics.phase_covariance(spec, model)
-    var_alpha = analytics.total_phase_variance(spec, model)
-    subterms = analytics.total_phase_subterms(spec, model)
+    w_gamma = analytics.geometric_weight(spec)
+    w_delta = analytics.dynamical_weight(spec)
+    w_alpha = w_gamma + w_delta
+    var_gamma = analytics.phase_covariance(spec, model, w_gamma, w_gamma)
+    var_delta = analytics.phase_covariance(spec, model, w_delta, w_delta)
+    cov = analytics.phase_covariance(spec, model, w_gamma, w_delta)
+    var_alpha = analytics.phase_covariance(spec, model, w_alpha, w_alpha)
     moments = analytics.phase_moments(spec, model)
     nodes = _quad_nodes(spec)
-    w_gamma = analytics.geometric_weight(spec)
-    w_alpha = w_gamma + analytics.dynamical_weight(spec)
     # rtol 1e-8 keeps the cross-check far below the 1e-6 agreement gate
     # without stalling near the roundoff floor at extreme working points
-    quad_gamma = analytics.variance_by_quadrature(w_gamma, model, nodes, rtol=1e-8)
-    quad_alpha = analytics.variance_by_quadrature(w_alpha, model, nodes, rtol=1e-8)
+    quad_gamma = analytics.variance_by_quadrature(spec, w_gamma, model, nodes, rtol=1e-8)
+    quad_alpha = analytics.variance_by_quadrature(spec, w_alpha, model, nodes, rtol=1e-8)
     return {
         "config": config.to_dict(),
         "omega": spec.omega,
         "variances": {
-            "var_gamma": {
-                "transverse": var_gamma.transverse_term,
-                "longitudinal": var_gamma.longitudinal_term,
-                "total": var_gamma.total,
-            },
-            "var_delta": {
-                "transverse": var_delta.transverse_term,
-                "longitudinal": var_delta.longitudinal_term,
-                "total": var_delta.total,
-            },
-            "cov_gamma_delta": {
-                "transverse": cov.transverse_term,
-                "longitudinal": cov.longitudinal_term,
-                "total": cov.total,
-            },
-            "var_alpha": {
-                "transverse": var_alpha.transverse_term,
-                "longitudinal": var_alpha.longitudinal_term,
-                "total": var_alpha.total,
-            },
+            "var_gamma": _terms(var_gamma),
+            "var_delta": _terms(var_delta),
+            "cov_gamma_delta": _terms(cov),
+            "var_alpha": _terms(var_alpha),
         },
         "subterms": {
-            "geometric": subterms.geometric.total,
-            "dynamical": subterms.dynamical.total,
-            "cross": subterms.cross.total,
+            "geometric": var_gamma.total,
+            "dynamical": var_delta.total,
+            "cross": 2.0 * cov.total,
         },
         "limits": {
             "narrowband_var_gamma": analytics.berry_phase_variance_narrowband(spec, model),
@@ -543,7 +537,10 @@ def cmd_sweep(
         point.validate()
         spec = point.spec()
         model = point.model()
-        var_gamma = analytics.berry_phase_variance(spec, model)
+        w_gamma = analytics.geometric_weight(spec)
+        w_delta = analytics.dynamical_weight(spec)
+        w_alpha = w_gamma + w_delta
+        var_gamma = analytics.phase_covariance(spec, model, w_gamma, w_gamma)
         row = {
             param: value,
             "n_cycles": spec.n_cycles,
@@ -551,13 +548,13 @@ def cmd_sweep(
             "var_gamma_transverse": var_gamma.transverse_term,
             "var_gamma_longitudinal": var_gamma.longitudinal_term,
             "var_gamma": var_gamma.total,
-            "var_delta": analytics.dynamical_phase_variance(spec, model).total,
-            "cov_gamma_delta": analytics.phase_covariance(spec, model).total,
-            "var_alpha": analytics.total_phase_variance(spec, model).total,
+            "var_delta": analytics.phase_covariance(spec, model, w_delta, w_delta).total,
+            "cov_gamma_delta": analytics.phase_covariance(spec, model, w_gamma, w_delta).total,
+            "var_alpha": analytics.phase_covariance(spec, model, w_alpha, w_alpha).total,
             "narrowband_var_gamma": analytics.berry_phase_variance_narrowband(spec, model),
             "broadband_var_gamma": analytics.berry_phase_variance_broadband(spec, model),
             "var_gamma_quadrature": analytics.variance_by_quadrature(
-                analytics.geometric_weight(spec), model, _quad_nodes(spec), rtol=1e-7
+                spec, w_gamma, model, _quad_nodes(spec), rtol=1e-7
             ).value,
         }
         if with_mc:
@@ -614,24 +611,21 @@ def _battery(config: RunConfig) -> list:
     moments = analytics.phase_moments(spec, model)
     nodes = _quad_nodes(spec)
 
-    quad_gamma = analytics.variance_by_quadrature(
-        analytics.geometric_weight(spec), model, nodes
-    )
+    w_gamma = analytics.geometric_weight(spec)
+    w_delta = analytics.dynamical_weight(spec)
+    quad_gamma = analytics.variance_by_quadrature(spec, w_gamma, model, nodes)
     rel = _rel_diff(quad_gamma.value, moments.var_gamma)
     checks.append(
         ("oracle_var_gamma", rel <= 1e-6,
          f"closed={moments.var_gamma:.9e} quadrature={quad_gamma.value:.9e} rel={rel:.2e}")
     )
-    w_alpha = analytics.geometric_weight(spec) + analytics.dynamical_weight(spec)
-    quad_alpha = analytics.variance_by_quadrature(w_alpha, model, nodes)
+    quad_alpha = analytics.variance_by_quadrature(spec, w_gamma + w_delta, model, nodes)
     rel = _rel_diff(quad_alpha.value, moments.var_alpha)
     checks.append(
         ("oracle_var_alpha", rel <= 1e-6,
          f"closed={moments.var_alpha:.9e} quadrature={quad_alpha.value:.9e} rel={rel:.2e}")
     )
-    quad_cov = analytics.covariance_by_quadrature(
-        analytics.geometric_weight(spec), analytics.dynamical_weight(spec), model, nodes
-    )
+    quad_cov = analytics.covariance_by_quadrature(spec, w_gamma, w_delta, model, nodes)
     rel = _rel_diff(quad_cov.value, moments.cov_gamma_delta)
     checks.append(
         ("oracle_cov", rel <= 1e-6,
@@ -644,8 +638,9 @@ def _battery(config: RunConfig) -> list:
         config.sigma12, 0.01 / t_total, config.sigma3, 0.01 / t_total
     )
     spec_1 = dataclasses.replace(config, n_cycles=1).spec()
+    w_1 = analytics.geometric_weight(spec_1)
     nb = analytics.berry_phase_variance_narrowband(spec_1, slow)
-    closed = analytics.berry_phase_variance(spec_1, slow).total
+    closed = analytics.phase_covariance(spec_1, slow, w_1, w_1).total
     rel = _rel_diff(nb, closed)
     checks.append(
         ("narrowband_limit", rel <= 0.05,
@@ -655,7 +650,7 @@ def _battery(config: RunConfig) -> list:
         config.sigma12, 1000.0 / t_total, config.sigma3, 1000.0 / t_total
     )
     bb = analytics.berry_phase_variance_broadband(spec_1, fast)
-    closed = analytics.berry_phase_variance(spec_1, fast).total
+    closed = analytics.phase_covariance(spec_1, fast, w_1, w_1).total
     rel = _rel_diff(bb, closed)
     checks.append(
         ("broadband_limit", rel <= 0.05,
@@ -700,8 +695,10 @@ def _battery(config: RunConfig) -> list:
         vd = []
         for t_value in t_values:
             spec_t = PrecessionSpec(config.b0, config.theta0, t_value, 1)
-            vg.append(analytics.berry_phase_variance(spec_t, model).total)
-            vd.append(analytics.dynamical_phase_variance(spec_t, model).total)
+            g_t = analytics.geometric_weight(spec_t)
+            d_t = analytics.dynamical_weight(spec_t)
+            vg.append(analytics.phase_covariance(spec_t, model, g_t, g_t).total)
+            vd.append(analytics.phase_covariance(spec_t, model, d_t, d_t).total)
         log_t = np.log(t_values)
         detail = []
         ok = True

@@ -118,8 +118,8 @@ def run_ensemble(
     # Fold the trapezoid quadrature weights into the response weights.
     quad = np.full(n_steps + 1, dt)
     quad[0] = quad[-1] = 0.5 * dt
-    w_gamma = geometric_weight(spec)(times) * quad[:, None]
-    w_delta = dynamical_weight(spec)(times) * quad[:, None]
+    w_gamma = geometric_weight(spec).on_grid(spec, times) * quad[:, None]
+    w_delta = dynamical_weight(spec).on_grid(spec, times) * quad[:, None]
     # w.K = (L^T w).xi: one adjoint pass here replaces a filtered path per trial.
     adjoint = np.stack(
         [_ou_filter(model, dt, w, adjoint=True).reshape(-1) for w in (w_gamma, w_delta)]

@@ -19,7 +19,9 @@ with ``xi`` i.i.d. standard normal, so the discrete marginals are exact
 for any step size and the process is stationary from the first sample.
 The path is linear in the innovations, K = L xi; the same filter also
 applies the transpose L^T, which turns a weighted path integral w.K
-into the inner product (L^T w).xi.
+into the inner product (L^T w).xi.  Both directions, and the kernel of
+the quadrature oracle in :mod:`berrysim.analytics`, run one numpy AR(1)
+scan, y[k] = d*y[k-1] + x[k].
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "OuParams",
@@ -155,6 +156,48 @@ def _draw_innovations(n_steps: int, seed: int) -> np.ndarray:
     return rng.standard_normal((int(n_steps) + 1, 3))
 
 
+# Rows per block of the AR(1) scan, and the largest exponent j*ln(1/d) that
+# its in-block scaling d**-j may reach, so that scaled values stay finite.
+_AR1_BLOCK = 4096
+_AR1_SPAN = 200.0
+
+
+def _ar1_block(d: float) -> int:
+    """Block length of the AR(1) scan at decay d, at most ``_AR1_BLOCK``."""
+    u = -math.log(d) if d > 0.0 else math.inf
+    return min(_AR1_BLOCK, 1 + int(_AR1_SPAN / u)) if u > 0.0 else _AR1_BLOCK
+
+
+def _ar1(x: np.ndarray, d: float) -> np.ndarray:
+    """y[k] = d*y[k-1] + x[k] down axis 0, with y[0] = x[0] and 0 <= d <= 1.
+
+    Within a block of B rows, y[j] = d**j * (cumsum(x / d**j) + d*c), where
+    c is the value the previous block ends on.  B keeps d**-j below
+    exp(_AR1_SPAN), and B = 1 when d underflows to 0.  The block end values
+    c come from a doubling scan over blocks with decay d**B (Hillis &
+    Steele, CACM 29(12), 1986), which stops once that decay underflows to
+    zero.  The work is O(len(x)), and all-zero columns come out exactly zero.
+    """
+    n = x.shape[0]
+    rest = x.shape[1:]
+    n_blocks = -(-n // _ar1_block(d))
+    block = -(-n // n_blocks)
+    y = np.zeros((n_blocks * block,) + rest)
+    y[:n] = x
+    y = y.reshape((n_blocks, block) + rest)
+    powers = (d ** np.arange(block)).reshape((block,) + (1,) * len(rest))
+    y /= powers
+    np.cumsum(y, axis=1, out=y)
+    carry = powers[-1] * y[:, -1]
+    step, decay = 1, d**block
+    while step < n_blocks and decay > 0.0:
+        carry[step:] += decay * carry[:-step]
+        step, decay = 2 * step, decay * decay
+    y[1:] += d * carry[:-1, None]
+    y *= powers
+    return y.reshape((n_blocks * block,) + rest)[:n]
+
+
 def _ou_filter(
     model: NoiseModel, dt: float, values: np.ndarray, *, adjoint: bool = False
 ) -> np.ndarray:
@@ -177,10 +220,9 @@ def _ou_filter(
         scale = np.full((values.shape[0], 1), innov)
         scale[0] = params.sigma
         if adjoint:
-            reverse = lfilter([1.0], [1.0, -decay], values[::-1, columns], axis=0)
-            out[:, columns] = scale * reverse[::-1]
+            out[:, columns] = scale * _ar1(values[::-1, columns], decay)[::-1]
         else:
-            out[:, columns] = lfilter([1.0], [1.0, -decay], scale * values[:, columns], axis=0)
+            out[:, columns] = _ar1(scale * values[:, columns], decay)
     return out
 
 

@@ -18,7 +18,6 @@ from berrysim import (
     IntegratorConfig,
     NoiseModel,
     PrecessionSpec,
-    berry_phase_variance,
     berry_phase_variance_broadband,
     berry_phase_variance_narrowband,
     coherence,
@@ -26,16 +25,14 @@ from berrysim import (
     covariance_by_quadrature,
     density_matrix_after,
     dephasing_factor,
-    dynamical_phase_variance,
     dynamical_weight,
     evolve_and_extract,
     geometric_weight,
     noiseless_berry_phase,
+    phase_moments,
     regime_grid,
     run_ensemble,
     summarize,
-    total_phase_subterms,
-    total_phase_variance,
     variance_by_quadrature,
 )
 from berrysim.cli import main
@@ -109,13 +106,14 @@ def test_02_closed_form_matches_quadrature(capsys):
         w_gamma = geometric_weight(point.spec)
         w_alpha = w_gamma + dynamical_weight(point.spec)
         quad_gamma = variance_by_quadrature(
-            w_gamma, point.model, nodes, rtol=1e-8, atol=1e-9
+            point.spec, w_gamma, point.model, nodes, rtol=1e-8, atol=1e-9
         )
         quad_alpha = variance_by_quadrature(
-            w_alpha, point.model, nodes, rtol=1e-8, atol=1e-9
+            point.spec, w_alpha, point.model, nodes, rtol=1e-8, atol=1e-9
         )
-        closed_gamma = berry_phase_variance(point.spec, point.model).total
-        closed_alpha = total_phase_variance(point.spec, point.model).total
+        moments = phase_moments(point.spec, point.model)
+        closed_gamma = moments.var_gamma
+        closed_alpha = moments.var_alpha
         worst_gamma = max(
             worst_gamma, abs(quad_gamma.value - closed_gamma) / closed_gamma
         )
@@ -147,12 +145,12 @@ def test_03_limit_formulas(capsys):
     spec = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=200.0, n_cycles=1)
 
     broad_model = NoiseModel.from_scalars(0.05, 5.0, 0.05, 5.0)
-    broad_closed = berry_phase_variance(spec, broad_model).total
+    broad_closed = phase_moments(spec, broad_model).var_gamma
     broad_limit = berry_phase_variance_broadband(spec, broad_model)
     broad_rel = abs(broad_limit - broad_closed) / broad_closed
 
     narrow_model = NoiseModel.from_scalars(0.05, 5e-5, 0.05, 5e-5)
-    narrow_closed = berry_phase_variance(spec, narrow_model).total
+    narrow_closed = phase_moments(spec, narrow_model).var_gamma
     narrow_limit = berry_phase_variance_narrowband(spec, narrow_model)
     narrow_rel = abs(narrow_limit - narrow_closed) / narrow_closed
 
@@ -173,17 +171,18 @@ def test_04_monte_carlo_matches_closed_forms(capsys):
     records, elapsed = _reference_ensemble()
     stats = summarize(records)
 
+    moments = phase_moments(REF_SPEC, REF_MODEL)
     targets = {
-        "gamma_fo": berry_phase_variance(REF_SPEC, REF_MODEL).total,
-        "delta_fo": dynamical_phase_variance(REF_SPEC, REF_MODEL).total,
-        "alpha_fo": total_phase_variance(REF_SPEC, REF_MODEL).total,
+        "gamma_fo": moments.var_gamma,
+        "delta_fo": moments.var_delta,
+        "alpha_fo": moments.var_alpha,
     }
     z_var = {
         key: abs(stats.variance[key] - target) / stats.sem_variance[key]
         for key, target in targets.items()
     }
     cov_oracle = covariance_by_quadrature(
-        geometric_weight(REF_SPEC), dynamical_weight(REF_SPEC), REF_MODEL
+        REF_SPEC, geometric_weight(REF_SPEC), dynamical_weight(REF_SPEC), REF_MODEL
     ).value
     z_cov = abs(stats.cov_gamma_delta - cov_oracle) / stats.se_cov_gamma_delta
     significance = abs(stats.cov_gamma_delta) / stats.se_cov_gamma_delta
@@ -212,8 +211,9 @@ def test_05_scaling_laws(capsys):
         spec = PrecessionSpec(
             b0=1.0, theta0=math.pi / 4, t_total=float(t_total), n_cycles=int(t_total)
         )
-        var_gamma.append(berry_phase_variance(spec, model).total)
-        var_delta.append(dynamical_phase_variance(spec, model).total)
+        moments = phase_moments(spec, model)
+        var_gamma.append(moments.var_gamma)
+        var_delta.append(moments.var_delta)
     slope_gamma = float(np.polyfit(np.log(t_values), np.log(var_gamma), 1)[0])
     slope_delta = float(np.polyfit(np.log(t_values), np.log(var_delta), 1)[0])
     ok = abs(slope_gamma + 1.0) <= 0.02 and abs(slope_delta - 1.0) <= 0.02
@@ -231,7 +231,7 @@ def test_05_scaling_laws(capsys):
 def test_06_dephasing(capsys):
     """Ensemble coherence matches exp(-2 var(alpha)); rho is physical."""
     records, _ = _reference_ensemble()
-    var_alpha = total_phase_variance(REF_SPEC, REF_MODEL).total
+    var_alpha = phase_moments(REF_SPEC, REF_MODEL).var_alpha
     estimate = coherence(records, var_alpha)
 
     rng = np.random.default_rng(2026)
@@ -348,8 +348,8 @@ def test_09_dynamical_dominance(capsys):
         if point.spec.omega / point.spec.b0 > 0.05:
             continue
         qualifying += 1
-        parts = total_phase_subterms(point.spec, point.model)
-        min_ratio = min(min_ratio, parts.dynamical.total / parts.geometric.total)
+        moments = phase_moments(point.spec, point.model)
+        min_ratio = min(min_ratio, moments.var_delta / moments.var_gamma)
     ok = qualifying > 0 and min_ratio > 1.0
     _report(
         capsys,

@@ -1,5 +1,9 @@
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +117,20 @@ class TestMainBasics:
         assert "error" in capsys.readouterr().err
 
 
+def test_cli_import_leaves_scipy_out():
+    # scipy serves the tests only; no CLI call pays for its import
+    code = (
+        "import sys, berrysim.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.stdout.strip() == "[]"
+
+
 class TestAnalyticCommand:
     def test_stdout_json(self, capsys):
         assert main(["analytic"]) == 0
@@ -137,6 +155,11 @@ class TestAnalyticCommand:
         assert payload["dephasing_factor"] == pytest.approx(
             math.exp(-2.0 * variances["var_alpha"]["total"])
         )
+        assert payload["subterms"] == {
+            "geometric": variances["var_gamma"]["total"],
+            "dynamical": variances["var_delta"]["total"],
+            "cross": 2.0 * variances["cov_gamma_delta"]["total"],
+        }
 
     def test_json_file_output(self, tmp_path, capsys):
         base = tmp_path / "ref"
@@ -154,6 +177,17 @@ class TestAnalyticCommand:
         assert lines[0] == "key,value"
         keys = {line.split(",", 1)[0] for line in lines[1:]}
         assert "variances.var_gamma.total" in keys
+
+    def test_csv_quotes_string_cells(self, tmp_path):
+        # a comma, a double quote and a line break in the output path
+        base = tmp_path / 'a,b"c\nd'
+        assert main(
+            ["analytic", "-o", str(base), "--output-format", "csv", "--quiet"]
+        ) == 0
+        with open(str(base) + ".analytic.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 2 for row in rows)
+        assert dict(rows)["config.output_path"] == str(base)
 
     def test_output_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BERRYSIM_OUTPUT_DIR", str(tmp_path / "outputs"))
@@ -374,15 +408,16 @@ class TestSweepCommand:
         assert len(table) == 4
 
     def test_rows_match_one_closed_form_call_per_row(self, tmp_path, monkeypatch):
+        # each second moment of a row is one evaluation of the quadratic form
         calls = []
 
         class CountingAnalytics:
             def __getattr__(self, name):
                 return getattr(analytics, name)
 
-            def berry_phase_variance(self, spec, model):
-                calls.append(spec)
-                return analytics.berry_phase_variance(spec, model)
+            def phase_covariance(self, spec, model, x, y):
+                calls.append((spec, x, y))
+                return analytics.phase_covariance(spec, model, x, y)
 
         monkeypatch.setattr(cli, "analytics", CountingAnalytics())
         args = [
@@ -390,19 +425,27 @@ class TestSweepCommand:
             "--quiet", "-o", str(tmp_path / "th"),
         ]
         assert main(args) == 0
-        assert [spec.theta0 for spec in calls] == [0.5, 1.0, 1.5]
+        assert [spec.theta0 for spec, _, _ in calls] == [0.5] * 4 + [1.0] * 4 + [1.5] * 4
         model = RunConfig().model()
         rows = read_json(tmp_path / "th.summary.json")["rows"]
         table = (tmp_path / "th.sweep.csv").read_text().splitlines()
         header = table[0].split(",")
-        for spec, row, line in zip(calls, rows, table[1:]):
-            closed = analytics.berry_phase_variance(spec, model)
+        for i, (row, line) in enumerate(zip(rows, table[1:])):
+            spec = calls[4 * i][0]
+            gamma = analytics.geometric_weight(spec)
+            delta = analytics.dynamical_weight(spec)
+            alpha = gamma + delta
+            assert {(x, y) for _, x, y in calls[4 * i:4 * i + 4]} == {
+                (gamma, gamma), (delta, delta), (gamma, delta), (alpha, alpha)
+            }
+            closed = analytics.phase_covariance(spec, model, gamma, gamma)
             expected = {
                 "var_gamma_transverse": closed.transverse_term,
                 "var_gamma_longitudinal": closed.longitudinal_term,
                 "var_gamma": closed.total,
-                "var_delta": analytics.dynamical_phase_variance(spec, model).total,
-                "var_alpha": analytics.total_phase_variance(spec, model).total,
+                "var_delta": analytics.phase_covariance(spec, model, delta, delta).total,
+                "cov_gamma_delta": analytics.phase_covariance(spec, model, gamma, delta).total,
+                "var_alpha": analytics.phase_covariance(spec, model, alpha, alpha).total,
             }
             cells = dict(zip(header, line.split(",")))
             for key, value in expected.items():

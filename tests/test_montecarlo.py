@@ -11,9 +11,7 @@ from berrysim import (
     TrialRecord,
     coherence,
     compare_to_analytic,
-    dynamical_weight,
     evolve_and_extract,
-    geometric_weight,
     noiseless_berry_phase,
     phase_moments,
     regime_grid,
@@ -42,8 +40,13 @@ def _reference_first_order(spec, model, n_trials, master_seed, config):
     times = np.minimum(np.arange(n_steps + 1) * dt, spec.t_total)
     quad = np.full(n_steps + 1, dt)
     quad[0] = quad[-1] = 0.5 * dt
-    w_gamma = geometric_weight(spec)(times) * quad[:, None]
-    w_delta = dynamical_weight(spec)(times) * quad[:, None]
+    s, c = math.sin(spec.theta0), math.cos(spec.theta0)
+    amp = math.pi / (spec.t_total * spec.b0)
+    phase = spec.omega * times
+    w_gamma = amp * s * np.stack([-c * np.cos(phase), -c * np.sin(phase), s + 0.0 * phase], -1)
+    w_delta = np.stack([s * np.cos(phase), s * np.sin(phase), c + 0.0 * phase], -1)
+    w_gamma *= quad[:, None]
+    w_delta *= quad[:, None]
     out = np.empty((n_trials, 2))
     for i in range(n_trials):
         rng = np.random.default_rng(np.random.SeedSequence(trial_seed(master_seed, i)))

@@ -12,6 +12,7 @@ from berrysim import (
     estimate_autocovariance,
     sample_path,
 )
+from berrysim.noise import _ar1, _ar1_block
 
 
 def batched_se(values: np.ndarray, n_batches: int = 40) -> float:
@@ -245,3 +246,34 @@ class TestMatchesReference:
             want = _reference_path(model, n_steps, dt, seed)
             assert np.all((got == 0.0) == (want == 0.0))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestAr1Kernel:
+    """The numpy AR(1) scan against scipy's lfilter([1], [1, -d], x, axis=0)."""
+
+    # exp(-800) underflows to 0; exp(-1e-7) is the slowest decay below 1
+    DECAYS = [0.0, math.exp(-800.0), math.exp(-33.0), math.exp(-0.3),
+              math.exp(-1e-4), math.exp(-1e-7), 1.0]
+
+    @pytest.mark.parametrize("d", DECAYS)
+    def test_matches_lfilter(self, d):
+        block = _ar1_block(d)
+        lengths = {1, 2, 4097, 100_001}
+        lengths |= {k * block + e for k in (1, 2) for e in (-1, 0, 1)} - {0}
+        rng = np.random.default_rng(7)
+        for n in sorted(lengths):
+            for shape in ((n,), (n, 2), (n, 3)):
+                x = rng.standard_normal(shape)
+                for values in (x, x[::-1]):  # reversed, as the adjoint runs it
+                    with np.errstate(over="raise", invalid="raise", divide="raise"):
+                        got = _ar1(values, d)
+                    want = lfilter([1.0], [1.0, -d], values, axis=0)
+                    assert got.shape == want.shape
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("d", DECAYS)
+    def test_zero_columns_stay_exactly_zero(self, d):
+        x = np.zeros((10_000, 3))
+        x[:, 1] = np.random.default_rng(3).standard_normal(10_000)
+        y = _ar1(x, d)
+        assert np.all(y[:, [0, 2]] == 0.0)
