@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from berrysim import (
     AccuracyError,
@@ -9,6 +10,7 @@ from berrysim import (
     NoiseModel,
     NoisePath,
     PrecessionSpec,
+    QuadratureEstimate,
     Weight,
     berry_connection_phi,
     berry_phase_variance_broadband,
@@ -24,6 +26,8 @@ from berrysim import (
     phase_moments,
     variance_by_quadrature,
 )
+from berrysim import analytics
+from berrysim.cli import RunConfig, _analytic_payload
 
 SPEC = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)
 MODEL = NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1)
@@ -389,13 +393,11 @@ class TestNoncyclicTerm:
 
 
 # --------------------------------------------------------------------------
-# Reference copies of the closed forms, their subterms, both limits and one
-# quadrature pass, as written before the closed forms became one quadratic
+# Reference copies of the four closed forms, the subterms of var(alpha), both
+# limits and one quadrature pass, as written before the closed forms became one quadratic
 # form over weight amplitudes.  TestMatchesReference pins the package to
 # them on a grid that spans both poles, the equator, both bandwidth
 # extremes and each noise channel alone.
-
-from scipy.signal import lfilter  # noqa: E402
 
 
 def _ref_brackets(spec, model):
@@ -430,6 +432,7 @@ def _ref_closed_forms(spec, model):
         "var_gamma": (2.0 * tr.sigma**2 * a * a * j, 2.0 * lo.sigma**2 * b * b * ell),
         "var_delta": (2.0 * tr.sigma**2 * s * s * j, 2.0 * lo.sigma**2 * c * c * ell),
         "cov_gamma_delta": cov,
+        "cross": (2.0 * cov[0], 2.0 * cov[1]),
         "var_alpha": (
             2.0 * (tr.sigma / b0) ** 2 * trans_amp**2 * j,
             2.0 * (lo.sigma / b0) ** 2 * long_amp**2 * ell,
@@ -536,6 +539,30 @@ class TestMatchesReference:
             for key, fn in (("narrowband", berry_phase_variance_narrowband),
                             ("broadband", berry_phase_variance_broadband)):
                 assert _same(fn(spec, model), sum(want[key]), 1e-14), (spec, model, key)
+
+    def test_cli_payload(self, monkeypatch):
+        # the analytic command's variances, subterms and limits, with the
+        # oracle stubbed out so that only the closed forms run
+        monkeypatch.setattr(analytics, "variance_by_quadrature",
+                            lambda *args, **kwargs: QuadratureEstimate(1.0, 0.0, 0))
+        for spec, model in REFERENCE_GRID:
+            config = RunConfig(
+                b0=spec.b0, theta0=spec.theta0, t_total=spec.t_total,
+                n_cycles=spec.n_cycles, sigma12=model.transverse.sigma,
+                gamma12=model.transverse.gamma, sigma3=model.longitudinal.sigma,
+                gamma3=model.longitudinal.gamma,
+            )
+            payload = _analytic_payload(config)
+            want = _ref_closed_forms(spec, model)
+            for key, block in payload["variances"].items():
+                for term, ref in zip((block["transverse"], block["longitudinal"]), want[key]):
+                    assert _same(term, ref, 1e-14), (spec, model, key)
+            subterms = {"geometric": "var_gamma", "dynamical": "var_delta", "cross": "cross"}
+            for key, ref in subterms.items():
+                assert _same(payload["subterms"][key], sum(want[ref]), 1e-14), (spec, model, key)
+            limits = payload["limits"]
+            assert _same(limits["narrowband_var_gamma"], sum(want["narrowband"]), 1e-14)
+            assert _same(limits["broadband_var_gamma"], sum(want["broadband"]), 1e-14)
 
     @pytest.mark.parametrize("pair", [("gamma", "gamma"), ("alpha", "alpha"),
                                       ("gamma", "delta")])
