@@ -66,6 +66,41 @@ def _reference_first_order(spec, model, n_trials, master_seed, config):
     return out
 
 
+def _reference_full_sim(spec, model, n_trials, master_seed, config):
+    """full_sim records by the per-trial path: a NoisePath, then a full evolution.
+
+    Each trial samples its OU path with ``sample_path`` from its own
+    seed and runs ``evolve_and_extract`` on it.  The first-order fields
+    come from the first-order ensemble, which draws the same innovations.
+    """
+    first_order = run_ensemble(spec, model, n_trials, master_seed, config=config)
+    n_steps = config.steps_per_cycle * spec.n_cycles
+    dt = spec.t_total / n_steps
+    records = []
+    for r in first_order:
+        path = sample_path(model, n_steps, dt, trial_seed(master_seed, r.trial_index))
+        extraction = evolve_and_extract(spec, path, config)
+        records.append(
+            TrialRecord(
+                trial_index=r.trial_index,
+                gamma_fo=r.gamma_fo,
+                delta_fo=r.delta_fo,
+                alpha_fo=r.alpha_fo,
+                gamma_sim=extraction.geometric_phase,
+                leakage=extraction.leakage,
+            )
+        )
+    return records
+
+
+def _bits(records):
+    """Records as tuples of exact float bit patterns, so -0.0 differs from 0.0."""
+    return [
+        tuple(v.hex() if isinstance(v, float) else v for v in vars(r).values())
+        for r in records
+    ]
+
+
 class TestTrialSeed:
     def test_deterministic(self):
         assert trial_seed(42, 7) == trial_seed(42, 7)
@@ -218,6 +253,23 @@ class TestRunEnsemble:
         for r in full_sim:
             path = sample_path(MODEL, n_steps, SPEC.t_total / n_steps, trial_seed(19, r.trial_index))
             assert r.gamma_sim == evolve_and_extract(SPEC, path, FAST).geometric_phase
+
+    # (sigma12, sigma3): isotropic, longitudinal or transverse only, noiseless, strong
+    FULL_SIM_AMPLITUDES = [(0.05, 0.05), (0.0, 0.05), (0.05, 0.0), (0.0, 0.0), (0.5, 0.2)]
+
+    @pytest.mark.parametrize(
+        "amplitudes", FULL_SIM_AMPLITUDES, ids=lambda a: f"sigma12={a[0]}-sigma3={a[1]}"
+    )
+    @pytest.mark.parametrize("n_cycles", [1, 3])
+    @pytest.mark.parametrize("theta0", [0.0, 0.05, math.pi / 4, math.pi / 2, math.pi - 0.05])
+    def test_full_sim_matches_reference(self, theta0, n_cycles, amplitudes):
+        config = IntegratorConfig(steps_per_cycle=256)
+        spec = PrecessionSpec(b0=1.0, theta0=theta0, t_total=100.0, n_cycles=n_cycles)
+        model = NoiseModel.from_scalars(amplitudes[0], 0.1, amplitudes[1], 0.3)
+        records = run_ensemble(spec, model, 3, 42, mode="full_sim", config=config)
+        want = _reference_full_sim(spec, model, 3, 42, config)
+        assert records == want
+        assert _bits(records) == _bits(want)
 
     def test_validation(self):
         with pytest.raises(ValueError):
