@@ -300,6 +300,84 @@ def _check_path_grid(path: NoisePath, spec: PrecessionSpec, n_steps: int) -> Non
         raise ValueError("path grid must span [0, t_total]")
 
 
+def _control_grids(
+    spec: PrecessionSpec, n_steps: int, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Control field at the grid nodes and at the step midpoints.
+
+    Raises :class:`ResolutionError` when one step turns the field by
+    pi/4 or more.
+    """
+    if spec.b0 * dt >= 0.25 * math.pi:
+        raise ResolutionError(
+            f"b0*dt = {spec.b0 * dt:.3g} exceeds pi/4; increase steps_per_cycle"
+        )
+    nodes = control_field(spec, np.minimum(np.arange(n_steps + 1) * dt, spec.t_total))
+    return nodes, control_field(spec, (np.arange(n_steps) + 0.5) * dt)
+
+
+@dataclass(frozen=True)
+class _Evolution:
+    """Node amplitudes, phases and diagnostics of one evolution."""
+
+    amp_up: np.ndarray
+    amp_down: np.ndarray
+    total_phase: np.ndarray
+    field_modulus: np.ndarray
+    field_modulus_integral: float
+    dynamical_phase: float
+    geometric_phase: float
+    winding: int
+    degenerate_steps: int
+    leakage: float
+
+
+def _evolve(b_nodes: np.ndarray, b_mid: np.ndarray, dt: float, branch: str) -> _Evolution:
+    """The evolution kernel: start in the branch eigenstate of ``b_nodes[0]``
+    and step through the total fields ``b_mid``.
+
+    ``b_nodes`` (shape (n + 1, 3)) is the total field at the grid nodes and
+    ``b_mid`` (shape (n, 3)) the field each step is frozen at.
+    ``total_phase`` is the unwrapped phase at every node and
+    ``field_modulus`` the field modulus of every step.
+    """
+    winding, _ = _winding_number(b_nodes)
+    step_a, step_b, nb = _step_coefficients(b_mid, dt)
+    field_modulus_integral = float(nb.sum() * dt)
+
+    start = polar_angles(b_nodes[0])
+    state0 = eigenstate_up(start) if branch == "up" else eigenstate_down(start)
+    u0 = complex(state0.amp_up)
+    d0 = complex(state0.amp_down)
+    amp_up, amp_down = _node_states(step_a, step_b, u0, d0)
+
+    # Total phase: the overlap with the initial state, unwrapped step by step.
+    overlap0 = u0.conjugate() * amp_up + d0.conjugate() * amp_down
+    overlap0[0] = 1.0
+    total_prefix = np.zeros(nb.size + 1)
+    np.cumsum(np.angle(overlap0[1:] * overlap0[:-1].conj()), out=total_prefix[1:])
+    total = float(total_prefix[-1])
+
+    end = polar_angles(b_nodes[-1])
+    ref = eigenstate_up(end) if branch == "up" else eigenstate_down(end)
+    overlap = ref.amp_up.conjugate() * amp_up[-1] + ref.amp_down.conjugate() * amp_down[-1]
+
+    sign = 1.0 if branch == "up" else -1.0
+    dynamical = -sign * 0.5 * field_modulus_integral
+    return _Evolution(
+        amp_up=amp_up,
+        amp_down=amp_down,
+        total_phase=total_prefix,
+        field_modulus=nb,
+        field_modulus_integral=field_modulus_integral,
+        dynamical_phase=dynamical,
+        geometric_phase=_wrap_pm_pi(total - dynamical + math.pi * winding),
+        winding=winding,
+        degenerate_steps=int(np.count_nonzero(nb < _TINY_FIELD)),
+        leakage=max(0.0, 1.0 - abs(complex(overlap)) ** 2),
+    )
+
+
 def evolve_and_extract(
     spec: PrecessionSpec,
     path: NoisePath | None = None,
@@ -321,73 +399,47 @@ def evolve_and_extract(
     config = config if config is not None else IntegratorConfig()
     n_steps = config.steps_per_cycle * spec.n_cycles
     dt = spec.t_total / n_steps
-    if spec.b0 * dt >= 0.25 * math.pi:
-        raise ResolutionError(
-            f"b0*dt = {spec.b0 * dt:.3g} exceeds pi/4; increase steps_per_cycle"
-        )
-    times = np.arange(n_steps + 1) * dt
+    control_nodes, control_mid = _control_grids(spec, n_steps, dt)
     if path is None:
         k_nodes = np.zeros((n_steps + 1, 3))
     else:
         _check_path_grid(path, spec, n_steps)
         k_nodes = path.samples
-    b_nodes = control_field(spec, np.minimum(times, spec.t_total)) + k_nodes
-    winding, _ = _winding_number(b_nodes)
+    b_nodes = control_nodes + k_nodes
+    b_mid = control_mid + 0.5 * (k_nodes[:-1] + k_nodes[1:])
+    run = _evolve(b_nodes, b_mid, dt, branch)
 
-    t_mid = (np.arange(n_steps) + 0.5) * dt
-    b_mid = control_field(spec, t_mid) + 0.5 * (k_nodes[:-1] + k_nodes[1:])
-    step_a, step_b, nb = _step_coefficients(b_mid, dt)
-    degenerate_steps = int(np.count_nonzero(nb < _TINY_FIELD))
-    field_modulus_integral = float(nb.sum() * dt)
-
-    sign = 1.0 if branch == "up" else -1.0
-    start = polar_angles(b_nodes[0])
-    state0 = eigenstate_up(start) if branch == "up" else eigenstate_down(start)
-    u0 = complex(state0.amp_up)
-    d0 = complex(state0.amp_down)
-    amp_up, amp_down = _node_states(step_a, step_b, u0, d0)
-
-    # Total phase: the overlap with the initial state, unwrapped step by step.
-    overlap0 = u0.conjugate() * amp_up + d0.conjugate() * amp_down
-    overlap0[0] = 1.0
-    total_prefix = np.zeros(n_steps + 1)
-    np.cumsum(np.angle(overlap0[1:] * overlap0[:-1].conj()), out=total_prefix[1:])
-    total = float(total_prefix[-1])
-
-    cross = np.conj(amp_up) * amp_down
+    cross = np.conj(run.amp_up) * run.amp_down
     bloch = np.stack(
-        [2.0 * cross.real, 2.0 * cross.imag, np.abs(amp_up) ** 2 - np.abs(amp_down) ** 2],
+        [
+            2.0 * cross.real,
+            2.0 * cross.imag,
+            np.abs(run.amp_up) ** 2 - np.abs(run.amp_down) ** 2,
+        ],
         axis=1,
     )
-    mean_energy = 0.5 * dt * float(np.sum(b_mid * bloch[:-1]))
-
-    end = polar_angles(b_nodes[-1])
-    ref = eigenstate_up(end) if branch == "up" else eigenstate_down(end)
-    overlap = ref.amp_up.conjugate() * amp_up[-1] + ref.amp_down.conjugate() * amp_down[-1]
-    leakage = max(0.0, 1.0 - abs(complex(overlap)) ** 2)
-
-    dynamical = -sign * 0.5 * field_modulus_integral
     extraction = PhaseExtraction(
-        total_phase=total,
-        dynamical_phase=dynamical,
-        geometric_phase=_wrap_pm_pi(total - dynamical + math.pi * winding),
-        leakage=leakage,
-        field_modulus_integral=field_modulus_integral,
-        mean_energy_integral=mean_energy,
-        winding=winding,
-        degenerate_steps=degenerate_steps,
-        non_adiabatic=leakage > config.leakage_warn_threshold,
+        total_phase=float(run.total_phase[-1]),
+        dynamical_phase=run.dynamical_phase,
+        geometric_phase=run.geometric_phase,
+        leakage=run.leakage,
+        field_modulus_integral=run.field_modulus_integral,
+        mean_energy_integral=0.5 * dt * float(np.sum(b_mid * bloch[:-1])),
+        winding=run.winding,
+        degenerate_steps=run.degenerate_steps,
+        non_adiabatic=run.leakage > config.leakage_warn_threshold,
         branch=branch,
     )
     if not return_trace:
         return extraction
+    sign = 1.0 if branch == "up" else -1.0
     trace = TrajectoryTrace(
-        times=times,
-        amp_up=amp_up,
-        amp_down=amp_down,
+        times=np.arange(n_steps + 1) * dt,
+        amp_up=run.amp_up,
+        amp_down=run.amp_down,
         energy=0.5 * np.sum(b_nodes * bloch, axis=1),
-        total_phase=total_prefix,
-        dynamical_phase=np.concatenate([[0.0], -sign * 0.5 * np.cumsum(nb * dt)]),
+        total_phase=run.total_phase,
+        dynamical_phase=np.concatenate([[0.0], -sign * 0.5 * np.cumsum(run.field_modulus * dt)]),
     )
     return extraction, trace
 

@@ -35,9 +35,9 @@ from .analytics import (
     dynamical_weight,
     geometric_weight,
 )
-from .evolve import IntegratorConfig, evolve_and_extract
+from .evolve import IntegratorConfig, _control_grids, _evolve
 from .field import PrecessionSpec
-from .noise import NoiseModel, NoisePath, _draw_innovations, _ou_filter
+from .noise import NoiseModel, _draw_innovations, _ou_filter
 
 __all__ = [
     "TrialRecord",
@@ -124,6 +124,8 @@ def run_ensemble(
     adjoint = np.stack(
         [_ou_filter(model, dt, w, adjoint=True).reshape(-1) for w in (w_gamma, w_delta)]
     )
+    if mode == "full_sim":
+        control_nodes, control_mid = _control_grids(spec, n_steps, dt)
 
     def one(index: int) -> TrialRecord:
         xi = _draw_innovations(n_steps, trial_seed(master_seed, index))
@@ -132,10 +134,11 @@ def run_ensemble(
         leakage = None
         if mode == "full_sim":
             k = _ou_filter(model, dt, xi)
-            path = NoisePath(times=np.arange(n_steps + 1) * dt, samples=k)
-            extraction = evolve_and_extract(spec, path, config)
-            gamma_sim = extraction.geometric_phase
-            leakage = extraction.leakage
+            if not np.all(np.isfinite(k)):
+                raise ValueError("noise samples must be finite")
+            run = _evolve(control_nodes + k, control_mid + 0.5 * (k[:-1] + k[1:]), dt, "up")
+            gamma_sim = run.geometric_phase
+            leakage = run.leakage
         return TrialRecord(
             trial_index=index,
             gamma_fo=gamma,

@@ -8,6 +8,7 @@ from berrysim import (
     IntegratorConfig,
     NoiseModel,
     PrecessionSpec,
+    ResolutionError,
     TrialRecord,
     coherence,
     compare_to_analytic,
@@ -270,6 +271,28 @@ class TestRunEnsemble:
         want = _reference_full_sim(spec, model, 3, 42, config)
         assert records == want
         assert _bits(records) == _bits(want)
+
+    def test_full_sim_checks_resolution_before_any_trial(self, monkeypatch):
+        draws = []
+        original = montecarlo._draw_innovations
+        monkeypatch.setattr(
+            montecarlo, "_draw_innovations", lambda *args: draws.append(args) or original(*args)
+        )
+        coarse = IntegratorConfig(steps_per_cycle=16)  # b0*dt = 6.25
+        with pytest.raises(ResolutionError) as ensemble:
+            run_ensemble(SPEC, MODEL, 5, 1, mode="full_sim", config=coarse)
+        assert draws == []
+        with pytest.raises(ResolutionError) as single:
+            evolve_and_extract(SPEC, None, coarse)
+        assert str(ensemble.value) == str(single.value)
+        # first-order trials never evolve, so the coarse grid serves them
+        assert len(run_ensemble(SPEC, MODEL, 5, 1, config=coarse)) == len(draws) == 5
+
+    def test_full_sim_rejects_a_non_finite_path(self):
+        huge = NoiseModel.from_scalars(1e308, 0.1, 0.0, 0.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="must be finite"):
+                run_ensemble(SPEC, huge, 4, 1, mode="full_sim", config=FAST)
 
     def test_validation(self):
         with pytest.raises(ValueError):
