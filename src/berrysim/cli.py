@@ -74,7 +74,6 @@ class RunConfig:
     seed: int = 42
     mode: str = "first_order"
     steps_per_cycle: int = 4096
-    n_jobs: int = 1
     output_path: str | None = None
     output_format: str = "json"
 
@@ -86,8 +85,6 @@ class RunConfig:
             raise ValueError(f"n_trials must be a positive integer, got {self.n_trials}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        if not isinstance(self.n_jobs, int) or self.n_jobs < 1:
-            raise ValueError(f"n_jobs must be a positive integer, got {self.n_jobs}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.output_format not in _FORMATS:
@@ -110,7 +107,7 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-_INT_FIELDS = {"n_cycles", "n_trials", "seed", "steps_per_cycle", "n_jobs"}
+_INT_FIELDS = {"n_cycles", "n_trials", "seed", "steps_per_cycle"}
 _STR_FIELDS = {"mode", "output_format", "output_path"}
 
 
@@ -370,13 +367,7 @@ def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) 
     spec = config.spec()
     model = config.model()
     records = run_ensemble(
-        spec,
-        model,
-        config.n_trials,
-        config.seed,
-        mode=config.mode,
-        config=config.integrator(),
-        n_jobs=config.n_jobs,
+        spec, model, config.n_trials, config.seed, mode=config.mode, config=config.integrator()
     )
     stats = summarize(records)
     moments = analytics.phase_moments(spec, model)
@@ -559,15 +550,7 @@ def cmd_sweep(
         }
         if with_mc:
             stats = summarize(
-                run_ensemble(
-                    spec,
-                    model,
-                    point.n_trials,
-                    point.seed,
-                    mode="first_order",
-                    config=point.integrator(),
-                    n_jobs=point.n_jobs,
-                )
+                run_ensemble(spec, model, point.n_trials, point.seed, config=point.integrator())
             )
             row["mc_var_gamma"] = stats.variance["gamma_fo"]
             row["mc_var_delta"] = stats.variance["delta_fo"]
@@ -658,13 +641,7 @@ def _battery(config: RunConfig) -> list:
     )
 
     records = run_ensemble(
-        spec,
-        model,
-        config.n_trials,
-        config.seed,
-        mode="first_order",
-        config=config.integrator(),
-        n_jobs=config.n_jobs,
+        spec, model, config.n_trials, config.seed, config=config.integrator()
     )
     stats = summarize(records)
     report = compare_to_analytic(stats, moments)

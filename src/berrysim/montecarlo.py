@@ -23,8 +23,6 @@ parallel runs bit-identical.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +89,6 @@ def run_ensemble(
     *,
     mode: str = "first_order",
     config: IntegratorConfig | None = None,
-    n_jobs: int = 1,
 ) -> list[TrialRecord]:
     """Run ``n_trials`` independent noise realizations.
 
@@ -100,17 +97,12 @@ def run_ensemble(
     and the exact evolution see the same realization.  With a fixed
     ``master_seed`` the innovations of trial k do not depend on the
     noise amplitudes, so ensembles at different sigma share noise shapes.
-
-    ``n_jobs`` threads run trials concurrently, capped at the CPU count
-    and at ``n_trials``; with one worker the trials run serially.  The
-    records do not depend on ``n_jobs``.
+    Trials run serially, in index order.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
         raise ValueError(f"n_trials must be a positive integer, got {n_trials}")
-    if not isinstance(n_jobs, (int, np.integer)) or n_jobs < 1:
-        raise ValueError(f"n_jobs must be a positive integer, got {n_jobs}")
     config = config if config is not None else IntegratorConfig()
     n_steps = config.steps_per_cycle * spec.n_cycles
     dt = spec.t_total / n_steps
@@ -127,7 +119,8 @@ def run_ensemble(
     if mode == "full_sim":
         control_nodes, control_mid = _control_grids(spec, n_steps, dt)
 
-    def one(index: int) -> TrialRecord:
+    records = []
+    for index in range(int(n_trials)):
         xi = _draw_innovations(n_steps, trial_seed(master_seed, index))
         gamma, delta = (adjoint @ xi.reshape(-1)).tolist()
         gamma_sim = None
@@ -139,20 +132,17 @@ def run_ensemble(
             run = _evolve(control_nodes + k, control_mid + 0.5 * (k[:-1] + k[1:]), dt, "up")
             gamma_sim = run.geometric_phase
             leakage = run.leakage
-        return TrialRecord(
-            trial_index=index,
-            gamma_fo=gamma,
-            delta_fo=delta,
-            alpha_fo=gamma + delta,
-            gamma_sim=gamma_sim,
-            leakage=leakage,
+        records.append(
+            TrialRecord(
+                trial_index=index,
+                gamma_fo=gamma,
+                delta_fo=delta,
+                alpha_fo=gamma + delta,
+                gamma_sim=gamma_sim,
+                leakage=leakage,
+            )
         )
-
-    workers = min(int(n_jobs), os.cpu_count() or 1, int(n_trials))
-    if workers == 1:
-        return [one(i) for i in range(int(n_trials))]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(int(n_trials))))
+    return records
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,6 @@ class TestRunConfig:
             ("mode", "exact"),
             ("output_format", "xml"),
             ("n_trials", 0),
-            ("n_jobs", 0),
             ("seed", -1),
             ("theta0", 4.0),
             ("steps_per_cycle", 4),
@@ -63,6 +62,15 @@ class TestRunConfig:
         setattr(config, field, value)
         with pytest.raises(ValueError):
             config.validate()
+
+    def test_n_jobs_is_not_an_option(self, tmp_path, capsys):
+        # trials run serially; the thread pool and its knob are gone
+        assert main(["mc", "--n-jobs", "2", "-o", str(tmp_path / "run")]) == 2
+        assert not list(tmp_path.iterdir())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_jobs = 2\n")
+        with pytest.raises(ValueError, match="unknown config key 'n_jobs'"):
+            config_from_file(cfg)
 
 
 class TestConfigFile:
@@ -218,17 +226,6 @@ class TestMcCommand:
         main(self.ARGS + ["-o", str(base)])
         assert (tmp_path / "run.records.csv").read_bytes() == first_records
         assert (tmp_path / "run.summary.json").read_bytes() == first_summary
-
-    def test_parallel_records_match_serial(self, tmp_path):
-        main(self.ARGS + ["-o", str(tmp_path / "serial")])
-        main(self.ARGS + ["-o", str(tmp_path / "par"), "--n-jobs", "2"])
-        assert (tmp_path / "serial.records.csv").read_bytes() == (
-            tmp_path / "par.records.csv"
-        ).read_bytes()
-        a = read_json(tmp_path / "serial.summary.json")
-        b = read_json(tmp_path / "par.summary.json")
-        assert a["empirical"] == b["empirical"]
-        assert a["z_scores"] == b["z_scores"]
 
     def test_tampered_targets_fail(self, tmp_path):
         code = main(
