@@ -47,6 +47,9 @@ var(gamma) are the same form with the limits of the brackets:
     narrowband   J = 2*gamma12*T/omega**2    L = T**2*(1/2 - gamma3*T/6)
     broadband    J = T/gamma12               L = T/gamma3
 
+The narrowband L is negative once gamma3*T > 3, and the narrowband
+limit is then None rather than a negative variance.
+
 The quadrature routines integrate the same double integrals directly
 from cos(omega t), sin(omega t), 1 and the OU kernel, with no reference
 to J or L, and serve as an independent cross-check.
@@ -218,17 +221,22 @@ def phase_covariance(
     return _form(model, x, y, j, ell)
 
 
-def berry_phase_variance_narrowband(spec: PrecessionSpec, model: NoiseModel) -> float:
+def berry_phase_variance_narrowband(
+    spec: PrecessionSpec, model: NoiseModel
+) -> float | None:
     """Slow-noise limit of the geometric-phase variance.
 
     Valid when both bandwidths are small against the drive,
     gamma12 << omega and gamma3*t_total << 1.  The transverse part grows
     linearly with gamma12*t_total; the longitudinal part saturates at
-    half the squared weight amplitude.
+    half the squared weight amplitude.  Returns None once
+    gamma3*t_total > 3, where the longitudinal bracket turns negative.
     """
     t_total = spec.t_total
     j = 2.0 * model.transverse.gamma * t_total / spec.omega**2
     ell = t_total * t_total * (0.5 - model.longitudinal.gamma * t_total / 6.0)
+    if ell < 0.0:
+        return None
     w = geometric_weight(spec)
     return _form(model, w, w, j, ell).total
 

@@ -232,7 +232,10 @@ _CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
 
 
 def _write_columns(path: Path, header: list, columns: list) -> None:
-    """Write equal-length columns as CSV; a 2-D array adds its columns in order."""
+    """Write equal-length columns as CSV; a 2-D array adds its columns in order.
+
+    A column of Python objects may hold None, which is written as an empty cell.
+    """
     formats = []
     arrays = []
     for column in columns:
@@ -240,6 +243,10 @@ def _write_columns(path: Path, header: list, columns: list) -> None:
             formats.append("")
             continue
         column = np.asarray(column)
+        if column.dtype.kind == "O" and column.ndim == 1:
+            formats.append("%s")
+            arrays.append(np.array([_fmt(value) for value in column], dtype=object))
+            continue
         if column.dtype.kind not in _CELL_FORMATS or column.ndim not in (1, 2):
             raise TypeError(f"cannot write a {column.dtype} column of shape {column.shape}")
         for array in column.T if column.ndim == 2 else (column,):

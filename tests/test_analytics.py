@@ -236,6 +236,22 @@ class TestLimits:
         )
         assert v1 == pytest.approx(2.0 * v2, rel=1e-12)
 
+    def test_narrowband_is_none_outside_its_range(self):
+        # at the reference point gamma3*T = 10 and the bracket
+        # T**2*(1/2 - gamma3*T/6) would give a negative variance
+        spec = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)
+        reference = NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1)
+        assert berry_phase_variance_narrowband(spec, reference) is None
+        # gamma3*T = 1 is inside: the limiting form at the geometric weight
+        inside = NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.01)
+        w = geometric_weight(spec)
+        j = 2.0 * 0.1 * 100.0 / spec.omega**2
+        ell = 100.0**2 * (0.5 - 0.01 * 100.0 / 6.0)
+        want = 2.0 * 0.05**2 * (w.transverse**2 * j + w.longitudinal**2 * ell)
+        got = berry_phase_variance_narrowband(spec, inside)
+        assert got > 0.0
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_narrowband_longitudinal_plateau(self):
         # gamma -> 0: the longitudinal noise freezes into a random constant
         # K3 and the variance saturates at (sigma pi sin^2/b0)^2, independent
@@ -521,6 +537,11 @@ REFERENCE_GRID = [
 ]
 
 
+def _ref_narrowband_published(spec, model):
+    """The narrowband limit is published where its longitudinal bracket is >= 0."""
+    return 0.5 - model.longitudinal.gamma * spec.t_total / 6.0 >= 0.0
+
+
 def _same(got, want, rel):
     return abs(got - want) <= rel * abs(want)
 
@@ -536,9 +557,13 @@ class TestMatchesReference:
                 got = phase_covariance(spec, model, x, y)
                 for term, ref in zip((got.transverse_term, got.longitudinal_term), want[key]):
                     assert _same(term, ref, 1e-14), (spec, model, key)
-            for key, fn in (("narrowband", berry_phase_variance_narrowband),
-                            ("broadband", berry_phase_variance_broadband)):
-                assert _same(fn(spec, model), sum(want[key]), 1e-14), (spec, model, key)
+            narrowband = berry_phase_variance_narrowband(spec, model)
+            if _ref_narrowband_published(spec, model):
+                assert _same(narrowband, sum(want["narrowband"]), 1e-14), (spec, model)
+            else:
+                assert narrowband is None, (spec, model)
+            broadband = berry_phase_variance_broadband(spec, model)
+            assert _same(broadband, sum(want["broadband"]), 1e-14), (spec, model)
 
     def test_cli_payload(self, monkeypatch):
         # the analytic command's variances, subterms and limits, with the
@@ -561,7 +586,10 @@ class TestMatchesReference:
             for key, ref in subterms.items():
                 assert _same(payload["subterms"][key], sum(want[ref]), 1e-14), (spec, model, key)
             limits = payload["limits"]
-            assert _same(limits["narrowband_var_gamma"], sum(want["narrowband"]), 1e-14)
+            if _ref_narrowband_published(spec, model):
+                assert _same(limits["narrowband_var_gamma"], sum(want["narrowband"]), 1e-14)
+            else:
+                assert limits["narrowband_var_gamma"] is None
             assert _same(limits["broadband_var_gamma"], sum(want["broadband"]), 1e-14)
 
     @pytest.mark.parametrize("pair", [("gamma", "gamma"), ("alpha", "alpha"),

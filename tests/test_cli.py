@@ -197,6 +197,26 @@ class TestAnalyticCommand:
         assert all(len(row) == 2 for row in rows)
         assert dict(rows)["config.output_path"] == str(base)
 
+    def test_narrowband_limit_only_inside_its_range(self, tmp_path):
+        # the default point has gamma3*T = 10, where the narrowband bracket
+        # is negative; gamma3*T = 1 is inside the range
+        for gamma3, published in (("0.1", False), ("0.01", True)):
+            base = tmp_path / f"g{gamma3}"
+            args = ["analytic", "--gamma3", gamma3, "--quiet", "-o", str(base)]
+            assert main(args) == 0
+            assert main(args + ["--output-format", "csv"]) == 0
+            value = read_json(tmp_path / f"g{gamma3}.analytic.json")["limits"][
+                "narrowband_var_gamma"
+            ]
+            with open(tmp_path / f"g{gamma3}.analytic.csv", newline="") as fh:
+                cell = dict(csv.reader(fh))["limits.narrowband_var_gamma"]
+            if published:
+                assert value > 0.0
+                assert float(cell) == value
+            else:
+                assert value is None
+                assert cell == ""
+
     def test_output_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BERRYSIM_OUTPUT_DIR", str(tmp_path / "outputs"))
         assert main(["analytic", "-o", "ref", "--quiet"]) == 0
@@ -449,6 +469,18 @@ class TestSweepCommand:
                 assert row[key] == value
                 assert float(cells[key]) == value
 
+    def test_narrowband_cell_empty_outside_its_range(self, tmp_path):
+        args = ["sweep", "--param", "gamma3", "--values", "0.01,0.1", "--quiet",
+                "-o", str(tmp_path / "sw")]
+        assert main(args) == 0
+        rows = read_json(tmp_path / "sw.summary.json")["rows"]
+        assert rows[0]["narrowband_var_gamma"] > 0.0
+        assert rows[1]["narrowband_var_gamma"] is None
+        with open(tmp_path / "sw.sweep.csv", newline="") as fh:
+            cells = [row["narrowband_var_gamma"] for row in csv.DictReader(fh)]
+        assert float(cells[0]) == rows[0]["narrowband_var_gamma"]
+        assert cells[1] == ""
+
     def test_bad_values_exit_2(self, capsys):
         assert main(["sweep", "--param", "t_total", "--values", "a,b", "--quiet"]) == 2
 
@@ -528,11 +560,19 @@ class TestTableEquivalence:
 
     @pytest.mark.parametrize(
         "column", [np.array([True, False]), np.array([1j, 2j]), np.array(["a", "b"]),
-                   np.array([None, 1.0]), np.zeros((2, 2, 2))]
+                   np.array([object(), 1.0]), np.zeros((2, 2, 2))]
     )
     def test_other_kinds_raise_type_error(self, tmp_path, column):
         with pytest.raises(TypeError):
             cli._write_columns(tmp_path / "t.csv", ["x"], [column])
+
+    def test_none_cells_are_empty(self, tmp_path):
+        column = np.array([0.1, None, -0.0, 3])
+        cli._write_columns(tmp_path / "new.csv", ["i", "x"], [np.arange(4), column])
+        rows = [[i, value] for i, value in enumerate(column)]
+        _reference_write_table(tmp_path / "ref.csv", ["i", "x"], rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_text().splitlines()[2] == "1,"
 
     def test_unequal_lengths_raise(self, tmp_path):
         with pytest.raises(ValueError, match="differ in length"):
