@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -373,9 +374,14 @@ def _records_table(records) -> dict:
 def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) -> int:
     spec = config.spec()
     model = config.model()
+    start = time.perf_counter()
     records = run_ensemble(
         spec, model, config.n_trials, config.seed, mode=config.mode, config=config.integrator()
     )
+    seconds = time.perf_counter() - start
+    if not quiet:
+        print(f"mc: ensemble {seconds:.3f} s, {len(records) / max(seconds, 1e-9):.1f} trials/s",
+              file=sys.stderr)
     stats = summarize(records)
     moments = analytics.phase_moments(spec, model)
     if tamper_variance_scale is not None:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -246,6 +247,22 @@ class TestMcCommand:
         main(self.ARGS + ["-o", str(base)])
         assert (tmp_path / "run.records.csv").read_bytes() == first_records
         assert (tmp_path / "run.summary.json").read_bytes() == first_summary
+
+    def test_ensemble_timing_goes_to_stderr(self, tmp_path, capsys):
+        loud = [arg for arg in self.ARGS if arg != "--quiet"]
+        assert main(loud + ["-o", str(tmp_path / "loud")]) == 0
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"mc: ensemble \d+\.\d{3} s, \d+\.\d trials/s\n", captured.err)
+        assert "trials/s" not in captured.out
+        assert main(self.ARGS + ["-o", str(tmp_path / "quiet")]) == 0
+        assert capsys.readouterr().err == ""
+        for suffix in (".records.csv", ".summary.json"):
+            loud_bytes = (tmp_path / ("loud" + suffix)).read_bytes()
+            quiet_bytes = (tmp_path / ("quiet" + suffix)).read_bytes()
+            if suffix == ".summary.json":
+                # only the output path in the echoed config differs
+                loud_bytes = loud_bytes.replace(b"loud", b"quiet")
+            assert loud_bytes == quiet_bytes
 
     def test_tampered_targets_fail(self, tmp_path):
         code = main(
