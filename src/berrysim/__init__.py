@@ -33,12 +33,10 @@ from .evolve import (
     PhaseExtraction,
     SpinState,
     TrajectoryTrace,
-    bloch_vector,
     connection_phase_discrete,
     eigenstate_down,
     eigenstate_up,
     evolve_and_extract,
-    propagate_step,
 )
 from .field import (
     AdiabaticityReport,
@@ -95,8 +93,7 @@ __all__ = [
     "noncyclic_connection_term",
     # evolve
     "SpinState", "IntegratorConfig", "PhaseExtraction", "TrajectoryTrace",
-    "eigenstate_up", "eigenstate_down", "bloch_vector", "propagate_step",
-    "evolve_and_extract", "connection_phase_discrete",
+    "eigenstate_up", "eigenstate_down", "evolve_and_extract", "connection_phase_discrete",
     # montecarlo
     "TrialRecord", "trial_seed", "run_ensemble", "EnsembleStats", "summarize",
     "CoherenceEstimate", "coherence", "ComparisonReport", "compare_to_analytic",

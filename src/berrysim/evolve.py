@@ -7,9 +7,13 @@ propagator of the field frozen at the step midpoint,
     U = cos(|b| dt / 2) I - i sin(|b| dt / 2) (b_hat . sigma),
 
 so the only discretization error is the O(dt**2) commutator remainder.
-The states at all grid nodes come from one blocked prefix product of
-these SU(2) steps (``_node_states``), and the phases and diagnostics are
-array reductions over those states; there is no per-step Python loop.
+One kernel (``_evolve``) takes the total field at the grid nodes and
+step midpoints; the states at all nodes come from one blocked prefix
+product of the SU(2) steps (``_node_states``), and the phases and
+diagnostics are array reductions over them, with no per-step Python
+loop.  ``evolve_and_extract`` builds both field grids from a spec and a
+noise path and adds the mean energy and the trace; Monte Carlo
+ensembles compute the control field once and call the kernel per trial.
 
 Phase conventions
 -----------------
@@ -46,8 +50,6 @@ __all__ = [
     "TrajectoryTrace",
     "eigenstate_up",
     "eigenstate_down",
-    "bloch_vector",
-    "propagate_step",
     "evolve_and_extract",
     "connection_phase_discrete",
 ]
@@ -114,18 +116,6 @@ def _eigenvector_chain(theta: np.ndarray, phi: np.ndarray, branch: str) -> np.nd
     return np.stack([ephi * np.sin(half), -np.conj(ephi) * np.cos(half)], axis=-1)
 
 
-def bloch_vector(state: SpinState) -> np.ndarray:
-    """Expectation values of the Pauli operators."""
-    u = complex(state.amp_up)
-    d = complex(state.amp_down)
-    if abs(u) == 0.0 and abs(d) == 0.0:
-        raise ValueError("the zero state has no Bloch vector")
-    cross = u.conjugate() * d
-    return np.array(
-        [2.0 * cross.real, 2.0 * cross.imag, abs(u) ** 2 - abs(d) ** 2]
-    )
-
-
 def _step_coefficients(
     b: np.ndarray, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,21 +136,6 @@ def _step_coefficients(
     a = np.cos(half) - 1j * (s * b[..., 2])
     off = -(s * b[..., 1]) - 1j * (s * b[..., 0])
     return a, off, nb
-
-
-def propagate_step(state: SpinState, b_total: np.ndarray, dt: float) -> SpinState:
-    """Apply the exact propagator of a constant field over one step."""
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be finite and positive, got {dt}")
-    b = np.asarray(b_total, dtype=float)
-    if b.shape != (3,):
-        raise ValueError(f"b_total must be a 3-vector, got shape {b.shape}")
-    a, off, _ = _step_coefficients(b, dt)
-    a = complex(a)
-    off = complex(off)
-    u = complex(state.amp_up)
-    d = complex(state.amp_down)
-    return SpinState(a * u + off * d, a.conjugate() * d - off.conjugate() * u)
 
 
 def _node_states(
@@ -333,13 +308,10 @@ class _Evolution:
 
 
 def _evolve(b_nodes: np.ndarray, b_mid: np.ndarray, dt: float, branch: str) -> _Evolution:
-    """The evolution kernel: start in the branch eigenstate of ``b_nodes[0]``
-    and step through the total fields ``b_mid``.
+    """The evolution kernel, from the total field at the n + 1 nodes and n midpoints.
 
-    ``b_nodes`` (shape (n + 1, 3)) is the total field at the grid nodes and
-    ``b_mid`` (shape (n, 3)) the field each step is frozen at.
-    ``total_phase`` is the unwrapped phase at every node and
-    ``field_modulus`` the field modulus of every step.
+    The state starts in the branch eigenstate of ``b_nodes[0]``; step k
+    applies the exact propagator of ``b_mid[k]`` over ``dt``.
     """
     winding, _ = _winding_number(b_nodes)
     step_a, step_b, nb = _step_coefficients(b_mid, dt)
@@ -410,14 +382,8 @@ def evolve_and_extract(
     run = _evolve(b_nodes, b_mid, dt, branch)
 
     cross = np.conj(run.amp_up) * run.amp_down
-    bloch = np.stack(
-        [
-            2.0 * cross.real,
-            2.0 * cross.imag,
-            np.abs(run.amp_up) ** 2 - np.abs(run.amp_down) ** 2,
-        ],
-        axis=1,
-    )
+    pz = np.abs(run.amp_up) ** 2 - np.abs(run.amp_down) ** 2
+    bloch = np.stack([2.0 * cross.real, 2.0 * cross.imag, pz], axis=1)
     extraction = PhaseExtraction(
         total_phase=float(run.total_phase[-1]),
         dynamical_phase=run.dynamical_phase,

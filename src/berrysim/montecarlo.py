@@ -8,16 +8,18 @@ linear in the innovations: w.K = (L^T w).xi.  So each ensemble runs its
 two trapezoid-weighted response weights backwards through the exact OU
 recursion once (the adjoint L^T w), and each trial is one product of
 those adjoint weights with its draw; first-order trials build no
-filtered path.  The recorded ``gamma_fo``,
+filtered path.  A full_sim ensemble computes the control field once;
+each of its trials filters its draw into K and runs the evolution
+kernel on control field plus K, recording only the geometric phase and
+the leakage.  The recorded ``gamma_fo``,
 ``delta_fo`` and ``alpha_fo`` are deviations from the noiseless values
 (so their ensemble means target zero), while ``gamma_sim`` is the
 absolute folded geometric phase from the evolution.
 
 Trial seeds are derived from ``(master_seed, trial_index)``, so
-ensembles are reproducible, embarrassingly parallel, and extending
-``n_trials`` preserves the earlier trials.  Summaries reduce arrays in
-trial order with fixed-order numpy reductions, which keeps serial and
-parallel runs bit-identical.
+ensembles are reproducible and extending ``n_trials`` preserves the
+earlier trials.  Trials run serially; summaries reduce arrays in trial
+order with fixed-order numpy reductions.
 """
 
 from __future__ import annotations
@@ -123,8 +125,7 @@ def run_ensemble(
     for index in range(int(n_trials)):
         xi = _draw_innovations(n_steps, trial_seed(master_seed, index))
         gamma, delta = (adjoint @ xi.reshape(-1)).tolist()
-        gamma_sim = None
-        leakage = None
+        gamma_sim = leakage = None
         if mode == "full_sim":
             k = _ou_filter(model, dt, xi)
             if not np.all(np.isfinite(k)):
@@ -132,16 +133,7 @@ def run_ensemble(
             run = _evolve(control_nodes + k, control_mid + 0.5 * (k[:-1] + k[1:]), dt, "up")
             gamma_sim = run.geometric_phase
             leakage = run.leakage
-        records.append(
-            TrialRecord(
-                trial_index=index,
-                gamma_fo=gamma,
-                delta_fo=delta,
-                alpha_fo=gamma + delta,
-                gamma_sim=gamma_sim,
-                leakage=leakage,
-            )
-        )
+        records.append(TrialRecord(index, gamma, delta, gamma + delta, gamma_sim, leakage))
     return records
 
 

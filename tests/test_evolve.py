@@ -12,7 +12,6 @@ from berrysim import (
     ResolutionError,
     SphericalAngles,
     SpinState,
-    bloch_vector,
     connection_phase_discrete,
     control_field,
     eigenstate_down,
@@ -20,9 +19,38 @@ from berrysim import (
     evolve_and_extract,
     noiseless_berry_phase,
     polar_angles,
-    propagate_step,
     sample_path,
 )
+from berrysim.evolve import _step_coefficients
+
+
+def bloch_vector(state: SpinState) -> np.ndarray:
+    """Expectation values of the Pauli operators (reference copy)."""
+    u = complex(state.amp_up)
+    d = complex(state.amp_down)
+    if abs(u) == 0.0 and abs(d) == 0.0:
+        raise ValueError("the zero state has no Bloch vector")
+    cross = u.conjugate() * d
+    return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(u) ** 2 - abs(d) ** 2])
+
+
+def propagate_step(state: SpinState, b_total: np.ndarray, dt: float) -> SpinState:
+    """One step of a constant field through the kernel's Cayley-Klein pair.
+
+    A scalar wrapper of ``_step_coefficients``, the step every evolution
+    applies, so the single-step tests below exercise the kernel's step.
+    """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    b = np.asarray(b_total, dtype=float)
+    if b.shape != (3,):
+        raise ValueError(f"b_total must be a 3-vector, got shape {b.shape}")
+    a, off, _ = _step_coefficients(b, dt)
+    a = complex(a)
+    off = complex(off)
+    u = complex(state.amp_up)
+    d = complex(state.amp_down)
+    return SpinState(a * u + off * d, a.conjugate() * d - off.conjugate() * u)
 
 
 def pauli_dot(b):
