@@ -23,7 +23,6 @@ from berrysim import (
     coherence,
     connection_phase_discrete,
     covariance_by_quadrature,
-    density_matrix_after,
     dephasing_factor,
     dynamical_weight,
     evolve_and_extract,
@@ -36,6 +35,7 @@ from berrysim import (
     variance_by_quadrature,
 )
 from berrysim.cli import main
+from test_analytics import density_matrix_after
 
 
 REF_SPEC = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)

@@ -17,7 +17,6 @@ from berrysim import (
     berry_phase_variance_narrowband,
     covariance_by_quadrature,
     dephasing_factor,
-    density_matrix_after,
     dynamical_weight,
     geometric_weight,
     noiseless_berry_phase,
@@ -38,6 +37,30 @@ VAR_GAMMA = 0.0019564677457055337
 VAR_DELTA = 3.9646325550588211
 COV_GAMMA_DELTA = 0.011893378700306358
 VAR_ALPHA = 3.9903757802051389
+
+
+def density_matrix_after(
+    amp_up: complex, amp_down: complex, mean_alpha: float, var_alpha: float
+) -> np.ndarray:
+    """Ensemble-averaged density matrix after one noisy schedule (reference copy).
+
+    The initial superposition ``amp_up |up> + amp_down |down>`` picks up
+    a relative phase 2*alpha between the branches; averaging the Gaussian
+    alpha damps the coherence by ``exp(-2*var_alpha)`` and rotates it by
+    ``2*mean_alpha``.  Populations are untouched at this order.
+    """
+    a = complex(amp_up)
+    b = complex(amp_down)
+    norm = abs(a) ** 2 + abs(b) ** 2
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"amplitudes must be normalized, got |a|^2 + |b|^2 = {norm}")
+    if not (math.isfinite(mean_alpha) and math.isfinite(var_alpha)) or var_alpha < 0.0:
+        raise ValueError("mean_alpha must be finite and var_alpha nonnegative")
+    coherence = a * b.conjugate() * np.exp(2.0j * mean_alpha - 2.0 * var_alpha)
+    return np.array(
+        [[abs(a) ** 2, coherence], [coherence.conjugate(), abs(b) ** 2]],
+        dtype=complex,
+    )
 
 
 def weights(spec):

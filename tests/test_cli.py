@@ -13,9 +13,9 @@ import pytest
 from berrysim import AccuracyError, analytics, cli
 from berrysim.cli import RunConfig, config_from_file, format_config, main
 from berrysim.evolve import evolve_and_extract
-from berrysim.field import control_field
-from berrysim.montecarlo import run_ensemble
-from berrysim.noise import sample_path
+from berrysim.field import PrecessionSpec, adiabaticity_report, control_field
+from berrysim.montecarlo import coherence, compare_to_analytic, run_ensemble, summarize
+from berrysim.noise import NoiseModel, sample_path
 
 
 def read_json(path: Path) -> dict:
@@ -444,16 +444,13 @@ class TestSweepCommand:
     def test_rows_match_one_closed_form_call_per_row(self, tmp_path, monkeypatch):
         # each second moment of a row is one evaluation of the quadratic form
         calls = []
+        phase_covariance = analytics.phase_covariance
 
-        class CountingAnalytics:
-            def __getattr__(self, name):
-                return getattr(analytics, name)
+        def counting(spec, model, x, y):
+            calls.append((spec, x, y))
+            return phase_covariance(spec, model, x, y)
 
-            def phase_covariance(self, spec, model, x, y):
-                calls.append((spec, x, y))
-                return analytics.phase_covariance(spec, model, x, y)
-
-        monkeypatch.setattr(cli, "analytics", CountingAnalytics())
+        monkeypatch.setattr(analytics, "phase_covariance", counting)
         args = [
             "sweep", "--param", "theta0", "--values", "0.5,1.0,1.5",
             "--quiet", "-o", str(tmp_path / "th"),
@@ -472,14 +469,14 @@ class TestSweepCommand:
             assert {(x, y) for _, x, y in calls[4 * i:4 * i + 4]} == {
                 (gamma, gamma), (delta, delta), (gamma, delta), (alpha, alpha)
             }
-            closed = analytics.phase_covariance(spec, model, gamma, gamma)
+            closed = phase_covariance(spec, model, gamma, gamma)
             expected = {
                 "var_gamma_transverse": closed.transverse_term,
                 "var_gamma_longitudinal": closed.longitudinal_term,
                 "var_gamma": closed.total,
-                "var_delta": analytics.phase_covariance(spec, model, delta, delta).total,
-                "cov_gamma_delta": analytics.phase_covariance(spec, model, gamma, delta).total,
-                "var_alpha": analytics.phase_covariance(spec, model, alpha, alpha).total,
+                "var_delta": phase_covariance(spec, model, delta, delta).total,
+                "cov_gamma_delta": phase_covariance(spec, model, gamma, delta).total,
+                "var_alpha": phase_covariance(spec, model, alpha, alpha).total,
             }
             cells = dict(zip(header, line.split(",")))
             for key, value in expected.items():
@@ -548,6 +545,172 @@ class TestCompareCommand:
         monkeypatch.setattr(analytics, "variance_by_quadrature", explode)
         assert main(["analytic"]) == 3
         assert "accuracy error" in capsys.readouterr().err
+
+
+def _reference_rel_diff(a: float, b: float) -> float:
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale > 0.0 else 0.0
+
+
+def _reference_battery(config: RunConfig) -> list:
+    """The compare battery as it was before it reused the other commands (reference copy)."""
+    checks = []
+    spec = config.spec()
+    model = config.model()
+    moments = analytics.phase_moments(spec, model)
+    nodes = max(4096, 64 * spec.n_cycles)
+
+    w_gamma = analytics.geometric_weight(spec)
+    w_delta = analytics.dynamical_weight(spec)
+    quad_gamma = analytics.variance_by_quadrature(spec, w_gamma, model, nodes)
+    rel = _reference_rel_diff(quad_gamma.value, moments.var_gamma)
+    checks.append(
+        ("oracle_var_gamma", rel <= 1e-6,
+         f"closed={moments.var_gamma:.9e} quadrature={quad_gamma.value:.9e} rel={rel:.2e}")
+    )
+    quad_alpha = analytics.variance_by_quadrature(spec, w_gamma + w_delta, model, nodes)
+    rel = _reference_rel_diff(quad_alpha.value, moments.var_alpha)
+    checks.append(
+        ("oracle_var_alpha", rel <= 1e-6,
+         f"closed={moments.var_alpha:.9e} quadrature={quad_alpha.value:.9e} rel={rel:.2e}")
+    )
+    quad_cov = analytics.covariance_by_quadrature(spec, w_gamma, w_delta, model, nodes)
+    rel = _reference_rel_diff(quad_cov.value, moments.cov_gamma_delta)
+    checks.append(
+        ("oracle_cov", rel <= 1e-6,
+         f"closed={moments.cov_gamma_delta:.9e} quadrature={quad_cov.value:.9e} rel={rel:.2e}")
+    )
+
+    t_total = config.t_total
+    slow = NoiseModel.from_scalars(
+        config.sigma12, 0.01 / t_total, config.sigma3, 0.01 / t_total
+    )
+    spec_1 = PrecessionSpec(config.b0, config.theta0, config.t_total, 1)
+    w_1 = analytics.geometric_weight(spec_1)
+    nb = analytics.berry_phase_variance_narrowband(spec_1, slow)
+    closed = analytics.phase_covariance(spec_1, slow, w_1, w_1).total
+    rel = _reference_rel_diff(nb, closed)
+    checks.append(
+        ("narrowband_limit", rel <= 0.05,
+         f"limit={nb:.6e} closed={closed:.6e} rel={rel:.2e}")
+    )
+    fast = NoiseModel.from_scalars(
+        config.sigma12, 1000.0 / t_total, config.sigma3, 1000.0 / t_total
+    )
+    bb = analytics.berry_phase_variance_broadband(spec_1, fast)
+    closed = analytics.phase_covariance(spec_1, fast, w_1, w_1).total
+    rel = _reference_rel_diff(bb, closed)
+    checks.append(
+        ("broadband_limit", rel <= 0.05,
+         f"limit={bb:.6e} closed={closed:.6e} rel={rel:.2e}")
+    )
+
+    records = run_ensemble(
+        spec, model, config.n_trials, config.seed, config=config.integrator()
+    )
+    stats = summarize(records)
+    report = compare_to_analytic(stats, moments)
+    max_z = max(abs(z) for z in report.z_scores.values())
+    checks.append(
+        ("mc_moments", report.passed, f"n={stats.n_trials} max|z|={max_z:.3f}")
+    )
+    if len(records) >= 100:
+        coh = coherence(records, moments.var_alpha)
+        checks.append(
+            ("mc_coherence", abs(coh.z_score) <= 3.0,
+             f"measured={coh.measured:.6e} predicted={coh.predicted:.6e} z={coh.z_score:.3f}")
+        )
+    cov_ok = abs(stats.cov_gamma_delta - moments.cov_gamma_delta) <= 3.0 * stats.se_cov_gamma_delta
+    if moments.cov_gamma_delta != 0.0:
+        cov_ok = cov_ok and abs(stats.cov_gamma_delta) > 3.0 * stats.se_cov_gamma_delta
+    checks.append(
+        ("mc_covariance", cov_ok,
+         f"empirical={stats.cov_gamma_delta:.6e} closed={moments.cov_gamma_delta:.6e} "
+         f"se={stats.se_cov_gamma_delta:.2e}")
+    )
+
+    if model.transverse.sigma > 0.0 or model.longitudinal.sigma > 0.0:
+        base_t = max(t_total, 100.0 / model.transverse.gamma, 100.0 / model.longitudinal.gamma)
+        t_values = [base_t, 2.0 * base_t, 4.0 * base_t, 8.0 * base_t]
+        vg = []
+        vd = []
+        for t_value in t_values:
+            spec_t = PrecessionSpec(config.b0, config.theta0, t_value, 1)
+            g_t = analytics.geometric_weight(spec_t)
+            d_t = analytics.dynamical_weight(spec_t)
+            vg.append(analytics.phase_covariance(spec_t, model, g_t, g_t).total)
+            vd.append(analytics.phase_covariance(spec_t, model, d_t, d_t).total)
+        log_t = np.log(t_values)
+        detail = []
+        ok = True
+        if all(v > 0.0 for v in vg):
+            slope = float(np.polyfit(log_t, np.log(vg), 1)[0])
+            ok = ok and abs(slope + 1.0) <= 0.05
+            detail.append(f"slope_var_gamma={slope:.4f} (target -1)")
+        if all(v > 0.0 for v in vd):
+            slope = float(np.polyfit(log_t, np.log(vd), 1)[0])
+            ok = ok and abs(slope - 1.0) <= 0.05
+            detail.append(f"slope_var_delta={slope:.4f} (target +1)")
+        checks.append(("broadband_scaling", ok, " ".join(detail) or "no noise"))
+
+    sim_records = run_ensemble(
+        spec, model, 8, config.seed, mode="full_sim", config=config.integrator()
+    )
+    baseline = evolve_and_extract(spec, None, config.integrator())
+    residuals = [
+        abs(r.gamma_sim - baseline.geometric_phase - r.gamma_fo) for r in sim_records
+    ]
+    median_residual = float(np.median(residuals))
+    checks.append(
+        ("first_order_vs_sim", median_residual <= 0.1,
+         f"median|gamma_sim - gamma_noiseless - gamma_fo|={median_residual:.3e} rad")
+    )
+
+    report_ad = adiabaticity_report(spec, model)
+    worst = max(report_ad.ratios, key=lambda k: report_ad.ratios[k] / report_ad.thresholds[k])
+    checks.append(
+        ("adiabaticity", report_ad.passed,
+         f"worst {worst}={report_ad.ratios[worst]:.3g} "
+         f"(threshold {report_ad.thresholds[worst]:.3g})")
+    )
+    return checks
+
+
+def _without_quadrature_digits(name: str, detail: str) -> str:
+    # The oracle lines may differ only in the quadrature value and its rel.
+    if name.startswith("oracle_"):
+        return re.sub(r"(quadrature|rel)=\S+", r"\1=*", detail)
+    return detail
+
+
+class TestCompareEquivalence:
+    """The compare battery gives the reference battery's checks, flags and details."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"sigma12": 0.5, "sigma3": 0.5},
+            {"n_trials": 99},
+            {"theta0": 0.3, "n_cycles": 3},
+            {"sigma3": 0.0},
+        ],
+        ids=["reference", "loud", "99_trials", "theta0_0.3_3_cycles", "sigma3_0"],
+    )
+    def test_matches_reference_battery(self, overrides):
+        config = RunConfig(**{"n_trials": 1000, "steps_per_cycle": 512, "seed": 3, **overrides})
+        want = _reference_battery(config)
+        got = cli._battery(config)
+        assert [name for name, _, _ in got] == [name for name, _, _ in want]
+        assert [ok for _, ok, _ in got] == [ok for _, ok, _ in want]
+        for (name, _, detail), (_, _, ref) in zip(got, want):
+            assert _without_quadrature_digits(name, detail) == _without_quadrature_digits(
+                name, ref
+            )
+        names = [name for name, _, _ in want]
+        assert ("mc_coherence" in names) == (config.n_trials >= 100)
+        if overrides.get("sigma12") == 0.5:
+            assert not all(ok for _, ok, _ in want)
 
 
 class TestTableEquivalence:

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,17 +12,53 @@ from berrysim import (
     PrecessionSpec,
     ResolutionError,
     SphericalAngles,
-    SpinState,
     connection_phase_discrete,
     control_field,
-    eigenstate_down,
-    eigenstate_up,
     evolve_and_extract,
     noiseless_berry_phase,
     polar_angles,
     sample_path,
 )
-from berrysim.evolve import _step_coefficients
+from berrysim.evolve import _eigenvector_chain, _step_coefficients
+
+
+@dataclass(frozen=True)
+class SpinState:
+    """A pure spin-1/2 state with amplitudes on the z basis (reference copy)."""
+
+    amp_up: complex
+    amp_down: complex
+
+    @property
+    def norm(self) -> float:
+        return math.sqrt(abs(self.amp_up) ** 2 + abs(self.amp_down) ** 2)
+
+    def normalized(self) -> "SpinState":
+        n = self.norm
+        if n == 0.0:
+            raise ValueError("cannot normalize the zero state")
+        return SpinState(self.amp_up / n, self.amp_down / n)
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.amp_up, self.amp_down], dtype=complex)
+
+
+def eigenstate_up(angles: SphericalAngles) -> SpinState:
+    """Upper eigenstate of b_hat . sigma in the half-angle gauge (reference copy)."""
+    half = 0.5 * angles.theta
+    return SpinState(
+        cmath.exp(-0.5j * angles.phi) * math.cos(half),
+        cmath.exp(0.5j * angles.phi) * math.sin(half),
+    )
+
+
+def eigenstate_down(angles: SphericalAngles) -> SpinState:
+    """Lower eigenstate, orthogonal to :func:`eigenstate_up` (reference copy)."""
+    half = 0.5 * angles.theta
+    return SpinState(
+        cmath.exp(-0.5j * angles.phi) * math.sin(half),
+        -cmath.exp(0.5j * angles.phi) * math.cos(half),
+    )
 
 
 def bloch_vector(state: SpinState) -> np.ndarray:
@@ -110,6 +147,25 @@ class TestEigenstates:
         ]
         assert np.allclose(v, expected, atol=1e-14)
         assert np.allclose(bloch_vector(eigenstate_down(angles)), np.negative(expected), atol=1e-14)
+
+    @pytest.mark.parametrize("branch", ["up", "down"])
+    def test_chain_rows_equal_scalar_eigenstates(self, branch):
+        # the evolution kernel takes its eigenstates from the array chain
+        rng = np.random.default_rng(11)
+        vectors = [
+            *rng.standard_normal((2000, 3)) * rng.uniform(1e-3, 1e3, (2000, 1)),
+            np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -2.0]),
+            np.array([-0.0, -0.0, 1.0]), np.array([-0.0, 0.0, -3.0]),
+            np.array([0.0, -0.0, 0.5]), np.array([-0.0, 1e-300, 1.0]),
+        ]
+        angles = [polar_angles(v) for v in vectors]
+        rows = _eigenvector_chain(
+            [a.theta for a in angles], [a.phi for a in angles], branch
+        )
+        scalar = eigenstate_up if branch == "up" else eigenstate_down
+        for row, a in zip(rows, angles):
+            # bitwise, so signed zeros agree too
+            assert row.tobytes() == scalar(a).as_array().tobytes(), a
 
     def test_bloch_vector_rejects_null_state(self):
         with pytest.raises(ValueError):

