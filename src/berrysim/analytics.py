@@ -47,8 +47,11 @@ var(gamma) are the same form with the limits of the brackets:
     narrowband   J = 2*gamma12*T/omega**2    L = T**2*(1/2 - gamma3*T/6)
     broadband    J = T/gamma12               L = T/gamma3
 
-The narrowband L is negative once gamma3*T > 3, and the narrowband
-limit is then None rather than a negative variance.
+Each limit is published only where its brackets can be those of a
+variance.  The narrowband L is negative once gamma3*T > 3.  The exact
+brackets satisfy |J| <= L <= T**2/2, so the broadband brackets are
+impossible once T/gamma > T**2/2, that is gamma*T < 2 for either
+bandwidth.  There the limit is None rather than a wrong number.
 
 The quadrature routines integrate the same double integrals directly
 from cos(omega t), sin(omega t), 1 and the OU kernel, with no reference
@@ -75,13 +78,13 @@ __all__ = [
     "noiseless_berry_phase",
     "VarianceBreakdown",
     "phase_covariance",
+    "second_moments",
     "berry_phase_variance_narrowband",
     "berry_phase_variance_broadband",
     "QuadratureEstimate",
     "variance_by_quadrature",
     "covariance_by_quadrature",
     "dephasing_factor",
-    "density_matrix_after",
     "PhaseMoments",
     "phase_moments",
     "noncyclic_connection_term",
@@ -221,6 +224,23 @@ def phase_covariance(
     return _form(model, x, y, j, ell)
 
 
+def second_moments(spec: PrecessionSpec, model: NoiseModel) -> dict:
+    """The four closed-form second moments of gamma, delta and alpha = gamma + delta.
+
+    Keys, in this order: ``var_gamma``, ``var_delta``, ``cov_gamma_delta``
+    and ``var_alpha``; each value is a :class:`VarianceBreakdown`.
+    """
+    gamma = geometric_weight(spec)
+    delta = dynamical_weight(spec)
+    alpha = gamma + delta
+    return {
+        "var_gamma": phase_covariance(spec, model, gamma, gamma),
+        "var_delta": phase_covariance(spec, model, delta, delta),
+        "cov_gamma_delta": phase_covariance(spec, model, gamma, delta),
+        "var_alpha": phase_covariance(spec, model, alpha, alpha),
+    }
+
+
 def berry_phase_variance_narrowband(
     spec: PrecessionSpec, model: NoiseModel
 ) -> float | None:
@@ -241,15 +261,21 @@ def berry_phase_variance_narrowband(
     return _form(model, w, w, j, ell).total
 
 
-def berry_phase_variance_broadband(spec: PrecessionSpec, model: NoiseModel) -> float:
+def berry_phase_variance_broadband(
+    spec: PrecessionSpec, model: NoiseModel
+) -> float | None:
     """Fast-noise limit of the geometric-phase variance.
 
     Valid when both bandwidths dominate, gamma12 >> omega and
     gamma*t_total >> 1.  Both contributions fall off as
     1/(gamma*t_total): rapid fluctuations self-average over the loop.
+    Returns None once either bracket t_total/gamma exceeds t_total**2/2,
+    the bound of the exact brackets, that is once gamma*t_total < 2.
     """
     j = spec.t_total / model.transverse.gamma
     ell = spec.t_total / model.longitudinal.gamma
+    if max(j, ell) > 0.5 * spec.t_total**2:
+        return None
     w = geometric_weight(spec)
     return _form(model, w, w, j, ell).total
 
@@ -375,30 +401,6 @@ def dephasing_factor(var_alpha: float) -> float:
     return math.exp(-2.0 * var_alpha)
 
 
-def density_matrix_after(
-    amp_up: complex, amp_down: complex, mean_alpha: float, var_alpha: float
-) -> np.ndarray:
-    """Ensemble-averaged density matrix after one noisy schedule.
-
-    The initial superposition ``amp_up |up> + amp_down |down>`` picks up
-    a relative phase 2*alpha between the branches; averaging the Gaussian
-    alpha damps the coherence by ``exp(-2*var_alpha)`` and rotates it by
-    ``2*mean_alpha``.  Populations are untouched at this order.
-    """
-    a = complex(amp_up)
-    b = complex(amp_down)
-    norm = abs(a) ** 2 + abs(b) ** 2
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"amplitudes must be normalized, got |a|^2 + |b|^2 = {norm}")
-    if not (math.isfinite(mean_alpha) and math.isfinite(var_alpha)) or var_alpha < 0.0:
-        raise ValueError("mean_alpha must be finite and var_alpha nonnegative")
-    coherence = a * b.conjugate() * np.exp(2.0j * mean_alpha - 2.0 * var_alpha)
-    return np.array(
-        [[abs(a) ** 2, coherence], [coherence.conjugate(), abs(b) ** 2]],
-        dtype=complex,
-    )
-
-
 @dataclass(frozen=True)
 class PhaseMoments:
     """First and second moments of the three phase-like quantities.
@@ -419,19 +421,17 @@ class PhaseMoments:
 
 
 def phase_moments(spec: PrecessionSpec, model: NoiseModel) -> PhaseMoments:
-    gamma = geometric_weight(spec)
-    delta = dynamical_weight(spec)
-    alpha = gamma + delta
+    moments = second_moments(spec, model)
     mean_gamma = noiseless_berry_phase(spec.theta0)
     mean_delta = spec.b0 * spec.t_total
     return PhaseMoments(
         mean_gamma=mean_gamma,
-        var_gamma=phase_covariance(spec, model, gamma, gamma).total,
+        var_gamma=moments["var_gamma"].total,
         mean_delta=mean_delta,
-        var_delta=phase_covariance(spec, model, delta, delta).total,
-        cov_gamma_delta=phase_covariance(spec, model, gamma, delta).total,
+        var_delta=moments["var_delta"].total,
+        cov_gamma_delta=moments["cov_gamma_delta"].total,
         mean_alpha=mean_gamma + mean_delta,
-        var_alpha=phase_covariance(spec, model, alpha, alpha).total,
+        var_alpha=moments["var_alpha"].total,
     )
 
 

@@ -281,68 +281,52 @@ def _quad_nodes(spec: PrecessionSpec) -> int:
     return max(4096, 64 * spec.n_cycles)
 
 
+# Keeps the quadrature cross-checks far below their 1e-6 agreement gate
+# without stalling near the roundoff floor at extreme working points.
+_QUAD_RTOL = 1e-8
+
+
 # --------------------------------------------------------------------------
 # commands
-
-
-def _terms(moment) -> dict:
-    return {
-        "transverse": moment.transverse_term,
-        "longitudinal": moment.longitudinal_term,
-        "total": moment.total,
-    }
 
 
 def _analytic_payload(config: RunConfig) -> dict:
     spec = config.spec()
     model = config.model()
+    variances = analytics.second_moments(spec, model)
     w_gamma = analytics.geometric_weight(spec)
-    w_delta = analytics.dynamical_weight(spec)
-    w_alpha = w_gamma + w_delta
-    var_gamma = analytics.phase_covariance(spec, model, w_gamma, w_gamma)
-    var_delta = analytics.phase_covariance(spec, model, w_delta, w_delta)
-    cov = analytics.phase_covariance(spec, model, w_gamma, w_delta)
-    var_alpha = analytics.phase_covariance(spec, model, w_alpha, w_alpha)
-    moments = analytics.phase_moments(spec, model)
-    nodes = _quad_nodes(spec)
-    # rtol 1e-8 keeps the cross-check far below the 1e-6 agreement gate
-    # without stalling near the roundoff floor at extreme working points
-    quad_gamma = analytics.variance_by_quadrature(spec, w_gamma, model, nodes, rtol=1e-8)
-    quad_alpha = analytics.variance_by_quadrature(spec, w_alpha, model, nodes, rtol=1e-8)
+    w_alpha = w_gamma + analytics.dynamical_weight(spec)
+    quadrature = {}
+    for key, weight in (("var_gamma", w_gamma), ("var_alpha", w_alpha)):
+        quad = analytics.variance_by_quadrature(
+            spec, weight, model, _quad_nodes(spec), rtol=_QUAD_RTOL
+        )
+        quadrature[key] = {
+            "value": quad.value,
+            "error": quad.error,
+            "nodes": quad.nodes,
+            "rel_diff_closed": _rel_diff(quad.value, variances[key].total),
+        }
     return {
         "config": config.to_dict(),
         "omega": spec.omega,
         "variances": {
-            "var_gamma": _terms(var_gamma),
-            "var_delta": _terms(var_delta),
-            "cov_gamma_delta": _terms(cov),
-            "var_alpha": _terms(var_alpha),
+            key: {"transverse": m.transverse_term, "longitudinal": m.longitudinal_term,
+                  "total": m.total}
+            for key, m in variances.items()
         },
         "subterms": {
-            "geometric": var_gamma.total,
-            "dynamical": var_delta.total,
-            "cross": 2.0 * cov.total,
+            "geometric": variances["var_gamma"].total,
+            "dynamical": variances["var_delta"].total,
+            "cross": 2.0 * variances["cov_gamma_delta"].total,
         },
         "limits": {
             "narrowband_var_gamma": analytics.berry_phase_variance_narrowband(spec, model),
             "broadband_var_gamma": analytics.berry_phase_variance_broadband(spec, model),
         },
-        "quadrature": {
-            "var_gamma": {
-                "value": quad_gamma.value,
-                "error": quad_gamma.error,
-                "nodes": quad_gamma.nodes,
-                "rel_diff_closed": _rel_diff(quad_gamma.value, var_gamma.total),
-            },
-            "var_alpha": {
-                "value": quad_alpha.value,
-                "error": quad_alpha.error,
-                "nodes": quad_alpha.nodes,
-                "rel_diff_closed": _rel_diff(quad_alpha.value, var_alpha.total),
-            },
-        },
-        "moments": dataclasses.asdict(moments),
-        "dephasing_factor": analytics.dephasing_factor(var_alpha.total),
+        "quadrature": quadrature,
+        "moments": dataclasses.asdict(analytics.phase_moments(spec, model)),
+        "dephasing_factor": analytics.dephasing_factor(variances["var_alpha"].total),
         "adiabaticity": adiabaticity_report(spec, model).to_dict(),
     }
 
@@ -371,6 +355,19 @@ def _records_table(records) -> dict:
     return table
 
 
+def _mc_gate(records: list, moments: analytics.PhaseMoments) -> tuple:
+    """The mc pass rule: returns (stats, report, coherence, passed).
+
+    Every moment z-score, and from 100 records on the coherence z-score,
+    must lie within the report's threshold.
+    """
+    stats = summarize(records)
+    report = compare_to_analytic(stats, moments)
+    coh = coherence(records, moments.var_alpha) if len(records) >= 100 else None
+    passed = report.passed and (coh is None or abs(coh.z_score) <= report.threshold)
+    return stats, report, coh, passed
+
+
 def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) -> int:
     spec = config.spec()
     model = config.model()
@@ -382,20 +379,14 @@ def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) 
     if not quiet:
         print(f"mc: ensemble {seconds:.3f} s, {len(records) / max(seconds, 1e-9):.1f} trials/s",
               file=sys.stderr)
-    stats = summarize(records)
     moments = analytics.phase_moments(spec, model)
     if tamper_variance_scale is not None:
         # Deliberately corrupted targets; used to exercise the failure path.
-        moments = dataclasses.replace(
-            moments,
-            var_gamma=moments.var_gamma * tamper_variance_scale,
-            var_delta=moments.var_delta * tamper_variance_scale,
-            var_alpha=moments.var_alpha * tamper_variance_scale,
-            cov_gamma_delta=moments.cov_gamma_delta * tamper_variance_scale,
-        )
-    report = compare_to_analytic(stats, moments)
-    coh = coherence(records, moments.var_alpha) if len(records) >= 100 else None
-    passed = report.passed and (coh is None or abs(coh.z_score) <= report.threshold)
+        moments = dataclasses.replace(moments, **{
+            key: getattr(moments, key) * tamper_variance_scale
+            for key in ("var_gamma", "var_delta", "var_alpha", "cov_gamma_delta")
+        })
+    stats, report, coh, passed = _mc_gate(records, moments)
 
     base = _resolve_base(config, "mc")
     records_path = base.with_name(base.name + ".records.csv")
@@ -509,6 +500,20 @@ def cmd_simulate(config: RunConfig, quiet: bool, branch: str) -> int:
 _SWEEPABLE = ("t_total", "gamma12", "gamma3", "theta0")
 
 
+def _loglog_slopes(t_values: list, rows: list) -> dict:
+    """Least-squares slopes of log var_gamma and log var_delta against log T.
+
+    ``rows`` hold the variances at ``t_values``; a series with a value
+    at or below zero has no slope and is left out.
+    """
+    slopes = {}
+    for key in ("var_gamma", "var_delta"):
+        series = np.array([row[key] for row in rows])
+        if np.all(series > 0.0):
+            slopes[key] = float(np.polyfit(np.log(t_values), np.log(series), 1)[0])
+    return slopes
+
+
 def cmd_sweep(
     config: RunConfig,
     quiet: bool,
@@ -541,24 +546,18 @@ def cmd_sweep(
         point.validate()
         spec = point.spec()
         model = point.model()
-        w_gamma = analytics.geometric_weight(spec)
-        w_delta = analytics.dynamical_weight(spec)
-        w_alpha = w_gamma + w_delta
-        var_gamma = analytics.phase_covariance(spec, model, w_gamma, w_gamma)
+        moments = analytics.second_moments(spec, model)
         row = {
             param: value,
             "n_cycles": spec.n_cycles,
             "omega": spec.omega,
-            "var_gamma_transverse": var_gamma.transverse_term,
-            "var_gamma_longitudinal": var_gamma.longitudinal_term,
-            "var_gamma": var_gamma.total,
-            "var_delta": analytics.phase_covariance(spec, model, w_delta, w_delta).total,
-            "cov_gamma_delta": analytics.phase_covariance(spec, model, w_gamma, w_delta).total,
-            "var_alpha": analytics.phase_covariance(spec, model, w_alpha, w_alpha).total,
+            "var_gamma_transverse": moments["var_gamma"].transverse_term,
+            "var_gamma_longitudinal": moments["var_gamma"].longitudinal_term,
+            **{key: moment.total for key, moment in moments.items()},
             "narrowband_var_gamma": analytics.berry_phase_variance_narrowband(spec, model),
             "broadband_var_gamma": analytics.berry_phase_variance_broadband(spec, model),
             "var_gamma_quadrature": analytics.variance_by_quadrature(
-                spec, w_gamma, model, _quad_nodes(spec), rtol=1e-7
+                spec, analytics.geometric_weight(spec), model, _quad_nodes(spec), rtol=1e-7
             ).value,
         }
         if with_mc:
@@ -573,12 +572,7 @@ def cmd_sweep(
 
     slopes = {}
     if param == "t_total" and len(values) >= 2:
-        for key in ("var_gamma", "var_delta"):
-            series = np.array([row[key] for row in rows])
-            if np.all(series > 0.0):
-                slopes[f"loglog_slope_{key}"] = float(
-                    np.polyfit(np.log(values), np.log(series), 1)[0]
-                )
+        slopes = {f"loglog_slope_{k}": v for k, v in _loglog_slopes(values, rows).items()}
 
     base = _resolve_base(config, "sweep")
     table_path = base.with_name(base.name + ".sweep.csv")
@@ -600,127 +594,104 @@ def cmd_sweep(
 
 
 def _battery(config: RunConfig) -> list:
-    """The compare battery: (name, passed, detail) triples."""
+    """The compare battery: (name, passed, detail) triples.
+
+    It reads the closed forms, the quadrature and the adiabaticity report
+    from the analytic payload and applies the mc gate to a first-order
+    ensemble.
+    """
     checks = []
     spec = config.spec()
     model = config.model()
-    moments = analytics.phase_moments(spec, model)
-    nodes = _quad_nodes(spec)
-
-    w_gamma = analytics.geometric_weight(spec)
-    w_delta = analytics.dynamical_weight(spec)
-    quad_gamma = analytics.variance_by_quadrature(spec, w_gamma, model, nodes)
-    rel = _rel_diff(quad_gamma.value, moments.var_gamma)
-    checks.append(
-        ("oracle_var_gamma", rel <= 1e-6,
-         f"closed={moments.var_gamma:.9e} quadrature={quad_gamma.value:.9e} rel={rel:.2e}")
+    payload = _analytic_payload(config)
+    moments = analytics.PhaseMoments(**payload["moments"])
+    quad_cov = analytics.covariance_by_quadrature(
+        spec, analytics.geometric_weight(spec), analytics.dynamical_weight(spec), model,
+        _quad_nodes(spec), rtol=_QUAD_RTOL,
     )
-    quad_alpha = analytics.variance_by_quadrature(spec, w_gamma + w_delta, model, nodes)
-    rel = _rel_diff(quad_alpha.value, moments.var_alpha)
-    checks.append(
-        ("oracle_var_alpha", rel <= 1e-6,
-         f"closed={moments.var_alpha:.9e} quadrature={quad_alpha.value:.9e} rel={rel:.2e}")
-    )
-    quad_cov = analytics.covariance_by_quadrature(spec, w_gamma, w_delta, model, nodes)
-    rel = _rel_diff(quad_cov.value, moments.cov_gamma_delta)
-    checks.append(
-        ("oracle_cov", rel <= 1e-6,
-         f"closed={moments.cov_gamma_delta:.9e} quadrature={quad_cov.value:.9e} rel={rel:.2e}")
-    )
+    for name, closed, value in (
+        ("oracle_var_gamma", moments.var_gamma, payload["quadrature"]["var_gamma"]["value"]),
+        ("oracle_var_alpha", moments.var_alpha, payload["quadrature"]["var_alpha"]["value"]),
+        ("oracle_cov", moments.cov_gamma_delta, quad_cov.value),
+    ):
+        rel = _rel_diff(value, closed)
+        checks.append(
+            (name, rel <= 1e-6, f"closed={closed:.9e} quadrature={value:.9e} rel={rel:.2e}")
+        )
 
     # Limiting forms, each evaluated in its own regime at this geometry.
-    t_total = config.t_total
-    slow = NoiseModel.from_scalars(
-        config.sigma12, 0.01 / t_total, config.sigma3, 0.01 / t_total
-    )
     spec_1 = dataclasses.replace(config, n_cycles=1).spec()
     w_1 = analytics.geometric_weight(spec_1)
-    nb = analytics.berry_phase_variance_narrowband(spec_1, slow)
-    closed = analytics.phase_covariance(spec_1, slow, w_1, w_1).total
-    rel = _rel_diff(nb, closed)
-    checks.append(
-        ("narrowband_limit", rel <= 0.05,
-         f"limit={nb:.6e} closed={closed:.6e} rel={rel:.2e}")
-    )
-    fast = NoiseModel.from_scalars(
-        config.sigma12, 1000.0 / t_total, config.sigma3, 1000.0 / t_total
-    )
-    bb = analytics.berry_phase_variance_broadband(spec_1, fast)
-    closed = analytics.phase_covariance(spec_1, fast, w_1, w_1).total
-    rel = _rel_diff(bb, closed)
-    checks.append(
-        ("broadband_limit", rel <= 0.05,
-         f"limit={bb:.6e} closed={closed:.6e} rel={rel:.2e}")
-    )
-
-    records = run_ensemble(
-        spec, model, config.n_trials, config.seed, config=config.integrator()
-    )
-    stats = summarize(records)
-    report = compare_to_analytic(stats, moments)
-    max_z = max(abs(z) for z in report.z_scores.values())
-    checks.append(
-        ("mc_moments", report.passed, f"n={stats.n_trials} max|z|={max_z:.3f}")
-    )
-    if len(records) >= 100:
-        coh = coherence(records, moments.var_alpha)
+    for name, gamma_t, limit_of in (
+        ("narrowband_limit", 0.01, analytics.berry_phase_variance_narrowband),
+        ("broadband_limit", 1000.0, analytics.berry_phase_variance_broadband),
+    ):
+        gamma = gamma_t / config.t_total
+        regime = NoiseModel.from_scalars(config.sigma12, gamma, config.sigma3, gamma)
+        limit = limit_of(spec_1, regime)
+        closed = analytics.phase_covariance(spec_1, regime, w_1, w_1).total
+        rel = _rel_diff(limit, closed)
         checks.append(
-            ("mc_coherence", abs(coh.z_score) <= 3.0,
+            (name, rel <= 0.05, f"limit={limit:.6e} closed={closed:.6e} rel={rel:.2e}")
+        )
+
+    records = run_ensemble(spec, model, config.n_trials, config.seed, config=config.integrator())
+    stats, report, coh, _ = _mc_gate(records, moments)
+    threshold = report.threshold
+    max_z = max(abs(z) for z in report.z_scores.values())
+    checks.append(("mc_moments", report.passed, f"n={stats.n_trials} max|z|={max_z:.3f}"))
+    if coh is not None:
+        checks.append(
+            ("mc_coherence", abs(coh.z_score) <= threshold,
              f"measured={coh.measured:.6e} predicted={coh.predicted:.6e} z={coh.z_score:.3f}")
         )
-    cov_ok = abs(stats.cov_gamma_delta - moments.cov_gamma_delta) <= 3.0 * stats.se_cov_gamma_delta
+    se_cov = stats.se_cov_gamma_delta
+    cov_ok = abs(stats.cov_gamma_delta - moments.cov_gamma_delta) <= threshold * se_cov
     if moments.cov_gamma_delta != 0.0:
-        cov_ok = cov_ok and abs(stats.cov_gamma_delta) > 3.0 * stats.se_cov_gamma_delta
+        cov_ok = cov_ok and abs(stats.cov_gamma_delta) > threshold * se_cov
     checks.append(
         ("mc_covariance", cov_ok,
          f"empirical={stats.cov_gamma_delta:.6e} closed={moments.cov_gamma_delta:.6e} "
-         f"se={stats.se_cov_gamma_delta:.2e}")
+         f"se={se_cov:.2e}")
     )
 
     if model.transverse.sigma > 0.0 or model.longitudinal.sigma > 0.0:
         # log-log slopes of the closed forms deep in the broadband regime
-        base_t = max(t_total, 100.0 / model.transverse.gamma, 100.0 / model.longitudinal.gamma)
+        base_t = max(
+            config.t_total, 100.0 / model.transverse.gamma, 100.0 / model.longitudinal.gamma
+        )
         t_values = [base_t, 2.0 * base_t, 4.0 * base_t, 8.0 * base_t]
-        vg = []
-        vd = []
+        rows = []
         for t_value in t_values:
             spec_t = PrecessionSpec(config.b0, config.theta0, t_value, 1)
-            g_t = analytics.geometric_weight(spec_t)
-            d_t = analytics.dynamical_weight(spec_t)
-            vg.append(analytics.phase_covariance(spec_t, model, g_t, g_t).total)
-            vd.append(analytics.phase_covariance(spec_t, model, d_t, d_t).total)
-        log_t = np.log(t_values)
-        detail = []
-        ok = True
-        if all(v > 0.0 for v in vg):
-            slope = float(np.polyfit(log_t, np.log(vg), 1)[0])
-            ok = ok and abs(slope + 1.0) <= 0.05
-            detail.append(f"slope_var_gamma={slope:.4f} (target -1)")
-        if all(v > 0.0 for v in vd):
-            slope = float(np.polyfit(log_t, np.log(vd), 1)[0])
-            ok = ok and abs(slope - 1.0) <= 0.05
-            detail.append(f"slope_var_delta={slope:.4f} (target +1)")
-        checks.append(("broadband_scaling", ok, " ".join(detail) or "no noise"))
+            rows.append(
+                {k: m.total for k, m in analytics.second_moments(spec_t, model).items()}
+            )
+        targets = {"var_gamma": -1.0, "var_delta": 1.0}
+        slopes = _loglog_slopes(t_values, rows)
+        checks.append(
+            ("broadband_scaling",
+             all(abs(slope - targets[key]) <= 0.05 for key, slope in slopes.items()),
+             " ".join(f"slope_{key}={slope:.4f} (target {targets[key]:+g})"
+                      for key, slope in slopes.items()) or "no noise")
+        )
 
     sim_records = run_ensemble(
         spec, model, 8, config.seed, mode="full_sim", config=config.integrator()
     )
     baseline = evolve_and_extract(spec, None, config.integrator())
-    residuals = [
-        abs(r.gamma_sim - baseline.geometric_phase - r.gamma_fo) for r in sim_records
-    ]
+    residuals = [abs(r.gamma_sim - baseline.geometric_phase - r.gamma_fo) for r in sim_records]
     median_residual = float(np.median(residuals))
     checks.append(
         ("first_order_vs_sim", median_residual <= 0.1,
          f"median|gamma_sim - gamma_noiseless - gamma_fo|={median_residual:.3e} rad")
     )
 
-    report_ad = adiabaticity_report(spec, model)
-    worst = max(report_ad.ratios, key=lambda k: report_ad.ratios[k] / report_ad.thresholds[k])
+    ad = payload["adiabaticity"]
+    worst = max(ad["ratios"], key=lambda k: ad["ratios"][k] / ad["thresholds"][k])
     checks.append(
-        ("adiabaticity", report_ad.passed,
-         f"worst {worst}={report_ad.ratios[worst]:.3g} "
-         f"(threshold {report_ad.thresholds[worst]:.3g})")
+        ("adiabaticity", ad["passed"],
+         f"worst {worst}={ad['ratios'][worst]:.3g} (threshold {ad['thresholds'][worst]:.3g})")
     )
     return checks
 
@@ -733,17 +704,8 @@ def cmd_compare(config: RunConfig, quiet: bool) -> int:
     if config.output_path is not None:
         base = _resolve_base(config, "compare")
         path = base.with_name(base.name + ".compare.json")
-        path.write_text(
-            _dump_json(
-                {
-                    "config": config.to_dict(),
-                    "checks": [
-                        {"name": n, "passed": ok, "detail": d} for n, ok, d in checks
-                    ],
-                    "pass": passed,
-                }
-            ),
-        )
+        rows = [{"name": n, "passed": ok, "detail": d} for n, ok, d in checks]
+        path.write_text(_dump_json({"config": config.to_dict(), "checks": rows, "pass": passed}))
         _say(quiet, f"compare: wrote {path}")
     _say(quiet, f"compare: {'all checks passed' if passed else 'CHECKS FAILED'}")
     return 0 if passed else 1

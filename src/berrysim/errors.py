@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["BerrysimError", "DegeneracyError", "ResolutionError", "AccuracyError"]
+
 
 class BerrysimError(Exception):
     """Base class for all package-specific errors."""

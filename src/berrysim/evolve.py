@@ -14,6 +14,9 @@ diagnostics are array reductions over them, with no per-step Python
 loop.  ``evolve_and_extract`` builds both field grids from a spec and a
 noise path and adds the mean energy and the trace; Monte Carlo
 ensembles compute the control field once and call the kernel per trial.
+Branch eigenstates, for the kernel's start state and end reference and
+for the discrete connection chain, come from one array builder
+(``_eigenvector_chain``) in the half-angle gauge.
 
 Phase conventions
 -----------------
@@ -33,23 +36,20 @@ axis and never winds.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import DegeneracyError, ResolutionError
-from .field import PrecessionSpec, SphericalAngles, control_field, polar_angles
+from .field import PrecessionSpec, control_field, polar_angles
 from .noise import NoisePath
 
 __all__ = [
-    "SpinState",
     "IntegratorConfig",
     "PhaseExtraction",
     "TrajectoryTrace",
-    "eigenstate_up",
-    "eigenstate_down",
     "evolve_and_extract",
     "connection_phase_discrete",
 ]
@@ -65,49 +65,14 @@ def _wrap_pm_pi(x: float) -> float:
     return w
 
 
-@dataclass(frozen=True)
-class SpinState:
-    """A pure spin-1/2 state with amplitudes on the z basis."""
-
-    amp_up: complex
-    amp_down: complex
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(abs(self.amp_up) ** 2 + abs(self.amp_down) ** 2)
-
-    def normalized(self) -> "SpinState":
-        n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        return SpinState(self.amp_up / n, self.amp_down / n)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.amp_up, self.amp_down], dtype=complex)
-
-
-def eigenstate_up(angles: SphericalAngles) -> SpinState:
-    """Upper eigenstate of b_hat . sigma in the half-angle gauge."""
-    half = 0.5 * angles.theta
-    return SpinState(
-        cmath.exp(-0.5j * angles.phi) * math.cos(half),
-        cmath.exp(0.5j * angles.phi) * math.sin(half),
-    )
-
-
-def eigenstate_down(angles: SphericalAngles) -> SpinState:
-    """Lower eigenstate, orthogonal to :func:`eigenstate_up`."""
-    half = 0.5 * angles.theta
-    return SpinState(
-        cmath.exp(-0.5j * angles.phi) * math.sin(half),
-        -cmath.exp(0.5j * angles.phi) * math.cos(half),
-    )
-
-
 def _eigenvector_chain(theta: np.ndarray, phi: np.ndarray, branch: str) -> np.ndarray:
     """Stack of branch eigenvectors for arrays of angles, shape (n, 2).
 
-    ``phi`` may be unwrapped; the half-angle gauge is continuous in it.
+    The upper branch is (exp(-i phi/2) cos(theta/2), exp(i phi/2) sin(theta/2)),
+    the eigenvector of b_hat . sigma with eigenvalue +1 in the half-angle
+    gauge; the lower branch (exp(-i phi/2) sin(theta/2),
+    -exp(i phi/2) cos(theta/2)) is orthogonal to it.  ``phi`` may be
+    unwrapped; the gauge is continuous in it.
     """
     half = 0.5 * np.asarray(theta, dtype=float)
     ephi = np.exp(-0.5j * np.asarray(phi, dtype=float))
@@ -197,21 +162,16 @@ def _node_states(
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Resolution and diagnostics thresholds for the evolution loop."""
+    """Evolution grid resolution; leakage above the fixed threshold is non-adiabatic."""
 
     steps_per_cycle: int = 4096
-    leakage_warn_threshold: float = 1e-3
+    leakage_warn_threshold: ClassVar[float] = 1e-3
 
     def __post_init__(self) -> None:
         if not isinstance(self.steps_per_cycle, (int, np.integer)) or self.steps_per_cycle < 16:
             raise ValueError(
                 f"steps_per_cycle must be an integer >= 16, got {self.steps_per_cycle}"
             )
-        if not (
-            math.isfinite(self.leakage_warn_threshold)
-            and self.leakage_warn_threshold > 0.0
-        ):
-            raise ValueError("leakage_warn_threshold must be finite and positive")
         object.__setattr__(self, "steps_per_cycle", int(self.steps_per_cycle))
 
 
@@ -311,16 +271,18 @@ def _evolve(b_nodes: np.ndarray, b_mid: np.ndarray, dt: float, branch: str) -> _
     """The evolution kernel, from the total field at the n + 1 nodes and n midpoints.
 
     The state starts in the branch eigenstate of ``b_nodes[0]``; step k
-    applies the exact propagator of ``b_mid[k]`` over ``dt``.
+    applies the exact propagator of ``b_mid[k]`` over ``dt``.  Leakage is
+    measured against the branch eigenstate of ``b_nodes[-1]``; both come
+    from one :func:`_eigenvector_chain` call.
     """
     winding, _ = _winding_number(b_nodes)
     step_a, step_b, nb = _step_coefficients(b_mid, dt)
     field_modulus_integral = float(nb.sum() * dt)
 
-    start = polar_angles(b_nodes[0])
-    state0 = eigenstate_up(start) if branch == "up" else eigenstate_down(start)
-    u0 = complex(state0.amp_up)
-    d0 = complex(state0.amp_down)
+    ends = (polar_angles(b_nodes[0]), polar_angles(b_nodes[-1]))
+    (u0, d0), (ref_u, ref_d) = _eigenvector_chain(
+        [a.theta for a in ends], [a.phi for a in ends], branch
+    ).tolist()
     amp_up, amp_down = _node_states(step_a, step_b, u0, d0)
 
     # Total phase: the overlap with the initial state, unwrapped step by step.
@@ -330,9 +292,7 @@ def _evolve(b_nodes: np.ndarray, b_mid: np.ndarray, dt: float, branch: str) -> _
     np.cumsum(np.angle(overlap0[1:] * overlap0[:-1].conj()), out=total_prefix[1:])
     total = float(total_prefix[-1])
 
-    end = polar_angles(b_nodes[-1])
-    ref = eigenstate_up(end) if branch == "up" else eigenstate_down(end)
-    overlap = ref.amp_up.conjugate() * amp_up[-1] + ref.amp_down.conjugate() * amp_down[-1]
+    overlap = ref_u.conjugate() * amp_up[-1] + ref_d.conjugate() * amp_down[-1]
 
     sign = 1.0 if branch == "up" else -1.0
     dynamical = -sign * 0.5 * field_modulus_integral

@@ -8,6 +8,9 @@ axis at constant modulus ``b0``:
 with ``omega = 2*pi*n_cycles / t_total`` so that the path closes after
 ``n_cycles`` full turns on ``[0, t_total]``.  The total field seen by
 the spin is B(t) + K(t) with K a noise path from :mod:`berrysim.noise`.
+Its polar angles at the first and last grid node fix the evolution's
+start state and end reference.  The adiabaticity report checks the
+perturbative scale separations against fixed thresholds.
 """
 
 from __future__ import annotations
@@ -23,12 +26,9 @@ from .noise import NoiseModel
 __all__ = [
     "PrecessionSpec",
     "SphericalAngles",
-    "FieldSample",
     "AdiabaticityReport",
     "control_field",
     "polar_angles",
-    "field_sample",
-    "first_order_cos_theta",
     "adiabaticity_report",
 ]
 
@@ -89,16 +89,6 @@ class SphericalAngles:
             raise ValueError(f"phi must lie in [-pi, pi], got {self.phi}")
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """Control, noise and total field at one instant."""
-
-    t: float
-    b_control: np.ndarray
-    k_noise: np.ndarray
-    b_total: np.ndarray
-
-
 def _check_times(t: np.ndarray, t_total: float) -> None:
     tol = 1e-9 * max(1.0, t_total)
     if np.any(t < -tol) or np.any(t > t_total + tol):
@@ -139,36 +129,6 @@ def polar_angles(vector: np.ndarray) -> SphericalAngles:
     return SphericalAngles(theta=theta, phi=phi)
 
 
-def field_sample(spec: PrecessionSpec, k_noise: np.ndarray, t: float) -> FieldSample:
-    """Bundle control, noise and total field at one instant."""
-    k = np.asarray(k_noise, dtype=float)
-    if k.shape != (3,):
-        raise ValueError(f"k_noise must be a 3-vector, got shape {k.shape}")
-    b = control_field(spec, float(t))
-    return FieldSample(t=float(t), b_control=b, k_noise=k, b_total=b + k)
-
-
-def first_order_cos_theta(spec: PrecessionSpec, k_noise: np.ndarray, t: float) -> float:
-    """cos(theta) of the total field, expanded to first order in the noise.
-
-    The exact polar angle of B(t) + K satisfies
-
-        cos(theta) = (B3 + K3) / |B + K|
-
-    whose first-order expansion in K/b0 is
-
-        cos(theta0) + K3/b0 - (B3 / b0**3) * (B . K).
-
-    The neglected remainder is quadratic in |K|/b0.
-    """
-    k = np.asarray(k_noise, dtype=float)
-    if k.shape != (3,):
-        raise ValueError(f"k_noise must be a 3-vector, got shape {k.shape}")
-    b = control_field(spec, float(t))
-    b0 = spec.b0
-    return float(b[2] / b0 + k[2] / b0 - (b[2] / b0**3) * np.dot(b, k))
-
-
 @dataclass(frozen=True)
 class AdiabaticityReport:
     """Dimensionless slowness/weakness ratios with pass flags.
@@ -191,30 +151,24 @@ class AdiabaticityReport:
         }
 
 
-def adiabaticity_report(
-    spec: PrecessionSpec,
-    model: NoiseModel,
-    *,
-    omega_threshold: float = 0.1,
-    bandwidth_threshold: float = 0.2,
-    amplitude_threshold: float = 0.2,
-) -> AdiabaticityReport:
+# Calibrated so the reference working point (omega/b0 = 0.063,
+# gamma/b0 = 0.1, sigma/b0 = 0.05), where the first-order statistics are
+# verified against exact evolution, sits inside the passing region.
+_THRESHOLDS = {
+    "omega_over_b0": 0.1,
+    "gamma12_over_b0": 0.2,
+    "gamma3_over_b0": 0.2,
+    "sigma12_over_b0": 0.2,
+    "sigma3_over_b0": 0.2,
+}
+
+
+def adiabaticity_report(spec: PrecessionSpec, model: NoiseModel) -> AdiabaticityReport:
     """Check the scale separations the perturbative results rely on.
 
-    The drive must be slow (omega/b0 small), the noise slow
-    (gamma/b0 small) and weak (sigma/b0 moderate); the default
-    thresholds are 0.1, 0.2 and 0.2.  They are calibrated so the
-    reference working point (omega/b0 = 0.063, gamma/b0 = 0.1,
-    sigma/b0 = 0.05), where the first-order statistics are verified
-    against exact evolution, sits inside the passing region.
+    The drive must be slow (omega/b0 at most 0.1), the noise slow
+    (gamma/b0 at most 0.2) and weak (sigma/b0 at most 0.2).
     """
-    for name, value in (
-        ("omega_threshold", omega_threshold),
-        ("bandwidth_threshold", bandwidth_threshold),
-        ("amplitude_threshold", amplitude_threshold),
-    ):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
     b0 = spec.b0
     ratios = {
         "omega_over_b0": spec.omega / b0,
@@ -223,14 +177,7 @@ def adiabaticity_report(
         "sigma12_over_b0": model.transverse.sigma / b0,
         "sigma3_over_b0": model.longitudinal.sigma / b0,
     }
-    thresholds = {
-        "omega_over_b0": omega_threshold,
-        "gamma12_over_b0": bandwidth_threshold,
-        "gamma3_over_b0": bandwidth_threshold,
-        "sigma12_over_b0": amplitude_threshold,
-        "sigma3_over_b0": amplitude_threshold,
-    }
-    flags = {key: ratios[key] <= thresholds[key] for key in ratios}
+    flags = {key: ratios[key] <= _THRESHOLDS[key] for key in ratios}
     return AdiabaticityReport(
-        ratios=ratios, flags=flags, thresholds=thresholds, passed=all(flags.values())
+        ratios=ratios, flags=flags, thresholds=dict(_THRESHOLDS), passed=all(flags.values())
     )

@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 _MODES = ("first_order", "full_sim")
+# |z| above this fails a moment comparison.
+_Z_THRESHOLD = 3.0
 
 
 @dataclass(frozen=True)
@@ -250,12 +252,9 @@ def coherence(records: list[TrialRecord], predicted_var_alpha: float) -> Coheren
     measured = float(abs(total) / n)
     loo = np.abs(total - phases) / (n - 1)
     se = float(math.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
-    diff = measured - predicted
-    if se == 0.0:
-        z = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
-    else:
-        z = diff / se
-    return CoherenceEstimate(measured=measured, predicted=predicted, se=se, z_score=z)
+    return CoherenceEstimate(
+        measured=measured, predicted=predicted, se=se, z_score=_z(measured - predicted, se)
+    )
 
 
 @dataclass(frozen=True)
@@ -273,18 +272,14 @@ def _z(diff: float, se: float) -> float:
     return diff / se
 
 
-def compare_to_analytic(
-    stats: EnsembleStats, moments: PhaseMoments, threshold: float = 3.0
-) -> ComparisonReport:
-    """Compare ensemble moments with the closed forms.
+def compare_to_analytic(stats: EnsembleStats, moments: PhaseMoments) -> ComparisonReport:
+    """Compare ensemble moments with the closed forms at |z| <= 3.
 
     Record phases are deviations, so the empirical means are compared
     against zero; this is equivalent to comparing absolute means against
     the noiseless values in ``moments``.  Variances and the covariance
     are compared directly.
     """
-    if not (math.isfinite(threshold) and threshold > 0.0):
-        raise ValueError(f"threshold must be finite and positive, got {threshold}")
     z_scores = {
         "mean_gamma": _z(stats.mean["gamma_fo"], stats.sem_mean["gamma_fo"]),
         "var_gamma": _z(
@@ -306,8 +301,8 @@ def compare_to_analytic(
             stats.se_cov_gamma_delta,
         ),
     }
-    passed = all(abs(z) <= threshold for z in z_scores.values())
-    return ComparisonReport(z_scores=z_scores, threshold=threshold, passed=passed)
+    passed = all(abs(z) <= _Z_THRESHOLD for z in z_scores.values())
+    return ComparisonReport(z_scores=z_scores, threshold=_Z_THRESHOLD, passed=passed)
 
 
 @dataclass(frozen=True)

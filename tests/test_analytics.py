@@ -275,6 +275,27 @@ class TestLimits:
         assert got > 0.0
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("which", ["transverse", "longitudinal"])
+    def test_broadband_is_none_below_gamma_t_of_two(self, which):
+        # the exact brackets never exceed T**2/2, and T/gamma does once
+        # gamma*T < 2; at gamma = gamma12 = gamma3 = 1e-6 the limit would be
+        # 246.7 rad**2 against a closed form of 0.0062
+        spec = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)
+        both_slow = NoiseModel.from_scalars(0.05, 1e-6, 0.05, 1e-6)
+        assert berry_phase_variance_broadband(spec, both_slow) is None
+        assert var_gamma(spec, both_slow).total == pytest.approx(0.0062, rel=0.01)
+        fast = 25.0
+        for gamma_t, published in ((1e-4, False), (2.0, True)):
+            gamma = gamma_t / spec.t_total
+            if which == "transverse":
+                model = NoiseModel.from_scalars(0.05, gamma, 0.05, fast)
+            else:
+                model = NoiseModel.from_scalars(0.05, fast, 0.05, gamma)
+            got = berry_phase_variance_broadband(spec, model)
+            assert (got is not None) == published, gamma_t
+            if published:
+                assert got > 0.0
+
     def test_narrowband_longitudinal_plateau(self):
         # gamma -> 0: the longitudinal noise freezes into a random constant
         # K3 and the variance saturates at (sigma pi sin^2/b0)^2, independent
@@ -565,6 +586,13 @@ def _ref_narrowband_published(spec, model):
     return 0.5 - model.longitudinal.gamma * spec.t_total / 6.0 >= 0.0
 
 
+def _ref_broadband_published(spec, model):
+    """The broadband limit is published where neither T/gamma exceeds T**2/2."""
+    bound = 0.5 * spec.t_total**2
+    return max(spec.t_total / model.transverse.gamma,
+               spec.t_total / model.longitudinal.gamma) <= bound
+
+
 def _same(got, want, rel):
     return abs(got - want) <= rel * abs(want)
 
@@ -586,7 +614,10 @@ class TestMatchesReference:
             else:
                 assert narrowband is None, (spec, model)
             broadband = berry_phase_variance_broadband(spec, model)
-            assert _same(broadband, sum(want["broadband"]), 1e-14), (spec, model)
+            if _ref_broadband_published(spec, model):
+                assert _same(broadband, sum(want["broadband"]), 1e-14), (spec, model)
+            else:
+                assert broadband is None, (spec, model)
 
     def test_cli_payload(self, monkeypatch):
         # the analytic command's variances, subterms and limits, with the
@@ -613,7 +644,10 @@ class TestMatchesReference:
                 assert _same(limits["narrowband_var_gamma"], sum(want["narrowband"]), 1e-14)
             else:
                 assert limits["narrowband_var_gamma"] is None
-            assert _same(limits["broadband_var_gamma"], sum(want["broadband"]), 1e-14)
+            if _ref_broadband_published(spec, model):
+                assert _same(limits["broadband_var_gamma"], sum(want["broadband"]), 1e-14)
+            else:
+                assert limits["broadband_var_gamma"] is None
 
     @pytest.mark.parametrize("pair", [("gamma", "gamma"), ("alpha", "alpha"),
                                       ("gamma", "delta")])

@@ -140,6 +140,32 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_public_surface():
+    # the package exports the union of its submodules' __all__
+    import berrysim
+
+    assert sorted(berrysim.__all__) == sorted([
+        "__version__",
+        "AccuracyError", "BerrysimError", "DegeneracyError", "ResolutionError",
+        "NoiseModel", "NoisePath", "OuParams", "autocovariance", "estimate_autocovariance",
+        "sample_path",
+        "AdiabaticityReport", "PrecessionSpec", "SphericalAngles", "adiabaticity_report",
+        "control_field", "polar_angles",
+        "PhaseMoments", "QuadratureEstimate", "VarianceBreakdown", "Weight",
+        "berry_connection_phi", "berry_phase_variance_broadband",
+        "berry_phase_variance_narrowband", "covariance_by_quadrature", "dephasing_factor",
+        "dynamical_weight", "geometric_weight", "noiseless_berry_phase",
+        "noncyclic_connection_term", "phase_covariance", "phase_moments", "second_moments",
+        "variance_by_quadrature",
+        "IntegratorConfig", "PhaseExtraction", "TrajectoryTrace", "connection_phase_discrete",
+        "evolve_and_extract",
+        "CoherenceEstimate", "ComparisonReport", "EnsembleStats", "GridPoint", "TrialRecord",
+        "coherence", "compare_to_analytic", "regime_grid", "run_ensemble", "summarize",
+        "trial_seed",
+    ])
+    assert all(hasattr(berrysim, name) for name in berrysim.__all__)
+
+
 class TestAnalyticCommand:
     def test_stdout_json(self, capsys):
         assert main(["analytic"]) == 0
@@ -493,6 +519,19 @@ class TestSweepCommand:
         with open(tmp_path / "sw.sweep.csv", newline="") as fh:
             cells = [row["narrowband_var_gamma"] for row in csv.DictReader(fh)]
         assert float(cells[0]) == rows[0]["narrowband_var_gamma"]
+        assert cells[1] == ""
+
+    def test_broadband_cell_empty_below_gamma_t_of_two(self, tmp_path):
+        # T = 100: gamma12*T = 1e-4 is outside the broadband range, 10 inside
+        args = ["sweep", "--param", "gamma12", "--values", "0.1,1e-6", "--quiet",
+                "-o", str(tmp_path / "sw")]
+        assert main(args) == 0
+        rows = read_json(tmp_path / "sw.summary.json")["rows"]
+        assert rows[0]["broadband_var_gamma"] > 0.0
+        assert rows[1]["broadband_var_gamma"] is None
+        with open(tmp_path / "sw.sweep.csv", newline="") as fh:
+            cells = [row["broadband_var_gamma"] for row in csv.DictReader(fh)]
+        assert float(cells[0]) == rows[0]["broadband_var_gamma"]
         assert cells[1] == ""
 
     def test_bad_values_exit_2(self, capsys):

@@ -421,11 +421,6 @@ class TestCompareToAnalytic:
         report = compare_to_analytic(stats, moments)
         assert not report.passed
 
-    def test_threshold_validation(self):
-        stats = summarize(run_ensemble(SPEC, MODEL, 10, 1, config=FAST))
-        with pytest.raises(ValueError):
-            compare_to_analytic(stats, phase_moments(SPEC, MODEL), threshold=0.0)
-
 
 class TestRegimeGrid:
     def test_grid_shape_and_realization(self):
