@@ -31,10 +31,14 @@ from berrysim import (
     phase_moments,
     regime_grid,
     run_ensemble,
+    second_moments,
     summarize,
+    trial_seed,
     variance_by_quadrature,
 )
+from berrysim import montecarlo
 from berrysim.cli import main
+from berrysim.noise import _draw_innovations
 from test_analytics import density_matrix_after
 
 
@@ -298,6 +302,57 @@ def test_07_gaussianity(capsys):
         ok,
         f"27 points x 10^4 trials: worst |skew|/se {worst_skew:.2f}, "
         f"worst |kurt|/se {worst_kurt:.2f}, both <= 4, {elapsed:.0f}s",
+    )
+    assert ok
+
+
+def test_07_first_order_law(capsys):
+    """First-order trials are A xi exactly, and A A^T is the closed-form covariance.
+
+    A first-order trial is (gamma_fo, delta_fo) = A xi, with the
+    ensemble's (2, 3(n+1)) adjoint matrix A and iid standard-normal
+    innovations xi, so the records are exactly N(0, C) with C = A A^T.
+    The trapezoid weights make C(n) converge to the closed form as dt^2,
+    so (4/3)|C(n) - C(2n)| estimates its error; C(n) must lie within twice
+    that estimate, plus a 1e-12 relative floor, on the whole regime grid.
+    """
+    t0 = time.perf_counter()
+    worst = 0.0
+    exact = True
+    for i, point in enumerate(regime_grid()):
+        spec, model = point.spec, point.model
+        steps_per_cycle = max(16, 2048 // spec.n_cycles)
+        n_steps = steps_per_cycle * spec.n_cycles
+        adjoint = montecarlo._adjoint_matrix(spec, model, n_steps)
+        fine = montecarlo._adjoint_matrix(spec, model, 2 * n_steps)
+        c_n = adjoint @ adjoint.T
+        c_2n = fine @ fine.T
+        m = second_moments(spec, model)
+        cov = m["cov_gamma_delta"].total
+        closed = np.array([[m["var_gamma"].total, cov], [cov, m["var_delta"].total]])
+        scale = np.sqrt(np.outer(np.diag(closed), np.diag(closed)))
+        bound = 2.0 * (4.0 / 3.0) * np.abs(c_n - c_2n) + 1e-12 * scale
+        worst = max(worst, float(np.max(np.abs(c_n - closed) / bound)))
+
+        seed = 1000 + i
+        ensemble = run_ensemble(
+            spec, model, 3, seed, config=IntegratorConfig(steps_per_cycle=steps_per_cycle)
+        )
+        for k in range(3):
+            xi = _draw_innovations(n_steps, trial_seed(seed, k))
+            gamma, delta = adjoint @ xi.reshape(-1)
+            exact = exact and (ensemble.gamma_fo[k].hex(), ensemble.delta_fo[k].hex()) == (
+                gamma.hex(), delta.hex()
+            )
+    elapsed = time.perf_counter() - t0
+    ok = worst <= 1.0 and exact
+    _report(
+        capsys,
+        7,
+        "first_order_law",
+        ok,
+        f"27 points: |A A^T - closed| at most {worst:.2f} of twice the doubling estimate, "
+        f"first trials equal A xi bitwise: {exact}, {elapsed:.2f}s",
     )
     assert ok
 

@@ -5,6 +5,8 @@ import pytest
 from scipy.signal import lfilter
 
 from berrysim import (
+    CoherenceEstimate,
+    EnsembleStats,
     IntegratorConfig,
     NoiseModel,
     PrecessionSpec,
@@ -12,7 +14,10 @@ from berrysim import (
     TrialRecord,
     coherence,
     compare_to_analytic,
+    dephasing_factor,
+    dynamical_weight,
     evolve_and_extract,
+    geometric_weight,
     noiseless_berry_phase,
     phase_moments,
     regime_grid,
@@ -22,6 +27,8 @@ from berrysim import (
     trial_seed,
 )
 from berrysim import montecarlo
+from berrysim.evolve import _control_grids, _evolve
+from berrysim.noise import _draw_innovations, _ou_filter
 
 SPEC = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)
 MODEL = NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1)
@@ -100,6 +107,159 @@ def _bits(records):
         tuple(v.hex() if isinstance(v, float) else v for v in vars(r).values())
         for r in records
     ]
+
+
+def _rows(ensemble):
+    """An ensemble's columns as one ``TrialRecord`` per trial, in trial order."""
+    columns = [
+        ensemble.gamma_fo, ensemble.delta_fo, ensemble.alpha_fo,
+        ensemble.gamma_sim, ensemble.leakage,
+    ]
+    return [
+        TrialRecord(index, *(None if c is None else float(c[index]) for c in columns))
+        for index in range(len(ensemble))
+    ]
+
+
+def _reference_run_ensemble(spec, model, n_trials, master_seed, *, mode="first_order",
+                            config=None):
+    """``run_ensemble`` as a loop that builds one ``TrialRecord`` per trial (reference copy)."""
+    config = config if config is not None else IntegratorConfig()
+    n_steps = config.steps_per_cycle * spec.n_cycles
+    dt = spec.t_total / n_steps
+    times = np.minimum(np.arange(n_steps + 1) * dt, spec.t_total)
+    quad = np.full(n_steps + 1, dt)
+    quad[0] = quad[-1] = 0.5 * dt
+    w_gamma = geometric_weight(spec).on_grid(spec, times) * quad[:, None]
+    w_delta = dynamical_weight(spec).on_grid(spec, times) * quad[:, None]
+    adjoint = np.stack(
+        [_ou_filter(model, dt, w, adjoint=True).reshape(-1) for w in (w_gamma, w_delta)]
+    )
+    if mode == "full_sim":
+        control_nodes, control_mid = _control_grids(spec, n_steps, dt)
+
+    records = []
+    for index in range(int(n_trials)):
+        xi = _draw_innovations(n_steps, trial_seed(master_seed, index))
+        gamma, delta = (adjoint @ xi.reshape(-1)).tolist()
+        gamma_sim = leakage = None
+        if mode == "full_sim":
+            k = _ou_filter(model, dt, xi)
+            if not np.all(np.isfinite(k)):
+                raise ValueError("noise samples must be finite")
+            run = _evolve(control_nodes + k, control_mid + 0.5 * (k[:-1] + k[1:]), dt, "up")
+            gamma_sim = run.geometric_phase
+            leakage = run.leakage
+        records.append(TrialRecord(index, gamma, delta, gamma + delta, gamma_sim, leakage))
+    return records
+
+
+def _reference_summarize(records):
+    """``summarize`` over a ``TrialRecord`` list (reference copy)."""
+    n = len(records)
+    if n < 4:
+        raise ValueError(f"need at least four records for the moment standard errors, got {n}")
+    columns = {
+        "gamma_fo": np.array([r.gamma_fo for r in records]),
+        "delta_fo": np.array([r.delta_fo for r in records]),
+        "alpha_fo": np.array([r.alpha_fo for r in records]),
+    }
+    have_sim = [r.gamma_sim is not None for r in records]
+    if any(have_sim):
+        if not all(have_sim):
+            raise ValueError("records mix full_sim and first_order trials")
+        columns["gamma_sim"] = np.array([r.gamma_sim for r in records])
+    per_key = {key: montecarlo._column_stats(col) for key, col in columns.items()}
+
+    dg = columns["gamma_fo"] - columns["gamma_fo"].mean()
+    dd = columns["delta_fo"] - columns["delta_fo"].mean()
+    cov = float(dg.dot(dd) / (n - 1))
+    m22 = float(np.mean((dg * dd) ** 2))
+    se_cov = math.sqrt(max(m22 - cov * cov, 0.0) / n)
+
+    se_skew = math.sqrt(6.0 * n * (n - 1) / ((n - 2) * (n + 1) * (n + 3)))
+    se_kurt = 2.0 * se_skew * math.sqrt((n * n - 1) / ((n - 3) * (n + 5)))
+    return EnsembleStats(
+        n_trials=n,
+        mean={k: s["mean"] for k, s in per_key.items()},
+        variance={k: s["variance"] for k, s in per_key.items()},
+        sem_mean={k: s["sem_mean"] for k, s in per_key.items()},
+        sem_variance={k: s["sem_variance"] for k, s in per_key.items()},
+        skewness={k: s["skewness"] for k, s in per_key.items()},
+        excess_kurtosis={k: s["excess_kurtosis"] for k, s in per_key.items()},
+        se_skewness=se_skew,
+        se_kurtosis=se_kurt,
+        cov_gamma_delta=cov,
+        se_cov_gamma_delta=se_cov,
+    )
+
+
+def _reference_coherence(records, predicted_var_alpha):
+    """``coherence`` over a ``TrialRecord`` list (reference copy)."""
+    n = len(records)
+    if n < 100:
+        raise ValueError(f"need at least 100 records for coherence, got {n}")
+    predicted = dephasing_factor(predicted_var_alpha)
+    phases = np.exp(2.0j * np.array([r.alpha_fo for r in records]))
+    total = phases.sum()
+    measured = float(abs(total) / n)
+    loo = np.abs(total - phases) / (n - 1)
+    se = float(math.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
+    return CoherenceEstimate(
+        measured=measured, predicted=predicted, se=se,
+        z_score=montecarlo._z(measured - predicted, se),
+    )
+
+
+def _reference_mc_gate(records, moments):
+    """The mc pass rule over a ``TrialRecord`` list (reference copy)."""
+    stats = _reference_summarize(records)
+    report = compare_to_analytic(stats, moments)
+    coh = _reference_coherence(records, moments.var_alpha) if len(records) >= 100 else None
+    passed = report.passed and (coh is None or abs(coh.z_score) <= report.threshold)
+    return stats, report, coh, passed
+
+
+class TestColumnsMatchRows:
+    """An ensemble's columns equal the reference rows, and reduce to the same values."""
+
+    # (sigma12, sigma3): isotropic, longitudinal or transverse only, noiseless
+    AMPLITUDES = [(0.05, 0.05), (0.0, 0.05), (0.05, 0.0), (0.0, 0.0)]
+
+    @pytest.mark.parametrize("mode", ["first_order", "full_sim"])
+    @pytest.mark.parametrize(
+        "amplitudes", AMPLITUDES, ids=lambda a: f"sigma12={a[0]}-sigma3={a[1]}"
+    )
+    @pytest.mark.parametrize("n_cycles", [1, 3])
+    @pytest.mark.parametrize("theta0", [0.0, 0.05, math.pi / 4, math.pi / 2])
+    def test_columns_and_reductions(self, theta0, n_cycles, amplitudes, mode):
+        config = IntegratorConfig(steps_per_cycle=256)
+        spec = PrecessionSpec(b0=1.0, theta0=theta0, t_total=100.0, n_cycles=n_cycles)
+        model = NoiseModel.from_scalars(amplitudes[0], 0.1, amplitudes[1], 0.3)
+        # 100 trials: the fewest at which the gate includes the coherence
+        ensemble = run_ensemble(spec, model, 100, 42, mode=mode, config=config)
+        want = _reference_run_ensemble(spec, model, 100, 42, mode=mode, config=config)
+        assert len(ensemble) == 100
+        # bit patterns: the noiseless ensembles must give +0.0, never -0.0
+        assert _bits(_rows(ensemble)) == _bits(want)
+        assert (ensemble.gamma_sim is None) == (ensemble.leakage is None) == (mode != "full_sim")
+        moments = phase_moments(spec, model)
+        # repr spells every float exactly, so equal reprs are equal bit patterns
+        assert repr(summarize(ensemble)) == repr(_reference_summarize(want))
+        assert repr(coherence(ensemble, moments.var_alpha)) == repr(
+            _reference_coherence(want, moments.var_alpha)
+        )
+        assert repr(montecarlo._mc_gate(ensemble, moments)) == repr(
+            _reference_mc_gate(want, moments)
+        )
+
+    @pytest.mark.parametrize("n_trials", [4, 99, 100])
+    def test_length_and_coherence_minimum(self, n_trials):
+        ensemble = run_ensemble(SPEC, MODEL, n_trials, 3, config=FAST)
+        assert len(ensemble) == n_trials
+        # the gate includes the coherence from 100 trials on
+        _, _, coh, _ = montecarlo._mc_gate(ensemble, phase_moments(SPEC, MODEL))
+        assert (coh is None) == (n_trials < 100)
 
 
 class TestTrialSeed:
