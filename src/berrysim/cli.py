@@ -45,12 +45,7 @@ from .evolve import (
     evolve_and_extract,
 )
 from .field import PrecessionSpec, adiabaticity_report, control_field
-from .montecarlo import (
-    coherence,
-    compare_to_analytic,
-    run_ensemble,
-    summarize,
-)
+from .montecarlo import _mc_gate, run_ensemble, summarize
 from .noise import NoiseModel, sample_path
 
 __all__ = ["RunConfig", "config_from_file", "format_config", "main"]
@@ -346,38 +341,16 @@ def cmd_analytic(config: RunConfig, quiet: bool) -> int:
     return 0
 
 
-def _records_table(records) -> dict:
-    """Record fields as named columns; a field no trial filled is ``None``."""
-    table = {}
-    for name in ("trial_index", "gamma_fo", "delta_fo", "alpha_fo", "gamma_sim", "leakage"):
-        values = [getattr(r, name) for r in records]
-        table[name] = None if values[0] is None else np.array(values)
-    return table
-
-
-def _mc_gate(records: list, moments: analytics.PhaseMoments) -> tuple:
-    """The mc pass rule: returns (stats, report, coherence, passed).
-
-    Every moment z-score, and from 100 records on the coherence z-score,
-    must lie within the report's threshold.
-    """
-    stats = summarize(records)
-    report = compare_to_analytic(stats, moments)
-    coh = coherence(records, moments.var_alpha) if len(records) >= 100 else None
-    passed = report.passed and (coh is None or abs(coh.z_score) <= report.threshold)
-    return stats, report, coh, passed
-
-
 def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) -> int:
     spec = config.spec()
     model = config.model()
     start = time.perf_counter()
-    records = run_ensemble(
+    ensemble = run_ensemble(
         spec, model, config.n_trials, config.seed, mode=config.mode, config=config.integrator()
     )
     seconds = time.perf_counter() - start
     if not quiet:
-        print(f"mc: ensemble {seconds:.3f} s, {len(records) / max(seconds, 1e-9):.1f} trials/s",
+        print(f"mc: ensemble {seconds:.3f} s, {len(ensemble) / max(seconds, 1e-9):.1f} trials/s",
               file=sys.stderr)
     moments = analytics.phase_moments(spec, model)
     if tamper_variance_scale is not None:
@@ -386,13 +359,20 @@ def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) 
             key: getattr(moments, key) * tamper_variance_scale
             for key in ("var_gamma", "var_delta", "var_alpha", "cov_gamma_delta")
         })
-    stats, report, coh, passed = _mc_gate(records, moments)
+    stats, report, coh, passed = _mc_gate(ensemble, moments)
 
     base = _resolve_base(config, "mc")
     records_path = base.with_name(base.name + ".records.csv")
     summary_path = base.with_name(base.name + ".summary.json")
-    table = _records_table(records)
-    _write_columns(records_path, list(table), list(table.values()))
+    columns = {
+        "trial_index": np.arange(len(ensemble)),
+        "gamma_fo": ensemble.gamma_fo,
+        "delta_fo": ensemble.delta_fo,
+        "alpha_fo": ensemble.alpha_fo,
+        "gamma_sim": ensemble.gamma_sim,
+        "leakage": ensemble.leakage,
+    }
+    _write_columns(records_path, list(columns), list(columns.values()))
     payload = {
         "config": config.to_dict(),
         "analytic": dataclasses.asdict(moments),
@@ -406,7 +386,7 @@ def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) 
     n_leaky = 0
     if config.mode == "full_sim":
         threshold = config.integrator().leakage_warn_threshold
-        leakage = table["leakage"]
+        leakage = ensemble.leakage
         n_leaky = int(np.count_nonzero(leakage > threshold))
         payload["full_sim"] = {
             "leakage_median": float(np.median(leakage)),
@@ -635,8 +615,8 @@ def _battery(config: RunConfig) -> list:
             (name, rel <= 0.05, f"limit={limit:.6e} closed={closed:.6e} rel={rel:.2e}")
         )
 
-    records = run_ensemble(spec, model, config.n_trials, config.seed, config=config.integrator())
-    stats, report, coh, _ = _mc_gate(records, moments)
+    ensemble = run_ensemble(spec, model, config.n_trials, config.seed, config=config.integrator())
+    stats, report, coh, _ = _mc_gate(ensemble, moments)
     threshold = report.threshold
     max_z = max(abs(z) for z in report.z_scores.values())
     checks.append(("mc_moments", report.passed, f"n={stats.n_trials} max|z|={max_z:.3f}"))
@@ -676,11 +656,9 @@ def _battery(config: RunConfig) -> list:
                       for key, slope in slopes.items()) or "no noise")
         )
 
-    sim_records = run_ensemble(
-        spec, model, 8, config.seed, mode="full_sim", config=config.integrator()
-    )
+    sim = run_ensemble(spec, model, 8, config.seed, mode="full_sim", config=config.integrator())
     baseline = evolve_and_extract(spec, None, config.integrator())
-    residuals = [abs(r.gamma_sim - baseline.geometric_phase - r.gamma_fo) for r in sim_records]
+    residuals = np.abs(sim.gamma_sim - baseline.geometric_phase - sim.gamma_fo)
     median_residual = float(np.median(residuals))
     checks.append(
         ("first_order_vs_sim", median_residual <= 0.1,

@@ -6,20 +6,24 @@ optionally runs the exact spin evolution on the path K = L xi those
 innovations give.  The deviations are weighted path integrals w.K,
 linear in the innovations: w.K = (L^T w).xi.  So each ensemble runs its
 two trapezoid-weighted response weights backwards through the exact OU
-recursion once (the adjoint L^T w), and each trial is one product of
-those adjoint weights with its draw; first-order trials build no
-filtered path.  A full_sim ensemble computes the control field once;
-each of its trials filters its draw into K and runs the evolution
-kernel on control field plus K, recording only the geometric phase and
-the leakage.  The recorded ``gamma_fo``,
-``delta_fo`` and ``alpha_fo`` are deviations from the noiseless values
-(so their ensemble means target zero), while ``gamma_sim`` is the
-absolute folded geometric phase from the evolution.
+recursion once, into the adjoint matrix A, and a first-order trial is
+exactly (gamma_fo, delta_fo) = A xi: the records are N(0, A A^T), and
+first-order trials build no filtered path.  A full_sim ensemble
+computes the control field once; each of its trials filters its draw
+into K and runs the evolution kernel on control field plus K, recording
+only the geometric phase and the leakage.
+
+``run_ensemble`` returns an :class:`Ensemble` of per-trial columns.
+``gamma_fo``, ``delta_fo`` and ``alpha_fo`` are deviations from the
+noiseless values (so their ensemble means target zero), while
+``gamma_sim`` is the absolute folded geometric phase from the
+evolution.  The mc pass rule (``_mc_gate``) combines the moment
+z-scores of :func:`compare_to_analytic` with the coherence z-score.
 
 Trial seeds are derived from ``(master_seed, trial_index)``, so
 ensembles are reproducible and extending ``n_trials`` preserves the
-earlier trials.  Trials run serially; summaries reduce arrays in trial
-order with fixed-order numpy reductions.
+earlier trials.  Trials run serially; summaries reduce the columns in
+trial order with fixed-order numpy reductions.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .field import PrecessionSpec
 from .noise import NoiseModel, _draw_innovations, _ou_filter
 
 __all__ = [
-    "TrialRecord",
+    "Ensemble",
     "trial_seed",
     "run_ensemble",
     "EnsembleStats",
@@ -56,23 +60,31 @@ __all__ = [
 _MODES = ("first_order", "full_sim")
 # |z| above this fails a moment comparison.
 _Z_THRESHOLD = 3.0
+# The fewest trials for which the coherence and its jackknife are computed.
+_MIN_COHERENCE_TRIALS = 100
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """Outcome of one noise realization.
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """Per-trial outcomes of one ensemble as columns, in trial order.
 
-    ``gamma_fo``, ``delta_fo``, ``alpha_fo`` are first-order deviations
-    from the noiseless phases; ``gamma_sim`` and ``leakage`` are filled
-    only in ``full_sim`` mode.
+    ``gamma_fo`` and ``delta_fo`` are first-order deviations from the
+    noiseless phases; ``gamma_sim`` and ``leakage`` hold the exact
+    evolution's folded geometric phase and leakage in ``full_sim`` mode
+    and are None otherwise.
     """
 
-    trial_index: int
-    gamma_fo: float
-    delta_fo: float
-    alpha_fo: float
-    gamma_sim: float | None = None
-    leakage: float | None = None
+    gamma_fo: np.ndarray
+    delta_fo: np.ndarray
+    gamma_sim: np.ndarray | None = None
+    leakage: np.ndarray | None = None
+
+    @property
+    def alpha_fo(self) -> np.ndarray:
+        return self.gamma_fo + self.delta_fo
+
+    def __len__(self) -> int:
+        return self.gamma_fo.size
 
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
@@ -85,6 +97,23 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _adjoint_matrix(spec: PrecessionSpec, model: NoiseModel, n_steps: int) -> np.ndarray:
+    """The (2, 3(n_steps + 1)) matrix A with (gamma_fo, delta_fo) = A xi.
+
+    Row i is the trapezoid-weighted response weight run backwards
+    through the exact OU recursion (the adjoint L^T w), flattened like
+    the innovations xi; the first-order covariance is A A^T.
+    """
+    dt = spec.t_total / n_steps
+    times = np.minimum(np.arange(n_steps + 1) * dt, spec.t_total)
+    quad = np.full(n_steps + 1, dt)
+    quad[0] = quad[-1] = 0.5 * dt
+    return np.stack([
+        _ou_filter(model, dt, weight.on_grid(spec, times) * quad[:, None], adjoint=True).reshape(-1)
+        for weight in (geometric_weight(spec), dynamical_weight(spec))
+    ])
+
+
 def run_ensemble(
     spec: PrecessionSpec,
     model: NoiseModel,
@@ -93,7 +122,7 @@ def run_ensemble(
     *,
     mode: str = "first_order",
     config: IntegratorConfig | None = None,
-) -> list[TrialRecord]:
+) -> Ensemble:
     """Run ``n_trials`` independent noise realizations.
 
     Paths are sampled on the integration grid (``steps_per_cycle *
@@ -110,33 +139,24 @@ def run_ensemble(
     config = config if config is not None else IntegratorConfig()
     n_steps = config.steps_per_cycle * spec.n_cycles
     dt = spec.t_total / n_steps
-    times = np.minimum(np.arange(n_steps + 1) * dt, spec.t_total)
-    # Fold the trapezoid quadrature weights into the response weights.
-    quad = np.full(n_steps + 1, dt)
-    quad[0] = quad[-1] = 0.5 * dt
-    w_gamma = geometric_weight(spec).on_grid(spec, times) * quad[:, None]
-    w_delta = dynamical_weight(spec).on_grid(spec, times) * quad[:, None]
     # w.K = (L^T w).xi: one adjoint pass here replaces a filtered path per trial.
-    adjoint = np.stack(
-        [_ou_filter(model, dt, w, adjoint=True).reshape(-1) for w in (w_gamma, w_delta)]
-    )
+    adjoint = _adjoint_matrix(spec, model, n_steps)
+    first_order = np.empty((2, int(n_trials)))
+    sim = None
     if mode == "full_sim":
         control_nodes, control_mid = _control_grids(spec, n_steps, dt)
+        sim = np.empty((2, int(n_trials)))
 
-    records = []
     for index in range(int(n_trials)):
         xi = _draw_innovations(n_steps, trial_seed(master_seed, index))
-        gamma, delta = (adjoint @ xi.reshape(-1)).tolist()
-        gamma_sim = leakage = None
-        if mode == "full_sim":
+        first_order[:, index] = adjoint @ xi.reshape(-1)
+        if sim is not None:
             k = _ou_filter(model, dt, xi)
             if not np.all(np.isfinite(k)):
                 raise ValueError("noise samples must be finite")
             run = _evolve(control_nodes + k, control_mid + 0.5 * (k[:-1] + k[1:]), dt, "up")
-            gamma_sim = run.geometric_phase
-            leakage = run.leakage
-        records.append(TrialRecord(index, gamma, delta, gamma + delta, gamma_sim, leakage))
-    return records
+            sim[:, index] = run.geometric_phase, run.leakage
+    return Ensemble(*first_order, *(sim if sim is not None else (None, None)))
 
 
 @dataclass(frozen=True)
@@ -182,25 +202,22 @@ def _column_stats(x: np.ndarray) -> dict:
     }
 
 
-def summarize(records: list[TrialRecord]) -> EnsembleStats:
+def summarize(ensemble: Ensemble) -> EnsembleStats:
     """Reduce an ensemble to moment estimates with standard errors.
 
-    Needs at least four records: the kurtosis standard error has n - 3
+    Needs at least four trials: the kurtosis standard error has n - 3
     in its denominator.
     """
-    n = len(records)
+    n = len(ensemble)
     if n < 4:
         raise ValueError(f"need at least four records for the moment standard errors, got {n}")
     columns = {
-        "gamma_fo": np.array([r.gamma_fo for r in records]),
-        "delta_fo": np.array([r.delta_fo for r in records]),
-        "alpha_fo": np.array([r.alpha_fo for r in records]),
+        "gamma_fo": ensemble.gamma_fo,
+        "delta_fo": ensemble.delta_fo,
+        "alpha_fo": ensemble.alpha_fo,
     }
-    have_sim = [r.gamma_sim is not None for r in records]
-    if any(have_sim):
-        if not all(have_sim):
-            raise ValueError("records mix full_sim and first_order trials")
-        columns["gamma_sim"] = np.array([r.gamma_sim for r in records])
+    if ensemble.gamma_sim is not None:
+        columns["gamma_sim"] = ensemble.gamma_sim
     per_key = {key: _column_stats(col) for key, col in columns.items()}
 
     dg = columns["gamma_fo"] - columns["gamma_fo"].mean()
@@ -236,18 +253,21 @@ class CoherenceEstimate:
     z_score: float
 
 
-def coherence(records: list[TrialRecord], predicted_var_alpha: float) -> CoherenceEstimate:
+def coherence(ensemble: Ensemble, predicted_var_alpha: float) -> CoherenceEstimate:
     """|<exp(2i alpha)>| over the ensemble, with a jackknife standard error.
 
     The modulus is invariant under the constant noiseless phase offset,
-    so deviation records give the same value as absolute phases.  Needs
-    at least 100 records for the jackknife to be meaningful.
+    so deviations give the same value as absolute phases.  Needs at
+    least ``_MIN_COHERENCE_TRIALS`` trials for the jackknife to be
+    meaningful.
     """
-    n = len(records)
-    if n < 100:
-        raise ValueError(f"need at least 100 records for coherence, got {n}")
+    n = len(ensemble)
+    if n < _MIN_COHERENCE_TRIALS:
+        raise ValueError(
+            f"need at least {_MIN_COHERENCE_TRIALS} records for coherence, got {n}"
+        )
     predicted = dephasing_factor(predicted_var_alpha)
-    phases = np.exp(2.0j * np.array([r.alpha_fo for r in records]))
+    phases = np.exp(2.0j * ensemble.alpha_fo)
     total = phases.sum()
     measured = float(abs(total) / n)
     loo = np.abs(total - phases) / (n - 1)
@@ -303,6 +323,21 @@ def compare_to_analytic(stats: EnsembleStats, moments: PhaseMoments) -> Comparis
     }
     passed = all(abs(z) <= _Z_THRESHOLD for z in z_scores.values())
     return ComparisonReport(z_scores=z_scores, threshold=_Z_THRESHOLD, passed=passed)
+
+
+def _mc_gate(ensemble: Ensemble, moments: PhaseMoments) -> tuple:
+    """The mc pass rule: returns (stats, report, coherence, passed).
+
+    Every moment z-score, and from ``_MIN_COHERENCE_TRIALS`` trials on
+    the coherence z-score, must lie within ``_Z_THRESHOLD``.
+    """
+    stats = summarize(ensemble)
+    report = compare_to_analytic(stats, moments)
+    coh = None
+    if len(ensemble) >= _MIN_COHERENCE_TRIALS:
+        coh = coherence(ensemble, moments.var_alpha)
+    passed = report.passed and (coh is None or abs(coh.z_score) <= _Z_THRESHOLD)
+    return stats, report, coh, passed
 
 
 @dataclass(frozen=True)

@@ -371,16 +371,14 @@ def test_08_first_order_regime(capsys):
     )
     config = IntegratorConfig(steps_per_cycle=4096)
     zero = NoiseModel.from_scalars(0.0, 0.005, 0.0, 0.005)
-    baseline = run_ensemble(spec, zero, 1, 7, mode="full_sim", config=config)[
-        0
-    ].gamma_sim
+    baseline = run_ensemble(spec, zero, 1, 7, mode="full_sim", config=config).gamma_sim[0]
 
     residual = {}
     for sigma in (0.02, 0.04):
         model = NoiseModel.from_scalars(sigma, 0.005, sigma, 0.005)
-        records = run_ensemble(spec, model, 32, 7, mode="full_sim", config=config)
+        ensemble = run_ensemble(spec, model, 32, 7, mode="full_sim", config=config)
         residual[sigma] = float(
-            np.mean([abs(r.gamma_sim - baseline - r.gamma_fo) for r in records])
+            np.mean(np.abs(ensemble.gamma_sim - baseline - ensemble.gamma_fo))
         )
     ratio = residual[0.04] / residual[0.02]
     ok = ratio >= 3.5

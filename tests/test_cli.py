@@ -14,8 +14,9 @@ from berrysim import AccuracyError, analytics, cli
 from berrysim.cli import RunConfig, config_from_file, format_config, main
 from berrysim.evolve import evolve_and_extract
 from berrysim.field import PrecessionSpec, adiabaticity_report, control_field
-from berrysim.montecarlo import coherence, compare_to_analytic, run_ensemble, summarize
+from berrysim.montecarlo import compare_to_analytic
 from berrysim.noise import NoiseModel, sample_path
+from test_montecarlo import _reference_coherence, _reference_run_ensemble, _reference_summarize
 
 
 def read_json(path: Path) -> dict:
@@ -159,7 +160,7 @@ def test_public_surface():
         "variance_by_quadrature",
         "IntegratorConfig", "PhaseExtraction", "TrajectoryTrace", "connection_phase_discrete",
         "evolve_and_extract",
-        "CoherenceEstimate", "ComparisonReport", "EnsembleStats", "GridPoint", "TrialRecord",
+        "CoherenceEstimate", "ComparisonReport", "Ensemble", "EnsembleStats", "GridPoint",
         "coherence", "compare_to_analytic", "regime_grid", "run_ensemble", "summarize",
         "trial_seed",
     ])
@@ -644,17 +645,17 @@ def _reference_battery(config: RunConfig) -> list:
          f"limit={bb:.6e} closed={closed:.6e} rel={rel:.2e}")
     )
 
-    records = run_ensemble(
+    records = _reference_run_ensemble(
         spec, model, config.n_trials, config.seed, config=config.integrator()
     )
-    stats = summarize(records)
+    stats = _reference_summarize(records)
     report = compare_to_analytic(stats, moments)
     max_z = max(abs(z) for z in report.z_scores.values())
     checks.append(
         ("mc_moments", report.passed, f"n={stats.n_trials} max|z|={max_z:.3f}")
     )
     if len(records) >= 100:
-        coh = coherence(records, moments.var_alpha)
+        coh = _reference_coherence(records, moments.var_alpha)
         checks.append(
             ("mc_coherence", abs(coh.z_score) <= 3.0,
              f"measured={coh.measured:.6e} predicted={coh.predicted:.6e} z={coh.z_score:.3f}")
@@ -692,7 +693,7 @@ def _reference_battery(config: RunConfig) -> list:
             detail.append(f"slope_var_delta={slope:.4f} (target +1)")
         checks.append(("broadband_scaling", ok, " ".join(detail) or "no noise"))
 
-    sim_records = run_ensemble(
+    sim_records = _reference_run_ensemble(
         spec, model, 8, config.seed, mode="full_sim", config=config.integrator()
     )
     baseline = evolve_and_extract(spec, None, config.integrator())
@@ -848,7 +849,7 @@ class TestTableEquivalence:
             "--mode", mode, "--quiet", "-o", str(tmp_path / "mc"),
         ]
         main(args)
-        records = run_ensemble(
+        records = _reference_run_ensemble(
             config.spec(), config.model(), 50, 5, mode=mode, config=config.integrator()
         )
         _reference_write_table(

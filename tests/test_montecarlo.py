@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ from scipy.signal import lfilter
 
 from berrysim import (
     CoherenceEstimate,
+    Ensemble,
     EnsembleStats,
     IntegratorConfig,
     NoiseModel,
     PrecessionSpec,
     ResolutionError,
-    TrialRecord,
     coherence,
     compare_to_analytic,
     dephasing_factor,
@@ -33,6 +34,21 @@ from berrysim.noise import _draw_innovations, _ou_filter
 SPEC = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)
 MODEL = NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1)
 FAST = IntegratorConfig(steps_per_cycle=1024)
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """Outcome of one noise realization, as one row (reference copy).
+
+    ``run_ensemble`` returned a list of these before it returned columns.
+    """
+
+    trial_index: int
+    gamma_fo: float
+    delta_fo: float
+    alpha_fo: float
+    gamma_sim: float | None = None
+    leakage: float | None = None
 
 
 def _reference_first_order(spec, model, n_trials, master_seed, config):
@@ -81,7 +97,7 @@ def _reference_full_sim(spec, model, n_trials, master_seed, config):
     seed and runs ``evolve_and_extract`` on it.  The first-order fields
     come from the first-order ensemble, which draws the same innovations.
     """
-    first_order = run_ensemble(spec, model, n_trials, master_seed, config=config)
+    first_order = _reference_run_ensemble(spec, model, n_trials, master_seed, config=config)
     n_steps = config.steps_per_cycle * spec.n_cycles
     dt = spec.t_total / n_steps
     records = []
@@ -281,36 +297,34 @@ class TestTrialSeed:
 class TestRunEnsemble:
     def test_records_are_deviations(self):
         zero = NoiseModel.from_scalars(0.0, 0.1, 0.0, 0.1)
-        records = run_ensemble(SPEC, zero, 5, 1, config=FAST)
-        for r in records:
-            assert r.gamma_fo == 0.0
-            assert r.delta_fo == 0.0
-            assert r.alpha_fo == 0.0
-            assert r.gamma_sim is None
-            assert r.leakage is None
-        assert [r.trial_index for r in records] == list(range(5))
+        ensemble = run_ensemble(SPEC, zero, 5, 1, config=FAST)
+        assert len(ensemble) == 5
+        for column in (ensemble.gamma_fo, ensemble.delta_fo, ensemble.alpha_fo):
+            assert column.tolist() == [0.0] * 5
+        assert ensemble.gamma_sim is None
+        assert ensemble.leakage is None
 
     def test_alpha_is_sum(self):
-        records = run_ensemble(SPEC, MODEL, 20, 3, config=FAST)
-        for r in records:
-            assert r.alpha_fo == pytest.approx(r.gamma_fo + r.delta_fo, rel=1e-12)
+        ensemble = run_ensemble(SPEC, MODEL, 20, 3, config=FAST)
+        np.testing.assert_allclose(
+            ensemble.alpha_fo, ensemble.gamma_fo + ensemble.delta_fo, rtol=1e-12
+        )
 
     def test_deterministic_and_prefix_stable(self):
         a = run_ensemble(SPEC, MODEL, 30, 11, config=FAST)
         b = run_ensemble(SPEC, MODEL, 30, 11, config=FAST)
-        assert [r.gamma_fo for r in a] == [r.gamma_fo for r in b]
+        assert a.gamma_fo.tolist() == b.gamma_fo.tolist()
         # extending the ensemble must not change earlier trials
         longer = run_ensemble(SPEC, MODEL, 45, 11, config=FAST)
-        assert [r.alpha_fo for r in longer[:30]] == [r.alpha_fo for r in a]
+        assert longer.alpha_fo[:30].tolist() == a.alpha_fo.tolist()
 
     def test_noise_shapes_shared_across_amplitudes(self):
         # same master seed: doubling sigma exactly doubles the deviations
         double = NoiseModel.from_scalars(0.10, 0.1, 0.10, 0.1)
         base = run_ensemble(SPEC, MODEL, 10, 17, config=FAST)
         scaled = run_ensemble(SPEC, double, 10, 17, config=FAST)
-        for r1, r2 in zip(base, scaled):
-            assert r2.gamma_fo == pytest.approx(2.0 * r1.gamma_fo, rel=1e-12)
-            assert r2.delta_fo == pytest.approx(2.0 * r1.delta_fo, rel=1e-12)
+        np.testing.assert_allclose(scaled.gamma_fo, 2.0 * base.gamma_fo, rtol=1e-12)
+        np.testing.assert_allclose(scaled.delta_fo, 2.0 * base.delta_fo, rtol=1e-12)
 
     def test_full_sim_mode(self):
         spec = PrecessionSpec(
@@ -319,17 +333,16 @@ class TestRunEnsemble:
         config = IntegratorConfig(steps_per_cycle=2048)
         zero = NoiseModel.from_scalars(0.0, 0.1, 0.0, 0.1)
         baseline = run_ensemble(spec, zero, 1, 5, mode="full_sim", config=config)
-        assert baseline[0].gamma_sim == pytest.approx(
+        assert baseline.gamma_sim[0] == pytest.approx(
             noiseless_berry_phase(math.pi / 4), abs=0.01
         )
-        assert baseline[0].leakage < 1e-4
+        assert baseline.leakage[0] < 1e-4
 
         weak = NoiseModel.from_scalars(0.005, 0.02, 0.005, 0.02)
-        records = run_ensemble(spec, weak, 4, 9, mode="full_sim", config=config)
-        for r in records:
-            assert r.leakage < 5e-3
-            residual = r.gamma_sim - baseline[0].gamma_sim - r.gamma_fo
-            assert abs(residual) < 2e-3
+        ensemble = run_ensemble(spec, weak, 4, 9, mode="full_sim", config=config)
+        assert np.all(ensemble.leakage < 5e-3)
+        residual = ensemble.gamma_sim - baseline.gamma_sim[0] - ensemble.gamma_fo
+        assert np.all(np.abs(residual) < 2e-3)
 
     # (sigma12, sigma3): isotropic, no longitudinal noise, no transverse noise
     AMPLITUDES = {"isotropic": (0.05, 0.05), "sigma3_zero": (0.05, 0.0), "sigma12_zero": (0.0, 0.05)}
@@ -346,8 +359,8 @@ class TestRunEnsemble:
         sigma12, sigma3 = self.AMPLITUDES[amplitudes]
         model = NoiseModel.from_scalars(sigma12, gamma_dt / dt, sigma3, 3.0 * gamma_dt / dt)
         for seed in (5, 42, 2024):
-            records = run_ensemble(spec, model, 16, seed, config=config)
-            got = np.array([(r.gamma_fo, r.delta_fo) for r in records])
+            ensemble = run_ensemble(spec, model, 16, seed, config=config)
+            got = np.stack([ensemble.gamma_fo, ensemble.delta_fo], axis=1)
             want = _reference_first_order(spec, model, 16, seed, config)
             scale = np.abs(want).max(axis=0)
             assert np.all(scale > 0.0)
@@ -361,24 +374,22 @@ class TestRunEnsemble:
         for seed in (5, 42, 2024):
             want = _reference_first_order(spec, zero, 4, seed, config)
             assert np.all(want == 0.0)
-            for r in run_ensemble(spec, zero, 4, seed, config=config):
-                # +0.0 exactly: a -0.0 would print as "-0" in the records CSV
-                assert (r.gamma_fo, r.delta_fo, r.alpha_fo) == (0.0, 0.0, 0.0)
-                assert math.copysign(1.0, r.gamma_fo) == 1.0
-                assert math.copysign(1.0, r.delta_fo) == 1.0
+            ensemble = run_ensemble(spec, zero, 4, seed, config=config)
+            # +0.0 exactly: a -0.0 would print as "-0" in the records CSV
+            for column in (ensemble.gamma_fo, ensemble.delta_fo, ensemble.alpha_fo):
+                assert [v.hex() for v in column.tolist()] == [(0.0).hex()] * 4
 
     def test_full_sim_draws_once_for_both_routes(self):
         # one draw per trial feeds the first-order contraction and the
         # path the exact evolution runs on
         first_order = run_ensemble(SPEC, MODEL, 4, 19, config=FAST)
         full_sim = run_ensemble(SPEC, MODEL, 4, 19, mode="full_sim", config=FAST)
-        assert [(r.gamma_fo, r.delta_fo) for r in full_sim] == [
-            (r.gamma_fo, r.delta_fo) for r in first_order
-        ]
+        assert full_sim.gamma_fo.tolist() == first_order.gamma_fo.tolist()
+        assert full_sim.delta_fo.tolist() == first_order.delta_fo.tolist()
         n_steps = FAST.steps_per_cycle * SPEC.n_cycles
-        for r in full_sim:
-            path = sample_path(MODEL, n_steps, SPEC.t_total / n_steps, trial_seed(19, r.trial_index))
-            assert r.gamma_sim == evolve_and_extract(SPEC, path, FAST).geometric_phase
+        for index, gamma_sim in enumerate(full_sim.gamma_sim):
+            path = sample_path(MODEL, n_steps, SPEC.t_total / n_steps, trial_seed(19, index))
+            assert gamma_sim == evolve_and_extract(SPEC, path, FAST).geometric_phase
 
     # (sigma12, sigma3): isotropic, longitudinal or transverse only, noiseless, strong
     FULL_SIM_AMPLITUDES = [(0.05, 0.05), (0.0, 0.05), (0.05, 0.0), (0.0, 0.0), (0.5, 0.2)]
@@ -392,10 +403,10 @@ class TestRunEnsemble:
         config = IntegratorConfig(steps_per_cycle=256)
         spec = PrecessionSpec(b0=1.0, theta0=theta0, t_total=100.0, n_cycles=n_cycles)
         model = NoiseModel.from_scalars(amplitudes[0], 0.1, amplitudes[1], 0.3)
-        records = run_ensemble(spec, model, 3, 42, mode="full_sim", config=config)
+        ensemble = run_ensemble(spec, model, 3, 42, mode="full_sim", config=config)
         want = _reference_full_sim(spec, model, 3, 42, config)
-        assert records == want
-        assert _bits(records) == _bits(want)
+        assert _rows(ensemble) == want
+        assert _bits(_rows(ensemble)) == _bits(want)
 
     def test_full_sim_checks_resolution_before_any_trial(self, monkeypatch):
         draws = []
@@ -427,22 +438,14 @@ class TestRunEnsemble:
 
 
 class TestSummarize:
-    def _records_from(self, gammas, deltas):
-        return [
-            TrialRecord(
-                trial_index=i,
-                gamma_fo=float(g),
-                delta_fo=float(d),
-                alpha_fo=float(g + d),
-            )
-            for i, (g, d) in enumerate(zip(gammas, deltas))
-        ]
+    def _ensemble_from(self, gammas, deltas):
+        return Ensemble(np.asarray(gammas, dtype=float), np.asarray(deltas, dtype=float))
 
     def test_matches_numpy_moments(self):
         rng = np.random.default_rng(21)
         g = rng.standard_normal(500) * 0.3
         d = rng.standard_normal(500) * 2.0 + 0.5 * g
-        stats = summarize(self._records_from(g, d))
+        stats = summarize(self._ensemble_from(g, d))
         assert stats.n_trials == 500
         assert stats.mean["gamma_fo"] == pytest.approx(g.mean(), rel=1e-12)
         assert stats.variance["delta_fo"] == pytest.approx(d.var(ddof=1), rel=1e-12)
@@ -463,13 +466,13 @@ class TestSummarize:
         assert "gamma_sim" not in stats.mean
 
     def test_constant_column_degenerates_gracefully(self):
-        stats = summarize(self._records_from(np.zeros(10), np.zeros(10)))
+        stats = summarize(self._ensemble_from(np.zeros(10), np.zeros(10)))
         assert stats.variance["gamma_fo"] == 0.0
         assert stats.skewness["gamma_fo"] == 0.0
         assert stats.excess_kurtosis["gamma_fo"] == 0.0
 
     def test_normal_se_formulas(self):
-        stats = summarize(self._records_from(np.arange(25.0), np.arange(25.0)))
+        stats = summarize(self._ensemble_from(np.arange(25.0), np.arange(25.0)))
         n = 25
         se_skew = math.sqrt(6.0 * n * (n - 1) / ((n - 2) * (n + 1) * (n + 3)))
         assert stats.se_skewness == pytest.approx(se_skew, rel=1e-12)
@@ -477,55 +480,33 @@ class TestSummarize:
         assert stats.se_kurtosis == pytest.approx(se_kurt, rel=1e-12)
 
     def test_four_records_are_enough(self):
-        stats = summarize(self._records_from([0.0, 1.0, 3.0, 2.0], [1.0, 0.0, 0.0, 2.0]))
+        stats = summarize(self._ensemble_from([0.0, 1.0, 3.0, 2.0], [1.0, 0.0, 0.0, 2.0]))
         assert stats.n_trials == 4
         assert math.isfinite(stats.se_skewness) and math.isfinite(stats.se_kurtosis)
 
-    def test_rejects_small_or_mixed_ensembles(self):
+    def test_rejects_fewer_than_four_trials(self):
         # the skewness and kurtosis standard errors divide by n - 2 and n - 3
         for n in (1, 2, 3):
             with pytest.raises(ValueError, match="at least four records"):
-                summarize(self._records_from(np.arange(n, dtype=float), np.zeros(n)))
-        mixed = self._records_from([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0])
-        mixed[1] = TrialRecord(
-            trial_index=1,
-            gamma_fo=2.0,
-            delta_fo=0.0,
-            alpha_fo=2.0,
-            gamma_sim=1.5,
-            leakage=0.0,
-        )
-        with pytest.raises(ValueError, match="mix"):
-            summarize(mixed)
+                summarize(self._ensemble_from(np.arange(n, dtype=float), np.zeros(n)))
 
     def test_sim_column_included(self):
-        records = [
-            TrialRecord(
-                trial_index=i,
-                gamma_fo=0.1 * i,
-                delta_fo=0.0,
-                alpha_fo=0.1 * i,
-                gamma_sim=2.0 + 0.1 * i,
-                leakage=0.0,
-            )
-            for i in range(5)
-        ]
-        stats = summarize(records)
+        index = np.arange(5.0)
+        ensemble = Ensemble(0.1 * index, np.zeros(5), 2.0 + 0.1 * index, np.zeros(5))
+        stats = summarize(ensemble)
         assert stats.mean["gamma_sim"] == pytest.approx(2.2)
 
 
 class TestCoherence:
-    def _records(self, alphas):
-        return [
-            TrialRecord(trial_index=i, gamma_fo=0.0, delta_fo=float(a), alpha_fo=float(a))
-            for i, a in enumerate(alphas)
-        ]
+    def _ensemble(self, alphas):
+        alphas = np.asarray(alphas, dtype=float)
+        return Ensemble(np.zeros_like(alphas), alphas)
 
     def test_gaussian_sample_matches_prediction(self):
         rng = np.random.default_rng(6)
         var = 0.04
         alphas = rng.standard_normal(20_000) * math.sqrt(var)
-        est = coherence(self._records(alphas), var)
+        est = coherence(self._ensemble(alphas), var)
         assert est.predicted == pytest.approx(math.exp(-2.0 * var), rel=1e-12)
         assert abs(est.z_score) < 4.0
         assert est.se > 0.0
@@ -533,18 +514,18 @@ class TestCoherence:
     def test_offset_invariance(self):
         rng = np.random.default_rng(7)
         alphas = rng.standard_normal(500) * 0.1
-        a = coherence(self._records(alphas), 0.01)
-        b = coherence(self._records(alphas + 123.456), 0.01)
+        a = coherence(self._ensemble(alphas), 0.01)
+        b = coherence(self._ensemble(alphas + 123.456), 0.01)
         assert a.measured == pytest.approx(b.measured, rel=1e-12)
 
     def test_degenerate_ensemble(self):
-        est = coherence(self._records(np.zeros(200)), 0.0)
+        est = coherence(self._ensemble(np.zeros(200)), 0.0)
         assert est.measured == 1.0
         assert est.z_score == 0.0
 
     def test_needs_enough_records(self):
         with pytest.raises(ValueError):
-            coherence(self._records(np.zeros(99)), 0.0)
+            coherence(self._ensemble(np.zeros(99)), 0.0)
 
 
 class TestCompareToAnalytic:
