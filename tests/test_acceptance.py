@@ -274,38 +274,6 @@ def test_06_dephasing(capsys):
     assert estimate.predicted == pytest.approx(dephasing_factor(var_alpha))
 
 
-def test_07_gaussianity(capsys):
-    """First-order geometric-phase deviations stay Gaussian on the grid."""
-    t0 = time.perf_counter()
-    worst_skew = 0.0
-    worst_kurt = 0.0
-    for i, point in enumerate(regime_grid()):
-        config = IntegratorConfig(
-            steps_per_cycle=max(16, 2048 // point.spec.n_cycles)
-        )
-        records = run_ensemble(
-            point.spec, point.model, 10_000, 1000 + i, mode="first_order", config=config
-        )
-        stats = summarize(records)
-        worst_skew = max(
-            worst_skew, abs(stats.skewness["gamma_fo"]) / stats.se_skewness
-        )
-        worst_kurt = max(
-            worst_kurt, abs(stats.excess_kurtosis["gamma_fo"]) / stats.se_kurtosis
-        )
-    elapsed = time.perf_counter() - t0
-    ok = worst_skew <= 4.0 and worst_kurt <= 4.0
-    _report(
-        capsys,
-        7,
-        "gaussianity",
-        ok,
-        f"27 points x 10^4 trials: worst |skew|/se {worst_skew:.2f}, "
-        f"worst |kurt|/se {worst_kurt:.2f}, both <= 4, {elapsed:.0f}s",
-    )
-    assert ok
-
-
 def test_07_first_order_law(capsys):
     """First-order trials are A xi exactly, and A A^T is the closed-form covariance.
 
