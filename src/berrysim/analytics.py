@@ -82,7 +82,6 @@ __all__ = [
     "berry_phase_variance_narrowband",
     "berry_phase_variance_broadband",
     "QuadratureEstimate",
-    "variance_by_quadrature",
     "covariance_by_quadrature",
     "dephasing_factor",
     "PhaseMoments",
@@ -371,22 +370,6 @@ def covariance_by_quadrature(
     raise AccuracyError(
         f"quadrature did not reach rtol={rtol} within {max_nodes} nodes "
         f"(last error estimate {err:.3e})"
-    )
-
-
-def variance_by_quadrature(
-    spec: PrecessionSpec,
-    weight: Weight,
-    model: NoiseModel,
-    n_nodes: int = 4096,
-    *,
-    rtol: float = 1e-9,
-    atol: float = 0.0,
-    max_nodes: int = 2**21,
-) -> QuadratureEstimate:
-    """Variance of one first-order functional by direct quadrature."""
-    return covariance_by_quadrature(
-        spec, weight, weight, model, n_nodes, rtol=rtol, atol=atol, max_nodes=max_nodes
     )
 
 

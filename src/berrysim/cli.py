@@ -48,7 +48,7 @@ from .field import PrecessionSpec, adiabaticity_report, control_field
 from .montecarlo import _mc_gate, run_ensemble, summarize
 from .noise import NoiseModel, sample_path
 
-__all__ = ["RunConfig", "config_from_file", "format_config", "main"]
+__all__ = ["RunConfig", "config_from_file", "main"]
 
 _MODES = ("first_order", "full_sim")
 _FORMATS = ("json", "csv")
@@ -142,15 +142,6 @@ def config_from_file(path: str | Path) -> RunConfig:
     return config
 
 
-def format_config(config: RunConfig) -> str:
-    """Render a config as the same key=value format the parser accepts."""
-    lines = []
-    for field in dataclasses.fields(RunConfig):
-        value = getattr(config, field.name)
-        lines.append(f"{field.name}={'' if value is None else value}")
-    return "\n".join(lines) + "\n"
-
-
 # --------------------------------------------------------------------------
 # output helpers
 
@@ -165,24 +156,15 @@ def _fmt(value) -> str:
     return "%.17g" % float(value)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {key: _jsonable(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(val) for val in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(val) for val in obj.tolist()]
-    return obj
+def _json_default(obj):
+    # np.float64 is a float and serialises as one; arrays and other numpy scalars land here.
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
 def _flatten(payload: dict, prefix: str = "") -> list:
@@ -293,8 +275,8 @@ def _analytic_payload(config: RunConfig) -> dict:
     w_alpha = w_gamma + analytics.dynamical_weight(spec)
     quadrature = {}
     for key, weight in (("var_gamma", w_gamma), ("var_alpha", w_alpha)):
-        quad = analytics.variance_by_quadrature(
-            spec, weight, model, _quad_nodes(spec), rtol=_QUAD_RTOL
+        quad = analytics.covariance_by_quadrature(
+            spec, weight, weight, model, _quad_nodes(spec), rtol=_QUAD_RTOL
         )
         quadrature[key] = {
             "value": quad.value,
@@ -527,6 +509,7 @@ def cmd_sweep(
         spec = point.spec()
         model = point.model()
         moments = analytics.second_moments(spec, model)
+        w_gamma = analytics.geometric_weight(spec)
         row = {
             param: value,
             "n_cycles": spec.n_cycles,
@@ -536,8 +519,8 @@ def cmd_sweep(
             **{key: moment.total for key, moment in moments.items()},
             "narrowband_var_gamma": analytics.berry_phase_variance_narrowband(spec, model),
             "broadband_var_gamma": analytics.berry_phase_variance_broadband(spec, model),
-            "var_gamma_quadrature": analytics.variance_by_quadrature(
-                spec, analytics.geometric_weight(spec), model, _quad_nodes(spec), rtol=1e-7
+            "var_gamma_quadrature": analytics.covariance_by_quadrature(
+                spec, w_gamma, w_gamma, model, _quad_nodes(spec), rtol=1e-7
             ).value,
         }
         if with_mc:

@@ -109,8 +109,8 @@ def _adjoint_matrix(spec: PrecessionSpec, model: NoiseModel, n_steps: int) -> np
     quad = np.full(n_steps + 1, dt)
     quad[0] = quad[-1] = 0.5 * dt
     return np.stack([
-        _ou_filter(model, dt, weight.on_grid(spec, times) * quad[:, None], adjoint=True).reshape(-1)
-        for weight in (geometric_weight(spec), dynamical_weight(spec))
+        _ou_filter(model, dt, w.on_grid(spec, times) * quad[:, None], adjoint=True).reshape(-1)
+        for w in (geometric_weight(spec), dynamical_weight(spec))
     ])
 
 
@@ -263,9 +263,7 @@ def coherence(ensemble: Ensemble, predicted_var_alpha: float) -> CoherenceEstima
     """
     n = len(ensemble)
     if n < _MIN_COHERENCE_TRIALS:
-        raise ValueError(
-            f"need at least {_MIN_COHERENCE_TRIALS} records for coherence, got {n}"
-        )
+        raise ValueError(f"need at least {_MIN_COHERENCE_TRIALS} records for coherence, got {n}")
     predicted = dephasing_factor(predicted_var_alpha)
     phases = np.exp(2.0j * ensemble.alpha_fo)
     total = phases.sum()
@@ -333,9 +331,8 @@ def _mc_gate(ensemble: Ensemble, moments: PhaseMoments) -> tuple:
     """
     stats = summarize(ensemble)
     report = compare_to_analytic(stats, moments)
-    coh = None
-    if len(ensemble) >= _MIN_COHERENCE_TRIALS:
-        coh = coherence(ensemble, moments.var_alpha)
+    enough = len(ensemble) >= _MIN_COHERENCE_TRIALS
+    coh = coherence(ensemble, moments.var_alpha) if enough else None
     passed = report.passed and (coh is None or abs(coh.z_score) <= _Z_THRESHOLD)
     return stats, report, coh, passed
 

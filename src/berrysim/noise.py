@@ -127,16 +127,8 @@ class NoisePath:
         object.__setattr__(self, "samples", samples)
 
     @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
     def n_steps(self) -> int:
         return self.times.size - 1
-
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1] - self.times[0])
 
     def component(self, index: int) -> np.ndarray:
         """Samples of one component as a read-only 1-d view."""

@@ -34,7 +34,6 @@ from berrysim import (
     second_moments,
     summarize,
     trial_seed,
-    variance_by_quadrature,
 )
 from berrysim import montecarlo
 from berrysim.cli import main
@@ -109,11 +108,11 @@ def test_02_closed_form_matches_quadrature(capsys):
         nodes = max(4096, 64 * point.spec.n_cycles)
         w_gamma = geometric_weight(point.spec)
         w_alpha = w_gamma + dynamical_weight(point.spec)
-        quad_gamma = variance_by_quadrature(
-            point.spec, w_gamma, point.model, nodes, rtol=1e-8, atol=1e-9
+        quad_gamma = covariance_by_quadrature(
+            point.spec, w_gamma, w_gamma, point.model, nodes, rtol=1e-8, atol=1e-9
         )
-        quad_alpha = variance_by_quadrature(
-            point.spec, w_alpha, point.model, nodes, rtol=1e-8, atol=1e-9
+        quad_alpha = covariance_by_quadrature(
+            point.spec, w_alpha, w_alpha, point.model, nodes, rtol=1e-8, atol=1e-9
         )
         moments = phase_moments(point.spec, point.model)
         closed_gamma = moments.var_gamma

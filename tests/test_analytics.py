@@ -23,13 +23,14 @@ from berrysim import (
     noncyclic_connection_term,
     phase_covariance,
     phase_moments,
-    variance_by_quadrature,
 )
 from berrysim import analytics
 from berrysim.cli import RunConfig, _analytic_payload
 
 SPEC = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)
 MODEL = NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1)
+W_GAMMA = geometric_weight(SPEC)
+W_DELTA = dynamical_weight(SPEC)
 
 # Frozen reference values for SPEC/MODEL.  Independently reproduced by the
 # adaptive double-quadrature oracle in TestQuadratureOracle below.
@@ -316,12 +317,12 @@ class TestQuadratureOracle:
     """Closed forms vs direct integration of the OU kernel against the weights."""
 
     def test_variance_matches_closed_form(self):
-        est = variance_by_quadrature(SPEC, geometric_weight(SPEC), MODEL, 4096)
+        est = covariance_by_quadrature(SPEC, W_GAMMA, W_GAMMA, MODEL, 4096)
         assert est.error <= 1e-9 * abs(est.value) + 1e-18
         assert est.value == pytest.approx(VAR_GAMMA, rel=1e-10)
 
     def test_dynamical_variance_matches_closed_form(self):
-        est = variance_by_quadrature(SPEC, dynamical_weight(SPEC), MODEL, 4096)
+        est = covariance_by_quadrature(SPEC, W_DELTA, W_DELTA, MODEL, 4096)
         assert est.value == pytest.approx(VAR_DELTA, rel=1e-10)
 
     def test_covariance_matches_closed_form(self):
@@ -344,31 +345,31 @@ class TestQuadratureOracle:
         t_total, sigma, gamma = 50.0, 0.3, 0.25
         model = NoiseModel.from_scalars(0.0, 1.0, sigma, gamma)
         spec = PrecessionSpec(b0=1.0, theta0=0.0, t_total=t_total, n_cycles=1)
-        est = variance_by_quadrature(spec, Weight(0.0, 1.0), model, 1024)
+        est = covariance_by_quadrature(spec, Weight(0.0, 1.0), Weight(0.0, 1.0), model, 1024)
         u = gamma * t_total
         expected = 2.0 * sigma**2 * (u + math.expm1(-u)) / gamma**2
         assert est.value == pytest.approx(expected, rel=1e-10)
 
     def test_zero_noise_short_circuits(self):
         model = NoiseModel.from_scalars(0.0, 1.0, 0.0, 1.0)
-        est = variance_by_quadrature(SPEC, geometric_weight(SPEC), model, 64)
+        est = covariance_by_quadrature(SPEC, W_GAMMA, W_GAMMA, model, 64)
         assert est.value == 0.0
         assert est.error == 0.0
 
     def test_refinement_reports_node_count(self):
-        est = variance_by_quadrature(SPEC, geometric_weight(SPEC), MODEL, 256)
+        est = covariance_by_quadrature(SPEC, W_GAMMA, W_GAMMA, MODEL, 256)
         assert est.nodes >= 256
         assert est.nodes % 2 == 0 or est.nodes >= 256  # doubled grids
 
     def test_non_convergence_raises(self):
         with pytest.raises(AccuracyError):
-            variance_by_quadrature(
-                SPEC, geometric_weight(SPEC), MODEL, 64, rtol=1e-15, max_nodes=128
+            covariance_by_quadrature(
+                SPEC, W_GAMMA, W_GAMMA, MODEL, 64, rtol=1e-15, max_nodes=128
             )
 
     def test_rejects_tiny_grids(self):
         with pytest.raises(ValueError):
-            variance_by_quadrature(SPEC, geometric_weight(SPEC), MODEL, 32)
+            covariance_by_quadrature(SPEC, W_GAMMA, W_GAMMA, MODEL, 32)
 
 
 class TestDephasing:
@@ -622,7 +623,7 @@ class TestMatchesReference:
     def test_cli_payload(self, monkeypatch):
         # the analytic command's variances, subterms and limits, with the
         # oracle stubbed out so that only the closed forms run
-        monkeypatch.setattr(analytics, "variance_by_quadrature",
+        monkeypatch.setattr(analytics, "covariance_by_quadrature",
                             lambda *args, **kwargs: QuadratureEstimate(1.0, 0.0, 0))
         for spec, model in REFERENCE_GRID:
             config = RunConfig(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from berrysim import AccuracyError, analytics, cli
-from berrysim.cli import RunConfig, config_from_file, format_config, main
+from berrysim.cli import RunConfig, config_from_file, main
 from berrysim.evolve import evolve_and_extract
 from berrysim.field import PrecessionSpec, adiabaticity_report, control_field
 from berrysim.montecarlo import compare_to_analytic
@@ -21,6 +22,15 @@ from test_montecarlo import _reference_coherence, _reference_run_ensemble, _refe
 
 def read_json(path: Path) -> dict:
     return json.loads(path.read_text())
+
+
+def format_config(config: RunConfig) -> str:
+    """Render a config in the key=value format that ``config_from_file`` parses."""
+    lines = []
+    for field in dataclasses.fields(RunConfig):
+        value = getattr(config, field.name)
+        lines.append(f"{field.name}={'' if value is None else value}")
+    return "\n".join(lines) + "\n"
 
 
 def _reference_fmt(value) -> str:
@@ -157,7 +167,6 @@ def test_public_surface():
         "berry_phase_variance_narrowband", "covariance_by_quadrature", "dephasing_factor",
         "dynamical_weight", "geometric_weight", "noiseless_berry_phase",
         "noncyclic_connection_term", "phase_covariance", "phase_moments", "second_moments",
-        "variance_by_quadrature",
         "IntegratorConfig", "PhaseExtraction", "TrajectoryTrace", "connection_phase_discrete",
         "evolve_and_extract",
         "CoherenceEstimate", "ComparisonReport", "Ensemble", "EnsembleStats", "GridPoint",
@@ -582,7 +591,7 @@ class TestCompareCommand:
         def explode(*args, **kwargs):
             raise AccuracyError("forced for the exit-code test")
 
-        monkeypatch.setattr(analytics, "variance_by_quadrature", explode)
+        monkeypatch.setattr(analytics, "covariance_by_quadrature", explode)
         assert main(["analytic"]) == 3
         assert "accuracy error" in capsys.readouterr().err
 
@@ -602,13 +611,14 @@ def _reference_battery(config: RunConfig) -> list:
 
     w_gamma = analytics.geometric_weight(spec)
     w_delta = analytics.dynamical_weight(spec)
-    quad_gamma = analytics.variance_by_quadrature(spec, w_gamma, model, nodes)
+    quad_gamma = analytics.covariance_by_quadrature(spec, w_gamma, w_gamma, model, nodes)
     rel = _reference_rel_diff(quad_gamma.value, moments.var_gamma)
     checks.append(
         ("oracle_var_gamma", rel <= 1e-6,
          f"closed={moments.var_gamma:.9e} quadrature={quad_gamma.value:.9e} rel={rel:.2e}")
     )
-    quad_alpha = analytics.variance_by_quadrature(spec, w_gamma + w_delta, model, nodes)
+    w_alpha = w_gamma + w_delta
+    quad_alpha = analytics.covariance_by_quadrature(spec, w_alpha, w_alpha, model, nodes)
     rel = _reference_rel_diff(quad_alpha.value, moments.var_alpha)
     checks.append(
         ("oracle_var_alpha", rel <= 1e-6,

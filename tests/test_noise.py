@@ -51,8 +51,8 @@ class TestPathType:
     def test_grid_and_shapes(self):
         path = sample_path(MODEL, 10, 0.5, seed=1)
         assert path.n_steps == 10
-        assert path.dt == pytest.approx(0.5)
-        assert path.duration == pytest.approx(5.0)
+        assert path.times[1] - path.times[0] == pytest.approx(0.5)
+        assert path.times[-1] - path.times[0] == pytest.approx(5.0)
         assert path.times.shape == (11,)
         assert path.samples.shape == (11, 3)
         assert np.all(np.diff(path.times) > 0)
