@@ -71,7 +71,7 @@ class Ensemble:
     ``gamma_fo`` and ``delta_fo`` are first-order deviations from the
     noiseless phases; ``gamma_sim`` and ``leakage`` hold the exact
     evolution's folded geometric phase and leakage in ``full_sim`` mode
-    and are None otherwise.
+    and are None otherwise.  ``run_ensemble`` makes the columns read-only.
     """
 
     gamma_fo: np.ndarray
@@ -142,10 +142,9 @@ def run_ensemble(
     # w.K = (L^T w).xi: one adjoint pass here replaces a filtered path per trial.
     adjoint = _adjoint_matrix(spec, model, n_steps)
     first_order = np.empty((2, int(n_trials)))
-    sim = None
-    if mode == "full_sim":
+    sim = np.empty((2, int(n_trials))) if mode == "full_sim" else None
+    if sim is not None:
         control_nodes, control_mid = _control_grids(spec, n_steps, dt)
-        sim = np.empty((2, int(n_trials)))
 
     for index in range(int(n_trials)):
         xi = _draw_innovations(n_steps, trial_seed(master_seed, index))
@@ -156,12 +155,15 @@ def run_ensemble(
                 raise ValueError("noise samples must be finite")
             run = _evolve(control_nodes + k, control_mid + 0.5 * (k[:-1] + k[1:]), dt, "up")
             sim[:, index] = run.geometric_phase, run.leakage
+    for columns in (first_order, sim):
+        if columns is not None:
+            columns.setflags(write=False)
     return Ensemble(*first_order, *(sim if sim is not None else (None, None)))
 
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Moment estimates with standard errors, keyed by record field.
+    """Moment estimates with standard errors, keyed by ensemble column.
 
     Keys are ``gamma_fo``, ``delta_fo``, ``alpha_fo`` and, when the
     ensemble ran in ``full_sim`` mode, ``gamma_sim``.  ``sem_variance``

@@ -304,6 +304,12 @@ class TestRunEnsemble:
         assert ensemble.gamma_sim is None
         assert ensemble.leakage is None
 
+    def test_columns_are_read_only(self):
+        ensemble = run_ensemble(SPEC, MODEL, 4, 1, mode="full_sim", config=FAST)
+        for column in (ensemble.gamma_fo, ensemble.delta_fo, ensemble.gamma_sim, ensemble.leakage):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+
     def test_alpha_is_sum(self):
         ensemble = run_ensemble(SPEC, MODEL, 20, 3, config=FAST)
         np.testing.assert_allclose(
