@@ -19,7 +19,14 @@ from berrysim import (
     polar_angles,
     sample_path,
 )
-from berrysim.evolve import _eigenvector_chain, _step_coefficients
+from berrysim.evolve import (
+    _control_grids,
+    _eigenvector_chain,
+    _node_states,
+    _step_coefficients,
+    _winding_number,
+    _wrap_pm_pi,
+)
 
 
 @dataclass(frozen=True)
@@ -526,3 +533,125 @@ class TestMatchesStepByStepReference:
         )
         assert plain == traced
         assert trace.total_phase[-1] == plain.total_phase
+
+
+def _pinned_evolve_and_extract(spec, path, config, branch):
+    """``evolve_and_extract`` with its trajectory trace as it stood (reference copy).
+
+    The control and noise grids, the kernel and the trace exactly as one
+    evolution computed them before the kernel's value became the public
+    result, built from the helpers that did not change.  Returns the
+    scalars and the per-node arrays as one dict.
+    """
+    n_steps = config.steps_per_cycle * spec.n_cycles
+    dt = spec.t_total / n_steps
+    control_nodes, control_mid = _control_grids(spec, n_steps, dt)
+    k_nodes = np.zeros((n_steps + 1, 3)) if path is None else path.samples
+    b_nodes = control_nodes + k_nodes
+    b_mid = control_mid + 0.5 * (k_nodes[:-1] + k_nodes[1:])
+
+    winding, _ = _winding_number(b_nodes)
+    step_a, step_b, nb = _step_coefficients(b_mid, dt)
+    field_modulus_integral = float(nb.sum() * dt)
+    ends = (polar_angles(b_nodes[0]), polar_angles(b_nodes[-1]))
+    (u0, d0), (ref_u, ref_d) = _eigenvector_chain(
+        [a.theta for a in ends], [a.phi for a in ends], branch
+    ).tolist()
+    amp_up, amp_down = _node_states(step_a, step_b, u0, d0)
+    overlap0 = u0.conjugate() * amp_up + d0.conjugate() * amp_down
+    overlap0[0] = 1.0
+    total_prefix = np.zeros(nb.size + 1)
+    np.cumsum(np.angle(overlap0[1:] * overlap0[:-1].conj()), out=total_prefix[1:])
+    total = float(total_prefix[-1])
+    overlap = ref_u.conjugate() * amp_up[-1] + ref_d.conjugate() * amp_down[-1]
+    sign = 1.0 if branch == "up" else -1.0
+    dynamical = -sign * 0.5 * field_modulus_integral
+    leakage = max(0.0, 1.0 - abs(complex(overlap)) ** 2)
+
+    cross = np.conj(amp_up) * amp_down
+    pz = np.abs(amp_up) ** 2 - np.abs(amp_down) ** 2
+    bloch = np.stack([2.0 * cross.real, 2.0 * cross.imag, pz], axis=1)
+    return {
+        "total_phase": total,
+        "dynamical_phase": dynamical,
+        "geometric_phase": _wrap_pm_pi(total - dynamical + math.pi * winding),
+        "geometric_phase_raw": total - dynamical,
+        "leakage": leakage,
+        "field_modulus_integral": field_modulus_integral,
+        "mean_energy_integral": 0.5 * dt * float(np.sum(b_mid * bloch[:-1])),
+        "winding": winding,
+        "degenerate_steps": int(np.count_nonzero(nb < 1e-300)),
+        "non_adiabatic": leakage > 1e-3,
+        "branch": branch,
+        "times": np.arange(n_steps + 1) * dt,
+        "amp_up": amp_up,
+        "amp_down": amp_down,
+        "energy": 0.5 * np.sum(b_nodes * bloch, axis=1),
+        "total_phase_nodes": total_prefix,
+        "dynamical_phase_nodes": np.concatenate([[0.0], -sign * 0.5 * np.cumsum(nb * dt)]),
+    }
+
+
+def _evolution_values(spec, path, config, branch):
+    """The package's evolution as the pinned dict's keys."""
+    result, trace = evolve_and_extract(spec, path, config, branch=branch, return_trace=True)
+    values = {key: getattr(result, key) for key in (
+        "total_phase", "dynamical_phase", "geometric_phase", "geometric_phase_raw",
+        "leakage", "field_modulus_integral", "mean_energy_integral", "winding",
+        "degenerate_steps", "non_adiabatic", "branch",
+    )}
+    values.update(
+        times=trace.times, amp_up=trace.amp_up, amp_down=trace.amp_down, energy=trace.energy,
+        total_phase_nodes=trace.total_phase, dynamical_phase_nodes=trace.dynamical_phase,
+    )
+    return values
+
+
+def _degenerate_midpoint_path(spec, n_steps):
+    """Noise that cancels the control field at one step midpoint exactly."""
+    dt = spec.t_total / n_steps
+    noisy = sample_path(NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1), n_steps, dt, seed=4)
+    samples = noisy.samples.copy()
+    samples[300] = samples[301] = -control_field(spec, 300.5 * dt)
+    return NoisePath(times=noisy.times, samples=samples)
+
+
+class TestPinnedToTheTracedEvolution:
+    """Every scalar and node array of an evolution, bit for bit against the reference copy."""
+
+    CONFIG = IntegratorConfig(steps_per_cycle=512)
+
+    def _assert_bitwise(self, spec, path, branch):
+        want = _pinned_evolve_and_extract(spec, path, self.CONFIG, branch)
+        got = _evolution_values(spec, path, self.CONFIG, branch)
+        assert sorted(got) == sorted(want)
+        for key, value in want.items():
+            if isinstance(value, np.ndarray):
+                assert got[key].dtype == value.dtype and got[key].shape == value.shape, key
+                assert got[key].tobytes() == value.tobytes(), key
+            elif isinstance(value, float):
+                assert type(got[key]) is float and got[key].hex() == value.hex(), key
+            else:
+                assert type(got[key]) is type(value) and got[key] == value, key
+
+    @pytest.mark.parametrize("branch", ["up", "down"])
+    @pytest.mark.parametrize("theta0", [0.0, 0.9])
+    def test_noiseless(self, theta0, branch):
+        spec = PrecessionSpec(b0=1.0, theta0=theta0, t_total=100.0, n_cycles=2)
+        self._assert_bitwise(spec, None, branch)
+
+    @pytest.mark.parametrize("branch", ["up", "down"])
+    @pytest.mark.parametrize("sigma", [0.05, 0.5])
+    @pytest.mark.parametrize("theta0", [0.0, 0.9])
+    def test_noisy(self, theta0, sigma, branch):
+        spec = PrecessionSpec(b0=1.0, theta0=theta0, t_total=100.0, n_cycles=2)
+        model = NoiseModel.from_scalars(sigma, 0.1, 0.6 * sigma, 0.3)
+        path = sample_path(model, 1024, spec.t_total / 1024, seed=17)
+        self._assert_bitwise(spec, path, branch)
+
+    @pytest.mark.parametrize("branch", ["up", "down"])
+    def test_degenerate_midpoint(self, branch):
+        spec = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)
+        path = _degenerate_midpoint_path(spec, 512)
+        assert _pinned_evolve_and_extract(spec, path, self.CONFIG, branch)["degenerate_steps"] == 1
+        self._assert_bitwise(spec, path, branch)
