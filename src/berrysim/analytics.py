@@ -199,13 +199,24 @@ class VarianceBreakdown:
 
 
 def _form(model: NoiseModel, x: Weight, y: Weight, j: float, ell: float) -> VarianceBreakdown:
-    """The quadratic form of the module docstring at the brackets j and ell."""
-    return VarianceBreakdown(
-        transverse_term=2.0 * model.transverse.sigma**2 * j * x.transverse * y.transverse,
-        longitudinal_term=(
-            2.0 * model.longitudinal.sigma**2 * ell * x.longitudinal * y.longitudinal
-        ),
-    )
+    """The quadratic form of the module docstring at the brackets j and ell.
+
+    Raises ValueError when a term is not finite in float64, which the
+    noise amplitudes reach near sigma ~ 1e154.
+    """
+    try:
+        terms = (
+            2.0 * model.transverse.sigma**2 * j * x.transverse * y.transverse,
+            2.0 * model.longitudinal.sigma**2 * ell * x.longitudinal * y.longitudinal,
+        )
+    except OverflowError:
+        terms = (math.inf,)
+    if not all(map(math.isfinite, terms)):
+        raise ValueError(
+            f"closed-form moments are not finite at sigma12={model.transverse.sigma:g}, "
+            f"sigma3={model.longitudinal.sigma:g}: the noise is too strong for float64"
+        )
+    return VarianceBreakdown(*terms)
 
 
 def phase_covariance(

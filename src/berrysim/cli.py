@@ -40,17 +40,17 @@ import numpy as np
 from . import analytics
 from .errors import AccuracyError, BerrysimError
 from .evolve import (
+    _LEAKAGE_WARN_THRESHOLD,
     IntegratorConfig,
     connection_phase_discrete,
     evolve_and_extract,
 )
 from .field import PrecessionSpec, adiabaticity_report, control_field
-from .montecarlo import _mc_gate, run_ensemble, summarize
+from .montecarlo import _MODES, _mc_gate, run_ensemble, summarize
 from .noise import NoiseModel, sample_path
 
 __all__ = ["RunConfig", "config_from_file", "main"]
 
-_MODES = ("first_order", "full_sim")
 _FORMATS = ("json", "csv")
 
 
@@ -326,6 +326,7 @@ def cmd_analytic(config: RunConfig, quiet: bool) -> int:
 def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) -> int:
     spec = config.spec()
     model = config.model()
+    moments = analytics.phase_moments(spec, model)
     start = time.perf_counter()
     ensemble = run_ensemble(
         spec, model, config.n_trials, config.seed, mode=config.mode, config=config.integrator()
@@ -334,7 +335,6 @@ def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) 
     if not quiet:
         print(f"mc: ensemble {seconds:.3f} s, {len(ensemble) / max(seconds, 1e-9):.1f} trials/s",
               file=sys.stderr)
-    moments = analytics.phase_moments(spec, model)
     if tamper_variance_scale is not None:
         # Deliberately corrupted targets; used to exercise the failure path.
         moments = dataclasses.replace(moments, **{
@@ -367,14 +367,13 @@ def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) 
     }
     n_leaky = 0
     if config.mode == "full_sim":
-        threshold = config.integrator().leakage_warn_threshold
         leakage = ensemble.leakage
-        n_leaky = int(np.count_nonzero(leakage > threshold))
+        n_leaky = int(np.count_nonzero(leakage > _LEAKAGE_WARN_THRESHOLD))
         payload["full_sim"] = {
             "leakage_median": float(np.median(leakage)),
             "leakage_p95": float(np.percentile(leakage, 95.0)),
             "leakage_max": float(leakage.max()),
-            "leakage_warn_threshold": threshold,
+            "leakage_warn_threshold": _LEAKAGE_WARN_THRESHOLD,
             "n_above_leakage_warn_threshold": n_leaky,
         }
     summary_path.write_text(_dump_json(payload))
@@ -386,7 +385,7 @@ def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) 
     )
     if n_leaky:
         _say(quiet, f"warning: {n_leaky} of {stats.n_trials} trials have leakage above "
-                    f"{threshold:.1e}; evolution is not adiabatic")
+                    f"{_LEAKAGE_WARN_THRESHOLD:.1e}; evolution is not adiabatic")
     return 0 if passed else 1
 
 
@@ -397,9 +396,7 @@ def cmd_simulate(config: RunConfig, quiet: bool, branch: str) -> int:
     n_steps = integrator.steps_per_cycle * spec.n_cycles
     dt = spec.t_total / n_steps
     path = sample_path(model, n_steps, dt, config.seed)
-    extraction, trace = evolve_and_extract(
-        spec, path, integrator, branch=branch, return_trace=True
-    )
+    extraction = evolve_and_extract(spec, path, integrator, branch=branch)
     chain_phase = connection_phase_discrete(spec, path, branch=branch)
     s0 = math.sin(spec.theta0)
     noncyclic = (
@@ -411,7 +408,8 @@ def cmd_simulate(config: RunConfig, quiet: bool, branch: str) -> int:
     noise_path = base.with_name(base.name + ".noise.csv")
     summary_path = base.with_name(base.name + ".summary.json")
 
-    b_control = control_field(spec, np.minimum(trace.times, spec.t_total))
+    times = extraction.times
+    b_control = control_field(spec, np.minimum(times, spec.t_total))
     header = [
         "t",
         "b_control_x", "b_control_y", "b_control_z",
@@ -420,9 +418,10 @@ def cmd_simulate(config: RunConfig, quiet: bool, branch: str) -> int:
         "energy", "total_phase", "dynamical_phase",
     ]
     columns = [
-        trace.times, b_control, path.samples,
-        trace.amp_up.real, trace.amp_up.imag, trace.amp_down.real, trace.amp_down.imag,
-        trace.energy, trace.total_phase, trace.dynamical_phase,
+        times, b_control, path.samples,
+        extraction.amp_up.real, extraction.amp_up.imag,
+        extraction.amp_down.real, extraction.amp_down.imag,
+        extraction.energy, extraction.total_phase_nodes, extraction.dynamical_phase_nodes,
     ]
     _write_columns(trajectory_path, header, columns)
     _write_columns(noise_path, ["t", "k_1", "k_2", "k_3"], [path.times, path.samples])
@@ -455,7 +454,7 @@ def cmd_simulate(config: RunConfig, quiet: bool, branch: str) -> int:
     )
     if extraction.non_adiabatic:
         _say(quiet, f"warning: leakage {extraction.leakage:.3e} exceeds "
-                    f"{integrator.leakage_warn_threshold:.1e}; evolution is not adiabatic")
+                    f"{_LEAKAGE_WARN_THRESHOLD:.1e}; evolution is not adiabatic")
     return 0
 
 

@@ -7,13 +7,18 @@ propagator of the field frozen at the step midpoint,
     U = cos(|b| dt / 2) I - i sin(|b| dt / 2) (b_hat . sigma),
 
 so the only discretization error is the O(dt**2) commutator remainder.
-One kernel (``_evolve``) takes the total field at the grid nodes and
-step midpoints; the states at all nodes come from one blocked prefix
-product of the SU(2) steps (``_node_states``), and the phases and
-diagnostics are array reductions over them, with no per-step Python
-loop.  ``evolve_and_extract`` builds both field grids from a spec and a
-noise path and adds the mean energy and the trace; Monte Carlo
-ensembles compute the control field once and call the kernel per trial.
+One kernel (``_evolve``) takes the control field at the grid nodes and
+step midpoints and the noise K at the nodes; K enters the midpoint field
+as the mean of the step's two end-node values.  The states at all nodes
+come from one blocked prefix product of the SU(2) steps
+(``_node_states``), and the phases and diagnostics are array reductions
+over them, with no per-step Python loop.  The kernel's value, a
+:class:`PhaseExtraction`, is the one evolution result: it holds the
+states, the phases and the field at every node, and builds the Bloch
+vector, the energy and its integral only when they are read.
+``evolve_and_extract`` builds the control grids from a spec and runs the
+kernel on a noise path; Monte Carlo ensembles build the control grids
+once and run the kernel per trial.
 Branch eigenstates, for the kernel's start state and end reference and
 for the discrete connection chain, come from one array builder
 (``_eigenvector_chain``) in the half-angle gauge.
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from functools import cached_property
 
 import numpy as np
 
@@ -49,12 +54,13 @@ from .noise import NoisePath
 __all__ = [
     "IntegratorConfig",
     "PhaseExtraction",
-    "TrajectoryTrace",
     "evolve_and_extract",
     "connection_phase_discrete",
 ]
 
 _TINY_FIELD = 1e-300
+# Leakage above this marks an evolution as non-adiabatic.
+_LEAKAGE_WARN_THRESHOLD = 1e-3
 
 
 def _wrap_pm_pi(x: float) -> float:
@@ -162,10 +168,9 @@ def _node_states(
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Evolution grid resolution; leakage above the fixed threshold is non-adiabatic."""
+    """Evolution grid resolution."""
 
     steps_per_cycle: int = 4096
-    leakage_warn_threshold: ClassVar[float] = 1e-3
 
     def __post_init__(self) -> None:
         if not isinstance(self.steps_per_cycle, (int, np.integer)) or self.steps_per_cycle < 16:
@@ -175,43 +180,69 @@ class IntegratorConfig:
         object.__setattr__(self, "steps_per_cycle", int(self.steps_per_cycle))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseExtraction:
-    """Phases and diagnostics extracted from one evolution.
+    """One evolution: the states, phases and diagnostics, with the field at every node.
 
-    ``geometric_phase`` is folded to (-pi, pi] as described in the module
-    docstring; ``geometric_phase_raw`` is the unfolded difference
-    ``total_phase - dynamical_phase``.  ``mean_energy_integral`` is the
-    integral of <psi|H|psi>, kept as a diagnostic; it differs from the
-    eigenvalue integral at second order in the non-adiabaticity.
+    Arrays run over the n + 1 grid nodes (``b_nodes``, ``amp_up``,
+    ``amp_down``, ``total_phase_nodes``) or the n step midpoints
+    (``b_mid``, ``field_modulus``); ``b_nodes`` and ``b_mid`` are the
+    total field.  ``total_phase`` is the last entry of the unwrapped
+    ``total_phase_nodes``.  ``geometric_phase`` is folded to (-pi, pi] as
+    described in the module docstring; ``geometric_phase_raw`` is the
+    unfolded difference ``total_phase - dynamical_phase``.
+    ``non_adiabatic`` flags leakage above ``_LEAKAGE_WARN_THRESHOLD``.
+
+    ``energy`` (<psi|H|psi> at each node) and ``mean_energy_integral``
+    (its integral over the midpoint field, a diagnostic that differs from
+    the eigenvalue integral at second order in the non-adiabaticity)
+    share one Bloch vector, built when either is first read.
     """
 
+    branch: str
+    dt: float
+    b_nodes: np.ndarray
+    b_mid: np.ndarray
+    amp_up: np.ndarray
+    amp_down: np.ndarray
+    total_phase_nodes: np.ndarray
+    field_modulus: np.ndarray
     total_phase: float
     dynamical_phase: float
     geometric_phase: float
     leakage: float
     field_modulus_integral: float
-    mean_energy_integral: float
     winding: int
     degenerate_steps: int
     non_adiabatic: bool
-    branch: str
 
     @property
     def geometric_phase_raw(self) -> float:
         return self.total_phase - self.dynamical_phase
 
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(self.amp_up.size) * self.dt
 
-@dataclass(frozen=True)
-class TrajectoryTrace:
-    """Per-node amplitudes, instantaneous energy and accumulated phases."""
+    @property
+    def dynamical_phase_nodes(self) -> np.ndarray:
+        """The dynamical phase accumulated up to each node."""
+        sign = 1.0 if self.branch == "up" else -1.0
+        return np.concatenate([[0.0], -sign * 0.5 * np.cumsum(self.field_modulus * self.dt)])
 
-    times: np.ndarray
-    amp_up: np.ndarray
-    amp_down: np.ndarray
-    energy: np.ndarray
-    total_phase: np.ndarray
-    dynamical_phase: np.ndarray
+    @cached_property
+    def _bloch(self) -> np.ndarray:
+        cross = np.conj(self.amp_up) * self.amp_down
+        pz = np.abs(self.amp_up) ** 2 - np.abs(self.amp_down) ** 2
+        return np.stack([2.0 * cross.real, 2.0 * cross.imag, pz], axis=1)
+
+    @property
+    def energy(self) -> np.ndarray:
+        return 0.5 * np.sum(self.b_nodes * self._bloch, axis=1)
+
+    @property
+    def mean_energy_integral(self) -> float:
+        return 0.5 * self.dt * float(np.sum(self.b_mid * self._bloch[:-1]))
 
 
 def _winding_number(b_nodes: np.ndarray) -> tuple[int, np.ndarray]:
@@ -251,30 +282,27 @@ def _control_grids(
     return nodes, control_field(spec, (np.arange(n_steps) + 0.5) * dt)
 
 
-@dataclass(frozen=True)
-class _Evolution:
-    """Node amplitudes, phases and diagnostics of one evolution."""
+def _evolve(
+    control_nodes: np.ndarray,
+    control_mid: np.ndarray,
+    k_nodes: np.ndarray,
+    dt: float,
+    branch: str,
+) -> PhaseExtraction:
+    """The evolution kernel, from the control grids and the noise K at the n + 1 nodes.
 
-    amp_up: np.ndarray
-    amp_down: np.ndarray
-    total_phase: np.ndarray
-    field_modulus: np.ndarray
-    field_modulus_integral: float
-    dynamical_phase: float
-    geometric_phase: float
-    winding: int
-    degenerate_steps: int
-    leakage: float
-
-
-def _evolve(b_nodes: np.ndarray, b_mid: np.ndarray, dt: float, branch: str) -> _Evolution:
-    """The evolution kernel, from the total field at the n + 1 nodes and n midpoints.
-
-    The state starts in the branch eigenstate of ``b_nodes[0]``; step k
-    applies the exact propagator of ``b_mid[k]`` over ``dt``.  Leakage is
-    measured against the branch eigenstate of ``b_nodes[-1]``; both come
-    from one :func:`_eigenvector_chain` call.
+    The total field is control plus K at the nodes, and control plus the
+    mean of the two end-node K values at each step midpoint; K must be
+    finite.  The state starts in the branch eigenstate of the first node
+    field; step k applies the exact propagator of the k-th midpoint field
+    over ``dt``.  Leakage is measured against the branch eigenstate of
+    the last node field; both come from one :func:`_eigenvector_chain`
+    call.
     """
+    if not np.all(np.isfinite(k_nodes)):
+        raise ValueError("noise samples must be finite")
+    b_nodes = control_nodes + k_nodes
+    b_mid = control_mid + 0.5 * (k_nodes[:-1] + k_nodes[1:])
     winding, _ = _winding_number(b_nodes)
     step_a, step_b, nb = _step_coefficients(b_mid, dt)
     field_modulus_integral = float(nb.sum() * dt)
@@ -293,20 +321,27 @@ def _evolve(b_nodes: np.ndarray, b_mid: np.ndarray, dt: float, branch: str) -> _
     total = float(total_prefix[-1])
 
     overlap = ref_u.conjugate() * amp_up[-1] + ref_d.conjugate() * amp_down[-1]
+    leakage = max(0.0, 1.0 - abs(complex(overlap)) ** 2)
 
     sign = 1.0 if branch == "up" else -1.0
     dynamical = -sign * 0.5 * field_modulus_integral
-    return _Evolution(
+    return PhaseExtraction(
+        branch=branch,
+        dt=dt,
+        b_nodes=b_nodes,
+        b_mid=b_mid,
         amp_up=amp_up,
         amp_down=amp_down,
-        total_phase=total_prefix,
+        total_phase_nodes=total_prefix,
         field_modulus=nb,
-        field_modulus_integral=field_modulus_integral,
+        total_phase=total,
         dynamical_phase=dynamical,
         geometric_phase=_wrap_pm_pi(total - dynamical + math.pi * winding),
+        leakage=leakage,
+        field_modulus_integral=field_modulus_integral,
         winding=winding,
         degenerate_steps=int(np.count_nonzero(nb < _TINY_FIELD)),
-        leakage=max(0.0, 1.0 - abs(complex(overlap)) ** 2),
+        non_adiabatic=leakage > _LEAKAGE_WARN_THRESHOLD,
     )
 
 
@@ -316,15 +351,15 @@ def evolve_and_extract(
     config: IntegratorConfig | None = None,
     *,
     branch: str = "up",
-    return_trace: bool = False,
-) -> PhaseExtraction | tuple[PhaseExtraction, TrajectoryTrace]:
+) -> PhaseExtraction:
     """Evolve from the initial branch eigenstate and extract the phases.
 
     The state starts in the chosen eigenstate of the total field at t=0
     (control plus the first noise sample).  ``path``, when given, must be
     sampled on the integration grid: ``steps_per_cycle * n_cycles`` steps
-    spanning ``[0, t_total]``.  Noise is averaged over step endpoints,
-    the control field is evaluated at step midpoints.
+    spanning ``[0, t_total]``.  The control field is evaluated at the
+    step midpoints, and the kernel averages the noise over the step
+    endpoints.
     """
     if branch not in ("up", "down"):
         raise ValueError(f"branch must be 'up' or 'down', got {branch!r}")
@@ -337,37 +372,7 @@ def evolve_and_extract(
     else:
         _check_path_grid(path, spec, n_steps)
         k_nodes = path.samples
-    b_nodes = control_nodes + k_nodes
-    b_mid = control_mid + 0.5 * (k_nodes[:-1] + k_nodes[1:])
-    run = _evolve(b_nodes, b_mid, dt, branch)
-
-    cross = np.conj(run.amp_up) * run.amp_down
-    pz = np.abs(run.amp_up) ** 2 - np.abs(run.amp_down) ** 2
-    bloch = np.stack([2.0 * cross.real, 2.0 * cross.imag, pz], axis=1)
-    extraction = PhaseExtraction(
-        total_phase=float(run.total_phase[-1]),
-        dynamical_phase=run.dynamical_phase,
-        geometric_phase=run.geometric_phase,
-        leakage=run.leakage,
-        field_modulus_integral=run.field_modulus_integral,
-        mean_energy_integral=0.5 * dt * float(np.sum(b_mid * bloch[:-1])),
-        winding=run.winding,
-        degenerate_steps=run.degenerate_steps,
-        non_adiabatic=run.leakage > config.leakage_warn_threshold,
-        branch=branch,
-    )
-    if not return_trace:
-        return extraction
-    sign = 1.0 if branch == "up" else -1.0
-    trace = TrajectoryTrace(
-        times=np.arange(n_steps + 1) * dt,
-        amp_up=run.amp_up,
-        amp_down=run.amp_down,
-        energy=0.5 * np.sum(b_nodes * bloch, axis=1),
-        total_phase=run.total_phase,
-        dynamical_phase=np.concatenate([[0.0], -sign * 0.5 * np.cumsum(run.field_modulus * dt)]),
-    )
-    return extraction, trace
+    return _evolve(control_nodes, control_mid, k_nodes, dt, branch)
 
 
 def connection_phase_discrete(
@@ -399,7 +404,7 @@ def connection_phase_discrete(
         _check_n_points(n_points)
         full_times = np.linspace(0.0, spec.t_total, int(n_points) + 1)
         b_full = control_field(spec, full_times)
-        idx = np.arange(int(n_points) + 1)
+        stride = 1
     else:
         if n_points is None:
             n_points = path.n_steps
@@ -410,17 +415,18 @@ def connection_phase_discrete(
             )
         _check_path_grid(path, spec, path.n_steps)
         b_full = control_field(spec, np.minimum(path.times, spec.t_total)) + path.samples
-        idx = np.arange(0, path.n_steps + 1, path.n_steps // int(n_points))
+        stride = path.n_steps // int(n_points)
 
     r_full = np.linalg.norm(b_full, axis=1)
     if np.any(r_full < _TINY_FIELD):
         raise DegeneracyError("total field vanishes along the path")
     winding, azimuth = _winding_number(b_full)
 
-    b_chain = b_full[idx]
-    r_chain = r_full[idx]
+    # Strided views, not copies: a long chain peaks at several arrays of its length.
+    b_chain = b_full[::stride]
+    r_chain = r_full[::stride]
     theta = np.arccos(np.clip(b_chain[:, 2] / r_chain, -1.0, 1.0))
-    phi = azimuth[idx]
+    phi = azimuth[::stride]
     vecs = _eigenvector_chain(theta, phi, branch)
     links = np.sum(np.conj(vecs[:-1]) * vecs[1:], axis=1)
     if np.min(np.abs(links)) < 0.5:

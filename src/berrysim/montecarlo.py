@@ -9,9 +9,9 @@ two trapezoid-weighted response weights backwards through the exact OU
 recursion once, into the adjoint matrix A, and a first-order trial is
 exactly (gamma_fo, delta_fo) = A xi: the records are N(0, A A^T), and
 first-order trials build no filtered path.  A full_sim ensemble
-computes the control field once; each of its trials filters its draw
-into K and runs the evolution kernel on control field plus K, recording
-only the geometric phase and the leakage.
+computes the control grids once; each of its trials filters its draw
+into K and runs the evolution kernel on the control grids and K,
+recording only the geometric phase and the leakage.
 
 ``run_ensemble`` returns an :class:`Ensemble` of per-trial columns.
 ``gamma_fo``, ``delta_fo`` and ``alpha_fo`` are deviations from the
@@ -150,10 +150,7 @@ def run_ensemble(
         xi = _draw_innovations(n_steps, trial_seed(master_seed, index))
         first_order[:, index] = adjoint @ xi.reshape(-1)
         if sim is not None:
-            k = _ou_filter(model, dt, xi)
-            if not np.all(np.isfinite(k)):
-                raise ValueError("noise samples must be finite")
-            run = _evolve(control_nodes + k, control_mid + 0.5 * (k[:-1] + k[1:]), dt, "up")
+            run = _evolve(control_nodes, control_mid, _ou_filter(model, dt, xi), dt, "up")
             sim[:, index] = run.geometric_phase, run.leakage
     for columns in (first_order, sim):
         if columns is not None:

@@ -36,8 +36,6 @@ __all__ = [
     "NoiseModel",
     "NoisePath",
     "sample_path",
-    "autocovariance",
-    "estimate_autocovariance",
 ]
 
 
@@ -82,14 +80,6 @@ class NoiseModel:
     ) -> "NoiseModel":
         return cls(OuParams(sigma12, gamma12), OuParams(sigma3, gamma3))
 
-    def params_for(self, component: int) -> OuParams:
-        """Parameter set governing ``component`` (0, 1 transverse; 2 longitudinal)."""
-        if component in (0, 1):
-            return self.transverse
-        if component == 2:
-            return self.longitudinal
-        raise ValueError(f"component must be 0, 1 or 2, got {component}")
-
 
 @dataclass(frozen=True)
 class NoisePath:
@@ -129,12 +119,6 @@ class NoisePath:
     @property
     def n_steps(self) -> int:
         return self.times.size - 1
-
-    def component(self, index: int) -> np.ndarray:
-        """Samples of one component as a read-only 1-d view."""
-        if index not in (0, 1, 2):
-            raise ValueError(f"component index must be 0, 1 or 2, got {index}")
-        return self.samples[:, index]
 
 
 def _draw_innovations(n_steps: int, seed: int) -> np.ndarray:
@@ -251,30 +235,3 @@ def sample_path(
     samples = _ou_filter(model, float(dt), _draw_innovations(int(n_steps), int(seed)))
     times = np.arange(int(n_steps) + 1) * float(dt)
     return NoisePath(times=times, samples=samples)
-
-
-def autocovariance(params: OuParams, tau: float | np.ndarray) -> float | np.ndarray:
-    """Stationary autocovariance sigma**2 * exp(-gamma*|tau|)."""
-    tau = np.asarray(tau, dtype=float)
-    out = params.sigma**2 * np.exp(-params.gamma * np.abs(tau))
-    return float(out) if out.ndim == 0 else out
-
-
-def estimate_autocovariance(path: NoisePath, component: int, lag_steps: int) -> float:
-    """Empirical lag autocovariance of one component of a sampled path.
-
-    Uses the mean of the full component and the unbiased-style divisor
-    ``n - lag_steps - 1``, so at lag 0 this is the usual sample variance.
-    """
-    x = path.component(component)
-    n = x.size
-    if not isinstance(lag_steps, (int, np.integer)) or lag_steps < 0:
-        raise ValueError(f"lag_steps must be a nonnegative integer, got {lag_steps}")
-    if n - lag_steps < 2:
-        raise ValueError(
-            f"lag_steps = {lag_steps} leaves fewer than two sample pairs (n = {n})"
-        )
-    dx = x - x.mean()
-    lag = int(lag_steps)
-    products = dx[: n - lag] * dx[lag:]
-    return float(products.sum() / (n - lag - 1))

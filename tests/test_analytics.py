@@ -26,6 +26,7 @@ from berrysim import (
 )
 from berrysim import analytics
 from berrysim.cli import RunConfig, _analytic_payload
+from test_noise import params_for
 
 SPEC = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)
 MODEL = NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1)
@@ -542,7 +543,7 @@ def _ref_quadrature_pass(spec, name_a, name_b, model, n_nodes):
     wb = _ref_weight_values(spec, name_b, t)
     total = 0.0
     for i in range(3):
-        params = model.params_for(i)
+        params = params_for(model, i)
         if params.sigma == 0.0:
             continue
         yb = _ref_filtered_kernel(wb[:, i], params.gamma, h)

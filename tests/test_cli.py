@@ -158,8 +158,7 @@ def test_public_surface():
     assert sorted(berrysim.__all__) == sorted([
         "__version__",
         "AccuracyError", "BerrysimError", "DegeneracyError", "ResolutionError",
-        "NoiseModel", "NoisePath", "OuParams", "autocovariance", "estimate_autocovariance",
-        "sample_path",
+        "NoiseModel", "NoisePath", "OuParams", "sample_path",
         "AdiabaticityReport", "PrecessionSpec", "SphericalAngles", "adiabaticity_report",
         "control_field", "polar_angles",
         "PhaseMoments", "QuadratureEstimate", "VarianceBreakdown", "Weight",
@@ -167,8 +166,7 @@ def test_public_surface():
         "berry_phase_variance_narrowband", "covariance_by_quadrature", "dephasing_factor",
         "dynamical_weight", "geometric_weight", "noiseless_berry_phase",
         "noncyclic_connection_term", "phase_covariance", "phase_moments", "second_moments",
-        "IntegratorConfig", "PhaseExtraction", "TrajectoryTrace", "connection_phase_discrete",
-        "evolve_and_extract",
+        "IntegratorConfig", "PhaseExtraction", "connection_phase_discrete", "evolve_and_extract",
         "CoherenceEstimate", "ComparisonReport", "Ensemble", "EnsembleStats", "GridPoint",
         "coherence", "compare_to_analytic", "regime_grid", "run_ensemble", "summarize",
         "trial_seed",
@@ -375,6 +373,25 @@ def test_three_trials_are_a_usage_error(tmp_path, capsys, args):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("sigma", ["1e154", "1e200"])  # the form overflows, then sigma**2 itself
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analytic"],
+        ["mc", "--mode", "full_sim"],
+        ["sweep", "--param", "t_total", "--values", "100,200", "--with-mc"],
+        ["compare"],
+    ],
+)
+def test_non_finite_moments_are_a_usage_error(tmp_path, capsys, args, sigma):
+    argv = args + ["--sigma12", sigma, "--n-trials", "100", "--steps-per-cycle", "512",
+                   "--quiet", "-o", str(tmp_path / "strong")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: closed-form moments are not finite at sigma12={float(sigma):g}")
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSimulateCommand:
     def test_run_and_outputs(self, tmp_path):
         # slow drive (omega/b0 = 0.016) so the evolution fold and the
@@ -434,10 +451,8 @@ class TestSimulateCommand:
         config = RunConfig(t_total=t_total, n_cycles=n_cycles, steps_per_cycle=1024)
         n_steps = 1024 * n_cycles
         path = sample_path(config.model(), n_steps, t_total / n_steps, 5)
-        _, trace = evolve_and_extract(
-            config.spec(), path, config.integrator(), return_trace=True
-        )
-        assert np.array_equal(path.times, trace.times)
+        result = evolve_and_extract(config.spec(), path, config.integrator())
+        assert np.array_equal(path.times, result.times)
 
     def test_pole_skips_noncyclic_term(self, tmp_path):
         base = tmp_path / "pole"
@@ -823,9 +838,7 @@ class TestTableEquivalence:
         spec = config.spec()
         n_steps = 1024
         path = sample_path(config.model(), n_steps, spec.t_total / n_steps, 3)
-        _, trace = evolve_and_extract(
-            spec, path, config.integrator(), branch=branch, return_trace=True
-        )
+        trace = evolve_and_extract(spec, path, config.integrator(), branch=branch)
         b = control_field(spec, np.minimum(trace.times, spec.t_total))
         k = path.samples
         rows = [
@@ -833,7 +846,7 @@ class TestTableEquivalence:
                 trace.times[i], b[i, 0], b[i, 1], b[i, 2], k[i, 0], k[i, 1], k[i, 2],
                 trace.amp_up[i].real, trace.amp_up[i].imag,
                 trace.amp_down[i].real, trace.amp_down[i].imag,
-                trace.energy[i], trace.total_phase[i], trace.dynamical_phase[i],
+                trace.energy[i], trace.total_phase_nodes[i], trace.dynamical_phase_nodes[i],
             ]
             for i in range(trace.times.size)
         ]

