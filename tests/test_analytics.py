@@ -15,6 +15,7 @@ from berrysim import (
     berry_connection_phi,
     berry_phase_variance_broadband,
     berry_phase_variance_narrowband,
+    control_field,
     covariance_by_quadrature,
     dephasing_factor,
     dynamical_weight,
@@ -452,6 +453,23 @@ class TestNoncyclicTerm:
         path = NoisePath(times=times, samples=np.zeros((5, 3)))
         with pytest.raises(DegeneracyError):
             noncyclic_connection_term(spec, path)
+
+
+def _reference_noncyclic_connection_term(spec, times, samples):
+    """``noncyclic_connection_term`` on a noise path's times and samples (reference copy).
+
+    The term as it stood while it read a path's first and last time and
+    sample; it raised at the cone pole.
+    """
+    if math.sin(spec.theta0) < 1e-12:
+        raise DegeneracyError("control field on the z axis has no reference azimuth")
+    deviations = []
+    for t, k in ((times[0], samples[0]), (times[-1], samples[-1])):
+        b = control_field(spec, float(t))
+        total = b + k
+        d = math.atan2(total[1], total[0]) - math.atan2(b[1], b[0])
+        deviations.append(math.remainder(d, 2.0 * math.pi))
+    return berry_connection_phi(spec.theta0) * (deviations[1] - deviations[0])
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -17,6 +18,8 @@ from berrysim.evolve import evolve_and_extract
 from berrysim.field import PrecessionSpec, adiabaticity_report, control_field
 from berrysim.montecarlo import compare_to_analytic
 from berrysim.noise import NoiseModel, sample_path
+from test_analytics import _reference_noncyclic_connection_term
+from test_evolve import _reference_connection_phase_discrete
 from test_montecarlo import _reference_coherence, _reference_run_ensemble, _reference_summarize
 
 
@@ -462,6 +465,112 @@ class TestSimulateCommand:
         ]
         assert main(args) == 0
         assert read_json(tmp_path / "pole.summary.json")["noncyclic_connection_term"] is None
+
+
+def _read_noise_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The times and samples of a ``.noise.csv``; ``%.17g`` cells parse back exactly."""
+    with path.open() as handle:
+        rows = [[float(cell) for cell in row] for row in list(csv.reader(handle))[1:]]
+    table = np.array(rows)
+    return table[:, 0], table[:, 1:]
+
+
+# sha256 of the .trajectory.csv, .noise.csv and .summary.json that
+# ``simulate --theta0 THETA0 --n-cycles N --branch BRANCH --steps-per-cycle 256
+# --seed 7 -o pin`` writes, recorded with numpy 2.4.6 on x86-64.
+_SIMULATE_DIGESTS = {
+    ("up", "0", 1): (
+        "1f44d8558226aa5921b04ada8358f823dab63b4221214ffe6a1b4350386f59d9",
+        "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
+        "12f0f505584fe346122cebd59521790a6d0920ce74d20f348c2f3a523f0821f6",
+    ),
+    ("up", "0", 3): (
+        "27dc59a2eb60c575d10b94bb48a9e03cab2c6eff35bb075285a2b94bc4794ae7",
+        "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
+        "6360866b4e9c853ee9bfee3539a669a38a481af432be48bb540dad2747fa5c41",
+    ),
+    ("up", "0.7853981633974483", 1): (
+        "391d903af7d62aeb624a7137f45f4663b48b4034a4d3b4703875c4c791ef4969",
+        "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
+        "47a990134a6675727f087e65d201f3e6d3021993ae1eb2fffce496af206fb479",
+    ),
+    ("up", "0.7853981633974483", 3): (
+        "7c36ab5c4a07cde08f34d34912691b79741e632e86bc2f5b4578a4324ced4269",
+        "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
+        "f2d56bab1df8d048b62a0e2ec9e352d5652edf147e20fe27aa16965879722044",
+    ),
+    ("up", "3.0915926535897933", 1): (
+        "b226d34219134be6b70da3f15df24ecd92318347d641a4b0ee578de8447ade42",
+        "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
+        "5c3bd3f73465237d97a98b43527e5f4808ccc0862d090ef78590859832e873dc",
+    ),
+    ("up", "3.0915926535897933", 3): (
+        "f6a98df661db01150f8add6c4c9508bf15c0a4ba007a34cb6ed02678acabe40c",
+        "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
+        "353afb239d61cd2348a4499f0372bd1769eb06436ddfc5c14e8192453973fbda",
+    ),
+    ("down", "0", 1): (
+        "3fb72601ac6da4398568516447602f1ffca192ebd98af1bfe73a3fd7d3b72f92",
+        "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
+        "fd11abc6107bdfce1de9907bd62226c59711fdeefc7d922c0e374baca88bc608",
+    ),
+    ("down", "0", 3): (
+        "6e0a672c3ed3b24b18e71714a66d418556b818d9d8b63477d16eae91a343ea3d",
+        "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
+        "19a9804c631c3c30bd9bed072ca5bb10d073399bf695c8856e551699e4b53add",
+    ),
+    ("down", "0.7853981633974483", 1): (
+        "567558aab815af3f4fb2bef2c0bd11c214bef42517210c8197f3ea5dacf875f7",
+        "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
+        "abf312b1a6009afb53f65d9329d81399cba4fb3caae982a9596e2d0b7e0700e5",
+    ),
+    ("down", "0.7853981633974483", 3): (
+        "6332bdf5a564b903dea5169a690767b5e302a7aea80687a3393489c66be6f374",
+        "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
+        "c4490fb18cd108eb22103fd53f9ac3182c275e1dec3346141d76d21d56cb862e",
+    ),
+    ("down", "3.0915926535897933", 1): (
+        "91c87198ce36db3dd20d2c7a745e80df144626c1ac873c397c2ce4a06798a682",
+        "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
+        "b28046522a7a59c0d63e3c14a10af839f1a6741d68374bbb79b1bd8440a846f9",
+    ),
+    ("down", "3.0915926535897933", 3): (
+        "0a85efb0f47d85582d31eccd2f235035f97cfa41a1be9b5fe2324f01b94a0bb8",
+        "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
+        "cdabf8098a3e57ea58e05c266b86cc02dae7824aa7c362ea3faa20b920911fec",
+    ),
+}
+
+
+class TestSimulatePinned:
+    """Fixed-seed simulate outputs, by digest and against reference copies of the chain and the boundary term."""
+
+    @pytest.mark.parametrize("n_cycles", [1, 3])
+    @pytest.mark.parametrize("theta0", ["0", "0.7853981633974483", "3.0915926535897933"])
+    @pytest.mark.parametrize("branch", ["up", "down"])
+    def test_outputs(self, tmp_path, monkeypatch, branch, theta0, n_cycles):
+        monkeypatch.setenv("BERRYSIM_OUTPUT_DIR", str(tmp_path))
+        argv = [
+            "simulate", "--theta0", theta0, "--n-cycles", str(n_cycles), "--branch", branch,
+            "--steps-per-cycle", "256", "--seed", "7", "--quiet", "-o", "pin",
+        ]
+        assert main(argv) == 0
+        digests = tuple(
+            hashlib.sha256((tmp_path / f"pin.{name}").read_bytes()).hexdigest()
+            for name in ("trajectory.csv", "noise.csv", "summary.json")
+        )
+        assert digests == _SIMULATE_DIGESTS[branch, theta0, n_cycles]
+
+        summary = read_json(tmp_path / "pin.summary.json")
+        spec = RunConfig(theta0=float(theta0), n_cycles=n_cycles).spec()
+        times, samples = _read_noise_csv(tmp_path / "pin.noise.csv")
+        chain = _reference_connection_phase_discrete(spec, times, samples, branch=branch)
+        assert summary["connection_chain_phase"].hex() == chain.hex()
+        if math.sin(spec.theta0) < 1e-12:
+            assert summary["noncyclic_connection_term"] is None
+        else:
+            term = _reference_noncyclic_connection_term(spec, times, samples)
+            assert summary["noncyclic_connection_term"].hex() == term.hex()
 
 
 class TestSweepCommand:

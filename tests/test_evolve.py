@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from berrysim import (
+    DegeneracyError,
     IntegratorConfig,
     NoiseModel,
     NoisePath,
@@ -393,6 +394,45 @@ class TestDiscreteConnection:
         full = connection_phase_discrete(spec, path)
         half = connection_phase_discrete(spec, path, n_points=2048)
         assert half == pytest.approx(full, abs=1e-4)
+
+
+def _reference_connection_phase_discrete(spec, times=None, samples=None, n_points=None,
+                                         *, branch="up"):
+    """``connection_phase_discrete`` on a noise path's times and samples (reference copy).
+
+    The chain as it stood before it took the evolution's node field: it
+    rebuilds the total field from the spec and the path, runs on every
+    ``stride``-th node, and takes the winding from the full path.
+    Without a path it runs on the noiseless field at ``n_points`` + 1
+    equally spaced times.
+    """
+    if samples is None:
+        if n_points is None:
+            n_points = max(256, 64 * spec.n_cycles)
+        b_full = control_field(spec, np.linspace(0.0, spec.t_total, int(n_points) + 1))
+        stride = 1
+    else:
+        n_steps = samples.shape[0] - 1
+        n_points = n_steps if n_points is None else n_points
+        b_full = control_field(spec, np.minimum(times, spec.t_total)) + samples
+        stride = n_steps // int(n_points)
+    r_full = np.linalg.norm(b_full, axis=1)
+    if np.any(r_full < 1e-300):
+        raise DegeneracyError("total field vanishes along the path")
+    winding, azimuth = _winding_number(b_full)
+    b_chain = b_full[::stride]
+    r_chain = r_full[::stride]
+    theta = np.arccos(np.clip(b_chain[:, 2] / r_chain, -1.0, 1.0))
+    phi = azimuth[::stride]
+    vecs = _eigenvector_chain(theta, phi, branch)
+    links = np.sum(np.conj(vecs[:-1]) * vecs[1:], axis=1)
+    if np.min(np.abs(links)) < 0.5:
+        raise ResolutionError("chain link overlap below 0.5")
+    closing_ref = _eigenvector_chain(theta[:1], phi[:1] + math.tau * winding, branch)[0]
+    closing = np.sum(np.conj(vecs[-1]) * closing_ref)
+    if abs(closing) < 0.5:
+        raise ResolutionError("closing overlap below 0.5")
+    return _wrap_pm_pi(float(-(np.sum(np.angle(links)) + np.angle(closing))))
 
 
 def _wrap(x: float) -> float:
