@@ -66,9 +66,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError, DegeneracyError
+from .errors import AccuracyError
 from .field import PrecessionSpec, control_field
-from .noise import NoiseModel, NoisePath, _ar1
+from .noise import NoiseModel, _ar1
 
 __all__ = [
     "Weight",
@@ -433,19 +433,25 @@ def phase_moments(spec: PrecessionSpec, model: NoiseModel) -> PhaseMoments:
 # diagnostics
 
 
-def noncyclic_connection_term(spec: PrecessionSpec, path: NoisePath) -> float:
+def noncyclic_connection_term(spec: PrecessionSpec, noise: np.ndarray) -> float | None:
     """Size of the boundary term dropped by the cyclic approximation.
 
     The first-order result treats the noisy loop as closed.  The actual
     total field ends at an azimuth shifted by the final noise sample, and
     the neglected connection contribution is A_phi(theta0) times the
-    difference of the azimuth deviations at the two endpoints.
+    difference of the azimuth deviations at the two endpoints.  ``noise``
+    is K at the n + 1 nodes of a uniform grid over ``[0, t_total]``; only
+    its first and last rows enter.  Returns None at the cone poles
+    (sin(theta0) < 1e-12), where the control field has no reference
+    azimuth.
     """
     if math.sin(spec.theta0) < 1e-12:
-        raise DegeneracyError("control field on the z axis has no reference azimuth")
+        return None
+    # The last node sits at n * dt, as the evolution grid computes it.
+    n_steps = len(noise) - 1
     deviations = []
-    for t, k in ((path.times[0], path.samples[0]), (path.times[-1], path.samples[-1])):
-        b = control_field(spec, float(t))
+    for t, k in ((0.0, noise[0]), (n_steps * (spec.t_total / n_steps), noise[-1])):
+        b = control_field(spec, t)
         total = b + k
         d = math.atan2(total[1], total[0]) - math.atan2(b[1], b[0])
         deviations.append(math.remainder(d, 2.0 * math.pi))

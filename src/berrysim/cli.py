@@ -394,14 +394,9 @@ def cmd_simulate(config: RunConfig, quiet: bool, branch: str) -> int:
     model = config.model()
     integrator = config.integrator()
     n_steps = integrator.steps_per_cycle * spec.n_cycles
-    dt = spec.t_total / n_steps
-    path = sample_path(model, n_steps, dt, config.seed)
-    extraction = evolve_and_extract(spec, path, integrator, branch=branch)
-    chain_phase = connection_phase_discrete(spec, path, branch=branch)
-    s0 = math.sin(spec.theta0)
-    noncyclic = (
-        analytics.noncyclic_connection_term(spec, path) if s0 >= 1e-12 else None
-    )
+    noise = sample_path(model, n_steps, spec.t_total / n_steps, config.seed)
+    extraction = evolve_and_extract(spec, noise, integrator, branch=branch)
+    chain_phase = connection_phase_discrete(extraction.b_nodes, branch=branch)
 
     base = _resolve_base(config, "simulate")
     trajectory_path = base.with_name(base.name + ".trajectory.csv")
@@ -418,13 +413,13 @@ def cmd_simulate(config: RunConfig, quiet: bool, branch: str) -> int:
         "energy", "total_phase", "dynamical_phase",
     ]
     columns = [
-        times, b_control, path.samples,
+        times, b_control, noise,
         extraction.amp_up.real, extraction.amp_up.imag,
         extraction.amp_down.real, extraction.amp_down.imag,
         extraction.energy, extraction.total_phase_nodes, extraction.dynamical_phase_nodes,
     ]
     _write_columns(trajectory_path, header, columns)
-    _write_columns(noise_path, ["t", "k_1", "k_2", "k_3"], [path.times, path.samples])
+    _write_columns(noise_path, ["t", "k_1", "k_2", "k_3"], [times, noise])
     payload = {
         "config": config.to_dict(),
         "branch": branch,
@@ -441,7 +436,7 @@ def cmd_simulate(config: RunConfig, quiet: bool, branch: str) -> int:
             "non_adiabatic": extraction.non_adiabatic,
         },
         "connection_chain_phase": chain_phase,
-        "noncyclic_connection_term": noncyclic,
+        "noncyclic_connection_term": analytics.noncyclic_connection_term(spec, noise),
         "noiseless_berry_phase": analytics.noiseless_berry_phase(spec.theta0),
         "adiabaticity": adiabaticity_report(spec, model).to_dict(),
     }

@@ -16,11 +16,14 @@ over them, with no per-step Python loop.  The kernel's value, a
 :class:`PhaseExtraction`, is the one evolution result: it holds the
 states, the phases and the field at every node, and builds the Bloch
 vector, the energy and its integral only when they are read.
-``evolve_and_extract`` builds the control grids from a spec and runs the
-kernel on a noise path; Monte Carlo ensembles build the control grids
-once and run the kernel per trial.
-Branch eigenstates, for the kernel's start state and end reference and
-for the discrete connection chain, come from one array builder
+A noise realization is the array of K at the grid nodes, and the grid is
+fixed by the spec and the config alone: ``steps_per_cycle * n_cycles``
+steps over ``[0, t_total]``.  ``evolve_and_extract`` builds the control
+grids from a spec and runs the kernel on such an array; Monte Carlo
+ensembles build the control grids once and run the kernel per trial.
+The discrete connection chain runs on a node field, such as the
+kernel's ``b_nodes``.  Branch eigenstates, for the kernel's start state
+and end reference and for the chain, come from one array builder
 (``_eigenvector_chain``) in the half-angle gauge.
 
 Phase conventions
@@ -49,7 +52,6 @@ import numpy as np
 
 from .errors import DegeneracyError, ResolutionError
 from .field import PrecessionSpec, control_field, polar_angles
-from .noise import NoisePath
 
 __all__ = [
     "IntegratorConfig",
@@ -99,9 +101,13 @@ def _step_coefficients(
         s = sin(|b| dt / 2) / |b|,
 
     and s = 0 on degenerate steps (|b| below ``_TINY_FIELD``), where U is
-    the identity.  Returns ``(a, b, |b|)``.
+    the identity.  Returns ``(a, b, |b|)``.  Raises ``ValueError`` when
+    |b| is not finite, as when the noise is strong enough to overflow it.
     """
-    nb = np.linalg.norm(b, axis=-1)
+    with np.errstate(over="ignore"):
+        nb = np.linalg.norm(b, axis=-1)
+    if not np.all(np.isfinite(nb)):
+        raise ValueError("total field modulus is not finite; the noise overflows it")
     half = 0.5 * nb * dt
     s = np.where(nb >= _TINY_FIELD, np.sin(half) / np.maximum(nb, _TINY_FIELD), 0.0)
     a = np.cos(half) - 1j * (s * b[..., 2])
@@ -255,17 +261,6 @@ def _winding_number(b_nodes: np.ndarray) -> tuple[int, np.ndarray]:
     return int(round((azimuth[-1] - azimuth[0]) / math.tau)), azimuth
 
 
-def _check_path_grid(path: NoisePath, spec: PrecessionSpec, n_steps: int) -> None:
-    if path.n_steps != n_steps:
-        raise ValueError(
-            f"path has {path.n_steps} steps but the integrator needs {n_steps}; "
-            "sample the path on the integration grid"
-        )
-    tol = 1e-9 * max(1.0, spec.t_total)
-    if abs(path.times[0]) > tol or abs(path.times[-1] - spec.t_total) > tol:
-        raise ValueError("path grid must span [0, t_total]")
-
-
 def _control_grids(
     spec: PrecessionSpec, n_steps: int, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -292,10 +287,10 @@ def _evolve(
     """The evolution kernel, from the control grids and the noise K at the n + 1 nodes.
 
     The total field is control plus K at the nodes, and control plus the
-    mean of the two end-node K values at each step midpoint; K must be
-    finite.  The state starts in the branch eigenstate of the first node
-    field; step k applies the exact propagator of the k-th midpoint field
-    over ``dt``.  Leakage is measured against the branch eigenstate of
+    mean of the two end-node K values at each step midpoint; K and the
+    field modulus must be finite.  The state starts in the branch
+    eigenstate of the first node field; step k applies the exact
+    propagator of the k-th midpoint field over ``dt``.  Leakage is measured against the branch eigenstate of
     the last node field; both come from one :func:`_eigenvector_chain`
     call.
     """
@@ -347,17 +342,19 @@ def _evolve(
 
 def evolve_and_extract(
     spec: PrecessionSpec,
-    path: NoisePath | None = None,
+    noise: np.ndarray | None = None,
     config: IntegratorConfig | None = None,
     *,
     branch: str = "up",
 ) -> PhaseExtraction:
     """Evolve from the initial branch eigenstate and extract the phases.
 
-    The state starts in the chosen eigenstate of the total field at t=0
-    (control plus the first noise sample).  ``path``, when given, must be
-    sampled on the integration grid: ``steps_per_cycle * n_cycles`` steps
-    spanning ``[0, t_total]``.  The control field is evaluated at the
+    The grid has ``n = steps_per_cycle * n_cycles`` steps over
+    ``[0, t_total]``.  ``noise``, when given, is K at its n + 1 nodes, an
+    array of shape ``(n + 1, 3)`` such as :func:`berrysim.noise.sample_path`
+    returns for ``dt = t_total / n``; None means no noise.  The state
+    starts in the chosen eigenstate of the total field at t=0 (control
+    plus the first noise row).  The control field is evaluated at the
     step midpoints, and the kernel averages the noise over the step
     endpoints.
     """
@@ -367,71 +364,45 @@ def evolve_and_extract(
     n_steps = config.steps_per_cycle * spec.n_cycles
     dt = spec.t_total / n_steps
     control_nodes, control_mid = _control_grids(spec, n_steps, dt)
-    if path is None:
-        k_nodes = np.zeros((n_steps + 1, 3))
-    else:
-        _check_path_grid(path, spec, n_steps)
-        k_nodes = path.samples
-    return _evolve(control_nodes, control_mid, k_nodes, dt, branch)
+    noise = np.zeros((n_steps + 1, 3)) if noise is None else np.asarray(noise, dtype=float)
+    if noise.shape != (n_steps + 1, 3):
+        raise ValueError(
+            f"noise has shape {noise.shape} but the grid of steps_per_cycle * n_cycles "
+            f"= {n_steps} steps needs {(n_steps + 1, 3)}"
+        )
+    return _evolve(control_nodes, control_mid, noise, dt, branch)
 
 
-def connection_phase_discrete(
-    spec: PrecessionSpec,
-    path: NoisePath | None = None,
-    n_points: int | None = None,
-    *,
-    branch: str = "up",
-) -> float:
-    """Geometric phase from a discrete eigenstate chain.
+def connection_phase_discrete(b_nodes: np.ndarray, *, branch: str = "up") -> float:
+    """Geometric phase from a discrete eigenstate chain along a node field.
 
-    Builds branch eigenstates along the (noisy) field direction, forms
-    the Pancharatnam product of successive overlaps and closes the chain
-    onto the starting eigenstate continued through the field's winding.
-    This never integrates the dynamical phase, so it cross-checks the
-    evolution-based extraction through an independent route.  The result
-    is folded into (-pi, pi], matching :func:`evolve_and_extract`.
+    ``b_nodes`` is the total field at the n + 1 nodes of a path, shape
+    ``(n + 1, 3)``, such as :attr:`PhaseExtraction.b_nodes`.  Builds
+    branch eigenstates along its direction, forms the Pancharatnam
+    product of successive overlaps and closes the chain onto the starting
+    eigenstate continued through the field's winding.  This never
+    integrates the dynamical phase, so it cross-checks the evolution-based
+    extraction through an independent route.  The result is folded into
+    (-pi, pi], matching :func:`evolve_and_extract`.
 
-    ``n_points`` defaults to the path resolution (or 64 per cycle for the
-    noiseless chain) and must divide the path step count.  Raises
-    :class:`ResolutionError` when a chain link or the closing overlap is
-    too small to resolve the phase.
+    Raises :class:`ResolutionError` when a chain link or the closing
+    overlap is too small to resolve the phase.
     """
     if branch not in ("up", "down"):
         raise ValueError(f"branch must be 'up' or 'down', got {branch!r}")
-    if path is None:
-        if n_points is None:
-            n_points = max(256, 64 * spec.n_cycles)
-        _check_n_points(n_points)
-        full_times = np.linspace(0.0, spec.t_total, int(n_points) + 1)
-        b_full = control_field(spec, full_times)
-        stride = 1
-    else:
-        if n_points is None:
-            n_points = path.n_steps
-        _check_n_points(n_points)
-        if path.n_steps % int(n_points):
-            raise ValueError(
-                f"n_points = {n_points} must divide the path step count {path.n_steps}"
-            )
-        _check_path_grid(path, spec, path.n_steps)
-        b_full = control_field(spec, np.minimum(path.times, spec.t_total)) + path.samples
-        stride = path.n_steps // int(n_points)
-
-    r_full = np.linalg.norm(b_full, axis=1)
-    if np.any(r_full < _TINY_FIELD):
+    b_nodes = np.asarray(b_nodes, dtype=float)
+    if b_nodes.ndim != 2 or b_nodes.shape[0] < 2 or b_nodes.shape[1] != 3:
+        raise ValueError(f"b_nodes must have shape (n + 1, 3) with n >= 1, got {b_nodes.shape}")
+    r = np.linalg.norm(b_nodes, axis=1)
+    if np.any(r < _TINY_FIELD):
         raise DegeneracyError("total field vanishes along the path")
-    winding, azimuth = _winding_number(b_full)
-
-    # Strided views, not copies: a long chain peaks at several arrays of its length.
-    b_chain = b_full[::stride]
-    r_chain = r_full[::stride]
-    theta = np.arccos(np.clip(b_chain[:, 2] / r_chain, -1.0, 1.0))
-    phi = azimuth[::stride]
+    winding, phi = _winding_number(b_nodes)
+    theta = np.arccos(np.clip(b_nodes[:, 2] / r, -1.0, 1.0))
     vecs = _eigenvector_chain(theta, phi, branch)
     links = np.sum(np.conj(vecs[:-1]) * vecs[1:], axis=1)
     if np.min(np.abs(links)) < 0.5:
         raise ResolutionError(
-            "chain link overlap below 0.5; increase n_points to resolve the path"
+            "chain link overlap below 0.5; increase steps_per_cycle to resolve the path"
         )
     closing_ref = _eigenvector_chain(
         theta[:1], phi[:1] + math.tau * winding, branch
@@ -442,8 +413,3 @@ def connection_phase_discrete(
             "closing overlap below 0.5; endpoint strays too far from the start"
         )
     return _wrap_pm_pi(float(-(np.sum(np.angle(links)) + np.angle(closing))))
-
-
-def _check_n_points(n_points) -> None:
-    if not isinstance(n_points, (int, np.integer)) or n_points < 64:
-        raise ValueError(f"n_points must be an integer >= 64, got {n_points}")

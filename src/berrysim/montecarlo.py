@@ -53,8 +53,6 @@ __all__ = [
     "coherence",
     "ComparisonReport",
     "compare_to_analytic",
-    "GridPoint",
-    "regime_grid",
 ]
 
 _MODES = ("first_order", "full_sim")
@@ -334,59 +332,3 @@ def _mc_gate(ensemble: Ensemble, moments: PhaseMoments) -> tuple:
     coh = coherence(ensemble, moments.var_alpha) if enough else None
     passed = report.passed and (coh is None or abs(coh.z_score) <= _Z_THRESHOLD)
     return stats, report, coh, passed
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    """One realized point of the bandwidth/adiabaticity regime grid."""
-
-    spec: PrecessionSpec
-    model: NoiseModel
-    theta0: float
-    gamma_t_target: float
-    ratio_target: float
-    gamma_t: float
-    ratio: float
-
-
-def regime_grid(
-    theta0_values: tuple = (math.pi / 6, math.pi / 4, math.pi / 2),
-    gamma_t_values: tuple = (0.01, 1.0, 100.0),
-    ratio_values: tuple = (0.01, 1.0, 100.0),
-    *,
-    b0: float = 1.0,
-    t_total: float = 200.0,
-    sigma_over_b0: float = 0.05,
-) -> tuple[GridPoint, ...]:
-    """Realize a grid of (theta0, gamma*T, gamma/omega) working points.
-
-    The drive must close (omega*T = 2*pi*n_cycles with integer
-    n_cycles), so the bandwidth-to-drive ratio is realized as
-    ``gamma*T / (2*pi*n_cycles)`` with ``n_cycles`` rounded to the
-    nearest positive integer.  Corners whose target ratio would need
-    n_cycles < 1 realize at the n_cycles = 1 boundary.
-    """
-    points = []
-    for theta0 in theta0_values:
-        for gamma_t in gamma_t_values:
-            gamma = gamma_t / t_total
-            model = NoiseModel.from_scalars(
-                sigma_over_b0 * b0, gamma, sigma_over_b0 * b0, gamma
-            )
-            for ratio in ratio_values:
-                n_cycles = max(1, round(gamma_t / (2.0 * math.pi * ratio)))
-                spec = PrecessionSpec(
-                    b0=b0, theta0=theta0, t_total=t_total, n_cycles=n_cycles
-                )
-                points.append(
-                    GridPoint(
-                        spec=spec,
-                        model=model,
-                        theta0=theta0,
-                        gamma_t_target=gamma_t,
-                        ratio_target=ratio,
-                        gamma_t=gamma * t_total,
-                        ratio=gamma / spec.omega,
-                    )
-                )
-    return tuple(points)

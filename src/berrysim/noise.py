@@ -34,7 +34,6 @@ import numpy as np
 __all__ = [
     "OuParams",
     "NoiseModel",
-    "NoisePath",
     "sample_path",
 ]
 
@@ -79,46 +78,6 @@ class NoiseModel:
         cls, sigma12: float, gamma12: float, sigma3: float, gamma3: float
     ) -> "NoiseModel":
         return cls(OuParams(sigma12, gamma12), OuParams(sigma3, gamma3))
-
-
-@dataclass(frozen=True)
-class NoisePath:
-    """A sampled noise realization on a uniform time grid.
-
-    Attributes
-    ----------
-    times:
-        Grid of shape ``(n_steps + 1,)``, uniformly spaced, ascending.
-    samples:
-        Component samples of shape ``(n_steps + 1, 3)``; column i is K_i
-        evaluated on ``times``.
-    """
-
-    times: np.ndarray
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        samples = np.asarray(self.samples, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise ValueError("times must be a 1-d array with at least two entries")
-        if samples.shape != (times.size, 3):
-            raise ValueError(
-                f"samples must have shape {(times.size, 3)}, got {samples.shape}"
-            )
-        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(samples))):
-            raise ValueError("times and samples must be finite")
-        steps = np.diff(times)
-        if steps[0] <= 0.0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ValueError("times must be uniformly spaced and ascending")
-        times.setflags(write=False)
-        samples.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def n_steps(self) -> int:
-        return self.times.size - 1
 
 
 def _draw_innovations(n_steps: int, seed: int) -> np.ndarray:
@@ -202,18 +161,18 @@ def _ou_filter(
     return out
 
 
-def sample_path(
-    model: NoiseModel, n_steps: int, dt: float, seed: int
-) -> NoisePath:
-    """Sample one three-component noise realization.
+def sample_path(model: NoiseModel, n_steps: int, dt: float, seed: int) -> np.ndarray:
+    """Sample one three-component noise realization K at the grid nodes.
+
+    Returns a read-only array of shape ``(n_steps + 1, 3)``: row k is K at
+    time ``k*dt`` and column i is the component K_i.
 
     Parameters
     ----------
     model:
         Component parameters.
     n_steps:
-        Number of steps; the path carries ``n_steps + 1`` samples on the
-        grid ``0, dt, ..., n_steps*dt``.
+        Number of steps, a positive integer.
     dt:
         Step size, strictly positive.
     seed:
@@ -233,5 +192,5 @@ def sample_path(
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     samples = _ou_filter(model, float(dt), _draw_innovations(int(n_steps), int(seed)))
-    times = np.arange(int(n_steps) + 1) * float(dt)
-    return NoisePath(times=times, samples=samples)
+    samples.setflags(write=False)
+    return samples

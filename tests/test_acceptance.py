@@ -4,12 +4,14 @@ Each test prints one ``ACCEPTANCE NN name: PASS/FAIL (...)`` line through
 the capture-disabled stream, so a plain ``pytest -v`` run leaves a
 readable protocol in the terminal log.  Tolerances sit next to each
 assertion; frozen working points are listed with the staging results
-that motivated them.
+that motivated them.  The 27-point regime grid that several checks run
+on is built here (``regime_grid``) and tested in ``TestRegimeGrid``.
 """
 
 import functools
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -29,7 +31,6 @@ from berrysim import (
     geometric_weight,
     noiseless_berry_phase,
     phase_moments,
-    regime_grid,
     run_ensemble,
     second_moments,
     summarize,
@@ -46,6 +47,62 @@ REF_MODEL = NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1)
 
 # slow drive, b0/omega = 200, used by the noiseless and first-order checks
 ADIABATIC_T = 400.0 * math.pi
+
+
+@dataclass(frozen=True)
+class GridPoint:
+    """One realized point of the bandwidth/adiabaticity regime grid."""
+
+    spec: PrecessionSpec
+    model: NoiseModel
+    theta0: float
+    gamma_t_target: float
+    ratio_target: float
+    gamma_t: float
+    ratio: float
+
+
+def regime_grid(
+    theta0_values: tuple = (math.pi / 6, math.pi / 4, math.pi / 2),
+    gamma_t_values: tuple = (0.01, 1.0, 100.0),
+    ratio_values: tuple = (0.01, 1.0, 100.0),
+    *,
+    b0: float = 1.0,
+    t_total: float = 200.0,
+    sigma_over_b0: float = 0.05,
+) -> tuple[GridPoint, ...]:
+    """Realize a grid of (theta0, gamma*T, gamma/omega) working points.
+
+    The drive must close (omega*T = 2*pi*n_cycles with integer
+    n_cycles), so the bandwidth-to-drive ratio is realized as
+    ``gamma*T / (2*pi*n_cycles)`` with ``n_cycles`` rounded to the
+    nearest positive integer.  Corners whose target ratio would need
+    n_cycles < 1 realize at the n_cycles = 1 boundary.
+    """
+    points = []
+    for theta0 in theta0_values:
+        for gamma_t in gamma_t_values:
+            gamma = gamma_t / t_total
+            model = NoiseModel.from_scalars(
+                sigma_over_b0 * b0, gamma, sigma_over_b0 * b0, gamma
+            )
+            for ratio in ratio_values:
+                n_cycles = max(1, round(gamma_t / (2.0 * math.pi * ratio)))
+                spec = PrecessionSpec(
+                    b0=b0, theta0=theta0, t_total=t_total, n_cycles=n_cycles
+                )
+                points.append(
+                    GridPoint(
+                        spec=spec,
+                        model=model,
+                        theta0=theta0,
+                        gamma_t_target=gamma_t,
+                        ratio_target=ratio,
+                        gamma_t=gamma * t_total,
+                        ratio=gamma / spec.omega,
+                    )
+                )
+    return tuple(points)
 
 
 def _report(capsys, num: int, name: str, ok: bool, detail: str) -> None:
@@ -78,7 +135,7 @@ def test_01_noiseless_berry_phase(capsys):
         spec = PrecessionSpec(b0=1.0, theta0=theta0, t_total=ADIABATIC_T, n_cycles=1)
         target = noiseless_berry_phase(theta0)
         result = evolve_and_extract(spec, None, config=config)
-        chain = connection_phase_discrete(spec, n_points=4096)
+        chain = connection_phase_discrete(result.b_nodes)
         worst_evolve = max(worst_evolve, abs(result.geometric_phase - target))
         worst_chain = max(worst_chain, abs(chain - target))
     elapsed = time.perf_counter() - t0
@@ -401,3 +458,32 @@ def test_10_cli_determinism(capsys, tmp_path):
         f"exit codes {codes}, rerun identical={rerun_same}, {len(first)} bytes",
     )
     assert ok
+
+
+class TestRegimeGrid:
+    def test_grid_shape_and_realization(self):
+        grid = regime_grid()
+        assert len(grid) == 27
+        for point in grid:
+            assert point.spec.t_total == 200.0
+            assert point.gamma_t == pytest.approx(point.gamma_t_target, rel=1e-12)
+            assert point.spec.n_cycles >= 1
+            # realized ratio reflects the integer cycle count
+            expected_ratio = point.gamma_t / (2.0 * math.pi * point.spec.n_cycles)
+            assert point.ratio == pytest.approx(expected_ratio, rel=1e-12)
+            assert point.model.transverse.sigma == pytest.approx(0.05)
+
+    def test_corner_clamping(self):
+        # gamma*T = 0.01 with target ratio 100 wants n_cycles << 1
+        grid = regime_grid(theta0_values=(0.5,), gamma_t_values=(0.01,), ratio_values=(100.0,))
+        assert len(grid) == 1
+        assert grid[0].spec.n_cycles == 1
+        assert grid[0].ratio != pytest.approx(100.0)
+
+    def test_interior_point_hits_targets(self):
+        grid = regime_grid(
+            theta0_values=(0.5,), gamma_t_values=(100.0,), ratio_values=(1.0,)
+        )
+        realized = grid[0]
+        assert realized.spec.n_cycles == 16  # round(100 / 2 pi)
+        assert realized.ratio == pytest.approx(100.0 / (2.0 * math.pi * 16))

@@ -161,7 +161,7 @@ def test_public_surface():
     assert sorted(berrysim.__all__) == sorted([
         "__version__",
         "AccuracyError", "BerrysimError", "DegeneracyError", "ResolutionError",
-        "NoiseModel", "NoisePath", "OuParams", "sample_path",
+        "NoiseModel", "OuParams", "sample_path",
         "AdiabaticityReport", "PrecessionSpec", "SphericalAngles", "adiabaticity_report",
         "control_field", "polar_angles",
         "PhaseMoments", "QuadratureEstimate", "VarianceBreakdown", "Weight",
@@ -170,8 +170,8 @@ def test_public_surface():
         "dynamical_weight", "geometric_weight", "noiseless_berry_phase",
         "noncyclic_connection_term", "phase_covariance", "phase_moments", "second_moments",
         "IntegratorConfig", "PhaseExtraction", "connection_phase_discrete", "evolve_and_extract",
-        "CoherenceEstimate", "ComparisonReport", "Ensemble", "EnsembleStats", "GridPoint",
-        "coherence", "compare_to_analytic", "regime_grid", "run_ensemble", "summarize",
+        "CoherenceEstimate", "ComparisonReport", "Ensemble", "EnsembleStats",
+        "coherence", "compare_to_analytic", "run_ensemble", "summarize",
         "trial_seed",
     ])
     assert all(hasattr(berrysim, name) for name in berrysim.__all__)
@@ -395,6 +395,17 @@ def test_non_finite_moments_are_a_usage_error(tmp_path, capsys, args, sigma):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("sigma", ["1e154", "1e200"])
+def test_non_finite_field_is_a_usage_error(tmp_path, capsys, sigma):
+    # |B| overflows; a RuntimeWarning would fail here, as warnings are errors
+    argv = ["simulate", "--sigma12", sigma, "--steps-per-cycle", "256", "--quiet",
+            "-o", str(tmp_path / "strong")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: total field modulus is not finite; the noise overflows it\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSimulateCommand:
     def test_run_and_outputs(self, tmp_path):
         # slow drive (omega/b0 = 0.016) so the evolution fold and the
@@ -450,12 +461,6 @@ class TestSimulateCommand:
         for trajectory_row, noise_row in zip(trajectory[1:], noise[1:]):
             cells = trajectory_row.split(",")
             assert noise_row == ",".join([cells[0], *cells[4:7]])
-        # the trajectory's t comes from the evolution grid, the noise's from the path
-        config = RunConfig(t_total=t_total, n_cycles=n_cycles, steps_per_cycle=1024)
-        n_steps = 1024 * n_cycles
-        path = sample_path(config.model(), n_steps, t_total / n_steps, 5)
-        result = evolve_and_extract(config.spec(), path, config.integrator())
-        assert np.array_equal(path.times, result.times)
 
     def test_pole_skips_noncyclic_term(self, tmp_path):
         base = tmp_path / "pole"
@@ -946,10 +951,9 @@ class TestTableEquivalence:
         assert main(args) == 0
         spec = config.spec()
         n_steps = 1024
-        path = sample_path(config.model(), n_steps, spec.t_total / n_steps, 3)
-        trace = evolve_and_extract(spec, path, config.integrator(), branch=branch)
+        k = sample_path(config.model(), n_steps, spec.t_total / n_steps, 3)
+        trace = evolve_and_extract(spec, k, config.integrator(), branch=branch)
         b = control_field(spec, np.minimum(trace.times, spec.t_total))
-        k = path.samples
         rows = [
             [
                 trace.times[i], b[i, 0], b[i, 1], b[i, 2], k[i, 0], k[i, 1], k[i, 2],
@@ -964,7 +968,7 @@ class TestTableEquivalence:
         _reference_write_table(
             tmp_path / "ref_noise.csv",
             ["t", "k_1", "k_2", "k_3"],
-            [[path.times[i], *path.samples[i]] for i in range(path.times.size)],
+            [[trace.times[i], *k[i]] for i in range(trace.times.size)],
         )
         assert (tmp_path / "sim.trajectory.csv").read_bytes() == (
             tmp_path / "ref_traj.csv"

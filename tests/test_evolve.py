@@ -9,7 +9,6 @@ from berrysim import (
     DegeneracyError,
     IntegratorConfig,
     NoiseModel,
-    NoisePath,
     PrecessionSpec,
     ResolutionError,
     SphericalAngles,
@@ -328,44 +327,49 @@ class TestNoisyEvolution:
         config = IntegratorConfig(steps_per_cycle=4096)
         path = self._path(ADIABATIC, config, seed=123)
         result = evolve_and_extract(ADIABATIC, path, config)
-        chain = connection_phase_discrete(ADIABATIC, path)
+        chain = connection_phase_discrete(result.b_nodes)
         assert result.leakage < 5e-3
         assert result.geometric_phase == pytest.approx(chain, abs=0.02)
 
     def test_grid_mismatch_rejected(self):
+        # the grid is steps_per_cycle * n_cycles steps; noise on any other node count is refused
         config = IntegratorConfig(steps_per_cycle=256)
         bad_steps = sample_path(self.MODEL, 100, self.SHORT.t_total / 100, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"needs \(257, 3\)"):
             evolve_and_extract(self.SHORT, bad_steps, config)
-        bad_span = sample_path(self.MODEL, 256, 1.0, seed=1)
-        with pytest.raises(ValueError):
-            evolve_and_extract(self.SHORT, bad_span, config)
+        with pytest.raises(ValueError, match=r"noise has shape \(257, 2\)"):
+            evolve_and_extract(self.SHORT, np.zeros((257, 2)), config)
+
+
+def _noiseless_nodes(spec, n_points):
+    """The control field at n_points + 1 equally spaced times over the schedule."""
+    return control_field(spec, np.linspace(0.0, spec.t_total, n_points + 1))
 
 
 class TestDiscreteConnection:
     def test_noiseless_convergence(self):
         for theta0 in (math.pi / 6, math.pi / 3, 2.0):
             spec = PrecessionSpec(b0=1.0, theta0=theta0, t_total=10.0, n_cycles=1)
-            phase = connection_phase_discrete(spec, n_points=2048)
+            phase = connection_phase_discrete(_noiseless_nodes(spec, 2048))
             assert phase == pytest.approx(noiseless_berry_phase(theta0), abs=1e-5)
 
     def test_error_shrinks_with_refinement(self):
         spec = PrecessionSpec(b0=1.0, theta0=1.0, t_total=10.0, n_cycles=1)
         target = noiseless_berry_phase(1.0)
-        coarse = abs(connection_phase_discrete(spec, n_points=128) - target)
-        fine = abs(connection_phase_discrete(spec, n_points=2048) - target)
+        coarse = abs(connection_phase_discrete(_noiseless_nodes(spec, 128)) - target)
+        fine = abs(connection_phase_discrete(_noiseless_nodes(spec, 2048)) - target)
         assert fine < coarse / 16
 
     def test_pole_and_down_branch(self):
         pole = PrecessionSpec(b0=1.0, theta0=0.0, t_total=10.0, n_cycles=1)
-        assert connection_phase_discrete(pole, n_points=256) == 0.0
+        assert connection_phase_discrete(_noiseless_nodes(pole, 256)) == 0.0
         spec = PrecessionSpec(b0=1.0, theta0=math.pi / 6, t_total=10.0, n_cycles=1)
-        down = connection_phase_discrete(spec, n_points=2048, branch="down")
+        down = connection_phase_discrete(_noiseless_nodes(spec, 2048), branch="down")
         assert down == pytest.approx(-noiseless_berry_phase(math.pi / 6), abs=1e-4)
 
     def test_multi_cycle_wraps_accumulated_phase(self):
         spec = PrecessionSpec(b0=1.0, theta0=0.8, t_total=40.0, n_cycles=5)
-        phase = connection_phase_discrete(spec, n_points=5 * 1024)
+        phase = connection_phase_discrete(_noiseless_nodes(spec, 5 * 1024))
         expected = _wrap(5.0 * noiseless_berry_phase(0.8))
         assert -math.pi < phase <= math.pi
         assert phase == pytest.approx(expected, abs=1e-4)
@@ -375,25 +379,59 @@ class TestDiscreteConnection:
         spec = PrecessionSpec(
             b0=1.0, theta0=math.radians(80.0), t_total=10.0, n_cycles=32
         )
-        with pytest.raises(ResolutionError):
-            connection_phase_discrete(spec, n_points=64)
+        with pytest.raises(ResolutionError, match="increase steps_per_cycle"):
+            connection_phase_discrete(_noiseless_nodes(spec, 64))
 
-    def test_point_count_validation(self):
-        spec = PrecessionSpec(b0=1.0, theta0=0.5, t_total=10.0, n_cycles=1)
-        with pytest.raises(ValueError):
-            connection_phase_discrete(spec, n_points=32)
-        model = NoiseModel.from_scalars(0.01, 0.1, 0.01, 0.1)
-        path = sample_path(model, 300, 10.0 / 300, seed=2)
-        with pytest.raises(ValueError):
-            connection_phase_discrete(spec, path, n_points=256)  # 256 does not divide 300
+    @pytest.mark.parametrize("shape", [(5,), (5, 2), (1, 3), (2, 3, 1)])
+    def test_node_field_shape_validation(self, shape):
+        with pytest.raises(ValueError, match="b_nodes must have shape"):
+            connection_phase_discrete(np.ones(shape))
 
     def test_noisy_path_subsampling_consistent(self):
         spec = PrecessionSpec(b0=1.0, theta0=0.7, t_total=40.0, n_cycles=1)
         model = NoiseModel.from_scalars(0.002, 0.05, 0.002, 0.05)
-        path = sample_path(model, 4096, spec.t_total / 4096, seed=11)
-        full = connection_phase_discrete(spec, path)
-        half = connection_phase_discrete(spec, path, n_points=2048)
+        noise = sample_path(model, 4096, spec.t_total / 4096, seed=11)
+        b_nodes = evolve_and_extract(spec, noise, IntegratorConfig(steps_per_cycle=4096)).b_nodes
+        full = connection_phase_discrete(b_nodes)
+        half = connection_phase_discrete(b_nodes[::2])
         assert half == pytest.approx(full, abs=1e-4)
+
+    @staticmethod
+    def _noisy_case(theta0, n_cycles, branch):
+        spec = PrecessionSpec(b0=1.0, theta0=theta0, t_total=100.0, n_cycles=n_cycles)
+        n_steps = 512 * n_cycles
+        dt = spec.t_total / n_steps
+        noise = sample_path(NoiseModel.from_scalars(0.05, 0.1, 0.03, 0.3), n_steps, dt, seed=9)
+        result = evolve_and_extract(spec, noise, IntegratorConfig(512), branch=branch)
+        return spec, np.arange(n_steps + 1) * dt, noise, result.b_nodes
+
+    @pytest.mark.parametrize("branch", ["up", "down"])
+    @pytest.mark.parametrize("n_cycles", [1, 3])
+    @pytest.mark.parametrize("theta0", [0.0, math.pi / 4, math.pi - 0.05])
+    def test_matches_reference_copy(self, theta0, n_cycles, branch):
+        # on the evolution's node field the chain is the path chain bit for bit
+        spec, times, noise, b_nodes = self._noisy_case(theta0, n_cycles, branch)
+        full = connection_phase_discrete(b_nodes, branch=branch)
+        want = _reference_connection_phase_discrete(spec, times, noise, branch=branch)
+        assert full.hex() == want.hex()
+        noiseless = connection_phase_discrete(_noiseless_nodes(spec, 256), branch=branch)
+        want = _reference_connection_phase_discrete(spec, n_points=256, branch=branch)
+        assert noiseless.hex() == want.hex()
+
+    @pytest.mark.parametrize("branch", ["up", "down"])
+    @pytest.mark.parametrize("n_cycles", [1, 3])
+    def test_strided_nodes_match_strided_reference(self, n_cycles, branch):
+        # every 4th node: the strided path chain up to the rounding of the
+        # unwrapped azimuth.  A coarse chain counts the winding on its own
+        # nodes, so near a pole, where the azimuth can turn by more than pi
+        # between them, it may differ by pi from the old chain, which took
+        # the winding from the full path.
+        spec, times, noise, b_nodes = self._noisy_case(math.pi / 4, n_cycles, branch)
+        coarse = connection_phase_discrete(b_nodes[::4], branch=branch)
+        want = _reference_connection_phase_discrete(
+            spec, times, noise, 128 * n_cycles, branch=branch
+        )
+        assert abs(_wrap(coarse - want)) <= 1e-12
 
 
 def _reference_connection_phase_discrete(spec, times=None, samples=None, n_points=None,
@@ -453,7 +491,7 @@ def _reference_evolve(spec, path, config, branch):
     n_steps = config.steps_per_cycle * spec.n_cycles
     dt = spec.t_total / n_steps
     times = np.arange(n_steps + 1) * dt
-    k_nodes = np.zeros((n_steps + 1, 3)) if path is None else path.samples
+    k_nodes = np.zeros((n_steps + 1, 3)) if path is None else path
     b_nodes = control_field(spec, np.minimum(times, spec.t_total)) + k_nodes
     azimuth = np.unwrap(np.arctan2(b_nodes[:, 1] + 0.0, b_nodes[:, 0] + 0.0))
     winding = int(round((azimuth[-1] - azimuth[0]) / math.tau))
@@ -553,12 +591,10 @@ class TestMatchesStepByStepReference:
         n_steps = 1024
         dt = spec.t_total / n_steps
         model = NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1)
-        noisy = sample_path(model, n_steps, dt, seed=4)
-        samples = noisy.samples.copy()
+        path = sample_path(model, n_steps, dt, seed=4).copy()
         j = 300
         b_mid = control_field(spec, (np.arange(n_steps) + 0.5) * dt)
-        samples[j] = samples[j + 1] = -b_mid[j]
-        path = NoisePath(times=noisy.times, samples=samples)
+        path[j] = path[j + 1] = -b_mid[j]
         result = _assert_matches_reference(spec, path, config, branch)
         assert result.degenerate_steps == 1
 
@@ -589,7 +625,7 @@ def _pinned_evolve_and_extract(spec, path, config, branch):
     n_steps = config.steps_per_cycle * spec.n_cycles
     dt = spec.t_total / n_steps
     control_nodes, control_mid = _control_grids(spec, n_steps, dt)
-    k_nodes = np.zeros((n_steps + 1, 3)) if path is None else path.samples
+    k_nodes = np.zeros((n_steps + 1, 3)) if path is None else path
     b_nodes = control_nodes + k_nodes
     b_mid = control_mid + 0.5 * (k_nodes[:-1] + k_nodes[1:])
 
@@ -649,10 +685,9 @@ def _evolution_values(spec, path, config, branch):
 def _degenerate_midpoint_path(spec, n_steps):
     """Noise that cancels the control field at one step midpoint exactly."""
     dt = spec.t_total / n_steps
-    noisy = sample_path(NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1), n_steps, dt, seed=4)
-    samples = noisy.samples.copy()
-    samples[300] = samples[301] = -control_field(spec, 300.5 * dt)
-    return NoisePath(times=noisy.times, samples=samples)
+    noise = sample_path(NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1), n_steps, dt, seed=4).copy()
+    noise[300] = noise[301] = -control_field(spec, 300.5 * dt)
+    return noise
 
 
 class TestPinnedToTheTracedEvolution:

@@ -156,8 +156,8 @@ class TestFieldSample:
     def test_total_is_sum(self):
         model = NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1)
         path = sample_path(model, 100, SPEC.t_total / 100, seed=4)
-        k = path.samples[37]
-        t = float(path.times[37])
+        k = path[37]
+        t = 37 * (SPEC.t_total / 100)
         sample = field_sample(SPEC, k, t)
         assert sample.t == pytest.approx(t)
         assert np.allclose(sample.b_control, control_field(SPEC, t), rtol=1e-15)

@@ -21,7 +21,6 @@ from berrysim import (
     geometric_weight,
     noiseless_berry_phase,
     phase_moments,
-    regime_grid,
     run_ensemble,
     sample_path,
     summarize,
@@ -91,7 +90,7 @@ def _reference_first_order(spec, model, n_trials, master_seed, config):
 
 
 def _reference_full_sim(spec, model, n_trials, master_seed, config):
-    """full_sim records by the per-trial path: a NoisePath, then a full evolution.
+    """full_sim records by the per-trial path: a sampled path, then a full evolution.
 
     Each trial samples its OU path with ``sample_path`` from its own
     seed and runs ``evolve_and_extract`` on it.  The first-order fields
@@ -564,32 +563,3 @@ class TestCompareToAnalytic:
         moments = phase_moments(SPEC, NoiseModel.from_scalars(0.1, 0.1, 0.1, 0.1))
         report = compare_to_analytic(stats, moments)
         assert not report.passed
-
-
-class TestRegimeGrid:
-    def test_grid_shape_and_realization(self):
-        grid = regime_grid()
-        assert len(grid) == 27
-        for point in grid:
-            assert point.spec.t_total == 200.0
-            assert point.gamma_t == pytest.approx(point.gamma_t_target, rel=1e-12)
-            assert point.spec.n_cycles >= 1
-            # realized ratio reflects the integer cycle count
-            expected_ratio = point.gamma_t / (2.0 * math.pi * point.spec.n_cycles)
-            assert point.ratio == pytest.approx(expected_ratio, rel=1e-12)
-            assert point.model.transverse.sigma == pytest.approx(0.05)
-
-    def test_corner_clamping(self):
-        # gamma*T = 0.01 with target ratio 100 wants n_cycles << 1
-        grid = regime_grid(theta0_values=(0.5,), gamma_t_values=(0.01,), ratio_values=(100.0,))
-        assert len(grid) == 1
-        assert grid[0].spec.n_cycles == 1
-        assert grid[0].ratio != pytest.approx(100.0)
-
-    def test_interior_point_hits_targets(self):
-        grid = regime_grid(
-            theta0_values=(0.5,), gamma_t_values=(100.0,), ratio_values=(1.0,)
-        )
-        realized = grid[0]
-        assert realized.spec.n_cycles == 16  # round(100 / 2 pi)
-        assert realized.ratio == pytest.approx(100.0 / (2.0 * math.pi * 16))

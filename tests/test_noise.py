@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from berrysim import NoiseModel, NoisePath, OuParams, sample_path
+from berrysim import NoiseModel, OuParams, sample_path
 from berrysim.noise import _ar1, _ar1_block
 
 
@@ -17,11 +17,11 @@ def params_for(model: NoiseModel, index: int) -> OuParams:
     raise ValueError(f"component must be 0, 1 or 2, got {index}")
 
 
-def component(path: NoisePath, index: int) -> np.ndarray:
-    """Samples of one component as a read-only 1-d view."""
+def component(path: np.ndarray, index: int) -> np.ndarray:
+    """Samples of one component of a sampled path as a read-only 1-d view."""
     if index not in (0, 1, 2):
         raise ValueError(f"component index must be 0, 1 or 2, got {index}")
-    return path.samples[:, index]
+    return path[:, index]
 
 
 def autocovariance(params: OuParams, tau):
@@ -31,7 +31,7 @@ def autocovariance(params: OuParams, tau):
     return float(out) if out.ndim == 0 else out
 
 
-def estimate_autocovariance(path: NoisePath, index: int, lag_steps: int) -> float:
+def estimate_autocovariance(path: np.ndarray, index: int, lag_steps: int) -> float:
     """Empirical lag autocovariance of one component of a sampled path.
 
     Uses the mean of the full component and the unbiased-style divisor
@@ -77,26 +77,15 @@ class TestParams:
 
 class TestPathType:
     def test_grid_and_shapes(self):
+        # one row per grid node, one column per component
         path = sample_path(MODEL, 10, 0.5, seed=1)
-        assert path.n_steps == 10
-        assert path.times[1] - path.times[0] == pytest.approx(0.5)
-        assert path.times[-1] - path.times[0] == pytest.approx(5.0)
-        assert path.times.shape == (11,)
-        assert path.samples.shape == (11, 3)
-        assert np.all(np.diff(path.times) > 0)
+        assert path.shape == (11, 3)
+        assert path.dtype == np.float64
 
     def test_samples_are_read_only(self):
         path = sample_path(MODEL, 8, 0.1, seed=1)
         with pytest.raises(ValueError):
-            path.samples[0, 0] = 1.0
-
-    def test_rejects_nonuniform_grid(self):
-        with pytest.raises(ValueError):
-            NoisePath(times=np.array([0.0, 1.0, 3.0]), samples=np.zeros((3, 3)))
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            NoisePath(times=np.array([0.0, 1.0]), samples=np.zeros((3, 3)))
+            path[0, 0] = 1.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -116,22 +105,22 @@ class TestDeterminism:
     def test_same_seed_bit_identical(self):
         a = sample_path(MODEL, 100, 0.1, seed=42)
         b = sample_path(MODEL, 100, 0.1, seed=42)
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         a = sample_path(MODEL, 100, 0.1, seed=42)
         b = sample_path(MODEL, 100, 0.1, seed=43)
-        assert not np.array_equal(a.samples, b.samples)
+        assert not np.array_equal(a, b)
 
     def test_zero_amplitude_gives_zero_path(self):
         model = NoiseModel.from_scalars(0.0, 1.0, 0.0, 2.0)
         path = sample_path(model, 50, 0.1, seed=3)
-        assert np.all(path.samples == 0.0)
+        assert np.all(path == 0.0)
 
     def test_path_linear_in_sigma_for_fixed_seed(self):
         base = sample_path(NoiseModel.from_scalars(0.05, 0.5, 0.02, 1.0), 64, 0.1, seed=9)
         scaled = sample_path(NoiseModel.from_scalars(0.15, 0.5, 0.06, 1.0), 64, 0.1, seed=9)
-        assert np.allclose(scaled.samples, 3.0 * base.samples, rtol=1e-12, atol=0.0)
+        assert np.allclose(scaled, 3.0 * base, rtol=1e-12, atol=0.0)
 
 
 class TestStationaryStatistics:
@@ -264,7 +253,7 @@ class TestMatchesReference:
         dt = 0.01
         model = NoiseModel.from_scalars(sigmas[0], gamma_dt / dt, sigmas[1], 3.0 * gamma_dt / dt)
         for seed in (5, 2024):
-            got = sample_path(model, n_steps, dt, seed).samples
+            got = sample_path(model, n_steps, dt, seed)
             want = _reference_path(model, n_steps, dt, seed)
             assert np.all((got == 0.0) == (want == 0.0))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
