@@ -578,6 +578,141 @@ class TestSimulatePinned:
             assert summary["noncyclic_connection_term"].hex() == term.hex()
 
 
+# Fixed-seed runs of the other commands: exit code, file digests and stdout
+# lines, with the output directory written as <dir>.
+_PIN_SMALL = ["--steps-per-cycle", "256", "--seed", "7"]
+_COMMAND_PINS = {
+    "analytic_json": (
+        ["analytic", "-o", "pin"],
+        0,
+        {
+            "pin.analytic.json": "9e62145935631957fe356b7c67e6a6569b03ec82cce535a333ab8c5e8836698a",
+        },
+        [
+            "analytic: wrote <dir>/pin.analytic.json",
+        ],
+    ),
+    "analytic_csv": (
+        ["analytic", "--output-format", "csv", "-o", "pin"],
+        0,
+        {
+            "pin.analytic.csv": "baf246ef5716a803de5b1964ff5e36376ce4a8c3e8d1793e48c6efc8e5c88ce2",
+        },
+        [
+            "analytic: wrote <dir>/pin.analytic.csv",
+        ],
+    ),
+    "mc_first_order": (
+        ["mc", "--n-trials", "200", *_PIN_SMALL, "-o", "pin"],
+        0,
+        {
+            "pin.records.csv": "1adb9448749e63b7324599e8d17f29b5705c24016a1ace89e634df1caa2c7cec",
+            "pin.summary.json": "7a02cc6d15427f3ec9e56a37d5a3f66bf21894d3e238bc996679c1964b467d4d",
+        },
+        [
+            "mc: n_trials=200 max|z|=2.001 pass=true wrote <dir>/pin.records.csv <dir>/pin.summary.json",
+        ],
+    ),
+    "mc_full_sim": (
+        ["mc", "--mode", "full_sim", "--n-trials", "40", *_PIN_SMALL, "-o", "pin"],
+        0,
+        {
+            "pin.records.csv": "c2d51353a66ee6d3edf513eae449c99b59ee0ce3ebad4441387a03e545ba2899",
+            "pin.summary.json": "ed84e5e7bbdb3b9f6b3b3760395bca8ece721823a9ecdbaab2aa64f3f33c6cac",
+        },
+        [
+            "mc: n_trials=40 max|z|=2.571 pass=true wrote <dir>/pin.records.csv <dir>/pin.summary.json",
+            "warning: 38 of 40 trials have leakage above 1.0e-03; evolution is not adiabatic",
+        ],
+    ),
+    "sweep_with_mc": (
+        [
+            "sweep", "--param", "t_total", "--values", "50,100", "--with-mc", "--n-trials", "40",
+            *_PIN_SMALL, "-o", "pin",
+        ],
+        0,
+        {
+            "pin.summary.json": "825d9c6318ee79c8045aa6bd304b4bf48671795506082cdb45dc2de041755202",
+            "pin.sweep.csv": "3f0e755fd40ddd71fb8bc36cb559a21879579e136d0eabb60b809349979cd68c",
+        },
+        [
+            "sweep: 2 points over t_total loglog_slope_var_gamma=-0.6054 loglog_slope_var_delta=1.3946 wrote <dir>/pin.sweep.csv",
+        ],
+    ),
+    "compare": (
+        ["compare", "--n-trials", "1000", *_PIN_SMALL, "-o", "pin"],
+        0,
+        {
+            "pin.compare.json": "ff31a7ecb4df6d51a4bb78d1bebdf6d5e7bff0008e39a92d9ad9341acca26c52",
+        },
+        [
+            "[PASS] oracle_var_gamma: closed=1.956467746e-03 quadrature=1.956467746e-03 rel=5.41e-14",
+            "[PASS] oracle_var_alpha: closed=3.990375780e+00 quadrature=3.990375780e+00 rel=5.49e-14",
+            "[PASS] oracle_cov: closed=1.189337870e-02 quadrature=1.189337870e-02 rel=4.15e-13",
+            "[PASS] narrowband_limit: limit=6.154191e-03 closed=6.154227e-03 rel=5.80e-06",
+            "[PASS] broadband_limit: limit=2.467401e-05 closed=2.464885e-05 rel=1.02e-03",
+            "[PASS] mc_moments: n=1000 max|z|=1.383",
+            "[PASS] mc_coherence: measured=2.793200e-02 predicted=3.419823e-04 z=1.244",
+            "[PASS] mc_covariance: empirical=8.374655e-03 closed=1.189338e-02 se=2.72e-03",
+            "[PASS] broadband_scaling: slope_var_gamma=-0.9950 (target -1) slope_var_delta=1.0050 (target +1)",
+            "[PASS] first_order_vs_sim: median|gamma_sim - gamma_noiseless - gamma_fo|=5.479e-03 rad",
+            "[PASS] adiabaticity: worst omega_over_b0=0.0628 (threshold 0.1)",
+            "compare: wrote <dir>/pin.compare.json",
+            "compare: all checks passed",
+        ],
+    ),
+    "compare_failing": (
+        ["compare", "--n-trials", "200", *_PIN_SMALL, "-o", "pin"],
+        1,
+        {
+            "pin.compare.json": "d70bce0403f578332760ffa03c0fb7e657487bd9e5bb32789ff1669a2f4d91ad",
+        },
+        [
+            "[PASS] oracle_var_gamma: closed=1.956467746e-03 quadrature=1.956467746e-03 rel=5.41e-14",
+            "[PASS] oracle_var_alpha: closed=3.990375780e+00 quadrature=3.990375780e+00 rel=5.49e-14",
+            "[PASS] oracle_cov: closed=1.189337870e-02 quadrature=1.189337870e-02 rel=4.15e-13",
+            "[PASS] narrowband_limit: limit=6.154191e-03 closed=6.154227e-03 rel=5.80e-06",
+            "[PASS] broadband_limit: limit=2.467401e-05 closed=2.464885e-05 rel=1.02e-03",
+            "[PASS] mc_moments: n=200 max|z|=2.001",
+            "[PASS] mc_coherence: measured=6.651463e-02 predicted=3.419823e-04 z=1.333",
+            "[FAIL] mc_covariance: empirical=5.436390e-03 closed=1.189338e-02 se=5.70e-03",
+            "[PASS] broadband_scaling: slope_var_gamma=-0.9950 (target -1) slope_var_delta=1.0050 (target +1)",
+            "[PASS] first_order_vs_sim: median|gamma_sim - gamma_noiseless - gamma_fo|=5.479e-03 rad",
+            "[PASS] adiabaticity: worst omega_over_b0=0.0628 (threshold 0.1)",
+            "compare: wrote <dir>/pin.compare.json",
+            "compare: CHECKS FAILED",
+        ],
+    ),
+}
+
+# sha256 of `analytic`'s stdout when no -o is given
+_ANALYTIC_STDOUT_DIGEST = "097a94702f0b0727751f3342e2714777520d2fc290b63cd92ccdda452bfd960f"
+
+
+class TestCommandsPinned:
+    """Fixed-seed outputs of analytic, mc, sweep and compare: files, stdout and exit code."""
+
+    @pytest.mark.parametrize("name", sorted(_COMMAND_PINS))
+    def test_outputs(self, tmp_path, monkeypatch, capsys, name):
+        argv, code, digests, stdout = _COMMAND_PINS[name]
+        monkeypatch.setenv("BERRYSIM_OUTPUT_DIR", str(tmp_path))
+        assert main(argv) == code
+        written = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in tmp_path.iterdir()
+        }
+        assert written == digests
+        out = capsys.readouterr().out.replace(str(tmp_path), "<dir>")
+        assert out.splitlines() == stdout
+
+    def test_analytic_stdout(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("BERRYSIM_OUTPUT_DIR", str(tmp_path))
+        assert main(["analytic"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == _ANALYTIC_STDOUT_DIGEST
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSweepCommand:
     def test_fixed_omega_t_total_slopes(self, tmp_path):
         base = tmp_path / "sweep"
