@@ -9,8 +9,17 @@ sweep      closed forms (optionally with MC) over one swept parameter
 compare    self-check battery: oracle equality, limits, MC, scaling
 
 Configuration is a flat ``key=value`` file; any key can be overridden
-with a ``--key value`` command-line flag.  Relative output paths are
-resolved under ``$BERRYSIM_OUTPUT_DIR`` when that variable is set.
+with a ``--key value`` command-line flag.
+
+Outputs: a command computes everything before ``main`` writes, so one
+that fails writes no files.  A file is the base (``-o``, by default
+``berrysim_<command>``, under ``$BERRYSIM_OUTPUT_DIR`` if relative) plus
+a suffix: ``.analytic.json`` or ``.analytic.csv``; mc ``.records.csv``
+and sweep ``.sweep.csv``, each then ``.summary.json``; simulate
+``.trajectory.csv``, ``.noise.csv``, ``.summary.json``; ``.compare.json``.
+With no ``-o``, analytic writes to stdout and compare writes no file.
+Progress lines go to stdout, mc's timing line to stderr; ``--quiet``
+silences both.
 
 CSV tables hold one value per cell: floats as ``%.17g`` (round-trip
 exact), integers in decimal, and a missing value as an empty cell.
@@ -103,20 +112,12 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-_INT_FIELDS = {"n_cycles", "n_trials", "seed", "steps_per_cycle"}
-_STR_FIELDS = {"mode", "output_format", "output_path"}
-
-
 def _coerce(key: str, raw: str):
     raw = raw.strip()
     if key == "output_path":
         return raw or None
     try:
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _STR_FIELDS:
-            return raw
-        return float(raw)
+        return type(getattr(RunConfig, key))(raw)
     except ValueError:
         raise ValueError(f"invalid value for {key!r}: {raw!r}") from None
 
@@ -194,16 +195,6 @@ def _dump_csv_pairs(payload: dict) -> str:
     return out.getvalue()
 
 
-def _resolve_base(config: RunConfig, command: str) -> Path:
-    base = Path(config.output_path) if config.output_path else Path(f"berrysim_{command}")
-    out_dir = os.environ.get("BERRYSIM_OUTPUT_DIR")
-    if out_dir and not base.is_absolute():
-        base = Path(out_dir) / base
-    if base.parent != Path("."):
-        base.parent.mkdir(parents=True, exist_ok=True)
-    return base
-
-
 # Rows formatted per write, so the writer's memory does not grow with the table.
 _CHUNK_ROWS = 4096
 _CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
@@ -243,11 +234,6 @@ def _write_columns(path: Path, header: list, columns: list) -> None:
             out.writelines(row % cells for cells in zip(*chunk))
 
 
-def _say(quiet: bool, message: str) -> None:
-    if not quiet:
-        print(message)
-
-
 def _rel_diff(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale > 0.0 else 0.0
@@ -265,6 +251,23 @@ _QUAD_RTOL = 1e-8
 
 # --------------------------------------------------------------------------
 # commands
+
+
+@dataclass
+class Outcome:
+    """What a command computed: ``main`` writes the files, then the text.
+
+    ``files`` maps suffixes, in writing order, to text or to a ``(header,
+    columns)`` table.  The paths written are appended to ``lines[wrote_at]``.
+    ``--quiet`` silences ``lines`` (stdout) and ``notes`` (stderr), not ``stdout``.
+    """
+
+    files: dict
+    lines: list
+    code: int = 0
+    wrote_at: int = 0
+    notes: tuple = ()
+    stdout: str = ""
 
 
 def _analytic_payload(config: RunConfig) -> dict:
@@ -308,22 +311,15 @@ def _analytic_payload(config: RunConfig) -> dict:
     }
 
 
-def cmd_analytic(config: RunConfig, quiet: bool) -> int:
-    payload = _analytic_payload(config)
-    rendered = (
-        _dump_json(payload) if config.output_format == "json" else _dump_csv_pairs(payload)
-    )
+def cmd_analytic(config: RunConfig) -> Outcome:
+    render = _dump_json if config.output_format == "json" else _dump_csv_pairs
+    rendered = render(_analytic_payload(config))
     if config.output_path is None:
-        sys.stdout.write(rendered)
-    else:
-        target = _resolve_base(config, "analytic")
-        path = target.with_name(target.name + ".analytic." + config.output_format)
-        path.write_text(rendered)
-        _say(quiet, f"analytic: wrote {path}")
-    return 0
+        return Outcome({}, [], stdout=rendered)
+    return Outcome({".analytic." + config.output_format: rendered}, ["analytic:"])
 
 
-def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) -> int:
+def cmd_mc(config: RunConfig) -> Outcome:
     spec = config.spec()
     model = config.model()
     moments = analytics.phase_moments(spec, model)
@@ -332,29 +328,10 @@ def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) 
         spec, model, config.n_trials, config.seed, mode=config.mode, config=config.integrator()
     )
     seconds = time.perf_counter() - start
-    if not quiet:
-        print(f"mc: ensemble {seconds:.3f} s, {len(ensemble) / max(seconds, 1e-9):.1f} trials/s",
-              file=sys.stderr)
-    if tamper_variance_scale is not None:
-        # Deliberately corrupted targets; used to exercise the failure path.
-        moments = dataclasses.replace(moments, **{
-            key: getattr(moments, key) * tamper_variance_scale
-            for key in ("var_gamma", "var_delta", "var_alpha", "cov_gamma_delta")
-        })
+    timing = f"mc: ensemble {seconds:.3f} s, {len(ensemble) / max(seconds, 1e-9):.1f} trials/s"
     stats, report, coh, passed = _mc_gate(ensemble, moments)
-
-    base = _resolve_base(config, "mc")
-    records_path = base.with_name(base.name + ".records.csv")
-    summary_path = base.with_name(base.name + ".summary.json")
-    columns = {
-        "trial_index": np.arange(len(ensemble)),
-        "gamma_fo": ensemble.gamma_fo,
-        "delta_fo": ensemble.delta_fo,
-        "alpha_fo": ensemble.alpha_fo,
-        "gamma_sim": ensemble.gamma_sim,
-        "leakage": ensemble.leakage,
-    }
-    _write_columns(records_path, list(columns), list(columns.values()))
+    header = ["trial_index", "gamma_fo", "delta_fo", "alpha_fo", "gamma_sim", "leakage"]
+    columns = [np.arange(len(ensemble)), *(getattr(ensemble, name) for name in header[1:])]
     payload = {
         "config": config.to_dict(),
         "analytic": dataclasses.asdict(moments),
@@ -365,7 +342,8 @@ def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) 
         "adiabaticity": adiabaticity_report(spec, model).to_dict(),
         "pass": passed,
     }
-    n_leaky = 0
+    max_z = max(abs(z) for z in report.z_scores.values())
+    lines = [f"mc: n_trials={stats.n_trials} max|z|={max_z:.3f} pass={str(passed).lower()}"]
     if config.mode == "full_sim":
         leakage = ensemble.leakage
         n_leaky = int(np.count_nonzero(leakage > _LEAKAGE_WARN_THRESHOLD))
@@ -376,20 +354,14 @@ def cmd_mc(config: RunConfig, quiet: bool, tamper_variance_scale: float | None) 
             "leakage_warn_threshold": _LEAKAGE_WARN_THRESHOLD,
             "n_above_leakage_warn_threshold": n_leaky,
         }
-    summary_path.write_text(_dump_json(payload))
-    max_z = max(abs(z) for z in report.z_scores.values())
-    _say(
-        quiet,
-        f"mc: n_trials={stats.n_trials} max|z|={max_z:.3f} "
-        f"pass={str(passed).lower()} wrote {records_path} {summary_path}",
-    )
-    if n_leaky:
-        _say(quiet, f"warning: {n_leaky} of {stats.n_trials} trials have leakage above "
-                    f"{_LEAKAGE_WARN_THRESHOLD:.1e}; evolution is not adiabatic")
-    return 0 if passed else 1
+        if n_leaky:
+            lines.append(f"warning: {n_leaky} of {stats.n_trials} trials have leakage above "
+                         f"{_LEAKAGE_WARN_THRESHOLD:.1e}; evolution is not adiabatic")
+    files = {".records.csv": (header, columns), ".summary.json": _dump_json(payload)}
+    return Outcome(files, lines, 0 if passed else 1, notes=(timing,))
 
 
-def cmd_simulate(config: RunConfig, quiet: bool, branch: str) -> int:
+def cmd_simulate(config: RunConfig, branch: str) -> Outcome:
     spec = config.spec()
     model = config.model()
     integrator = config.integrator()
@@ -397,11 +369,6 @@ def cmd_simulate(config: RunConfig, quiet: bool, branch: str) -> int:
     noise = sample_path(model, n_steps, spec.t_total / n_steps, config.seed)
     extraction = evolve_and_extract(spec, noise, integrator, branch=branch)
     chain_phase = connection_phase_discrete(extraction.b_nodes, branch=branch)
-
-    base = _resolve_base(config, "simulate")
-    trajectory_path = base.with_name(base.name + ".trajectory.csv")
-    noise_path = base.with_name(base.name + ".noise.csv")
-    summary_path = base.with_name(base.name + ".summary.json")
 
     times = extraction.times
     b_control = control_field(spec, np.minimum(times, spec.t_total))
@@ -418,8 +385,6 @@ def cmd_simulate(config: RunConfig, quiet: bool, branch: str) -> int:
         extraction.amp_down.real, extraction.amp_down.imag,
         extraction.energy, extraction.total_phase_nodes, extraction.dynamical_phase_nodes,
     ]
-    _write_columns(trajectory_path, header, columns)
-    _write_columns(noise_path, ["t", "k_1", "k_2", "k_3"], [times, noise])
     payload = {
         "config": config.to_dict(),
         "branch": branch,
@@ -440,20 +405,20 @@ def cmd_simulate(config: RunConfig, quiet: bool, branch: str) -> int:
         "noiseless_berry_phase": analytics.noiseless_berry_phase(spec.theta0),
         "adiabaticity": adiabaticity_report(spec, model).to_dict(),
     }
-    summary_path.write_text(_dump_json(payload))
-    _say(
-        quiet,
+    lines = [
         f"simulate: geometric={extraction.geometric_phase:.6f} "
         f"dynamical={extraction.dynamical_phase:.6f} leakage={extraction.leakage:.3e} "
-        f"winding={extraction.winding} wrote {trajectory_path}",
-    )
+        f"winding={extraction.winding}"
+    ]
     if extraction.non_adiabatic:
-        _say(quiet, f"warning: leakage {extraction.leakage:.3e} exceeds "
-                    f"{_LEAKAGE_WARN_THRESHOLD:.1e}; evolution is not adiabatic")
-    return 0
-
-
-_SWEEPABLE = ("t_total", "gamma12", "gamma3", "theta0")
+        lines.append(f"warning: leakage {extraction.leakage:.3e} exceeds "
+                     f"{_LEAKAGE_WARN_THRESHOLD:.1e}; evolution is not adiabatic")
+    files = {
+        ".trajectory.csv": (header, columns),
+        ".noise.csv": (["t", "k_1", "k_2", "k_3"], [times, noise]),
+        ".summary.json": _dump_json(payload),
+    }
+    return Outcome(files, lines)
 
 
 def _loglog_slopes(t_values: list, rows: list) -> dict:
@@ -471,15 +436,8 @@ def _loglog_slopes(t_values: list, rows: list) -> dict:
 
 
 def cmd_sweep(
-    config: RunConfig,
-    quiet: bool,
-    param: str,
-    raw_values: str,
-    fixed_omega: bool,
-    with_mc: bool,
-) -> int:
-    if param not in _SWEEPABLE:
-        raise ValueError(f"unsupported sweep parameter {param!r}")
+    config: RunConfig, param: str, raw_values: str, fixed_omega: bool, with_mc: bool
+) -> Outcome:
     try:
         values = [float(v) for v in raw_values.split(",") if v.strip()]
     except ValueError:
@@ -531,11 +489,7 @@ def cmd_sweep(
     if param == "t_total" and len(values) >= 2:
         slopes = {f"loglog_slope_{k}": v for k, v in _loglog_slopes(values, rows).items()}
 
-    base = _resolve_base(config, "sweep")
-    table_path = base.with_name(base.name + ".sweep.csv")
-    summary_path = base.with_name(base.name + ".summary.json")
     header = list(rows[0].keys())
-    _write_columns(table_path, header, [np.array([row[k] for row in rows]) for k in header])
     payload = {
         "config": config.to_dict(),
         "param": param,
@@ -544,10 +498,12 @@ def cmd_sweep(
         "rows": rows,
         "slopes": slopes,
     }
-    summary_path.write_text(_dump_json(payload))
+    files = {
+        ".sweep.csv": (header, [np.array([row[k] for row in rows]) for k in header]),
+        ".summary.json": _dump_json(payload),
+    }
     slope_note = " ".join(f"{k}={v:.4f}" for k, v in slopes.items())
-    _say(quiet, f"sweep: {len(rows)} points over {param} {slope_note} wrote {table_path}")
-    return 0
+    return Outcome(files, [f"sweep: {len(rows)} points over {param} {slope_note}"])
 
 
 def _battery(config: RunConfig) -> list:
@@ -651,19 +607,18 @@ def _battery(config: RunConfig) -> list:
     return checks
 
 
-def cmd_compare(config: RunConfig, quiet: bool) -> int:
+def cmd_compare(config: RunConfig) -> Outcome:
     checks = _battery(config)
-    for name, ok, detail in checks:
-        _say(quiet, f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    lines = [f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}" for name, ok, detail in checks]
     passed = all(ok for _, ok, _ in checks)
+    files = {}
     if config.output_path is not None:
-        base = _resolve_base(config, "compare")
-        path = base.with_name(base.name + ".compare.json")
         rows = [{"name": n, "passed": ok, "detail": d} for n, ok, d in checks]
-        path.write_text(_dump_json({"config": config.to_dict(), "checks": rows, "pass": passed}))
-        _say(quiet, f"compare: wrote {path}")
-    _say(quiet, f"compare: {'all checks passed' if passed else 'CHECKS FAILED'}")
-    return 0 if passed else 1
+        payload = {"config": config.to_dict(), "checks": rows, "pass": passed}
+        files[".compare.json"] = _dump_json(payload)
+        lines.append("compare:")
+    lines.append(f"compare: {'all checks passed' if passed else 'CHECKS FAILED'}")
+    return Outcome(files, lines, 0 if passed else 1, wrote_at=len(checks))
 
 
 # --------------------------------------------------------------------------
@@ -675,25 +630,19 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, metavar="FILE",
                         help="key=value config file")
     common.add_argument("--quiet", action="store_true", help="suppress progress lines")
-    common.add_argument("--tamper-variance-scale", type=float, default=None,
-                        help=argparse.SUPPRESS)
     for field in dataclasses.fields(RunConfig):
         flag = "--" + field.name.replace("_", "-")
         if field.name == "output_path":
             common.add_argument(flag, "-o", dest=field.name, default=None,
                                 help="output file base (suffixes are appended)")
-        elif field.name in _INT_FIELDS:
-            common.add_argument(flag, dest=field.name, type=int, default=None)
-        elif field.name in _STR_FIELDS:
-            common.add_argument(flag, dest=field.name, default=None)
         else:
-            common.add_argument(flag, dest=field.name, type=float, default=None)
+            common.add_argument(flag, dest=field.name, type=type(field.default), default=None)
 
     parser = argparse.ArgumentParser(
         prog="berrysim",
         description="Geometric-phase statistics of a spin-1/2 under field noise",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("analytic", parents=[common],
                    help="closed-form variances with the quadrature cross-check")
     sub.add_parser("mc", parents=[common],
@@ -703,7 +652,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--branch", choices=("up", "down"), default="up")
     sweep = sub.add_parser("sweep", parents=[common],
                            help="closed forms over one swept parameter")
-    sweep.add_argument("--param", required=True, choices=_SWEEPABLE)
+    sweep.add_argument("--param", required=True,
+                       choices=("t_total", "gamma12", "gamma3", "theta0"))
     sweep.add_argument("--values", required=True,
                        help="comma-separated parameter values")
     sweep.add_argument("--fixed-omega", action="store_true",
@@ -726,44 +676,58 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+# name -> (command, the names of its own options, passed after the config)
+_COMMANDS = {
+    "analytic": (cmd_analytic, ()),
+    "mc": (cmd_mc, ()),
+    "simulate": (cmd_simulate, ("branch",)),
+    "sweep": (cmd_sweep, ("param", "values", "fixed_omega", "with_mc")),
+    "compare": (cmd_compare, ()),
+}
+
+
+def _write_files(files: dict, config: RunConfig, command: str) -> list:
+    """Write each file at the output base plus its suffix; return the paths."""
+    # an absolute base ignores the output directory
+    base = Path(os.getenv("BERRYSIM_OUTPUT_DIR", ""), config.output_path or f"berrysim_{command}")
+    paths = []
+    for suffix, content in files.items():
+        path = base.with_name(base.name + suffix)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(content, str):
+            path.write_text(content)
+        else:
+            _write_columns(path, *content)
+        paths.append(path)
+    return paths
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code in (0, None):
-            return 0
-        return 2
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
+        return 0 if exc.code in (0, None) else 2
     try:
         config = _load_config(args)
-        if args.command == "analytic":
-            return cmd_analytic(config, args.quiet)
-        if args.command == "mc":
-            return cmd_mc(config, args.quiet, args.tamper_variance_scale)
-        if args.command == "simulate":
-            return cmd_simulate(config, args.quiet, args.branch)
-        if args.command == "sweep":
-            return cmd_sweep(
-                config, args.quiet, args.param, args.values,
-                args.fixed_omega, args.with_mc,
-            )
-        if args.command == "compare":
-            return cmd_compare(config, args.quiet)
-        parser.print_usage(sys.stderr)
-        return 2
+        command, options = _COMMANDS[args.command]
+        outcome = command(config, *(getattr(args, name) for name in options))
+        paths = _write_files(outcome.files, config, args.command)
     except AccuracyError as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
         return 3
-    except BerrysimError as exc:
+    except (BerrysimError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    sys.stdout.write(outcome.stdout)
+    if not args.quiet:
+        for note in outcome.notes:
+            print(note, file=sys.stderr)
+        if paths:
+            outcome.lines[outcome.wrote_at] += " wrote " + " ".join(map(str, paths))
+        for line in outcome.lines:
+            print(line)
+    return outcome.code
 
 
 if __name__ == "__main__":

@@ -183,7 +183,8 @@ def sample_path(model: NoiseModel, n_steps: int, dt: float, seed: int) -> np.nda
     -----
     For a fixed seed the sampled path is exactly linear in ``sigma``:
     scaling ``sigma`` by c scales every sample by c, because the
-    underlying standard-normal innovations are reused.
+    underlying standard-normal innovations are reused.  A sigma large
+    enough to overflow a sample, near 1e308, raises ValueError.
     """
     if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
         raise ValueError(f"n_steps must be a positive integer, got {n_steps}")
@@ -191,6 +192,10 @@ def sample_path(model: NoiseModel, n_steps: int, dt: float, seed: int) -> np.nda
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    samples = _ou_filter(model, float(dt), _draw_innovations(int(n_steps), int(seed)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = _ou_filter(model, float(dt), _draw_innovations(int(n_steps), int(seed)))
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"noise samples overflow float64 at sigma12={model.transverse.sigma:g}, "
+                         f"sigma3={model.longitudinal.sigma:g}")
     samples.setflags(write=False)
     return samples

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,61 @@ class TestMainBasics:
     def test_invalid_parameter(self, capsys):
         assert main(["analytic", "--theta0", "9.9"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["n_trials", "theta0", "seed"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_bad_value_is_a_usage_error(self, tmp_path, capsys, key, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = lots\n")
+        flag = ["--" + key.replace("_", "-"), "lots"]
+        given = flag if source == "flag" else ["--config", str(cfg)]
+        assert main(["mc", *given, "-o", str(tmp_path / "run")]) == 2
+        assert "lots" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_empty_output_flag_clears_the_config_path(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("BERRYSIM_OUTPUT_DIR", str(tmp_path))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("output_path = ref\n")
+        assert main(["analytic", "--config", str(cfg), "-o", ""]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["output_path"] is None
+        assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
+        assert main(["analytic", "--config", str(cfg), "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert read_json(tmp_path / "ref.analytic.json")["config"]["output_path"] == "ref"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["analytic"],
+        ["mc", "--n-trials", "200"],
+        ["simulate"],
+        ["sweep", "--param", "theta0", "--values", "0.5,0.7", "--with-mc", "--n-trials", "40"],
+        ["compare", "--n-trials", "1000"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_quiet_run_prints_nothing(tmp_path, capsys, args):
+    # benchmarks/run.py calls main in its own process and reads its own
+    # JSON result from the last stdout line
+    threads = threading.active_count()
+    argv = args + ["--steps-per-cycle", "256", "--seed", "7", "--quiet", "-o", str(tmp_path / "q")]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("", "")
+    assert threading.active_count() == threads
+    assert list(tmp_path.iterdir())
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "berrysim", "analytic", "--quiet", "-o", str(tmp_path / "ref")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
+    omega = read_json(tmp_path / "ref.analytic.json")["omega"]
+    assert omega == pytest.approx(2.0 * math.pi / 100.0)
 
 
 def test_cli_import_leaves_scipy_out():
@@ -301,10 +357,18 @@ class TestMcCommand:
                 loud_bytes = loud_bytes.replace(b"loud", b"quiet")
             assert loud_bytes == quiet_bytes
 
-    def test_tampered_targets_fail(self, tmp_path):
-        code = main(
-            self.ARGS + ["-o", str(tmp_path / "bad"), "--tamper-variance-scale", "5.0"]
-        )
+    def test_tampered_targets_fail(self, tmp_path, monkeypatch):
+        phase_moments = analytics.phase_moments
+
+        def tampered(spec, model):
+            moments = phase_moments(spec, model)
+            return dataclasses.replace(moments, **{
+                key: 5.0 * getattr(moments, key)
+                for key in ("var_gamma", "var_delta", "var_alpha", "cov_gamma_delta")
+            })
+
+        monkeypatch.setattr(analytics, "phase_moments", tampered)
+        code = main(self.ARGS + ["-o", str(tmp_path / "bad")])
         assert code == 1
         assert read_json(tmp_path / "bad.summary.json")["pass"] is False
 
@@ -403,6 +467,19 @@ def test_non_finite_field_is_a_usage_error(tmp_path, capsys, sigma):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == "error: total field modulus is not finite; the noise overflows it\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flag,sigmas",
+    [("--sigma12", "sigma12=1e+308, sigma3=0.05"), ("--sigma3", "sigma12=0.05, sigma3=1e+308")],
+)
+def test_overflowing_noise_is_a_usage_error(tmp_path, capsys, flag, sigmas):
+    # the noise filter overflows; warnings are errors, so none may escape it
+    argv = ["simulate", flag, "1e308", "--steps-per-cycle", "256", "--quiet",
+            "-o", str(tmp_path / "huge")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: noise samples overflow float64 at {sigmas}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -636,7 +713,7 @@ _COMMAND_PINS = {
             "pin.sweep.csv": "3f0e755fd40ddd71fb8bc36cb559a21879579e136d0eabb60b809349979cd68c",
         },
         [
-            "sweep: 2 points over t_total loglog_slope_var_gamma=-0.6054 loglog_slope_var_delta=1.3946 wrote <dir>/pin.sweep.csv",
+            "sweep: 2 points over t_total loglog_slope_var_gamma=-0.6054 loglog_slope_var_delta=1.3946 wrote <dir>/pin.sweep.csv <dir>/pin.summary.json",
         ],
     ),
     "compare": (
