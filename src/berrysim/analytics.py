@@ -319,29 +319,107 @@ def _filtered_kernel(w: np.ndarray, gamma: float, h: float) -> np.ndarray:
     return _ar1(x, math.exp(-u))
 
 
-def _quadrature_pass(
-    spec: PrecessionSpec, x: Weight, y: Weight, model: NoiseModel, n_nodes: int
-) -> float:
-    """One trapezoid pass of Cov(x, y) over ``n_nodes`` intervals.
+# The bases each noise part filters: cos(omega t) and sin(omega t) for the
+# transverse pair, the constant 1 for the longitudinal component.
+_BASES = ((np.cos, np.sin), (np.ones_like,))
 
-    Each weight component is an amplitude times cos(omega t), sin(omega t)
-    or 1, so the pass filters each of those once and scales the result.
+
+def _quadrature_pass(
+    spec: PrecessionSpec, model: NoiseModel, n_nodes: int, parts: tuple
+) -> tuple:
+    """The filtered-basis integrals of one trapezoid pass over ``n_nodes`` intervals.
+
+    For each basis b of a noise part flagged in ``parts`` (transverse,
+    longitudinal) this is the trapezoid sum of b times b filtered by
+    that part's kernel; an unflagged part gives None.  The weights enter
+    a pass only through their amplitude products, so one pass serves
+    every pair of weights at this grid (see :func:`_pass_value`).
     """
     t = np.linspace(0.0, spec.t_total, n_nodes + 1)
     h = spec.t_total / n_nodes
     phase = spec.omega * t
-    total = 0.0
-    for params, amp, bases in (
-        (model.transverse, x.transverse * y.transverse, (np.cos, np.sin)),
-        (model.longitudinal, x.longitudinal * y.longitudinal, (np.ones_like,)),
-    ):
-        coeff = 2.0 * params.sigma**2 * amp
-        if coeff == 0.0:
+    integrals = []
+    for params, bases, needed in zip((model.transverse, model.longitudinal), _BASES, parts):
+        if not needed:
+            integrals.append(None)
             continue
+        values = []
         for basis in bases:
             b = basis(phase)
-            total += coeff * np.trapezoid(b * _filtered_kernel(b, params.gamma, h), dx=h)
+            values.append(np.trapezoid(b * _filtered_kernel(b, params.gamma, h), dx=h))
+        integrals.append(values)
+    return tuple(integrals)
+
+
+def _pass_value(coeffs: tuple, integrals: tuple) -> float:
+    """One pass of Cov(x, y): each part's coefficient times its basis integrals."""
+    total = 0.0
+    for coeff, values in zip(coeffs, integrals):
+        if coeff == 0.0:
+            continue
+        for value in values:
+            total += coeff * value
     return float(total)
+
+
+def _covariances_by_quadrature(
+    spec: PrecessionSpec,
+    pairs: list,
+    model: NoiseModel,
+    n_nodes: int = 4096,
+    *,
+    rtol: float = 1e-9,
+    atol: float = 0.0,
+    max_nodes: int = 2**21,
+) -> tuple:
+    """:func:`covariance_by_quadrature` for each ``(weight_a, weight_b)`` in ``pairs``.
+
+    The pairs share their passes: each grid size is filtered once in this
+    call, whichever pairs need it.  The passes are not kept after it.
+    """
+    if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 64:
+        raise ValueError(f"n_nodes must be an integer >= 64, got {n_nodes}")
+    if max_nodes < 2 * n_nodes:
+        raise ValueError("max_nodes must allow at least one grid doubling")
+    coeffs = [
+        (
+            2.0 * model.transverse.sigma**2 * (x.transverse * y.transverse),
+            2.0 * model.longitudinal.sigma**2 * (x.longitudinal * y.longitudinal),
+        )
+        for x, y in pairs
+    ]
+    parts = tuple(any(c[i] != 0.0 for c in coeffs) for i in range(2))
+    passes = {}
+
+    def integrals(n: int) -> tuple:
+        if n not in passes:
+            passes[n] = _quadrature_pass(spec, model, n, parts)
+        return passes[n]
+
+    return tuple(
+        _extrapolate(lambda n, c=c: _pass_value(c, integrals(n)), int(n_nodes), rtol, atol,
+                     max_nodes)
+        for c in coeffs
+    )
+
+
+def _extrapolate(
+    pass_value, n: int, rtol: float, atol: float, max_nodes: int
+) -> QuadratureEstimate:
+    """Double the grid from ``n`` nodes until the extrapolated value meets the tolerance."""
+    prev = pass_value(n)
+    while 2 * n <= max_nodes:
+        n *= 2
+        cur = pass_value(n)
+        err = abs(cur - prev) / 3.0
+        extrap = cur + (cur - prev) / 3.0
+        if err <= rtol * abs(extrap) + atol:
+            return QuadratureEstimate(value=extrap, error=err, nodes=n)
+        prev = cur
+    raise AccuracyError(
+        f"quadrature did not reach rtol={rtol} within {max_nodes} nodes "
+        f"(last error estimate {err:.3e})"
+    )
 
 
 def covariance_by_quadrature(
@@ -364,24 +442,10 @@ def covariance_by_quadrature(
     nodes per drive cycle); raises :class:`AccuracyError` when the
     tolerance is not reached by ``max_nodes``.
     """
-    if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 64:
-        raise ValueError(f"n_nodes must be an integer >= 64, got {n_nodes}")
-    if max_nodes < 2 * n_nodes:
-        raise ValueError("max_nodes must allow at least one grid doubling")
-    n = int(n_nodes)
-    prev = _quadrature_pass(spec, weight_a, weight_b, model, n)
-    while 2 * n <= max_nodes:
-        n *= 2
-        cur = _quadrature_pass(spec, weight_a, weight_b, model, n)
-        err = abs(cur - prev) / 3.0
-        extrap = cur + (cur - prev) / 3.0
-        if err <= rtol * abs(extrap) + atol:
-            return QuadratureEstimate(value=extrap, error=err, nodes=n)
-        prev = cur
-    raise AccuracyError(
-        f"quadrature did not reach rtol={rtol} within {max_nodes} nodes "
-        f"(last error estimate {err:.3e})"
+    (estimate,) = _covariances_by_quadrature(
+        spec, [(weight_a, weight_b)], model, n_nodes, rtol=rtol, atol=atol, max_nodes=max_nodes
     )
+    return estimate
 
 
 # --------------------------------------------------------------------------

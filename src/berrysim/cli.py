@@ -270,23 +270,29 @@ class Outcome:
     stdout: str = ""
 
 
-def _analytic_payload(config: RunConfig) -> dict:
+def _analytic_payload(config: RunConfig, *, oracle_cov: bool = False) -> dict:
+    """The analytic command's payload; ``oracle_cov`` adds cov(gamma, delta) to its quadrature."""
     spec = config.spec()
     model = config.model()
     variances = analytics.second_moments(spec, model)
     w_gamma = analytics.geometric_weight(spec)
-    w_alpha = w_gamma + analytics.dynamical_weight(spec)
-    quadrature = {}
-    for key, weight in (("var_gamma", w_gamma), ("var_alpha", w_alpha)):
-        quad = analytics.covariance_by_quadrature(
-            spec, weight, weight, model, _quad_nodes(spec), rtol=_QUAD_RTOL
-        )
-        quadrature[key] = {
+    w_delta = analytics.dynamical_weight(spec)
+    w_alpha = w_gamma + w_delta
+    pairs = {"var_gamma": (w_gamma, w_gamma), "var_alpha": (w_alpha, w_alpha)}
+    if oracle_cov:
+        pairs["cov_gamma_delta"] = (w_gamma, w_delta)
+    quads = analytics._covariances_by_quadrature(
+        spec, list(pairs.values()), model, _quad_nodes(spec), rtol=_QUAD_RTOL
+    )
+    quadrature = {
+        key: {
             "value": quad.value,
             "error": quad.error,
             "nodes": quad.nodes,
             "rel_diff_closed": _rel_diff(quad.value, variances[key].total),
         }
+        for key, quad in zip(pairs, quads)
+    }
     return {
         "config": config.to_dict(),
         "omega": spec.omega,
@@ -516,16 +522,13 @@ def _battery(config: RunConfig) -> list:
     checks = []
     spec = config.spec()
     model = config.model()
-    payload = _analytic_payload(config)
+    payload = _analytic_payload(config, oracle_cov=True)
     moments = analytics.PhaseMoments(**payload["moments"])
-    quad_cov = analytics.covariance_by_quadrature(
-        spec, analytics.geometric_weight(spec), analytics.dynamical_weight(spec), model,
-        _quad_nodes(spec), rtol=_QUAD_RTOL,
-    )
+    quadrature = payload["quadrature"]
     for name, closed, value in (
-        ("oracle_var_gamma", moments.var_gamma, payload["quadrature"]["var_gamma"]["value"]),
-        ("oracle_var_alpha", moments.var_alpha, payload["quadrature"]["var_alpha"]["value"]),
-        ("oracle_cov", moments.cov_gamma_delta, quad_cov.value),
+        ("oracle_var_gamma", moments.var_gamma, quadrature["var_gamma"]["value"]),
+        ("oracle_var_alpha", moments.var_alpha, quadrature["var_alpha"]["value"]),
+        ("oracle_cov", moments.cov_gamma_delta, quadrature["cov_gamma_delta"]["value"]),
     ):
         rel = _rel_diff(value, closed)
         checks.append(

@@ -639,8 +639,10 @@ class TestMatchesReference:
     def test_cli_payload(self, monkeypatch):
         # the analytic command's variances, subterms and limits, with the
         # oracle stubbed out so that only the closed forms run
-        monkeypatch.setattr(analytics, "covariance_by_quadrature",
-                            lambda *args, **kwargs: QuadratureEstimate(1.0, 0.0, 0))
+        monkeypatch.setattr(
+            analytics, "_covariances_by_quadrature",
+            lambda spec, pairs, *args, **kwargs: (QuadratureEstimate(1.0, 0.0, 0),) * len(pairs),
+        )
         for spec, model in REFERENCE_GRID:
             config = RunConfig(
                 b0=spec.b0, theta0=spec.theta0, t_total=spec.t_total,

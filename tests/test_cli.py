@@ -270,6 +270,27 @@ class TestAnalyticCommand:
         assert out["config"]["t_total"] == 100.0
         assert capsys.readouterr().out == ""
 
+    def test_oracle_filters_each_grid_once_per_command(self, tmp_path, monkeypatch):
+        # var(gamma) and var(alpha) share one set of passes, and none of
+        # them is kept for the next command
+        sizes = []
+        original = analytics._quadrature_pass
+
+        def counting(spec, model, n_nodes, parts):
+            sizes.append(n_nodes)
+            return original(spec, model, n_nodes, parts)
+
+        monkeypatch.setattr(analytics, "_quadrature_pass", counting)
+        argv = ["analytic", "-o", str(tmp_path / "ref"), "--quiet"]
+        assert main(argv) == 0
+        first = list(sizes)
+        quadrature = read_json(tmp_path / "ref.analytic.json")["quadrature"]
+        assert first == [4096 * 2**k for k in range(len(first))]
+        assert first[-1] == max(block["nodes"] for block in quadrature.values())
+        sizes.clear()
+        assert main(argv) == 0
+        assert sizes == first
+
     def test_csv_output(self, tmp_path):
         base = tmp_path / "ref"
         assert main(
@@ -932,7 +953,7 @@ class TestCompareCommand:
         def explode(*args, **kwargs):
             raise AccuracyError("forced for the exit-code test")
 
-        monkeypatch.setattr(analytics, "covariance_by_quadrature", explode)
+        monkeypatch.setattr(analytics, "_covariances_by_quadrature", explode)
         assert main(["analytic"]) == 3
         assert "accuracy error" in capsys.readouterr().err
 
