@@ -55,7 +55,21 @@ bandwidth.  There the limit is None rather than a wrong number.
 
 The quadrature routines integrate the same double integrals directly
 from cos(omega t), sin(omega t), 1 and the OU kernel, with no reference
-to J or L, and serve as an independent cross-check.
+to J or L, and serve as an independent cross-check.  A trapezoid pass
+T(n) over n intervals filters each of the three bases once, whatever the
+weights; the weights only scale the results.  Its error is a series in
+h**2, because the inner integral is exact for piecewise-linear weights,
+so the oracle doubles n and extrapolates twice (Richardson; Romberg):
+
+    R2(n) = T(n) + (T(n) - T(n/2))/3
+    R3(n) = R2(n) + (R2(n) - R2(n/2))/15
+
+At each doubling it accepts R2 if |T(n) - T(n/2)|/3 <= rtol*|R2| + atol,
+and otherwise R3 if |R2(n) - R2(n/2)|/15 <= rtol*|R3| + atol: the first
+rule met wins, and its left side is the reported error.  That error is
+an estimate from successive differences, not a bound.  Near the
+roundoff floor (gamma*T ~ 1e-6 with sigma3 = 0, or gamma ~ 1e6) roundoff
+can meet a rule early or keep both from ever being met.
 """
 
 from __future__ import annotations
@@ -406,16 +420,22 @@ def _covariances_by_quadrature(
 def _extrapolate(
     pass_value, n: int, rtol: float, atol: float, max_nodes: int
 ) -> QuadratureEstimate:
-    """Double the grid from ``n`` nodes until the extrapolated value meets the tolerance."""
+    """Double the grid from ``n`` nodes until R2 or R3 meets the tolerance (module docstring)."""
     prev = pass_value(n)
+    prev_r2 = None
     while 2 * n <= max_nodes:
         n *= 2
         cur = pass_value(n)
         err = abs(cur - prev) / 3.0
-        extrap = cur + (cur - prev) / 3.0
-        if err <= rtol * abs(extrap) + atol:
-            return QuadratureEstimate(value=extrap, error=err, nodes=n)
-        prev = cur
+        r2 = cur + (cur - prev) / 3.0
+        if err <= rtol * abs(r2) + atol:
+            return QuadratureEstimate(value=r2, error=err, nodes=n)
+        if prev_r2 is not None:
+            err = abs(r2 - prev_r2) / 15.0
+            r3 = r2 + (r2 - prev_r2) / 15.0
+            if err <= rtol * abs(r3) + atol:
+                return QuadratureEstimate(value=r3, error=err, nodes=n)
+        prev, prev_r2 = cur, r2
     raise AccuracyError(
         f"quadrature did not reach rtol={rtol} within {max_nodes} nodes "
         f"(last error estimate {err:.3e})"
@@ -436,11 +456,13 @@ def covariance_by_quadrature(
     """Covariance of two first-order functionals by direct quadrature.
 
     Evaluates the OU double integral with the exact exponential kernel
-    between nodes and Richardson-extrapolates over grid doublings until
-    the step-doubling error estimate meets ``rtol``/``atol``.  Choose
-    ``n_nodes`` to resolve the fastest weight oscillation (at least ~32
-    nodes per drive cycle); raises :class:`AccuracyError` when the
-    tolerance is not reached by ``max_nodes``.
+    between nodes and doubles the grid from ``n_nodes``.  At each doubling
+    it returns the once-extrapolated value if its step-doubling estimate
+    meets ``rtol``/``atol``, else the twice-extrapolated value if that
+    one's estimate does; the first rule met wins.  ``error`` is that
+    estimate, not a bound.  Choose ``n_nodes`` to resolve the fastest
+    weight oscillation (at least ~32 nodes per drive cycle); raises
+    :class:`AccuracyError` when neither rule is met by ``max_nodes``.
     """
     (estimate,) = _covariances_by_quadrature(
         spec, [(weight_a, weight_b)], model, n_nodes, rtol=rtol, atol=atol, max_nodes=max_nodes

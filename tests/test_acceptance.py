@@ -9,6 +9,7 @@ on is built here (``regime_grid``) and tested in ``TestRegimeGrid``.
 """
 
 import functools
+import json
 import math
 import time
 from dataclasses import dataclass
@@ -154,9 +155,9 @@ def test_01_noiseless_berry_phase(capsys):
 def test_02_closed_form_matches_quadrature(capsys):
     """Closed-form var(gamma) and var(alpha) agree with the quadrature oracle.
 
-    atol=1e-9 covers the one grid point (equator, 1592 cycles) whose
-    var(alpha) ~ 7e-4 sits below the roundoff floor of the doubling
-    estimate; the achieved agreement there is still ~8e-12.
+    The oracle runs as ``analytic`` runs it: the CLI's starting grid,
+    rtol=1e-8 and no absolute tolerance, so every grid point must
+    converge on its own relative estimate.
     """
     t0 = time.perf_counter()
     worst_gamma = 0.0
@@ -166,10 +167,10 @@ def test_02_closed_form_matches_quadrature(capsys):
         w_gamma = geometric_weight(point.spec)
         w_alpha = w_gamma + dynamical_weight(point.spec)
         quad_gamma = covariance_by_quadrature(
-            point.spec, w_gamma, w_gamma, point.model, nodes, rtol=1e-8, atol=1e-9
+            point.spec, w_gamma, w_gamma, point.model, nodes, rtol=1e-8
         )
         quad_alpha = covariance_by_quadrature(
-            point.spec, w_alpha, w_alpha, point.model, nodes, rtol=1e-8, atol=1e-9
+            point.spec, w_alpha, w_alpha, point.model, nodes, rtol=1e-8
         )
         moments = phase_moments(point.spec, point.model)
         closed_gamma = moments.var_gamma
@@ -458,6 +459,31 @@ def test_10_cli_determinism(capsys, tmp_path):
         f"exit codes {codes}, rerun identical={rerun_same}, {len(first)} bytes",
     )
     assert ok
+
+
+def test_analytic_command_on_the_regime_grid(tmp_path):
+    """``analytic`` resolves both oracle variances at every grid point.
+
+    This includes theta0 = pi/2 with 1592 cycles at gamma*T = 100, whose
+    var(alpha) the one-level doubling estimate cannot resolve within
+    2**21 nodes.
+    """
+    grid = regime_grid()
+    assert any(point.spec.n_cycles == 1592 and point.theta0 == math.pi / 2 for point in grid)
+    for i, point in enumerate(grid):
+        spec, model = point.spec, point.model
+        base = tmp_path / f"point{i:02d}"
+        argv = [
+            "analytic", "--quiet", "-o", str(base),
+            "--b0", repr(spec.b0), "--theta0", repr(spec.theta0),
+            "--t-total", repr(spec.t_total), "--n-cycles", str(spec.n_cycles),
+            "--sigma12", repr(model.transverse.sigma), "--gamma12", repr(model.transverse.gamma),
+            "--sigma3", repr(model.longitudinal.sigma), "--gamma3", repr(model.longitudinal.gamma),
+        ]
+        assert main(argv) == 0, point
+        quadrature = json.loads(base.with_suffix(".analytic.json").read_text())["quadrature"]
+        for key in ("var_gamma", "var_alpha"):
+            assert quadrature[key]["rel_diff_closed"] <= 1e-8, (point, key)
 
 
 class TestRegimeGrid:

@@ -25,7 +25,7 @@ from berrysim import (
     phase_moments,
 )
 from berrysim import analytics
-from berrysim.cli import RunConfig, _analytic_payload
+from berrysim.cli import RunConfig, _analytic_payload, main
 from test_noise import params_for
 
 SPEC = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)
@@ -372,6 +372,30 @@ class TestQuadratureOracle:
         with pytest.raises(ValueError):
             covariance_by_quadrature(SPEC, W_GAMMA, W_GAMMA, MODEL, 32)
 
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 3 floor: the doubling estimate stops on roundoff "
+               "(3.3e-7 off with an estimate near 1e-8 of the value)",
+    )
+    def test_roundoff_floor_at_small_gamma_t(self):
+        # gamma*T = 1e-6, sigma3 = 0: the transverse double integral is a
+        # small difference of large oscillating parts
+        spec = PrecessionSpec(b0=1.3, theta0=math.pi / 4, t_total=100.0, n_cycles=7)
+        model = NoiseModel.from_scalars(0.05, 1e-8, 0.0, 3e-8)
+        w = geometric_weight(spec)
+        est = covariance_by_quadrature(spec, w, w, model, 4096, rtol=1e-8)
+        assert _same(est.value, phase_covariance(spec, model, w, w).total, 1e-8)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 3 floor: at gamma = 1e6 the estimates sit at roundoff "
+               "and the oracle doubles to 2**21 nodes, then exits 3",
+    )
+    def test_roundoff_floor_at_large_gamma(self, tmp_path, capsys):
+        argv = ["analytic", "--gamma12", "1e6", "--gamma3", "1e6", "--quiet",
+                "-o", str(tmp_path / "wide")]
+        assert main(argv) == 0
+
 
 class TestDephasing:
     def test_factor_values(self):
@@ -569,19 +593,40 @@ def _ref_quadrature_pass(spec, name_a, name_b, model, n_nodes):
     return float(total)
 
 
-def _ref_covariance_by_quadrature(spec, name_a, name_b, model, n_nodes, rtol, max_nodes):
-    """(value, error, nodes), or None where the doubling does not converge."""
-    n = n_nodes
-    prev = _ref_quadrature_pass(spec, name_a, name_b, model, n)
-    while 2 * n <= max_nodes:
+def _ref_doubling(pass_value, n, rtol, max_nodes):
+    """The one-level doubling rule, with the two-level rule beside it.
+
+    Returns (first, second).  ``first`` is the (value, error, nodes) where
+    |T(n) - T(n/2)|/3 <= rtol*|R2| first holds, or None where it does
+    not within max_nodes.  ``second`` is the same for
+    |R2(n) - R2(n/2)|/15 <= rtol*|R3| at a grid before ``first``'s.
+    """
+    first = second = None
+    prev, prev_r2 = pass_value(n), None
+    while first is None and 2 * n <= max_nodes:
         n *= 2
-        cur = _ref_quadrature_pass(spec, name_a, name_b, model, n)
+        cur = pass_value(n)
         err = abs(cur - prev) / 3.0
-        extrap = cur + (cur - prev) / 3.0
-        if err <= rtol * abs(extrap):
-            return extrap, err, n
-        prev = cur
-    return None
+        r2 = cur + (cur - prev) / 3.0
+        if err <= rtol * abs(r2):
+            first = (r2, err, n)
+        elif second is None and prev_r2 is not None:
+            err = abs(r2 - prev_r2) / 15.0
+            r3 = r2 + (r2 - prev_r2) / 15.0
+            if err <= rtol * abs(r3):
+                second = (r3, err, n)
+        prev, prev_r2 = cur, r2
+    return first, second
+
+
+def _own_pass(spec, x, y, model, n_nodes):
+    """One pass of the package's own quadrature for the pair (x, y)."""
+    coeffs = (
+        2.0 * model.transverse.sigma**2 * (x.transverse * y.transverse),
+        2.0 * model.longitudinal.sigma**2 * (x.longitudinal * y.longitudinal),
+    )
+    integrals = analytics._quadrature_pass(spec, model, n_nodes, (True, True))
+    return analytics._pass_value(coeffs, integrals)
 
 
 # theta0 x gamma*T x (sigma12, sigma3) x n_cycles, at b0 = 1.3 and T = 100
@@ -673,21 +718,38 @@ class TestMatchesReference:
     def test_quadrature(self, pair):
         index = {"gamma": 0, "delta": 1, "alpha": 2}
         for spec, model in REFERENCE_GRID:
-            want = _ref_covariance_by_quadrature(spec, *pair, model, 256, 1e-8, 2**16)
             x, y = (weights(spec)[index[name]] for name in pair)
             args = (spec, x, y, model, 256)
             kwargs = dict(rtol=1e-8, max_nodes=2**16)
-            if want is None:
+            # the rule on the package's own passes gives the exact outcome
+            own_first, own_second = _ref_doubling(
+                lambda n: _own_pass(spec, x, y, model, n), 256, 1e-8, 2**16
+            )
+            if own_first is None and own_second is None:
                 with pytest.raises(AccuracyError):
                     covariance_by_quadrature(*args, **kwargs)
                 continue
             got = covariance_by_quadrature(*args, **kwargs)
+            # first rule met wins: where the one-level rule stops no later
+            # than the two-level one, the output is the one-level output
+            assert tuple(got) == (own_first if own_second is None else own_second), (spec, model)
+
+            first, second = _ref_doubling(
+                lambda n: _ref_quadrature_pass(spec, *pair, model, n), 256, 1e-8, 2**16
+            )
             exact = phase_covariance(spec, model, x, y).total
-            if not _same(want[0], exact, 1e-8):
+            stop = first if second is None else second
+            if stop is not None and not _same(stop[0], exact, 1e-8):
                 # The reference stopped on roundoff, further from the exact
                 # value than its rtol (3e-7 at gamma*T = 1e-6 with sigma3 = 0);
                 # there the two only have to be equally close to it.
-                assert abs(got.value - exact) <= 2.0 * abs(want[0] - exact), (spec, model)
+                assert abs(got.value - exact) <= 2.0 * abs(stop[0] - exact), (spec, model)
                 continue
-            assert got.nodes == want[2], (spec, model)
-            assert _same(got.value, want[0], 1e-10), (spec, model)
+            if second is None:
+                assert got.nodes == first[2], (spec, model)
+                assert _same(got.value, first[0], 1e-10), (spec, model)
+                continue
+            # the two-level rule stops first, or the one-level rule never does
+            assert _same(got.value, exact, 1e-8), (spec, model)
+            if first is not None:
+                assert got.nodes <= first[2], (spec, model)

@@ -741,12 +741,12 @@ _COMMAND_PINS = {
         ["compare", "--n-trials", "1000", *_PIN_SMALL, "-o", "pin"],
         0,
         {
-            "pin.compare.json": "ff31a7ecb4df6d51a4bb78d1bebdf6d5e7bff0008e39a92d9ad9341acca26c52",
+            "pin.compare.json": "ea9ba73bc69f0d0bccc9f86aeff8b84a30667aa0a1d3fcc74494b398ed3088e0",
         },
         [
             "[PASS] oracle_var_gamma: closed=1.956467746e-03 quadrature=1.956467746e-03 rel=5.41e-14",
             "[PASS] oracle_var_alpha: closed=3.990375780e+00 quadrature=3.990375780e+00 rel=5.49e-14",
-            "[PASS] oracle_cov: closed=1.189337870e-02 quadrature=1.189337870e-02 rel=4.15e-13",
+            "[PASS] oracle_cov: closed=1.189337870e-02 quadrature=1.189337870e-02 rel=1.95e-13",
             "[PASS] narrowband_limit: limit=6.154191e-03 closed=6.154227e-03 rel=5.80e-06",
             "[PASS] broadband_limit: limit=2.467401e-05 closed=2.464885e-05 rel=1.02e-03",
             "[PASS] mc_moments: n=1000 max|z|=1.383",
@@ -763,12 +763,12 @@ _COMMAND_PINS = {
         ["compare", "--n-trials", "200", *_PIN_SMALL, "-o", "pin"],
         1,
         {
-            "pin.compare.json": "d70bce0403f578332760ffa03c0fb7e657487bd9e5bb32789ff1669a2f4d91ad",
+            "pin.compare.json": "65864085e3a68f68024a84a08c9d6d7cf35c5e9d9d93fce3cce93a7fbe2002b9",
         },
         [
             "[PASS] oracle_var_gamma: closed=1.956467746e-03 quadrature=1.956467746e-03 rel=5.41e-14",
             "[PASS] oracle_var_alpha: closed=3.990375780e+00 quadrature=3.990375780e+00 rel=5.49e-14",
-            "[PASS] oracle_cov: closed=1.189337870e-02 quadrature=1.189337870e-02 rel=4.15e-13",
+            "[PASS] oracle_cov: closed=1.189337870e-02 quadrature=1.189337870e-02 rel=1.95e-13",
             "[PASS] narrowband_limit: limit=6.154191e-03 closed=6.154227e-03 rel=5.80e-06",
             "[PASS] broadband_limit: limit=2.467401e-05 closed=2.464885e-05 rel=1.02e-03",
             "[PASS] mc_moments: n=200 max|z|=2.001",
