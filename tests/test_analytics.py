@@ -659,6 +659,45 @@ def _same(got, want, rel):
     return abs(got - want) <= rel * abs(want)
 
 
+QUADRATURE_PAIRS = [("gamma", "gamma"), ("alpha", "alpha"), ("gamma", "delta")]
+
+
+def _at_roundoff_floor(spec, model):
+    """gamma*T = 1e-6 with 7 cycles, where the passes stall at roundoff."""
+    return spec.n_cycles == 7 and model.transverse.gamma * spec.t_total < 1e-5
+
+
+def _quadrature_outcome(spec, model, pair):
+    """The package's oracle for a pair of named weights, checked on its rule.
+
+    Returns (got, exact, first, second): the estimate (None where the
+    oracle raises), the closed form, and the one- and two-level outcomes
+    of ``_ref_doubling`` on the independent reference passes.
+    """
+    index = {"gamma": 0, "delta": 1, "alpha": 2}
+    x, y = (weights(spec)[index[name]] for name in pair)
+    first, second = _ref_doubling(
+        lambda n: _ref_quadrature_pass(spec, *pair, model, n), 256, 1e-8, 2**16
+    )
+    # the rule on the package's own passes gives the exact outcome
+    own_first, own_second = _ref_doubling(
+        lambda n: _own_pass(spec, x, y, model, n), 256, 1e-8, 2**16
+    )
+    args = (spec, x, y, model, 256)
+    kwargs = dict(rtol=1e-8, max_nodes=2**16)
+    exact = phase_covariance(spec, model, x, y).total
+    if own_first is None and own_second is None:
+        assert first is None and second is None, (spec, model)
+        with pytest.raises(AccuracyError):
+            covariance_by_quadrature(*args, **kwargs)
+        return None, exact, first, second
+    got = covariance_by_quadrature(*args, **kwargs)
+    # first rule met wins: where the one-level rule stops no later
+    # than the two-level one, the output is the one-level output
+    assert tuple(got) == (own_first if own_second is None else own_second), (spec, model)
+    return got, exact, first, second
+
+
 class TestMatchesReference:
     def test_closed_forms(self):
         for spec, model in REFERENCE_GRID:
@@ -713,43 +752,45 @@ class TestMatchesReference:
             else:
                 assert limits["broadband_var_gamma"] is None
 
-    @pytest.mark.parametrize("pair", [("gamma", "gamma"), ("alpha", "alpha"),
-                                      ("gamma", "delta")])
+    @pytest.mark.parametrize("pair", QUADRATURE_PAIRS)
     def test_quadrature(self, pair):
-        index = {"gamma": 0, "delta": 1, "alpha": 2}
         for spec, model in REFERENCE_GRID:
-            x, y = (weights(spec)[index[name]] for name in pair)
-            args = (spec, x, y, model, 256)
-            kwargs = dict(rtol=1e-8, max_nodes=2**16)
-            # the rule on the package's own passes gives the exact outcome
-            own_first, own_second = _ref_doubling(
-                lambda n: _own_pass(spec, x, y, model, n), 256, 1e-8, 2**16
-            )
-            if own_first is None and own_second is None:
-                with pytest.raises(AccuracyError):
-                    covariance_by_quadrature(*args, **kwargs)
+            got, exact, first, second = _quadrature_outcome(spec, model, pair)
+            if got is None:
                 continue
-            got = covariance_by_quadrature(*args, **kwargs)
-            # first rule met wins: where the one-level rule stops no later
-            # than the two-level one, the output is the one-level output
-            assert tuple(got) == (own_first if own_second is None else own_second), (spec, model)
-
-            first, second = _ref_doubling(
-                lambda n: _ref_quadrature_pass(spec, *pair, model, n), 256, 1e-8, 2**16
-            )
-            exact = phase_covariance(spec, model, x, y).total
-            stop = first if second is None else second
-            if stop is not None and not _same(stop[0], exact, 1e-8):
+            if first is None:
+                # the one-level reference raises: the value must lie within
+                # rtol, except at the floor, which has its own xfail below
+                if not _at_roundoff_floor(spec, model):
+                    assert _same(got.value, exact, 1e-8), (spec, model)
+                continue
+            if not _same(first[0], exact, 1e-8):
                 # The reference stopped on roundoff, further from the exact
                 # value than its rtol (3e-7 at gamma*T = 1e-6 with sigma3 = 0);
                 # there the two only have to be equally close to it.
-                assert abs(got.value - exact) <= 2.0 * abs(stop[0] - exact), (spec, model)
+                assert abs(got.value - exact) <= 2.0 * abs(first[0] - exact), (spec, model)
                 continue
             if second is None:
                 assert got.nodes == first[2], (spec, model)
                 assert _same(got.value, first[0], 1e-10), (spec, model)
                 continue
-            # the two-level rule stops first, or the one-level rule never does
+            # the two-level rule stops first
             assert _same(got.value, exact, 1e-8), (spec, model)
-            if first is not None:
-                assert got.nodes <= first[2], (spec, model)
+            assert got.nodes <= first[2], (spec, model)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 3 floor: at gamma*T = 1e-6 with 7 cycles the "
+               "one-level reference raises and the two-level rule stops on "
+               "roundoff 3.3e-7 off the closed form",
+    )
+    def test_quadrature_at_the_roundoff_floor(self):
+        misses = []
+        for pair in QUADRATURE_PAIRS:
+            for spec, model in REFERENCE_GRID:
+                if not _at_roundoff_floor(spec, model):
+                    continue
+                got, exact, first, _ = _quadrature_outcome(spec, model, pair)
+                if got is not None and first is None and not _same(got.value, exact, 1e-8):
+                    misses.append((pair, spec, model))
+        assert not misses, misses
