@@ -1,17 +1,20 @@
 """Monte Carlo validation of the closed-form phase statistics.
 
-Each trial draws the standard-normal innovations xi of one OU noise
-realization and evaluates the first-order phase deviations, and
-optionally runs the exact spin evolution on the path K = L xi those
-innovations give.  The deviations are weighted path integrals w.K,
-linear in the innovations: w.K = (L^T w).xi.  So each ensemble runs its
-two trapezoid-weighted response weights backwards through the exact OU
-recursion once, into the adjoint matrix A, and a first-order trial is
-exactly (gamma_fo, delta_fo) = A xi: the records are N(0, A A^T), and
-first-order trials build no filtered path.  A full_sim ensemble
-computes the control grids once; each of its trials filters its draw
-into K and runs the evolution kernel on the control grids and K,
-recording only the geometric phase and the leakage.
+The first-order phase deviations are weighted path integrals w.K of the
+OU noise K = L xi, linear in its standard-normal innovations xi:
+w.K = (L^T w).xi.  So each ensemble runs its two trapezoid-weighted
+response weights backwards through the exact OU recursion once, into the
+adjoint matrix A, and first-order deviations are exactly
+(gamma_fo, delta_fo) = A xi, whose law is N(0, C) with C = A A^T.
+
+A ``first_order`` ensemble samples that law directly: it factors the
+2x2 matrix C once as L L^T and writes trial i as L z_i, where z_i is
+row i of one (n_trials, 2) standard-normal block.  It draws two normals
+per trial and builds no path.  A ``full_sim`` ensemble computes the
+control grids once; each of its trials draws its own innovations xi,
+filters them into K, runs the evolution kernel on the control grids and
+K, and records A xi for the same draw next to the geometric phase and
+the leakage of the evolution.
 
 ``run_ensemble`` returns an :class:`Ensemble` of per-trial columns.
 ``gamma_fo``, ``delta_fo`` and ``alpha_fo`` are deviations from the
@@ -20,10 +23,12 @@ noiseless values (so their ensemble means target zero), while
 evolution.  The mc pass rule (``_mc_gate``) combines the moment
 z-scores of :func:`compare_to_analytic` with the coherence z-score.
 
-Trial seeds are derived from ``(master_seed, trial_index)``, so
-ensembles are reproducible and extending ``n_trials`` preserves the
-earlier trials.  Trials run serially; summaries reduce the columns in
-trial order with fixed-order numpy reductions.
+Streams are keyed by the master seed.  ``first_order`` draws its block
+from the first child of ``SeedSequence(master_seed)``; ``full_sim``
+trial i draws from ``trial_seed(master_seed, i)``.  Either way a run is
+reproducible and extending ``n_trials`` keeps the earlier trials.
+Trials run serially; summaries reduce the columns in trial order with
+fixed-order numpy reductions.
 """
 
 from __future__ import annotations
@@ -69,13 +74,16 @@ class Ensemble:
     ``gamma_fo`` and ``delta_fo`` are first-order deviations from the
     noiseless phases; ``gamma_sim`` and ``leakage`` hold the exact
     evolution's folded geometric phase and leakage in ``full_sim`` mode
-    and are None otherwise.  ``run_ensemble`` makes the columns read-only.
+    and are None otherwise.  ``covariance`` is the 2x2 covariance C of
+    (gamma_fo, delta_fo) that ``first_order`` mode sampled, and None in
+    ``full_sim`` mode.  ``run_ensemble`` makes the arrays read-only.
     """
 
     gamma_fo: np.ndarray
     delta_fo: np.ndarray
     gamma_sim: np.ndarray | None = None
     leakage: np.ndarray | None = None
+    covariance: np.ndarray | None = None
 
     @property
     def alpha_fo(self) -> np.ndarray:
@@ -85,12 +93,15 @@ class Ensemble:
         return self.gamma_fo.size
 
 
+def _check_nonnegative(name: str, value) -> None:
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value}")
+
+
 def trial_seed(master_seed: int, trial_index: int) -> int:
     """Deterministic per-trial seed, independent across trial indices."""
-    if not isinstance(master_seed, (int, np.integer)) or master_seed < 0:
-        raise ValueError(f"master_seed must be a nonnegative integer, got {master_seed}")
-    if not isinstance(trial_index, (int, np.integer)) or trial_index < 0:
-        raise ValueError(f"trial_index must be a nonnegative integer, got {trial_index}")
+    _check_nonnegative("master_seed", master_seed)
+    _check_nonnegative("trial_index", trial_index)
     seq = np.random.SeedSequence((int(master_seed), int(trial_index)))
     return int(seq.generate_state(1, np.uint64)[0])
 
@@ -112,6 +123,29 @@ def _adjoint_matrix(spec: PrecessionSpec, model: NoiseModel, n_steps: int) -> np
     ])
 
 
+def _law(adjoint: np.ndarray) -> tuple:
+    """(C, L): the covariance C = A A^T and a lower-triangular L with L L^T = C.
+
+    A is divided by a power of two near its largest entry before the
+    product, so L stays finite and nonzero wherever A is, even where the
+    entries of C underflow to zero or overflow to inf, and scaling A by
+    a power of two scales L exactly.  C is singular without noise
+    (C = 0), at theta0 = 0 (no geometric response), and when
+    sigma12 = 0 or sigma3 = 0, where both deviations respond to one noise
+    component and C has rank one.  So l21 = 0 where l11 = 0, and
+    c22 - l21**2 is clamped at 0 where it rounds below.
+    """
+    scale = 2.0 ** math.frexp(float(np.abs(adjoint).max()))[1]
+    unit = adjoint / scale
+    c = unit @ unit.T
+    l11 = math.sqrt(c[0, 0])
+    l21 = c[1, 0] / l11 if l11 > 0.0 else 0.0
+    l22 = math.sqrt(max(c[1, 1] - l21 * l21, 0.0))
+    with np.errstate(over="ignore"):  # C may overflow where L does not
+        covariance = scale * (scale * c)
+    return covariance, scale * np.array([[l11, 0.0], [l21, l22]])
+
+
 def run_ensemble(
     spec: PrecessionSpec,
     model: NoiseModel,
@@ -123,37 +157,51 @@ def run_ensemble(
 ) -> Ensemble:
     """Run ``n_trials`` independent noise realizations.
 
-    Paths are sampled on the integration grid (``steps_per_cycle *
-    n_cycles`` steps over the schedule) so that first-order integrals
-    and the exact evolution see the same realization.  With a fixed
-    ``master_seed`` the innovations of trial k do not depend on the
-    noise amplitudes, so ensembles at different sigma share noise shapes.
-    Trials run serially, in index order.
+    Both modes work on the integration grid (``steps_per_cycle *
+    n_cycles`` steps over the schedule).  ``first_order`` trials are
+    L z_i, with L L^T = C the exact law of the grid's first-order
+    deviations and z_i row i of one (n_trials, 2) standard-normal block
+    from the first child of ``SeedSequence(master_seed)``.  ``full_sim``
+    trial i draws its innovations xi from ``trial_seed(master_seed, i)``;
+    the evolution runs on the path they give, and the first-order
+    deviations are A xi of that same draw.  With a fixed ``master_seed``
+    the draws do not depend on the noise amplitudes, so ensembles at
+    different sigma share noise shapes, and scaling every sigma by a
+    power of two scales the first-order records exactly.  Trials run
+    serially, in index order.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
         raise ValueError(f"n_trials must be a positive integer, got {n_trials}")
+    _check_nonnegative("master_seed", master_seed)
     config = config if config is not None else IntegratorConfig()
     n_steps = config.steps_per_cycle * spec.n_cycles
     dt = spec.t_total / n_steps
     # w.K = (L^T w).xi: one adjoint pass here replaces a filtered path per trial.
     adjoint = _adjoint_matrix(spec, model, n_steps)
-    first_order = np.empty((2, int(n_trials)))
-    sim = np.empty((2, int(n_trials))) if mode == "full_sim" else None
-    if sim is not None:
-        control_nodes, control_mid = _control_grids(spec, n_steps, dt)
+    if mode == "first_order":
+        covariance, factor = _law(adjoint)
+        # spawn_key (0,) makes this SeedSequence(master_seed).spawn(1)[0]
+        stream = np.random.SeedSequence(int(master_seed), spawn_key=(0,))
+        z = np.random.default_rng(stream).standard_normal((int(n_trials), 2))
+        # "+ 0.0" turns the -0.0 of a zero factor times a negative draw into +0.0
+        columns = np.stack([
+            factor[0, 0] * z[:, 0], factor[1, 0] * z[:, 0] + factor[1, 1] * z[:, 1]
+        ]) + 0.0
+        for array in (columns, covariance):
+            array.setflags(write=False)
+        return Ensemble(*columns, covariance=covariance)
 
+    control_nodes, control_mid = _control_grids(spec, n_steps, dt)
+    columns = np.empty((4, int(n_trials)))
     for index in range(int(n_trials)):
         xi = _draw_innovations(n_steps, trial_seed(master_seed, index))
-        first_order[:, index] = adjoint @ xi.reshape(-1)
-        if sim is not None:
-            run = _evolve(control_nodes, control_mid, _ou_filter(model, dt, xi), dt, "up")
-            sim[:, index] = run.geometric_phase, run.leakage
-    for columns in (first_order, sim):
-        if columns is not None:
-            columns.setflags(write=False)
-    return Ensemble(*first_order, *(sim if sim is not None else (None, None)))
+        columns[:2, index] = adjoint @ xi.reshape(-1)
+        run = _evolve(control_nodes, control_mid, _ou_filter(model, dt, xi), dt, "up")
+        columns[2:, index] = run.geometric_phase, run.leakage
+    columns.setflags(write=False)
+    return Ensemble(*columns)
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,11 @@ from berrysim import (
     run_ensemble,
     second_moments,
     summarize,
-    trial_seed,
 )
 from berrysim import montecarlo
 from berrysim.cli import main
-from berrysim.noise import _draw_innovations
 from test_analytics import density_matrix_after
+from test_montecarlo import _reference_law_records
 
 
 REF_SPEC = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)
@@ -336,11 +335,13 @@ def test_06_dephasing(capsys):
 
 
 def test_07_first_order_law(capsys):
-    """First-order trials are A xi exactly, and A A^T is the closed-form covariance.
+    """First-order trials are L z exactly, and L L^T = A A^T is the closed-form covariance.
 
-    A first-order trial is (gamma_fo, delta_fo) = A xi, with the
+    The first-order deviations are (gamma_fo, delta_fo) = A xi, with the
     ensemble's (2, 3(n+1)) adjoint matrix A and iid standard-normal
-    innovations xi, so the records are exactly N(0, C) with C = A A^T.
+    innovations xi, so their law is exactly N(0, C) with C = A A^T.  A
+    first_order ensemble samples that law as L z with L L^T = C; its
+    trials must equal the reference copy of that stream bitwise.
     The trapezoid weights make C(n) converge to the closed form as dt^2,
     so (4/3)|C(n) - C(2n)| estimates its error; C(n) must lie within twice
     that estimate, plus a 1e-12 relative floor, on the whole regime grid.
@@ -367,12 +368,9 @@ def test_07_first_order_law(capsys):
         ensemble = run_ensemble(
             spec, model, 3, seed, config=IntegratorConfig(steps_per_cycle=steps_per_cycle)
         )
-        for k in range(3):
-            xi = _draw_innovations(n_steps, trial_seed(seed, k))
-            gamma, delta = adjoint @ xi.reshape(-1)
-            exact = exact and (ensemble.gamma_fo[k].hex(), ensemble.delta_fo[k].hex()) == (
-                gamma.hex(), delta.hex()
-            )
+        got = np.stack([ensemble.gamma_fo, ensemble.delta_fo], axis=1)
+        want = _reference_law_records(adjoint, 3, seed)
+        exact = exact and [v.hex() for v in got.flat] == [v.hex() for v in want.flat]
     elapsed = time.perf_counter() - t0
     ok = worst <= 1.0 and exact
     _report(
@@ -381,7 +379,7 @@ def test_07_first_order_law(capsys):
         "first_order_law",
         ok,
         f"27 points: |A A^T - closed| at most {worst:.2f} of twice the doubling estimate, "
-        f"first trials equal A xi bitwise: {exact}, {elapsed:.2f}s",
+        f"first trials equal L z bitwise: {exact}, {elapsed:.2f}s",
     )
     assert ok
 

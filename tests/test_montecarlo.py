@@ -94,21 +94,20 @@ def _reference_full_sim(spec, model, n_trials, master_seed, config):
 
     Each trial samples its OU path with ``sample_path`` from its own
     seed and runs ``evolve_and_extract`` on it.  The first-order fields
-    come from the first-order ensemble, which draws the same innovations.
+    are A xi of the innovations that seed draws.
     """
-    first_order = _reference_run_ensemble(spec, model, n_trials, master_seed, config=config)
-    n_steps = config.steps_per_cycle * spec.n_cycles
-    dt = spec.t_total / n_steps
+    adjoint, n_steps, dt = _reference_adjoint(spec, model, config)
     records = []
-    for r in first_order:
-        path = sample_path(model, n_steps, dt, trial_seed(master_seed, r.trial_index))
-        extraction = evolve_and_extract(spec, path, config)
+    for index in range(n_trials):
+        seed = trial_seed(master_seed, index)
+        gamma, delta = (adjoint @ _draw_innovations(n_steps, seed).reshape(-1)).tolist()
+        extraction = evolve_and_extract(spec, sample_path(model, n_steps, dt, seed), config)
         records.append(
             TrialRecord(
-                trial_index=r.trial_index,
-                gamma_fo=r.gamma_fo,
-                delta_fo=r.delta_fo,
-                alpha_fo=r.alpha_fo,
+                trial_index=index,
+                gamma_fo=gamma,
+                delta_fo=delta,
+                alpha_fo=gamma + delta,
                 gamma_sim=extraction.geometric_phase,
                 leakage=extraction.leakage,
             )
@@ -136,10 +135,8 @@ def _rows(ensemble):
     ]
 
 
-def _reference_run_ensemble(spec, model, n_trials, master_seed, *, mode="first_order",
-                            config=None):
-    """``run_ensemble`` as a loop that builds one ``TrialRecord`` per trial (reference copy)."""
-    config = config if config is not None else IntegratorConfig()
+def _reference_adjoint(spec, model, config):
+    """(A, n_steps, dt): each trapezoid-weighted weight through the adjoint filter."""
     n_steps = config.steps_per_cycle * spec.n_cycles
     dt = spec.t_total / n_steps
     times = np.minimum(np.arange(n_steps + 1) * dt, spec.t_total)
@@ -150,19 +147,49 @@ def _reference_run_ensemble(spec, model, n_trials, master_seed, *, mode="first_o
     adjoint = np.stack(
         [_ou_filter(model, dt, w, adjoint=True).reshape(-1) for w in (w_gamma, w_delta)]
     )
-    if mode == "full_sim":
-        control_nodes, control_mid = _control_grids(spec, n_steps, dt)
+    return adjoint, n_steps, dt
+
+
+def _reference_law_records(adjoint, n_trials, master_seed):
+    """First-order records drawn from their exact law N(0, A A^T) (reference copy).
+
+    C = A A^T is factored by the 2x2 Cholesky formulas, with l21 = 0
+    where l11 = 0 and c22 - l21**2 clamped at 0.  z is one
+    (n_trials, 2) standard-normal block from the first child of
+    ``SeedSequence(master_seed)``, and trial i is L z[i], with +0.0 for
+    a zero record.  Returns the (n_trials, 2) array of (gamma_fo, delta_fo).
+    """
+    c = adjoint @ adjoint.T
+    l11 = math.sqrt(c[0, 0])
+    l21 = c[1, 0] / l11 if l11 > 0.0 else 0.0
+    l22 = math.sqrt(max(c[1, 1] - l21 * l21, 0.0))
+    stream = np.random.SeedSequence(master_seed).spawn(1)[0]
+    z = np.random.default_rng(stream).standard_normal((n_trials, 2))
+    records = np.stack([l11 * z[:, 0], l21 * z[:, 0] + l22 * z[:, 1]], axis=1)
+    return np.where(records == 0.0, 0.0, records)
+
+
+def _reference_run_ensemble(spec, model, n_trials, master_seed, *, mode="first_order",
+                            config=None):
+    """``run_ensemble`` as a loop that builds one ``TrialRecord`` per trial (reference copy)."""
+    config = config if config is not None else IntegratorConfig()
+    adjoint, n_steps, dt = _reference_adjoint(spec, model, config)
+    if mode == "first_order":
+        draws = _reference_law_records(adjoint, int(n_trials), master_seed)
+        return [
+            TrialRecord(index, gamma, delta, gamma + delta)
+            for index, (gamma, delta) in enumerate(draws.tolist())
+        ]
+    control_nodes, control_mid = _control_grids(spec, n_steps, dt)
 
     records = []
     for index in range(int(n_trials)):
         xi = _draw_innovations(n_steps, trial_seed(master_seed, index))
         gamma, delta = (adjoint @ xi.reshape(-1)).tolist()
-        gamma_sim = leakage = None
-        if mode == "full_sim":
-            run = _evolve(control_nodes, control_mid, _ou_filter(model, dt, xi), dt, "up")
-            gamma_sim = run.geometric_phase
-            leakage = run.leakage
-        records.append(TrialRecord(index, gamma, delta, gamma + delta, gamma_sim, leakage))
+        run = _evolve(control_nodes, control_mid, _ou_filter(model, dt, xi), dt, "up")
+        records.append(
+            TrialRecord(index, gamma, delta, gamma + delta, run.geometric_phase, run.leakage)
+        )
     return records
 
 
@@ -255,6 +282,11 @@ class TestColumnsMatchRows:
         # bit patterns: the noiseless ensembles must give +0.0, never -0.0
         assert _bits(_rows(ensemble)) == _bits(want)
         assert (ensemble.gamma_sim is None) == (ensemble.leakage is None) == (mode != "full_sim")
+        if mode == "first_order":
+            adjoint, _, _ = _reference_adjoint(spec, model, config)
+            assert ensemble.covariance.tolist() == (adjoint @ adjoint.T).tolist()
+        else:
+            assert ensemble.covariance is None
         moments = phase_moments(spec, model)
         # repr spells every float exactly, so equal reprs are equal bit patterns
         assert repr(summarize(ensemble)) == repr(_reference_summarize(want))
@@ -320,13 +352,17 @@ class TestRunEnsemble:
         longer = run_ensemble(SPEC, MODEL, 45, 11, config=FAST)
         assert longer.alpha_fo[:30].tolist() == a.alpha_fo.tolist()
 
-    def test_noise_shapes_shared_across_amplitudes(self):
-        # same master seed: doubling sigma exactly doubles the deviations
-        double = NoiseModel.from_scalars(0.10, 0.1, 0.10, 0.1)
+    # +-600: C = A A^T underflows to zero or overflows where the records do not
+    @pytest.mark.parametrize("power", [-600, 1, 600])
+    def test_noise_shapes_shared_across_amplitudes(self, power):
+        # same master seed: scaling every sigma by 2**power scales the
+        # deviations by exactly 2**power
+        factor = 2.0**power
+        scaled_model = NoiseModel.from_scalars(0.05 * factor, 0.1, 0.05 * factor, 0.1)
         base = run_ensemble(SPEC, MODEL, 10, 17, config=FAST)
-        scaled = run_ensemble(SPEC, double, 10, 17, config=FAST)
-        np.testing.assert_allclose(scaled.gamma_fo, 2.0 * base.gamma_fo, rtol=1e-12)
-        np.testing.assert_allclose(scaled.delta_fo, 2.0 * base.delta_fo, rtol=1e-12)
+        scaled = run_ensemble(SPEC, scaled_model, 10, 17, config=FAST)
+        assert scaled.gamma_fo.tolist() == (factor * base.gamma_fo).tolist()
+        assert scaled.delta_fo.tolist() == (factor * base.delta_fo).tolist()
 
     def test_full_sim_mode(self):
         spec = PrecessionSpec(
@@ -355,14 +391,20 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("gamma_dt", [1e-4, 0.3, 800.0])
     @pytest.mark.parametrize("n_cycles", [1, 16])
     def test_first_order_matches_reference(self, amplitudes, gamma_dt, n_cycles):
+        # A xi, the first-order records of a full_sim trial and the law a
+        # first_order ensemble samples, against the contraction w.K of its path
         config = IntegratorConfig(steps_per_cycle=256)
         spec = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=n_cycles)
-        dt = spec.t_total / (config.steps_per_cycle * n_cycles)
+        n_steps = config.steps_per_cycle * n_cycles
+        dt = spec.t_total / n_steps
         sigma12, sigma3 = self.AMPLITUDES[amplitudes]
         model = NoiseModel.from_scalars(sigma12, gamma_dt / dt, sigma3, 3.0 * gamma_dt / dt)
+        adjoint = montecarlo._adjoint_matrix(spec, model, n_steps)
         for seed in (5, 42, 2024):
-            ensemble = run_ensemble(spec, model, 16, seed, config=config)
-            got = np.stack([ensemble.gamma_fo, ensemble.delta_fo], axis=1)
+            got = np.stack([
+                adjoint @ _draw_innovations(n_steps, trial_seed(seed, index)).reshape(-1)
+                for index in range(16)
+            ])
             want = _reference_first_order(spec, model, 16, seed, config)
             scale = np.abs(want).max(axis=0)
             assert np.all(scale > 0.0)
@@ -377,21 +419,75 @@ class TestRunEnsemble:
             want = _reference_first_order(spec, zero, 4, seed, config)
             assert np.all(want == 0.0)
             ensemble = run_ensemble(spec, zero, 4, seed, config=config)
+            assert ensemble.covariance.tolist() == [[0.0, 0.0], [0.0, 0.0]]
             # +0.0 exactly: a -0.0 would print as "-0" in the records CSV
             for column in (ensemble.gamma_fo, ensemble.delta_fo, ensemble.alpha_fo):
                 assert [v.hex() for v in column.tolist()] == [(0.0).hex()] * 4
 
+    def test_pole_samples_no_geometric_deviation(self):
+        # at theta0 = 0 the geometric weight vanishes: l11 = 0, so l21 = 0
+        spec = PrecessionSpec(b0=1.0, theta0=0.0, t_total=100.0, n_cycles=1)
+        ensemble = run_ensemble(spec, MODEL, 50, 8, config=FAST)
+        (c11, c21), (_, c22) = ensemble.covariance.tolist()
+        assert c11 == c21 == 0.0 < c22
+        assert [v.hex() for v in ensemble.gamma_fo.tolist()] == [(0.0).hex()] * 50
+        assert np.all(ensemble.delta_fo != 0.0)
+        assert ensemble.alpha_fo.tolist() == ensemble.delta_fo.tolist()
+
+    # sigma12 = 0 or sigma3 = 0: both deviations respond to one noise
+    # component, so C has rank one and the records are fully correlated
+    @pytest.mark.parametrize("amplitudes", ["sigma3_zero", "sigma12_zero"])
+    def test_rank_one_law(self, amplitudes):
+        config = IntegratorConfig(steps_per_cycle=256)
+        sigma12, sigma3 = self.AMPLITUDES[amplitudes]
+        model = NoiseModel.from_scalars(sigma12, 0.1, sigma3, 0.3)
+        below_zero = 0
+        for theta0 in (0.05, 0.3, math.pi / 4, 1.2, math.pi / 2, 2.5, math.pi - 0.05):
+            for n_cycles in (1, 3):
+                spec = PrecessionSpec(b0=1.0, theta0=theta0, t_total=100.0, n_cycles=n_cycles)
+                adjoint, _, _ = _reference_adjoint(spec, model, config)
+                c = adjoint @ adjoint.T
+                # where c22 - c21**2/c11 rounds below zero, np.linalg.cholesky
+                # raises and the factor clamps l22 at zero
+                below_zero += c[1, 1] - c[1, 0] ** 2 / c[0, 0] < 0.0
+                ensemble = run_ensemble(spec, model, 50, 3, config=config)
+                got = np.stack([ensemble.gamma_fo, ensemble.delta_fo], axis=1)
+                assert got.tolist() == _reference_law_records(adjoint, 50, 3).tolist()
+                assert abs(np.corrcoef(got, rowvar=False)[0, 1]) > 1.0 - 1e-12
+        assert below_zero > 0
+
+    def test_both_samplers_follow_the_exact_law(self):
+        # The sampled L z and the per-trial path w.K are both N(0, C),
+        # C = A A^T: each sample covariance lies within 4 standard errors
+        # of C, var(s_ij) = (c_ij**2 + c_ii c_jj)/(n - 1) for normal data.
+        config = IntegratorConfig(steps_per_cycle=256)
+        n = 4000
+        ensemble = run_ensemble(SPEC, MODEL, n, 42, config=config)
+        c = np.asarray(ensemble.covariance)
+        se = np.sqrt((c * c + np.outer(np.diag(c), np.diag(c))) / (n - 1))
+        assert c[0, 1] > 6.0 * se[0, 1]  # the covariance is resolved, not only bounded
+        sampled = np.stack([ensemble.gamma_fo, ensemble.delta_fo], axis=1)
+        per_trial = _reference_first_order(SPEC, MODEL, n, 42, config)
+        for records in (sampled, per_trial):
+            assert np.all(np.abs(np.cov(records, rowvar=False) - c) <= 4.0 * se)
+
     def test_full_sim_draws_once_for_both_routes(self):
-        # one draw per trial feeds the first-order contraction and the
-        # path the exact evolution runs on
-        first_order = run_ensemble(SPEC, MODEL, 4, 19, config=FAST)
+        # one draw per trial feeds the first-order records, A xi bitwise,
+        # and the path the exact evolution runs on
         full_sim = run_ensemble(SPEC, MODEL, 4, 19, mode="full_sim", config=FAST)
-        assert full_sim.gamma_fo.tolist() == first_order.gamma_fo.tolist()
-        assert full_sim.delta_fo.tolist() == first_order.delta_fo.tolist()
         n_steps = FAST.steps_per_cycle * SPEC.n_cycles
-        for index, gamma_sim in enumerate(full_sim.gamma_sim):
-            path = sample_path(MODEL, n_steps, SPEC.t_total / n_steps, trial_seed(19, index))
-            assert gamma_sim == evolve_and_extract(SPEC, path, FAST).geometric_phase
+        dt = SPEC.t_total / n_steps
+        adjoint = montecarlo._adjoint_matrix(SPEC, MODEL, n_steps)
+        for index in range(4):
+            seed = trial_seed(19, index)
+            xi = _draw_innovations(n_steps, seed)
+            gamma, delta = adjoint @ xi.reshape(-1)
+            assert (full_sim.gamma_fo[index].hex(), full_sim.delta_fo[index].hex()) == (
+                gamma.hex(), delta.hex()
+            )
+            path = sample_path(MODEL, n_steps, dt, seed)
+            assert path.tolist() == _ou_filter(MODEL, dt, xi).tolist()
+            assert full_sim.gamma_sim[index] == evolve_and_extract(SPEC, path, FAST).geometric_phase
 
     # (sigma12, sigma3): isotropic, longitudinal or transverse only, noiseless, strong
     FULL_SIM_AMPLITUDES = [(0.05, 0.05), (0.0, 0.05), (0.05, 0.0), (0.0, 0.0), (0.5, 0.2)]
@@ -423,8 +519,10 @@ class TestRunEnsemble:
         with pytest.raises(ResolutionError) as single:
             evolve_and_extract(SPEC, None, coarse)
         assert str(ensemble.value) == str(single.value)
-        # first-order trials never evolve, so the coarse grid serves them
-        assert len(run_ensemble(SPEC, MODEL, 5, 1, config=coarse)) == len(draws) == 5
+        # first-order trials never evolve, so the coarse grid serves them,
+        # and they draw from their law, not per-trial innovations
+        assert len(run_ensemble(SPEC, MODEL, 5, 1, config=coarse)) == 5
+        assert draws == []
 
     def test_full_sim_rejects_a_non_finite_path(self):
         huge = NoiseModel.from_scalars(1e308, 0.1, 0.0, 0.1)
@@ -437,6 +535,9 @@ class TestRunEnsemble:
             run_ensemble(SPEC, MODEL, 0, 1, config=FAST)
         with pytest.raises(ValueError):
             run_ensemble(SPEC, MODEL, 5, 1, mode="exact", config=FAST)
+        for mode in ("first_order", "full_sim"):
+            with pytest.raises(ValueError, match="master_seed"):
+                run_ensemble(SPEC, MODEL, 5, -1, mode=mode, config=FAST)
 
 
 class TestSummarize:
