@@ -3,10 +3,10 @@
 Commands
 --------
 analytic   closed-form variances, limits and the quadrature cross-check
-mc         Monte Carlo ensemble, summary statistics and z-score gate
+mc         Monte Carlo ensemble, summary statistics and the first-order law check
 simulate   one exact evolution with trajectory and noise dumps
 sweep      closed forms (optionally with MC) over one swept parameter
-compare    self-check battery: oracle equality, limits, MC, scaling
+compare    self-check battery: oracle equality, limits, the first-order law, scaling
 
 Configuration is a flat ``key=value`` file; any key can be overridden
 with a ``--key value`` command-line flag.
@@ -27,7 +27,10 @@ Tables are written in chunks of rows, so the writer's memory does not
 grow with the table's length.
 
 Exit codes: 0 success, 1 scientific check failed, 2 usage or
-configuration error, 3 numerical accuracy failure.
+configuration error, 3 numerical accuracy failure.  The scientific check
+of ``mc`` and the ``first_order_law`` line of ``compare`` are
+:func:`~berrysim.montecarlo.check_law`, which reads no record, so their
+verdict does not depend on the seed.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .evolve import (
     evolve_and_extract,
 )
 from .field import PrecessionSpec, adiabaticity_report, control_field
-from .montecarlo import _MODES, _mc_gate, run_ensemble, summarize
+from .montecarlo import _MODES, check_law, compare_to_analytic, run_ensemble, summarize
 from .noise import NoiseModel, sample_path
 
 __all__ = ["RunConfig", "config_from_file", "main"]
@@ -335,26 +338,26 @@ def cmd_mc(config: RunConfig) -> Outcome:
     )
     seconds = time.perf_counter() - start
     timing = f"mc: ensemble {seconds:.3f} s, {len(ensemble) / max(seconds, 1e-9):.1f} trials/s"
-    stats, report, coh, passed = _mc_gate(ensemble, moments)
+    stats = summarize(ensemble)
+    z_scores = compare_to_analytic(stats, moments)
+    law = check_law(
+        spec, model, moments, len(ensemble), config.integrator(), ensemble.covariance
+    )
     header = ["trial_index", "gamma_fo", "delta_fo", "alpha_fo", "gamma_sim", "leakage"]
     columns = [np.arange(len(ensemble)), *(getattr(ensemble, name) for name in header[1:])]
     payload = {
         "config": config.to_dict(),
         "analytic": dataclasses.asdict(moments),
         "empirical": dataclasses.asdict(stats),
-        "z_scores": report.z_scores,
-        "z_threshold": report.threshold,
-        "coherence": None if coh is None else dataclasses.asdict(coh),
+        "z_scores": z_scores,
+        "first_order_law": law,
         "adiabaticity": adiabaticity_report(spec, model).to_dict(),
-        "pass": passed,
+        "pass": not law["failures"],
     }
-    if ensemble.covariance is not None:
-        (var_gamma, cov), (_, var_delta) = ensemble.covariance.tolist()
-        payload["first_order_law"] = {
-            "var_gamma": var_gamma, "var_delta": var_delta, "cov_gamma_delta": cov,
-        }
-    max_z = max(abs(z) for z in report.z_scores.values())
-    lines = [f"mc: n_trials={stats.n_trials} max|z|={max_z:.3f} pass={str(passed).lower()}"]
+    max_z = max(abs(z) for z in z_scores.values())
+    lines = [f"mc: n_trials={stats.n_trials} max|z|={max_z:.3f} "
+             f"pass={str(payload['pass']).lower()}"]
+    lines += [f"mc: first_order_law failed: {failure}" for failure in law["failures"]]
     if config.mode == "full_sim":
         leakage = ensemble.leakage
         n_leaky = int(np.count_nonzero(leakage > _LEAKAGE_WARN_THRESHOLD))
@@ -369,7 +372,7 @@ def cmd_mc(config: RunConfig) -> Outcome:
             lines.append(f"warning: {n_leaky} of {stats.n_trials} trials have leakage above "
                          f"{_LEAKAGE_WARN_THRESHOLD:.1e}; evolution is not adiabatic")
     files = {".records.csv": (header, columns), ".summary.json": _dump_json(payload)}
-    return Outcome(files, lines, 0 if passed else 1, notes=(timing,))
+    return Outcome(files, lines, 0 if payload["pass"] else 1, notes=(timing,))
 
 
 def cmd_simulate(config: RunConfig, branch: str) -> Outcome:
@@ -455,11 +458,13 @@ def cmd_sweep(
         raise ValueError(f"invalid sweep values {raw_values!r}") from None
     if not values:
         raise ValueError("sweep needs at least one value")
+    if fixed_omega and param != "t_total":
+        raise ValueError(f"--fixed-omega applies to t_total sweeps only, not to --param {param}")
 
     rows = []
     for value in values:
         overrides = {param: value}
-        if fixed_omega and param == "t_total":
+        if fixed_omega:
             exact = config.n_cycles * value / config.t_total
             n_cycles = round(exact)
             if abs(exact - n_cycles) > 1e-9 or n_cycles < 1:
@@ -521,9 +526,8 @@ def _battery(config: RunConfig) -> list:
     """The compare battery: (name, passed, detail) triples.
 
     It reads the closed forms, the quadrature and the adiabaticity report
-    from the analytic payload and applies the mc gate to a first-order
-    ensemble.  ``passed`` is None for an inconclusive check: one whose
-    data agree with the closed form but are too few to resolve it.
+    from the analytic payload and applies mc's pass rule, the law check,
+    which draws no ensemble.
     """
     checks = []
     spec = config.spec()
@@ -557,25 +561,12 @@ def _battery(config: RunConfig) -> list:
             (name, rel <= 0.05, f"limit={limit:.6e} closed={closed:.6e} rel={rel:.2e}")
         )
 
-    ensemble = run_ensemble(spec, model, config.n_trials, config.seed, config=config.integrator())
-    stats, report, coh, _ = _mc_gate(ensemble, moments)
-    threshold = report.threshold
-    max_z = max(abs(z) for z in report.z_scores.values())
-    checks.append(("mc_moments", report.passed, f"n={stats.n_trials} max|z|={max_z:.3f}"))
-    if coh is not None:
-        checks.append(
-            ("mc_coherence", abs(coh.z_score) <= threshold,
-             f"measured={coh.measured:.6e} predicted={coh.predicted:.6e} z={coh.z_score:.3f}")
-        )
-    se_cov = stats.se_cov_gamma_delta
-    cov_ok = abs(stats.cov_gamma_delta - moments.cov_gamma_delta) <= threshold * se_cov
-    if cov_ok and 0.0 < abs(moments.cov_gamma_delta) <= threshold * se_cov:
-        cov_ok = None  # too few trials to tell the closed-form covariance from zero
-    checks.append(
-        ("mc_covariance", cov_ok,
-         f"empirical={stats.cov_gamma_delta:.6e} closed={moments.cov_gamma_delta:.6e} "
-         f"se={se_cov:.2e}")
+    law = check_law(spec, model, moments, config.n_trials, config.integrator())
+    detail = "; ".join(law["failures"]) or "|C - closed| within both bounds: " + ", ".join(
+        f"{name} {e['error']:.2e} <= {min(e['doubling_bound'], e['sampling_bound']):.2e}"
+        for name, e in law.items() if name != "failures"
     )
+    checks.append(("first_order_law", not law["failures"], detail))
 
     if model.transverse.sigma > 0.0 or model.longitudinal.sigma > 0.0:
         # log-log slopes of the closed forms deep in the broadband regime
@@ -618,22 +609,15 @@ def _battery(config: RunConfig) -> list:
 
 def cmd_compare(config: RunConfig) -> Outcome:
     checks = _battery(config)
-    labels = {True: "PASS", False: "FAIL", None: "INCONCLUSIVE"}
-    lines = [f"[{labels[ok]}] {name}: {detail}" for name, ok, detail in checks]
-    passed = all(ok is not False for _, ok, _ in checks)
-    n_inconclusive = sum(ok is None for _, ok, _ in checks)
+    lines = [f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}" for name, ok, detail in checks]
+    passed = all(ok for _, ok, _ in checks)
     files = {}
     if config.output_path is not None:
         rows = [{"name": n, "passed": ok, "detail": d} for n, ok, d in checks]
         payload = {"config": config.to_dict(), "checks": rows, "pass": passed}
         files[".compare.json"] = _dump_json(payload)
         lines.append("compare:")
-    if not passed:
-        lines.append("compare: CHECKS FAILED")
-    elif n_inconclusive:
-        lines.append(f"compare: no check failed, {n_inconclusive} inconclusive")
-    else:
-        lines.append("compare: all checks passed")
+    lines.append("compare: all checks passed" if passed else "compare: CHECKS FAILED")
     return Outcome(files, lines, 0 if passed else 1, wrote_at=len(checks))
 
 
@@ -662,7 +646,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("analytic", parents=[common],
                    help="closed-form variances with the quadrature cross-check")
     sub.add_parser("mc", parents=[common],
-                   help="Monte Carlo ensemble and z-score comparison")
+                   help="Monte Carlo ensemble and the first-order law check")
     sim = sub.add_parser("simulate", parents=[common],
                          help="one exact evolution with trajectory dump")
     sim.add_argument("--branch", choices=("up", "down"), default="up")

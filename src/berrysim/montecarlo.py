@@ -16,12 +16,13 @@ filters them into K, runs the evolution kernel on the control grids and
 K, and records A xi for the same draw next to the geometric phase and
 the leakage of the evolution.
 
-``run_ensemble`` returns an :class:`Ensemble` of per-trial columns.
-``gamma_fo``, ``delta_fo`` and ``alpha_fo`` are deviations from the
-noiseless values (so their ensemble means target zero), while
-``gamma_sim`` is the absolute folded geometric phase from the
-evolution.  The mc pass rule (``_mc_gate``) combines the moment
-z-scores of :func:`compare_to_analytic` with the coherence z-score.
+``run_ensemble`` returns an :class:`Ensemble` of per-trial columns and
+their law C.  ``gamma_fo``, ``delta_fo`` and ``alpha_fo`` are deviations
+from the noiseless values (so their ensemble means target zero), while
+``gamma_sim`` is the absolute folded geometric phase from the evolution.
+The pass rule of ``mc`` and ``compare`` is :func:`check_law`, C against
+the closed forms, which reads no record; the z-scores of
+:func:`compare_to_analytic` are a report.
 
 Streams are keyed by the master seed.  ``first_order`` draws its block
 from the first child of ``SeedSequence(master_seed)``; ``full_sim``
@@ -38,12 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import (
-    PhaseMoments,
-    dephasing_factor,
-    dynamical_weight,
-    geometric_weight,
-)
+from .analytics import PhaseMoments, dynamical_weight, geometric_weight
 from .evolve import IntegratorConfig, _control_grids, _evolve
 from .field import PrecessionSpec
 from .noise import NoiseModel, _draw_innovations, _ou_filter
@@ -54,17 +50,11 @@ __all__ = [
     "run_ensemble",
     "EnsembleStats",
     "summarize",
-    "CoherenceEstimate",
-    "coherence",
-    "ComparisonReport",
     "compare_to_analytic",
+    "check_law",
 ]
 
 _MODES = ("first_order", "full_sim")
-# |z| above this fails a moment comparison.
-_Z_THRESHOLD = 3.0
-# The fewest trials for which the coherence and its jackknife are computed.
-_MIN_COHERENCE_TRIALS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,9 +64,9 @@ class Ensemble:
     ``gamma_fo`` and ``delta_fo`` are first-order deviations from the
     noiseless phases; ``gamma_sim`` and ``leakage`` hold the exact
     evolution's folded geometric phase and leakage in ``full_sim`` mode
-    and are None otherwise.  ``covariance`` is the 2x2 covariance C of
-    (gamma_fo, delta_fo) that ``first_order`` mode sampled, and None in
-    ``full_sim`` mode.  ``run_ensemble`` makes the arrays read-only.
+    and are None otherwise.  ``covariance`` is the exact 2x2 covariance
+    C = A A^T of (gamma_fo, delta_fo) on the ensemble's grid, in both
+    modes.  ``run_ensemble`` makes the arrays read-only.
     """
 
     gamma_fo: np.ndarray
@@ -180,8 +170,9 @@ def run_ensemble(
     dt = spec.t_total / n_steps
     # w.K = (L^T w).xi: one adjoint pass here replaces a filtered path per trial.
     adjoint = _adjoint_matrix(spec, model, n_steps)
+    covariance, factor = _law(adjoint)
+    covariance.setflags(write=False)
     if mode == "first_order":
-        covariance, factor = _law(adjoint)
         # spawn_key (0,) makes this SeedSequence(master_seed).spawn(1)[0]
         stream = np.random.SeedSequence(int(master_seed), spawn_key=(0,))
         z = np.random.default_rng(stream).standard_normal((int(n_trials), 2))
@@ -189,8 +180,7 @@ def run_ensemble(
         columns = np.stack([
             factor[0, 0] * z[:, 0], factor[1, 0] * z[:, 0] + factor[1, 1] * z[:, 1]
         ]) + 0.0
-        for array in (columns, covariance):
-            array.setflags(write=False)
+        columns.setflags(write=False)
         return Ensemble(*columns, covariance=covariance)
 
     control_nodes, control_mid = _control_grids(spec, n_steps, dt)
@@ -201,7 +191,7 @@ def run_ensemble(
         run = _evolve(control_nodes, control_mid, _ou_filter(model, dt, xi), dt, "up")
         columns[2:, index] = run.geometric_phase, run.leakage
     columns.setflags(write=False)
-    return Ensemble(*columns)
+    return Ensemble(*columns, covariance=covariance)
 
 
 @dataclass(frozen=True)
@@ -288,95 +278,87 @@ def summarize(ensemble: Ensemble) -> EnsembleStats:
     )
 
 
-@dataclass(frozen=True)
-class CoherenceEstimate:
-    """Ensemble coherence magnitude against the Gaussian prediction."""
-
-    measured: float
-    predicted: float
-    se: float
-    z_score: float
-
-
-def coherence(ensemble: Ensemble, predicted_var_alpha: float) -> CoherenceEstimate:
-    """|<exp(2i alpha)>| over the ensemble, with a jackknife standard error.
-
-    The modulus is invariant under the constant noiseless phase offset,
-    so deviations give the same value as absolute phases.  Needs at
-    least ``_MIN_COHERENCE_TRIALS`` trials for the jackknife to be
-    meaningful.
-    """
-    n = len(ensemble)
-    if n < _MIN_COHERENCE_TRIALS:
-        raise ValueError(f"need at least {_MIN_COHERENCE_TRIALS} records for coherence, got {n}")
-    predicted = dephasing_factor(predicted_var_alpha)
-    phases = np.exp(2.0j * ensemble.alpha_fo)
-    total = phases.sum()
-    measured = float(abs(total) / n)
-    loo = np.abs(total - phases) / (n - 1)
-    se = float(math.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
-    return CoherenceEstimate(
-        measured=measured, predicted=predicted, se=se, z_score=_z(measured - predicted, se)
-    )
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """z-scores of the empirical moments against the closed forms."""
-
-    z_scores: dict
-    threshold: float
-    passed: bool
-
-
 def _z(diff: float, se: float) -> float:
     if se == 0.0:
         return 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
     return diff / se
 
 
-def compare_to_analytic(stats: EnsembleStats, moments: PhaseMoments) -> ComparisonReport:
-    """Compare ensemble moments with the closed forms at |z| <= 3.
+def compare_to_analytic(stats: EnsembleStats, moments: PhaseMoments) -> dict:
+    """z-scores of the ensemble moments against the closed forms, a report.
 
     Record phases are deviations, so the empirical means are compared
     against zero; this is equivalent to comparing absolute means against
     the noiseless values in ``moments``.  Variances and the covariance
     are compared directly.
     """
-    z_scores = {
-        "mean_gamma": _z(stats.mean["gamma_fo"], stats.sem_mean["gamma_fo"]),
-        "var_gamma": _z(
-            stats.variance["gamma_fo"] - moments.var_gamma,
-            stats.sem_variance["gamma_fo"],
-        ),
-        "mean_delta": _z(stats.mean["delta_fo"], stats.sem_mean["delta_fo"]),
-        "var_delta": _z(
-            stats.variance["delta_fo"] - moments.var_delta,
-            stats.sem_variance["delta_fo"],
-        ),
-        "mean_alpha": _z(stats.mean["alpha_fo"], stats.sem_mean["alpha_fo"]),
-        "var_alpha": _z(
-            stats.variance["alpha_fo"] - moments.var_alpha,
-            stats.sem_variance["alpha_fo"],
-        ),
-        "cov_gamma_delta": _z(
-            stats.cov_gamma_delta - moments.cov_gamma_delta,
-            stats.se_cov_gamma_delta,
-        ),
-    }
-    passed = all(abs(z) <= _Z_THRESHOLD for z in z_scores.values())
-    return ComparisonReport(z_scores=z_scores, threshold=_Z_THRESHOLD, passed=passed)
+    z_scores = {}
+    for name in ("gamma", "delta", "alpha"):
+        column = f"{name}_fo"
+        z_scores[f"mean_{name}"] = _z(stats.mean[column], stats.sem_mean[column])
+        z_scores[f"var_{name}"] = _z(
+            stats.variance[column] - getattr(moments, f"var_{name}"), stats.sem_variance[column]
+        )
+    z_scores["cov_gamma_delta"] = _z(
+        stats.cov_gamma_delta - moments.cov_gamma_delta, stats.se_cov_gamma_delta
+    )
+    return z_scores
 
 
-def _mc_gate(ensemble: Ensemble, moments: PhaseMoments) -> tuple:
-    """The mc pass rule: returns (stats, report, coherence, passed).
+def check_law(
+    spec: PrecessionSpec,
+    model: NoiseModel,
+    moments: PhaseMoments,
+    n_trials: int,
+    config: IntegratorConfig,
+    covariance: np.ndarray | None = None,
+) -> dict:
+    """Check the law C(n) of first-order records against the closed forms.
 
-    Every moment z-score, and from ``_MIN_COHERENCE_TRIALS`` trials on
-    the coherence z-score, must lie within ``_Z_THRESHOLD``.
+    The records of ``n_trials`` trials on a grid of n steps are exactly
+    N(0, C(n)) with C(n) = A A^T (``covariance``, computed if not given).
+    Each entry of |C(n) - closed| must lie within both bounds:
+
+    * ``doubling``: twice the grid-doubling estimate of the trapezoid
+      rule's O(dt^2) error, 2 |C(m) - C(n)| / (r^2 - 1) with m = n // 2
+      and r = n / m, plus a 1e-12 sqrt(c_ii c_jj) roundoff floor.  It
+      catches a wrong weight, kernel or grid, and an O(dt) defect;
+    * ``sampling``: the normal-theory standard error of a sample
+      covariance of ``n_trials`` draws, sqrt((c_ii c_jj + c_ij^2)/(n_trials - 1)),
+      c_ii sqrt(2/(n_trials - 1)) on the diagonal; infinite for one
+      trial.  It catches a law the ensemble could tell from the closed form.
+
+    Returns a block keyed by ``var_gamma``, ``var_delta`` and
+    ``cov_gamma_delta``, each with its ``law``, ``closed``, ``error`` and
+    the two bounds, and by ``failures``, which names each entry and bound
+    that the error exceeds; the law passes where it is empty.  The check
+    reads no record, so its verdict does not depend on the seed.
     """
-    stats = summarize(ensemble)
-    report = compare_to_analytic(stats, moments)
-    enough = len(ensemble) >= _MIN_COHERENCE_TRIALS
-    coh = coherence(ensemble, moments.var_alpha) if enough else None
-    passed = report.passed and (coh is None or abs(coh.z_score) <= _Z_THRESHOLD)
-    return stats, report, coh, passed
+    n_steps = config.steps_per_cycle * spec.n_cycles
+    if covariance is None:
+        covariance = _law(_adjoint_matrix(spec, model, n_steps))[0]
+    ratio = n_steps / (n_steps // 2)
+    coarse = _law(_adjoint_matrix(spec, model, n_steps // 2))[0]
+    root = np.sqrt(np.diag(covariance))
+    scale = np.outer(root, root)
+    bounds = {
+        "doubling": 2.0 * np.abs(coarse - covariance) / (ratio * ratio - 1.0) + 1e-12 * scale,
+        "sampling": np.hypot(scale, covariance) / math.sqrt(n_trials - 1)
+        if n_trials > 1 else np.full((2, 2), math.inf),
+    }
+    cov = moments.cov_gamma_delta
+    closed = np.array([[moments.var_gamma, cov], [cov, moments.var_delta]])
+    error = np.abs(covariance - closed)
+    block = {"failures": []}
+    for name, (i, j) in (("var_gamma", (0, 0)), ("var_delta", (1, 1)), ("cov_gamma_delta", (0, 1))):
+        block[name] = {
+            "law": float(covariance[i, j]),
+            "closed": float(closed[i, j]),
+            "error": float(error[i, j]),
+            **{f"{kind}_bound": float(bound[i, j]) for kind, bound in bounds.items()},
+        }
+        block["failures"] += [
+            f"{name}: |C - closed| = {error[i, j]:.3e} > {kind} bound {bound[i, j]:.3e}"
+            for kind, bound in bounds.items() if not error[i, j] <= bound[i, j]
+        ]
+    return block

@@ -23,7 +23,6 @@ from berrysim import (
     PrecessionSpec,
     berry_phase_variance_broadband,
     berry_phase_variance_narrowband,
-    coherence,
     connection_phase_discrete,
     covariance_by_quadrature,
     dephasing_factor,
@@ -39,7 +38,7 @@ from berrysim import (
 from berrysim import montecarlo
 from berrysim.cli import main
 from test_analytics import density_matrix_after
-from test_montecarlo import _reference_law_records
+from test_montecarlo import _reference_coherence, _reference_law_records
 
 
 REF_SPEC = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)
@@ -293,10 +292,15 @@ def test_05_scaling_laws(capsys):
 
 
 def test_06_dephasing(capsys):
-    """Ensemble coherence matches exp(-2 var(alpha)); rho is physical."""
+    """Ensemble coherence matches exp(-2 var(alpha)); rho is physical.
+
+    The coherence |<exp(2i alpha)>| of the 10^4 reference trials, with a
+    jackknife standard error, must lie within 3 standard errors of the
+    Gaussian prediction exp(-2 var(alpha)).
+    """
     records, _ = _reference_ensemble()
     var_alpha = phase_moments(REF_SPEC, REF_MODEL).var_alpha
-    estimate = coherence(records, var_alpha)
+    estimate = _reference_coherence(records.alpha_fo, var_alpha)
 
     rng = np.random.default_rng(2026)
     worst_herm = 0.0
@@ -345,24 +349,37 @@ def test_07_first_order_law(capsys):
     The trapezoid weights make C(n) converge to the closed form as dt^2,
     so (4/3)|C(n) - C(2n)| estimates its error; C(n) must lie within twice
     that estimate, plus a 1e-12 relative floor, on the whole regime grid.
+    That bound also passes an O(dt) defect, such as a wrong end-node
+    weight, so the convergence order is checked too: wherever
+    |C(2n) - C(4n)| is above roundoff (1e-11 sqrt(c_ii c_jj)), the ratio
+    |C(n) - C(2n)| / |C(2n) - C(4n)| must be at least 3 (second order or
+    faster), and on the diagonal, whose leading error is the dt^2 term,
+    at most 5.  The covariance converges as dt^4 at some points (ratio
+    near 16), so only the variances are held to second order.
     """
     t0 = time.perf_counter()
     worst = 0.0
+    orders = []
     exact = True
     for i, point in enumerate(regime_grid()):
         spec, model = point.spec, point.model
         steps_per_cycle = max(16, 2048 // spec.n_cycles)
         n_steps = steps_per_cycle * spec.n_cycles
-        adjoint = montecarlo._adjoint_matrix(spec, model, n_steps)
-        fine = montecarlo._adjoint_matrix(spec, model, 2 * n_steps)
-        c_n = adjoint @ adjoint.T
-        c_2n = fine @ fine.T
+        adjoint, fine, finest = (
+            montecarlo._adjoint_matrix(spec, model, k * n_steps) for k in (1, 2, 4)
+        )
+        c_n, c_2n, c_4n = (a @ a.T for a in (adjoint, fine, finest))
         m = second_moments(spec, model)
         cov = m["cov_gamma_delta"].total
         closed = np.array([[m["var_gamma"].total, cov], [cov, m["var_delta"].total]])
         scale = np.sqrt(np.outer(np.diag(closed), np.diag(closed)))
         bound = 2.0 * (4.0 / 3.0) * np.abs(c_n - c_2n) + 1e-12 * scale
         worst = max(worst, float(np.max(np.abs(c_n - closed) / bound)))
+        finer = np.abs(c_2n - c_4n)
+        above = finer > 1e-11 * scale
+        ratio = np.abs(c_n - c_2n)[above] / finer[above]
+        ceiling = np.where(np.eye(2, dtype=bool), 5.0, np.inf)[above]
+        orders.extend(zip(ratio.tolist(), ceiling.tolist()))
 
         seed = 1000 + i
         ensemble = run_ensemble(
@@ -372,14 +389,18 @@ def test_07_first_order_law(capsys):
         want = _reference_law_records(adjoint, 3, seed)
         exact = exact and [v.hex() for v in got.flat] == [v.hex() for v in want.flat]
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1.0 and exact
+    diagonal = [r for r, ceiling in orders if ceiling == 5.0]
+    in_order = all(3.0 <= r <= ceiling for r, ceiling in orders)
+    ok = worst <= 1.0 and exact and in_order and len(diagonal) == 54
     _report(
         capsys,
         7,
         "first_order_law",
         ok,
         f"27 points: |A A^T - closed| at most {worst:.2f} of twice the doubling estimate, "
-        f"first trials equal L z bitwise: {exact}, {elapsed:.2f}s",
+        f"doubling ratios of the variances in [{min(diagonal):.2f}, {max(diagonal):.2f}], "
+        f"{len(orders)} ratios >= 3: {in_order}, first trials equal L z bitwise: {exact}, "
+        f"{elapsed:.2f}s",
     )
     assert ok
 

@@ -13,15 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from berrysim import AccuracyError, analytics, cli
+from berrysim import AccuracyError, analytics, cli, montecarlo
 from berrysim.cli import RunConfig, config_from_file, main
 from berrysim.evolve import evolve_and_extract
 from berrysim.field import PrecessionSpec, adiabaticity_report, control_field
-from berrysim.montecarlo import compare_to_analytic
 from berrysim.noise import NoiseModel, sample_path
 from test_analytics import _reference_noncyclic_connection_term
 from test_evolve import _reference_connection_phase_discrete
-from test_montecarlo import _reference_coherence, _reference_run_ensemble, _reference_summarize
+from test_montecarlo import _reference_adjoint, _reference_law_bounds, _reference_run_ensemble
 
 
 def read_json(path: Path) -> dict:
@@ -226,8 +225,8 @@ def test_public_surface():
         "dynamical_weight", "geometric_weight", "noiseless_berry_phase",
         "noncyclic_connection_term", "phase_covariance", "phase_moments", "second_moments",
         "IntegratorConfig", "PhaseExtraction", "connection_phase_discrete", "evolve_and_extract",
-        "CoherenceEstimate", "ComparisonReport", "Ensemble", "EnsembleStats",
-        "coherence", "compare_to_analytic", "run_ensemble", "summarize",
+        "Ensemble", "EnsembleStats",
+        "check_law", "compare_to_analytic", "run_ensemble", "summarize",
         "trial_seed",
     ])
     assert all(hasattr(berrysim, name) for name in berrysim.__all__)
@@ -348,7 +347,12 @@ class TestMcCommand:
         assert summary["pass"] is True
         assert summary["empirical"]["n_trials"] == 400
         assert max(abs(z) for z in summary["z_scores"].values()) <= 3.0
-        assert abs(summary["coherence"]["z_score"]) <= 3.0
+        law = summary["first_order_law"]
+        assert law["failures"] == []
+        for name in ("var_gamma", "var_delta", "cov_gamma_delta"):
+            entry = law[name]
+            assert entry["error"] <= min(entry["doubling_bound"], entry["sampling_bound"])
+        assert "coherence" not in summary and "z_threshold" not in summary
         records = (tmp_path / "run.records.csv").read_text().splitlines()
         assert len(records) == 401
         assert records[0].startswith("trial_index,gamma_fo,delta_fo,alpha_fo")
@@ -391,17 +395,23 @@ class TestMcCommand:
         monkeypatch.setattr(analytics, "phase_moments", tampered)
         code = main(self.ARGS + ["-o", str(tmp_path / "bad")])
         assert code == 1
-        assert read_json(tmp_path / "bad.summary.json")["pass"] is False
+        summary = read_json(tmp_path / "bad.summary.json")
+        assert summary["pass"] is False
+        assert {f.split(":")[0] for f in summary["first_order_law"]["failures"]} == {
+            "var_gamma", "var_delta", "cov_gamma_delta"
+        }
 
-    def test_small_ensemble_skips_coherence(self, tmp_path):
+    def test_zero_noise_agrees_exactly(self, tmp_path):
         args = [
             "mc", "--n-trials", "60", "--steps-per-cycle", "512", "--seed", "1",
             "--sigma12", "0", "--sigma3", "0", "--quiet", "-o", str(tmp_path / "tiny"),
         ]
         assert main(args) == 0
         summary = read_json(tmp_path / "tiny.summary.json")
-        assert summary["coherence"] is None
         assert all(z == 0.0 for z in summary["z_scores"].values())
+        law = summary["first_order_law"]
+        assert all(v == 0.0 for name in ("var_gamma", "var_delta", "cov_gamma_delta")
+                   for v in law[name].values())
 
     def test_full_sim_summary_reports_leakage(self, tmp_path):
         args = [
@@ -426,7 +436,8 @@ class TestMcCommand:
 
     def test_full_sim_warns_on_leakage(self, tmp_path, capsys):
         # 512 steps/cycle at the reference point is not adiabatic: most
-        # trials leak above the threshold, and the z-gate still passes
+        # trials leak above the threshold, and the law check, which does
+        # not read the leakage, still passes
         args = [
             "mc", "--mode", "full_sim", "--n-trials", "40", "--steps-per-cycle", "512",
             "--seed", "1", "-o", str(tmp_path / "fs"),
@@ -449,7 +460,6 @@ class TestMcCommand:
     [
         ["mc"],
         ["sweep", "--param", "theta0", "--values", "0.5", "--with-mc"],
-        ["compare"],
     ],
 )
 def test_three_trials_are_a_usage_error(tmp_path, capsys, args):
@@ -459,6 +469,110 @@ def test_three_trials_are_a_usage_error(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("error: need at least four records")
     assert "Traceback" not in err
+
+
+def test_compare_draws_no_first_order_ensemble(tmp_path, capsys):
+    # the law check reads no record: one trial is enough, and its
+    # sampling bound is infinite
+    argv = ["compare", "--n-trials", "1", "--steps-per-cycle", "512", "--quiet",
+            "-o", str(tmp_path / "one")]
+    assert main(argv) == 0
+    checks = read_json(tmp_path / "one.compare.json")["checks"]
+    assert [c["name"] for c in checks if c["name"].startswith("mc_")] == []
+    law = next(c for c in checks if c["name"] == "first_order_law")
+    assert law["passed"] is True
+
+
+# Seeds, trial counts and modes of the verdict check: (mode, steps/cycle, n_trials, seeds).
+# full_sim runs 128 steps/cycle, the coarsest grid its evolution accepts at the
+# reference point.
+_VERDICT_RUNS = [
+    ("first_order", 4096, 40, (0, 1, 2)),
+    ("first_order", 4096, 1000, (0, 1, 2)),
+    ("first_order", 4096, 10_000, (0, 1, 2)),
+    ("full_sim", 128, 40, (0, 1, 2)),
+    ("full_sim", 128, 1000, (0, 1)),
+    ("full_sim", 128, 10_000, (0, 1)),
+]
+
+
+class _StubRun:
+    geometric_phase = 0.0
+    leakage = 0.0
+
+
+class TestLawVerdict:
+    """mc's verdict is the law check: the same for every seed, at every trial count."""
+
+    @pytest.mark.parametrize(
+        "mode,steps,n_trials,seeds", _VERDICT_RUNS,
+        ids=[f"{mode}-{n}" for mode, _, n, _ in _VERDICT_RUNS],
+    )
+    def test_verdict_does_not_depend_on_the_seed(
+        self, tmp_path, monkeypatch, mode, steps, n_trials, seeds
+    ):
+        if mode == "full_sim" and n_trials == 10_000:
+            # the verdict reads nothing of the evolution, so 10^4 trials
+            # stub it out; each still draws its noise and records A xi
+            monkeypatch.setattr(montecarlo, "_evolve", lambda *args: _StubRun)
+        verdicts = set()
+        for seed in seeds:
+            argv = ["mc", "--mode", mode, "--steps-per-cycle", str(steps),
+                    "--n-trials", str(n_trials), "--seed", str(seed), "--quiet",
+                    "-o", str(tmp_path / f"s{seed}")]
+            code = main(argv)
+            summary = read_json(tmp_path / f"s{seed}.summary.json")
+            verdicts.add((code, summary["pass"], json.dumps(summary["first_order_law"])))
+        assert len(verdicts) == 1
+        assert next(iter(verdicts))[:2] == (0, True)
+
+    def test_modes_share_the_law(self, tmp_path):
+        blocks = []
+        for mode in ("first_order", "full_sim"):
+            argv = ["mc", "--mode", mode, "--steps-per-cycle", "128", "--n-trials", "40",
+                    "--quiet", "-o", str(tmp_path / mode)]
+            assert main(argv) == 0
+            blocks.append(read_json(tmp_path / f"{mode}.summary.json")["first_order_law"])
+        assert blocks[0] == blocks[1]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--sigma12", "0", "--sigma3", "0"],
+            ["--theta0", "0"],
+            ["--sigma12", "0"],
+            ["--sigma3", "0"],
+        ],
+        ids=["sigma_0", "theta0_0", "sigma12_0", "sigma3_0"],
+    )
+    def test_singular_laws_pass(self, tmp_path, flags):
+        argv = ["mc", *flags, "--n-trials", "1000", "--quiet", "-o", str(tmp_path / "edge")]
+        assert main(argv) == 0
+        assert read_json(tmp_path / "edge.summary.json")["first_order_law"]["failures"] == []
+
+    @pytest.mark.parametrize(
+        "flags,failures",
+        [
+            # gamma*dt = 2.4e4: C(n) is 1.2e4 times the closed form
+            (["--gamma12", "1e6", "--gamma3", "1e6", "--n-trials", "1000"],
+             {("var_gamma", "doubling"), ("var_gamma", "sampling"),
+              ("var_delta", "doubling"), ("var_delta", "sampling")}),
+            # 16 steps/cycle: C is 3.3% off, within the doubling bound but
+            # outside the sampling error of 10^5 trials
+            (["--steps-per-cycle", "16", "--n-trials", "100000"],
+             {("var_gamma", "sampling"), ("var_delta", "sampling")}),
+        ],
+        ids=["gamma_1e6", "16_steps_1e5_trials"],
+    )
+    def test_wrong_laws_fail_by_name(self, tmp_path, capsys, flags, failures):
+        assert main(["mc", *flags, "-o", str(tmp_path / "bad")]) == 1
+        summary = read_json(tmp_path / "bad.summary.json")
+        assert summary["pass"] is False
+        named = summary["first_order_law"]["failures"]
+        assert {(f.split(":")[0], f.split(" > ")[1].split()[0]) for f in named} == failures
+        out = capsys.readouterr().out
+        for failure in named:
+            assert f"mc: first_order_law failed: {failure}" in out.splitlines()
 
 
 @pytest.mark.parametrize("sigma", ["1e154", "1e200"])  # the form overflows, then sigma**2 itself
@@ -687,6 +801,12 @@ _PIN_ORACLE_LINES = [
     "[PASS] narrowband_limit: limit=6.154191e-03 closed=6.154227e-03 rel=5.80e-06",
     "[PASS] broadband_limit: limit=2.467401e-05 closed=2.464885e-05 rel=1.02e-03",
 ]
+# the law check at the reference point, 256 steps/cycle; its sampling bounds
+# are looser than its doubling bounds from 200 trials on
+_PIN_LAW_LINE = (
+    "[PASS] first_order_law: |C - closed| within both bounds: var_gamma 2.51e-07 <= 5.02e-07, "
+    "var_delta 5.09e-04 <= 1.02e-03, cov_gamma_delta 2.34e-10 <= 2.34e-09"
+)
 _PIN_CLOSING_LINES = [
     "[PASS] broadband_scaling: slope_var_gamma=-0.9950 (target -1) slope_var_delta=1.0050 (target +1)",
     "[PASS] first_order_vs_sim: median|gamma_sim - gamma_noiseless - gamma_fo|=5.479e-03 rad",
@@ -719,7 +839,7 @@ _COMMAND_PINS = {
         0,
         {
             "pin.records.csv": "b89af76c820defac046c60672acf14470dd932f1d6ce899da8d705480825b3fd",
-            "pin.summary.json": "606806c774f1550bc8573cdda32f28648b56b343f9a01dab97e28f6228af91ef",
+            "pin.summary.json": "b098a3a471a4d2e139fcd85751d4631db7e5d0bf13baccf172d5e7b7ae4b3b6a",
         },
         [
             "mc: n_trials=200 max|z|=2.196 pass=true wrote <dir>/pin.records.csv <dir>/pin.summary.json",
@@ -730,7 +850,7 @@ _COMMAND_PINS = {
         0,
         {
             "pin.records.csv": "c2d51353a66ee6d3edf513eae449c99b59ee0ce3ebad4441387a03e545ba2899",
-            "pin.summary.json": "ed84e5e7bbdb3b9f6b3b3760395bca8ece721823a9ecdbaab2aa64f3f33c6cac",
+            "pin.summary.json": "4ad1549eec9ec76887e5285cae0ce4110593379e61f8db16a450c8bd1de4955d",
         },
         [
             "mc: n_trials=40 max|z|=2.571 pass=true wrote <dir>/pin.records.csv <dir>/pin.summary.json",
@@ -755,30 +875,26 @@ _COMMAND_PINS = {
         ["compare", "--n-trials", "1000", *_PIN_SMALL, "-o", "pin"],
         0,
         {
-            "pin.compare.json": "873173f5ac54fcb09f3684032230b8dc08439b6620d54c0cc5ed5a7504caf37e",
+            "pin.compare.json": "b51b3d77ef8668785568d0f6a5ebc09a78efc08e6cb56e84145349882ef29a75",
         },
         [
             *_PIN_ORACLE_LINES,
-            "[PASS] mc_moments: n=1000 max|z|=2.402",
-            "[PASS] mc_coherence: measured=3.943596e-02 predicted=3.419823e-04 z=1.760",
-            "[PASS] mc_covariance: empirical=1.244697e-02 closed=1.189338e-02 se=2.69e-03",
+            _PIN_LAW_LINE,
             *_PIN_CLOSING_LINES,
             "compare: all checks passed",
         ],
     ),
-    "compare_inconclusive": (
+    "compare_200_trials": (
         ["compare", "--n-trials", "200", *_PIN_SMALL, "-o", "pin"],
         0,
         {
-            "pin.compare.json": "a241fe490cb2e1788a41d289d5193cd2eff9782601899b77be8c0ed0bc8588f8",
+            "pin.compare.json": "51b18265cb2ebc7fc12b44cdf20754e49d322a5a300f3b7f602ee7a41663d0c6",
         },
         [
             *_PIN_ORACLE_LINES,
-            "[PASS] mc_moments: n=200 max|z|=2.196",
-            "[PASS] mc_coherence: measured=9.471773e-02 predicted=3.419823e-04 z=1.984",
-            "[INCONCLUSIVE] mc_covariance: empirical=1.461672e-02 closed=1.189338e-02 se=5.17e-03",
+            _PIN_LAW_LINE,
             *_PIN_CLOSING_LINES,
-            "compare: no check failed, 1 inconclusive",
+            "compare: all checks passed",
         ],
     ),
     "compare_failing": (
@@ -788,7 +904,7 @@ _COMMAND_PINS = {
         ],
         1,
         {
-            "pin.compare.json": "3038e6f2385a5b3fec42f8dcf71881ca1ae3abc7a021a21ed2bb60179a95e8ff",
+            "pin.compare.json": "d354c06287f0fa2b45b31516b30d31a8c06af6685ef07c420f7417383a8918e8",
         },
         [
             "[PASS] oracle_var_gamma: closed=1.956467746e-01 quadrature=1.956467746e-01 rel=5.42e-14",
@@ -796,9 +912,7 @@ _COMMAND_PINS = {
             "[PASS] oracle_cov: closed=1.189337870e+00 quadrature=1.189337870e+00 rel=1.94e-13",
             "[PASS] narrowband_limit: limit=6.154191e-01 closed=6.154227e-01 rel=5.80e-06",
             "[PASS] broadband_limit: limit=2.467401e-03 closed=2.464885e-03 rel=1.02e-03",
-            "[PASS] mc_moments: n=200 max|z|=2.196",
-            "[PASS] mc_coherence: measured=4.934588e-02 predicted=0.000000e+00 z=1.011",
-            "[INCONCLUSIVE] mc_covariance: empirical=1.461672e+00 closed=1.189338e+00 se=5.17e-01",
+            "[PASS] first_order_law: |C - closed| within both bounds: var_gamma 2.51e-05 <= 5.02e-05, var_delta 5.09e-02 <= 1.02e-01, cov_gamma_delta 2.34e-08 <= 2.34e-07",
             "[PASS] broadband_scaling: slope_var_gamma=-0.9950 (target -1) slope_var_delta=1.0050 (target +1)",
             "[FAIL] first_order_vs_sim: median|gamma_sim - gamma_noiseless - gamma_fo|=1.284e+00 rad",
             "[FAIL] adiabaticity: worst sigma12_over_b0=0.5 (threshold 0.2)",
@@ -934,13 +1048,22 @@ class TestSweepCommand:
     def test_bad_values_exit_2(self, capsys):
         assert main(["sweep", "--param", "t_total", "--values", "a,b", "--quiet"]) == 2
 
-    def test_fixed_omega_requires_integral_cycles(self, tmp_path, capsys):
-        args = [
-            "sweep", "--param", "t_total", "--values", "192.5", "--fixed-omega",
-            "--t-total", "128", "--n-cycles", "128", "--quiet",
-            "-o", str(tmp_path / "x"),
-        ]
+    @pytest.mark.parametrize(
+        "flags,reason",
+        [
+            (["--param", "t_total", "--values", "192.5", "--t-total", "128", "--n-cycles", "128"],
+             "fixed-omega sweep requires t_total 192.5 to keep n_cycles integral"),
+            *((["--param", param, "--values", "0.1,0.2"],
+               f"--fixed-omega applies to t_total sweeps only, not to --param {param}")
+              for param in ("gamma12", "gamma3", "theta0")),
+        ],
+        ids=["t_total_192.5", "gamma12", "gamma3", "theta0"],
+    )
+    def test_fixed_omega_requires_integral_cycles(self, tmp_path, capsys, flags, reason):
+        args = ["sweep", *flags, "--fixed-omega", "--quiet", "-o", str(tmp_path / "x")]
         assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCompareCommand:
@@ -959,27 +1082,22 @@ class TestCompareCommand:
             "oracle_cov",
             "narrowband_limit",
             "broadband_limit",
-            "mc_moments",
-            "mc_coherence",
-            "mc_covariance",
+            "first_order_law",
             "broadband_scaling",
             "first_order_vs_sim",
             "adiabaticity",
         } <= names
         assert all(c["passed"] for c in checks)
 
-    def test_unresolved_covariance_is_inconclusive(self, tmp_path, capsys):
-        # near the pole the closed-form covariance is below 3 standard
-        # errors of 1000 trials: agreement there is inconclusive, not a pass
+    def test_small_covariance_near_the_pole_passes(self, tmp_path, capsys):
+        # near the pole the closed-form covariance is below the sampling
+        # error of 1000 trials; the law check resolves it all the same
         args = ["compare", *self.SMALL, "--theta0", "3.0", "-o", str(tmp_path / "cmp")]
         assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "[INCONCLUSIVE] mc_covariance: " in out
-        assert out.splitlines()[-1] == "compare: no check failed, 1 inconclusive"
+        assert capsys.readouterr().out.splitlines()[-1] == "compare: all checks passed"
         payload = read_json(tmp_path / "cmp.compare.json")
         assert payload["pass"] is True
-        cov = next(c for c in payload["checks"] if c["name"] == "mc_covariance")
-        assert cov["passed"] is None
+        assert all(c["passed"] is True for c in payload["checks"])
 
     def test_wrong_covariance_fails(self, monkeypatch, capsys):
         phase_moments = analytics.phase_moments
@@ -990,7 +1108,7 @@ class TestCompareCommand:
 
         monkeypatch.setattr(analytics, "phase_moments", tampered)
         assert main(["compare", *self.SMALL]) == 1
-        assert "[FAIL] mc_covariance: " in capsys.readouterr().out
+        assert "[FAIL] first_order_law: cov_gamma_delta: " in capsys.readouterr().out
 
     def test_loud_noise_fails(self, capsys):
         args = ["compare", *self.SMALL, "--sigma12", "0.5", "--sigma3", "0.5", "--quiet"]
@@ -1066,30 +1184,26 @@ def _reference_battery(config: RunConfig) -> list:
          f"limit={bb:.6e} closed={closed:.6e} rel={rel:.2e}")
     )
 
-    records = _reference_run_ensemble(
-        spec, model, config.n_trials, config.seed, config=config.integrator()
-    )
-    stats = _reference_summarize(records)
-    report = compare_to_analytic(stats, moments)
-    max_z = max(abs(z) for z in report.z_scores.values())
+    # the battery's configs have an even steps_per_cycle, so the coarse grid has n/2 steps
+    adjoint, _, _ = _reference_adjoint(spec, model, config.integrator())
+    half = dataclasses.replace(config, steps_per_cycle=config.steps_per_cycle // 2)
+    coarse, _, _ = _reference_adjoint(spec, model, half.integrator())
+    c, doubling, sampling = _reference_law_bounds(adjoint, coarse, 2.0, config.n_trials)
+    closed = np.array([[moments.var_gamma, moments.cov_gamma_delta],
+                       [moments.cov_gamma_delta, moments.var_delta]])
+    error = np.abs(c - closed)
+    entries = {"var_gamma": (0, 0), "var_delta": (1, 1), "cov_gamma_delta": (0, 1)}
+    failures = [
+        f"{name}: |C - closed| = {error[i, j]:.3e} > {kind} bound {bound[i, j]:.3e}"
+        for name, (i, j) in entries.items()
+        for kind, bound in (("doubling", doubling), ("sampling", sampling))
+        if error[i, j] > bound[i, j]
+    ]
     checks.append(
-        ("mc_moments", report.passed, f"n={stats.n_trials} max|z|={max_z:.3f}")
-    )
-    if len(records) >= 100:
-        coh = _reference_coherence(records, moments.var_alpha)
-        checks.append(
-            ("mc_coherence", abs(coh.z_score) <= 3.0,
-             f"measured={coh.measured:.6e} predicted={coh.predicted:.6e} z={coh.z_score:.3f}")
-        )
-    cov_ok = abs(stats.cov_gamma_delta - moments.cov_gamma_delta) <= 3.0 * stats.se_cov_gamma_delta
-    # agreement with a closed form the ensemble cannot tell from zero is inconclusive
-    if cov_ok and moments.cov_gamma_delta != 0.0:
-        if abs(moments.cov_gamma_delta) <= 3.0 * stats.se_cov_gamma_delta:
-            cov_ok = None
-    checks.append(
-        ("mc_covariance", cov_ok,
-         f"empirical={stats.cov_gamma_delta:.6e} closed={moments.cov_gamma_delta:.6e} "
-         f"se={stats.se_cov_gamma_delta:.2e}")
+        ("first_order_law", not failures, "; ".join(failures) or
+         "|C - closed| within both bounds: " + ", ".join(
+             f"{name} {error[i, j]:.2e} <= {min(doubling[i, j], sampling[i, j]):.2e}"
+             for name, (i, j) in entries.items()))
     )
 
     if model.transverse.sigma > 0.0 or model.longitudinal.sigma > 0.0:
@@ -1170,8 +1284,6 @@ class TestCompareEquivalence:
             assert _without_quadrature_digits(name, detail) == _without_quadrature_digits(
                 name, ref
             )
-        names = [name for name, _, _ in want]
-        assert ("mc_coherence" in names) == (config.n_trials >= 100)
         if overrides.get("sigma12") == 0.5:
             assert not all(ok for _, ok, _ in want)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -6,14 +7,13 @@ import pytest
 from scipy.signal import lfilter
 
 from berrysim import (
-    CoherenceEstimate,
     Ensemble,
     EnsembleStats,
     IntegratorConfig,
     NoiseModel,
     PrecessionSpec,
     ResolutionError,
-    coherence,
+    check_law,
     compare_to_analytic,
     dephasing_factor,
     dynamical_weight,
@@ -233,13 +233,25 @@ def _reference_summarize(records):
     )
 
 
-def _reference_coherence(records, predicted_var_alpha):
-    """``coherence`` over a ``TrialRecord`` list (reference copy)."""
-    n = len(records)
-    if n < 100:
-        raise ValueError(f"need at least 100 records for coherence, got {n}")
+@dataclass(frozen=True)
+class CoherenceEstimate:
+    """Ensemble coherence magnitude against the Gaussian prediction."""
+
+    measured: float
+    predicted: float
+    se: float
+    z_score: float
+
+
+def _reference_coherence(alpha, predicted_var_alpha):
+    """|<exp(2i alpha)>| over the samples ``alpha``, with a jackknife standard error.
+
+    The modulus is invariant under a constant phase offset, so
+    deviations give the same value as absolute phases.
+    """
+    n = alpha.size
     predicted = dephasing_factor(predicted_var_alpha)
-    phases = np.exp(2.0j * np.array([r.alpha_fo for r in records]))
+    phases = np.exp(2.0j * alpha)
     total = phases.sum()
     measured = float(abs(total) / n)
     loo = np.abs(total - phases) / (n - 1)
@@ -250,13 +262,14 @@ def _reference_coherence(records, predicted_var_alpha):
     )
 
 
-def _reference_mc_gate(records, moments):
-    """The mc pass rule over a ``TrialRecord`` list (reference copy)."""
-    stats = _reference_summarize(records)
-    report = compare_to_analytic(stats, moments)
-    coh = _reference_coherence(records, moments.var_alpha) if len(records) >= 100 else None
-    passed = report.passed and (coh is None or abs(coh.z_score) <= report.threshold)
-    return stats, report, coh, passed
+def _reference_law_bounds(adjoint, coarse, ratio, n_trials):
+    """(C(n), doubling bound, sampling bound) of the law check (reference copy)."""
+    c = adjoint @ adjoint.T
+    c_coarse = coarse @ coarse.T
+    scale = np.sqrt(np.outer(np.diag(c), np.diag(c)))
+    doubling = 2.0 * np.abs(c_coarse - c) / (ratio**2 - 1.0) + 1e-12 * scale
+    sampling = np.sqrt((np.outer(np.diag(c), np.diag(c)) + c * c) / (n_trials - 1))
+    return c, doubling, sampling
 
 
 class TestColumnsMatchRows:
@@ -275,35 +288,24 @@ class TestColumnsMatchRows:
         config = IntegratorConfig(steps_per_cycle=256)
         spec = PrecessionSpec(b0=1.0, theta0=theta0, t_total=100.0, n_cycles=n_cycles)
         model = NoiseModel.from_scalars(amplitudes[0], 0.1, amplitudes[1], 0.3)
-        # 100 trials: the fewest at which the gate includes the coherence
         ensemble = run_ensemble(spec, model, 100, 42, mode=mode, config=config)
         want = _reference_run_ensemble(spec, model, 100, 42, mode=mode, config=config)
         assert len(ensemble) == 100
         # bit patterns: the noiseless ensembles must give +0.0, never -0.0
         assert _bits(_rows(ensemble)) == _bits(want)
         assert (ensemble.gamma_sim is None) == (ensemble.leakage is None) == (mode != "full_sim")
-        if mode == "first_order":
-            adjoint, _, _ = _reference_adjoint(spec, model, config)
-            assert ensemble.covariance.tolist() == (adjoint @ adjoint.T).tolist()
-        else:
-            assert ensemble.covariance is None
-        moments = phase_moments(spec, model)
+        # both modes keep the exact law of their first-order columns
+        adjoint, _, _ = _reference_adjoint(spec, model, config)
+        assert ensemble.covariance.tolist() == (adjoint @ adjoint.T).tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            ensemble.covariance[0, 0] = 1.0
         # repr spells every float exactly, so equal reprs are equal bit patterns
         assert repr(summarize(ensemble)) == repr(_reference_summarize(want))
-        assert repr(coherence(ensemble, moments.var_alpha)) == repr(
-            _reference_coherence(want, moments.var_alpha)
-        )
-        assert repr(montecarlo._mc_gate(ensemble, moments)) == repr(
-            _reference_mc_gate(want, moments)
-        )
 
     @pytest.mark.parametrize("n_trials", [4, 99, 100])
-    def test_length_and_coherence_minimum(self, n_trials):
+    def test_length(self, n_trials):
         ensemble = run_ensemble(SPEC, MODEL, n_trials, 3, config=FAST)
         assert len(ensemble) == n_trials
-        # the gate includes the coherence from 100 trials on
-        _, _, coh, _ = montecarlo._mc_gate(ensemble, phase_moments(SPEC, MODEL))
-        assert (coh is None) == (n_trials < 100)
 
 
 class TestTrialSeed:
@@ -600,44 +602,11 @@ class TestSummarize:
         assert stats.mean["gamma_sim"] == pytest.approx(2.2)
 
 
-class TestCoherence:
-    def _ensemble(self, alphas):
-        alphas = np.asarray(alphas, dtype=float)
-        return Ensemble(np.zeros_like(alphas), alphas)
-
-    def test_gaussian_sample_matches_prediction(self):
-        rng = np.random.default_rng(6)
-        var = 0.04
-        alphas = rng.standard_normal(20_000) * math.sqrt(var)
-        est = coherence(self._ensemble(alphas), var)
-        assert est.predicted == pytest.approx(math.exp(-2.0 * var), rel=1e-12)
-        assert abs(est.z_score) < 4.0
-        assert est.se > 0.0
-
-    def test_offset_invariance(self):
-        rng = np.random.default_rng(7)
-        alphas = rng.standard_normal(500) * 0.1
-        a = coherence(self._ensemble(alphas), 0.01)
-        b = coherence(self._ensemble(alphas + 123.456), 0.01)
-        assert a.measured == pytest.approx(b.measured, rel=1e-12)
-
-    def test_degenerate_ensemble(self):
-        est = coherence(self._ensemble(np.zeros(200)), 0.0)
-        assert est.measured == 1.0
-        assert est.z_score == 0.0
-
-    def test_needs_enough_records(self):
-        with pytest.raises(ValueError):
-            coherence(self._ensemble(np.zeros(99)), 0.0)
-
-
 class TestCompareToAnalytic:
-    def test_reference_ensemble_passes(self):
-        records = run_ensemble(SPEC, MODEL, 1500, 77, config=FAST)
-        stats = summarize(records)
-        moments = phase_moments(SPEC, MODEL)
-        report = compare_to_analytic(stats, moments)
-        assert set(report.z_scores) == {
+    def test_reference_ensemble_is_within_three_standard_errors(self):
+        stats = summarize(run_ensemble(SPEC, MODEL, 1500, 77, config=FAST))
+        z_scores = compare_to_analytic(stats, phase_moments(SPEC, MODEL))
+        assert set(z_scores) == {
             "mean_gamma",
             "var_gamma",
             "mean_delta",
@@ -646,21 +615,78 @@ class TestCompareToAnalytic:
             "var_alpha",
             "cov_gamma_delta",
         }
-        assert report.passed
-        assert max(abs(z) for z in report.z_scores.values()) < 3.0
-        est = coherence(records, moments.var_alpha)
-        assert abs(est.z_score) < 3.0
+        assert max(abs(z) for z in z_scores.values()) < 3.0
 
     def test_zero_noise_is_exact_agreement(self):
         zero = NoiseModel.from_scalars(0.0, 0.1, 0.0, 0.1)
         stats = summarize(run_ensemble(SPEC, zero, 50, 1, config=FAST))
-        report = compare_to_analytic(stats, phase_moments(SPEC, zero))
-        assert report.passed
-        assert all(z == 0.0 for z in report.z_scores.values())
+        z_scores = compare_to_analytic(stats, phase_moments(SPEC, zero))
+        assert all(z == 0.0 for z in z_scores.values())
 
-    def test_wrong_analytics_fail(self):
-        records = run_ensemble(SPEC, MODEL, 1500, 77, config=FAST)
-        stats = summarize(records)
+    def test_wrong_analytics_stand_out(self):
+        stats = summarize(run_ensemble(SPEC, MODEL, 1500, 77, config=FAST))
         moments = phase_moments(SPEC, NoiseModel.from_scalars(0.1, 0.1, 0.1, 0.1))
-        report = compare_to_analytic(stats, moments)
-        assert not report.passed
+        assert max(abs(z) for z in compare_to_analytic(stats, moments).values()) > 3.0
+
+
+class TestCheckLaw:
+    """C(n) against the closed forms within both bounds; no record is read."""
+
+    @pytest.mark.parametrize("steps_per_cycle", [256, 257])
+    @pytest.mark.parametrize("n_trials", [1, 4, 10_000])
+    def test_bounds_match_reference(self, steps_per_cycle, n_trials):
+        # an odd grid halves to n // 2 steps, so the doubling ratio is n / (n // 2)
+        config = IntegratorConfig(steps_per_cycle=steps_per_cycle)
+        moments = phase_moments(SPEC, MODEL)
+        law = check_law(SPEC, MODEL, moments, n_trials, config)
+        assert law["failures"] == []
+        adjoint, n_steps, _ = _reference_adjoint(SPEC, MODEL, config)
+        coarse, _, _ = _reference_adjoint(
+            SPEC, MODEL, IntegratorConfig(steps_per_cycle=steps_per_cycle // 2)
+        )
+        ratio = n_steps / (n_steps // 2)
+        if n_trials == 1:
+            c, doubling, sampling = _reference_law_bounds(adjoint, coarse, ratio, 2)
+            sampling = np.full((2, 2), math.inf)
+        else:
+            c, doubling, sampling = _reference_law_bounds(adjoint, coarse, ratio, n_trials)
+        closed = {"var_gamma": moments.var_gamma, "var_delta": moments.var_delta,
+                  "cov_gamma_delta": moments.cov_gamma_delta}
+        for name, (i, j) in {"var_gamma": (0, 0), "var_delta": (1, 1),
+                             "cov_gamma_delta": (0, 1)}.items():
+            entry = law[name]
+            assert entry["law"] == c[i, j]
+            assert entry["closed"] == closed[name]
+            assert entry["error"] == abs(c[i, j] - closed[name])
+            assert entry["doubling_bound"] == pytest.approx(doubling[i, j], rel=1e-12)
+            assert entry["sampling_bound"] == pytest.approx(sampling[i, j], rel=1e-12)
+        diagonal = law["var_gamma"]
+        if n_trials > 1:
+            assert diagonal["sampling_bound"] == pytest.approx(
+                diagonal["law"] * math.sqrt(2.0 / (n_trials - 1)), rel=1e-12
+            )
+
+    def test_given_covariance_is_used(self):
+        ensemble = run_ensemble(SPEC, MODEL, 40, 1, mode="full_sim", config=FAST)
+        moments = phase_moments(SPEC, MODEL)
+        given = check_law(SPEC, MODEL, moments, 40, FAST, ensemble.covariance)
+        assert given == check_law(SPEC, MODEL, moments, 40, FAST)
+        doubled = check_law(SPEC, MODEL, moments, 40, FAST, 2.0 * ensemble.covariance)
+        assert {f.split(":")[0] for f in doubled["failures"]} == {
+            "var_gamma", "var_delta", "cov_gamma_delta"
+        }
+
+    def test_zero_noise_agrees_exactly(self):
+        zero = NoiseModel.from_scalars(0.0, 0.1, 0.0, 0.1)
+        law = check_law(SPEC, zero, phase_moments(SPEC, zero), 40, FAST)
+        assert law.pop("failures") == []
+        assert all(value == 0.0 for entry in law.values() for value in entry.values())
+
+    def test_wrong_closed_form_names_entry_and_bound(self):
+        moments = phase_moments(SPEC, MODEL)
+        wrong = dataclasses.replace(moments, var_delta=1.001 * moments.var_delta)
+        law = check_law(SPEC, MODEL, wrong, 100, FAST)
+        # 0.1% is inside the sampling error of 100 trials, not the doubling bound
+        [failure] = law["failures"]
+        assert failure.startswith("var_delta: |C - closed| = ")
+        assert " > doubling bound " in failure
