@@ -218,6 +218,32 @@ class TestPropagateStep:
             propagate_step(SpinState(1.0, 0.0), np.ones(3), 0.0)
 
 
+class TestFieldModulus:
+    def test_bitwise_equal_to_linalg_norm(self):
+        # random rows over twenty decades, degenerate ones below 1e-300,
+        # and rows near the overflow edge whose modulus is still finite
+        rng = np.random.default_rng(21)
+        rows = np.concatenate([
+            rng.standard_normal((4096, 3)) * 10.0 ** rng.uniform(-10.0, 10.0, (4096, 1)),
+            rng.standard_normal((64, 3)) * 1e-302,
+            [[0.0, 0.0, 0.0], [-0.0, 5e-324, -5e-324], [1e-300, 0.0, 0.0]],
+            rng.standard_normal((64, 3)) * 1e153,
+            [[9e153, 0.0, -9e153], [-7e153, 7e153, 7e153]],
+        ])
+        _, _, modulus = _step_coefficients(rows, 0.01)
+        assert modulus.tobytes() == np.linalg.norm(rows, axis=-1).tobytes()
+        single = _step_coefficients(rows[7], 0.01)[2]
+        assert single.tobytes() == np.linalg.norm(rows[7]).tobytes()
+
+    @pytest.mark.parametrize("row", [[1e155, 0.0, 0.0], [1e200, -1e200, 3.0], [0.0, 0.0, 1.7e308]])
+    def test_overflowing_rows_are_refused(self, row):
+        rows = np.array([[0.3, 0.1, 1.0], row])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.linalg.norm(rows, axis=-1)[1])
+        with pytest.raises(ValueError, match="not finite"):
+            _step_coefficients(rows, 0.01)
+
+
 class TestIntegratorConfig:
     def test_defaults(self):
         config = IntegratorConfig()
@@ -729,3 +755,30 @@ class TestPinnedToTheTracedEvolution:
         path = _degenerate_midpoint_path(spec, 512)
         assert _pinned_evolve_and_extract(spec, path, self.CONFIG, branch)["degenerate_steps"] == 1
         self._assert_bitwise(spec, path, branch)
+
+
+class TestFinalStateMatchesNodeStates:
+    """The scalars a trial records, against the node-state kernel (reference copy).
+
+    ``_pinned_evolve_and_extract`` unwraps the overlap with the start
+    state at every node.  The geometric phase is compared as a wrapped
+    difference, since a value near +/-pi may fold to the other side.
+    """
+
+    CONFIG = IntegratorConfig(steps_per_cycle=1024)
+
+    @pytest.mark.parametrize("branch", ["up", "down"])
+    @pytest.mark.parametrize("sigma", [0.05, 0.5])
+    @pytest.mark.parametrize("n_cycles", [1, 3])
+    @pytest.mark.parametrize("theta0", [0.0, 0.05, math.pi / 4, math.pi - 0.05])
+    def test_geometric_phase_and_leakage(self, theta0, n_cycles, sigma, branch):
+        spec = PrecessionSpec(b0=1.0, theta0=theta0, t_total=100.0, n_cycles=n_cycles)
+        n_steps = self.CONFIG.steps_per_cycle * n_cycles
+        model = NoiseModel.from_scalars(sigma, 0.1, sigma, 0.1)
+        path = sample_path(model, n_steps, spec.t_total / n_steps, seed=31)
+        want = _pinned_evolve_and_extract(spec, path, self.CONFIG, branch)
+        got = evolve_and_extract(spec, path, self.CONFIG, branch=branch)
+        assert abs(_wrap(got.geometric_phase - want["geometric_phase"])) <= PHASE_TOL
+        assert abs(got.leakage - want["leakage"]) <= PHASE_TOL
+        assert got.winding == want["winding"]
+        assert got.total_phase == want["total_phase"]
