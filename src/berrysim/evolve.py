@@ -104,14 +104,15 @@ def _step_coefficients(
     the identity.  Returns ``(a, b, |b|)``.  Raises ``ValueError`` when
     |b| is not finite, as when the noise is strong enough to overflow it.
     """
+    x, y, z = b[..., 0], b[..., 1], b[..., 2]
     with np.errstate(over="ignore"):
-        nb = np.linalg.norm(b, axis=-1)
+        nb = np.sqrt(x * x + y * y + z * z)  # bitwise np.linalg.norm(b, axis=-1)
     if not np.all(np.isfinite(nb)):
         raise ValueError("total field modulus is not finite; the noise overflows it")
     half = 0.5 * nb * dt
     s = np.where(nb >= _TINY_FIELD, np.sin(half) / np.maximum(nb, _TINY_FIELD), 0.0)
-    a = np.cos(half) - 1j * (s * b[..., 2])
-    off = -(s * b[..., 1]) - 1j * (s * b[..., 0])
+    a = np.cos(half) - 1j * (s * z)
+    off = -(s * y) - 1j * (s * x)
     return a, off, nb
 
 
