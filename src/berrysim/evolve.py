@@ -9,13 +9,16 @@ propagator of the field frozen at the step midpoint,
 so the only discretization error is the O(dt**2) commutator remainder.
 One kernel (``_evolve``) takes the control field at the grid nodes and
 step midpoints and the noise K at the nodes; K enters the midpoint field
-as the mean of the step's two end-node values.  The states at all nodes
-come from one blocked prefix product of the SU(2) steps
-(``_node_states``), and the phases and diagnostics are array reductions
-over them, with no per-step Python loop.  The kernel's value, a
-:class:`PhaseExtraction`, is the one evolution result: it holds the
-states, the phases and the field at every node, and builds the Bloch
-vector, the energy and its integral only when they are read.
+as the mean of the step's two end-node values.  The kernel needs only
+the final state: a pairwise (tree) reduction of the steps' Cayley-Klein
+pairs gives the whole propagator in log2(n) vectorised levels
+(``_final_product``), and the phases and the leakage follow from the
+state it makes.  Its value, a :class:`PhaseExtraction`, is the one
+evolution result: it holds those scalars, the field at every node and
+the step pairs, and builds the trajectory only when it is read, the
+states at every node from one blocked prefix product of the steps
+(``_node_states``), then the unwrapped total phase, the Bloch vector,
+the energy and its integral.  Neither pass has a per-step Python loop.
 A noise realization is the array of K at the grid nodes, and the grid is
 fixed by the spec and the config alone: ``steps_per_cycle * n_cycles``
 steps over ``[0, t_total]``.  ``evolve_and_extract`` builds the control
@@ -37,13 +40,16 @@ of the field azimuth, so the reported ``geometric_phase`` is
     wrap(total_phase - dynamical_phase + pi * winding)
 
 folded to (-pi, pi], where ``winding`` counts full turns of the
-transverse total field.  For a clean loop at cone angle theta0 this
-reproduces pi*cos(theta0) per turn, and 0 when the field sits on the z
-axis and never winds.
+transverse total field.  The per-step increments of the total phase
+telescope, so the kernel takes it mod 2 pi as arg<psi_0|psi(T)>, and
+the winding as the summed azimuth increments of the node field.  For a
+clean loop at cone angle theta0 this reproduces pi*cos(theta0) per
+turn, and 0 when the field sits on the z axis and never winds.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -173,6 +179,25 @@ def _node_states(
     return amp_up, amp_down
 
 
+def _final_product(a: np.ndarray, b: np.ndarray) -> tuple[complex, complex]:
+    """Cayley-Klein pair of the whole propagator U_{n-1} ... U_0.
+
+    A pairwise (tree) reduction of the step pairs ``(a, b)``: each level
+    multiplies every step by the one after it, the later one on the
+    left, vectorised over the level, and pads a level of odd length with
+    the identity.  That is ceil(log2(n)) levels, twelve for 4,096 steps.
+    """
+    while a.size > 1:
+        if a.size % 2:
+            a = np.append(a, 1.0)
+            b = np.append(b, 0.0)
+        early_a, late_a = a[0::2], a[1::2]
+        early_b, late_b = b[0::2], b[1::2]
+        a, b = (late_a * early_a - late_b * early_b.conj(),
+                late_a * early_b + late_b * early_a.conj())
+    return complex(a[0]), complex(b[0])
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Evolution grid resolution."""
@@ -189,32 +214,36 @@ class IntegratorConfig:
 
 @dataclass(frozen=True, eq=False)
 class PhaseExtraction:
-    """One evolution: the states, phases and diagnostics, with the field at every node.
+    """One evolution: the phases and diagnostics, with the field and the steps.
 
-    Arrays run over the n + 1 grid nodes (``b_nodes``, ``amp_up``,
-    ``amp_down``, ``total_phase_nodes``) or the n step midpoints
-    (``b_mid``, ``field_modulus``); ``b_nodes`` and ``b_mid`` are the
-    total field.  ``total_phase`` is the last entry of the unwrapped
-    ``total_phase_nodes``.  ``geometric_phase`` is folded to (-pi, pi] as
-    described in the module docstring; ``geometric_phase_raw`` is the
-    unfolded difference ``total_phase - dynamical_phase``.
-    ``non_adiabatic`` flags leakage above ``_LEAKAGE_WARN_THRESHOLD``.
+    The kernel computes the scalars from the final state alone.  Arrays
+    run over the n + 1 grid nodes (``b_nodes``) or the n steps
+    (``b_mid``, ``field_modulus``, and ``step_a``, ``step_b``, the
+    Cayley-Klein pairs of the step propagators); ``b_nodes`` and
+    ``b_mid`` are the total field, and ``start`` is the state at t=0.
+    ``geometric_phase`` is folded to (-pi, pi] as described in the
+    module docstring.  ``non_adiabatic`` flags leakage above
+    ``_LEAKAGE_WARN_THRESHOLD``.
 
-    ``energy`` (<psi|H|psi> at each node) and ``mean_energy_integral``
-    (its integral over the midpoint field, a diagnostic that differs from
-    the eigenvalue integral at second order in the non-adiabaticity)
-    share one Bloch vector, built when either is first read.
+    The trajectory is built from the steps when it is first read: the
+    states at every node (``amp_up``, ``amp_down``), the unwrapped
+    ``total_phase_nodes``, their last entry ``total_phase``, and
+    ``geometric_phase_raw``, the unfolded difference
+    ``total_phase - dynamical_phase``.  ``energy`` (<psi|H|psi> at each
+    node) and ``mean_energy_integral`` (its integral over the midpoint
+    field, a diagnostic that differs from the eigenvalue integral at
+    second order in the non-adiabaticity) share one Bloch vector, built
+    when either is first read.
     """
 
     branch: str
     dt: float
     b_nodes: np.ndarray
     b_mid: np.ndarray
-    amp_up: np.ndarray
-    amp_down: np.ndarray
-    total_phase_nodes: np.ndarray
+    step_a: np.ndarray
+    step_b: np.ndarray
+    start: tuple[complex, complex]
     field_modulus: np.ndarray
-    total_phase: float
     dynamical_phase: float
     geometric_phase: float
     leakage: float
@@ -223,13 +252,39 @@ class PhaseExtraction:
     degenerate_steps: int
     non_adiabatic: bool
 
+    @cached_property
+    def _amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
+        return _node_states(self.step_a, self.step_b, *self.start)
+
+    @property
+    def amp_up(self) -> np.ndarray:
+        return self._amplitudes[0]
+
+    @property
+    def amp_down(self) -> np.ndarray:
+        return self._amplitudes[1]
+
+    @cached_property
+    def total_phase_nodes(self) -> np.ndarray:
+        """The overlap with the initial state, its phase unwrapped step by step."""
+        u0, d0 = self.start
+        overlap0 = u0.conjugate() * self.amp_up + d0.conjugate() * self.amp_down
+        overlap0[0] = 1.0
+        total = np.zeros(overlap0.size)
+        np.cumsum(np.angle(overlap0[1:] * overlap0[:-1].conj()), out=total[1:])
+        return total
+
+    @property
+    def total_phase(self) -> float:
+        return float(self.total_phase_nodes[-1])
+
     @property
     def geometric_phase_raw(self) -> float:
         return self.total_phase - self.dynamical_phase
 
     @property
     def times(self) -> np.ndarray:
-        return np.arange(self.amp_up.size) * self.dt
+        return np.arange(self.b_nodes.shape[0]) * self.dt
 
     @property
     def dynamical_phase_nodes(self) -> np.ndarray:
@@ -262,6 +317,24 @@ def _winding_number(b_nodes: np.ndarray) -> tuple[int, np.ndarray]:
     return int(round((azimuth[-1] - azimuth[0]) / math.tau)), azimuth
 
 
+def _turns(b_nodes: np.ndarray) -> int:
+    """Turns of the transverse field, from the summed azimuth increments.
+
+    Each increment is the angle of z_{k+1} conj(z_k) with z = b_x + i b_y,
+    folded to (-pi, pi] as the unwrapped azimuths of
+    :func:`_winding_number` are.  Adding 0.0 squashes IEEE negative zeros.
+    Raises ``ValueError`` when a product of neighbouring transverse
+    fields overflows, which a finite field modulus at the step midpoints
+    rules out for any noise path the OU filter can produce.
+    """
+    z = (b_nodes[:, :2] + 0.0).view(complex)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        turn = z[1:] * z[:-1].conj()
+    if not np.all(np.isfinite(turn)):
+        raise ValueError("transverse field at the nodes overflows the turn count")
+    return int(round(float(np.angle(turn).sum()) / math.tau))
+
+
 def _control_grids(
     spec: PrecessionSpec, n_steps: int, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -291,33 +364,29 @@ def _evolve(
     mean of the two end-node K values at each step midpoint; K and the
     field modulus must be finite.  The state starts in the branch
     eigenstate of the first node field; step k applies the exact
-    propagator of the k-th midpoint field over ``dt``.  Leakage is measured against the branch eigenstate of
-    the last node field; both come from one :func:`_eigenvector_chain`
-    call.
+    propagator of the k-th midpoint field over ``dt``, and the final
+    state is the product of all steps applied to it.  Leakage is
+    measured against the branch eigenstate of the last node field; both
+    eigenstates come from one :func:`_eigenvector_chain` call.
     """
     if not np.all(np.isfinite(k_nodes)):
         raise ValueError("noise samples must be finite")
     b_nodes = control_nodes + k_nodes
     b_mid = control_mid + 0.5 * (k_nodes[:-1] + k_nodes[1:])
-    winding, _ = _winding_number(b_nodes)
     step_a, step_b, nb = _step_coefficients(b_mid, dt)
+    winding = _turns(b_nodes)
     field_modulus_integral = float(nb.sum() * dt)
 
     ends = (polar_angles(b_nodes[0]), polar_angles(b_nodes[-1]))
     (u0, d0), (ref_u, ref_d) = _eigenvector_chain(
         [a.theta for a in ends], [a.phi for a in ends], branch
     ).tolist()
-    amp_up, amp_down = _node_states(step_a, step_b, u0, d0)
-
-    # Total phase: the overlap with the initial state, unwrapped step by step.
-    overlap0 = u0.conjugate() * amp_up + d0.conjugate() * amp_down
-    overlap0[0] = 1.0
-    total_prefix = np.zeros(nb.size + 1)
-    np.cumsum(np.angle(overlap0[1:] * overlap0[:-1].conj()), out=total_prefix[1:])
-    total = float(total_prefix[-1])
-
-    overlap = ref_u.conjugate() * amp_up[-1] + ref_d.conjugate() * amp_down[-1]
-    leakage = max(0.0, 1.0 - abs(complex(overlap)) ** 2)
+    pa, pb = _final_product(step_a, step_b)
+    u, d = pa * u0 + pb * d0, pa.conjugate() * d0 - pb.conjugate() * u0
+    # The per-step increments of the overlap's phase telescope to its final
+    # argument, so this is the total phase mod 2 pi.
+    total = cmath.phase(u0.conjugate() * u + d0.conjugate() * d)
+    leakage = max(0.0, 1.0 - abs(ref_u.conjugate() * u + ref_d.conjugate() * d) ** 2)
 
     sign = 1.0 if branch == "up" else -1.0
     dynamical = -sign * 0.5 * field_modulus_integral
@@ -326,13 +395,13 @@ def _evolve(
         dt=dt,
         b_nodes=b_nodes,
         b_mid=b_mid,
-        amp_up=amp_up,
-        amp_down=amp_down,
-        total_phase_nodes=total_prefix,
+        step_a=step_a,
+        step_b=step_b,
+        start=(u0, d0),
         field_modulus=nb,
-        total_phase=total,
         dynamical_phase=dynamical,
-        geometric_phase=_wrap_pm_pi(total - dynamical + math.pi * winding),
+        # "+ 0.0": a phase that folds to an exact zero is +0.0
+        geometric_phase=_wrap_pm_pi(total - dynamical + math.pi * winding) + 0.0,
         leakage=leakage,
         field_modulus_integral=field_modulus_integral,
         winding=winding,

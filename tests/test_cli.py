@@ -699,62 +699,62 @@ _SIMULATE_DIGESTS = {
     ("up", "0", 1): (
         "1f44d8558226aa5921b04ada8358f823dab63b4221214ffe6a1b4350386f59d9",
         "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
-        "12f0f505584fe346122cebd59521790a6d0920ce74d20f348c2f3a523f0821f6",
+        "f8b2cbe82b0ab5280b5eed528ef0fff43b031e705a6778e32137c12848ffbb0e",
     ),
     ("up", "0", 3): (
         "27dc59a2eb60c575d10b94bb48a9e03cab2c6eff35bb075285a2b94bc4794ae7",
         "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
-        "6360866b4e9c853ee9bfee3539a669a38a481af432be48bb540dad2747fa5c41",
+        "5b27f43926ab66d0a2b1703a3bc101503609c7df0751ca78181d13333656749b",
     ),
     ("up", "0.7853981633974483", 1): (
         "391d903af7d62aeb624a7137f45f4663b48b4034a4d3b4703875c4c791ef4969",
         "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
-        "47a990134a6675727f087e65d201f3e6d3021993ae1eb2fffce496af206fb479",
+        "fcc25ec8ad83d04b646ab00923b118ec10251db76bfba694f8b3259076e518ee",
     ),
     ("up", "0.7853981633974483", 3): (
         "7c36ab5c4a07cde08f34d34912691b79741e632e86bc2f5b4578a4324ced4269",
         "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
-        "f2d56bab1df8d048b62a0e2ec9e352d5652edf147e20fe27aa16965879722044",
+        "bfd05497cc1d940b599647644876018a2b483b5d6a3b695b863155a0badf3b13",
     ),
     ("up", "3.0915926535897933", 1): (
         "b226d34219134be6b70da3f15df24ecd92318347d641a4b0ee578de8447ade42",
         "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
-        "5c3bd3f73465237d97a98b43527e5f4808ccc0862d090ef78590859832e873dc",
+        "e8a5523375938f860561929382791b5f1063bbc7e69f950c9d7437d7c12a7265",
     ),
     ("up", "3.0915926535897933", 3): (
         "f6a98df661db01150f8add6c4c9508bf15c0a4ba007a34cb6ed02678acabe40c",
         "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
-        "353afb239d61cd2348a4499f0372bd1769eb06436ddfc5c14e8192453973fbda",
+        "097b3e9b7e12399619d903616ff8f93167b672644a6d39bc9d346473b4847a9e",
     ),
     ("down", "0", 1): (
         "3fb72601ac6da4398568516447602f1ffca192ebd98af1bfe73a3fd7d3b72f92",
         "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
-        "fd11abc6107bdfce1de9907bd62226c59711fdeefc7d922c0e374baca88bc608",
+        "609147cb6ef651fe442f90e5e573d158cc20ad063f354aa2d35025468e6baebf",
     ),
     ("down", "0", 3): (
         "6e0a672c3ed3b24b18e71714a66d418556b818d9d8b63477d16eae91a343ea3d",
         "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
-        "19a9804c631c3c30bd9bed072ca5bb10d073399bf695c8856e551699e4b53add",
+        "408365d2bd2d2ba2e04b52df3672214577790efcc75bc45de960cc316580d96f",
     ),
     ("down", "0.7853981633974483", 1): (
         "567558aab815af3f4fb2bef2c0bd11c214bef42517210c8197f3ea5dacf875f7",
         "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
-        "abf312b1a6009afb53f65d9329d81399cba4fb3caae982a9596e2d0b7e0700e5",
+        "ac0b18d09b945c4d8a86e94d846c614ef66e72b27b66d1f6af65c5f54d9ded89",
     ),
     ("down", "0.7853981633974483", 3): (
         "6332bdf5a564b903dea5169a690767b5e302a7aea80687a3393489c66be6f374",
         "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
-        "c4490fb18cd108eb22103fd53f9ac3182c275e1dec3346141d76d21d56cb862e",
+        "b801f6c5215cdbd8f9fc0b47e7a8e8df4d22d214b52f8118d3f5798c266c1b60",
     ),
     ("down", "3.0915926535897933", 1): (
         "91c87198ce36db3dd20d2c7a745e80df144626c1ac873c397c2ce4a06798a682",
         "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
-        "b28046522a7a59c0d63e3c14a10af839f1a6741d68374bbb79b1bd8440a846f9",
+        "75bc9df4be48b69d907d0ba4b117d915047ba2d20e4b9513c4c1f25bc12b2ca4",
     ),
     ("down", "3.0915926535897933", 3): (
         "0a85efb0f47d85582d31eccd2f235035f97cfa41a1be9b5fe2324f01b94a0bb8",
         "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
-        "cdabf8098a3e57ea58e05c266b86cc02dae7824aa7c362ea3faa20b920911fec",
+        "9f6c266d10401add1203bcc291d57f6b38e40ea175fec93c1ef6598c212cb9bb",
     ),
 }
 
@@ -849,8 +849,8 @@ _COMMAND_PINS = {
         ["mc", "--mode", "full_sim", "--n-trials", "40", *_PIN_SMALL, "-o", "pin"],
         0,
         {
-            "pin.records.csv": "c2d51353a66ee6d3edf513eae449c99b59ee0ce3ebad4441387a03e545ba2899",
-            "pin.summary.json": "4ad1549eec9ec76887e5285cae0ce4110593379e61f8db16a450c8bd1de4955d",
+            "pin.records.csv": "62ec8133146ec789cdce4a57ffa5e98f342aa2af89c053d197af75f458c7a0d8",
+            "pin.summary.json": "d7bc7970b8ef542d7a5c46d55f73e3c96588e73ffaa343ce95bf0fa7a6a72fc4",
         },
         [
             "mc: n_trials=40 max|z|=2.571 pass=true wrote <dir>/pin.records.csv <dir>/pin.summary.json",
