@@ -54,6 +54,7 @@ from .errors import AccuracyError, BerrysimError
 from .evolve import (
     _LEAKAGE_WARN_THRESHOLD,
     IntegratorConfig,
+    _wrap_pm_pi,
     connection_phase_discrete,
     evolve_and_extract,
 )
@@ -591,8 +592,9 @@ def _battery(config: RunConfig) -> list:
 
     sim = run_ensemble(spec, model, 8, config.seed, mode="full_sim", config=config.integrator())
     baseline = evolve_and_extract(spec, None, config.integrator())
-    residuals = np.abs(sim.gamma_sim - baseline.geometric_phase - sim.gamma_fo)
-    median_residual = float(np.median(residuals))
+    # each residual is a difference of phases, so it is folded to (-pi, pi] first
+    residuals = sim.gamma_sim - baseline.geometric_phase - sim.gamma_fo
+    median_residual = float(np.median([abs(_wrap_pm_pi(r)) for r in residuals.tolist()]))
     checks.append(
         ("first_order_vs_sim", median_residual <= 0.1,
          f"median|gamma_sim - gamma_noiseless - gamma_fo|={median_residual:.3e} rad")

@@ -1110,6 +1110,27 @@ class TestCompareCommand:
         assert main(["compare", *self.SMALL]) == 1
         assert "[FAIL] first_order_law: cov_gamma_delta: " in capsys.readouterr().out
 
+    def test_sim_residual_near_two_pi_counts_as_near_zero(self, monkeypatch, capsys):
+        # gamma_sim is a folded phase: shifting records by +/-2 pi (less a
+        # little) leaves every residual a little off zero, not near 2 pi
+        run_ensemble = cli.run_ensemble
+
+        def shifted(*args, **kwargs):
+            ensemble = run_ensemble(*args, **kwargs)
+            turns = np.where(np.arange(len(ensemble)) % 2, -1.0, 1.0)
+            return dataclasses.replace(
+                ensemble, gamma_sim=ensemble.gamma_sim + turns * (2.0 * math.pi - 1e-3)
+            )
+
+        line = "[PASS] first_order_vs_sim: median|gamma_sim - gamma_noiseless - gamma_fo|="
+        args = ["compare", *self.SMALL]
+        assert main(args) == 0
+        plain = float(capsys.readouterr().out.split(line)[1].split()[0])
+        monkeypatch.setattr(cli, "run_ensemble", shifted)
+        assert main(args) == 0
+        moved = float(capsys.readouterr().out.split(line)[1].split()[0])
+        assert abs(moved - plain) <= 1.001e-3
+
     def test_loud_noise_fails(self, capsys):
         args = ["compare", *self.SMALL, "--sigma12", "0.5", "--sigma3", "0.5", "--quiet"]
         assert main(args) == 1
@@ -1234,8 +1255,10 @@ def _reference_battery(config: RunConfig) -> list:
         spec, model, 8, config.seed, mode="full_sim", config=config.integrator()
     )
     baseline = evolve_and_extract(spec, None, config.integrator())
+    # a difference of phases, folded to (-pi, pi] before its size is taken
     residuals = [
-        abs(r.gamma_sim - baseline.geometric_phase - r.gamma_fo) for r in sim_records
+        abs(math.remainder(r.gamma_sim - baseline.geometric_phase - r.gamma_fo, 2.0 * math.pi))
+        for r in sim_records
     ]
     median_residual = float(np.median(residuals))
     checks.append(
@@ -1271,8 +1294,9 @@ class TestCompareEquivalence:
             {"n_trials": 99},
             {"theta0": 0.3, "n_cycles": 3},
             {"sigma3": 0.0},
+            {"theta0": 0.03},
         ],
-        ids=["reference", "loud", "99_trials", "theta0_0.3_3_cycles", "sigma3_0"],
+        ids=["reference", "loud", "99_trials", "theta0_0.3_3_cycles", "sigma3_0", "theta0_0.03"],
     )
     def test_matches_reference_battery(self, overrides):
         config = RunConfig(**{"n_trials": 1000, "steps_per_cycle": 512, "seed": 3, **overrides})
