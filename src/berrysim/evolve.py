@@ -323,9 +323,8 @@ def _turns(b_nodes: np.ndarray) -> int:
     Each increment is the angle of z_{k+1} conj(z_k) with z = b_x + i b_y,
     folded to (-pi, pi] as the unwrapped azimuths of
     :func:`_winding_number` are.  Adding 0.0 squashes IEEE negative zeros.
-    Raises ``ValueError`` when a product of neighbouring transverse
-    fields overflows, which a finite field modulus at the step midpoints
-    rules out for any noise path the OU filter can produce.
+    Raises ``ValueError`` when the product of two neighbouring
+    transverse fields overflows, as it can from about 1e154 on.
     """
     z = (b_nodes[:, :2] + 0.0).view(complex)[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):

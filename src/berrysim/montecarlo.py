@@ -14,7 +14,8 @@ per trial and builds no path.  A ``full_sim`` ensemble computes the
 control grids once; each of its trials draws its own innovations xi,
 filters them into K, runs the evolution kernel on the control grids and
 K, and records A xi for the same draw next to the geometric phase and
-the leakage of the evolution.
+the leakage of the evolution.  Both come from the final state, so no
+trial builds the states at every node.
 
 ``run_ensemble`` returns an :class:`Ensemble` of per-trial columns and
 their law C.  ``gamma_fo``, ``delta_fo`` and ``alpha_fo`` are deviations

@@ -783,10 +783,6 @@ class TestFinalProduct:
         assert abs(u - amp_up[-1]) <= 1e-13
         assert abs(d - amp_down[-1]) <= 1e-13
 
-    def test_identity_steps_give_the_identity(self):
-        one = np.ones(7, dtype=complex)
-        assert _final_product(one, np.zeros(7, dtype=complex)) == (1.0, 0.0)
-
 
 class TestTurns:
     @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
