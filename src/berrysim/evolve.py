@@ -42,7 +42,7 @@ of the field azimuth, so the reported ``geometric_phase`` is
 folded to (-pi, pi], where ``winding`` counts full turns of the
 transverse total field.  The per-step increments of the total phase
 telescope, so the kernel takes it mod 2 pi as arg<psi_0|psi(T)>, and
-the winding as the summed azimuth increments of the node field.  For a
+the winding from the unwrapped azimuths of the node field.  For a
 clean loop at cone angle theta0 this reproduces pi*cos(theta0) per
 turn, and 0 when the field sits on the z axis and never winds.
 """
@@ -317,23 +317,6 @@ def _winding_number(b_nodes: np.ndarray) -> tuple[int, np.ndarray]:
     return int(round((azimuth[-1] - azimuth[0]) / math.tau)), azimuth
 
 
-def _turns(b_nodes: np.ndarray) -> int:
-    """Turns of the transverse field, from the summed azimuth increments.
-
-    Each increment is the angle of z_{k+1} conj(z_k) with z = b_x + i b_y,
-    folded to (-pi, pi] as the unwrapped azimuths of
-    :func:`_winding_number` are.  Adding 0.0 squashes IEEE negative zeros.
-    Raises ``ValueError`` when the product of two neighbouring
-    transverse fields overflows, as it can from about 1e154 on.
-    """
-    z = (b_nodes[:, :2] + 0.0).view(complex)[:, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        turn = z[1:] * z[:-1].conj()
-    if not np.all(np.isfinite(turn)):
-        raise ValueError("transverse field at the nodes overflows the turn count")
-    return int(round(float(np.angle(turn).sum()) / math.tau))
-
-
 def _control_grids(
     spec: PrecessionSpec, n_steps: int, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -373,7 +356,7 @@ def _evolve(
     b_nodes = control_nodes + k_nodes
     b_mid = control_mid + 0.5 * (k_nodes[:-1] + k_nodes[1:])
     step_a, step_b, nb = _step_coefficients(b_mid, dt)
-    winding = _turns(b_nodes)
+    winding = _winding_number(b_nodes)[0]
     field_modulus_integral = float(nb.sum() * dt)
 
     ends = (polar_angles(b_nodes[0]), polar_angles(b_nodes[-1]))
