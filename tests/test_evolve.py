@@ -22,8 +22,8 @@ from berrysim import (
 from berrysim.evolve import (
     _control_grids,
     _eigenvector_chain,
+    _evolve,
     _final_product,
-    _node_states,
     _step_coefficients,
     _winding_number,
     _wrap_pm_pi,
@@ -641,6 +641,96 @@ class TestMatchesStepByStepReference:
         assert energy_first.total_phase_nodes[-1] == energy_first.total_phase
 
 
+def _reference_node_states(a, b, u0, d0):
+    """Spinor amplitudes at every node from a blocked prefix scan (reference copy).
+
+    The node-state kernel as it stood before the kernel's pairwise tree
+    also gave the node states.  The n steps, given by their Cayley-Klein
+    pairs ``(a, b)``, are cut into blocks of m ~ sqrt(n / 8) (the last one
+    padded with identities): the running products within blocks, one row
+    of m at a time, vectorised across blocks; a scalar pass that carries
+    the state from block to block with each block's full product; and a
+    last pass that applies each running product to the state entering its
+    block.
+    """
+    n = a.size
+    m = max(1, math.isqrt(n // 8))
+    n_blocks = -(-n // m)
+    # Row i, column j holds step j*m + i.
+    pa = np.ones(n_blocks * m, dtype=complex)
+    pb = np.zeros(n_blocks * m, dtype=complex)
+    pa[:n] = a
+    pb[:n] = b
+    pa = pa.reshape(n_blocks, m).T.copy()
+    pb = pb.reshape(n_blocks, m).T.copy()
+    for i in range(1, m):
+        # (U_i) @ (running product): a = a_i a - b_i conj(b), b = a_i b + b_i conj(a)
+        prev_a = pa[i - 1]
+        prev_b = pb[i - 1]
+        next_a = pa[i] * prev_a - pb[i] * prev_b.conj()
+        pb[i] = pa[i] * prev_b + pb[i] * prev_a.conj()
+        pa[i] = next_a
+
+    entry_u = []
+    entry_d = []
+    u = u0
+    d = d0
+    for ta, tb in zip(pa[-1].tolist(), pb[-1].tolist()):
+        entry_u.append(u)
+        entry_d.append(d)
+        u, d = ta * u + tb * d, ta.conjugate() * d - tb.conjugate() * u
+    su = np.array(entry_u)
+    sd = np.array(entry_d)
+
+    amp_up = np.empty(n + 1, dtype=complex)
+    amp_down = np.empty(n + 1, dtype=complex)
+    amp_up[0] = u0
+    amp_down[0] = d0
+    amp_up[1:] = (pa * su + pb * sd).T.reshape(-1)[:n]
+    amp_down[1:] = (pa.conj() * sd - pb.conj() * su).T.reshape(-1)[:n]
+    return amp_up, amp_down
+
+
+def _reference_trajectory(b_nodes, b_mid, dt, u0, d0):
+    """The per-node values of an evolution from the blocked scan (reference copy).
+
+    The amplitudes, the overlap's phase with the start state unwrapped step
+    by step, the energy at each node and its integral over the midpoint
+    field, as one dict.
+    """
+    step_a, step_b, _ = _step_coefficients(b_mid, dt)
+    amp_up, amp_down = _reference_node_states(step_a, step_b, u0, d0)
+    overlap0 = u0.conjugate() * amp_up + d0.conjugate() * amp_down
+    overlap0[0] = 1.0
+    total_phase_nodes = np.zeros(overlap0.size)
+    np.cumsum(np.angle(overlap0[1:] * overlap0[:-1].conj()), out=total_phase_nodes[1:])
+    cross = np.conj(amp_up) * amp_down
+    pz = np.abs(amp_up) ** 2 - np.abs(amp_down) ** 2
+    bloch = np.stack([2.0 * cross.real, 2.0 * cross.imag, pz], axis=1)
+    return {
+        "amp_up": amp_up,
+        "amp_down": amp_down,
+        "total_phase_nodes": total_phase_nodes,
+        "energy": 0.5 * np.sum(b_nodes * bloch, axis=1),
+        "mean_energy_integral": 0.5 * dt * float(np.sum(b_mid * bloch[:-1])),
+    }
+
+
+# The node values that come from the node states, with the scalars read
+# from them.  They may differ from the blocked scan in the last digits:
+# absolutely by NODE_TOL, and relative to their size for the unwrapped
+# phase and the energy integral, whose sums round as they grow.
+NODE_KEYS = (
+    "amp_up", "amp_down", "total_phase_nodes", "energy", "mean_energy_integral",
+    "total_phase", "geometric_phase_raw",
+)
+NODE_TOL = 1e-12
+
+
+def _assert_node_values_close(got, want, key):
+    np.testing.assert_allclose(got, want, rtol=NODE_TOL, atol=NODE_TOL, err_msg=key)
+
+
 def _pinned_evolve_and_extract(spec, path, config, branch):
     """``evolve_and_extract`` with its trajectory trace as it stood (reference copy).
 
@@ -657,43 +747,32 @@ def _pinned_evolve_and_extract(spec, path, config, branch):
     b_mid = control_mid + 0.5 * (k_nodes[:-1] + k_nodes[1:])
 
     winding, _ = _winding_number(b_nodes)
-    step_a, step_b, nb = _step_coefficients(b_mid, dt)
+    nb = _step_coefficients(b_mid, dt)[2]
     field_modulus_integral = float(nb.sum() * dt)
     ends = (polar_angles(b_nodes[0]), polar_angles(b_nodes[-1]))
     (u0, d0), (ref_u, ref_d) = _eigenvector_chain(
         [a.theta for a in ends], [a.phi for a in ends], branch
     ).tolist()
-    amp_up, amp_down = _node_states(step_a, step_b, u0, d0)
-    overlap0 = u0.conjugate() * amp_up + d0.conjugate() * amp_down
-    overlap0[0] = 1.0
-    total_prefix = np.zeros(nb.size + 1)
-    np.cumsum(np.angle(overlap0[1:] * overlap0[:-1].conj()), out=total_prefix[1:])
-    total = float(total_prefix[-1])
-    overlap = ref_u.conjugate() * amp_up[-1] + ref_d.conjugate() * amp_down[-1]
+    trajectory = _reference_trajectory(b_nodes, b_mid, dt, u0, d0)
+    total = float(trajectory["total_phase_nodes"][-1])
+    u, d = trajectory["amp_up"][-1], trajectory["amp_down"][-1]
+    overlap = ref_u.conjugate() * u + ref_d.conjugate() * d
     sign = 1.0 if branch == "up" else -1.0
     dynamical = -sign * 0.5 * field_modulus_integral
     leakage = max(0.0, 1.0 - abs(complex(overlap)) ** 2)
-
-    cross = np.conj(amp_up) * amp_down
-    pz = np.abs(amp_up) ** 2 - np.abs(amp_down) ** 2
-    bloch = np.stack([2.0 * cross.real, 2.0 * cross.imag, pz], axis=1)
     return {
+        **trajectory,
         "total_phase": total,
         "dynamical_phase": dynamical,
         "geometric_phase": _wrap_pm_pi(total - dynamical + math.pi * winding),
         "geometric_phase_raw": total - dynamical,
         "leakage": leakage,
         "field_modulus_integral": field_modulus_integral,
-        "mean_energy_integral": 0.5 * dt * float(np.sum(b_mid * bloch[:-1])),
         "winding": winding,
         "degenerate_steps": int(np.count_nonzero(nb < 1e-300)),
         "non_adiabatic": leakage > 1e-3,
         "branch": branch,
         "times": np.arange(n_steps + 1) * dt,
-        "amp_up": amp_up,
-        "amp_down": amp_down,
-        "energy": 0.5 * np.sum(b_nodes * bloch, axis=1),
-        "total_phase_nodes": total_prefix,
         "dynamical_phase_nodes": np.concatenate([[0.0], -sign * 0.5 * np.cumsum(nb * dt)]),
     }
 
@@ -720,9 +799,12 @@ def _degenerate_midpoint_path(spec, n_steps):
 class TestPinnedToTheTracedEvolution:
     """Every scalar and node array of an evolution against the reference copy.
 
-    Bit for bit, except the geometric phase and the leakage: the kernel
-    takes those from the product of all steps, not from the last node
-    state, and they agree within ``PHASE_TOL``.
+    Bit for bit, except the geometric phase and the leakage, and the node
+    values (``NODE_KEYS``).  The kernel takes the first two from the
+    product of all steps, not from the last node state, and they agree
+    within ``PHASE_TOL``.  The node values come from a different
+    association of the same step products than the reference's blocked
+    scan, so they agree within ``NODE_TOL``.
     """
 
     CONFIG = IntegratorConfig(steps_per_cycle=512)
@@ -735,6 +817,10 @@ class TestPinnedToTheTracedEvolution:
             if key in ("geometric_phase", "leakage"):
                 assert type(got[key]) is float, key
                 assert abs(_wrap(got[key] - value)) <= PHASE_TOL, key
+            elif key in NODE_KEYS:
+                assert type(got[key]) is type(value), key
+                assert np.shape(got[key]) == np.shape(value), key
+                _assert_node_values_close(got[key], value, key)
             elif isinstance(value, np.ndarray):
                 assert got[key].dtype == value.dtype and got[key].shape == value.shape, key
                 assert got[key].tobytes() == value.tobytes(), key
@@ -766,21 +852,88 @@ class TestPinnedToTheTracedEvolution:
         self._assert_bitwise(spec, path, branch)
 
 
+def _random_steps_evolution(n, branch):
+    """The kernel on n random steps, every fifth one (from the third) the identity.
+
+    Random control fields at the nodes and the midpoints, with no noise
+    and ``dt = 0.3``, so the state wanders over the whole sphere.
+    """
+    rng = np.random.default_rng(n)
+    nodes = rng.standard_normal((n + 1, 3))
+    mid = rng.standard_normal((n, 3))
+    mid[2::5] = 0.0
+    return _evolve(nodes, mid, np.zeros((n + 1, 3)), 0.3, branch)
+
+
+def _kernel_final_state(result):
+    """The final state as the kernel forms it: the product of all steps applied to the start."""
+    pa, pb = _final_product(result.step_a, result.step_b)
+    u0, d0 = result.start
+    return pa * u0 + pb * d0, pa.conjugate() * d0 - pb.conjugate() * u0
+
+
+RANDOM_STEP_COUNTS = [1, 2, 3, 17, 4096, 4097, 65536]
+
+
+class TestNodeStatesMatchTheBlockedScan:
+    @pytest.mark.parametrize("branch", ["up", "down"])
+    @pytest.mark.parametrize("n", RANDOM_STEP_COUNTS)
+    def test_node_values(self, n, branch):
+        result = _random_steps_evolution(n, branch)
+        want = _reference_trajectory(result.b_nodes, result.b_mid, result.dt, *result.start)
+        for key, value in want.items():
+            got = getattr(result, key)
+            assert type(got) is type(value), key
+            assert np.shape(got) == np.shape(value), key
+            _assert_node_values_close(got, value, key)
+
+
 class TestFinalProduct:
     @pytest.mark.parametrize("branch", ["up", "down"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 17, 4096, 4097])
+    @pytest.mark.parametrize("n", RANDOM_STEP_COUNTS)
     def test_equals_the_last_node_state(self, n, branch):
-        # random steps with every fifth one (from the third) an identity
-        rng = np.random.default_rng(n)
-        b = rng.standard_normal((n, 3))
-        b[2::5] = 0.0
-        a, off, _ = _step_coefficients(b, 0.3)
-        (u0, d0), = _eigenvector_chain([0.7], [-1.2], branch).tolist()
-        amp_up, amp_down = _node_states(a, off, u0, d0)
-        pa, pb = _final_product(a, off)
-        u, d = pa * u0 + pb * d0, pa.conjugate() * d0 - pb.conjugate() * u0
-        assert abs(u - amp_up[-1]) <= 1e-13
-        assert abs(d - amp_down[-1]) <= 1e-13
+        result = _random_steps_evolution(n, branch)
+        u, d = _kernel_final_state(result)
+        assert abs(u - result.amp_up[-1]) <= 1e-13
+        assert abs(d - result.amp_down[-1]) <= 1e-13
+        # so the last unwrapped phase is the kernel's total mod 2 pi, and the
+        # geometric phase is wrap(total_phase - dynamical_phase + pi * winding)
+        u0, d0 = result.start
+        total = cmath.phase(u0.conjugate() * u + d0.conjugate() * d)
+        tol = NODE_TOL * (1.0 + abs(result.total_phase))
+        assert abs(_wrap(result.total_phase - total)) <= tol
+        geometric = result.total_phase - result.dynamical_phase + math.pi * result.winding
+        assert abs(_wrap(result.geometric_phase - geometric)) <= tol
+
+
+class TestLongChain:
+    """Node states over 2**16 and 2**20 noisy steps against the step-by-step product.
+
+    The reference applies the kernel's step pairs one at a time with
+    Python complex arithmetic, the update of ``propagate_step``.
+    """
+
+    @pytest.mark.parametrize("log2_steps", [16, 20])
+    def test_norm_and_sampled_amplitudes(self, log2_steps):
+        n_cycles = 2 ** (log2_steps - 12)
+        spec = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0 * n_cycles,
+                              n_cycles=n_cycles)
+        config = IntegratorConfig(steps_per_cycle=4096)
+        n_steps = 2 ** log2_steps
+        model = NoiseModel.from_scalars(0.5, 0.1, 0.5, 0.1)
+        path = sample_path(model, n_steps, spec.t_total / n_steps, seed=5)
+        result = evolve_and_extract(spec, path, config)
+        norm = np.abs(result.amp_up) ** 2 + np.abs(result.amp_down) ** 2
+        assert np.max(np.abs(norm - 1.0)) <= 1e-12
+
+        a, off, _ = _step_coefficients(result.b_mid, result.dt)
+        sampled = {1, 1000, n_steps // 3, n_steps // 2 + 1, n_steps - 1, n_steps}
+        u, d = result.start
+        for k, (ak, bk) in enumerate(zip(a.tolist(), off.tolist()), start=1):
+            u, d = ak * u + bk * d, ak.conjugate() * d - bk.conjugate() * u
+            if k in sampled:
+                assert abs(result.amp_up[k] - u) <= 1e-12, k
+                assert abs(result.amp_down[k] - d) <= 1e-12, k
 
 
 class TestFinalStateMatchesNodeStates:
@@ -807,7 +960,7 @@ class TestFinalStateMatchesNodeStates:
         assert abs(_wrap(got.geometric_phase - want["geometric_phase"])) <= PHASE_TOL
         assert abs(got.leakage - want["leakage"]) <= PHASE_TOL
         assert got.winding == want["winding"]
-        assert got.total_phase == want["total_phase"]
+        _assert_node_values_close(got.total_phase, want["total_phase"], "total_phase")
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("sigma", [1e-170, 1e-300])
