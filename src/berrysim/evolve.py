@@ -9,16 +9,17 @@ propagator of the field frozen at the step midpoint,
 so the only discretization error is the O(dt**2) commutator remainder.
 One kernel (``_evolve``) takes the control field at the grid nodes and
 step midpoints and the noise K at the nodes; K enters the midpoint field
-as the mean of the step's two end-node values.  The kernel needs only
-the final state: a pairwise (tree) reduction of the steps' Cayley-Klein
-pairs gives the whole propagator in log2(n) vectorised levels
-(``_final_product``), and the phases and the leakage follow from the
-state it makes.  Its value, a :class:`PhaseExtraction`, is the one
-evolution result: it holds those scalars, the field at every node and
-the step pairs, and builds the trajectory only when it is read, the
-states at every node from one blocked prefix product of the steps
-(``_node_states``), then the unwrapped total phase, the Bloch vector,
-the energy and its integral.  Neither pass has a per-step Python loop.
+as the mean of the step's two end-node values.  One tree of products
+serves both of its outputs (``_product_tree``).  Its up-sweep multiplies
+the steps' Cayley-Klein pairs pairwise in log2(n) vectorised levels up
+to the whole propagator, and the kernel applies that root to the start
+state; the phases and the leakage follow from the final state alone.
+Its value, a :class:`PhaseExtraction`, is the one evolution result: it
+holds those scalars, the field at every node and the tree's levels, and
+builds the trajectory only when it is read.  The down-sweep of the same
+tree gives the states at every node, then come the unwrapped total
+phase, the Bloch vector, the energy and its integral.  Neither sweep
+has a per-step Python loop.
 A noise realization is the array of K at the grid nodes, and the grid is
 fixed by the spec and the config alone: ``steps_per_cycle * n_cycles``
 steps over ``[0, t_total]``.  ``evolve_and_extract`` builds the control
@@ -122,80 +123,36 @@ def _step_coefficients(
     return a, off, nb
 
 
-def _node_states(
-    a: np.ndarray, b: np.ndarray, u0: complex, d0: complex
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spinor amplitudes at every node, psi_k = U_{k-1} ... U_0 psi_0.
+def _apply(a, b, u, d):
+    """The propagator of Cayley-Klein pair ``(a, b)`` applied to the state ``(u, d)``."""
+    return a * u + b * d, a.conjugate() * d - b.conjugate() * u
 
-    A two-level blocked prefix product of the step propagators given by
-    their Cayley-Klein pairs ``(a, b)``.  The n steps are cut into blocks
-    of m (the last one padded with identities):
 
-    1. within blocks, the running products of each block, one row of m
-       at a time, vectorised across blocks;
-    2. across blocks, a scalar pass carries the state from block to block
-       with each block's full product;
-    3. apply, each running product acts on the state entering its block.
+def _product_tree(
+    a: np.ndarray, b: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Levels of the pairwise (tree) product of the step pairs ``(a, b)``.
 
-    The work is O(n); the Python-level iterations are m + n/m.  A row of
-    the first pass costs about eight numpy calls against one scalar
-    update per block in the second, so m ~ sqrt(n / 8) balances them.
+    Level 0 is the step pairs.  Each level multiplies every pair by the
+    one after it, the later one on the left, vectorised over the level,
+    and pads a level of odd length with the identity first; levels are
+    kept as padded.  The last level holds one pair, the whole propagator
+    U_{n-1} ... U_0, after ceil(log2(n)) products, twelve for 4,096 steps.
+    This is the up-sweep of a work-efficient scan (Blelloch 1990);
+    ``PhaseExtraction`` runs the down-sweep for the node states.
     """
-    n = a.size
-    m = max(1, math.isqrt(n // 8))
-    n_blocks = -(-n // m)
-    # Row i, column j holds step j*m + i.
-    pa = np.ones(n_blocks * m, dtype=complex)
-    pb = np.zeros(n_blocks * m, dtype=complex)
-    pa[:n] = a
-    pb[:n] = b
-    pa = pa.reshape(n_blocks, m).T.copy()
-    pb = pb.reshape(n_blocks, m).T.copy()
-    for i in range(1, m):
-        # (U_i) @ (running product): a = a_i a - b_i conj(b), b = a_i b + b_i conj(a)
-        prev_a = pa[i - 1]
-        prev_b = pb[i - 1]
-        next_a = pa[i] * prev_a - pb[i] * prev_b.conj()
-        pb[i] = pa[i] * prev_b + pb[i] * prev_a.conj()
-        pa[i] = next_a
-
-    entry_u = []
-    entry_d = []
-    u = u0
-    d = d0
-    for ta, tb in zip(pa[-1].tolist(), pb[-1].tolist()):
-        entry_u.append(u)
-        entry_d.append(d)
-        u, d = ta * u + tb * d, ta.conjugate() * d - tb.conjugate() * u
-    su = np.array(entry_u)
-    sd = np.array(entry_d)
-
-    amp_up = np.empty(n + 1, dtype=complex)
-    amp_down = np.empty(n + 1, dtype=complex)
-    amp_up[0] = u0
-    amp_down[0] = d0
-    amp_up[1:] = (pa * su + pb * sd).T.reshape(-1)[:n]
-    amp_down[1:] = (pa.conj() * sd - pb.conj() * su).T.reshape(-1)[:n]
-    return amp_up, amp_down
-
-
-def _final_product(a: np.ndarray, b: np.ndarray) -> tuple[complex, complex]:
-    """Cayley-Klein pair of the whole propagator U_{n-1} ... U_0.
-
-    A pairwise (tree) reduction of the step pairs ``(a, b)``: each level
-    multiplies every step by the one after it, the later one on the
-    left, vectorised over the level, and pads a level of odd length with
-    the identity.  That is ceil(log2(n)) levels, twelve for 4,096 steps.
-    """
+    levels = []
     while a.size > 1:
         if a.size % 2:
             a = np.append(a, 1.0)
             b = np.append(b, 0.0)
+        levels.append((a, b))
         early_a, late_a = a[0::2], a[1::2]
         early_b, late_b = b[0::2], b[1::2]
         a, b = (late_a * early_a - late_b * early_b.conj(),
                 late_a * early_b + late_b * early_a.conj())
-    return complex(a[0]), complex(b[0])
+    levels.append((a, b))
+    return levels
 
 
 @dataclass(frozen=True)
@@ -218,15 +175,17 @@ class PhaseExtraction:
 
     The kernel computes the scalars from the final state alone.  Arrays
     run over the n + 1 grid nodes (``b_nodes``) or the n steps
-    (``b_mid``, ``field_modulus``, and ``step_a``, ``step_b``, the
-    Cayley-Klein pairs of the step propagators); ``b_nodes`` and
-    ``b_mid`` are the total field, and ``start`` is the state at t=0.
+    (``b_mid``, ``field_modulus``); ``b_nodes`` and ``b_mid`` are the
+    total field, and ``start`` is the state at t=0.  ``levels`` are the
+    levels of the product tree of the step propagators' Cayley-Klein
+    pairs, from the steps to the whole propagator (``_product_tree``).
     ``geometric_phase`` is folded to (-pi, pi] as described in the
     module docstring.  ``non_adiabatic`` flags leakage above
     ``_LEAKAGE_WARN_THRESHOLD``.
 
-    The trajectory is built from the steps when it is first read: the
-    states at every node (``amp_up``, ``amp_down``), the unwrapped
+    The trajectory is built from the tree's down-sweep when it is first
+    read: the states at every node (``amp_up``, ``amp_down``), the
+    last one bitwise the kernel's final state, the unwrapped
     ``total_phase_nodes``, their last entry ``total_phase``, and
     ``geometric_phase_raw``, the unfolded difference
     ``total_phase - dynamical_phase``.  ``energy`` (<psi|H|psi> at each
@@ -240,8 +199,7 @@ class PhaseExtraction:
     dt: float
     b_nodes: np.ndarray
     b_mid: np.ndarray
-    step_a: np.ndarray
-    step_b: np.ndarray
+    levels: list[tuple[np.ndarray, np.ndarray]]
     start: tuple[complex, complex]
     field_modulus: np.ndarray
     dynamical_phase: float
@@ -254,7 +212,24 @@ class PhaseExtraction:
 
     @cached_property
     def _amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
-        return _node_states(self.step_a, self.step_b, *self.start)
+        # The down-sweep, from the root to level 0: the state entering a
+        # left child is its parent's, and the state entering a right child
+        # is the left child's product applied to it.  At level 0 these are
+        # the states at nodes 0 .. n-1; the last node is the root applied
+        # to the start, as the kernel forms its final state.
+        u0, d0 = self.start
+        u, d = np.array([u0]), np.array([d0])
+        for a, b in reversed(self.levels[:-1]):
+            parents = a.size // 2
+            enter_u = np.empty(a.size, dtype=complex)
+            enter_d = np.empty(a.size, dtype=complex)
+            enter_u[0::2], enter_d[0::2] = u[:parents], d[:parents]
+            enter_u[1::2], enter_d[1::2] = _apply(a[0::2], b[0::2], u[:parents], d[:parents])
+            u, d = enter_u, enter_d
+        root_a, root_b = self.levels[-1]
+        last_u, last_d = _apply(complex(root_a[0]), complex(root_b[0]), u0, d0)
+        n = self.field_modulus.size
+        return np.append(u[:n], last_u), np.append(d[:n], last_d)
 
     @property
     def amp_up(self) -> np.ndarray:
@@ -363,8 +338,9 @@ def _evolve(
     (u0, d0), (ref_u, ref_d) = _eigenvector_chain(
         [a.theta for a in ends], [a.phi for a in ends], branch
     ).tolist()
-    pa, pb = _final_product(step_a, step_b)
-    u, d = pa * u0 + pb * d0, pa.conjugate() * d0 - pb.conjugate() * u0
+    levels = _product_tree(step_a, step_b)
+    root_a, root_b = levels[-1]
+    u, d = _apply(complex(root_a[0]), complex(root_b[0]), u0, d0)
     # The per-step increments of the overlap's phase telescope to its final
     # argument, so this is the total phase mod 2 pi.
     total = cmath.phase(u0.conjugate() * u + d0.conjugate() * d)
@@ -377,8 +353,7 @@ def _evolve(
         dt=dt,
         b_nodes=b_nodes,
         b_mid=b_mid,
-        step_a=step_a,
-        step_b=step_b,
+        levels=levels,
         start=(u0, d0),
         field_modulus=nb,
         dynamical_phase=dynamical,

@@ -697,64 +697,64 @@ def _read_noise_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
 # --seed 7 -o pin`` writes, recorded with numpy 2.4.6 on x86-64.
 _SIMULATE_DIGESTS = {
     ("up", "0", 1): (
-        "1f44d8558226aa5921b04ada8358f823dab63b4221214ffe6a1b4350386f59d9",
+        "cad8819a4ec02ef561a72debe6124763783a6e108d98b6ede0ed7671eaa6117a",
         "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
-        "f8b2cbe82b0ab5280b5eed528ef0fff43b031e705a6778e32137c12848ffbb0e",
+        "7715213a799fe7bc9dc307437d534a4a56ac6925b58adebdc2e94566c8f1044e",
     ),
     ("up", "0", 3): (
-        "27dc59a2eb60c575d10b94bb48a9e03cab2c6eff35bb075285a2b94bc4794ae7",
+        "ec059e6a66f318887e296cbfad87579b04a525a33f8fb786f5a8220d4ea60328",
         "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
-        "5b27f43926ab66d0a2b1703a3bc101503609c7df0751ca78181d13333656749b",
+        "06dc6eb1a8def2c6cdc182e455942ecb6cf84fdbc40d726c163a4461b3d6b214",
     ),
     ("up", "0.7853981633974483", 1): (
-        "391d903af7d62aeb624a7137f45f4663b48b4034a4d3b4703875c4c791ef4969",
+        "7cd1a15b7b442cfa0c3c27586b78f0c1dc6d4fc1835730bdb6d564f5475ad4ae",
         "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
-        "fcc25ec8ad83d04b646ab00923b118ec10251db76bfba694f8b3259076e518ee",
+        "0a3ad23733652b9facff83b570921ced18dc176f94daa1d8ec91762484c5e49d",
     ),
     ("up", "0.7853981633974483", 3): (
-        "7c36ab5c4a07cde08f34d34912691b79741e632e86bc2f5b4578a4324ced4269",
+        "186fa80dbbd8f65ca784753abb975f2f42e8238f48780044439916d1c9bf6997",
         "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
-        "bfd05497cc1d940b599647644876018a2b483b5d6a3b695b863155a0badf3b13",
+        "277c01958a70f5e9b0f3d3ba34984322af17f2ee85c0546f1b67dc5b3ae7d557",
     ),
     ("up", "3.0915926535897933", 1): (
-        "b226d34219134be6b70da3f15df24ecd92318347d641a4b0ee578de8447ade42",
+        "3d20a6169b6f7e838f9d3c67a7c8bba7ba1fc94d00869bd344d8c499ef88f11f",
         "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
-        "e8a5523375938f860561929382791b5f1063bbc7e69f950c9d7437d7c12a7265",
+        "dd4eb2e90e47bdc91dd7814dfba60e53bc870107f51538317c63c2a2d92e5d26",
     ),
     ("up", "3.0915926535897933", 3): (
-        "f6a98df661db01150f8add6c4c9508bf15c0a4ba007a34cb6ed02678acabe40c",
+        "8abef88f630fcf46a187275fee61aed014ae11301241ffb618c16f2835278ed4",
         "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
-        "097b3e9b7e12399619d903616ff8f93167b672644a6d39bc9d346473b4847a9e",
+        "2485ec422841278d80d29966d1e604ea891773dadb7af37bbe2607fac5d31f9a",
     ),
     ("down", "0", 1): (
-        "3fb72601ac6da4398568516447602f1ffca192ebd98af1bfe73a3fd7d3b72f92",
+        "bf73a0cbcca65d3df4b17a8a814e04de4f6a55f59cc7dffa5f82d7ddc7f1485e",
         "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
-        "609147cb6ef651fe442f90e5e573d158cc20ad063f354aa2d35025468e6baebf",
+        "b049c99cfb6f89fad635a3e543bfcb73839cbfdd3288ac3d35832f30487b9c10",
     ),
     ("down", "0", 3): (
-        "6e0a672c3ed3b24b18e71714a66d418556b818d9d8b63477d16eae91a343ea3d",
+        "3adb5da5705a3cd0321753888b9c09d115d58d0e142bf3b8d339b3ed41a7c274",
         "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
-        "408365d2bd2d2ba2e04b52df3672214577790efcc75bc45de960cc316580d96f",
+        "8c553479504bcb8d3e7a5c88e0c49767dccf0cbfeae2a6afe18c4aca09716e29",
     ),
     ("down", "0.7853981633974483", 1): (
-        "567558aab815af3f4fb2bef2c0bd11c214bef42517210c8197f3ea5dacf875f7",
+        "939d308a532253eb9aabfb8490ff96aa3a5b5b45a9fb91ea99decf170d0933fd",
         "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
-        "ac0b18d09b945c4d8a86e94d846c614ef66e72b27b66d1f6af65c5f54d9ded89",
+        "db1a8e25176a4359c2e62e56b67328c01917599e5d00a1e7c93d996ad98e7cd2",
     ),
     ("down", "0.7853981633974483", 3): (
-        "6332bdf5a564b903dea5169a690767b5e302a7aea80687a3393489c66be6f374",
+        "49a3db537962cda3727b888e9a1968807e562d8590fa11ed8f71f482b5ced58e",
         "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
-        "b801f6c5215cdbd8f9fc0b47e7a8e8df4d22d214b52f8118d3f5798c266c1b60",
+        "110bd15337c973a942bac2bf799f7e640ecf37becb0446dd329763eb6ab971b6",
     ),
     ("down", "3.0915926535897933", 1): (
-        "91c87198ce36db3dd20d2c7a745e80df144626c1ac873c397c2ce4a06798a682",
+        "fede21d5dc49e6c824f8ac316ea60e4f755ffc790fbba074b9a78fc311222bc3",
         "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
-        "75bc9df4be48b69d907d0ba4b117d915047ba2d20e4b9513c4c1f25bc12b2ca4",
+        "f413c36cf145febd629aaa3fc2dc33d32ce730abbda53f68fbf1c5b45818a7d9",
     ),
     ("down", "3.0915926535897933", 3): (
-        "0a85efb0f47d85582d31eccd2f235035f97cfa41a1be9b5fe2324f01b94a0bb8",
+        "ea80302011d2a596afce40709bdd563aed166e740da85ce4855a88e94d9cdf12",
         "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
-        "9f6c266d10401add1203bcc291d57f6b38e40ea175fec93c1ef6598c212cb9bb",
+        "70df1a5a1cdecaa1e975e7009923029414bdc80645ab00f94fd5678c22bbe21e",
     ),
 }
 

@@ -23,7 +23,6 @@ from berrysim.evolve import (
     _control_grids,
     _eigenvector_chain,
     _evolve,
-    _final_product,
     _step_coefficients,
     _winding_number,
     _wrap_pm_pi,
@@ -866,8 +865,9 @@ def _random_steps_evolution(n, branch):
 
 
 def _kernel_final_state(result):
-    """The final state as the kernel forms it: the product of all steps applied to the start."""
-    pa, pb = _final_product(result.step_a, result.step_b)
+    """The final state as the kernel forms it: the tree's root applied to the start."""
+    root_a, root_b = result.levels[-1]
+    pa, pb = complex(root_a[0]), complex(root_b[0])
     u0, d0 = result.start
     return pa * u0 + pb * d0, pa.conjugate() * d0 - pb.conjugate() * u0
 
@@ -892,10 +892,12 @@ class TestFinalProduct:
     @pytest.mark.parametrize("branch", ["up", "down"])
     @pytest.mark.parametrize("n", RANDOM_STEP_COUNTS)
     def test_equals_the_last_node_state(self, n, branch):
+        # one tree: its root gives the kernel's final state and the
+        # down-sweep's last node, bit for bit
         result = _random_steps_evolution(n, branch)
+        assert len(result.levels) == 1 + math.ceil(math.log2(n))
         u, d = _kernel_final_state(result)
-        assert abs(u - result.amp_up[-1]) <= 1e-13
-        assert abs(d - result.amp_down[-1]) <= 1e-13
+        assert u == result.amp_up[-1] and d == result.amp_down[-1]
         # so the last unwrapped phase is the kernel's total mod 2 pi, and the
         # geometric phase is wrap(total_phase - dynamical_phase + pi * winding)
         u0, d0 = result.start
