@@ -374,7 +374,8 @@ class TestQuadratureOracle:
 
     @pytest.mark.xfail(
         strict=True, raises=AssertionError,
-        reason="ROADMAP item 3 floor: the doubling estimate stops on roundoff "
+        reason="the roundoff floor of ROADMAP's 'Quadrature oracle: a stopping rule that "
+               "knows its roundoff floor': the doubling estimate stops on roundoff "
                "(3.3e-7 off with an estimate near 1e-8 of the value)",
     )
     def test_roundoff_floor_at_small_gamma_t(self):
@@ -388,7 +389,8 @@ class TestQuadratureOracle:
 
     @pytest.mark.xfail(
         strict=True, raises=AssertionError,
-        reason="ROADMAP item 3 floor: at gamma = 1e6 the estimates sit at roundoff "
+        reason="the roundoff floor of ROADMAP's 'Quadrature oracle: a stopping rule that "
+               "knows its roundoff floor': at gamma = 1e6 the estimates sit at roundoff "
                "and the oracle doubles to 2**21 nodes, then exits 3",
     )
     def test_roundoff_floor_at_large_gamma(self, tmp_path, capsys):
@@ -780,7 +782,8 @@ class TestMatchesReference:
 
     @pytest.mark.xfail(
         strict=True, raises=AssertionError,
-        reason="ROADMAP item 3 floor: at gamma*T = 1e-6 with 7 cycles the "
+        reason="the roundoff floor of ROADMAP's 'Quadrature oracle: a stopping rule that "
+               "knows its roundoff floor': at gamma*T = 1e-6 with 7 cycles the "
                "one-level reference raises and the two-level rule stops on "
                "roundoff 3.3e-7 off the closed form",
     )
