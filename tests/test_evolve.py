@@ -864,14 +864,6 @@ def _random_steps_evolution(n, branch):
     return _evolve(nodes, mid, np.zeros((n + 1, 3)), 0.3, branch)
 
 
-def _kernel_final_state(result):
-    """The final state as the kernel forms it: the tree's root applied to the start."""
-    root_a, root_b = result.levels[-1]
-    pa, pb = complex(root_a[0]), complex(root_b[0])
-    u0, d0 = result.start
-    return pa * u0 + pb * d0, pa.conjugate() * d0 - pb.conjugate() * u0
-
-
 RANDOM_STEP_COUNTS = [1, 2, 3, 17, 4096, 4097, 65536]
 
 
@@ -896,11 +888,13 @@ class TestFinalProduct:
         # down-sweep's last node, bit for bit
         result = _random_steps_evolution(n, branch)
         assert len(result.levels) == 1 + math.ceil(math.log2(n))
-        u, d = _kernel_final_state(result)
+        root_a, root_b = result.levels[-1]
+        pa, pb = complex(root_a[0]), complex(root_b[0])
+        u0, d0 = result.start
+        u, d = pa * u0 + pb * d0, pa.conjugate() * d0 - pb.conjugate() * u0
         assert u == result.amp_up[-1] and d == result.amp_down[-1]
         # so the last unwrapped phase is the kernel's total mod 2 pi, and the
         # geometric phase is wrap(total_phase - dynamical_phase + pi * winding)
-        u0, d0 = result.start
         total = cmath.phase(u0.conjugate() * u + d0.conjugate() * d)
         tol = NODE_TOL * (1.0 + abs(result.total_phase))
         assert abs(_wrap(result.total_phase - total)) <= tol
