@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -789,6 +791,20 @@ class TestSimulatePinned:
             term = _reference_noncyclic_connection_term(spec, times, samples)
             assert summary["noncyclic_connection_term"].hex() == term.hex()
 
+    def test_benchmark_size(self, tmp_path, monkeypatch):
+        # the simulate_long workload's command: 65536 steps at the reference point
+        monkeypatch.setenv("BERRYSIM_OUTPUT_DIR", str(tmp_path))
+        argv = ["simulate", "--steps-per-cycle", "65536", "--seed", "42", "--quiet", "-o", "pin"]
+        assert main(argv) == 0
+        digests = tuple(
+            hashlib.sha256((tmp_path / f"pin.{name}").read_bytes()).hexdigest()
+            for name in ("trajectory.csv", "noise.csv")
+        )
+        assert digests == (
+            "9a1d7eabc3814fcdf1331a3a22fa5e003d8b951c182b69919a58118b195a1712",
+            "3a9198009e262fadec57860ae8d08dd470778b23e4dd9c352581ff8688664239",
+        )
+
 
 # Fixed-seed runs of the other commands: exit code, file digests and stdout
 # lines, with the output directory written as <dir>.
@@ -1312,6 +1328,65 @@ class TestCompareEquivalence:
             assert not all(ok for _, ok, _ in want)
 
 
+def _powers_of_ten(exponents) -> np.ndarray:
+    """The floats nearest 10**j, each with its three neighbours on either side."""
+    values = []
+    for j in exponents:
+        below = above = float(f"1e{j}")
+        values.append(below)
+        for _ in range(3):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            values += [below, above]
+    return np.array(values)
+
+
+def _below_powers_of_ten() -> np.ndarray:
+    """The largest float below 10**j for every j with one; 14 of them round up to 10**j."""
+    values = []
+    for j in range(-323, 309):
+        value = float(f"1e{j}")
+        # Fraction compares the float and the power of ten exactly
+        if value != 0.0 and Fraction(value) >= Fraction(10) ** j:
+            value = math.nextafter(value, 0.0)
+        values.append(value)
+    return np.array(values)
+
+
+def _decades(rng, exponents, n) -> np.ndarray:
+    """Log-uniform draws within the decades [10**E, 10**(E+1)), n per decade."""
+    return np.concatenate([10.0 ** (e + rng.uniform(0.0, 1.0, n)) for e in exponents])
+
+
+def _ties() -> np.ndarray:
+    # 1 + odd * 2**-17 times 10**16 ends in exactly .5: a tie for 17 digits
+    return 1.0 + np.arange(1, 2**17, 2) * 2.0**-17
+
+
+_FLOAT_FAMILIES = {
+    "normal": lambda: np.random.default_rng(1).standard_normal(20_000),
+    "normal_scaled": lambda: (
+        (rng := np.random.default_rng(2)).standard_normal(20_000)
+        * 10.0 ** rng.integers(-9, 20, 20_000)
+    ),
+    "bit_patterns": lambda: np.random.default_rng(3).integers(
+        0, 2**64, 20_000, dtype=np.uint64
+    ).view(np.float64),
+    "ties": _ties,
+    "int53_scaled": lambda: (
+        (rng := np.random.default_rng(4)).integers(2**52, 2**53, 20_000).astype(float)
+        * 2.0 ** rng.integers(-80, 6, 20_000)
+    ),
+    "uniform_to_1e17": lambda: np.random.default_rng(5).uniform(0.0, 1e17, 20_000),
+    "three_decimals": lambda: np.random.default_rng(6).integers(-10**7, 10**7, 20_000) / 1000.0,
+    "powers_of_ten": lambda: _powers_of_ten(range(-9, 21)),
+    "near_1e16_and_1e17": lambda: np.concatenate([
+        1e16 + 2.0 * np.arange(-500, 500), 1e17 + 16.0 * np.arange(-500, 500),
+    ]),
+    "below_powers_of_ten": _below_powers_of_ten,
+    "exponent_edges": lambda: _decades(np.random.default_rng(7), [-7, -6, -5, -4, 15, 16], 2000),
+}
+
+
 class TestTableEquivalence:
     """CLI tables are byte-equal to the per-cell reference writer."""
 
@@ -1327,6 +1402,14 @@ class TestTableEquivalence:
         rows = [[x, i, None, -x] for x, i in zip(floats, ints)]
         _reference_write_table(tmp_path / "ref.csv", header, rows)
         cli._write_columns(tmp_path / "new.csv", header, [floats, ints, None, -floats])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("family", sorted(_FLOAT_FAMILIES))
+    def test_float_family(self, tmp_path, family):
+        floats = _FLOAT_FAMILIES[family]()
+        header = ["x", "minus_x"]
+        _reference_write_table(tmp_path / "ref.csv", header, [[x, -x] for x in floats])
+        cli._write_columns(tmp_path / "new.csv", header, [floats, -floats])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_two_dimensional_block_adds_its_columns_in_order(self, tmp_path):
@@ -1352,6 +1435,22 @@ class TestTableEquivalence:
         _reference_write_table(tmp_path / "ref.csv", ["i", "x"], rows)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert (tmp_path / "new.csv").read_text().splitlines()[2] == "1,"
+
+    def test_memory_does_not_grow_with_the_table(self, tmp_path):
+        # simulate's shape: 14 float columns
+        def peak(n_rows):
+            columns = [np.random.default_rng(n_rows).standard_normal((n_rows, 14))]
+            tracemalloc.start()
+            try:
+                cli._write_columns(tmp_path / "t.csv", [f"c{i}" for i in range(14)], columns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        chunk_cells = cli._CHUNK_ROWS * 14 * 24
+        short, long = peak(2**13), peak(2**16)
+        assert long < 4 * chunk_cells
+        assert long < 1.25 * short
 
     def test_unequal_lengths_raise(self, tmp_path):
         with pytest.raises(ValueError, match="differ in length"):
