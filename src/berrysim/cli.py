@@ -24,7 +24,12 @@ silences both.
 CSV tables hold one value per cell: floats as ``%.17g`` (round-trip
 exact), integers in decimal, and a missing value as an empty cell.
 Tables are written in chunks of rows, so the writer's memory does not
-grow with the table's length.
+grow with the table's length.  Float cells come from
+:func:`berrysim.cells.float_cells`, a numpy kernel that writes the exact
+bytes of ``%.17g``: for 1e-6 < |x| < 1e17 it finds the decimal exponent
+and the 17 digits with an error-free product and lays the cell out from
+tables; every other value (nan, the infinities, zero, subnormals and the
+rest) goes through ``"%.17g" % v`` one at a time.
 
 Exit codes: 0 success, 1 scientific check failed, 2 usage or
 configuration error, 3 numerical accuracy failure.  The scientific check
@@ -201,41 +206,60 @@ def _dump_csv_pairs(payload: dict) -> str:
 
 # Rows formatted per write, so the writer's memory does not grow with the table.
 _CHUNK_ROWS = 4096
-_CELL_FORMATS = {"f": "%.17g", "i": "%d", "u": "%d"}
+
+
+def _cells(chunk: np.ndarray) -> np.ndarray:
+    """One column's cells as a NUL-padded (rows, width) byte matrix."""
+    if chunk.dtype.kind == "f":
+        # imported here, so that commands which write no table never build its tables
+        from .cells import float_cells
+
+        return float_cells(chunk)
+    if chunk.dtype.kind != "S":  # an object column is formatted before writing
+        chunk = np.array(["%d" % value for value in chunk.tolist()], dtype=bytes)
+    return chunk.view(np.uint8).reshape(chunk.size, -1)
 
 
 def _write_columns(path: Path, header: list, columns: list) -> None:
     """Write equal-length columns as CSV; a 2-D array adds its columns in order.
 
-    A column of Python objects may hold None, which is written as an empty cell.
+    A column of Python objects may hold None, which is written as an empty
+    cell, as is every cell of a column given as None.  Each chunk of rows
+    goes out as one write: its cell matrices side by side, with comma and
+    newline columns between them, and the NUL padding dropped.
     """
-    formats = []
     arrays = []
     for column in columns:
         if column is None:
-            formats.append("")
+            arrays.append(None)
             continue
         column = np.asarray(column)
         if column.dtype.kind == "O" and column.ndim == 1:
-            formats.append("%s")
-            arrays.append(np.array([_fmt(value) for value in column], dtype=object))
-            continue
-        if column.dtype.kind not in _CELL_FORMATS or column.ndim not in (1, 2):
+            arrays.append(np.array([_fmt(value) for value in column], dtype=bytes))
+        elif column.dtype.kind not in "fiu" or column.ndim not in (1, 2):
             raise TypeError(f"cannot write a {column.dtype} column of shape {column.shape}")
-        for array in column.T if column.ndim == 2 else (column,):
-            formats.append(_CELL_FORMATS[column.dtype.kind])
-            arrays.append(array)
-    if len(formats) != len(header):
-        raise ValueError(f"{len(header)} header names for {len(formats)} columns")
-    lengths = {array.size for array in arrays}
+        else:
+            arrays.extend(column.T if column.ndim == 2 else (column,))
+    if len(arrays) != len(header):
+        raise ValueError(f"{len(header)} header names for {len(arrays)} columns")
+    lengths = {array.size for array in arrays if array is not None}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
-    row = ",".join(formats) + "\n"
-    with path.open("w") as out:
-        out.write(",".join(header) + "\n")
-        for start in range(0, max(lengths, default=0), _CHUNK_ROWS):
-            chunk = [array[start:start + _CHUNK_ROWS].tolist() for array in arrays]
-            out.writelines(row % cells for cells in zip(*chunk))
+    n_rows = max(lengths, default=0)
+    with path.open("wb") as out:
+        out.write((",".join(header) + "\n").encode())
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            rows = min(_CHUNK_ROWS, n_rows - start)
+            comma, newline = (np.full((rows, 1), ord(c), np.uint8) for c in ",\n")
+            pieces = []
+            for array in arrays:
+                if array is not None:
+                    pieces.append(_cells(array[start:start + rows]))
+                pieces.append(comma)
+            pieces[-1] = newline
+            table = np.hstack(pieces)
+            del pieces
+            out.write(table[table != 0])
 
 
 def _rel_diff(a: float, b: float) -> float:
