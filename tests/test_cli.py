@@ -966,6 +966,27 @@ class TestCommandsPinned:
         assert hashlib.sha256(out.encode()).hexdigest() == _ANALYTIC_STDOUT_DIGEST
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("seed, digests", [
+        (42, ("a81a318f4d2da9491ed00d321dbadc6286cbd09010b1b4d3aa04a48a40ef99ab",
+              "73473e0a227fbb43b886429db6debeea2f4f176083165bb380c500fc5f6c3700")),
+        (7, ("8809dde540b1e8585606bf6659b926dcdc2c15c57e4f5a88ab96ab8e1e60213c",
+             "b5563662f0cae81a0d5fd7a030d7200b2e350a286e8880216765ccd19628e5bf")),
+    ])
+    def test_full_sim_benchmark_size(self, tmp_path, monkeypatch, seed, digests):
+        # the mc_full_sim workload's command: 200 trials x 4096 steps at the reference point
+        monkeypatch.setenv("BERRYSIM_OUTPUT_DIR", str(tmp_path))
+        argv = [
+            "mc", "--b0", "1.0", "--theta0", repr(math.pi / 4), "--t-total", "100.0",
+            "--n-cycles", "1", "--sigma12", "0.05", "--gamma12", "0.1", "--sigma3", "0.05",
+            "--gamma3", "0.1", "--mode", "full_sim", "--n-trials", "200",
+            "--steps-per-cycle", "4096", "--seed", str(seed), "--quiet", "-o", "pin",
+        ]
+        assert main(argv) == 0
+        assert tuple(
+            hashlib.sha256((tmp_path / f"pin.{name}").read_bytes()).hexdigest()
+            for name in ("records.csv", "summary.json")
+        ) == digests
+
 
 class TestSweepCommand:
     def test_fixed_omega_t_total_slopes(self, tmp_path):

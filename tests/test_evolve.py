@@ -29,6 +29,17 @@ from berrysim.evolve import (
 )
 
 
+def _reference_winding(b_nodes):
+    """Turns of the transverse field, and its unwrapped node azimuths (reference copy).
+
+    The count as it stood before it read the branch-cut crossings:
+    np.unwrap over every node azimuth, then the turns between the ends,
+    rounded.  Adding 0.0 squashes IEEE negative zeros.
+    """
+    azimuth = np.unwrap(np.arctan2(b_nodes[:, 1] + 0.0, b_nodes[:, 0] + 0.0))
+    return int(round((azimuth[-1] - azimuth[0]) / math.tau)), azimuth
+
+
 @dataclass(frozen=True)
 class SpinState:
     """A pure spin-1/2 state with amplitudes on the z basis (reference copy)."""
@@ -483,7 +494,7 @@ def _reference_connection_phase_discrete(spec, times=None, samples=None, n_point
     r_full = np.linalg.norm(b_full, axis=1)
     if np.any(r_full < 1e-300):
         raise DegeneracyError("total field vanishes along the path")
-    winding, azimuth = _winding_number(b_full)
+    winding, azimuth = _reference_winding(b_full)
     b_chain = b_full[::stride]
     r_chain = r_full[::stride]
     theta = np.arccos(np.clip(b_chain[:, 2] / r_chain, -1.0, 1.0))
@@ -745,7 +756,7 @@ def _pinned_evolve_and_extract(spec, path, config, branch):
     b_nodes = control_nodes + k_nodes
     b_mid = control_mid + 0.5 * (k_nodes[:-1] + k_nodes[1:])
 
-    winding, _ = _winding_number(b_nodes)
+    winding, _ = _reference_winding(b_nodes)
     nb = _step_coefficients(b_mid, dt)[2]
     field_modulus_integral = float(nb.sum() * dt)
     ends = (polar_angles(b_nodes[0]), polar_angles(b_nodes[-1]))
@@ -969,5 +980,56 @@ class TestFinalStateMatchesNodeStates:
         path = sample_path(model, n_steps, spec.t_total / n_steps, seed=seed)
         want = _pinned_evolve_and_extract(spec, path, self.CONFIG, "up")
         got = evolve_and_extract(spec, path, self.CONFIG)
-        assert got.winding == want["winding"] == _winding_number(got.b_nodes)[0]
+        assert got.winding == want["winding"] == _reference_winding(got.b_nodes)[0]
         assert abs(_wrap(got.geometric_phase - want["geometric_phase"])) <= PHASE_TOL
+
+
+def _random_transverse_fields(rng, n_fields, max_nodes=16):
+    """Node fields whose transverse components stress the azimuth's branch cut.
+
+    Each component is an exact or signed zero, +/-1 or +/-1e300 or
+    +/-1e-300 half the time, and otherwise of random sign and a
+    magnitude between 1e-300 and 1e300.  A third of the nodes after the
+    first negate their predecessor, so the azimuth steps by pi, exactly
+    so on the axes.
+    """
+    special = np.array([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300])
+    for _ in range(n_fields):
+        n = int(rng.integers(1, max_nodes + 1))
+        xy = np.where(
+            rng.random((n, 2)) < 0.5,
+            rng.choice(special, (n, 2)),
+            rng.choice([-1.0, 1.0], (n, 2)) * 10.0 ** rng.uniform(-300.0, 300.0, (n, 2)),
+        )
+        for k in np.flatnonzero(rng.random(n) < 1.0 / 3.0):
+            if k:
+                xy[k] = -xy[k - 1]
+        yield np.column_stack([xy, np.ones(n)])
+
+
+class TestTurnCount:
+    """The winding, a Python int equal to the unwrap count (reference copy)."""
+
+    def test_random_fields(self):
+        rng = np.random.default_rng(2024)
+        for b_nodes in _random_transverse_fields(rng, 20_000):
+            winding = _winding_number(b_nodes)[0]
+            assert type(winding) is int
+            assert winding == _reference_winding(b_nodes)[0], b_nodes[:, :2].tolist()
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-170, 0.05, 0.5, 3.0])
+    @pytest.mark.parametrize("n_cycles", [1, 3])
+    @pytest.mark.parametrize(
+        "theta0", [0.0, 0.03, 0.05, math.pi / 4, math.pi - 0.03, math.pi]
+    )
+    def test_noisy_paths(self, theta0, n_cycles, sigma):
+        spec = PrecessionSpec(b0=1.0, theta0=theta0, t_total=100.0, n_cycles=n_cycles)
+        n_steps = 256 * n_cycles
+        dt = spec.t_total / n_steps
+        control_nodes, _ = _control_grids(spec, n_steps, dt)
+        model = NoiseModel.from_scalars(sigma, 0.1, sigma, 0.1)
+        for seed in range(20):
+            b_nodes = control_nodes + sample_path(model, n_steps, dt, seed)
+            winding = _winding_number(b_nodes)[0]
+            assert type(winding) is int
+            assert winding == _reference_winding(b_nodes)[0], seed

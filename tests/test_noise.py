@@ -5,7 +5,7 @@ import pytest
 from scipy.signal import lfilter
 
 from berrysim import NoiseModel, OuParams, sample_path
-from berrysim.noise import _ar1, _ar1_block
+from berrysim.noise import _AR1_BLOCK, _ar1, _ar1_block, _ou_filter
 
 
 def params_for(model: NoiseModel, index: int) -> OuParams:
@@ -288,3 +288,90 @@ class TestAr1Kernel:
         x[:, 1] = np.random.default_rng(3).standard_normal(10_000)
         y = _ar1(x, d)
         assert np.all(y[:, [0, 2]] == 0.0)
+
+
+def _reference_ar1(x, d):
+    """The AR(1) scan in row-major layout, blocks down axis 0 (reference copy).
+
+    The scan as it stood before it ran each column over contiguous memory.
+    """
+    n = x.shape[0]
+    rest = x.shape[1:]
+    n_blocks = -(-n // _ar1_block(d))
+    block = -(-n // n_blocks)
+    y = np.zeros((n_blocks * block,) + rest)
+    y[:n] = x
+    y = y.reshape((n_blocks, block) + rest)
+    powers = (d ** np.arange(block)).reshape((block,) + (1,) * len(rest))
+    y /= powers
+    np.cumsum(y, axis=1, out=y)
+    carry = powers[-1] * y[:, -1]
+    step, decay = 1, d**block
+    while step < n_blocks and decay > 0.0:
+        carry[step:] += decay * carry[:-step]
+        step, decay = 2 * step, decay * decay
+    y[1:] += d * carry[:-1, None]
+    y *= powers
+    return y.reshape((n_blocks * block,) + rest)[:n]
+
+
+def _reference_ou_filter(model, dt, values, *, adjoint=False):
+    """``_ou_filter`` as one row-major scan per noise part (reference copy)."""
+    out = np.zeros_like(values)
+    for columns, params in (([0, 1], model.transverse), ([2], model.longitudinal)):
+        if params.sigma == 0.0:
+            continue
+        decay = math.exp(-params.gamma * dt)
+        innov = params.sigma * math.sqrt(-math.expm1(-2.0 * params.gamma * dt))
+        scale = np.full((values.shape[0], 1), innov)
+        scale[0] = params.sigma
+        if adjoint:
+            out[:, columns] = scale * _reference_ar1(values[::-1, columns], decay)[::-1]
+        else:
+            out[:, columns] = _reference_ar1(scale * values[:, columns], decay)
+    return out
+
+
+class TestScanLayout:
+    """The scan and the filter, bit for bit against the row-major, per-part reference copies.
+
+    A column's operations and their order do not depend on the layout or
+    on which columns share a pass, so every value must be identical.
+    """
+
+    LENGTHS = [1, 2, _AR1_BLOCK, _AR1_BLOCK + 1, 65_536]
+    # (sigma12, gamma12, sigma3, gamma3)
+    MODELS = {
+        "isotropic": (0.05, 0.1, 0.05, 0.1),
+        "gamma12!=gamma3": (0.05, 0.1, 0.05, 0.3),
+        "sigma12!=sigma3": (0.05, 0.1, 0.2, 0.1),
+        "sigma12=0": (0.0, 0.1, 0.05, 0.1),
+        "sigma3=0": (0.05, 0.1, 0.0, 0.1),
+        "both-zero": (0.0, 0.1, 0.0, 0.1),
+    }
+
+    @pytest.mark.parametrize("d", TestAr1Kernel.DECAYS)
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_ar1(self, n, d):
+        rng = np.random.default_rng(n)
+        for shape in ((n,), (n, 2), (n, 3)):
+            x = rng.standard_normal(shape)
+            for values in (x, x[::-1]):  # reversed, as the adjoint passes it
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    got = _ar1(values, d)
+                want = _reference_ar1(values, d)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("n", LENGTHS)
+    @pytest.mark.parametrize("scalars", MODELS.values(), ids=list(MODELS))
+    def test_ou_filter(self, scalars, n, adjoint):
+        model = NoiseModel.from_scalars(*scalars)
+        values = np.random.default_rng(n).standard_normal((n, 3))
+        # gamma12*dt from 1e-7 to 800, where the one-step decay underflows to 0
+        for dt in (1e-6, 0.01, 3.0, 330.0, 8000.0):
+            got = _ou_filter(model, dt, values, adjoint=adjoint)
+            want = _reference_ou_filter(model, dt, values, adjoint=adjoint)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
