@@ -283,13 +283,23 @@ class PhaseExtraction:
 
 
 def _winding_number(b_nodes: np.ndarray) -> tuple[int, np.ndarray]:
-    """Turns of the transverse field, from the unwrapped node azimuths.
+    """Turns of the transverse field, and its node azimuths in [-pi, pi].
 
-    Adding 0.0 squashes IEEE negative zeros, which would otherwise make
-    atan2 report +/-pi on an identically zero transverse component.
+    The count is np.unwrap's without a float mod at every node: only a
+    step of pi or more in size, where the azimuth crosses its branch cut,
+    gets np.unwrap's correction (Python's float % is numpy's mod), and the
+    corrections add up in node order, as its cumsum does, so even an exact
+    half turn rounds the same way.  Adding 0.0 squashes IEEE negative
+    zeros, which would otherwise make atan2 report +/-pi on an
+    identically zero transverse component.
     """
-    azimuth = np.unwrap(np.arctan2(b_nodes[:, 1] + 0.0, b_nodes[:, 0] + 0.0))
-    return int(round((azimuth[-1] - azimuth[0]) / math.tau)), azimuth
+    azimuth = np.arctan2(b_nodes[:, 1] + 0.0, b_nodes[:, 0] + 0.0)
+    jumps = np.diff(azimuth)
+    shift = 0.0
+    for jump in jumps[~(np.abs(jumps) < math.pi)].tolist():
+        wrapped = (jump + math.pi) % math.tau - math.pi
+        shift += (math.pi if wrapped == -math.pi and jump > 0.0 else wrapped) - jump
+    return int(round((azimuth[-1] + shift - azimuth[0]) / math.tau)), azimuth
 
 
 def _control_grids(
@@ -423,7 +433,8 @@ def connection_phase_discrete(b_nodes: np.ndarray, *, branch: str = "up") -> flo
     r = np.linalg.norm(b_nodes, axis=1)
     if np.any(r < _TINY_FIELD):
         raise DegeneracyError("total field vanishes along the path")
-    winding, phi = _winding_number(b_nodes)
+    winding, azimuth = _winding_number(b_nodes)
+    phi = np.unwrap(azimuth)
     theta = np.arccos(np.clip(b_nodes[:, 2] / r, -1.0, 1.0))
     vecs = _eigenvector_chain(theta, phi, branch)
     links = np.sum(np.conj(vecs[:-1]) * vecs[1:], axis=1)

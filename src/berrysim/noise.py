@@ -112,25 +112,27 @@ def _ar1(x: np.ndarray, d: float) -> np.ndarray:
     c come from a doubling scan over blocks with decay d**B (Hillis &
     Steele, CACM 29(12), 1986), which stops once that decay underflows to
     zero.  The work is O(len(x)), and all-zero columns come out exactly zero.
+    The scan runs in column layout, each column's blocks contiguous, and
+    returns a transposed view.
     """
     n = x.shape[0]
-    rest = x.shape[1:]
+    rest = x.shape[1:][::-1]
     n_blocks = -(-n // _ar1_block(d))
     block = -(-n // n_blocks)
-    y = np.zeros((n_blocks * block,) + rest)
-    y[:n] = x
-    y = y.reshape((n_blocks, block) + rest)
-    powers = (d ** np.arange(block)).reshape((block,) + (1,) * len(rest))
+    y = np.zeros(rest + (n_blocks * block,))
+    y[..., :n] = x.T
+    y = y.reshape(rest + (n_blocks, block))
+    powers = d ** np.arange(block)
     y /= powers
-    np.cumsum(y, axis=1, out=y)
-    carry = powers[-1] * y[:, -1]
+    np.cumsum(y, axis=-1, out=y)
+    carry = powers[-1] * y[..., -1]
     step, decay = 1, d**block
     while step < n_blocks and decay > 0.0:
-        carry[step:] += decay * carry[:-step]
+        carry[..., step:] += decay * carry[..., :-step]
         step, decay = 2 * step, decay * decay
-    y[1:] += d * carry[:-1, None]
+    y[..., 1:, :] += d * carry[..., :-1, None]
     y *= powers
-    return y.reshape((n_blocks * block,) + rest)[:n]
+    return y.reshape(rest + (n_blocks * block,))[..., :n].T
 
 
 def _ou_filter(
@@ -143,11 +145,16 @@ def _ou_filter(
     K[0] = sigma*xi[0]: an AR(1) pass with the decay over the innovations
     scaled by s = (sigma, innov, innov, ...).  The adjoint u = L^T w is
     the same AR(1) pass run backwards over w, then scaled by s, so that
-    ``(w * K).sum() == (u * xi).sum()`` up to rounding.  Components with
+    ``(w * K).sum() == (u * xi).sum()`` up to rounding.  Components that
+    share a parameter set share one pass, so all three do when the
+    transverse and longitudinal parameters are equal.  Components with
     sigma = 0 come out exactly zero in both directions.
     """
     out = np.zeros_like(values)
-    for columns, params in (([0, 1], model.transverse), ([2], model.longitudinal)):
+    parts = ((slice(0, 2), model.transverse), (slice(2, 3), model.longitudinal))
+    if model.transverse == model.longitudinal:
+        parts = ((slice(0, 3), model.transverse),)
+    for columns, params in parts:
         if params.sigma == 0.0:
             continue
         decay = math.exp(-params.gamma * dt)

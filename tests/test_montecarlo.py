@@ -26,7 +26,7 @@ from berrysim import (
     summarize,
     trial_seed,
 )
-from berrysim import montecarlo
+from berrysim import montecarlo, noise
 from berrysim.evolve import _control_grids, _evolve
 from berrysim.noise import _draw_innovations, _ou_filter
 
@@ -472,6 +472,26 @@ class TestRunEnsemble:
         per_trial = _reference_first_order(SPEC, MODEL, n, 42, config)
         for records in (sampled, per_trial):
             assert np.all(np.abs(np.cov(records, rowvar=False) - c) <= 4.0 * se)
+
+    # gamma3, and the columns each AR(1) pass takes
+    PASSES = [(0.1, [3]), (0.3, [2, 1])]
+
+    @pytest.mark.parametrize("gamma3, widths", PASSES, ids=["gamma12=gamma3", "gamma12!=gamma3"])
+    def test_full_sim_filters_once_per_parameter_set(self, monkeypatch, gamma3, widths):
+        # the two adjoint weights and each trial's path take one pass per
+        # distinct parameter set, over all the components that share it
+        shapes = []
+        original = noise._ar1
+
+        def counting(x, d):
+            shapes.append(x.shape)
+            return original(x, d)
+
+        monkeypatch.setattr(noise, "_ar1", counting)
+        model = NoiseModel.from_scalars(0.05, 0.1, 0.05, gamma3)
+        run_ensemble(SPEC, model, 5, 19, mode="full_sim", config=FAST)
+        nodes = FAST.steps_per_cycle * SPEC.n_cycles + 1
+        assert shapes == [(nodes, width) for width in widths] * (2 + 5)
 
     def test_full_sim_draws_once_for_both_routes(self):
         # one draw per trial feeds the first-order records, A xi bitwise,
