@@ -43,7 +43,7 @@ of the field azimuth, so the reported ``geometric_phase`` is
 folded to (-pi, pi], where ``winding`` counts full turns of the
 transverse total field.  The per-step increments of the total phase
 telescope, so the kernel takes it mod 2 pi as arg<psi_0|psi(T)>, and
-the winding from the unwrapped azimuths of the node field.  For a
+the winding from the branch-cut crossings of the node azimuths.  For a
 clean loop at cone angle theta0 this reproduces pi*cos(theta0) per
 turn, and 0 when the field sits on the z axis and never winds.
 """
@@ -285,13 +285,11 @@ class PhaseExtraction:
 def _winding_number(b_nodes: np.ndarray) -> tuple[int, np.ndarray]:
     """Turns of the transverse field, and its node azimuths in [-pi, pi].
 
-    The count is np.unwrap's without a float mod at every node: only a
-    step of pi or more in size, where the azimuth crosses its branch cut,
-    gets np.unwrap's correction (Python's float % is numpy's mod), and the
-    corrections add up in node order, as its cumsum does, so even an exact
-    half turn rounds the same way.  Adding 0.0 squashes IEEE negative
-    zeros, which would otherwise make atan2 report +/-pi on an
-    identically zero transverse component.
+    np.unwrap's count without its float mod at every node: only the steps
+    of pi or more, across the branch cut, take its correction (Python's
+    float % is numpy's mod), summed in node order as its cumsum does.
+    Adding 0.0 squashes IEEE negative zeros, which would otherwise make
+    atan2 report +/-pi on an identically zero transverse component.
     """
     azimuth = np.arctan2(b_nodes[:, 1] + 0.0, b_nodes[:, 0] + 0.0)
     jumps = np.diff(azimuth)

@@ -21,7 +21,9 @@ The path is linear in the innovations, K = L xi; the same filter also
 applies the transpose L^T, which turns a weighted path integral w.K
 into the inner product (L^T w).xi.  Both directions, and the kernel of
 the quadrature oracle in :mod:`berrysim.analytics`, run one numpy AR(1)
-scan, y[k] = d*y[k-1] + x[k].
+scan, y[k] = d*y[k-1] + x[k], in column layout.  The filter runs one
+pass per parameter set, so one for all three components when the
+transverse and longitudinal parameters are equal.
 """
 
 from __future__ import annotations
@@ -112,8 +114,7 @@ def _ar1(x: np.ndarray, d: float) -> np.ndarray:
     c come from a doubling scan over blocks with decay d**B (Hillis &
     Steele, CACM 29(12), 1986), which stops once that decay underflows to
     zero.  The work is O(len(x)), and all-zero columns come out exactly zero.
-    The scan runs in column layout, each column's blocks contiguous, and
-    returns a transposed view.
+    Each column is scanned over contiguous memory; the result is a view.
     """
     n = x.shape[0]
     rest = x.shape[1:][::-1]
@@ -145,10 +146,9 @@ def _ou_filter(
     K[0] = sigma*xi[0]: an AR(1) pass with the decay over the innovations
     scaled by s = (sigma, innov, innov, ...).  The adjoint u = L^T w is
     the same AR(1) pass run backwards over w, then scaled by s, so that
-    ``(w * K).sum() == (u * xi).sum()`` up to rounding.  Components that
-    share a parameter set share one pass, so all three do when the
-    transverse and longitudinal parameters are equal.  Components with
-    sigma = 0 come out exactly zero in both directions.
+    ``(w * K).sum() == (u * xi).sum()`` up to rounding.  Components with
+    equal parameters share a pass, and those with sigma = 0 come out
+    exactly zero in both directions.
     """
     out = np.zeros_like(values)
     parts = ((slice(0, 2), model.transverse), (slice(2, 3), model.longitudinal))
