@@ -162,9 +162,10 @@ def _ou_filter(
         scale = np.full((values.shape[0], 1), innov)
         scale[0] = params.sigma
         if adjoint:
-            out[:, columns] = scale * _ar1(values[::-1, columns], decay)[::-1]
+            np.multiply(scale, _ar1(values[::-1, columns], decay)[::-1], out=out[:, columns])
         else:
-            out[:, columns] = _ar1(scale * values[:, columns], decay)
+            np.multiply(scale, values[:, columns], out=out[:, columns])
+            out[:, columns] = _ar1(out[:, columns], decay)
     return out
 
 
