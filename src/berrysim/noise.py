@@ -151,9 +151,9 @@ def _ou_filter(
     exactly zero in both directions.
     """
     out = np.zeros_like(values)
-    parts = ((slice(0, 2), model.transverse), (slice(2, 3), model.longitudinal))
+    parts = (([0, 1], model.transverse), ([2], model.longitudinal))
     if model.transverse == model.longitudinal:
-        parts = ((slice(0, 3), model.transverse),)
+        parts = (([0, 1, 2], model.transverse),)
     for columns, params in parts:
         if params.sigma == 0.0:
             continue
@@ -162,10 +162,9 @@ def _ou_filter(
         scale = np.full((values.shape[0], 1), innov)
         scale[0] = params.sigma
         if adjoint:
-            np.multiply(scale, _ar1(values[::-1, columns], decay)[::-1], out=out[:, columns])
+            out[:, columns] = scale * _ar1(values[::-1, columns], decay)[::-1]
         else:
-            np.multiply(scale, values[:, columns], out=out[:, columns])
-            out[:, columns] = _ar1(out[:, columns], decay)
+            out[:, columns] = _ar1(scale * values[:, columns], decay)
     return out
 
 
