@@ -294,6 +294,7 @@ def _winding_number(b_nodes: np.ndarray) -> tuple[int, np.ndarray]:
     azimuth = np.arctan2(b_nodes[:, 1] + 0.0, b_nodes[:, 0] + 0.0)
     jumps = np.diff(azimuth)
     shift = 0.0
+    # "not < pi" rather than ">= pi": a NaN step is corrected too, as np.unwrap does
     for jump in jumps[~(np.abs(jumps) < math.pi)].tolist():
         wrapped = (jump + math.pi) % math.tau - math.pi
         shift += (math.pi if wrapped == -math.pi and jump > 0.0 else wrapped) - jump

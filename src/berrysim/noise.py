@@ -21,9 +21,8 @@ The path is linear in the innovations, K = L xi; the same filter also
 applies the transpose L^T, which turns a weighted path integral w.K
 into the inner product (L^T w).xi.  Both directions, and the kernel of
 the quadrature oracle in :mod:`berrysim.analytics`, run one numpy AR(1)
-scan, y[k] = d*y[k-1] + x[k], in column layout.  The filter runs one
-pass per parameter set, so one for all three components when the
-transverse and longitudinal parameters are equal.
+scan, y[k] = d*y[k-1] + x[k], in column layout: one pass per parameter
+set, so one for all three components when their parameters are equal.
 """
 
 from __future__ import annotations
