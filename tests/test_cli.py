@@ -851,6 +851,39 @@ _COMMAND_PINS = {
             "analytic: wrote <dir>/pin.analytic.csv",
         ],
     ),
+    # --sigma12 0.5 fails one adiabaticity flag: pins the false cells and the
+    # report's row order in CSV
+    "analytic_json_non_adiabatic": (
+        ["analytic", "--sigma12", "0.5", "-o", "pin"],
+        0,
+        {
+            "pin.analytic.json": "3020d60cabebd0436da236ead24c8afd81c26f43c4f8497dd379f51b7b9eaa2d",
+        },
+        [
+            "analytic: wrote <dir>/pin.analytic.json",
+        ],
+    ),
+    "analytic_csv_non_adiabatic": (
+        ["analytic", "--sigma12", "0.5", "--output-format", "csv", "-o", "pin"],
+        0,
+        {
+            "pin.analytic.csv": "b342cb8a69f9b0ee602b86af4350f8a67ac0fabf31aa4f1ccb7e1d468d7581c0",
+        },
+        [
+            "analytic: wrote <dir>/pin.analytic.csv",
+        ],
+    ),
+    "mc_non_adiabatic": (
+        ["mc", "--n-trials", "200", "--sigma12", "0.5", *_PIN_SMALL, "-o", "pin"],
+        0,
+        {
+            "pin.records.csv": "1edc1cb45e24f3764bc8060194db852f0619ac3eb8a49cc4afee0c607255be82",
+            "pin.summary.json": "e6f0be2259eb049e135a8bd7ff10abecf3c291ff290a343837e8503ac006b7fa",
+        },
+        [
+            "mc: n_trials=200 max|z|=2.547 pass=true wrote <dir>/pin.records.csv <dir>/pin.summary.json",
+        ],
+    ),
     "mc_first_order": (
         ["mc", "--n-trials", "200", *_PIN_SMALL, "-o", "pin"],
         0,
@@ -932,6 +965,26 @@ _COMMAND_PINS = {
             "[PASS] first_order_law: |C - closed| within both bounds: var_gamma 2.51e-05 <= 5.02e-05, var_delta 5.09e-02 <= 1.02e-01, cov_gamma_delta 2.34e-08 <= 2.34e-07",
             "[PASS] broadband_scaling: slope_var_gamma=-0.9950 (target -1) slope_var_delta=1.0050 (target +1)",
             "[FAIL] first_order_vs_sim: median|gamma_sim - gamma_noiseless - gamma_fo|=1.284e+00 rad",
+            "[FAIL] adiabaticity: worst sigma12_over_b0=0.5 (threshold 0.2)",
+            "compare: wrote <dir>/pin.compare.json",
+            "compare: CHECKS FAILED",
+        ],
+    ),
+    "compare_non_adiabatic": (
+        ["compare", "--n-trials", "200", "--sigma12", "0.5", *_PIN_SMALL, "-o", "pin"],
+        1,
+        {
+            "pin.compare.json": "e4ffb0838e7dfdd3b027c3c10bab6f8737524f6733d2bce522c0a3ed354f3e0e",
+        },
+        [
+            "[PASS] oracle_var_gamma: closed=8.572350106e-02 quadrature=8.572350106e-02 rel=4.05e-14",
+            "[PASS] oracle_var_alpha: closed=1.662799594e+02 quadrature=1.662799594e+02 rel=4.05e-14",
+            "[PASS] oracle_cov: closed=-3.758947964e+00 quadrature=-3.758947964e+00 rel=3.95e-14",
+            "[PASS] narrowband_limit: limit=6.772941e-03 closed=6.771432e-03 rel=2.23e-04",
+            "[PASS] broadband_limit: limit=1.246038e-03 closed=1.244743e-03 rel=1.04e-03",
+            "[PASS] first_order_law: |C - closed| within both bounds: var_gamma 1.27e-05 <= 2.54e-05, var_delta 2.57e-02 <= 5.14e-02, cov_gamma_delta 5.59e-04 <= 1.12e-03",
+            "[PASS] broadband_scaling: slope_var_gamma=-0.9941 (target -1) slope_var_delta=1.0059 (target +1)",
+            "[FAIL] first_order_vs_sim: median|gamma_sim - gamma_noiseless - gamma_fo|=1.756e+00 rad",
             "[FAIL] adiabaticity: worst sigma12_over_b0=0.5 (threshold 0.2)",
             "compare: wrote <dir>/pin.compare.json",
             "compare: CHECKS FAILED",
