@@ -64,8 +64,8 @@ so the oracle doubles n and extrapolates twice (Richardson; Romberg):
     R2(n) = T(n) + (T(n) - T(n/2))/3
     R3(n) = R2(n) + (R2(n) - R2(n/2))/15
 
-At each doubling it accepts R2 if |T(n) - T(n/2)|/3 <= rtol*|R2| + atol,
-and otherwise R3 if |R2(n) - R2(n/2)|/15 <= rtol*|R3| + atol: the first
+At each doubling it accepts R2 if |T(n) - T(n/2)|/3 <= rtol*|R2|, and
+otherwise R3 if |R2(n) - R2(n/2)|/15 <= rtol*|R3|: the first
 rule met wins, and its left side is the reported error.  That error is
 an estimate from successive differences, not a bound.  Near the
 roundoff floor (gamma*T ~ 1e-6 with sigma3 = 0, or gamma ~ 1e6) roundoff
@@ -383,7 +383,6 @@ def _covariances_by_quadrature(
     n_nodes: int = 4096,
     *,
     rtol: float = 1e-9,
-    atol: float = 0.0,
     max_nodes: int = 2**21,
 ) -> tuple:
     """:func:`covariance_by_quadrature` for each ``(weight_a, weight_b)`` in ``pairs``.
@@ -411,15 +410,12 @@ def _covariances_by_quadrature(
         return passes[n]
 
     return tuple(
-        _extrapolate(lambda n, c=c: _pass_value(c, integrals(n)), int(n_nodes), rtol, atol,
-                     max_nodes)
+        _extrapolate(lambda n, c=c: _pass_value(c, integrals(n)), int(n_nodes), rtol, max_nodes)
         for c in coeffs
     )
 
 
-def _extrapolate(
-    pass_value, n: int, rtol: float, atol: float, max_nodes: int
-) -> QuadratureEstimate:
+def _extrapolate(pass_value, n: int, rtol: float, max_nodes: int) -> QuadratureEstimate:
     """Double the grid from ``n`` nodes until R2 or R3 meets the tolerance (module docstring)."""
     prev = pass_value(n)
     prev_r2 = None
@@ -428,12 +424,12 @@ def _extrapolate(
         cur = pass_value(n)
         err = abs(cur - prev) / 3.0
         r2 = cur + (cur - prev) / 3.0
-        if err <= rtol * abs(r2) + atol:
+        if err <= rtol * abs(r2):
             return QuadratureEstimate(value=r2, error=err, nodes=n)
         if prev_r2 is not None:
             err = abs(r2 - prev_r2) / 15.0
             r3 = r2 + (r2 - prev_r2) / 15.0
-            if err <= rtol * abs(r3) + atol:
+            if err <= rtol * abs(r3):
                 return QuadratureEstimate(value=r3, error=err, nodes=n)
         prev, prev_r2 = cur, r2
     raise AccuracyError(
@@ -450,7 +446,6 @@ def covariance_by_quadrature(
     n_nodes: int = 4096,
     *,
     rtol: float = 1e-9,
-    atol: float = 0.0,
     max_nodes: int = 2**21,
 ) -> QuadratureEstimate:
     """Covariance of two first-order functionals by direct quadrature.
@@ -458,14 +453,14 @@ def covariance_by_quadrature(
     Evaluates the OU double integral with the exact exponential kernel
     between nodes and doubles the grid from ``n_nodes``.  At each doubling
     it returns the once-extrapolated value if its step-doubling estimate
-    meets ``rtol``/``atol``, else the twice-extrapolated value if that
+    meets ``rtol``, else the twice-extrapolated value if that
     one's estimate does; the first rule met wins.  ``error`` is that
     estimate, not a bound.  Choose ``n_nodes`` to resolve the fastest
     weight oscillation (at least ~32 nodes per drive cycle); raises
     :class:`AccuracyError` when neither rule is met by ``max_nodes``.
     """
     (estimate,) = _covariances_by_quadrature(
-        spec, [(weight_a, weight_b)], model, n_nodes, rtol=rtol, atol=atol, max_nodes=max_nodes
+        spec, [(weight_a, weight_b)], model, n_nodes, rtol=rtol, max_nodes=max_nodes
     )
     return estimate
 

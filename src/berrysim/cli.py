@@ -183,12 +183,6 @@ def _flatten(payload: dict, prefix: str = "") -> list:
         name = f"{prefix}.{key}" if prefix else str(key)
         if isinstance(value, dict):
             rows.extend(_flatten(value, name))
-        elif isinstance(value, (list, tuple)):
-            for i, item in enumerate(value):
-                if isinstance(item, dict):
-                    rows.extend(_flatten(item, f"{name}[{i}]"))
-                else:
-                    rows.append((f"{name}[{i}]", item))
         else:
             rows.append((name, value))
     return rows
@@ -341,7 +335,7 @@ def _analytic_payload(config: RunConfig, *, oracle_cov: bool = False) -> dict:
         "quadrature": quadrature,
         "moments": dataclasses.asdict(analytics.phase_moments(spec, model)),
         "dephasing_factor": analytics.dephasing_factor(variances["var_alpha"].total),
-        "adiabaticity": adiabaticity_report(spec, model).to_dict(),
+        "adiabaticity": adiabaticity_report(spec, model),
     }
 
 
@@ -376,7 +370,7 @@ def cmd_mc(config: RunConfig) -> Outcome:
         "empirical": dataclasses.asdict(stats),
         "z_scores": z_scores,
         "first_order_law": law,
-        "adiabaticity": adiabaticity_report(spec, model).to_dict(),
+        "adiabaticity": adiabaticity_report(spec, model),
         "pass": not law["failures"],
     }
     max_z = max(abs(z) for z in z_scores.values())
@@ -442,7 +436,7 @@ def cmd_simulate(config: RunConfig, branch: str) -> Outcome:
         "connection_chain_phase": chain_phase,
         "noncyclic_connection_term": analytics.noncyclic_connection_term(spec, noise),
         "noiseless_berry_phase": analytics.noiseless_berry_phase(spec.theta0),
-        "adiabaticity": adiabaticity_report(spec, model).to_dict(),
+        "adiabaticity": adiabaticity_report(spec, model),
     }
     lines = [
         f"simulate: geometric={extraction.geometric_phase:.6f} "

@@ -343,10 +343,8 @@ def _evolve(
     winding = _winding_number(b_nodes)[0]
     field_modulus_integral = float(nb.sum() * dt)
 
-    ends = (polar_angles(b_nodes[0]), polar_angles(b_nodes[-1]))
-    (u0, d0), (ref_u, ref_d) = _eigenvector_chain(
-        [a.theta for a in ends], [a.phi for a in ends], branch
-    ).tolist()
+    thetas, phis = zip(polar_angles(b_nodes[0]), polar_angles(b_nodes[-1]))
+    (u0, d0), (ref_u, ref_d) = _eigenvector_chain(thetas, phis, branch).tolist()
     levels = _product_tree(step_a, step_b)
     root_a, root_b = levels[-1]
     u, d = _apply(complex(root_a[0]), complex(root_b[0]), u0, d0)

@@ -25,8 +25,6 @@ from .noise import NoiseModel
 
 __all__ = [
     "PrecessionSpec",
-    "SphericalAngles",
-    "AdiabaticityReport",
     "control_field",
     "polar_angles",
     "adiabaticity_report",
@@ -71,24 +69,6 @@ class PrecessionSpec:
         return 2.0 * math.pi * self.n_cycles / self.t_total
 
 
-@dataclass(frozen=True)
-class SphericalAngles:
-    """Polar decomposition (theta, phi) of a nonzero vector.
-
-    ``theta`` is the polar angle in [0, pi], ``phi`` the azimuth in
-    (-pi, pi].  Vectors on the z axis carry ``phi = 0`` by convention.
-    """
-
-    theta: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and 0.0 <= self.theta <= math.pi):
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not (math.isfinite(self.phi) and -math.pi <= self.phi <= math.pi):
-            raise ValueError(f"phi must lie in [-pi, pi], got {self.phi}")
-
-
 def _check_times(t: np.ndarray, t_total: float) -> None:
     tol = 1e-9 * max(1.0, t_total)
     if np.any(t < -tol) or np.any(t > t_total + tol):
@@ -110,45 +90,28 @@ def control_field(spec: PrecessionSpec, t: float | np.ndarray) -> np.ndarray:
     )
 
 
-def polar_angles(vector: np.ndarray) -> SphericalAngles:
-    """Polar angles of a single nonzero 3-vector.
+def polar_angles(vector: np.ndarray) -> tuple[float, float]:
+    """Polar angles ``(theta, phi)`` of a single nonzero 3-vector.
 
-    Raises :class:`DegeneracyError` for the zero vector, whose direction
-    is undefined.
+    ``theta`` is the polar angle in [0, pi], ``phi`` the azimuth in
+    (-pi, pi]; vectors on the z axis carry ``phi = 0`` by convention.
+    Raises ``ValueError`` for a vector whose norm is not finite (a NaN or
+    infinite component) and :class:`DegeneracyError` for the zero vector,
+    whose direction is undefined.
     """
     v = np.asarray(vector, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
     r = float(np.linalg.norm(v))
+    if not math.isfinite(r):
+        raise ValueError(f"field vector must have a finite norm, got {v.tolist()}")
     if r == 0.0:
         raise DegeneracyError("zero field vector has no polar decomposition")
     theta = math.acos(min(1.0, max(-1.0, v[2] / r)))
     # atan2(0, 0) = 0 realizes the phi = 0 convention on the z axis; adding
     # 0.0 squashes negative zeros, for which atan2 would report +/-pi.
     phi = math.atan2(v[1] + 0.0, v[0] + 0.0)
-    return SphericalAngles(theta=theta, phi=phi)
-
-
-@dataclass(frozen=True)
-class AdiabaticityReport:
-    """Dimensionless slowness/weakness ratios with pass flags.
-
-    ``ratios`` holds each ratio, ``flags`` is True where the ratio is at
-    or below its threshold, ``passed`` is the conjunction of all flags.
-    """
-
-    ratios: dict
-    flags: dict
-    thresholds: dict
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "ratios": dict(self.ratios),
-            "flags": dict(self.flags),
-            "thresholds": dict(self.thresholds),
-            "passed": self.passed,
-        }
+    return theta, phi
 
 
 # Calibrated so the reference working point (omega/b0 = 0.063,
@@ -163,11 +126,14 @@ _THRESHOLDS = {
 }
 
 
-def adiabaticity_report(spec: PrecessionSpec, model: NoiseModel) -> AdiabaticityReport:
+def adiabaticity_report(spec: PrecessionSpec, model: NoiseModel) -> dict:
     """Check the scale separations the perturbative results rely on.
 
     The drive must be slow (omega/b0 at most 0.1), the noise slow
-    (gamma/b0 at most 0.2) and weak (sigma/b0 at most 0.2).
+    (gamma/b0 at most 0.2) and weak (sigma/b0 at most 0.2).  Returns a
+    dict with, in this order, ``ratios`` (each ratio), ``flags`` (True
+    where the ratio is at or below its threshold), ``thresholds`` and
+    ``passed`` (the conjunction of all flags).
     """
     b0 = spec.b0
     ratios = {
@@ -178,6 +144,9 @@ def adiabaticity_report(spec: PrecessionSpec, model: NoiseModel) -> Adiabaticity
         "sigma3_over_b0": model.longitudinal.sigma / b0,
     }
     flags = {key: ratios[key] <= _THRESHOLDS[key] for key in ratios}
-    return AdiabaticityReport(
-        ratios=ratios, flags=flags, thresholds=dict(_THRESHOLDS), passed=all(flags.values())
-    )
+    return {
+        "ratios": ratios,
+        "flags": flags,
+        "thresholds": dict(_THRESHOLDS),
+        "passed": all(flags.values()),
+    }

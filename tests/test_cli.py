@@ -220,8 +220,7 @@ def test_public_surface():
         "__version__",
         "AccuracyError", "BerrysimError", "DegeneracyError", "ResolutionError",
         "NoiseModel", "OuParams", "sample_path",
-        "AdiabaticityReport", "PrecessionSpec", "SphericalAngles", "adiabaticity_report",
-        "control_field", "polar_angles",
+        "PrecessionSpec", "adiabaticity_report", "control_field", "polar_angles",
         "PhaseMoments", "QuadratureEstimate", "VarianceBreakdown", "Weight",
         "berry_connection_phi", "berry_phase_variance_broadband",
         "berry_phase_variance_narrowband", "covariance_by_quadrature", "dephasing_factor",
@@ -1358,11 +1357,11 @@ def _reference_battery(config: RunConfig) -> list:
     )
 
     report_ad = adiabaticity_report(spec, model)
-    worst = max(report_ad.ratios, key=lambda k: report_ad.ratios[k] / report_ad.thresholds[k])
+    ratios, thresholds = report_ad["ratios"], report_ad["thresholds"]
+    worst = max(ratios, key=lambda k: ratios[k] / thresholds[k])
     checks.append(
-        ("adiabaticity", report_ad.passed,
-         f"worst {worst}={report_ad.ratios[worst]:.3g} "
-         f"(threshold {report_ad.thresholds[worst]:.3g})")
+        ("adiabaticity", report_ad["passed"],
+         f"worst {worst}={ratios[worst]:.3g} (threshold {thresholds[worst]:.3g})")
     )
     return checks
 

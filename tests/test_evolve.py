@@ -1,6 +1,7 @@
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from berrysim import (
     NoiseModel,
     PrecessionSpec,
     ResolutionError,
-    SphericalAngles,
     connection_phase_discrete,
     control_field,
     evolve_and_extract,
@@ -40,6 +40,13 @@ def _reference_winding(b_nodes):
     return int(round((azimuth[-1] - azimuth[0]) / math.tau)), azimuth
 
 
+class Angles(NamedTuple):
+    """Polar angle and azimuth of a field direction (reference record)."""
+
+    theta: float
+    phi: float
+
+
 @dataclass(frozen=True)
 class SpinState:
     """A pure spin-1/2 state with amplitudes on the z basis (reference copy)."""
@@ -61,7 +68,7 @@ class SpinState:
         return np.array([self.amp_up, self.amp_down], dtype=complex)
 
 
-def eigenstate_up(angles: SphericalAngles) -> SpinState:
+def eigenstate_up(angles: Angles) -> SpinState:
     """Upper eigenstate of b_hat . sigma in the half-angle gauge (reference copy)."""
     half = 0.5 * angles.theta
     return SpinState(
@@ -70,7 +77,7 @@ def eigenstate_up(angles: SphericalAngles) -> SpinState:
     )
 
 
-def eigenstate_down(angles: SphericalAngles) -> SpinState:
+def eigenstate_down(angles: Angles) -> SpinState:
     """Lower eigenstate, orthogonal to :func:`eigenstate_up` (reference copy)."""
     half = 0.5 * angles.theta
     return SpinState(
@@ -139,7 +146,7 @@ class TestEigenstates:
     @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi / 2, 2.8, math.pi])
     @pytest.mark.parametrize("phi", [-2.0, 0.0, 1.0])
     def test_eigenvector_property(self, theta, phi):
-        angles = SphericalAngles(theta=theta, phi=phi)
+        angles = Angles(theta=theta, phi=phi)
         b = np.array(
             [
                 math.sin(theta) * math.cos(phi),
@@ -156,7 +163,7 @@ class TestEigenstates:
         assert np.vdot(up, up).real == pytest.approx(1.0)
 
     def test_bloch_vector_matches_angles(self):
-        angles = SphericalAngles(theta=1.1, phi=-0.7)
+        angles = Angles(theta=1.1, phi=-0.7)
         v = bloch_vector(eigenstate_up(angles))
         expected = [
             math.sin(1.1) * math.cos(-0.7),
@@ -176,7 +183,7 @@ class TestEigenstates:
             np.array([-0.0, -0.0, 1.0]), np.array([-0.0, 0.0, -3.0]),
             np.array([0.0, -0.0, 0.5]), np.array([-0.0, 1e-300, 1.0]),
         ]
-        angles = [polar_angles(v) for v in vectors]
+        angles = [Angles(*polar_angles(v)) for v in vectors]
         rows = _eigenvector_chain(
             [a.theta for a in angles], [a.phi for a in angles], branch
         )
@@ -210,7 +217,7 @@ class TestPropagateStep:
     def test_rotates_bloch_vector_about_field(self):
         # spin along +x, field along +z: the Bloch vector turns from +x
         # toward +y by |b| dt
-        state = eigenstate_up(SphericalAngles(theta=math.pi / 2, phi=0.0))
+        state = eigenstate_up(Angles(theta=math.pi / 2, phi=0.0))
         out = propagate_step(state, np.array([0.0, 0.0, 1.5]), 0.4)
         angle = 1.5 * 0.4
         assert np.allclose(
@@ -540,7 +547,7 @@ def _reference_evolve(spec, path, config, branch):
     sin_scaled = np.where(nb >= 1e-300, np.sin(0.5 * nb * dt) / np.maximum(nb, 1e-300), 0.0)
 
     eigenstate = eigenstate_up if branch == "up" else eigenstate_down
-    state0 = eigenstate(polar_angles(b_nodes[0]))
+    state0 = eigenstate(Angles(*polar_angles(b_nodes[0])))
     u = complex(state0.amp_up)
     d = complex(state0.amp_down)
     u0c = u.conjugate()
@@ -562,7 +569,7 @@ def _reference_evolve(spec, path, config, branch):
         trace_d.append(d)
         trace_total.append(total)
 
-    ref = eigenstate(polar_angles(b_nodes[-1]))
+    ref = eigenstate(Angles(*polar_angles(b_nodes[-1])))
     overlap = ref.amp_up.conjugate() * u + ref.amp_down.conjugate() * d
     leakage = max(0.0, 1.0 - abs(overlap) ** 2)
     sign = 1.0 if branch == "up" else -1.0
@@ -759,10 +766,8 @@ def _pinned_evolve_and_extract(spec, path, config, branch):
     winding, _ = _reference_winding(b_nodes)
     nb = _step_coefficients(b_mid, dt)[2]
     field_modulus_integral = float(nb.sum() * dt)
-    ends = (polar_angles(b_nodes[0]), polar_angles(b_nodes[-1]))
-    (u0, d0), (ref_u, ref_d) = _eigenvector_chain(
-        [a.theta for a in ends], [a.phi for a in ends], branch
-    ).tolist()
+    thetas, phis = zip(polar_angles(b_nodes[0]), polar_angles(b_nodes[-1]))
+    (u0, d0), (ref_u, ref_d) = _eigenvector_chain(thetas, phis, branch).tolist()
     trajectory = _reference_trajectory(b_nodes, b_mid, dt, u0, d0)
     total = float(trajectory["total_phase_nodes"][-1])
     u, d = trajectory["amp_up"][-1], trajectory["amp_down"][-1]

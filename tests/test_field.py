@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import dataclass
 
@@ -122,12 +123,21 @@ class TestControlField:
 
 class TestPolarAngles:
     def test_axes(self):
-        assert polar_angles(np.array([0.0, 0.0, 2.0])).theta == pytest.approx(0.0)
-        assert polar_angles(np.array([0.0, 0.0, -2.0])).theta == pytest.approx(math.pi)
-        a = polar_angles(np.array([1.0, 0.0, 0.0]))
-        assert (a.theta, a.phi) == (pytest.approx(math.pi / 2), pytest.approx(0.0))
-        assert polar_angles(np.array([0.0, 1.0, 0.0])).phi == pytest.approx(math.pi / 2)
-        assert polar_angles(np.array([-1.0, 0.0, 0.0])).phi == pytest.approx(math.pi)
+        assert polar_angles(np.array([0.0, 0.0, 2.0])) == (0.0, 0.0)
+        assert polar_angles(np.array([0.0, 0.0, -2.0])) == (pytest.approx(math.pi), 0.0)
+        assert polar_angles(np.array([1.0, 0.0, 0.0])) == (
+            pytest.approx(math.pi / 2), pytest.approx(0.0)
+        )
+        assert polar_angles(np.array([0.0, 1.0, 0.0]))[1] == pytest.approx(math.pi / 2)
+        assert polar_angles(np.array([-1.0, 0.0, 0.0]))[1] == pytest.approx(math.pi)
+
+    def test_returns_a_pair_of_floats_in_range(self):
+        rng = np.random.default_rng(3)
+        for v in rng.standard_normal((200, 3)) * rng.uniform(1e-3, 1e3, (200, 1)):
+            theta, phi = angles = polar_angles(v)
+            assert type(angles) is tuple and len(angles) == 2
+            assert type(theta) is float and type(phi) is float
+            assert 0.0 <= theta <= math.pi and -math.pi <= phi <= math.pi
 
     def test_round_trip_through_control_field(self):
         rng = np.random.default_rng(0)
@@ -135,10 +145,10 @@ class TestPolarAngles:
             theta = rng.uniform(0.01, math.pi - 0.01)
             spec = PrecessionSpec(b0=1.7, theta0=theta, t_total=10.0, n_cycles=1)
             t = rng.uniform(0.0, 10.0)
-            angles = polar_angles(control_field(spec, t))
-            assert angles.theta == pytest.approx(theta, abs=1e-12)
+            got_theta, got_phi = polar_angles(control_field(spec, t))
+            assert got_theta == pytest.approx(theta, abs=1e-12)
             expected_phi = math.remainder(spec.omega * t, 2.0 * math.pi)
-            assert math.remainder(angles.phi - expected_phi, 2.0 * math.pi) == pytest.approx(
+            assert math.remainder(got_phi - expected_phi, 2.0 * math.pi) == pytest.approx(
                 0.0, abs=1e-12
             )
 
@@ -146,10 +156,19 @@ class TestPolarAngles:
         with pytest.raises(DegeneracyError):
             polar_angles(np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_non_finite_component_raises(self, axis, bad):
+        # (0, 0, inf) and (0, 0, nan) once read as the south pole, (inf, 0, 1) as the equator
+        v = np.array([0.0, 0.0, 1.0])
+        v[axis] = bad
+        with pytest.raises(ValueError, match="finite"):
+            polar_angles(v)
+
     def test_negative_zero_transverse_parts(self):
         # (-0.0, -0.0) transverse must not flip phi to +/- pi
-        assert polar_angles(np.array([-0.0, -0.0, 1.0])).phi == 0.0
-        assert polar_angles(np.array([-0.0, 0.0, -3.0])).phi == 0.0
+        assert polar_angles(np.array([-0.0, -0.0, 1.0]))[1] == 0.0
+        assert polar_angles(np.array([-0.0, 0.0, -3.0]))[1] == 0.0
 
 
 class TestFieldSample:
@@ -192,9 +211,9 @@ class TestAdiabaticityReport:
         spec = PrecessionSpec(b0=1.0, theta0=0.5, t_total=1000.0, n_cycles=1)
         model = NoiseModel.from_scalars(0.01, 0.001, 0.01, 0.001)
         report = adiabaticity_report(spec, model)
-        assert report.passed
-        assert all(report.flags.values())
-        assert set(report.ratios) == {
+        assert report["passed"]
+        assert all(report["flags"].values())
+        assert set(report["ratios"]) == {
             "omega_over_b0",
             "gamma12_over_b0",
             "gamma3_over_b0",
@@ -206,20 +225,24 @@ class TestAdiabaticityReport:
         spec = PrecessionSpec(b0=1.0, theta0=0.5, t_total=10.0, n_cycles=10)
         model = NoiseModel.from_scalars(0.0, 1e-6, 0.0, 1e-6)
         report = adiabaticity_report(spec, model)
-        assert not report.passed
-        assert report.flags["omega_over_b0"] is False
+        assert not report["passed"]
+        assert report["flags"]["omega_over_b0"] is False
 
     def test_loud_noise_flags_amplitude(self):
         spec = PrecessionSpec(b0=1.0, theta0=0.5, t_total=1000.0, n_cycles=1)
         model = NoiseModel.from_scalars(0.5, 0.001, 0.01, 0.001)
         report = adiabaticity_report(spec, model)
-        assert not report.passed
-        assert report.flags["sigma12_over_b0"] is False
-        assert report.flags["sigma3_over_b0"] is True
+        assert not report["passed"]
+        assert report["flags"]["sigma12_over_b0"] is False
+        assert report["flags"]["sigma3_over_b0"] is True
 
-    def test_to_dict_round_trip(self):
+    def test_returns_the_published_dict(self):
+        # the CLI publishes this dict as it is; its key order is the CSV row order
         spec = PrecessionSpec(b0=1.0, theta0=0.5, t_total=1000.0, n_cycles=1)
         model = NoiseModel.from_scalars(0.01, 0.001, 0.01, 0.001)
-        d = adiabaticity_report(spec, model).to_dict()
+        d = adiabaticity_report(spec, model)
+        assert list(d) == ["ratios", "flags", "thresholds", "passed"]
+        assert list(d["flags"]) == list(d["ratios"]) == list(d["thresholds"])
         assert d["passed"] is True
         assert d["ratios"]["omega_over_b0"] == pytest.approx(2.0 * math.pi / 1000.0)
+        assert json.loads(json.dumps(d)) == d
