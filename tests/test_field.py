@@ -159,7 +159,7 @@ class TestPolarAngles:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_non_finite_component_raises(self, axis, bad):
-        # (0, 0, inf) and (0, 0, nan) once read as the south pole, (inf, 0, 1) as the equator
+        # acos and atan2 would still give angles: a pole for (0, 0, nan), the equator for (inf, 0, 1)
         v = np.array([0.0, 0.0, 1.0])
         v[axis] = bad
         with pytest.raises(ValueError, match="finite"):
