@@ -797,3 +797,95 @@ class TestMatchesReference:
                 if got is not None and first is None and not _same(got.value, exact, 1e-8):
                     misses.append((pair, spec, model))
         assert not misses, misses
+
+
+# --------------------------------------------------------------------------
+# One trapezoid pass over every node of the grid, as written before the pass
+# filtered a single drive period.  Where gcd(n_nodes, n_cycles) = 1 the grid
+# holds one period and the package's pass must equal it bitwise; elsewhere
+# the package sums the same terms in another order.
+
+
+def _full_grid_pass(spec, model, n_nodes, parts):
+    t = np.linspace(0.0, spec.t_total, n_nodes + 1)
+    h = spec.t_total / n_nodes
+    phase = spec.omega * t
+    integrals = []
+    for params, bases, needed in zip(
+        (model.transverse, model.longitudinal), ((np.cos, np.sin), (np.ones_like,)), parts
+    ):
+        if not needed:
+            integrals.append(None)
+            continue
+        values = []
+        for basis in bases:
+            b = basis(phase)
+            values.append(np.trapezoid(b * analytics._filtered_kernel(b, params.gamma, h), dx=h))
+        integrals.append(values)
+    return tuple(integrals)
+
+
+def _periodic_grid(cycles):
+    """(spec, model) at b0 = 1.3 and T = 100, gamma3 = 3*gamma12, one noise part alone or both."""
+    return [
+        (
+            PrecessionSpec(b0=1.3, theta0=math.pi / 4, t_total=100.0, n_cycles=n_cycles),
+            NoiseModel.from_scalars(sigma12, gamma_t / 100.0, sigma3, 3.0 * gamma_t / 100.0),
+        )
+        for n_cycles in cycles
+        for gamma_t in (0.01, 1.0, 100.0, 1e4)
+        for sigma12, sigma3 in ((0.05, 0.05), (0.05, 0.0), (0.0, 0.05))
+    ]
+
+
+PERIOD_THETAS = (0.0, math.pi / 4, math.pi / 2, math.pi)
+
+
+def _pairs_at(spec, theta0):
+    gamma, delta, _ = weights(
+        PrecessionSpec(b0=spec.b0, theta0=theta0, t_total=spec.t_total, n_cycles=spec.n_cycles)
+    )
+    return {"var_gamma": (gamma, gamma), "var_delta": (delta, delta),
+            "cov_gamma_delta": (gamma, delta)}
+
+
+class TestPeriodReduction:
+    """The pass filters one drive period and carries the AR(1) state across the rest."""
+
+    @pytest.mark.parametrize("n_nodes", [256, 4096])
+    def test_one_period_grids_are_bitwise(self, n_nodes):
+        for spec, model in _periodic_grid((1, 3, 7)):
+            for parts in ((True, True), (True, False), (False, True)):
+                got = analytics._quadrature_pass(spec, model, n_nodes, parts)
+                assert got == _full_grid_pass(spec, model, n_nodes, parts), (spec, model)
+
+    @pytest.mark.parametrize("n_cycles", [2, 16, 96, 1592])
+    def test_many_period_passes_match_the_full_grid(self, n_cycles):
+        # 4096 nodes hold gcd(4096, n_cycles) periods: 2, 16, 32 and 8
+        for n_nodes in (4096, 2 * max(4096, 64 * n_cycles)):
+            for spec, model in _periodic_grid((n_cycles,)):
+                got = analytics._quadrature_pass(spec, model, n_nodes, (True, True))
+                want = _full_grid_pass(spec, model, n_nodes, (True, True))
+                for theta0 in PERIOD_THETAS:
+                    for key, (x, y) in _pairs_at(spec, theta0).items():
+                        coeffs = (
+                            2.0 * model.transverse.sigma**2 * (x.transverse * y.transverse),
+                            2.0 * model.longitudinal.sigma**2 * (x.longitudinal * y.longitudinal),
+                        )
+                        assert _same(
+                            analytics._pass_value(coeffs, got),
+                            analytics._pass_value(coeffs, want),
+                            1e-10,
+                        ), (spec, model, n_nodes, theta0, key)
+
+    @pytest.mark.parametrize("n_cycles", [2, 16, 96, 1592])
+    def test_many_period_oracle_matches_the_closed_forms(self, n_cycles):
+        for spec, model in _periodic_grid((n_cycles,)):
+            for theta0 in PERIOD_THETAS:
+                pairs = _pairs_at(spec, theta0)
+                quads = analytics._covariances_by_quadrature(
+                    spec, list(pairs.values()), model, max(4096, 64 * n_cycles)
+                )
+                for (key, (x, y)), quad in zip(pairs.items(), quads):
+                    exact = phase_covariance(spec, model, x, y).total
+                    assert _same(quad.value, exact, 1e-8), (spec, model, theta0, key)
