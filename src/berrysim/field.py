@@ -102,7 +102,8 @@ def polar_angles(vector: np.ndarray) -> tuple[float, float]:
     v = np.asarray(vector, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    r = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        r = float(np.linalg.norm(v))
     if not math.isfinite(r):
         raise ValueError(f"field vector must have a finite norm, got {v.tolist()}")
     if r == 0.0:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,6 +165,13 @@ class TestPolarAngles:
         v[axis] = bad
         with pytest.raises(ValueError, match="finite"):
             polar_angles(v)
+
+    def test_overflowing_norm_raises_without_a_warning(self):
+        # the squared norm overflows before the check that refuses it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                polar_angles(np.array([0.0, 1e200, 1e200]))
 
     def test_negative_zero_transverse_parts(self):
         # (-0.0, -0.0) transverse must not flip phi to +/- pi
