@@ -57,9 +57,16 @@ The quadrature routines integrate the same double integrals directly
 from cos(omega t), sin(omega t), 1 and the OU kernel, with no reference
 to J or L, and serve as an independent cross-check.  A trapezoid pass
 T(n) over n intervals filters each of the three bases once, whatever the
-weights; the weights only scale the results.  Its error is a series in
-h**2, because the inner integral is exact for piecewise-linear weights,
-so the oracle doubles n and extrapolates twice (Richardson; Romberg):
+weights; the weights only scale the results.  The bases repeat every
+m = n/g nodes, g = gcd(n, n_cycles), and so does the kernel, so a pass
+filters one drive period and sums the other g - 1 through the AR(1)
+recursion of the period starts: O(n/g + g) work, the same discrete sum
+in another order.  At g = 1 that is the full-grid sum bitwise; at g > 1
+(even n_cycles, or more than 64 at the CLI's grids) it moves the sum,
+and with it the published values and errors, at rounding level only.
+The error of T(n) is a series in h**2, because the inner integral is
+exact for piecewise-linear weights, so the oracle doubles n and
+extrapolates twice (Richardson; Romberg):
 
     R2(n) = T(n) + (T(n) - T(n/2))/3
     R3(n) = R2(n) + (R2(n) - R2(n/2))/15
@@ -348,8 +355,19 @@ def _quadrature_pass(
     that part's kernel; an unflagged part gives None.  The weights enter
     a pass only through their amplitude products, so one pass serves
     every pair of weights at this grid (see :func:`_pass_value`).
+
+    The bases repeat every m = n_nodes/g nodes, g = gcd(n_nodes, n_cycles),
+    so only the first period is filtered, to s with s[0] = 0.  Period c
+    responds as y[c*m + j] = d**j * Y[c] + s[j] (d = exp(-gamma*h)), and
+    its start is Y[c] = s[m] * G[c], where G[c+1] = d**m * G[c] + 1 is an
+    AR(1) recursion from G[0] = 0 that every basis shares.  The full-grid
+    sum is then g * T1 + h * s[m] * (p * sum(G[:g]) + b[m] * (G[g] - g)/2),
+    with T1 the trapezoid sum over one period and p = sum_{j<m} b[j]*d**j;
+    at g = 1 the second term is exactly zero.
     """
-    t = np.linspace(0.0, spec.t_total, n_nodes + 1)
+    g = math.gcd(n_nodes, spec.n_cycles)
+    m = n_nodes // g
+    t = np.linspace(0.0, spec.t_total / g, m + 1)
     h = spec.t_total / n_nodes
     phase = spec.omega * t
     integrals = []
@@ -357,10 +375,19 @@ def _quadrature_pass(
         if not needed:
             integrals.append(None)
             continue
+        u = params.gamma * h
+        decay = np.exp(-u * np.arange(m))
+        starts = np.ones(g)
+        starts[0] = 0.0
+        starts = _ar1(starts, math.exp(-u * m))
+        starts_sum = starts.sum()
+        last = math.exp(-u * m) * starts[-1] + 1.0 - g  # G[g] - g
         values = []
         for basis in bases:
             b = basis(phase)
-            values.append(np.trapezoid(b * _filtered_kernel(b, params.gamma, h), dx=h))
+            s = _filtered_kernel(b, params.gamma, h)
+            carried = np.dot(b[:-1], decay) * starts_sum + 0.5 * b[-1] * last
+            values.append(g * np.trapezoid(b * s, dx=h) + h * s[-1] * carried)
         integrals.append(values)
     return tuple(integrals)
 
@@ -456,7 +483,7 @@ def covariance_by_quadrature(
     meets ``rtol``, else the twice-extrapolated value if that
     one's estimate does; the first rule met wins.  ``error`` is that
     estimate, not a bound.  Choose ``n_nodes`` to resolve the fastest
-    weight oscillation (at least ~32 nodes per drive cycle); raises
+    weight oscillation (the CLI takes 64 nodes per drive cycle); raises
     :class:`AccuracyError` when neither rule is met by ``max_nodes``.
     """
     (estimate,) = _covariances_by_quadrature(

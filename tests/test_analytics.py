@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -889,3 +890,16 @@ class TestPeriodReduction:
                 for (key, (x, y)), quad in zip(pairs.items(), quads):
                     exact = phase_covariance(spec, model, x, y).total
                     assert _same(quad.value, exact, 1e-8), (spec, model, theta0, key)
+
+    def test_a_pass_allocates_one_period(self):
+        # 1592 cycles on 407,552 nodes: 256 nodes per period, 1,593 period
+        # starts; the full grid of one basis alone takes 3.3 MB
+        spec = PrecessionSpec(b0=1.0, theta0=math.pi / 2, t_total=200.0, n_cycles=1592)
+        model = NoiseModel.from_scalars(0.05, 0.5, 0.05, 0.5)
+        tracemalloc.start()
+        try:
+            analytics._quadrature_pass(spec, model, 407552, (True, True))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
