@@ -57,16 +57,13 @@ The quadrature routines integrate the same double integrals directly
 from cos(omega t), sin(omega t), 1 and the OU kernel, with no reference
 to J or L, and serve as an independent cross-check.  A trapezoid pass
 T(n) over n intervals filters each of the three bases once, whatever the
-weights; the weights only scale the results.  The bases repeat every
-m = n/g nodes, g = gcd(n, n_cycles), and so does the kernel, so a pass
-filters one drive period and sums the other g - 1 through the AR(1)
-recursion of the period starts: O(n/g + g) work, the same discrete sum
-in another order.  At g = 1 that is the full-grid sum bitwise; at g > 1
-(even n_cycles, or more than 64 at the CLI's grids) it moves the sum,
-and with it the published values and errors, at rounding level only.
-The error of T(n) is a series in h**2, because the inner integral is
-exact for piecewise-linear weights, so the oracle doubles n and
-extrapolates twice (Richardson; Romberg):
+weights; the weights only scale the results.  It filters only one of
+the g = gcd(n, n_cycles) drive periods on the grid and carries the AR(1)
+state across the rest, the same sum in another order: bitwise the
+full-grid sum at g = 1, within rounding at g > 1 (even n_cycles, or
+more than 64 on the CLI's grids).  The error of T(n) is a series in
+h**2, because the inner integral is exact for piecewise-linear weights,
+so the oracle doubles n and extrapolates twice (Richardson; Romberg):
 
     R2(n) = T(n) + (T(n) - T(n/2))/3
     R3(n) = R2(n) + (R2(n) - R2(n/2))/15
@@ -375,18 +372,15 @@ def _quadrature_pass(
         if not needed:
             integrals.append(None)
             continue
-        u = params.gamma * h
-        decay = np.exp(-u * np.arange(m))
-        starts = np.ones(g)
-        starts[0] = 0.0
-        starts = _ar1(starts, math.exp(-u * m))
+        decay = np.exp(-params.gamma * h * np.arange(m + 1))
+        starts = _ar1(np.r_[0.0, np.ones(g - 1)], decay[m])
+        last = decay[m] * starts[-1] + 1.0 - g  # G[g] - g
         starts_sum = starts.sum()
-        last = math.exp(-u * m) * starts[-1] + 1.0 - g  # G[g] - g
         values = []
         for basis in bases:
             b = basis(phase)
             s = _filtered_kernel(b, params.gamma, h)
-            carried = np.dot(b[:-1], decay) * starts_sum + 0.5 * b[-1] * last
+            carried = np.dot(b[:-1], decay[:-1]) * starts_sum + 0.5 * b[-1] * last
             values.append(g * np.trapezoid(b * s, dx=h) + h * s[-1] * carried)
         integrals.append(values)
     return tuple(integrals)
