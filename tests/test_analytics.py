@@ -622,14 +622,18 @@ def _ref_doubling(pass_value, n, rtol, max_nodes):
     return first, second
 
 
-def _own_pass(spec, x, y, model, n_nodes):
-    """One pass of the package's own quadrature for the pair (x, y)."""
-    coeffs = (
+def _coeffs(model, x, y):
+    """The per-part coefficients that scale a pass's basis integrals for the pair (x, y)."""
+    return (
         2.0 * model.transverse.sigma**2 * (x.transverse * y.transverse),
         2.0 * model.longitudinal.sigma**2 * (x.longitudinal * y.longitudinal),
     )
+
+
+def _own_pass(spec, x, y, model, n_nodes):
+    """One pass of the package's own quadrature for the pair (x, y)."""
     integrals = analytics._quadrature_pass(spec, model, n_nodes, (True, True))
-    return analytics._pass_value(coeffs, integrals)
+    return analytics._pass_value(_coeffs(model, x, y), integrals)
 
 
 # theta0 x gamma*T x (sigma12, sigma3) x n_cycles, at b0 = 1.3 and T = 100
@@ -869,10 +873,7 @@ class TestPeriodReduction:
                 want = _full_grid_pass(spec, model, n_nodes, (True, True))
                 for theta0 in PERIOD_THETAS:
                     for key, (x, y) in _pairs_at(spec, theta0).items():
-                        coeffs = (
-                            2.0 * model.transverse.sigma**2 * (x.transverse * y.transverse),
-                            2.0 * model.longitudinal.sigma**2 * (x.longitudinal * y.longitudinal),
-                        )
+                        coeffs = _coeffs(model, x, y)
                         assert _same(
                             analytics._pass_value(coeffs, got),
                             analytics._pass_value(coeffs, want),
