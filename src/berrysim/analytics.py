@@ -92,9 +92,7 @@ __all__ = [
     "Weight",
     "geometric_weight",
     "dynamical_weight",
-    "berry_connection_phi",
     "noiseless_berry_phase",
-    "VarianceBreakdown",
     "phase_covariance",
     "second_moments",
     "berry_phase_variance_narrowband",
@@ -102,7 +100,6 @@ __all__ = [
     "QuadratureEstimate",
     "covariance_by_quadrature",
     "dephasing_factor",
-    "PhaseMoments",
     "phase_moments",
     "noncyclic_connection_term",
 ]
@@ -165,15 +162,6 @@ def dynamical_weight(spec: PrecessionSpec) -> Weight:
 # noiseless geometry
 
 
-def berry_connection_phi(theta: float | np.ndarray) -> float | np.ndarray:
-    """Azimuthal connection component of the upper branch, cos(theta)/2."""
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 0.0) or np.any(theta > math.pi):
-        raise ValueError("theta must lie in [0, pi]")
-    out = 0.5 * np.cos(theta)
-    return float(out) if out.ndim == 0 else out
-
-
 def noiseless_berry_phase(theta0: float) -> float:
     """Geometric phase per turn of the upper branch, pi*cos(theta0)."""
     if not (math.isfinite(theta0) and 0.0 <= theta0 <= math.pi):
@@ -204,23 +192,12 @@ def _longitudinal_bracket(gamma: float, t_total: float) -> float:
     return (u + math.expm1(-u)) / (gamma * gamma)
 
 
-@dataclass(frozen=True)
-class VarianceBreakdown:
-    """A variance or covariance split into transverse and longitudinal noise parts."""
-
-    transverse_term: float
-    longitudinal_term: float
-
-    @property
-    def total(self) -> float:
-        return self.transverse_term + self.longitudinal_term
-
-
-def _form(model: NoiseModel, x: Weight, y: Weight, j: float, ell: float) -> VarianceBreakdown:
+def _form(model: NoiseModel, x: Weight, y: Weight, j: float, ell: float) -> dict:
     """The quadratic form of the module docstring at the brackets j and ell.
 
-    Raises ValueError when a term is not finite in float64, which the
-    noise amplitudes reach near sigma ~ 1e154.
+    Returns its ``transverse`` and ``longitudinal`` noise parts and their
+    ``total``, in that order.  Raises ValueError when a part is not
+    finite in float64, which the noise amplitudes reach near sigma ~ 1e154.
     """
     try:
         terms = (
@@ -234,18 +211,19 @@ def _form(model: NoiseModel, x: Weight, y: Weight, j: float, ell: float) -> Vari
             f"closed-form moments are not finite at sigma12={model.transverse.sigma:g}, "
             f"sigma3={model.longitudinal.sigma:g}: the noise is too strong for float64"
         )
-    return VarianceBreakdown(*terms)
+    return {"transverse": terms[0], "longitudinal": terms[1], "total": terms[0] + terms[1]}
 
 
 def phase_covariance(
     spec: PrecessionSpec, model: NoiseModel, x: Weight, y: Weight
-) -> VarianceBreakdown:
+) -> dict:
     """Closed-form covariance of the first-order functionals with weights x and y.
 
-    With ``x == y`` this is a variance.  For the geometric and dynamical
-    weights the transverse part is negative whenever cos(theta0) > 0: a
-    noise kick that raises the field modulus tilts the cone so as to
-    lower the subtended solid angle.
+    A dict of the ``transverse`` and ``longitudinal`` noise parts and
+    their ``total``.  With ``x == y`` this is a variance.  For the
+    geometric and dynamical weights the transverse part is negative
+    whenever cos(theta0) > 0: a noise kick that raises the field modulus
+    tilts the cone so as to lower the subtended solid angle.
     """
     j = _transverse_bracket(model.transverse.gamma, spec.omega, spec.t_total)
     ell = _longitudinal_bracket(model.longitudinal.gamma, spec.t_total)
@@ -256,7 +234,7 @@ def second_moments(spec: PrecessionSpec, model: NoiseModel) -> dict:
     """The four closed-form second moments of gamma, delta and alpha = gamma + delta.
 
     Keys, in this order: ``var_gamma``, ``var_delta``, ``cov_gamma_delta``
-    and ``var_alpha``; each value is a :class:`VarianceBreakdown`.
+    and ``var_alpha``; each value is a :func:`phase_covariance` dict.
     """
     gamma = geometric_weight(spec)
     delta = dynamical_weight(spec)
@@ -286,7 +264,7 @@ def berry_phase_variance_narrowband(
     if ell < 0.0:
         return None
     w = geometric_weight(spec)
-    return _form(model, w, w, j, ell).total
+    return _form(model, w, w, j, ell)["total"]
 
 
 def berry_phase_variance_broadband(
@@ -305,7 +283,7 @@ def berry_phase_variance_broadband(
     if max(j, ell) > 0.5 * spec.t_total**2:
         return None
     w = geometric_weight(spec)
-    return _form(model, w, w, j, ell).total
+    return _form(model, w, w, j, ell)["total"]
 
 
 # --------------------------------------------------------------------------
@@ -497,38 +475,29 @@ def dephasing_factor(var_alpha: float) -> float:
     return math.exp(-2.0 * var_alpha)
 
 
-@dataclass(frozen=True)
-class PhaseMoments:
+def phase_moments(spec: PrecessionSpec, model: NoiseModel) -> dict:
     """First and second moments of the three phase-like quantities.
 
+    Keys, in this order (the ``analytic`` CSV rows keep it):
+    ``mean_gamma``, ``var_gamma``, ``mean_delta``, ``var_delta``,
+    ``cov_gamma_delta``, ``mean_alpha``, ``var_alpha``.
     Means are the noiseless values: ``pi*cos(theta0)`` for the geometric
     phase, ``b0*t_total`` for the field-modulus integral, and their sum
-    for alpha.  Variances and the covariance come from the closed forms
-    and satisfy var_alpha = var_gamma + var_delta + 2*cov exactly.
+    for alpha.  Variances and the covariance are the closed-form totals
+    and satisfy var_alpha = var_gamma + var_delta + 2*cov to rounding.
     """
-
-    mean_gamma: float
-    var_gamma: float
-    mean_delta: float
-    var_delta: float
-    cov_gamma_delta: float
-    mean_alpha: float
-    var_alpha: float
-
-
-def phase_moments(spec: PrecessionSpec, model: NoiseModel) -> PhaseMoments:
     moments = second_moments(spec, model)
     mean_gamma = noiseless_berry_phase(spec.theta0)
     mean_delta = spec.b0 * spec.t_total
-    return PhaseMoments(
-        mean_gamma=mean_gamma,
-        var_gamma=moments["var_gamma"].total,
-        mean_delta=mean_delta,
-        var_delta=moments["var_delta"].total,
-        cov_gamma_delta=moments["cov_gamma_delta"].total,
-        mean_alpha=mean_gamma + mean_delta,
-        var_alpha=moments["var_alpha"].total,
-    )
+    return {
+        "mean_gamma": mean_gamma,
+        "var_gamma": moments["var_gamma"]["total"],
+        "mean_delta": mean_delta,
+        "var_delta": moments["var_delta"]["total"],
+        "cov_gamma_delta": moments["cov_gamma_delta"]["total"],
+        "mean_alpha": mean_gamma + mean_delta,
+        "var_alpha": moments["var_alpha"]["total"],
+    }
 
 
 # --------------------------------------------------------------------------
@@ -557,4 +526,5 @@ def noncyclic_connection_term(spec: PrecessionSpec, noise: np.ndarray) -> float 
         total = b + k
         d = math.atan2(total[1], total[0]) - math.atan2(b[1], b[0])
         deviations.append(math.remainder(d, 2.0 * math.pi))
-    return berry_connection_phi(spec.theta0) * (deviations[1] - deviations[0])
+    # numpy's cos, not math.cos: the two may differ in the last ulp
+    return float(0.5 * np.cos(spec.theta0)) * (deviations[1] - deviations[0])

@@ -311,30 +311,26 @@ def _analytic_payload(config: RunConfig, *, oracle_cov: bool = False) -> dict:
             "value": quad.value,
             "error": quad.error,
             "nodes": quad.nodes,
-            "rel_diff_closed": _rel_diff(quad.value, variances[key].total),
+            "rel_diff_closed": _rel_diff(quad.value, variances[key]["total"]),
         }
         for key, quad in zip(pairs, quads)
     }
     return {
         "config": config.to_dict(),
         "omega": spec.omega,
-        "variances": {
-            key: {"transverse": m.transverse_term, "longitudinal": m.longitudinal_term,
-                  "total": m.total}
-            for key, m in variances.items()
-        },
+        "variances": variances,
         "subterms": {
-            "geometric": variances["var_gamma"].total,
-            "dynamical": variances["var_delta"].total,
-            "cross": 2.0 * variances["cov_gamma_delta"].total,
+            "geometric": variances["var_gamma"]["total"],
+            "dynamical": variances["var_delta"]["total"],
+            "cross": 2.0 * variances["cov_gamma_delta"]["total"],
         },
         "limits": {
             "narrowband_var_gamma": analytics.berry_phase_variance_narrowband(spec, model),
             "broadband_var_gamma": analytics.berry_phase_variance_broadband(spec, model),
         },
         "quadrature": quadrature,
-        "moments": dataclasses.asdict(analytics.phase_moments(spec, model)),
-        "dephasing_factor": analytics.dephasing_factor(variances["var_alpha"].total),
+        "moments": analytics.phase_moments(spec, model),
+        "dephasing_factor": analytics.dephasing_factor(variances["var_alpha"]["total"]),
         "adiabaticity": adiabaticity_report(spec, model),
     }
 
@@ -366,15 +362,15 @@ def cmd_mc(config: RunConfig) -> Outcome:
     columns = [np.arange(len(ensemble)), *(getattr(ensemble, name) for name in header[1:])]
     payload = {
         "config": config.to_dict(),
-        "analytic": dataclasses.asdict(moments),
-        "empirical": dataclasses.asdict(stats),
+        "analytic": moments,
+        "empirical": stats,
         "z_scores": z_scores,
         "first_order_law": law,
         "adiabaticity": adiabaticity_report(spec, model),
         "pass": not law["failures"],
     }
     max_z = max(abs(z) for z in z_scores.values())
-    lines = [f"mc: n_trials={stats.n_trials} max|z|={max_z:.3f} "
+    lines = [f"mc: n_trials={len(ensemble)} max|z|={max_z:.3f} "
              f"pass={str(payload['pass']).lower()}"]
     lines += [f"mc: first_order_law failed: {failure}" for failure in law["failures"]]
     if config.mode == "full_sim":
@@ -388,7 +384,7 @@ def cmd_mc(config: RunConfig) -> Outcome:
             "n_above_leakage_warn_threshold": n_leaky,
         }
         if n_leaky:
-            lines.append(f"warning: {n_leaky} of {stats.n_trials} trials have leakage above "
+            lines.append(f"warning: {n_leaky} of {len(ensemble)} trials have leakage above "
                          f"{_LEAKAGE_WARN_THRESHOLD:.1e}; evolution is not adiabatic")
     files = {".records.csv": (header, columns), ".summary.json": _dump_json(payload)}
     return Outcome(files, lines, 0 if payload["pass"] else 1, notes=(timing,))
@@ -501,9 +497,9 @@ def cmd_sweep(
             param: value,
             "n_cycles": spec.n_cycles,
             "omega": spec.omega,
-            "var_gamma_transverse": moments["var_gamma"].transverse_term,
-            "var_gamma_longitudinal": moments["var_gamma"].longitudinal_term,
-            **{key: moment.total for key, moment in moments.items()},
+            "var_gamma_transverse": moments["var_gamma"]["transverse"],
+            "var_gamma_longitudinal": moments["var_gamma"]["longitudinal"],
+            **{key: moment["total"] for key, moment in moments.items()},
             "narrowband_var_gamma": analytics.berry_phase_variance_narrowband(spec, model),
             "broadband_var_gamma": analytics.berry_phase_variance_broadband(spec, model),
             "var_gamma_quadrature": analytics.covariance_by_quadrature(
@@ -514,10 +510,10 @@ def cmd_sweep(
             stats = summarize(
                 run_ensemble(spec, model, point.n_trials, point.seed, config=point.integrator())
             )
-            row["mc_var_gamma"] = stats.variance["gamma_fo"]
-            row["mc_var_delta"] = stats.variance["delta_fo"]
-            row["mc_var_alpha"] = stats.variance["alpha_fo"]
-            row["mc_sem_var_gamma"] = stats.sem_variance["gamma_fo"]
+            row["mc_var_gamma"] = stats["variance"]["gamma_fo"]
+            row["mc_var_delta"] = stats["variance"]["delta_fo"]
+            row["mc_var_alpha"] = stats["variance"]["alpha_fo"]
+            row["mc_sem_var_gamma"] = stats["sem_variance"]["gamma_fo"]
         rows.append(row)
 
     slopes = {}
@@ -552,12 +548,12 @@ def _battery(config: RunConfig) -> list:
     spec = config.spec()
     model = config.model()
     payload = _analytic_payload(config, oracle_cov=True)
-    moments = analytics.PhaseMoments(**payload["moments"])
+    moments = payload["moments"]
     quadrature = payload["quadrature"]
     for name, closed, value in (
-        ("oracle_var_gamma", moments.var_gamma, quadrature["var_gamma"]["value"]),
-        ("oracle_var_alpha", moments.var_alpha, quadrature["var_alpha"]["value"]),
-        ("oracle_cov", moments.cov_gamma_delta, quadrature["cov_gamma_delta"]["value"]),
+        ("oracle_var_gamma", moments["var_gamma"], quadrature["var_gamma"]["value"]),
+        ("oracle_var_alpha", moments["var_alpha"], quadrature["var_alpha"]["value"]),
+        ("oracle_cov", moments["cov_gamma_delta"], quadrature["cov_gamma_delta"]["value"]),
     ):
         rel = _rel_diff(value, closed)
         checks.append(
@@ -574,7 +570,7 @@ def _battery(config: RunConfig) -> list:
         gamma = gamma_t / config.t_total
         regime = NoiseModel.from_scalars(config.sigma12, gamma, config.sigma3, gamma)
         limit = limit_of(spec_1, regime)
-        closed = analytics.phase_covariance(spec_1, regime, w_1, w_1).total
+        closed = analytics.phase_covariance(spec_1, regime, w_1, w_1)["total"]
         rel = _rel_diff(limit, closed)
         checks.append(
             (name, rel <= 0.05, f"limit={limit:.6e} closed={closed:.6e} rel={rel:.2e}")
@@ -596,9 +592,8 @@ def _battery(config: RunConfig) -> list:
         rows = []
         for t_value in t_values:
             spec_t = PrecessionSpec(config.b0, config.theta0, t_value, 1)
-            rows.append(
-                {k: m.total for k, m in analytics.second_moments(spec_t, model).items()}
-            )
+            variances = analytics.second_moments(spec_t, model)
+            rows.append({k: m["total"] for k, m in variances.items()})
         targets = {"var_gamma": -1.0, "var_delta": 1.0}
         slopes = _loglog_slopes(t_values, rows)
         checks.append(

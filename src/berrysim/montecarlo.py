@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import PhaseMoments, dynamical_weight, geometric_weight
+from .analytics import dynamical_weight, geometric_weight
 from .evolve import IntegratorConfig, _control_grids, _evolve
 from .field import PrecessionSpec
 from .noise import NoiseModel, _draw_innovations, _ou_filter
@@ -49,7 +49,6 @@ __all__ = [
     "Ensemble",
     "trial_seed",
     "run_ensemble",
-    "EnsembleStats",
     "summarize",
     "compare_to_analytic",
     "check_law",
@@ -195,30 +194,6 @@ def run_ensemble(
     return Ensemble(*columns, covariance=covariance)
 
 
-@dataclass(frozen=True)
-class EnsembleStats:
-    """Moment estimates with standard errors, keyed by ensemble column.
-
-    Keys are ``gamma_fo``, ``delta_fo``, ``alpha_fo`` and, when the
-    ensemble ran in ``full_sim`` mode, ``gamma_sim``.  ``sem_variance``
-    uses the fourth-moment formula var(s^2) = (m4 - (n-3)/(n-1) s^4)/n,
-    exact for any population.  Skewness and kurtosis standard errors are
-    the exact normal-sampling values for the given n.
-    """
-
-    n_trials: int
-    mean: dict
-    variance: dict
-    sem_mean: dict
-    sem_variance: dict
-    skewness: dict
-    excess_kurtosis: dict
-    se_skewness: float
-    se_kurtosis: float
-    cov_gamma_delta: float
-    se_cov_gamma_delta: float
-
-
 def _column_stats(x: np.ndarray) -> dict:
     n = x.size
     mean = float(x.mean())
@@ -238,11 +213,19 @@ def _column_stats(x: np.ndarray) -> dict:
     }
 
 
-def summarize(ensemble: Ensemble) -> EnsembleStats:
+def summarize(ensemble: Ensemble) -> dict:
     """Reduce an ensemble to moment estimates with standard errors.
 
-    Needs at least four trials: the kurtosis standard error has n - 3
-    in its denominator.
+    Keys: ``n_trials``; ``mean``, ``variance``, ``sem_mean``,
+    ``sem_variance``, ``skewness`` and ``excess_kurtosis``, each by column
+    (``gamma_fo``, ``delta_fo``, ``alpha_fo`` and, in ``full_sim`` mode,
+    ``gamma_sim``); ``se_skewness``, ``se_kurtosis``, ``cov_gamma_delta``
+    and ``se_cov_gamma_delta``.  ``sem_variance`` uses
+    var(s^2) = (m4 - (n-3)/(n-1) s^4)/n, exact for any population; the
+    skewness and kurtosis standard errors are exact for normal samples of
+    size n.  The alpha variance is var_gamma + var_delta + 2*cov to
+    rounding.  Needs at least four trials: the kurtosis standard error
+    has n - 3 in its denominator.
     """
     n = len(ensemble)
     if n < 4:
@@ -264,19 +247,14 @@ def summarize(ensemble: Ensemble) -> EnsembleStats:
 
     se_skew = math.sqrt(6.0 * n * (n - 1) / ((n - 2) * (n + 1) * (n + 3)))
     se_kurt = 2.0 * se_skew * math.sqrt((n * n - 1) / ((n - 3) * (n + 5)))
-    return EnsembleStats(
-        n_trials=n,
-        mean={k: s["mean"] for k, s in per_key.items()},
-        variance={k: s["variance"] for k, s in per_key.items()},
-        sem_mean={k: s["sem_mean"] for k, s in per_key.items()},
-        sem_variance={k: s["sem_variance"] for k, s in per_key.items()},
-        skewness={k: s["skewness"] for k, s in per_key.items()},
-        excess_kurtosis={k: s["excess_kurtosis"] for k, s in per_key.items()},
-        se_skewness=se_skew,
-        se_kurtosis=se_kurt,
-        cov_gamma_delta=cov,
-        se_cov_gamma_delta=se_cov,
-    )
+    return {
+        "n_trials": n,
+        **{stat: {k: s[stat] for k, s in per_key.items()} for stat in per_key["gamma_fo"]},
+        "se_skewness": se_skew,
+        "se_kurtosis": se_kurt,
+        "cov_gamma_delta": cov,
+        "se_cov_gamma_delta": se_cov,
+    }
 
 
 def _z(diff: float, se: float) -> float:
@@ -285,23 +263,24 @@ def _z(diff: float, se: float) -> float:
     return diff / se
 
 
-def compare_to_analytic(stats: EnsembleStats, moments: PhaseMoments) -> dict:
+def compare_to_analytic(stats: dict, moments: dict) -> dict:
     """z-scores of the ensemble moments against the closed forms, a report.
 
     Record phases are deviations, so the empirical means are compared
     against zero; this is equivalent to comparing absolute means against
     the noiseless values in ``moments``.  Variances and the covariance
-    are compared directly.
+    are compared directly.  ``stats`` is a :func:`summarize` dict and
+    ``moments`` a :func:`~berrysim.analytics.phase_moments` dict.
     """
     z_scores = {}
     for name in ("gamma", "delta", "alpha"):
         column = f"{name}_fo"
-        z_scores[f"mean_{name}"] = _z(stats.mean[column], stats.sem_mean[column])
+        z_scores[f"mean_{name}"] = _z(stats["mean"][column], stats["sem_mean"][column])
         z_scores[f"var_{name}"] = _z(
-            stats.variance[column] - getattr(moments, f"var_{name}"), stats.sem_variance[column]
+            stats["variance"][column] - moments[f"var_{name}"], stats["sem_variance"][column]
         )
     z_scores["cov_gamma_delta"] = _z(
-        stats.cov_gamma_delta - moments.cov_gamma_delta, stats.se_cov_gamma_delta
+        stats["cov_gamma_delta"] - moments["cov_gamma_delta"], stats["se_cov_gamma_delta"]
     )
     return z_scores
 
@@ -309,7 +288,7 @@ def compare_to_analytic(stats: EnsembleStats, moments: PhaseMoments) -> dict:
 def check_law(
     spec: PrecessionSpec,
     model: NoiseModel,
-    moments: PhaseMoments,
+    moments: dict,
     n_trials: int,
     config: IntegratorConfig,
     covariance: np.ndarray | None = None,
@@ -347,8 +326,8 @@ def check_law(
         "sampling": np.hypot(scale, covariance) / math.sqrt(n_trials - 1)
         if n_trials > 1 else np.full((2, 2), math.inf),
     }
-    cov = moments.cov_gamma_delta
-    closed = np.array([[moments.var_gamma, cov], [cov, moments.var_delta]])
+    cov = moments["cov_gamma_delta"]
+    closed = np.array([[moments["var_gamma"], cov], [cov, moments["var_delta"]]])
     error = np.abs(covariance - closed)
     block = {"failures": []}
     for name, (i, j) in (("var_gamma", (0, 0)), ("var_delta", (1, 1)), ("cov_gamma_delta", (0, 1))):

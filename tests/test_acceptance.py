@@ -208,12 +208,12 @@ def test_03_limit_formulas(capsys):
     spec = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=200.0, n_cycles=1)
 
     broad_model = NoiseModel.from_scalars(0.05, 5.0, 0.05, 5.0)
-    broad_closed = phase_moments(spec, broad_model).var_gamma
+    broad_closed = phase_moments(spec, broad_model)["var_gamma"]
     broad_limit = berry_phase_variance_broadband(spec, broad_model)
     broad_rel = abs(broad_limit - broad_closed) / broad_closed
 
     narrow_model = NoiseModel.from_scalars(0.05, 5e-5, 0.05, 5e-5)
-    narrow_closed = phase_moments(spec, narrow_model).var_gamma
+    narrow_closed = phase_moments(spec, narrow_model)["var_gamma"]
     narrow_limit = berry_phase_variance_narrowband(spec, narrow_model)
     narrow_rel = abs(narrow_limit - narrow_closed) / narrow_closed
 
@@ -236,19 +236,19 @@ def test_04_monte_carlo_matches_closed_forms(capsys):
 
     moments = phase_moments(REF_SPEC, REF_MODEL)
     targets = {
-        "gamma_fo": moments.var_gamma,
-        "delta_fo": moments.var_delta,
-        "alpha_fo": moments.var_alpha,
+        "gamma_fo": moments["var_gamma"],
+        "delta_fo": moments["var_delta"],
+        "alpha_fo": moments["var_alpha"],
     }
     z_var = {
-        key: abs(stats.variance[key] - target) / stats.sem_variance[key]
+        key: abs(stats["variance"][key] - target) / stats["sem_variance"][key]
         for key, target in targets.items()
     }
     cov_oracle = covariance_by_quadrature(
         REF_SPEC, geometric_weight(REF_SPEC), dynamical_weight(REF_SPEC), REF_MODEL
     ).value
-    z_cov = abs(stats.cov_gamma_delta - cov_oracle) / stats.se_cov_gamma_delta
-    significance = abs(stats.cov_gamma_delta) / stats.se_cov_gamma_delta
+    z_cov = abs(stats["cov_gamma_delta"] - cov_oracle) / stats["se_cov_gamma_delta"]
+    significance = abs(stats["cov_gamma_delta"]) / stats["se_cov_gamma_delta"]
 
     worst_z = max(max(z_var.values()), z_cov)
     ok = worst_z <= 3.0 and significance > 3.0 and elapsed < 60.0
@@ -275,8 +275,8 @@ def test_05_scaling_laws(capsys):
             b0=1.0, theta0=math.pi / 4, t_total=float(t_total), n_cycles=int(t_total)
         )
         moments = phase_moments(spec, model)
-        var_gamma.append(moments.var_gamma)
-        var_delta.append(moments.var_delta)
+        var_gamma.append(moments["var_gamma"])
+        var_delta.append(moments["var_delta"])
     slope_gamma = float(np.polyfit(np.log(t_values), np.log(var_gamma), 1)[0])
     slope_delta = float(np.polyfit(np.log(t_values), np.log(var_delta), 1)[0])
     ok = abs(slope_gamma + 1.0) <= 0.02 and abs(slope_delta - 1.0) <= 0.02
@@ -299,7 +299,7 @@ def test_06_dephasing(capsys):
     Gaussian prediction exp(-2 var(alpha)).
     """
     records, _ = _reference_ensemble()
-    var_alpha = phase_moments(REF_SPEC, REF_MODEL).var_alpha
+    var_alpha = phase_moments(REF_SPEC, REF_MODEL)["var_alpha"]
     estimate = _reference_coherence(records.alpha_fo, var_alpha)
 
     rng = np.random.default_rng(2026)
@@ -370,8 +370,8 @@ def test_07_first_order_law(capsys):
         )
         c_n, c_2n, c_4n = (a @ a.T for a in (adjoint, fine, finest))
         m = second_moments(spec, model)
-        cov = m["cov_gamma_delta"].total
-        closed = np.array([[m["var_gamma"].total, cov], [cov, m["var_delta"].total]])
+        cov = m["cov_gamma_delta"]["total"]
+        closed = np.array([[m["var_gamma"]["total"], cov], [cov, m["var_delta"]["total"]]])
         scale = np.sqrt(np.outer(np.diag(closed), np.diag(closed)))
         bound = 2.0 * (4.0 / 3.0) * np.abs(c_n - c_2n) + 1e-12 * scale
         worst = max(worst, float(np.max(np.abs(c_n - closed) / bound)))
@@ -450,7 +450,7 @@ def test_09_dynamical_dominance(capsys):
             continue
         qualifying += 1
         moments = phase_moments(point.spec, point.model)
-        min_ratio = min(min_ratio, moments.var_delta / moments.var_gamma)
+        min_ratio = min(min_ratio, moments["var_delta"] / moments["var_gamma"])
     ok = qualifying > 0 and min_ratio > 1.0
     _report(
         capsys,

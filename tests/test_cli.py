@@ -221,13 +221,12 @@ def test_public_surface():
         "AccuracyError", "BerrysimError", "DegeneracyError", "ResolutionError",
         "NoiseModel", "OuParams", "sample_path",
         "PrecessionSpec", "adiabaticity_report", "control_field", "polar_angles",
-        "PhaseMoments", "QuadratureEstimate", "VarianceBreakdown", "Weight",
-        "berry_connection_phi", "berry_phase_variance_broadband",
+        "QuadratureEstimate", "Weight", "berry_phase_variance_broadband",
         "berry_phase_variance_narrowband", "covariance_by_quadrature", "dephasing_factor",
         "dynamical_weight", "geometric_weight", "noiseless_berry_phase",
         "noncyclic_connection_term", "phase_covariance", "phase_moments", "second_moments",
         "IntegratorConfig", "PhaseExtraction", "connection_phase_discrete", "evolve_and_extract",
-        "Ensemble", "EnsembleStats",
+        "Ensemble",
         "check_law", "compare_to_analytic", "run_ensemble", "summarize",
         "trial_seed",
     ])
@@ -389,10 +388,10 @@ class TestMcCommand:
 
         def tampered(spec, model):
             moments = phase_moments(spec, model)
-            return dataclasses.replace(moments, **{
-                key: 5.0 * getattr(moments, key)
+            return {**moments, **{
+                key: 5.0 * moments[key]
                 for key in ("var_gamma", "var_delta", "var_alpha", "cov_gamma_delta")
-            })
+            }}
 
         monkeypatch.setattr(analytics, "phase_moments", tampered)
         code = main(self.ARGS + ["-o", str(tmp_path / "bad")])
@@ -1098,12 +1097,12 @@ class TestSweepCommand:
             }
             closed = phase_covariance(spec, model, gamma, gamma)
             expected = {
-                "var_gamma_transverse": closed.transverse_term,
-                "var_gamma_longitudinal": closed.longitudinal_term,
-                "var_gamma": closed.total,
-                "var_delta": phase_covariance(spec, model, delta, delta).total,
-                "cov_gamma_delta": phase_covariance(spec, model, gamma, delta).total,
-                "var_alpha": phase_covariance(spec, model, alpha, alpha).total,
+                "var_gamma_transverse": closed["transverse"],
+                "var_gamma_longitudinal": closed["longitudinal"],
+                "var_gamma": closed["total"],
+                "var_delta": phase_covariance(spec, model, delta, delta)["total"],
+                "cov_gamma_delta": phase_covariance(spec, model, gamma, delta)["total"],
+                "var_alpha": phase_covariance(spec, model, alpha, alpha)["total"],
             }
             cells = dict(zip(header, line.split(",")))
             for key, value in expected.items():
@@ -1194,7 +1193,7 @@ class TestCompareCommand:
 
         def tampered(spec, model):
             moments = phase_moments(spec, model)
-            return dataclasses.replace(moments, cov_gamma_delta=5.0 * moments.cov_gamma_delta)
+            return {**moments, "cov_gamma_delta": 5.0 * moments["cov_gamma_delta"]}
 
         monkeypatch.setattr(analytics, "phase_moments", tampered)
         assert main(["compare", *self.SMALL]) == 1
@@ -1252,23 +1251,23 @@ def _reference_battery(config: RunConfig) -> list:
     w_gamma = analytics.geometric_weight(spec)
     w_delta = analytics.dynamical_weight(spec)
     quad_gamma = analytics.covariance_by_quadrature(spec, w_gamma, w_gamma, model, nodes)
-    rel = _reference_rel_diff(quad_gamma.value, moments.var_gamma)
+    rel = _reference_rel_diff(quad_gamma.value, moments["var_gamma"])
     checks.append(
         ("oracle_var_gamma", rel <= 1e-6,
-         f"closed={moments.var_gamma:.9e} quadrature={quad_gamma.value:.9e} rel={rel:.2e}")
+         f"closed={moments['var_gamma']:.9e} quadrature={quad_gamma.value:.9e} rel={rel:.2e}")
     )
     w_alpha = w_gamma + w_delta
     quad_alpha = analytics.covariance_by_quadrature(spec, w_alpha, w_alpha, model, nodes)
-    rel = _reference_rel_diff(quad_alpha.value, moments.var_alpha)
+    rel = _reference_rel_diff(quad_alpha.value, moments["var_alpha"])
     checks.append(
         ("oracle_var_alpha", rel <= 1e-6,
-         f"closed={moments.var_alpha:.9e} quadrature={quad_alpha.value:.9e} rel={rel:.2e}")
+         f"closed={moments['var_alpha']:.9e} quadrature={quad_alpha.value:.9e} rel={rel:.2e}")
     )
     quad_cov = analytics.covariance_by_quadrature(spec, w_gamma, w_delta, model, nodes)
-    rel = _reference_rel_diff(quad_cov.value, moments.cov_gamma_delta)
+    rel = _reference_rel_diff(quad_cov.value, moments["cov_gamma_delta"])
     checks.append(
         ("oracle_cov", rel <= 1e-6,
-         f"closed={moments.cov_gamma_delta:.9e} quadrature={quad_cov.value:.9e} rel={rel:.2e}")
+         f"closed={moments['cov_gamma_delta']:.9e} quadrature={quad_cov.value:.9e} rel={rel:.2e}")
     )
 
     t_total = config.t_total
@@ -1278,7 +1277,7 @@ def _reference_battery(config: RunConfig) -> list:
     spec_1 = PrecessionSpec(config.b0, config.theta0, config.t_total, 1)
     w_1 = analytics.geometric_weight(spec_1)
     nb = analytics.berry_phase_variance_narrowband(spec_1, slow)
-    closed = analytics.phase_covariance(spec_1, slow, w_1, w_1).total
+    closed = analytics.phase_covariance(spec_1, slow, w_1, w_1)["total"]
     rel = _reference_rel_diff(nb, closed)
     checks.append(
         ("narrowband_limit", rel <= 0.05,
@@ -1288,7 +1287,7 @@ def _reference_battery(config: RunConfig) -> list:
         config.sigma12, 1000.0 / t_total, config.sigma3, 1000.0 / t_total
     )
     bb = analytics.berry_phase_variance_broadband(spec_1, fast)
-    closed = analytics.phase_covariance(spec_1, fast, w_1, w_1).total
+    closed = analytics.phase_covariance(spec_1, fast, w_1, w_1)["total"]
     rel = _reference_rel_diff(bb, closed)
     checks.append(
         ("broadband_limit", rel <= 0.05,
@@ -1300,8 +1299,8 @@ def _reference_battery(config: RunConfig) -> list:
     half = dataclasses.replace(config, steps_per_cycle=config.steps_per_cycle // 2)
     coarse, _, _ = _reference_adjoint(spec, model, half.integrator())
     c, doubling, sampling = _reference_law_bounds(adjoint, coarse, 2.0, config.n_trials)
-    closed = np.array([[moments.var_gamma, moments.cov_gamma_delta],
-                       [moments.cov_gamma_delta, moments.var_delta]])
+    closed = np.array([[moments["var_gamma"], moments["cov_gamma_delta"]],
+                       [moments["cov_gamma_delta"], moments["var_delta"]]])
     error = np.abs(c - closed)
     entries = {"var_gamma": (0, 0), "var_delta": (1, 1), "cov_gamma_delta": (0, 1)}
     failures = [
@@ -1326,8 +1325,8 @@ def _reference_battery(config: RunConfig) -> list:
             spec_t = PrecessionSpec(config.b0, config.theta0, t_value, 1)
             g_t = analytics.geometric_weight(spec_t)
             d_t = analytics.dynamical_weight(spec_t)
-            vg.append(analytics.phase_covariance(spec_t, model, g_t, g_t).total)
-            vd.append(analytics.phase_covariance(spec_t, model, d_t, d_t).total)
+            vg.append(analytics.phase_covariance(spec_t, model, g_t, g_t)["total"])
+            vd.append(analytics.phase_covariance(spec_t, model, d_t, d_t)["total"])
         log_t = np.log(t_values)
         detail = []
         ok = True

@@ -8,7 +8,6 @@ from scipy.signal import lfilter
 
 from berrysim import (
     Ensemble,
-    EnsembleStats,
     IntegratorConfig,
     NoiseModel,
     PrecessionSpec,
@@ -218,19 +217,19 @@ def _reference_summarize(records):
 
     se_skew = math.sqrt(6.0 * n * (n - 1) / ((n - 2) * (n + 1) * (n + 3)))
     se_kurt = 2.0 * se_skew * math.sqrt((n * n - 1) / ((n - 3) * (n + 5)))
-    return EnsembleStats(
-        n_trials=n,
-        mean={k: s["mean"] for k, s in per_key.items()},
-        variance={k: s["variance"] for k, s in per_key.items()},
-        sem_mean={k: s["sem_mean"] for k, s in per_key.items()},
-        sem_variance={k: s["sem_variance"] for k, s in per_key.items()},
-        skewness={k: s["skewness"] for k, s in per_key.items()},
-        excess_kurtosis={k: s["excess_kurtosis"] for k, s in per_key.items()},
-        se_skewness=se_skew,
-        se_kurtosis=se_kurt,
-        cov_gamma_delta=cov,
-        se_cov_gamma_delta=se_cov,
-    )
+    return {
+        "n_trials": n,
+        "mean": {k: s["mean"] for k, s in per_key.items()},
+        "variance": {k: s["variance"] for k, s in per_key.items()},
+        "sem_mean": {k: s["sem_mean"] for k, s in per_key.items()},
+        "sem_variance": {k: s["sem_variance"] for k, s in per_key.items()},
+        "skewness": {k: s["skewness"] for k, s in per_key.items()},
+        "excess_kurtosis": {k: s["excess_kurtosis"] for k, s in per_key.items()},
+        "se_skewness": se_skew,
+        "se_kurtosis": se_kurt,
+        "cov_gamma_delta": cov,
+        "se_cov_gamma_delta": se_cov,
+    }
 
 
 @dataclass(frozen=True)
@@ -571,43 +570,43 @@ class TestSummarize:
         g = rng.standard_normal(500) * 0.3
         d = rng.standard_normal(500) * 2.0 + 0.5 * g
         stats = summarize(self._ensemble_from(g, d))
-        assert stats.n_trials == 500
-        assert stats.mean["gamma_fo"] == pytest.approx(g.mean(), rel=1e-12)
-        assert stats.variance["delta_fo"] == pytest.approx(d.var(ddof=1), rel=1e-12)
-        assert stats.sem_mean["gamma_fo"] == pytest.approx(
+        assert stats["n_trials"] == 500
+        assert stats["mean"]["gamma_fo"] == pytest.approx(g.mean(), rel=1e-12)
+        assert stats["variance"]["delta_fo"] == pytest.approx(d.var(ddof=1), rel=1e-12)
+        assert stats["sem_mean"]["gamma_fo"] == pytest.approx(
             math.sqrt(g.var(ddof=1) / 500), rel=1e-12
         )
         dg = g - g.mean()
-        assert stats.skewness["gamma_fo"] == pytest.approx(
+        assert stats["skewness"]["gamma_fo"] == pytest.approx(
             np.mean(dg**3) / np.mean(dg**2) ** 1.5, rel=1e-12
         )
-        assert stats.excess_kurtosis["gamma_fo"] == pytest.approx(
+        assert stats["excess_kurtosis"]["gamma_fo"] == pytest.approx(
             np.mean(dg**4) / np.mean(dg**2) ** 2 - 3.0, rel=1e-12
         )
         dd = d - d.mean()
-        assert stats.cov_gamma_delta == pytest.approx(
+        assert stats["cov_gamma_delta"] == pytest.approx(
             dg.dot(dd) / 499, rel=1e-12
         )
-        assert "gamma_sim" not in stats.mean
+        assert "gamma_sim" not in stats["mean"]
 
     def test_constant_column_degenerates_gracefully(self):
         stats = summarize(self._ensemble_from(np.zeros(10), np.zeros(10)))
-        assert stats.variance["gamma_fo"] == 0.0
-        assert stats.skewness["gamma_fo"] == 0.0
-        assert stats.excess_kurtosis["gamma_fo"] == 0.0
+        assert stats["variance"]["gamma_fo"] == 0.0
+        assert stats["skewness"]["gamma_fo"] == 0.0
+        assert stats["excess_kurtosis"]["gamma_fo"] == 0.0
 
     def test_normal_se_formulas(self):
         stats = summarize(self._ensemble_from(np.arange(25.0), np.arange(25.0)))
         n = 25
         se_skew = math.sqrt(6.0 * n * (n - 1) / ((n - 2) * (n + 1) * (n + 3)))
-        assert stats.se_skewness == pytest.approx(se_skew, rel=1e-12)
+        assert stats["se_skewness"] == pytest.approx(se_skew, rel=1e-12)
         se_kurt = 2.0 * se_skew * math.sqrt((n * n - 1) / ((n - 3) * (n + 5)))
-        assert stats.se_kurtosis == pytest.approx(se_kurt, rel=1e-12)
+        assert stats["se_kurtosis"] == pytest.approx(se_kurt, rel=1e-12)
 
     def test_four_records_are_enough(self):
         stats = summarize(self._ensemble_from([0.0, 1.0, 3.0, 2.0], [1.0, 0.0, 0.0, 2.0]))
-        assert stats.n_trials == 4
-        assert math.isfinite(stats.se_skewness) and math.isfinite(stats.se_kurtosis)
+        assert stats["n_trials"] == 4
+        assert math.isfinite(stats["se_skewness"]) and math.isfinite(stats["se_kurtosis"])
 
     def test_rejects_fewer_than_four_trials(self):
         # the skewness and kurtosis standard errors divide by n - 2 and n - 3
@@ -619,7 +618,7 @@ class TestSummarize:
         index = np.arange(5.0)
         ensemble = Ensemble(0.1 * index, np.zeros(5), 2.0 + 0.1 * index, np.zeros(5))
         stats = summarize(ensemble)
-        assert stats.mean["gamma_sim"] == pytest.approx(2.2)
+        assert stats["mean"]["gamma_sim"] == pytest.approx(2.2)
 
 
 class TestCompareToAnalytic:
@@ -670,8 +669,8 @@ class TestCheckLaw:
             sampling = np.full((2, 2), math.inf)
         else:
             c, doubling, sampling = _reference_law_bounds(adjoint, coarse, ratio, n_trials)
-        closed = {"var_gamma": moments.var_gamma, "var_delta": moments.var_delta,
-                  "cov_gamma_delta": moments.cov_gamma_delta}
+        closed = {"var_gamma": moments["var_gamma"], "var_delta": moments["var_delta"],
+                  "cov_gamma_delta": moments["cov_gamma_delta"]}
         for name, (i, j) in {"var_gamma": (0, 0), "var_delta": (1, 1),
                              "cov_gamma_delta": (0, 1)}.items():
             entry = law[name]
@@ -704,7 +703,7 @@ class TestCheckLaw:
 
     def test_wrong_closed_form_names_entry_and_bound(self):
         moments = phase_moments(SPEC, MODEL)
-        wrong = dataclasses.replace(moments, var_delta=1.001 * moments.var_delta)
+        wrong = {**moments, "var_delta": 1.001 * moments["var_delta"]}
         law = check_law(SPEC, MODEL, wrong, 100, FAST)
         # 0.1% is inside the sampling error of 100 trials, not the doubling bound
         [failure] = law["failures"]
