@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from dataclasses import dataclass
 
