@@ -59,9 +59,10 @@ to J or L, and serve as an independent cross-check.  A trapezoid pass
 T(n) over n intervals filters each of the three bases once, whatever the
 weights; the weights only scale the results.  It filters only one of
 the g = gcd(n, n_cycles) drive periods on the grid and carries the AR(1)
-state across the rest, the same sum in another order: bitwise the
-full-grid sum at g = 1, within rounding at g > 1 (even n_cycles, or
-more than 64 on the CLI's grids).  The error of T(n) is a series in
+state across the rest, the same sum in another order: within rounding
+of the full-grid sum at g > 1 (even n_cycles, or more than 64 on the
+CLI's grids); at g = 1 the carry is zero and skipped, and the sum is
+bitwise the full-grid one.  The error of T(n) is a series in
 h**2, because the inner integral is exact for piecewise-linear weights,
 so the oracle doubles n and extrapolates twice (Richardson; Romberg):
 
@@ -337,8 +338,8 @@ def _quadrature_pass(
     its start is Y[c] = s[m] * G[c], where G[c+1] = d**m * G[c] + 1 is an
     AR(1) recursion from G[0] = 0 that every basis shares.  The full-grid
     sum is then g * T1 + h * s[m] * (p * sum(G[:g]) + b[m] * (G[g] - g)/2),
-    with T1 the trapezoid sum over one period and p = sum_{j<m} b[j]*d**j;
-    at g = 1 the second term is exactly zero.
+    with T1 the trapezoid sum over one period and p = sum_{j<m} b[j]*d**j.
+    At g = 1 the second term is exactly zero, so it is skipped.
     """
     g = math.gcd(n_nodes, spec.n_cycles)
     m = n_nodes // g
@@ -350,16 +351,20 @@ def _quadrature_pass(
         if not needed:
             integrals.append(None)
             continue
-        decay = np.exp(-params.gamma * h * np.arange(m + 1))
-        starts = _ar1(np.r_[0.0, np.ones(g - 1)], decay[m])
-        last = decay[m] * starts[-1] + 1.0 - g  # G[g] - g
-        starts_sum = starts.sum()
+        if g > 1:
+            decay = np.exp(-params.gamma * h * np.arange(m + 1))
+            starts = _ar1(np.r_[0.0, np.ones(g - 1)], decay[m])
+            last = decay[m] * starts[-1] + 1.0 - g  # G[g] - g
+            starts_sum = starts.sum()
         values = []
         for basis in bases:
             b = basis(phase)
             s = _filtered_kernel(b, params.gamma, h)
-            carried = np.dot(b[:-1], decay[:-1]) * starts_sum + 0.5 * b[-1] * last
-            values.append(g * np.trapezoid(b * s, dx=h) + h * s[-1] * carried)
+            value = np.trapezoid(b * s, dx=h)
+            if g > 1:
+                carried = np.dot(b[:-1], decay[:-1]) * starts_sum + 0.5 * b[-1] * last
+                value = g * value + h * s[-1] * carried
+            values.append(value)
         integrals.append(values)
     return tuple(integrals)
 

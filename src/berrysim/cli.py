@@ -43,6 +43,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -204,6 +205,9 @@ _CHUNK_ROWS = 4096
 
 def _cells(chunk: np.ndarray) -> np.ndarray:
     """One column's cells as a NUL-padded (rows, width) byte matrix."""
+    # an integer up to 2**53 in magnitude is an exact float whose "%.17g" is its "%d"
+    if chunk.dtype.kind in "iu" and -(2**53) <= int(chunk.min()) and int(chunk.max()) <= 2**53:
+        chunk = chunk.astype(np.float64)
     if chunk.dtype.kind == "f":
         # imported here, so that commands which write no table never build its tables
         from .cells import float_cells
@@ -640,7 +644,9 @@ def cmd_compare(config: RunConfig) -> Outcome:
 # argument parsing and dispatch
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call; later calls share it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, metavar="FILE",
                         help="key=value config file")

@@ -164,6 +164,84 @@ class TestMainBasics:
         assert read_json(tmp_path / "ref.analytic.json")["config"]["output_path"] == "ref"
 
 
+_SMALL_SIM = ["--steps-per-cycle", "256", "--seed", "4", "--quiet"]
+_SMALL_SWEEP = ["sweep", "--param", "t_total", "--values", "100,200", "--n-trials", "40",
+                "--steps-per-cycle", "256", "--seed", "4", "--quiet"]
+
+# argv sequences run in one process, then the file of the last call and what it must
+# hold: a later call must not see an earlier one's options
+_PARSER_SEQUENCES = {
+    "branch_after_down": (
+        [(["simulate", "--branch", "down", *_SMALL_SIM, "-o", "first"], 0),
+         (["simulate", *_SMALL_SIM, "-o", "second"], 0)],
+        "second.summary.json", lambda payload: payload["branch"] == "up",
+    ),
+    "sweep_flags_after_both": (
+        [([*_SMALL_SWEEP, "--fixed-omega", "--with-mc", "-o", "first"], 0),
+         ([*_SMALL_SWEEP, "-o", "second"], 0)],
+        "second.summary.json",
+        lambda payload: not payload["fixed_omega"] and "mc_var_gamma" not in payload["rows"][0]
+        and [row["n_cycles"] for row in payload["rows"]] == [1, 1],
+    ),
+    "valid_after_usage_error": (
+        [(["analytic", "--theta0", "north", "--quiet", "-o", "first"], 2),
+         (["analytic", "--n-cycles", "3", "--quiet", "-o", "second"], 0)],
+        "second.analytic.json", lambda payload: payload["config"]["n_cycles"] == 3,
+    ),
+}
+
+
+def _fresh_main(argv: list, out_dir: Path) -> int:
+    """Run one CLI call in a new interpreter, writing under ``out_dir``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, BERRYSIM_OUTPUT_DIR=str(out_dir))
+    return subprocess.run([sys.executable, "-m", "berrysim", *argv],
+                          capture_output=True, env=env).returncode
+
+
+class TestCachedParser:
+    """``main`` builds its parser once per process; every call parses afresh."""
+
+    @pytest.mark.parametrize("name", sorted(_PARSER_SEQUENCES))
+    def test_later_calls_match_a_fresh_process(self, tmp_path, monkeypatch, capsys, name):
+        sequence, last_file, holds = _PARSER_SEQUENCES[name]
+        monkeypatch.setenv("BERRYSIM_OUTPUT_DIR", str(tmp_path / "in_process"))
+        hits = cli._build_parser.cache_info().hits
+        assert [main(argv) for argv, _ in sequence] == [code for _, code in sequence]
+        assert cli._build_parser.cache_info().hits >= hits + len(sequence) - 1
+        assert cli._build_parser.cache_info().currsize == 1
+        assert holds(read_json(tmp_path / "in_process" / last_file))
+        for argv, code in sequence:
+            assert _fresh_main(argv, tmp_path / "fresh") == code
+        written = sorted(path.name for path in (tmp_path / "in_process").iterdir())
+        assert written == sorted(path.name for path in (tmp_path / "fresh").iterdir())
+        for file_name in written:
+            in_process = (tmp_path / "in_process" / file_name).read_bytes()
+            assert in_process == (tmp_path / "fresh" / file_name).read_bytes(), file_name
+
+    @pytest.mark.parametrize("command", [[], ["analytic"], ["mc"], ["simulate"], ["sweep"],
+                                         ["compare"]])
+    def test_help_matches_a_freshly_built_parser(self, capsys, command):
+        assert main(["simulate", "--branch", "sideways"]) == 2
+        capsys.readouterr()
+        assert main([*command, "--help"]) == 0
+        cached = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli._build_parser.__wrapped__().parse_args([*command, "--help"])
+        assert cached == capsys.readouterr().out
+        assert "usage: berrysim" in cached
+
+
+def test_cli_import_builds_no_parser():
+    code = "import berrysim.cli as c; print(c._build_parser.cache_info().currsize)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.stdout.strip() == "0"
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -1484,6 +1562,38 @@ class TestTableEquivalence:
         _reference_write_table(tmp_path / "ref.csv", header, [[x, -x] for x in floats])
         cli._write_columns(tmp_path / "new.csv", header, [floats, -floats])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    # integers whose float is exact, and so whose "%.17g" is their "%d"
+    EXACT_INTS = [0, 1, -1, 9, -9, 10, -10, 10**15, 2**53 - 1, 2**53, -(2**53)]
+
+    def test_exact_integers_print_alike_in_both_formats(self):
+        assert ["%.17g" % float(i) for i in self.EXACT_INTS] == ["%d" % i for i in self.EXACT_INTS]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32, np.uint8])
+    def test_exact_integers_take_the_float_writer(self, tmp_path, monkeypatch, dtype):
+        from berrysim import cells
+
+        values = [i for i in self.EXACT_INTS if np.can_cast(np.min_scalar_type(i), dtype)]
+        calls, float_cells = [], cells.float_cells
+        monkeypatch.setattr(cells, "float_cells", lambda c: calls.append(c) or float_cells(c))
+        cli._write_columns(tmp_path / "new.csv", ["i"], [np.array(values, dtype=dtype)])
+        _reference_write_table(tmp_path / "ref.csv", ["i"], [[i] for i in values])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("dtype, beyond", [
+        (np.int64, 2**53 + 1), (np.int64, -(2**53) - 1),
+        (np.int64, np.iinfo(np.int64).max), (np.int64, np.iinfo(np.int64).min),
+        (np.uint64, np.iinfo(np.uint64).max),
+    ])
+    def test_integers_beyond_two_to_the_53_stay_exact(self, tmp_path, dtype, beyond):
+        # the chunk holding the large value is formatted by "%d", the one before it by floats
+        exact = [i for i in self.EXACT_INTS if np.can_cast(np.min_scalar_type(i), dtype)]
+        values = exact * (cli._CHUNK_ROWS // len(exact) + 1) + [beyond]
+        cli._write_columns(tmp_path / "new.csv", ["i"], [np.array(values, dtype=dtype)])
+        _reference_write_table(tmp_path / "ref.csv", ["i"], [[i] for i in values])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_text().splitlines()[-1] == str(beyond)
 
     def test_two_dimensional_block_adds_its_columns_in_order(self, tmp_path):
         block = np.arange(12.0).reshape(4, 3)
