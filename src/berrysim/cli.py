@@ -357,6 +357,8 @@ def cmd_mc(config: RunConfig) -> Outcome:
     )
     seconds = time.perf_counter() - start
     timing = f"mc: ensemble {seconds:.3f} s, {len(ensemble) / max(seconds, 1e-9):.1f} trials/s"
+    if ensemble.processes > 1:
+        timing += f", {ensemble.processes} processes"
     stats = summarize(ensemble)
     z_scores = compare_to_analytic(stats, moments)
     law = check_law(

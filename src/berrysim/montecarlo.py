@@ -29,13 +29,20 @@ Streams are keyed by the master seed.  ``first_order`` draws its block
 from the first child of ``SeedSequence(master_seed)``; ``full_sim``
 trial i draws from ``trial_seed(master_seed, i)``.  Either way a run is
 reproducible and extending ``n_trials`` keeps the earlier trials.
-Trials run serially; summaries reduce the columns in trial order with
-fixed-order numpy reductions.
+
+A ``full_sim`` ensemble large enough to pay for a process splits into
+contiguous trial slices, one per usable CPU: the caller runs the lowest
+and a forked child each of the others.  The records, and the error of
+the lowest failing slice, are bitwise a serial run's.  Summaries reduce
+the columns in trial order with fixed-order numpy reductions.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +73,9 @@ class Ensemble:
     evolution's folded geometric phase and leakage in ``full_sim`` mode
     and are None otherwise.  ``covariance`` is the exact 2x2 covariance
     C = A A^T of (gamma_fo, delta_fo) on the ensemble's grid, in both
-    modes.  ``run_ensemble`` makes the arrays read-only.
+    modes.  ``run_ensemble`` makes the arrays read-only.  ``processes``
+    is the number of processes that ran the trials; no record depends
+    on it.
     """
 
     gamma_fo: np.ndarray
@@ -74,6 +83,7 @@ class Ensemble:
     gamma_sim: np.ndarray | None = None
     leakage: np.ndarray | None = None
     covariance: np.ndarray | None = None
+    processes: int = 1
 
     @property
     def alpha_fo(self) -> np.ndarray:
@@ -136,6 +146,91 @@ def _law(adjoint: np.ndarray) -> tuple:
     return covariance, scale * np.array([[l11, 0.0], [l21, l22]])
 
 
+# Trial nodes, trials x (n_steps + 1), that each extra process needs to
+# pay for its fork: the measured break-even on a 2-vCPU host (CHANGES.md).
+_NODES_PER_WORKER = 250_000
+
+
+def _worker_count(n_trials: int, nodes_per_trial: int) -> int:
+    """One process per usable CPU where that pays; one without CPU affinity
+    (not Linux) or with another thread alive, since a fork copies one thread."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    paying = n_trials * nodes_per_trial // _NODES_PER_WORKER
+    return max(1, min(len(os.sched_getaffinity(0)), paying, n_trials))
+
+
+def _fork_slice(trials, start: int, stop: int) -> tuple:
+    """(pid, read end) of a child that pipes back ``trials(start, stop)`` pickled,
+    or the exception it raised, and leaves by ``os._exit``."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = trials(start, stop)
+            except Exception as exc:
+                payload = exc
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _run_slices(trials, n_trials: int, workers: int) -> tuple:
+    """(columns, processes) of ``trials`` over [0, n_trials), one slice per worker.
+
+    Children take the upper slices, forked highest first; where a fork
+    fails, the caller keeps that slice and all below it.  Children are
+    read in slice order, so the error raised is the lowest slice's, the
+    caller's first; the children above it are killed.  Every child is
+    reaped on every path.
+    """
+    bounds = [n_trials * k // workers for k in range(workers + 1)]
+    children = []  # (start, stop, pid, pipe), in slice order
+    try:
+        for k in range(workers - 1, 0, -1):
+            try:
+                pid, pipe = _fork_slice(trials, bounds[k], bounds[k + 1])
+            except OSError:
+                break
+            children.insert(0, (bounds[k], bounds[k + 1], pid, pipe))
+        processes = 1 + len(children)
+        blocks = [trials(0, children[0][0] if children else n_trials)]
+        while children:
+            start, stop, pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if status != 0:
+                raise RuntimeError(
+                    f"the process for trials {start} to {stop - 1} exited with status {status}"
+                )
+            blocks.append(pickle.loads(data))
+            if isinstance(blocks[-1], BaseException):
+                raise blocks[-1]
+        return np.concatenate(blocks, axis=1), processes
+    finally:
+        if children:
+            import signal  # only on a failure path, so not at import
+
+            for _, _, pid, pipe in children:
+                os.kill(pid, signal.SIGKILL)
+                pipe.close()
+                os.waitpid(pid, 0)
+
+
 def run_ensemble(
     spec: PrecessionSpec,
     model: NoiseModel,
@@ -157,8 +252,14 @@ def run_ensemble(
     deviations are A xi of that same draw.  With a fixed ``master_seed``
     the draws do not depend on the noise amplitudes, so ensembles at
     different sigma share noise shapes, and scaling every sigma by a
-    power of two scales the first-order records exactly.  Trials run
-    serially, in index order.
+    power of two scales the first-order records exactly.
+
+    A ``full_sim`` ensemble runs on min(usable CPUs, trials *
+    (n_steps + 1) // ``_NODES_PER_WORKER``) processes, each a contiguous
+    slice of trials; it stays in this process without
+    ``os.sched_getaffinity`` (not Linux), with another thread alive, and
+    for each slice whose fork fails.  Records and errors are bitwise
+    those of trials run serially, in index order.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -184,14 +285,21 @@ def run_ensemble(
         return Ensemble(*columns, covariance=covariance)
 
     control_nodes, control_mid = _control_grids(spec, n_steps, dt)
-    columns = np.empty((4, int(n_trials)))
-    for index in range(int(n_trials)):
-        xi = _draw_innovations(n_steps, trial_seed(master_seed, index))
-        columns[:2, index] = adjoint @ xi.reshape(-1)
-        run = _evolve(control_nodes, control_mid, _ou_filter(model, dt, xi), dt, "up")
-        columns[2:, index] = run.geometric_phase, run.leakage
+
+    def trials(start: int, stop: int) -> np.ndarray:
+        """Columns (gamma_fo, delta_fo, gamma_sim, leakage) of trials [start, stop)."""
+        block = np.empty((4, stop - start))
+        for column, index in enumerate(range(start, stop)):
+            xi = _draw_innovations(n_steps, trial_seed(master_seed, index))
+            block[:2, column] = adjoint @ xi.reshape(-1)
+            run = _evolve(control_nodes, control_mid, _ou_filter(model, dt, xi), dt, "up")
+            block[2:, column] = run.geometric_phase, run.leakage
+        return block
+
+    n_trials = int(n_trials)
+    columns, processes = _run_slices(trials, n_trials, _worker_count(n_trials, n_steps + 1))
     columns.setflags(write=False)
-    return Ensemble(*columns, covariance=covariance)
+    return Ensemble(*columns, covariance=covariance, processes=processes)
 
 
 def _column_stats(x: np.ndarray) -> dict:

@@ -81,7 +81,8 @@ class TestRunConfig:
             config.validate()
 
     def test_n_jobs_is_not_an_option(self, tmp_path, capsys):
-        # trials run serially; the thread pool and its knob are gone
+        # the thread pool and its knob are gone; full_sim works out its
+        # process count
         assert main(["mc", "--n-jobs", "2", "-o", str(tmp_path / "run")]) == 2
         assert not list(tmp_path.iterdir())
         cfg = tmp_path / "run.cfg"
@@ -460,6 +461,27 @@ class TestMcCommand:
                 # only the output path in the echoed config differs
                 loud_bytes = loud_bytes.replace(b"loud", b"quiet")
             assert loud_bytes == quiet_bytes
+
+    def test_split_ensemble_timing_counts_processes(self, tmp_path, monkeypatch, capsys):
+        # a full_sim ensemble split over two processes says so on stderr;
+        # the records and summary do not carry the count
+        monkeypatch.setattr(montecarlo, "_NODES_PER_WORKER", 1)
+        argv = ["mc", "--mode", "full_sim", "--n-trials", "7", "--steps-per-cycle", "256"]
+        timing = r"^mc: ensemble \d+\.\d{3} s, \d+\.\d trials/s"
+        for cpus, tail in ((1, "$"), (2, ", 2 processes$")):
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False
+            )
+            assert main(argv + ["-o", str(tmp_path / f"cpus{cpus}")]) == 0
+            captured = capsys.readouterr()
+            assert len(re.findall(timing + tail, captured.err, re.MULTILINE)) == 1
+            assert "processes" not in captured.out
+        assert (tmp_path / "cpus1.records.csv").read_bytes() == (
+            tmp_path / "cpus2.records.csv"
+        ).read_bytes()
+        assert (tmp_path / "cpus1.summary.json").read_text().replace("cpus1", "cpus2") == (
+            tmp_path / "cpus2.summary.json"
+        ).read_text()
 
     def test_tampered_targets_fail(self, tmp_path, monkeypatch):
         phase_moments = analytics.phase_moments

@@ -1,4 +1,8 @@
 import math
+import os
+import threading
+import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -526,7 +530,8 @@ class TestRunEnsemble:
         assert _rows(ensemble) == want
         assert _bits(_rows(ensemble)) == _bits(want)
 
-    def test_full_sim_checks_resolution_before_any_trial(self, monkeypatch):
+    def test_full_sim_checks_resolution_before_any_trial(self, monkeypatch, forks):
+        _set_workers(monkeypatch, 2)
         draws = []
         original = montecarlo._draw_innovations
         monkeypatch.setattr(
@@ -543,6 +548,7 @@ class TestRunEnsemble:
         # and they draw from their law, not per-trial innovations
         assert len(run_ensemble(SPEC, MODEL, 5, 1, config=coarse)) == 5
         assert draws == []
+        assert forks == []
 
     def test_full_sim_rejects_a_non_finite_path(self):
         huge = NoiseModel.from_scalars(1e308, 0.1, 0.0, 0.1)
@@ -558,6 +564,211 @@ class TestRunEnsemble:
         for mode in ("first_order", "full_sim"):
             with pytest.raises(ValueError, match="master_seed"):
                 run_ensemble(SPEC, MODEL, 5, -1, mode=mode, config=FAST)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children ``os.fork`` starts during the test, in order."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _set_workers(monkeypatch, cpus):
+    """Let a full_sim ensemble of any size split over ``cpus`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(montecarlo, "_NODES_PER_WORKER", 1)
+
+
+def _trial_index(monkeypatch):
+    """A one-entry list holding the index of the trial running in this process, or -1."""
+    current = [-1]
+    seed = montecarlo.trial_seed
+
+    def recording_seed(master_seed, index):
+        current[0] = index
+        return seed(master_seed, index)
+
+    monkeypatch.setattr(montecarlo, "trial_seed", recording_seed)
+    return current
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSplitTrials:
+    """full_sim ensembles split over forked processes give the serial records and errors.
+
+    Seven trials make uneven slices: [0, 3), [3, 7) for two processes and
+    [0, 2), [2, 4), [4, 7) for three, the first of each in the caller.
+    """
+
+    CONFIG = IntegratorConfig(steps_per_cycle=256)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "amplitudes", [(0.05, 0.05), (0.0, 0.05), (0.0, 0.0)],
+        ids=lambda a: f"sigma12={a[0]}-sigma3={a[1]}",
+    )
+    @pytest.mark.parametrize("n_cycles", [1, 3])
+    @pytest.mark.parametrize("theta0", [0.0, math.pi / 4, math.pi - 0.05])
+    def test_records_match_the_serial_loop(
+        self, monkeypatch, forks, theta0, n_cycles, amplitudes, workers
+    ):
+        _set_workers(monkeypatch, workers)
+        spec = PrecessionSpec(b0=1.0, theta0=theta0, t_total=100.0, n_cycles=n_cycles)
+        model = NoiseModel.from_scalars(amplitudes[0], 0.1, amplitudes[1], 0.3)
+        ensemble = run_ensemble(spec, model, 7, 42, mode="full_sim", config=self.CONFIG)
+        assert (ensemble.processes, len(forks)) == (workers, workers - 1)
+        want = _reference_run_ensemble(spec, model, 7, 42, mode="full_sim", config=self.CONFIG)
+        assert _bits(_rows(ensemble)) == _bits(want)
+        with pytest.raises(ValueError, match="read-only"):
+            ensemble.leakage[6] = 0.0
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", [{5}, {6}, {3, 5}, {1, 5}, {0, 2, 4}], ids=str)
+    def test_the_lowest_failing_trial_raises(self, monkeypatch, forks, failing):
+        # {5} and {6} fail only in the third slice's child, {3, 5} in both
+        # children, {1, 5} in the caller's slice and a child, {0, 2, 4} in all
+        current = _trial_index(monkeypatch)
+        evolve = montecarlo._evolve
+
+        def failing_evolve(*args):
+            if current[0] in failing:
+                raise ValueError(f"trial {current[0]} failed")
+            return evolve(*args)
+
+        monkeypatch.setattr(montecarlo, "_evolve", failing_evolve)
+        for workers in (1, 3):
+            _set_workers(monkeypatch, workers)
+            with pytest.raises(ValueError, match=f"^trial {min(failing)} failed$"):
+                run_ensemble(SPEC, MODEL, 7, 1, mode="full_sim", config=FAST)
+            _assert_no_child_left()
+        assert len(forks) == 2
+
+    def test_a_non_finite_path_in_a_child_raises_the_serial_error(self, monkeypatch, forks):
+        # children inherit the caller's errstate and warning filters, so
+        # under warnings as errors a child raises the kernel's ValueError,
+        # not the filter's overflow warning
+        huge = NoiseModel.from_scalars(1e308, 0.1, 0.0, 0.1)
+        current = _trial_index(monkeypatch)
+        ou_filter = montecarlo._ou_filter
+        monkeypatch.setattr(
+            montecarlo, "_ou_filter",
+            lambda model, dt, x, **kw: ou_filter(huge if current[0] >= 5 else model, dt, x, **kw),
+        )
+        raised = []
+        for workers in (1, 3):
+            _set_workers(monkeypatch, workers)
+            with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="must be finite") as error:
+                    run_ensemble(SPEC, MODEL, 7, 1, mode="full_sim", config=FAST)
+            raised.append((type(error.value), str(error.value)))
+            _assert_no_child_left()
+        assert len(forks) == 2
+        assert raised[0] == raised[1]
+
+    def test_a_child_that_dies_is_named(self, monkeypatch, forks):
+        current = _trial_index(monkeypatch)
+        evolve = montecarlo._evolve
+        caller = os.getpid()
+
+        def dying_evolve(*args):
+            if current[0] == 5 and os.getpid() != caller:
+                os._exit(3)
+            return evolve(*args)
+
+        monkeypatch.setattr(montecarlo, "_evolve", dying_evolve)
+        _set_workers(monkeypatch, 3)
+        died = "^the process for trials 4 to 6 exited with status 3$"
+        with pytest.raises(RuntimeError, match=died):
+            run_ensemble(SPEC, MODEL, 7, 1, mode="full_sim", config=FAST)
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_a_failing_caller_kills_its_children(self, monkeypatch, forks):
+        # the caller's own slice fails first, so it need not wait for the
+        # children's slices, which here would take a minute
+        current = _trial_index(monkeypatch)
+        evolve = montecarlo._evolve
+        caller = os.getpid()
+
+        def stalling_evolve(*args):
+            if os.getpid() != caller:
+                time.sleep(60.0)
+            elif current[0] == 1:
+                raise ValueError("trial 1 failed")
+            return evolve(*args)
+
+        monkeypatch.setattr(montecarlo, "_evolve", stalling_evolve)
+        _set_workers(monkeypatch, 3)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^trial 1 failed$"):
+            run_ensemble(SPEC, MODEL, 7, 1, mode="full_sim", config=FAST)
+        assert time.perf_counter() - start < 30.0
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_a_live_thread_keeps_one_process(self, monkeypatch, forks):
+        _set_workers(monkeypatch, 3)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30.0,))
+        thread.start()
+        try:
+            ensemble = run_ensemble(SPEC, MODEL, 7, 1, mode="full_sim", config=FAST)
+        finally:
+            release.set()
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert (forks, ensemble.processes) == ([], 1)
+        want = _reference_run_ensemble(SPEC, MODEL, 7, 1, mode="full_sim", config=FAST)
+        assert _bits(_rows(ensemble)) == _bits(want)
+
+    @pytest.mark.parametrize("failing_fork", [1, 2])
+    def test_a_failed_fork_runs_its_slices_here(self, monkeypatch, failing_fork):
+        # slices are forked highest first; where the fork of slice k fails,
+        # the caller runs trials [0, bound k+1) itself
+        _set_workers(monkeypatch, 3)
+        calls = []
+        fork = os.fork
+
+        def limited_fork():
+            calls.append(None)
+            if len(calls) >= failing_fork:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", limited_fork)
+        ensemble = run_ensemble(SPEC, MODEL, 7, 1, mode="full_sim", config=FAST)
+        assert (len(calls), ensemble.processes) == (failing_fork, failing_fork)
+        want = _reference_run_ensemble(SPEC, MODEL, 7, 1, mode="full_sim", config=FAST)
+        assert _bits(_rows(ensemble)) == _bits(want)
+        _assert_no_child_left()
+
+    def test_worker_count(self, monkeypatch):
+        # min(usable CPUs, trials x nodes // _NODES_PER_WORKER, trials), at least one
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        per_worker = montecarlo._NODES_PER_WORKER
+        count = montecarlo._worker_count
+        assert count(1, per_worker - 1) == 1
+        assert count(2, per_worker - 1) == 1
+        assert count(2, per_worker) == 2
+        assert count(3, per_worker) == 3
+        assert count(100, per_worker) == 4
+        assert count(1, 10 * per_worker) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert count(100, per_worker) == 1
 
 
 class TestSummarize:
