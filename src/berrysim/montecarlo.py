@@ -22,8 +22,10 @@ their law C.  ``gamma_fo``, ``delta_fo`` and ``alpha_fo`` are deviations
 from the noiseless values (so their ensemble means target zero), while
 ``gamma_sim`` is the absolute folded geometric phase from the evolution.
 The pass rule of ``mc`` and ``compare`` is :func:`check_law`, C against
-the closed forms, which reads no record; the z-scores of
-:func:`compare_to_analytic` are a report.
+the closed forms, which reads no record.  The first-order records are
+draws from N(0, C), so their sample moments restate C with sampling
+noise; ``summarize`` reports them and nothing tests them against the
+closed forms.
 
 Streams are keyed by the master seed.  ``first_order`` draws its block
 from the first child of ``SeedSequence(master_seed)``; ``full_sim``
@@ -57,7 +59,6 @@ __all__ = [
     "trial_seed",
     "run_ensemble",
     "summarize",
-    "compare_to_analytic",
     "check_law",
 ]
 
@@ -363,34 +364,6 @@ def summarize(ensemble: Ensemble) -> dict:
         "cov_gamma_delta": cov,
         "se_cov_gamma_delta": se_cov,
     }
-
-
-def _z(diff: float, se: float) -> float:
-    if se == 0.0:
-        return 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
-    return diff / se
-
-
-def compare_to_analytic(stats: dict, moments: dict) -> dict:
-    """z-scores of the ensemble moments against the closed forms, a report.
-
-    Record phases are deviations, so the empirical means are compared
-    against zero; this is equivalent to comparing absolute means against
-    the noiseless values in ``moments``.  Variances and the covariance
-    are compared directly.  ``stats`` is a :func:`summarize` dict and
-    ``moments`` a :func:`~berrysim.analytics.phase_moments` dict.
-    """
-    z_scores = {}
-    for name in ("gamma", "delta", "alpha"):
-        column = f"{name}_fo"
-        z_scores[f"mean_{name}"] = _z(stats["mean"][column], stats["sem_mean"][column])
-        z_scores[f"var_{name}"] = _z(
-            stats["variance"][column] - moments[f"var_{name}"], stats["sem_variance"][column]
-        )
-    z_scores["cov_gamma_delta"] = _z(
-        stats["cov_gamma_delta"] - moments["cov_gamma_delta"], stats["se_cov_gamma_delta"]
-    )
-    return z_scores
 
 
 def check_law(

@@ -16,7 +16,6 @@ from berrysim import (
     PrecessionSpec,
     ResolutionError,
     check_law,
-    compare_to_analytic,
     dephasing_factor,
     dynamical_weight,
     evolve_and_extract,
@@ -260,7 +259,7 @@ def _reference_coherence(alpha, predicted_var_alpha):
     se = float(math.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
     return CoherenceEstimate(
         measured=measured, predicted=predicted, se=se,
-        z_score=montecarlo._z(measured - predicted, se),
+        z_score=(measured - predicted) / se,
     )
 
 
@@ -829,33 +828,6 @@ class TestSummarize:
         ensemble = Ensemble(0.1 * index, np.zeros(5), 2.0 + 0.1 * index, np.zeros(5))
         stats = summarize(ensemble)
         assert stats["mean"]["gamma_sim"] == pytest.approx(2.2)
-
-
-class TestCompareToAnalytic:
-    def test_reference_ensemble_is_within_three_standard_errors(self):
-        stats = summarize(run_ensemble(SPEC, MODEL, 1500, 77, config=FAST))
-        z_scores = compare_to_analytic(stats, phase_moments(SPEC, MODEL))
-        assert set(z_scores) == {
-            "mean_gamma",
-            "var_gamma",
-            "mean_delta",
-            "var_delta",
-            "mean_alpha",
-            "var_alpha",
-            "cov_gamma_delta",
-        }
-        assert max(abs(z) for z in z_scores.values()) < 3.0
-
-    def test_zero_noise_is_exact_agreement(self):
-        zero = NoiseModel.from_scalars(0.0, 0.1, 0.0, 0.1)
-        stats = summarize(run_ensemble(SPEC, zero, 50, 1, config=FAST))
-        z_scores = compare_to_analytic(stats, phase_moments(SPEC, zero))
-        assert all(z == 0.0 for z in z_scores.values())
-
-    def test_wrong_analytics_stand_out(self):
-        stats = summarize(run_ensemble(SPEC, MODEL, 1500, 77, config=FAST))
-        moments = phase_moments(SPEC, NoiseModel.from_scalars(0.1, 0.1, 0.1, 0.1))
-        assert max(abs(z) for z in compare_to_analytic(stats, moments).values()) > 3.0
 
 
 class TestCheckLaw:
