@@ -16,10 +16,10 @@ and every such weight has the form
     w(t) = (x_T*cos(omega t), x_T*sin(omega t), x_L),
 
 so a :class:`Weight` is its two amplitudes (s = sin(theta0),
-c = cos(theta0), B = b0, T = t_total):
+c = cos(theta0), B = b0, T = t_total, n = n_cycles):
 
     functional   x_T               x_L
-    gamma        -pi*c*s/(T*B)     pi*s**2/(T*B)
+    gamma        -pi*n*c*s/(T*B)   pi*n*s**2/(T*B)
     delta        s                 c
     alpha        sum of the two rows above
 
@@ -143,10 +143,14 @@ class Weight:
 
 
 def geometric_weight(spec: PrecessionSpec) -> Weight:
-    """First-order response weight of the geometric phase."""
+    """First-order response weight of the geometric phase.
+
+    The phase accrues once per turn, so the amplitude pi*n_cycles/(T*b0)
+    is omega/(2*b0): a static K_z shifts gamma by pi*n_cycles*s**2*K_z/b0.
+    """
     s = math.sin(spec.theta0)
     c = math.cos(spec.theta0)
-    amp = math.pi / (spec.t_total * spec.b0)
+    amp = math.pi * spec.n_cycles / (spec.t_total * spec.b0)
     return Weight(-amp * c * s, amp * s * s)
 
 

@@ -270,10 +270,9 @@ def test_05_scaling_laws(capsys):
     var_gamma = []
     var_delta = []
     for t_total in t_values:
-        # n_cycles = T keeps omega = 2*pi fixed while gamma*T grows
-        spec = PrecessionSpec(
-            b0=1.0, theta0=math.pi / 4, t_total=float(t_total), n_cycles=int(t_total)
-        )
+        # one slow turn, the paper's setting: gamma*T grows while the
+        # geometric weight's amplitude pi/(T*b0) falls
+        spec = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=float(t_total), n_cycles=1)
         moments = phase_moments(spec, model)
         var_gamma.append(moments["var_gamma"])
         var_delta.append(moments["var_delta"])

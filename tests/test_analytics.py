@@ -84,7 +84,7 @@ class TestWeights:
         t = np.linspace(0.0, SPEC.t_total, 11)
         values = w.on_grid(SPEC, t)
         assert values.shape == (11, 3)
-        amp = math.pi / (SPEC.t_total * SPEC.b0)
+        amp = math.pi * SPEC.n_cycles / (SPEC.t_total * SPEC.b0)
         c, s = math.cos(SPEC.theta0), math.sin(SPEC.theta0)
         phase = SPEC.omega * t
         assert np.allclose(values[:, 0], -amp * c * s * np.cos(phase), rtol=1e-14)
@@ -113,15 +113,7 @@ class TestWeights:
         w = Weight(0.0, 3.0)
         assert np.array_equal(w.on_grid(SPEC, np.array([0.0, 5.0])), [[0, 0, 3], [0, 0, 3]])
 
-    @pytest.mark.parametrize("n_cycles", [
-        1,
-        *(pytest.param(n, marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError,
-            reason="ROADMAP's 'The geometric weight omits the number of turns': the "
-                   "evolution's shift is about n_cycles times the weight's prediction "
-                   "(2.017 at 2 cycles, 3.015 at 3)",
-        )) for n in (2, 3)),
-    ])
+    @pytest.mark.parametrize("n_cycles", [1, 2, 3])
     def test_geometric_weight_predicts_the_evolution(self, n_cycles):
         # A static K_z moves gamma by x_L * K_z * T to first order.  The
         # evolution never reads a Weight; omega/b0 = 0.0063 keeps it adiabatic.
@@ -542,13 +534,13 @@ def _ref_brackets(spec, model):
 def _ref_closed_forms(spec, model):
     """(transverse, longitudinal) terms of each second moment, and the limits."""
     s, c = math.sin(spec.theta0), math.cos(spec.theta0)
-    b0, t_total = spec.b0, spec.t_total
-    a = math.pi * c * s / (t_total * b0)
-    b = math.pi * s * s / (t_total * b0)
+    b0, t_total, n = spec.b0, spec.t_total, spec.n_cycles
+    a = math.pi * n * c * s / (t_total * b0)
+    b = math.pi * n * s * s / (t_total * b0)
     tr, lo = model.transverse, model.longitudinal
     j, ell = _ref_brackets(spec, model)
-    trans_amp = b0 * s - math.pi * c * s / t_total
-    long_amp = math.pi * s * s / t_total + b0 * c
+    trans_amp = b0 * s - math.pi * n * c * s / t_total
+    long_amp = math.pi * n * s * s / t_total + b0 * c
     cov = (-2.0 * tr.sigma**2 * a * s * j, 2.0 * lo.sigma**2 * b * c * ell)
     omega_t = spec.omega * t_total
     return {
@@ -561,12 +553,12 @@ def _ref_closed_forms(spec, model):
             2.0 * (lo.sigma / b0) ** 2 * long_amp**2 * ell,
         ),
         "narrowband": (
-            4.0 * tr.sigma**2 * (math.pi * c * s / b0) ** 2 * tr.gamma * t_total / omega_t**2,
-            2.0 * lo.sigma**2 * (math.pi * s * s / b0) ** 2 * (0.5 - lo.gamma * t_total / 6.0),
+            4.0 * tr.sigma**2 * (math.pi * n * c * s / b0) ** 2 * tr.gamma * t_total / omega_t**2,
+            2.0 * lo.sigma**2 * (math.pi * n * s * s / b0) ** 2 * (0.5 - lo.gamma * t_total / 6.0),
         ),
         "broadband": (
-            2.0 * tr.sigma**2 * (math.pi * c * s / b0) ** 2 / (tr.gamma * t_total),
-            2.0 * lo.sigma**2 * (math.pi * s * s / b0) ** 2 / (lo.gamma * t_total),
+            2.0 * tr.sigma**2 * (math.pi * n * c * s / b0) ** 2 / (tr.gamma * t_total),
+            2.0 * lo.sigma**2 * (math.pi * n * s * s / b0) ** 2 / (lo.gamma * t_total),
         ),
     }
 
@@ -578,7 +570,7 @@ def _ref_weight_values(spec, name, t):
     if name == "alpha":
         return _ref_weight_values(spec, "gamma", t) + _ref_weight_values(spec, "delta", t)
     if name == "gamma":
-        amp = math.pi / (spec.t_total * spec.b0)
+        amp = math.pi * spec.n_cycles / (spec.t_total * spec.b0)
         parts = [-amp * c * s * np.cos(phase), -amp * c * s * np.sin(phase),
                  np.full_like(phase, amp * s * s)]
     else:

@@ -65,7 +65,7 @@ def _reference_first_order(spec, model, n_trials, master_seed, config):
     quad = np.full(n_steps + 1, dt)
     quad[0] = quad[-1] = 0.5 * dt
     s, c = math.sin(spec.theta0), math.cos(spec.theta0)
-    amp = math.pi / (spec.t_total * spec.b0)
+    amp = math.pi * spec.n_cycles / (spec.t_total * spec.b0)
     phase = spec.omega * times
     w_gamma = amp * s * np.stack([-c * np.cos(phase), -c * np.sin(phase), s + 0.0 * phase], -1)
     w_delta = np.stack([s * np.cos(phase), s * np.sin(phase), c + 0.0 * phase], -1)
