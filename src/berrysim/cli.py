@@ -35,7 +35,10 @@ Exit codes: 0 success, 1 scientific check failed, 2 usage or
 configuration error, 3 numerical accuracy failure.  The scientific check
 of ``mc`` and the ``first_order_law`` line of ``compare`` are
 :func:`~berrysim.montecarlo.check_law`, which reads no record, so their
-verdict does not depend on the seed.
+verdict does not depend on the seed.  ``sweep --with-mc`` publishes the
+same law C(n) per point and draws no ensemble.  Only compare's
+``first_order_vs_sim``, the median of 8 folded ``full_sim`` residuals, depends
+on the seed (its measured FAIL rates are in the README).
 """
 
 from __future__ import annotations
