@@ -1596,6 +1596,32 @@ class TestTableEquivalence:
         cli._write_columns(tmp_path / "new.csv", header, [floats, ints, None, -floats])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def test_tables_sharing_columns(self, tmp_path):
+        # simulate's case: the second table repeats columns of the first;
+        # 10,001 rows are three chunks of 4,096
+        n_rows = 10_001
+        rng = np.random.default_rng(11)
+        t = np.linspace(0.0, 100.0, n_rows)
+        block = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-300, 300, (n_rows, 3))
+        block[: len(self.SPECIALS), 0] = self.SPECIALS
+        ints = rng.integers(-(2**62), 2**62, n_rows)
+        maybe = np.array([None if i % 3 else x for i, x in enumerate(block[:, 1].tolist())])
+        files = {
+            ".first.csv": (["t", "a", "b", "c", "i", "missing"], [t, block, ints, None]),
+            ".second.csv": (["t", "a", "b", "c", "maybe", "a_again"],
+                            [t, block, maybe, block[:, 0]]),
+            ".json": "{}\n",
+        }
+        paths = cli._write_files(files, RunConfig(output_path=str(tmp_path / "out")), "x")
+        assert [p.name for p in paths] == ["out.first.csv", "out.second.csv", "out.json"]
+        first = [[t[i], *block[i], ints[i], None] for i in range(n_rows)]
+        second = [[t[i], *block[i], maybe[i], block[i, 0]] for i in range(n_rows)]
+        _reference_write_table(tmp_path / "ref.first.csv", files[".first.csv"][0], first)
+        _reference_write_table(tmp_path / "ref.second.csv", files[".second.csv"][0], second)
+        for name in ("first.csv", "second.csv"):
+            assert (tmp_path / f"out.{name}").read_bytes() == (tmp_path / f"ref.{name}").read_bytes()
+        assert (tmp_path / "out.json").read_text() == "{}\n"
+
     @pytest.mark.parametrize("family", sorted(_FLOAT_FAMILIES))
     def test_float_family(self, tmp_path, family):
         floats = _FLOAT_FAMILIES[family]()
