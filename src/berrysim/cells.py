@@ -1,9 +1,8 @@
-"""Exact ``"%.17g"`` cells for float arrays, vectorised.
+"""The CLI's CSV writer, :func:`write_tables`, and its exact ``"%.17g"`` cells.
 
 :func:`float_cells` gives, for each value, the bytes of ``"%.17g" % v``
-as a row of a NUL-padded ``(n, 24)`` uint8 matrix.  The CLI's table
-writer imports this module on its first float column, so commands that
-write no table never build its tables.
+as a row of a NUL-padded ``(n, 24)`` uint8 matrix.  The CLI imports this
+module to write a table, so commands that write none never build its tables.
 
 A float x in the fast range 1e-6 < |x| < 1e17 has a decimal exponent E
 in [-6, 16] (the float 1e-6 lies below 10**-6, hence the strict bound),
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["float_cells"]
+__all__ = ["float_cells", "write_tables"]
 
 _CELL = 24  # bytes per float cell: "-1.7976931348623157e+308" is the longest
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's factor
@@ -85,14 +84,16 @@ def _cell_layouts() -> np.ndarray:
                       [_EXP, _MINUS, _ZERO, np.where(exponent == -6, _SIX, _FIVE)]),
         ],
         _NUL,
-    ).astype(np.uint8).reshape(-1, _CELL)
+    ).astype(np.int16).reshape(-1, _CELL)
     # a positive cell has at most 22 bytes, so a negative one is "-" and its first 23
-    negative = np.column_stack([np.full(len(positive), _MINUS, np.uint8), positive[:, :-1]])
+    negative = np.column_stack([np.full(len(positive), _MINUS, np.int16), positive[:, :-1]])
     return np.stack([positive, negative], axis=1).reshape(-1, _CELL)
 
 
 _DIGITS4, _TRAILING4 = _group_tables()
 _LAYOUTS = _cell_layouts()
+_BLOCK = 1024  # rows per gather: the last source byte of a block, 24 * 1024 - 1, fits in int16
+_BLOCK_OFFSETS = np.arange(0, _BLOCK * _CELL, _CELL, dtype=np.int16)[:, None]
 
 
 def _times_power_of_ten(a: np.ndarray, k: np.ndarray) -> tuple:
@@ -141,17 +142,97 @@ def float_cells(values: np.ndarray) -> np.ndarray:
     code = code * 2 + np.signbit(values)
     flat = source.view(np.uint8).ravel()
     cells = np.empty((values.size, _CELL), np.uint8)
-    # The gather index, 8 bytes per cell byte, is the largest array here, so
-    # it is built a block of rows at a time, after the digits' temporaries are gone.
-    block = 1024
-    for start in range(0, values.size, block):
-        rows = slice(start, start + block)
+    # each block of rows gathers from its own slice of the source, by a block-relative index
+    for start in range(0, values.size, _BLOCK):
+        rows = slice(start, start + _BLOCK)
         index = np.take(_LAYOUTS, code[rows], axis=0)
-        index = index + np.arange(start * _CELL, (start + len(index)) * _CELL, _CELL)[:, None]
+        index += _BLOCK_OFFSETS[: len(index)]
         # every index is in range by construction; "clip" skips the bounds check
-        np.take(flat, index, mode="clip", out=cells[rows])
+        np.take(flat[start * _CELL:(start + _BLOCK) * _CELL], index, mode="clip", out=cells[rows])
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = np.array(["%.17g" % v for v in values[slow].tolist()], dtype=f"S{_CELL}")
         cells[slow] = text.view(np.uint8).reshape(slow.size, _CELL)
     return cells
+
+
+# Rows formatted per write, so the writer's memory does not grow with the table.
+_CHUNK_ROWS = 4096
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return "%.17g" % float(value)
+
+
+def _cells(chunk: np.ndarray) -> np.ndarray:
+    """One column's cells as a NUL-padded (rows, width) byte matrix."""
+    # an integer up to 2**53 in magnitude is an exact float whose "%.17g" is its "%d"
+    if chunk.dtype.kind in "iu" and -(2**53) <= int(chunk.min()) and int(chunk.max()) <= 2**53:
+        chunk = chunk.astype(np.float64)
+    if chunk.dtype.kind == "f":
+        return float_cells(chunk)
+    if chunk.dtype.kind != "S":  # an object column is formatted before writing
+        chunk = np.array(["%d" % value for value in chunk.tolist()], dtype=bytes)
+    return chunk.view(np.uint8).reshape(chunk.size, -1)
+
+
+def _table(out, header: list, columns: list) -> tuple:
+    """Check a table and write its header; return ``out`` and its keyed 1-D columns."""
+    arrays = []
+    for column in columns:
+        if column is None:
+            arrays.append(None)
+            continue
+        column = np.asarray(column)
+        if column.dtype.kind == "O" and column.ndim == 1:
+            arrays.append(np.array([_fmt(value) for value in column], dtype=bytes))
+        elif column.dtype.kind not in "fiu" or column.ndim not in (1, 2):
+            raise TypeError(f"cannot write a {column.dtype} column of shape {column.shape}")
+        else:
+            arrays.extend(column.T if column.ndim == 2 else (column,))
+    if len(arrays) != len(header):
+        raise ValueError(f"{len(header)} header names for {len(arrays)} columns")
+    out.write((",".join(header) + "\n").encode())
+    # views of the same memory in the same layout hold the same values: one key
+    return out, [(a if a is None else (a.ctypes.data, a.strides, a.dtype.str), a) for a in arrays]
+
+
+def write_tables(tables: list) -> None:
+    """Write each ``(out, header, columns)`` as CSV to the binary file ``out``.
+
+    All columns have one length; a 2-D array adds its columns in order.  A
+    column of Python objects may hold None, written as an empty cell, as is
+    every cell of a column given as None.  A chunk of rows formats a column
+    once for all tables, and goes to each table as one write: the cell
+    matrices side by side, with comma and newline columns, NULs dropped.
+    """
+    layouts = [_table(*table) for table in tables]
+    lengths = {a.size for _, keyed in layouts for _, a in keyed if a is not None}
+    if len(lengths) > 1:
+        raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    n_rows = max(lengths, default=0)
+    last = {key: t for t, (_, keyed) in enumerate(layouts) for key, _ in keyed}
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, n_rows - start)
+        comma, newline = (np.full((rows, 1), ord(c), np.uint8) for c in ",\n")
+        cells = {}
+        for t, (out, keyed) in enumerate(layouts):
+            pieces = []
+            for key, array in keyed:
+                if array is not None:
+                    if key not in cells:
+                        cells[key] = _cells(array[start:start + rows])
+                    pieces.append(cells[key])
+                pieces.append(comma)
+            pieces[-1] = newline
+            table = np.hstack(pieces)
+            del pieces
+            # keep only the cells that a later table of this chunk reads
+            cells = {key: value for key, value in cells.items() if last[key] > t}
+            out.write(table[table != 0])

@@ -12,7 +12,7 @@ Configuration is a flat ``key=value`` file; any key can be overridden
 with a ``--key value`` command-line flag.
 
 Outputs: a command computes everything before ``main`` writes, so one
-that fails writes no files.  A file is the base (``-o``, by default
+that fails writes no files, nor does a failed write.  A file is the base (``-o``, by default
 ``berrysim_<command>``, under ``$BERRYSIM_OUTPUT_DIR`` if relative) plus
 a suffix: ``.analytic.json`` or ``.analytic.csv``; mc ``.records.csv``
 and sweep ``.sweep.csv``, each then ``.summary.json``; simulate
@@ -23,8 +23,8 @@ silences both.
 
 CSV tables hold one value per cell: floats as ``%.17g`` (round-trip
 exact), integers in decimal, and a missing value as an empty cell.
-Tables are written in chunks of rows, so the writer's memory does not
-grow with the table's length.  Float cells come from
+Tables are written together in chunks of rows, formatting a shared column
+once, so the writer's memory does not grow with their length.  Float cells come from
 :func:`berrysim.cells.float_cells`, a numpy kernel that writes the exact
 bytes of ``%.17g``: for 1e-6 < |x| < 1e17 it finds the decimal exponent
 and the 17 digits with an error-free product and lays the cell out from
@@ -44,6 +44,7 @@ on the seed (its measured FAIL rates are in the README).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -160,16 +161,6 @@ def config_from_file(path: str | Path) -> RunConfig:
 # output helpers
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.17g" % float(value)
-
-
 def _json_default(obj):
     # np.float64 is a float and serialises as one; arrays and other numpy scalars land here.
     if isinstance(obj, (np.ndarray, np.generic)):
@@ -193,6 +184,8 @@ def _flatten(payload: dict, prefix: str = "") -> list:
 
 
 def _dump_csv_pairs(payload: dict) -> str:
+    from .cells import _fmt
+
     # csv quotes a cell only when it holds a comma, a quote or a line break.
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -200,67 +193,6 @@ def _dump_csv_pairs(payload: dict) -> str:
     for key, value in _flatten(payload):
         writer.writerow([key, value if isinstance(value, str) else _fmt(value)])
     return out.getvalue()
-
-
-# Rows formatted per write, so the writer's memory does not grow with the table.
-_CHUNK_ROWS = 4096
-
-
-def _cells(chunk: np.ndarray) -> np.ndarray:
-    """One column's cells as a NUL-padded (rows, width) byte matrix."""
-    # an integer up to 2**53 in magnitude is an exact float whose "%.17g" is its "%d"
-    if chunk.dtype.kind in "iu" and -(2**53) <= int(chunk.min()) and int(chunk.max()) <= 2**53:
-        chunk = chunk.astype(np.float64)
-    if chunk.dtype.kind == "f":
-        # imported here, so that commands which write no table never build its tables
-        from .cells import float_cells
-
-        return float_cells(chunk)
-    if chunk.dtype.kind != "S":  # an object column is formatted before writing
-        chunk = np.array(["%d" % value for value in chunk.tolist()], dtype=bytes)
-    return chunk.view(np.uint8).reshape(chunk.size, -1)
-
-
-def _write_columns(path: Path, header: list, columns: list) -> None:
-    """Write equal-length columns as CSV; a 2-D array adds its columns in order.
-
-    A column of Python objects may hold None, which is written as an empty
-    cell, as is every cell of a column given as None.  Each chunk of rows
-    goes out as one write: its cell matrices side by side, with comma and
-    newline columns between them, and the NUL padding dropped.
-    """
-    arrays = []
-    for column in columns:
-        if column is None:
-            arrays.append(None)
-            continue
-        column = np.asarray(column)
-        if column.dtype.kind == "O" and column.ndim == 1:
-            arrays.append(np.array([_fmt(value) for value in column], dtype=bytes))
-        elif column.dtype.kind not in "fiu" or column.ndim not in (1, 2):
-            raise TypeError(f"cannot write a {column.dtype} column of shape {column.shape}")
-        else:
-            arrays.extend(column.T if column.ndim == 2 else (column,))
-    if len(arrays) != len(header):
-        raise ValueError(f"{len(header)} header names for {len(arrays)} columns")
-    lengths = {array.size for array in arrays if array is not None}
-    if len(lengths) > 1:
-        raise ValueError(f"columns differ in length: {sorted(lengths)}")
-    n_rows = max(lengths, default=0)
-    with path.open("wb") as out:
-        out.write((",".join(header) + "\n").encode())
-        for start in range(0, n_rows, _CHUNK_ROWS):
-            rows = min(_CHUNK_ROWS, n_rows - start)
-            comma, newline = (np.full((rows, 1), ord(c), np.uint8) for c in ",\n")
-            pieces = []
-            for array in arrays:
-                if array is not None:
-                    pieces.append(_cells(array[start:start + rows]))
-                pieces.append(comma)
-            pieces[-1] = newline
-            table = np.hstack(pieces)
-            del pieces
-            out.write(table[table != 0])
 
 
 def _rel_diff(a: float, b: float) -> float:
@@ -286,7 +218,7 @@ _QUAD_RTOL = 1e-8
 class Outcome:
     """What a command computed: ``main`` writes the files, then the text.
 
-    ``files`` maps suffixes, in writing order, to text or to a ``(header,
+    ``files`` maps suffixes, in the order created, to text or to a ``(header,
     columns)`` table.  The paths written are appended to ``lines[wrote_at]``.
     ``--quiet`` silences ``lines`` (stdout) and ``notes`` (stderr), not ``stdout``.
     """
@@ -708,18 +640,30 @@ _COMMANDS = {
 
 
 def _write_files(files: dict, config: RunConfig, command: str) -> list:
-    """Write each file at the output base plus its suffix; return the paths."""
+    """Write each file at the output base plus its suffix; return the paths, or delete them."""
     # an absolute base ignores the output directory
     base = Path(os.getenv("BERRYSIM_OUTPUT_DIR", ""), config.output_path or f"berrysim_{command}")
-    paths = []
-    for suffix, content in files.items():
-        path = base.with_name(base.name + suffix)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if isinstance(content, str):
-            path.write_text(content)
-        else:
-            _write_columns(path, *content)
-        paths.append(path)
+    paths, tables = [], []
+    try:
+        with contextlib.ExitStack() as stack:
+            for suffix, content in files.items():
+                path = base.with_name(base.name + suffix)
+                path.parent.mkdir(parents=True, exist_ok=True)
+                out = stack.enter_context(path.open("w" if isinstance(content, str) else "wb"))
+                paths.append(path)
+                if isinstance(content, str):
+                    out.write(content)
+                else:
+                    tables.append((out, *content))
+            if tables:
+                # imported here, so that commands which write no table never build its tables
+                from .cells import write_tables
+
+                write_tables(tables)
+    except BaseException:
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise
     return paths
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from berrysim import AccuracyError, analytics, cli, montecarlo
+from berrysim import AccuracyError, analytics, cells, cli, montecarlo
 from berrysim.cli import RunConfig, config_from_file, main
 from berrysim.evolve import evolve_and_extract
 from berrysim.field import PrecessionSpec, adiabaticity_report, control_field
@@ -54,6 +55,11 @@ def _reference_write_table(path: Path, header: list, rows: list) -> None:
     for row in rows:
         lines.append(",".join(_reference_fmt(v) if not isinstance(v, str) else v for v in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_table(path: Path, header: list, columns: list) -> None:
+    with path.open("wb") as out:
+        cells.write_tables([(out, header, columns)])
 
 
 class TestRunConfig:
@@ -1593,13 +1599,13 @@ class TestTableEquivalence:
         header = ["x", "i", "missing", "y"]
         rows = [[x, i, None, -x] for x, i in zip(floats, ints)]
         _reference_write_table(tmp_path / "ref.csv", header, rows)
-        cli._write_columns(tmp_path / "new.csv", header, [floats, ints, None, -floats])
+        _write_table(tmp_path / "new.csv", header, [floats, ints, None, -floats])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_tables_sharing_columns(self, tmp_path):
-        # simulate's case: the second table repeats columns of the first;
-        # 10,001 rows are three chunks of 4,096
+        # simulate's case: the second table repeats columns of the first
         n_rows = 10_001
+        assert n_rows > 2 * cells._CHUNK_ROWS
         rng = np.random.default_rng(11)
         t = np.linspace(0.0, 100.0, n_rows)
         block = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-300, 300, (n_rows, 3))
@@ -1627,7 +1633,7 @@ class TestTableEquivalence:
         floats = _FLOAT_FAMILIES[family]()
         header = ["x", "minus_x"]
         _reference_write_table(tmp_path / "ref.csv", header, [[x, -x] for x in floats])
-        cli._write_columns(tmp_path / "new.csv", header, [floats, -floats])
+        _write_table(tmp_path / "new.csv", header, [floats, -floats])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     # integers whose float is exact, and so whose "%.17g" is their "%d"
@@ -1638,12 +1644,10 @@ class TestTableEquivalence:
 
     @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32, np.uint8])
     def test_exact_integers_take_the_float_writer(self, tmp_path, monkeypatch, dtype):
-        from berrysim import cells
-
         values = [i for i in self.EXACT_INTS if np.can_cast(np.min_scalar_type(i), dtype)]
         calls, float_cells = [], cells.float_cells
         monkeypatch.setattr(cells, "float_cells", lambda c: calls.append(c) or float_cells(c))
-        cli._write_columns(tmp_path / "new.csv", ["i"], [np.array(values, dtype=dtype)])
+        _write_table(tmp_path / "new.csv", ["i"], [np.array(values, dtype=dtype)])
         _reference_write_table(tmp_path / "ref.csv", ["i"], [[i] for i in values])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert len(calls) == 1
@@ -1656,8 +1660,8 @@ class TestTableEquivalence:
     def test_integers_beyond_two_to_the_53_stay_exact(self, tmp_path, dtype, beyond):
         # the chunk holding the large value is formatted by "%d", the one before it by floats
         exact = [i for i in self.EXACT_INTS if np.can_cast(np.min_scalar_type(i), dtype)]
-        values = exact * (cli._CHUNK_ROWS // len(exact) + 1) + [beyond]
-        cli._write_columns(tmp_path / "new.csv", ["i"], [np.array(values, dtype=dtype)])
+        values = exact * (cells._CHUNK_ROWS // len(exact) + 1) + [beyond]
+        _write_table(tmp_path / "new.csv", ["i"], [np.array(values, dtype=dtype)])
         _reference_write_table(tmp_path / "ref.csv", ["i"], [[i] for i in values])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert (tmp_path / "new.csv").read_text().splitlines()[-1] == str(beyond)
@@ -1665,7 +1669,7 @@ class TestTableEquivalence:
     def test_two_dimensional_block_adds_its_columns_in_order(self, tmp_path):
         block = np.arange(12.0).reshape(4, 3)
         first = np.arange(4)
-        cli._write_columns(tmp_path / "new.csv", ["i", "a", "b", "c"], [first, block])
+        _write_table(tmp_path / "new.csv", ["i", "a", "b", "c"], [first, block])
         rows = [[i, *block[i]] for i in range(4)]
         _reference_write_table(tmp_path / "ref.csv", ["i", "a", "b", "c"], rows)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -1676,39 +1680,75 @@ class TestTableEquivalence:
     )
     def test_other_kinds_raise_type_error(self, tmp_path, column):
         with pytest.raises(TypeError):
-            cli._write_columns(tmp_path / "t.csv", ["x"], [column])
+            _write_table(tmp_path / "t.csv", ["x"], [column])
 
     def test_none_cells_are_empty(self, tmp_path):
         column = np.array([0.1, None, -0.0, 3])
-        cli._write_columns(tmp_path / "new.csv", ["i", "x"], [np.arange(4), column])
+        _write_table(tmp_path / "new.csv", ["i", "x"], [np.arange(4), column])
         rows = [[i, value] for i, value in enumerate(column)]
         _reference_write_table(tmp_path / "ref.csv", ["i", "x"], rows)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert (tmp_path / "new.csv").read_text().splitlines()[2] == "1,"
 
-    def test_memory_does_not_grow_with_the_table(self, tmp_path):
-        # simulate's shape: 14 float columns
+    @pytest.mark.parametrize("with_noise", [False, True])
+    def test_memory_does_not_grow_with_the_table(self, tmp_path, with_noise):
+        # simulate's shape: 14 float columns, and a noise table that repeats 4 of them
         def peak(n_rows):
-            columns = [np.random.default_rng(n_rows).standard_normal((n_rows, 14))]
+            block = np.random.default_rng(n_rows).standard_normal((n_rows, 14))
+            tables = [(tmp_path / "t.csv", [f"c{i}" for i in range(14)], [block])]
+            if with_noise:
+                tables.append((tmp_path / "n.csv", ["c0", "c4", "c5", "c6"],
+                               [block[:, 0], block[:, 4:7]]))
             tracemalloc.start()
             try:
-                cli._write_columns(tmp_path / "t.csv", [f"c{i}" for i in range(14)], columns)
+                with contextlib.ExitStack() as stack:
+                    cells.write_tables([(stack.enter_context(path.open("wb")), header, columns)
+                                        for path, header, columns in tables])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        chunk_cells = cli._CHUNK_ROWS * 14 * 24
+        chunk_cells = cells._CHUNK_ROWS * 14 * 24
         short, long = peak(2**13), peak(2**16)
         assert long < 4 * chunk_cells
         assert long < 1.25 * short
 
+    def test_simulate_formats_each_column_once_per_chunk(self, tmp_path, monkeypatch):
+        # 14 distinct float columns: the noise table's t and k_1..k_3 reuse the trajectory's
+        calls, float_cells = [], cells.float_cells
+        monkeypatch.setattr(cells, "float_cells", lambda c: calls.append(c.size) or float_cells(c))
+        args = ["simulate", "--steps-per-cycle", "10000", "--quiet", "-o", str(tmp_path / "s")]
+        assert main(args) == 0
+        assert calls == [4096] * 14 + [4096] * 14 + [10_001 - 2 * 4096] * 14
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        # a kernel that fails on the second chunk, as a full disk would
+        calls, float_cells = [], cells.float_cells
+
+        def failing(chunk):
+            calls.append(chunk)
+            if len(calls) > 14:
+                raise OSError(28, "No space left on device")
+            return float_cells(chunk)
+
+        monkeypatch.setattr(cells, "float_cells", failing)
+        args = ["simulate", "--steps-per-cycle", "10000", "--quiet", "-o", str(tmp_path / "s")]
+        assert main(args) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert len(calls) == 15
+        assert list(tmp_path.iterdir()) == []
+
     def test_unequal_lengths_raise(self, tmp_path):
         with pytest.raises(ValueError, match="differ in length"):
-            cli._write_columns(tmp_path / "t.csv", ["x", "y"], [np.zeros(3), np.zeros(4)])
+            _write_table(tmp_path / "t.csv", ["x", "y"], [np.zeros(3), np.zeros(4)])
+        # the tables of one call are written row-aligned, so they too have one length
+        with (tmp_path / "a.csv").open("wb") as a, (tmp_path / "b.csv").open("wb") as b:
+            with pytest.raises(ValueError, match="differ in length"):
+                cells.write_tables([(a, ["x"], [np.zeros(3)]), (b, ["y"], [np.zeros(4)])])
 
     def test_header_must_name_every_column(self, tmp_path):
         with pytest.raises(ValueError, match="header names"):
-            cli._write_columns(tmp_path / "t.csv", ["x", "y"], [np.zeros((3, 2)), None])
+            _write_table(tmp_path / "t.csv", ["x", "y"], [np.zeros((3, 2)), None])
 
     @pytest.mark.parametrize("branch", ["up", "down"])
     def test_simulate(self, tmp_path, branch):

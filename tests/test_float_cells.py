@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from berrysim import cli
+from berrysim import cells
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -29,7 +29,8 @@ _FLOATS = st.one_of(
 def test_cells_are_percent_17g(values):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cells.csv"
-        cli._write_columns(path, ["x"], [np.array(values, dtype=float)])
-        cells = path.read_text().splitlines()[1:]
-    assert cells == ["%.17g" % v for v in values]
-    assert all(math.isnan(v) or float(cell) == v for cell, v in zip(cells, values))
+        with path.open("wb") as out:
+            cells.write_tables([(out, ["x"], [np.array(values, dtype=float)])])
+        written = path.read_text().splitlines()[1:]
+    assert written == ["%.17g" % v for v in values]
+    assert all(math.isnan(v) or float(cell) == v for cell, v in zip(written, values))
