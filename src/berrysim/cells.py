@@ -182,8 +182,8 @@ def _cells(chunk: np.ndarray) -> np.ndarray:
     return chunk.view(np.uint8).reshape(chunk.size, -1)
 
 
-def _table(out, header: list, columns: list) -> tuple:
-    """Check a table and write its header; return ``out`` and its keyed 1-D columns."""
+def _table(out, header: list, columns: list) -> list:
+    """Check a table and write its header; return its 1-D columns, each with a key."""
     arrays = []
     for column in columns:
         if column is None:
@@ -200,7 +200,7 @@ def _table(out, header: list, columns: list) -> tuple:
         raise ValueError(f"{len(header)} header names for {len(arrays)} columns")
     out.write((",".join(header) + "\n").encode())
     # views of the same memory in the same layout hold the same values: one key
-    return out, [(a if a is None else (a.ctypes.data, a.strides, a.dtype.str), a) for a in arrays]
+    return [(a if a is None else (a.ctypes.data, a.strides, a.dtype.str), a) for a in arrays]
 
 
 def write_tables(tables: list) -> None:
@@ -212,7 +212,7 @@ def write_tables(tables: list) -> None:
     once for all tables, and goes to each table as one write: the cell
     matrices side by side, with comma and newline columns, NULs dropped.
     """
-    layouts = [_table(*table) for table in tables]
+    layouts = [(out, _table(out, header, columns)) for out, header, columns in tables]
     lengths = {a.size for _, keyed in layouts for _, a in keyed if a is not None}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")

@@ -184,7 +184,7 @@ def _flatten(payload: dict, prefix: str = "") -> list:
 
 
 def _dump_csv_pairs(payload: dict) -> str:
-    from .cells import _fmt
+    from .cells import _fmt  # cells builds its tables at import, so only this format pays
 
     # csv quotes a cell only when it holds a comma, a quote or a line break.
     out = io.StringIO()
@@ -640,7 +640,7 @@ _COMMANDS = {
 
 
 def _write_files(files: dict, config: RunConfig, command: str) -> list:
-    """Write each file at the output base plus its suffix; return the paths, or delete them."""
+    """Write each file at the base plus its suffix; return the paths, deleted if a write fails."""
     # an absolute base ignores the output directory
     base = Path(os.getenv("BERRYSIM_OUTPUT_DIR", ""), config.output_path or f"berrysim_{command}")
     paths, tables = [], []
