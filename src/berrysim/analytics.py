@@ -75,6 +75,12 @@ rule met wins, and its left side is the reported error.  That error is
 an estimate from successive differences, not a bound.  Near the
 roundoff floor (gamma*T ~ 1e-6 with sigma3 = 0, or gamma ~ 1e6) roundoff
 can meet a rule early or keep both from ever being met.
+
+The oracle's policy is its defaults, which every command uses: it starts
+at max(4096, 64*n_cycles) nodes, enough to resolve the fastest weight
+oscillation, with rtol = 1e-8, far below the 1e-6 agreement gate of the
+cross-checks without stalling near the roundoff floor, and gives up
+beyond 2**21 nodes.
 """
 
 from __future__ import annotations
@@ -388,9 +394,9 @@ def _covariances_by_quadrature(
     spec: PrecessionSpec,
     pairs: list,
     model: NoiseModel,
-    n_nodes: int = 4096,
+    n_nodes: int | None = None,
     *,
-    rtol: float = 1e-9,
+    rtol: float = 1e-8,
     max_nodes: int = 2**21,
 ) -> tuple:
     """:func:`covariance_by_quadrature` for each ``(weight_a, weight_b)`` in ``pairs``.
@@ -398,6 +404,8 @@ def _covariances_by_quadrature(
     The pairs share their passes: each grid size is filtered once in this
     call, whichever pairs need it.  The passes are not kept after it.
     """
+    if n_nodes is None:
+        n_nodes = max(4096, 64 * spec.n_cycles)
     if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 64:
         raise ValueError(f"n_nodes must be an integer >= 64, got {n_nodes}")
     if max_nodes < 2 * n_nodes:
@@ -451,20 +459,20 @@ def covariance_by_quadrature(
     weight_a: Weight,
     weight_b: Weight,
     model: NoiseModel,
-    n_nodes: int = 4096,
+    n_nodes: int | None = None,
     *,
-    rtol: float = 1e-9,
+    rtol: float = 1e-8,
     max_nodes: int = 2**21,
 ) -> QuadratureEstimate:
     """Covariance of two first-order functionals by direct quadrature.
 
     Evaluates the OU double integral with the exact exponential kernel
-    between nodes and doubles the grid from ``n_nodes``.  At each doubling
-    it returns the once-extrapolated value if its step-doubling estimate
-    meets ``rtol``, else the twice-extrapolated value if that
-    one's estimate does; the first rule met wins.  ``error`` is that
-    estimate, not a bound.  Choose ``n_nodes`` to resolve the fastest
-    weight oscillation (the CLI takes 64 nodes per drive cycle); raises
+    between nodes and doubles the grid from ``n_nodes``, by default
+    max(4096, 64*n_cycles), the policy every command uses (module
+    docstring).  At each doubling it returns the once-extrapolated value
+    if its step-doubling estimate meets ``rtol``, else the
+    twice-extrapolated value if that one's estimate does; the first rule
+    met wins.  ``error`` is that estimate, not a bound.  Raises
     :class:`AccuracyError` when neither rule is met by ``max_nodes``.
     """
     (estimate,) = _covariances_by_quadrature(

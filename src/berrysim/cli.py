@@ -69,7 +69,7 @@ from .evolve import (
     evolve_and_extract,
 )
 from .field import PrecessionSpec, adiabaticity_report, control_field
-from .montecarlo import _MODES, _adjoint_matrix, _law, check_law, run_ensemble, summarize
+from .montecarlo import _MODES, check_law, run_ensemble, summarize
 from .noise import NoiseModel, sample_path
 
 __all__ = ["RunConfig", "config_from_file", "main"]
@@ -200,16 +200,6 @@ def _rel_diff(a: float, b: float) -> float:
     return abs(a - b) / scale if scale > 0.0 else 0.0
 
 
-def _quad_nodes(spec: PrecessionSpec) -> int:
-    # Resolve the fastest weight oscillation: >= 64 nodes per drive cycle.
-    return max(4096, 64 * spec.n_cycles)
-
-
-# Keeps the quadrature cross-checks far below their 1e-6 agreement gate
-# without stalling near the roundoff floor at extreme working points.
-_QUAD_RTOL = 1e-8
-
-
 # --------------------------------------------------------------------------
 # commands
 
@@ -242,9 +232,7 @@ def _analytic_payload(config: RunConfig, *, oracle_cov: bool = False) -> dict:
     pairs = {"var_gamma": (w_gamma, w_gamma), "var_alpha": (w_alpha, w_alpha)}
     if oracle_cov:
         pairs["cov_gamma_delta"] = (w_gamma, w_delta)
-    quads = analytics._covariances_by_quadrature(
-        spec, list(pairs.values()), model, _quad_nodes(spec), rtol=_QUAD_RTOL
-    )
+    quads = analytics._covariances_by_quadrature(spec, list(pairs.values()), model)
     quadrature = {
         key: {
             "value": quad.value,
@@ -391,12 +379,13 @@ def _loglog_slopes(t_values: list, rows: list) -> dict:
     """Least-squares slopes of log var_gamma and log var_delta against log T.
 
     ``rows`` hold the variances at ``t_values``; a series with a value
-    at or below zero has no slope and is left out.
+    at or below zero, or over fewer than two distinct T, has no slope and
+    is left out.
     """
     slopes = {}
     for key in ("var_gamma", "var_delta"):
         series = np.array([row[key] for row in rows])
-        if np.all(series > 0.0):
+        if len(set(t_values)) > 1 and np.all(series > 0.0):
             slopes[key] = float(np.polyfit(np.log(t_values), np.log(series), 1)[0])
     return slopes
 
@@ -440,20 +429,18 @@ def cmd_sweep(
             "narrowband_var_gamma": analytics.berry_phase_variance_narrowband(spec, model),
             "broadband_var_gamma": analytics.berry_phase_variance_broadband(spec, model),
             "var_gamma_quadrature": analytics.covariance_by_quadrature(
-                spec, w_gamma, w_gamma, model, _quad_nodes(spec), rtol=1e-7
+                spec, w_gamma, w_gamma, model
             ).value,
         }
         if with_mc:
-            # the exact law of mc's first-order records, as check_law computes it
-            n_steps = point.steps_per_cycle * spec.n_cycles
-            law = _law(_adjoint_matrix(spec, model, n_steps))[0]
-            row["law_var_gamma"] = float(law[0, 0])
-            row["law_var_delta"] = float(law[1, 1])
-            row["law_cov_gamma_delta"] = float(law[0, 1])
+            # mc's law check, against the closed moments the row already holds
+            law = check_law(spec, model, row, point.n_trials, point.integrator())
+            for key in ("var_gamma", "var_delta", "cov_gamma_delta"):
+                row["law_" + key] = law[key]["law"]
         rows.append(row)
 
     slopes = {}
-    if param == "t_total" and len(values) >= 2:
+    if param == "t_total":
         slopes = {f"loglog_slope_{k}": v for k, v in _loglog_slopes(values, rows).items()}
 
     header = list(rows[0].keys())
@@ -485,16 +472,12 @@ def _battery(config: RunConfig) -> list:
     model = config.model()
     payload = _analytic_payload(config, oracle_cov=True)
     moments = payload["moments"]
-    quadrature = payload["quadrature"]
-    for name, closed, value in (
-        ("oracle_var_gamma", moments["var_gamma"], quadrature["var_gamma"]["value"]),
-        ("oracle_var_alpha", moments["var_alpha"], quadrature["var_alpha"]["value"]),
-        ("oracle_cov", moments["cov_gamma_delta"], quadrature["cov_gamma_delta"]["value"]),
-    ):
-        rel = _rel_diff(value, closed)
-        checks.append(
-            (name, rel <= 1e-6, f"closed={closed:.9e} quadrature={value:.9e} rel={rel:.2e}")
-        )
+    for name, key in (("oracle_var_gamma", "var_gamma"), ("oracle_var_alpha", "var_alpha"),
+                      ("oracle_cov", "cov_gamma_delta")):
+        quad = payload["quadrature"][key]
+        rel = quad["rel_diff_closed"]
+        checks.append((name, rel <= 1e-6,
+                       f"closed={moments[key]:.9e} quadrature={quad['value']:.9e} rel={rel:.2e}"))
 
     # Limiting forms, each evaluated in its own regime at this geometry.
     spec_1 = dataclasses.replace(config, n_cycles=1).spec()
@@ -612,7 +595,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--fixed-omega", action="store_true",
                        help="rescale n_cycles so omega stays constant (t_total sweeps)")
     sweep.add_argument("--with-mc", action="store_true",
-                       help="attach the exact law C(n) of mc's first-order records per point")
+                       help="attach the exact law C(n) of mc's first-order records per point; "
+                            "draws no ensemble, so --seed and --n-trials do not change the rows")
     sub.add_parser("compare", parents=[common], help="self-check battery")
     return parser
 

@@ -245,7 +245,8 @@ def test_04_monte_carlo_matches_closed_forms(capsys):
         for key, target in targets.items()
     }
     cov_oracle = covariance_by_quadrature(
-        REF_SPEC, geometric_weight(REF_SPEC), dynamical_weight(REF_SPEC), REF_MODEL
+        REF_SPEC, geometric_weight(REF_SPEC), dynamical_weight(REF_SPEC), REF_MODEL, 4096,
+        rtol=1e-9,
     ).value
     z_cov = abs(stats["cov_gamma_delta"] - cov_oracle) / stats["se_cov_gamma_delta"]
     significance = abs(stats["cov_gamma_delta"]) / stats["se_cov_gamma_delta"]

@@ -330,26 +330,26 @@ class TestQuadratureOracle:
     """Closed forms vs direct integration of the OU kernel against the weights."""
 
     def test_variance_matches_closed_form(self):
-        est = covariance_by_quadrature(SPEC, W_GAMMA, W_GAMMA, MODEL, 4096)
+        est = covariance_by_quadrature(SPEC, W_GAMMA, W_GAMMA, MODEL, 4096, rtol=1e-9)
         assert est.error <= 1e-9 * abs(est.value) + 1e-18
         assert est.value == pytest.approx(VAR_GAMMA, rel=1e-10)
 
     def test_dynamical_variance_matches_closed_form(self):
-        est = covariance_by_quadrature(SPEC, W_DELTA, W_DELTA, MODEL, 4096)
+        est = covariance_by_quadrature(SPEC, W_DELTA, W_DELTA, MODEL, 4096, rtol=1e-9)
         assert est.value == pytest.approx(VAR_DELTA, rel=1e-10)
 
     def test_covariance_matches_closed_form(self):
         est = covariance_by_quadrature(
-            SPEC, geometric_weight(SPEC), dynamical_weight(SPEC), MODEL, 4096
+            SPEC, geometric_weight(SPEC), dynamical_weight(SPEC), MODEL, 4096, rtol=1e-9
         )
         assert est.value == pytest.approx(COV_GAMMA_DELTA, rel=1e-10)
 
     def test_covariance_is_symmetric(self):
         a = covariance_by_quadrature(
-            SPEC, geometric_weight(SPEC), dynamical_weight(SPEC), MODEL, 2048
+            SPEC, geometric_weight(SPEC), dynamical_weight(SPEC), MODEL, 2048, rtol=1e-9
         )
         b = covariance_by_quadrature(
-            SPEC, dynamical_weight(SPEC), geometric_weight(SPEC), MODEL, 2048
+            SPEC, dynamical_weight(SPEC), geometric_weight(SPEC), MODEL, 2048, rtol=1e-9
         )
         assert a.value == pytest.approx(b.value, rel=1e-12)
 
@@ -358,19 +358,21 @@ class TestQuadratureOracle:
         t_total, sigma, gamma = 50.0, 0.3, 0.25
         model = NoiseModel.from_scalars(0.0, 1.0, sigma, gamma)
         spec = PrecessionSpec(b0=1.0, theta0=0.0, t_total=t_total, n_cycles=1)
-        est = covariance_by_quadrature(spec, Weight(0.0, 1.0), Weight(0.0, 1.0), model, 1024)
+        est = covariance_by_quadrature(
+            spec, Weight(0.0, 1.0), Weight(0.0, 1.0), model, 1024, rtol=1e-9
+        )
         u = gamma * t_total
         expected = 2.0 * sigma**2 * (u + math.expm1(-u)) / gamma**2
         assert est.value == pytest.approx(expected, rel=1e-10)
 
     def test_zero_noise_short_circuits(self):
         model = NoiseModel.from_scalars(0.0, 1.0, 0.0, 1.0)
-        est = covariance_by_quadrature(SPEC, W_GAMMA, W_GAMMA, model, 64)
+        est = covariance_by_quadrature(SPEC, W_GAMMA, W_GAMMA, model, 64, rtol=1e-9)
         assert est.value == 0.0
         assert est.error == 0.0
 
     def test_refinement_reports_node_count(self):
-        est = covariance_by_quadrature(SPEC, W_GAMMA, W_GAMMA, MODEL, 256)
+        est = covariance_by_quadrature(SPEC, W_GAMMA, W_GAMMA, MODEL, 256, rtol=1e-9)
         assert est.nodes >= 256
         assert est.nodes % 2 == 0 or est.nodes >= 256  # doubled grids
 
@@ -382,7 +384,7 @@ class TestQuadratureOracle:
 
     def test_rejects_tiny_grids(self):
         with pytest.raises(ValueError):
-            covariance_by_quadrature(SPEC, W_GAMMA, W_GAMMA, MODEL, 32)
+            covariance_by_quadrature(SPEC, W_GAMMA, W_GAMMA, MODEL, 32, rtol=1e-9)
 
     @pytest.mark.xfail(
         strict=True, raises=AssertionError,
@@ -897,7 +899,7 @@ class TestPeriodReduction:
             for theta0 in PERIOD_THETAS:
                 pairs = _pairs_at(spec, theta0)
                 quads = analytics._covariances_by_quadrature(
-                    spec, list(pairs.values()), model, max(4096, 64 * n_cycles)
+                    spec, list(pairs.values()), model, max(4096, 64 * n_cycles), rtol=1e-9
                 )
                 for (key, (x, y)), quad in zip(pairs.items(), quads):
                     exact = phase_covariance(spec, model, x, y)["total"]

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -1011,8 +1012,8 @@ _COMMAND_PINS = {
         ],
         0,
         {
-            "pin.summary.json": "1105cfcdba6efcde1ffad22d76502f19f019a4699c1ee8a8a9a6f68fbc5c23fd",
-            "pin.sweep.csv": "cc11f80757d5ba145856f0a2393619c30876f91b5824b629a06a47bab9511d12",
+            "pin.summary.json": "35aa0a72614f1f3be698d376d98a83f4b031afc7a485554f4d32badb10bef0aa",
+            "pin.sweep.csv": "5e0b931595a0a7d8a235c33b7799874783ad6e2c3b566e0ea9b29879d30a121d",
         },
         [
             "sweep: 2 points over t_total loglog_slope_var_gamma=-0.6054 loglog_slope_var_delta=1.3946 wrote <dir>/pin.sweep.csv <dir>/pin.summary.json",
@@ -1182,6 +1183,15 @@ class TestSweepCommand:
             for name in ("var_gamma", "var_delta", "cov_gamma_delta"):
                 assert row[f"law_{name}"].hex() == law[name]["law"].hex()
 
+    def test_no_slope_from_one_distinct_t_total(self, tmp_path, capsys):
+        # two rows at one T fit no line, so neither series has a slope
+        argv = ["sweep", "--param", "t_total", "--values", "100,100", "-o", str(tmp_path / "sw")]
+        assert main(argv) == 0
+        assert read_json(tmp_path / "sw.summary.json")["slopes"] == {}
+        out, err = capsys.readouterr()
+        assert "loglog_slope" not in out
+        assert err == ""
+
     def test_theta0_sweep_tracks_closed_form(self, tmp_path):
         base = tmp_path / "th"
         args = [
@@ -1280,6 +1290,63 @@ class TestSweepCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestOraclePolicy:
+    """The oracle's defaults are its policy, and every command publishes their value."""
+
+    POINTS = {
+        "1_cycle": {},
+        "4_cycles": {"n_cycles": 4},
+        "96_cycles": {"n_cycles": 96},
+        "theta0_0": {"theta0": 0.0},
+        "sigma3_0": {"sigma3": 0.0},
+    }
+
+    @pytest.mark.parametrize("name", sorted(POINTS))
+    def test_one_oracle_value_per_point(self, tmp_path, name):
+        overrides = self.POINTS[name]
+        config = RunConfig(**overrides)
+        flags = [arg for key, value in overrides.items()
+                 for arg in ("--" + key.replace("_", "-"), str(value))]
+        assert main(["analytic", *flags, "--quiet", "-o", str(tmp_path / "a")]) == 0
+        argv = ["sweep", "--param", "theta0", "--values", repr(config.theta0), *flags,
+                "--quiet", "-o", str(tmp_path / "s")]
+        assert main(argv) == 0
+        quad = read_json(tmp_path / "a.analytic.json")["quadrature"]["var_gamma"]
+        (row,) = read_json(tmp_path / "s.summary.json")["rows"]
+        spec = config.spec()
+        w = analytics.geometric_weight(spec)
+        library = analytics.covariance_by_quadrature(spec, w, w, config.model())
+        assert row["var_gamma_quadrature"].hex() == quad["value"].hex() == library.value.hex()
+        assert quad["nodes"] == library.nodes
+        assert library.nodes % max(4096, 64 * spec.n_cycles) == 0
+
+    def test_commands_set_no_oracle_policy(self, tmp_path, monkeypatch):
+        # the oracle's arguments, by name, of every call that the CLI makes
+        calls = []
+
+        def recording(original):
+            signature = inspect.signature(original)
+
+            def wrapper(*args, **kwargs):
+                if sys._getframe(1).f_globals["__name__"] == cli.__name__:
+                    calls.append(set(signature.bind(*args, **kwargs).arguments))
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("_covariances_by_quadrature", "covariance_by_quadrature"):
+            monkeypatch.setattr(analytics, name, recording(getattr(analytics, name)))
+        for argv in (
+            ["analytic"],
+            ["compare", "--n-trials", "1000", "--steps-per-cycle", "512", "--seed", "3"],
+            ["sweep", "--param", "theta0", "--values", "0.5,1.0", "--with-mc"],
+        ):
+            calls.clear()
+            assert main([*argv, "--quiet", "-o", str(tmp_path / "out")]) == 0
+            assert calls, argv
+            assert all(not names & {"n_nodes", "rtol", "max_nodes"} for names in calls), argv
+
+
 class TestCompareCommand:
     SMALL = ["--n-trials", "1000", "--steps-per-cycle", "512", "--seed", "3"]
 
@@ -1375,20 +1442,26 @@ def _reference_battery(config: RunConfig) -> list:
 
     w_gamma = analytics.geometric_weight(spec)
     w_delta = analytics.dynamical_weight(spec)
-    quad_gamma = analytics.covariance_by_quadrature(spec, w_gamma, w_gamma, model, nodes)
+    quad_gamma = analytics.covariance_by_quadrature(
+        spec, w_gamma, w_gamma, model, nodes, rtol=1e-9
+    )
     rel = _reference_rel_diff(quad_gamma.value, moments["var_gamma"])
     checks.append(
         ("oracle_var_gamma", rel <= 1e-6,
          f"closed={moments['var_gamma']:.9e} quadrature={quad_gamma.value:.9e} rel={rel:.2e}")
     )
     w_alpha = w_gamma + w_delta
-    quad_alpha = analytics.covariance_by_quadrature(spec, w_alpha, w_alpha, model, nodes)
+    quad_alpha = analytics.covariance_by_quadrature(
+        spec, w_alpha, w_alpha, model, nodes, rtol=1e-9
+    )
     rel = _reference_rel_diff(quad_alpha.value, moments["var_alpha"])
     checks.append(
         ("oracle_var_alpha", rel <= 1e-6,
          f"closed={moments['var_alpha']:.9e} quadrature={quad_alpha.value:.9e} rel={rel:.2e}")
     )
-    quad_cov = analytics.covariance_by_quadrature(spec, w_gamma, w_delta, model, nodes)
+    quad_cov = analytics.covariance_by_quadrature(
+        spec, w_gamma, w_delta, model, nodes, rtol=1e-9
+    )
     rel = _reference_rel_diff(quad_cov.value, moments["cov_gamma_delta"])
     checks.append(
         ("oracle_cov", rel <= 1e-6,
