@@ -76,11 +76,11 @@ an estimate from successive differences, not a bound.  Near the
 roundoff floor (gamma*T ~ 1e-6 with sigma3 = 0, or gamma ~ 1e6) roundoff
 can meet a rule early or keep both from ever being met.
 
-The oracle's policy is its defaults, which every command uses: it starts
-at max(4096, 64*n_cycles) nodes, enough to resolve the fastest weight
+The oracle's policy is fixed, not a set of defaults: it starts at
+max(4096, 64*n_cycles) nodes, enough to resolve the fastest weight
 oscillation, with rtol = 1e-8, far below the 1e-6 agreement gate of the
 cross-checks without stalling near the roundoff floor, and gives up
-beyond 2**21 nodes.
+beyond 2**21 nodes, so it refuses n_cycles > 16384.
 """
 
 from __future__ import annotations
@@ -203,12 +203,14 @@ def _longitudinal_bracket(gamma: float, t_total: float) -> float:
     return (u + math.expm1(-u)) / (gamma * gamma)
 
 
-def _form(model: NoiseModel, x: Weight, y: Weight, j: float, ell: float) -> dict:
+def _form(spec: PrecessionSpec, model: NoiseModel, x: Weight, y: Weight,
+          j: float, ell: float) -> dict:
     """The quadratic form of the module docstring at the brackets j and ell.
 
     Returns its ``transverse`` and ``longitudinal`` noise parts and their
     ``total``, in that order.  Raises ValueError when a part is not
-    finite in float64, which the noise amplitudes reach near sigma ~ 1e154.
+    finite in float64, naming the first factor that is not: a bracket,
+    an amplitude product of the weights, or else the noise.
     """
     try:
         terms = (
@@ -217,12 +219,23 @@ def _form(model: NoiseModel, x: Weight, y: Weight, j: float, ell: float) -> dict
         )
     except OverflowError:
         terms = (math.inf,)
-    if not all(map(math.isfinite, terms)):
-        raise ValueError(
-            f"closed-form moments are not finite at sigma12={model.transverse.sigma:g}, "
-            f"sigma3={model.longitudinal.sigma:g}: the noise is too strong for float64"
-        )
-    return {"transverse": terms[0], "longitudinal": terms[1], "total": terms[0] + terms[1]}
+    if all(map(math.isfinite, terms)):
+        return {"transverse": terms[0], "longitudinal": terms[1], "total": terms[0] + terms[1]}
+    transverse, longitudinal = model.transverse, model.longitudinal
+    if not math.isfinite(j):
+        at = f"gamma12={transverse.gamma:g}, omega={spec.omega:g}, t_total={spec.t_total:g}"
+        why = f"the J bracket is {j:g} in float64"
+    elif not math.isfinite(ell):
+        at = f"gamma3={longitudinal.gamma:g}, t_total={spec.t_total:g}"
+        why = f"the L bracket is {ell:g} in float64"
+    elif not all(map(math.isfinite, (x.transverse * y.transverse,
+                                     x.longitudinal * y.longitudinal))):
+        at = f"b0={spec.b0:g}, t_total={spec.t_total:g}, n_cycles={spec.n_cycles}"
+        why = "the product of the weight amplitudes overflows float64"
+    else:
+        at = f"sigma12={transverse.sigma:g}, sigma3={longitudinal.sigma:g}"
+        why = "the noise is too strong for float64"
+    raise ValueError(f"closed-form moments are not finite at {at}: {why}")
 
 
 def phase_covariance(
@@ -238,7 +251,7 @@ def phase_covariance(
     """
     j = _transverse_bracket(model.transverse.gamma, spec.omega, spec.t_total)
     ell = _longitudinal_bracket(model.longitudinal.gamma, spec.t_total)
-    return _form(model, x, y, j, ell)
+    return _form(spec, model, x, y, j, ell)
 
 
 def second_moments(spec: PrecessionSpec, model: NoiseModel) -> dict:
@@ -275,7 +288,7 @@ def berry_phase_variance_narrowband(
     if ell < 0.0:
         return None
     w = geometric_weight(spec)
-    return _form(model, w, w, j, ell)["total"]
+    return _form(spec, model, w, w, j, ell)["total"]
 
 
 def berry_phase_variance_broadband(
@@ -294,7 +307,7 @@ def berry_phase_variance_broadband(
     if max(j, ell) > 0.5 * spec.t_total**2:
         return None
     w = geometric_weight(spec)
-    return _form(model, w, w, j, ell)["total"]
+    return _form(spec, model, w, w, j, ell)["total"]
 
 
 # --------------------------------------------------------------------------
@@ -325,6 +338,10 @@ def _filtered_kernel(w: np.ndarray, gamma: float, h: float) -> np.ndarray:
     x[1:] = i1 * w[1:] + (i0 - i1) * w[:-1]
     return _ar1(x, math.exp(-u))
 
+
+# The oracle's fixed policy (module docstring): the tolerance and the largest grid.
+_QUAD_RTOL = 1e-8
+_QUAD_MAX_NODES = 2**21
 
 # The bases each noise part filters: cos(omega t) and sin(omega t) for the
 # transverse pair, the constant 1 for the longitudinal component.
@@ -390,26 +407,19 @@ def _pass_value(coeffs: tuple, integrals: tuple) -> float:
     return float(total)
 
 
-def _covariances_by_quadrature(
-    spec: PrecessionSpec,
-    pairs: list,
-    model: NoiseModel,
-    n_nodes: int | None = None,
-    *,
-    rtol: float = 1e-8,
-    max_nodes: int = 2**21,
-) -> tuple:
+def _covariances_by_quadrature(spec: PrecessionSpec, pairs: list, model: NoiseModel) -> tuple:
     """:func:`covariance_by_quadrature` for each ``(weight_a, weight_b)`` in ``pairs``.
 
     The pairs share their passes: each grid size is filtered once in this
     call, whichever pairs need it.  The passes are not kept after it.
     """
-    if n_nodes is None:
-        n_nodes = max(4096, 64 * spec.n_cycles)
-    if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 64:
-        raise ValueError(f"n_nodes must be an integer >= 64, got {n_nodes}")
-    if max_nodes < 2 * n_nodes:
-        raise ValueError("max_nodes must allow at least one grid doubling")
+    n_nodes = max(4096, 64 * spec.n_cycles)
+    if 2 * n_nodes > _QUAD_MAX_NODES:
+        raise ValueError(
+            f"the quadrature oracle takes n_cycles <= {_QUAD_MAX_NODES // 128}, got "
+            f"{spec.n_cycles}: its start grid of 64*n_cycles nodes must double within "
+            f"its {_QUAD_MAX_NODES}-node limit"
+        )
     coeffs = [
         (
             2.0 * model.transverse.sigma**2 * (x.transverse * y.transverse),
@@ -425,10 +435,8 @@ def _covariances_by_quadrature(
             passes[n] = _quadrature_pass(spec, model, n, parts)
         return passes[n]
 
-    return tuple(
-        _extrapolate(lambda n, c=c: _pass_value(c, integrals(n)), int(n_nodes), rtol, max_nodes)
-        for c in coeffs
-    )
+    rule = (n_nodes, _QUAD_RTOL, _QUAD_MAX_NODES)
+    return tuple(_extrapolate(lambda n, c=c: _pass_value(c, integrals(n)), *rule) for c in coeffs)
 
 
 def _extrapolate(pass_value, n: int, rtol: float, max_nodes: int) -> QuadratureEstimate:
@@ -455,29 +463,20 @@ def _extrapolate(pass_value, n: int, rtol: float, max_nodes: int) -> QuadratureE
 
 
 def covariance_by_quadrature(
-    spec: PrecessionSpec,
-    weight_a: Weight,
-    weight_b: Weight,
-    model: NoiseModel,
-    n_nodes: int | None = None,
-    *,
-    rtol: float = 1e-8,
-    max_nodes: int = 2**21,
+    spec: PrecessionSpec, weight_a: Weight, weight_b: Weight, model: NoiseModel
 ) -> QuadratureEstimate:
     """Covariance of two first-order functionals by direct quadrature.
 
     Evaluates the OU double integral with the exact exponential kernel
-    between nodes and doubles the grid from ``n_nodes``, by default
-    max(4096, 64*n_cycles), the policy every command uses (module
-    docstring).  At each doubling it returns the once-extrapolated value
-    if its step-doubling estimate meets ``rtol``, else the
+    between nodes and doubles the grid on the oracle's fixed policy
+    (module docstring).  At each doubling it returns the once-extrapolated
+    value if its step-doubling estimate meets rtol, else the
     twice-extrapolated value if that one's estimate does; the first rule
     met wins.  ``error`` is that estimate, not a bound.  Raises
-    :class:`AccuracyError` when neither rule is met by ``max_nodes``.
+    :class:`AccuracyError` when neither rule is met within the policy's
+    grids, and ValueError past n_cycles = 16384.
     """
-    (estimate,) = _covariances_by_quadrature(
-        spec, [(weight_a, weight_b)], model, n_nodes, rtol=rtol, max_nodes=max_nodes
-    )
+    (estimate,) = _covariances_by_quadrature(spec, [(weight_a, weight_b)], model)
     return estimate
 
 

@@ -283,9 +283,7 @@ def cmd_mc(config: RunConfig) -> Outcome:
     if ensemble.processes > 1:
         timing += f", {ensemble.processes} processes"
     stats = summarize(ensemble)
-    law = check_law(
-        spec, model, moments, len(ensemble), config.integrator(), ensemble.covariance
-    )
+    law = check_law(spec, model, len(ensemble), config.integrator(), ensemble.covariance)
     header = ["trial_index", "gamma_fo", "delta_fo", "alpha_fo", "gamma_sim", "leakage"]
     columns = [np.arange(len(ensemble)), *(getattr(ensemble, name) for name in header[1:])]
     payload = {
@@ -433,8 +431,7 @@ def cmd_sweep(
             ).value,
         }
         if with_mc:
-            # mc's law check, against the closed moments the row already holds
-            law = check_law(spec, model, row, point.n_trials, point.integrator())
+            law = check_law(spec, model, point.n_trials, point.integrator())
             for key in ("var_gamma", "var_delta", "cov_gamma_delta"):
                 row["law_" + key] = law[key]["law"]
         rows.append(row)
@@ -495,7 +492,7 @@ def _battery(config: RunConfig) -> list:
             (name, rel <= 0.05, f"limit={limit:.6e} closed={closed:.6e} rel={rel:.2e}")
         )
 
-    law = check_law(spec, model, moments, config.n_trials, config.integrator())
+    law = check_law(spec, model, config.n_trials, config.integrator())
     detail = "; ".join(law["failures"]) or "|C - closed| within both bounds: " + ", ".join(
         f"{name} {e['error']:.2e} <= {min(e['doubling_bound'], e['sampling_bound']):.2e}"
         for name, e in law.items() if name != "failures"

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import dynamical_weight, geometric_weight
+from . import analytics
 from .evolve import IntegratorConfig, _control_grids, _evolve
 from .field import PrecessionSpec
 from .noise import NoiseModel, _draw_innovations, _ou_filter
@@ -120,7 +120,7 @@ def _adjoint_matrix(spec: PrecessionSpec, model: NoiseModel, n_steps: int) -> np
     quad[0] = quad[-1] = 0.5 * dt
     return np.stack([
         _ou_filter(model, dt, w.on_grid(spec, times) * quad[:, None], adjoint=True).reshape(-1)
-        for w in (geometric_weight(spec), dynamical_weight(spec))
+        for w in (analytics.geometric_weight(spec), analytics.dynamical_weight(spec))
     ])
 
 
@@ -369,7 +369,6 @@ def summarize(ensemble: Ensemble) -> dict:
 def check_law(
     spec: PrecessionSpec,
     model: NoiseModel,
-    moments: dict,
     n_trials: int,
     config: IntegratorConfig,
     covariance: np.ndarray | None = None,
@@ -393,7 +392,8 @@ def check_law(
     ``cov_gamma_delta``, each with its ``law``, ``closed``, ``error`` and
     the two bounds, and by ``failures``, which names each entry and bound
     that the error exceeds; the law passes where it is empty.  The check
-    reads no record, so its verdict does not depend on the seed.
+    reads the closed forms from :func:`~berrysim.analytics.phase_moments`
+    and no record, so its verdict does not depend on the seed.
     """
     n_steps = config.steps_per_cycle * spec.n_cycles
     if covariance is None:
@@ -407,6 +407,7 @@ def check_law(
         "sampling": np.hypot(scale, covariance) / math.sqrt(n_trials - 1)
         if n_trials > 1 else np.full((2, 2), math.inf),
     }
+    moments = analytics.phase_moments(spec, model)
     cov = moments["cov_gamma_delta"]
     closed = np.array([[moments["var_gamma"], cov], [cov, moments["var_delta"]]])
     error = np.abs(covariance - closed)

@@ -24,7 +24,6 @@ from berrysim import (
     berry_phase_variance_broadband,
     berry_phase_variance_narrowband,
     connection_phase_discrete,
-    covariance_by_quadrature,
     dephasing_factor,
     dynamical_weight,
     evolve_and_extract,
@@ -37,7 +36,7 @@ from berrysim import (
 )
 from berrysim import montecarlo
 from berrysim.cli import main
-from test_analytics import density_matrix_after
+from test_analytics import _oracle, density_matrix_after
 from test_montecarlo import _reference_coherence, _reference_law_records
 
 
@@ -244,9 +243,8 @@ def test_04_monte_carlo_matches_closed_forms(capsys):
         key: abs(stats["variance"][key] - target) / stats["sem_variance"][key]
         for key, target in targets.items()
     }
-    cov_oracle = covariance_by_quadrature(
-        REF_SPEC, geometric_weight(REF_SPEC), dynamical_weight(REF_SPEC), REF_MODEL, 4096,
-        rtol=1e-9,
+    cov_oracle = _oracle(
+        REF_SPEC, geometric_weight(REF_SPEC), dynamical_weight(REF_SPEC), REF_MODEL, 4096, 1e-9
     ).value
     z_cov = abs(stats["cov_gamma_delta"] - cov_oracle) / stats["se_cov_gamma_delta"]
     significance = abs(stats["cov_gamma_delta"]) / stats["se_cov_gamma_delta"]

@@ -22,7 +22,7 @@ from berrysim.cli import RunConfig, config_from_file, main
 from berrysim.evolve import evolve_and_extract
 from berrysim.field import PrecessionSpec, adiabaticity_report, control_field
 from berrysim.noise import NoiseModel, sample_path
-from test_analytics import _reference_noncyclic_connection_term
+from test_analytics import _oracle, _reference_noncyclic_connection_term
 from test_evolve import _reference_connection_phase_discrete
 from test_montecarlo import _reference_adjoint, _reference_law_bounds, _reference_run_ensemble
 
@@ -317,6 +317,16 @@ def test_public_surface():
         "trial_seed",
     ])
     assert all(hasattr(berrysim, name) for name in berrysim.__all__)
+
+
+def test_checkers_take_no_policy():
+    # the oracle and the law check decide their own tolerances, grids and closed forms
+    def names(function):
+        return list(inspect.signature(function).parameters)
+
+    assert names(analytics.covariance_by_quadrature) == ["spec", "weight_a", "weight_b", "model"]
+    assert names(analytics._covariances_by_quadrature) == ["spec", "pairs", "model"]
+    assert names(montecarlo.check_law) == ["spec", "model", "n_trials", "config", "covariance"]
 
 
 class TestAnalyticCommand:
@@ -692,6 +702,32 @@ def test_non_finite_moments_are_a_usage_error(tmp_path, capsys, args, sigma):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: closed-form moments are not finite at sigma12={float(sigma):g}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags,reason",
+    [
+        # omega**2 overflows, so J is inf/inf
+        (["--t-total", "1e-300"],
+         "gamma12=0.1, omega=6.28319e+300, t_total=1e-300: the J bracket is nan in float64"),
+        # gamma12**2 overflows; the true J is near T/gamma12
+        (["--gamma12", "1e300"],
+         "gamma12=1e+300, omega=0.0628319, t_total=100: the J bracket is nan in float64"),
+        # T**2 overflows in the small-u series
+        (["--gamma3", "1e-160", "--t-total", "1e155"],
+         "gamma3=1e-160, t_total=1e+155: the L bracket is inf in float64"),
+        # the geometric amplitudes are 1.6e298
+        (["--b0", "1e-300"],
+         "b0=1e-300, t_total=100, n_cycles=1: "
+         "the product of the weight amplitudes overflows float64"),
+        (["--sigma12", "1e200"],
+         "sigma12=1e+200, sigma3=0.05: the noise is too strong for float64"),
+    ],
+)
+def test_non_finite_moments_name_their_cause(tmp_path, capsys, flags, reason):
+    assert main(["analytic", *flags, "--quiet", "-o", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: closed-form moments are not finite at {reason}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1291,7 +1327,7 @@ class TestSweepCommand:
 
 
 class TestOraclePolicy:
-    """The oracle's defaults are its policy, and every command publishes their value."""
+    """The oracle's policy is fixed, and every command publishes its value."""
 
     POINTS = {
         "1_cycle": {},
@@ -1320,31 +1356,26 @@ class TestOraclePolicy:
         assert quad["nodes"] == library.nodes
         assert library.nodes % max(4096, 64 * spec.n_cycles) == 0
 
-    def test_commands_set_no_oracle_policy(self, tmp_path, monkeypatch):
-        # the oracle's arguments, by name, of every call that the CLI makes
-        calls = []
+    @pytest.mark.parametrize(
+        "command", [["analytic"], ["sweep", "--param", "theta0", "--values", "0.5"]]
+    )
+    def test_grid_limit_is_stated_by_n_cycles(self, tmp_path, capsys, command):
+        # the start grid of 64*n_cycles nodes must double within 2**21 nodes
+        def run(n_cycles):
+            argv = [*command, "--n-cycles", str(n_cycles), "--t-total", str(100 * n_cycles),
+                    "--quiet", "-o", str(tmp_path / "x")]
+            return main(argv), capsys.readouterr().err
 
-        def recording(original):
-            signature = inspect.signature(original)
-
-            def wrapper(*args, **kwargs):
-                if sys._getframe(1).f_globals["__name__"] == cli.__name__:
-                    calls.append(set(signature.bind(*args, **kwargs).arguments))
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for name in ("_covariances_by_quadrature", "covariance_by_quadrature"):
-            monkeypatch.setattr(analytics, name, recording(getattr(analytics, name)))
-        for argv in (
-            ["analytic"],
-            ["compare", "--n-trials", "1000", "--steps-per-cycle", "512", "--seed", "3"],
-            ["sweep", "--param", "theta0", "--values", "0.5,1.0", "--with-mc"],
-        ):
-            calls.clear()
-            assert main([*argv, "--quiet", "-o", str(tmp_path / "out")]) == 0
-            assert calls, argv
-            assert all(not names & {"n_nodes", "rtol", "max_nodes"} for names in calls), argv
+        code, err = run(16384)
+        assert code == 3
+        assert "did not reach rtol=1e-08 within 2097152 nodes" in err
+        code, err = run(16385)
+        assert code == 2
+        assert err == (
+            "error: the quadrature oracle takes n_cycles <= 16384, got 16385: "
+            "its start grid of 64*n_cycles nodes must double within its 2097152-node limit\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCompareCommand:
@@ -1442,26 +1473,20 @@ def _reference_battery(config: RunConfig) -> list:
 
     w_gamma = analytics.geometric_weight(spec)
     w_delta = analytics.dynamical_weight(spec)
-    quad_gamma = analytics.covariance_by_quadrature(
-        spec, w_gamma, w_gamma, model, nodes, rtol=1e-9
-    )
+    quad_gamma = _oracle(spec, w_gamma, w_gamma, model, nodes, 1e-9)
     rel = _reference_rel_diff(quad_gamma.value, moments["var_gamma"])
     checks.append(
         ("oracle_var_gamma", rel <= 1e-6,
          f"closed={moments['var_gamma']:.9e} quadrature={quad_gamma.value:.9e} rel={rel:.2e}")
     )
     w_alpha = w_gamma + w_delta
-    quad_alpha = analytics.covariance_by_quadrature(
-        spec, w_alpha, w_alpha, model, nodes, rtol=1e-9
-    )
+    quad_alpha = _oracle(spec, w_alpha, w_alpha, model, nodes, 1e-9)
     rel = _reference_rel_diff(quad_alpha.value, moments["var_alpha"])
     checks.append(
         ("oracle_var_alpha", rel <= 1e-6,
          f"closed={moments['var_alpha']:.9e} quadrature={quad_alpha.value:.9e} rel={rel:.2e}")
     )
-    quad_cov = analytics.covariance_by_quadrature(
-        spec, w_gamma, w_delta, model, nodes, rtol=1e-9
-    )
+    quad_cov = _oracle(spec, w_gamma, w_delta, model, nodes, 1e-9)
     rel = _reference_rel_diff(quad_cov.value, moments["cov_gamma_delta"])
     checks.append(
         ("oracle_cov", rel <= 1e-6,

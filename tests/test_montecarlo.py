@@ -27,7 +27,7 @@ from berrysim import (
     summarize,
     trial_seed,
 )
-from berrysim import montecarlo, noise
+from berrysim import analytics, montecarlo, noise
 from berrysim.evolve import _control_grids, _evolve
 from berrysim.noise import _draw_innovations, _ou_filter
 
@@ -839,7 +839,7 @@ class TestCheckLaw:
         # an odd grid halves to n // 2 steps, so the doubling ratio is n / (n // 2)
         config = IntegratorConfig(steps_per_cycle=steps_per_cycle)
         moments = phase_moments(SPEC, MODEL)
-        law = check_law(SPEC, MODEL, moments, n_trials, config)
+        law = check_law(SPEC, MODEL, n_trials, config)
         assert law["failures"] == []
         adjoint, n_steps, _ = _reference_adjoint(SPEC, MODEL, config)
         coarse, _, _ = _reference_adjoint(
@@ -869,24 +869,24 @@ class TestCheckLaw:
 
     def test_given_covariance_is_used(self):
         ensemble = run_ensemble(SPEC, MODEL, 40, 1, mode="full_sim", config=FAST)
-        moments = phase_moments(SPEC, MODEL)
-        given = check_law(SPEC, MODEL, moments, 40, FAST, ensemble.covariance)
-        assert given == check_law(SPEC, MODEL, moments, 40, FAST)
-        doubled = check_law(SPEC, MODEL, moments, 40, FAST, 2.0 * ensemble.covariance)
+        given = check_law(SPEC, MODEL, 40, FAST, ensemble.covariance)
+        assert given == check_law(SPEC, MODEL, 40, FAST)
+        doubled = check_law(SPEC, MODEL, 40, FAST, 2.0 * ensemble.covariance)
         assert {f.split(":")[0] for f in doubled["failures"]} == {
             "var_gamma", "var_delta", "cov_gamma_delta"
         }
 
     def test_zero_noise_agrees_exactly(self):
         zero = NoiseModel.from_scalars(0.0, 0.1, 0.0, 0.1)
-        law = check_law(SPEC, zero, phase_moments(SPEC, zero), 40, FAST)
+        law = check_law(SPEC, zero, 40, FAST)
         assert law.pop("failures") == []
         assert all(value == 0.0 for entry in law.values() for value in entry.values())
 
-    def test_wrong_closed_form_names_entry_and_bound(self):
+    def test_wrong_closed_form_names_entry_and_bound(self, monkeypatch):
         moments = phase_moments(SPEC, MODEL)
         wrong = {**moments, "var_delta": 1.001 * moments["var_delta"]}
-        law = check_law(SPEC, MODEL, wrong, 100, FAST)
+        monkeypatch.setattr(analytics, "phase_moments", lambda spec, model: wrong)
+        law = check_law(SPEC, MODEL, 100, FAST)
         # 0.1% is inside the sampling error of 100 trials, not the doubling bound
         [failure] = law["failures"]
         assert failure.startswith("var_delta: |C - closed| = ")
