@@ -896,6 +896,24 @@ _SIMULATE_DIGESTS = {
 }
 
 
+# The same for ``simulate --t-total 7.7 --steps-per-cycle 16 --n-cycles 3
+# --branch BRANCH --seed 7 -o pin``: there n * (t_total / n) is t_total + 8.9e-16,
+# so the last node lies one ulp past t_total.
+_SIMULATE_ODD_GRID = ["--t-total", "7.7", "--steps-per-cycle", "16", "--n-cycles", "3"]
+_SIMULATE_ODD_GRID_DIGESTS = {
+    "up": (
+        "750d08f7afc6cd09b1fc575e4cb3da44b77b31ae148358da542588f04abd35ac",
+        "f9b33df06e10f07e0957438ff342567a16b0f9ceb4f1c51c482a8ccd3ca8dbdc",
+        "086bd04e107d78d7fb9aefc575c775a764ab905d0c01e540ee2e70e2d04f7c57",
+    ),
+    "down": (
+        "102297426bcf2eae5e6b8e2ce33827aebefb9558c8b2d14fe57fdd1bcde1d8af",
+        "f9b33df06e10f07e0957438ff342567a16b0f9ceb4f1c51c482a8ccd3ca8dbdc",
+        "59cbd5e66e2ac933b9f768230ce559e00de6ccc2324d11cbde7f3b772c69b20b",
+    ),
+}
+
+
 class TestSimulatePinned:
     """Fixed-seed simulate outputs, by digest and against reference copies of the chain and the boundary term."""
 
@@ -903,20 +921,29 @@ class TestSimulatePinned:
     @pytest.mark.parametrize("theta0", ["0", "0.7853981633974483", "3.0915926535897933"])
     @pytest.mark.parametrize("branch", ["up", "down"])
     def test_outputs(self, tmp_path, monkeypatch, branch, theta0, n_cycles):
+        argv = ["--theta0", theta0, "--n-cycles", str(n_cycles), "--steps-per-cycle", "256"]
+        spec = RunConfig(theta0=float(theta0), n_cycles=n_cycles).spec()
+        self._check(tmp_path, monkeypatch, argv, branch, spec,
+                    _SIMULATE_DIGESTS[branch, theta0, n_cycles])
+
+    @pytest.mark.parametrize("branch", ["up", "down"])
+    def test_odd_grid(self, tmp_path, monkeypatch, branch):
+        spec = RunConfig(t_total=7.7, n_cycles=3).spec()
+        self._check(tmp_path, monkeypatch, _SIMULATE_ODD_GRID, branch, spec,
+                    _SIMULATE_ODD_GRID_DIGESTS[branch])
+
+    @staticmethod
+    def _check(tmp_path, monkeypatch, flags, branch, spec, want):
         monkeypatch.setenv("BERRYSIM_OUTPUT_DIR", str(tmp_path))
-        argv = [
-            "simulate", "--theta0", theta0, "--n-cycles", str(n_cycles), "--branch", branch,
-            "--steps-per-cycle", "256", "--seed", "7", "--quiet", "-o", "pin",
-        ]
+        argv = ["simulate", *flags, "--branch", branch, "--seed", "7", "--quiet", "-o", "pin"]
         assert main(argv) == 0
         digests = tuple(
             hashlib.sha256((tmp_path / f"pin.{name}").read_bytes()).hexdigest()
             for name in ("trajectory.csv", "noise.csv", "summary.json")
         )
-        assert digests == _SIMULATE_DIGESTS[branch, theta0, n_cycles]
+        assert digests == want
 
         summary = read_json(tmp_path / "pin.summary.json")
-        spec = RunConfig(theta0=float(theta0), n_cycles=n_cycles).spec()
         times, samples = _read_noise_csv(tmp_path / "pin.noise.csv")
         chain = _reference_connection_phase_discrete(spec, times, samples, branch=branch)
         assert summary["connection_chain_phase"].hex() == chain.hex()
@@ -1039,6 +1066,31 @@ _COMMAND_PINS = {
         [
             "mc: n_trials=40 pass=true wrote <dir>/pin.records.csv <dir>/pin.summary.json",
             "warning: 38 of 40 trials have leakage above 1.0e-03; evolution is not adiabatic",
+        ],
+    ),
+    # the simulate odd grid, where the last node lies one ulp past t_total
+    "mc_odd_grid": (
+        ["mc", "--n-trials", "200", *_SIMULATE_ODD_GRID, "--seed", "7", "-o", "pin"],
+        0,
+        {
+            "pin.records.csv": "5f294b59633a46ba155aade0fa7b2a6820b2ce4271e057bf3013a40fb03b2563",
+            "pin.summary.json": "b0361173ccf44bd215d3e1b20648dbb7b6b01bb652f4045cb358c57a8cc55210",
+        },
+        [
+            "mc: n_trials=200 pass=true wrote <dir>/pin.records.csv <dir>/pin.summary.json",
+        ],
+    ),
+    "mc_full_sim_odd_grid": (
+        ["mc", "--mode", "full_sim", "--n-trials", "40", *_SIMULATE_ODD_GRID, "--seed", "7",
+         "-o", "pin"],
+        0,
+        {
+            "pin.records.csv": "8fae6bced26a0aa3c037479591f55abbcc722d105640599aa7feeb619a8c0574",
+            "pin.summary.json": "7a6e33d3e4ef80739e4afbe1cbd35e82ab4cb7316aad2e0eb6c5b89a13333206",
+        },
+        [
+            "mc: n_trials=40 pass=true wrote <dir>/pin.records.csv <dir>/pin.summary.json",
+            "warning: 40 of 40 trials have leakage above 1.0e-03; evolution is not adiabatic",
         ],
     ),
     "sweep_with_mc": (
@@ -1279,6 +1331,45 @@ class TestSweepCommand:
             for key, value in expected.items():
                 assert row[key] == value
                 assert float(cells[key]) == value
+
+    @pytest.mark.parametrize("overrides", [
+        {"theta0": 0.0}, {"theta0": math.pi / 4}, {"theta0": math.pi},
+        {"sigma3": 0.0}, {"n_cycles": 96},
+    ], ids=["theta0_0", "theta0_pi_4", "theta0_pi", "sigma3_0", "96_cycles"])
+    def test_rows_are_analytics_values(self, tmp_path, overrides):
+        # a row publishes analytic's closed forms, limits and var_gamma oracle
+        # at its point, bitwise, in the summary and in the table
+        flags = [arg for key, value in overrides.items()
+                 for arg in ("--" + key.replace("_", "-"), repr(value))]
+        theta0 = repr(RunConfig(**overrides).theta0)
+        assert main(["analytic", *flags, "--quiet", "-o", str(tmp_path / "a")]) == 0
+        argv = ["sweep", "--param", "theta0", "--values", theta0, *flags,
+                "--quiet", "-o", str(tmp_path / "s")]
+        assert main(argv) == 0
+        payload = read_json(tmp_path / "a.analytic.json")
+        variances = payload["variances"]
+        expected = {
+            "theta0": payload["config"]["theta0"],
+            "n_cycles": payload["config"]["n_cycles"],
+            "omega": payload["omega"],
+            "var_gamma_transverse": variances["var_gamma"]["transverse"],
+            "var_gamma_longitudinal": variances["var_gamma"]["longitudinal"],
+            **{key: moment["total"] for key, moment in variances.items()},
+            **payload["limits"],
+            "var_gamma_quadrature": payload["quadrature"]["var_gamma"]["value"],
+        }
+        (row,) = read_json(tmp_path / "s.summary.json")["rows"]
+        assert row == expected
+        assert {key: float(value).hex() for key, value in row.items() if value is not None} == {
+            key: float(value).hex() for key, value in expected.items() if value is not None
+        }
+        with open(tmp_path / "s.sweep.csv", newline="") as fh:
+            (cells,) = csv.DictReader(fh)
+        assert cells == {
+            key: "" if value is None else (str(value) if isinstance(value, int) else
+                                           format(value, ".17g"))
+            for key, value in expected.items()
+        }
 
     def test_narrowband_cell_empty_outside_its_range(self, tmp_path):
         args = ["sweep", "--param", "gamma3", "--values", "0.01,0.1", "--quiet",
