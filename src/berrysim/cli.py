@@ -5,7 +5,7 @@ Commands
 analytic   closed-form variances, limits and the quadrature cross-check
 mc         Monte Carlo ensemble, summary statistics and the first-order law check
 simulate   one exact evolution with trajectory and noise dumps
-sweep      closed forms (optionally with mc's first-order law) over one swept parameter
+sweep      analytic's numbers, var_gamma's oracle only (optionally mc's law), along one parameter
 compare    self-check battery: oracle equality, limits, the first-order law, scaling
 
 Configuration is a flat ``key=value`` file; any key can be overridden
@@ -68,7 +68,7 @@ from .evolve import (
     connection_phase_discrete,
     evolve_and_extract,
 )
-from .field import PrecessionSpec, adiabaticity_report, control_field
+from .field import PrecessionSpec, adiabaticity_report
 from .montecarlo import _MODES, check_law, run_ensemble, summarize
 from .noise import NoiseModel, sample_path
 
@@ -221,18 +221,20 @@ class Outcome:
     stdout: str = ""
 
 
-def _analytic_payload(config: RunConfig, *, oracle_cov: bool = False) -> dict:
-    """The analytic command's payload; ``oracle_cov`` adds cov(gamma, delta) to its quadrature."""
+def _analytic_payload(config: RunConfig, oracle: tuple) -> dict:
+    """A point's closed forms, limits and moments, and the oracle's value of each one in ``oracle``.
+
+    ``analytic``, ``sweep`` and ``compare`` take a point's numbers from here alone.
+    """
     spec = config.spec()
     model = config.model()
     variances = analytics.second_moments(spec, model)
     w_gamma = analytics.geometric_weight(spec)
     w_delta = analytics.dynamical_weight(spec)
     w_alpha = w_gamma + w_delta
-    pairs = {"var_gamma": (w_gamma, w_gamma), "var_alpha": (w_alpha, w_alpha)}
-    if oracle_cov:
-        pairs["cov_gamma_delta"] = (w_gamma, w_delta)
-    quads = analytics._covariances_by_quadrature(spec, list(pairs.values()), model)
+    pairs = {"var_gamma": (w_gamma, w_gamma), "var_alpha": (w_alpha, w_alpha),
+             "cov_gamma_delta": (w_gamma, w_delta)}
+    quads = analytics._covariances_by_quadrature(spec, [pairs[key] for key in oracle], model)
     quadrature = {
         key: {
             "value": quad.value,
@@ -240,7 +242,7 @@ def _analytic_payload(config: RunConfig, *, oracle_cov: bool = False) -> dict:
             "nodes": quad.nodes,
             "rel_diff_closed": _rel_diff(quad.value, variances[key]["total"]),
         }
-        for key, quad in zip(pairs, quads)
+        for key, quad in zip(oracle, quads)
     }
     return {
         "config": config.to_dict(),
@@ -264,7 +266,7 @@ def _analytic_payload(config: RunConfig, *, oracle_cov: bool = False) -> dict:
 
 def cmd_analytic(config: RunConfig) -> Outcome:
     render = _dump_json if config.output_format == "json" else _dump_csv_pairs
-    rendered = render(_analytic_payload(config))
+    rendered = render(_analytic_payload(config, ("var_gamma", "var_alpha")))
     if config.output_path is None:
         return Outcome({}, [], stdout=rendered)
     return Outcome({".analytic." + config.output_format: rendered}, ["analytic:"])
@@ -323,7 +325,6 @@ def cmd_simulate(config: RunConfig, branch: str) -> Outcome:
     chain_phase = connection_phase_discrete(extraction.b_nodes, branch=branch)
 
     times = extraction.times
-    b_control = control_field(spec, np.minimum(times, spec.t_total))
     header = [
         "t",
         "b_control_x", "b_control_y", "b_control_z",
@@ -332,7 +333,7 @@ def cmd_simulate(config: RunConfig, branch: str) -> Outcome:
         "energy", "total_phase", "dynamical_phase",
     ]
     columns = [
-        times, b_control, noise,
+        times, extraction.control_nodes, noise,
         extraction.amp_up.real, extraction.amp_up.imag,
         extraction.amp_down.real, extraction.amp_down.imag,
         extraction.energy, extraction.total_phase_nodes, extraction.dynamical_phase_nodes,
@@ -413,25 +414,20 @@ def cmd_sweep(
             overrides["n_cycles"] = n_cycles
         point = dataclasses.replace(config, **overrides)
         point.validate()
-        spec = point.spec()
-        model = point.model()
-        moments = analytics.second_moments(spec, model)
-        w_gamma = analytics.geometric_weight(spec)
+        payload = _analytic_payload(point, ("var_gamma",))
+        variances = payload["variances"]
         row = {
             param: value,
-            "n_cycles": spec.n_cycles,
-            "omega": spec.omega,
-            "var_gamma_transverse": moments["var_gamma"]["transverse"],
-            "var_gamma_longitudinal": moments["var_gamma"]["longitudinal"],
-            **{key: moment["total"] for key, moment in moments.items()},
-            "narrowband_var_gamma": analytics.berry_phase_variance_narrowband(spec, model),
-            "broadband_var_gamma": analytics.berry_phase_variance_broadband(spec, model),
-            "var_gamma_quadrature": analytics.covariance_by_quadrature(
-                spec, w_gamma, w_gamma, model
-            ).value,
+            "n_cycles": point.n_cycles,
+            "omega": payload["omega"],
+            "var_gamma_transverse": variances["var_gamma"]["transverse"],
+            "var_gamma_longitudinal": variances["var_gamma"]["longitudinal"],
+            **{key: moment["total"] for key, moment in variances.items()},
+            **payload["limits"],
+            "var_gamma_quadrature": payload["quadrature"]["var_gamma"]["value"],
         }
         if with_mc:
-            law = check_law(spec, model, point.n_trials, point.integrator())
+            law = check_law(point.spec(), point.model(), point.n_trials, point.integrator())
             for key in ("var_gamma", "var_delta", "cov_gamma_delta"):
                 row["law_" + key] = law[key]["law"]
         rows.append(row)
@@ -467,7 +463,7 @@ def _battery(config: RunConfig) -> list:
     checks = []
     spec = config.spec()
     model = config.model()
-    payload = _analytic_payload(config, oracle_cov=True)
+    payload = _analytic_payload(config, ("var_gamma", "var_alpha", "cov_gamma_delta"))
     moments = payload["moments"]
     for name, key in (("oracle_var_gamma", "var_gamma"), ("oracle_var_alpha", "var_alpha"),
                       ("oracle_cov", "cov_gamma_delta")):

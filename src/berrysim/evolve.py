@@ -174,7 +174,8 @@ class PhaseExtraction:
     """One evolution: the phases and diagnostics, with the field and the steps.
 
     The kernel computes the scalars from the final state alone.  Arrays
-    run over the n + 1 grid nodes (``b_nodes``) or the n steps
+    run over the n + 1 grid nodes at ``times`` k*dt (``control_nodes``,
+    the control field the run used, and ``b_nodes``) or the n steps
     (``b_mid``, ``field_modulus``); ``b_nodes`` and ``b_mid`` are the
     total field, and ``start`` is the state at t=0.  ``levels`` are the
     levels of the product tree of the step propagators' Cayley-Klein
@@ -197,6 +198,7 @@ class PhaseExtraction:
 
     branch: str
     dt: float
+    control_nodes: np.ndarray
     b_nodes: np.ndarray
     b_mid: np.ndarray
     levels: list[tuple[np.ndarray, np.ndarray]]
@@ -301,20 +303,20 @@ def _winding_number(b_nodes: np.ndarray) -> tuple[int, np.ndarray]:
     return int(round((azimuth[-1] + shift - azimuth[0]) / math.tau)), azimuth
 
 
-def _control_grids(
-    spec: PrecessionSpec, n_steps: int, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Control field at the grid nodes and at the step midpoints.
+def _control_grids(spec: PrecessionSpec, n_steps: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """The grid's step dt = t_total / n_steps and the control field at its nodes and midpoints.
 
-    Raises :class:`ResolutionError` when one step turns the field by
-    pi/4 or more.
+    Node k sits at k*dt, an ulp past t_total at worst, and midpoint k at
+    (k + 1/2)*dt.  Raises :class:`ResolutionError` when one step turns
+    the field by pi/4 or more.
     """
+    dt = spec.t_total / n_steps
     if spec.b0 * dt >= 0.25 * math.pi:
         raise ResolutionError(
             f"b0*dt = {spec.b0 * dt:.3g} exceeds pi/4; increase steps_per_cycle"
         )
-    nodes = control_field(spec, np.minimum(np.arange(n_steps + 1) * dt, spec.t_total))
-    return nodes, control_field(spec, (np.arange(n_steps) + 0.5) * dt)
+    nodes = control_field(spec, np.arange(n_steps + 1) * dt)
+    return dt, nodes, control_field(spec, (np.arange(n_steps) + 0.5) * dt)
 
 
 def _evolve(
@@ -358,6 +360,7 @@ def _evolve(
     return PhaseExtraction(
         branch=branch,
         dt=dt,
+        control_nodes=control_nodes,
         b_nodes=b_nodes,
         b_mid=b_mid,
         levels=levels,
@@ -396,8 +399,7 @@ def evolve_and_extract(
         raise ValueError(f"branch must be 'up' or 'down', got {branch!r}")
     config = config if config is not None else IntegratorConfig()
     n_steps = config.steps_per_cycle * spec.n_cycles
-    dt = spec.t_total / n_steps
-    control_nodes, control_mid = _control_grids(spec, n_steps, dt)
+    dt, control_nodes, control_mid = _control_grids(spec, n_steps)
     noise = np.zeros((n_steps + 1, 3)) if noise is None else np.asarray(noise, dtype=float)
     if noise.shape != (n_steps + 1, 3):
         raise ValueError(

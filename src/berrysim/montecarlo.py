@@ -110,12 +110,13 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
 def _adjoint_matrix(spec: PrecessionSpec, model: NoiseModel, n_steps: int) -> np.ndarray:
     """The (2, 3(n_steps + 1)) matrix A with (gamma_fo, delta_fo) = A xi.
 
-    Row i is the trapezoid-weighted response weight run backwards
-    through the exact OU recursion (the adjoint L^T w), flattened like
-    the innovations xi; the first-order covariance is A A^T.
+    Row i is the trapezoid-weighted response weight, at the evolution's
+    nodes k*dt (``_control_grids``), run backwards through the exact OU
+    recursion (the adjoint L^T w), flattened like the innovations xi;
+    the first-order covariance is A A^T.
     """
     dt = spec.t_total / n_steps
-    times = np.minimum(np.arange(n_steps + 1) * dt, spec.t_total)
+    times = np.arange(n_steps + 1) * dt
     quad = np.full(n_steps + 1, dt)
     quad[0] = quad[-1] = 0.5 * dt
     return np.stack([
@@ -269,7 +270,6 @@ def run_ensemble(
     _check_nonnegative("master_seed", master_seed)
     config = config if config is not None else IntegratorConfig()
     n_steps = config.steps_per_cycle * spec.n_cycles
-    dt = spec.t_total / n_steps
     # w.K = (L^T w).xi: one adjoint pass here replaces a filtered path per trial.
     adjoint = _adjoint_matrix(spec, model, n_steps)
     covariance, factor = _law(adjoint)
@@ -285,7 +285,7 @@ def run_ensemble(
         columns.setflags(write=False)
         return Ensemble(*columns, covariance=covariance)
 
-    control_nodes, control_mid = _control_grids(spec, n_steps, dt)
+    dt, control_nodes, control_mid = _control_grids(spec, n_steps)
 
     def trials(start: int, stop: int) -> np.ndarray:
         """Columns (gamma_fo, delta_fo, gamma_sim, leakage) of trials [start, stop)."""

@@ -1291,7 +1291,10 @@ class TestSweepCommand:
         assert len(table) == 4
 
     def test_rows_match_one_closed_form_call_per_row(self, tmp_path, monkeypatch):
-        # each second moment of a row is one evaluation of the quadratic form
+        # a row is analytic's payload at its point, which evaluates the four
+        # second moments twice, as analytic does: once for its variances and
+        # once more inside phase_moments; each is one evaluation of the
+        # quadratic form, and the row publishes the first four
         calls = []
         phase_covariance = analytics.phase_covariance
 
@@ -1305,19 +1308,20 @@ class TestSweepCommand:
             "--quiet", "-o", str(tmp_path / "th"),
         ]
         assert main(args) == 0
-        assert [spec.theta0 for spec, _, _ in calls] == [0.5] * 4 + [1.0] * 4 + [1.5] * 4
+        assert [spec.theta0 for spec, _, _ in calls] == [0.5] * 8 + [1.0] * 8 + [1.5] * 8
         model = RunConfig().model()
         rows = read_json(tmp_path / "th.summary.json")["rows"]
         table = (tmp_path / "th.sweep.csv").read_text().splitlines()
         header = table[0].split(",")
         for i, (row, line) in enumerate(zip(rows, table[1:])):
-            spec = calls[4 * i][0]
+            spec = calls[8 * i][0]
             gamma = analytics.geometric_weight(spec)
             delta = analytics.dynamical_weight(spec)
             alpha = gamma + delta
-            assert {(x, y) for _, x, y in calls[4 * i:4 * i + 4]} == {
-                (gamma, gamma), (delta, delta), (gamma, delta), (alpha, alpha)
-            }
+            for start in (8 * i, 8 * i + 4):
+                assert {(x, y) for _, x, y in calls[start:start + 4]} == {
+                    (gamma, gamma), (delta, delta), (gamma, delta), (alpha, alpha)
+                }
             closed = phase_covariance(spec, model, gamma, gamma)
             expected = {
                 "var_gamma_transverse": closed["transverse"],

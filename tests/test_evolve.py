@@ -757,8 +757,7 @@ def _pinned_evolve_and_extract(spec, path, config, branch):
     scalars and the per-node arrays as one dict.
     """
     n_steps = config.steps_per_cycle * spec.n_cycles
-    dt = spec.t_total / n_steps
-    control_nodes, control_mid = _control_grids(spec, n_steps, dt)
+    dt, control_nodes, control_mid = _control_grids(spec, n_steps)
     k_nodes = np.zeros((n_steps + 1, 3)) if path is None else path
     b_nodes = control_nodes + k_nodes
     b_mid = control_mid + 0.5 * (k_nodes[:-1] + k_nodes[1:])
@@ -1030,8 +1029,7 @@ class TestTurnCount:
     def test_noisy_paths(self, theta0, n_cycles, sigma):
         spec = PrecessionSpec(b0=1.0, theta0=theta0, t_total=100.0, n_cycles=n_cycles)
         n_steps = 256 * n_cycles
-        dt = spec.t_total / n_steps
-        control_nodes, _ = _control_grids(spec, n_steps, dt)
+        dt, control_nodes, _ = _control_grids(spec, n_steps)
         model = NoiseModel.from_scalars(sigma, 0.1, sigma, 0.1)
         for seed in range(20):
             b_nodes = control_nodes + sample_path(model, n_steps, dt, seed)

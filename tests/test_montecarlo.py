@@ -181,7 +181,7 @@ def _reference_run_ensemble(spec, model, n_trials, master_seed, *, mode="first_o
             TrialRecord(index, gamma, delta, gamma + delta)
             for index, (gamma, delta) in enumerate(draws.tolist())
         ]
-    control_nodes, control_mid = _control_grids(spec, n_steps, dt)
+    _, control_nodes, control_mid = _control_grids(spec, n_steps)
 
     records = []
     for index in range(int(n_trials)):
