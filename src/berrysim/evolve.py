@@ -265,9 +265,11 @@ class PhaseExtraction:
 
     @property
     def dynamical_phase_nodes(self) -> np.ndarray:
-        """The dynamical phase accumulated up to each node."""
+        """The dynamical phase accumulated up to each node; the last is ``dynamical_phase``."""
         sign = 1.0 if self.branch == "up" else -1.0
-        return np.concatenate([[0.0], -sign * 0.5 * np.cumsum(self.field_modulus * self.dt)])
+        nodes = np.concatenate([[0.0], -sign * 0.5 * np.cumsum(self.field_modulus * self.dt)])
+        nodes[-1] = self.dynamical_phase  # the kernel's pairwise sum, not the cumsum's
+        return nodes
 
     @cached_property
     def _bloch(self) -> np.ndarray:

@@ -834,12 +834,12 @@ def _read_noise_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
 # --seed 7 -o pin`` writes, recorded with numpy 2.4.6 on x86-64.
 _SIMULATE_DIGESTS = {
     ("up", "0", 1): (
-        "cad8819a4ec02ef561a72debe6124763783a6e108d98b6ede0ed7671eaa6117a",
+        "2eeaacad57823db7ae9a90cd0a0a74cdd9065700a548a181f6b0e8645935c798",
         "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
         "7715213a799fe7bc9dc307437d534a4a56ac6925b58adebdc2e94566c8f1044e",
     ),
     ("up", "0", 3): (
-        "ec059e6a66f318887e296cbfad87579b04a525a33f8fb786f5a8220d4ea60328",
+        "8311db74a619c5532a59f0e05909f51f712e74c16108ea3658c1935e7474ca58",
         "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
         "06dc6eb1a8def2c6cdc182e455942ecb6cf84fdbc40d726c163a4461b3d6b214",
     ),
@@ -854,22 +854,22 @@ _SIMULATE_DIGESTS = {
         "277c01958a70f5e9b0f3d3ba34984322af17f2ee85c0546f1b67dc5b3ae7d557",
     ),
     ("up", "3.0915926535897933", 1): (
-        "3d20a6169b6f7e838f9d3c67a7c8bba7ba1fc94d00869bd344d8c499ef88f11f",
+        "e3f5ce177ab0d68dba88e721fd485c32b22f84f0473f5082c4346104e426fac8",
         "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
         "dd4eb2e90e47bdc91dd7814dfba60e53bc870107f51538317c63c2a2d92e5d26",
     ),
     ("up", "3.0915926535897933", 3): (
-        "8abef88f630fcf46a187275fee61aed014ae11301241ffb618c16f2835278ed4",
+        "7434c0f163044bc6bd2c1a13639d4f5558b2b344958700133ba8786d32d9e2da",
         "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
         "2485ec422841278d80d29966d1e604ea891773dadb7af37bbe2607fac5d31f9a",
     ),
     ("down", "0", 1): (
-        "bf73a0cbcca65d3df4b17a8a814e04de4f6a55f59cc7dffa5f82d7ddc7f1485e",
+        "8fa6a55aa02d2aa5203bf297a8e87f8c0531542ded3f76df9cd5637457b5b0f4",
         "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
         "b049c99cfb6f89fad635a3e543bfcb73839cbfdd3288ac3d35832f30487b9c10",
     ),
     ("down", "0", 3): (
-        "3adb5da5705a3cd0321753888b9c09d115d58d0e142bf3b8d339b3ed41a7c274",
+        "f94cb3885fe95548709be67ce8139f47a6b6c7faf2b8b207079ac51e1d283179",
         "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
         "8c553479504bcb8d3e7a5c88e0c49767dccf0cbfeae2a6afe18c4aca09716e29",
     ),
@@ -884,12 +884,12 @@ _SIMULATE_DIGESTS = {
         "110bd15337c973a942bac2bf799f7e640ecf37becb0446dd329763eb6ab971b6",
     ),
     ("down", "3.0915926535897933", 1): (
-        "fede21d5dc49e6c824f8ac316ea60e4f755ffc790fbba074b9a78fc311222bc3",
+        "7de10d0d4a0229846b205ce057b9463a1f2e4b0ef6a4ee49cfbbc8d9a9d40757",
         "0954e143954b3808bf5688db7b6d60a4f5688c6d5ef0f5e2419fdbd793dc92b1",
         "f413c36cf145febd629aaa3fc2dc33d32ce730abbda53f68fbf1c5b45818a7d9",
     ),
     ("down", "3.0915926535897933", 3): (
-        "ea80302011d2a596afce40709bdd563aed166e740da85ce4855a88e94d9cdf12",
+        "15d74e1164baedddfa125576dd3dc6963fd54ef9e34ab6cf13e68ce5ee0b4485",
         "08737e02f3ed1a6f0a0f2b977bc3352a0bc7571d9d528b43f4d0ebf60266d7e1",
         "70df1a5a1cdecaa1e975e7009923029414bdc80645ab00f94fd5678c22bbe21e",
     ),
@@ -902,12 +902,12 @@ _SIMULATE_DIGESTS = {
 _SIMULATE_ODD_GRID = ["--t-total", "7.7", "--steps-per-cycle", "16", "--n-cycles", "3"]
 _SIMULATE_ODD_GRID_DIGESTS = {
     "up": (
-        "750d08f7afc6cd09b1fc575e4cb3da44b77b31ae148358da542588f04abd35ac",
+        "f0b495539fe6db9974c0e5d81cce5cc12cf6c259fe84738e112377908e358d88",
         "f9b33df06e10f07e0957438ff342567a16b0f9ceb4f1c51c482a8ccd3ca8dbdc",
         "086bd04e107d78d7fb9aefc575c775a764ab905d0c01e540ee2e70e2d04f7c57",
     ),
     "down": (
-        "102297426bcf2eae5e6b8e2ce33827aebefb9558c8b2d14fe57fdd1bcde1d8af",
+        "c2b02fa163e502d6cf748713c34895c9c41595039e2dd8ec80747333899e6c7f",
         "f9b33df06e10f07e0957438ff342567a16b0f9ceb4f1c51c482a8ccd3ca8dbdc",
         "59cbd5e66e2ac933b9f768230ce559e00de6ccc2324d11cbde7f3b772c69b20b",
     ),
@@ -944,6 +944,11 @@ class TestSimulatePinned:
         assert digests == want
 
         summary = read_json(tmp_path / "pin.summary.json")
+        # the trajectory ends on the summary's phases, bitwise
+        with open(tmp_path / "pin.trajectory.csv", newline="") as fh:
+            *_, last = csv.DictReader(fh)
+        for name in ("total_phase", "dynamical_phase"):
+            assert float(last[name]).hex() == summary["extraction"][name].hex(), name
         times, samples = _read_noise_csv(tmp_path / "pin.noise.csv")
         chain = _reference_connection_phase_discrete(spec, times, samples, branch=branch)
         assert summary["connection_chain_phase"].hex() == chain.hex()
@@ -963,7 +968,7 @@ class TestSimulatePinned:
             for name in ("trajectory.csv", "noise.csv")
         )
         assert digests == (
-            "9a1d7eabc3814fcdf1331a3a22fa5e003d8b951c182b69919a58118b195a1712",
+            "7eedb9b63df8603a762604b66bd4bd71adfa79e1f88200a1f3a7aed2b4d6cd95",
             "3a9198009e262fadec57860ae8d08dd470778b23e4dd9c352581ff8688664239",
         )
 

@@ -339,7 +339,7 @@ class TestNoiselessEvolution:
         assert result.times[-1] == pytest.approx(spec.t_total)
         assert result.total_phase_nodes[0] == 0.0
         assert result.total_phase_nodes[-1] == result.total_phase
-        assert result.dynamical_phase_nodes[-1] == pytest.approx(result.dynamical_phase)
+        assert result.dynamical_phase_nodes[-1] == result.dynamical_phase
         norms = np.abs(result.amp_up) ** 2 + np.abs(result.amp_down) ** 2
         assert np.allclose(norms, 1.0, atol=1e-12)
 
@@ -753,8 +753,9 @@ def _pinned_evolve_and_extract(spec, path, config, branch):
 
     The control and noise grids, the kernel and the trace exactly as one
     evolution computed them before the kernel's value became the public
-    result, built from the helpers that did not change.  Returns the
-    scalars and the per-node arrays as one dict.
+    result, built from the helpers that did not change, except that the
+    dynamical phase at the last node is the kernel's, as the trajectory's
+    last state is.  Returns the scalars and the per-node arrays as one dict.
     """
     n_steps = config.steps_per_cycle * spec.n_cycles
     dt, control_nodes, control_mid = _control_grids(spec, n_steps)
@@ -774,6 +775,8 @@ def _pinned_evolve_and_extract(spec, path, config, branch):
     sign = 1.0 if branch == "up" else -1.0
     dynamical = -sign * 0.5 * field_modulus_integral
     leakage = max(0.0, 1.0 - abs(complex(overlap)) ** 2)
+    dynamical_nodes = np.concatenate([[0.0], -sign * 0.5 * np.cumsum(nb * dt)])
+    dynamical_nodes[-1] = dynamical  # the trajectory ends on the kernel's sum
     return {
         **trajectory,
         "total_phase": total,
@@ -787,7 +790,7 @@ def _pinned_evolve_and_extract(spec, path, config, branch):
         "non_adiabatic": leakage > 1e-3,
         "branch": branch,
         "times": np.arange(n_steps + 1) * dt,
-        "dynamical_phase_nodes": np.concatenate([[0.0], -sign * 0.5 * np.cumsum(nb * dt)]),
+        "dynamical_phase_nodes": dynamical_nodes,
     }
 
 
