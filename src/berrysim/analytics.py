@@ -185,8 +185,13 @@ def noiseless_berry_phase(theta0: float) -> float:
 
 
 def _transverse_bracket(gamma: float, omega: float, t_total: float) -> float:
-    """J bracket of the transverse pair; exact when omega*t_total = 2*pi*n."""
+    """J bracket of the transverse pair; exact when omega*t_total = 2*pi*n.
+
+    nan where the denominator's square underflows to zero.
+    """
     denom = gamma * gamma + omega * omega
+    if denom**2 == 0.0:
+        return math.nan
     return (
         gamma * t_total / denom
         + math.expm1(-gamma * t_total) * (gamma * gamma - omega * omega) / denom**2
@@ -194,12 +199,17 @@ def _transverse_bracket(gamma: float, omega: float, t_total: float) -> float:
 
 
 def _longitudinal_bracket(gamma: float, t_total: float) -> float:
-    """L bracket of the longitudinal component, (u + expm1(-u))/gamma**2."""
+    """L bracket of the longitudinal component, (u + expm1(-u))/gamma**2.
+
+    nan where gamma**2 underflows to zero.
+    """
     u = gamma * t_total
     if u < 1e-4:
         # Series of (u + expm1(-u))/u**2; the direct form cancels badly here.
         poly = 0.5 - u / 6.0 + u * u / 24.0 - u**3 / 120.0
         return t_total * t_total * poly
+    if gamma * gamma == 0.0:
+        return math.nan
     return (u + math.expm1(-u)) / (gamma * gamma)
 
 
@@ -280,12 +290,15 @@ def berry_phase_variance_narrowband(
     gamma12 << omega and gamma3*t_total << 1.  The transverse part grows
     linearly with gamma12*t_total; the longitudinal part saturates at
     half the squared weight amplitude.  Returns None once
-    gamma3*t_total > 3, where the longitudinal bracket turns negative.
+    gamma3*t_total > 3, where the longitudinal bracket turns negative;
+    a bracket that is not finite in float64 (omega**2 underflows, or
+    t_total**2 overflows) raises ValueError, as the exact forms do.
     """
     t_total = spec.t_total
-    j = 2.0 * model.transverse.gamma * t_total / spec.omega**2
+    omega2 = spec.omega**2
+    j = 2.0 * model.transverse.gamma * t_total / omega2 if omega2 > 0.0 else math.nan
     ell = t_total * t_total * (0.5 - model.longitudinal.gamma * t_total / 6.0)
-    if ell < 0.0:
+    if -math.inf < ell < 0.0:
         return None
     w = geometric_weight(spec)
     return _form(spec, model, w, w, j, ell)["total"]

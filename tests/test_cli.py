@@ -731,6 +731,29 @@ def test_non_finite_moments_name_their_cause(tmp_path, capsys, flags, reason):
     assert list(tmp_path.iterdir()) == []
 
 
+_J_UNDERFLOWS = "omega=6.28319e-200, t_total=1e+200: the J bracket is nan in float64"
+_L_UNDERFLOWS = "gamma3=1e-200, t_total=1e+200: the L bracket is nan in float64"
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        # gamma12**2 + omega**2 underflows to zero in the J bracket
+        (["analytic", "--gamma12", "1e-200"], f"gamma12=1e-200, {_J_UNDERFLOWS}"),
+        # gamma3**2 underflows to zero in the L bracket, also through phase_moments
+        (["analytic", "--gamma3", "1e-200"], _L_UNDERFLOWS),
+        (["mc", "--gamma3", "1e-200", "--n-trials", "4"], _L_UNDERFLOWS),
+        # omega**2 underflows to zero in the narrowband limit's J bracket
+        (["sweep", "--param", "t_total", "--values", "1e200"], f"gamma12=0.1, {_J_UNDERFLOWS}"),
+    ],
+    ids=["analytic_j", "analytic_l", "mc_l", "sweep_narrowband_j"],
+)
+def test_underflowing_bracket_is_a_usage_error(tmp_path, capsys, argv, reason):
+    assert main([*argv, "--t-total", "1e200", "--quiet", "-o", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: closed-form moments are not finite at {reason}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("sigma", ["1e154", "1e200"])
 def test_non_finite_field_is_a_usage_error(tmp_path, capsys, sigma):
     # |B| overflows; a RuntimeWarning would fail here, as warnings are errors
