@@ -830,6 +830,76 @@ class TestSummarize:
         assert stats["mean"]["gamma_sim"] == pytest.approx(2.2)
 
 
+def _pow_column_stats(x):
+    """``_column_stats`` with the third and fourth moments from ``dx**3`` and
+    ``dx**4`` (reference copy of the power-based reduction)."""
+    n = x.size
+    mean = float(x.mean())
+    dx = x - mean
+    m2 = float(np.mean(dx * dx))
+    m3 = float(np.mean(dx**3))
+    m4 = float(np.mean(dx**4))
+    variance = float(dx.dot(dx) / (n - 1))
+    sem_var_sq = (m4 - (n - 3) / (n - 1) * variance * variance) / n
+    return {
+        "mean": mean,
+        "variance": variance,
+        "sem_mean": math.sqrt(variance / n),
+        "sem_variance": math.sqrt(max(sem_var_sq, 0.0)),
+        "skewness": m3 / m2**1.5 if m2 > 0.0 else 0.0,
+        "excess_kurtosis": m4 / (m2 * m2) - 3.0 if m2 > 0.0 else 0.0,
+    }
+
+
+def _column(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        return rng.standard_normal(n) * 0.3
+    if kind == "shifted":
+        return 1e3 + rng.standard_normal(n) * 1e-2
+    if kind == "skewed":
+        return rng.exponential(2.0, n)
+    if kind == "zero":
+        return np.zeros(n)
+    return np.full(n, 0.75)  # a sum of 0.75s is exact, so m2 = 0
+
+
+class TestPowFreeMoments:
+    """``summarize`` against the power-based column reduction: every key is
+    bitwise equal except the three that read the third and fourth moments."""
+
+    ROUNDED = ("skewness", "excess_kurtosis", "sem_variance")
+
+    @pytest.mark.parametrize("n", [4, 5, 200, 10_000, 20_000])
+    @pytest.mark.parametrize("kinds", [
+        ("gaussian", "gaussian", "gaussian"),
+        ("shifted", "skewed", "gaussian"),
+        ("zero", "constant", "shifted"),
+    ], ids="-".join)
+    def test_matches_the_power_reduction(self, monkeypatch, kinds, n):
+        columns = [_column(kind, n, seed) for seed, kind in enumerate(kinds)]
+        ensemble = Ensemble(columns[0], columns[1], columns[2], np.zeros(n))
+        got = summarize(ensemble)
+        monkeypatch.setattr(montecarlo, "_column_stats", _pow_column_stats)
+        want = summarize(ensemble)
+        assert got.keys() == want.keys()
+        for key in got.keys() - set(self.ROUNDED):
+            assert repr(got[key]) == repr(want[key]), key
+        for key in self.ROUNDED:
+            assert got[key].keys() == want[key].keys()
+            for column, value in got[key].items():
+                if key == "sem_variance":
+                    assert value == pytest.approx(want[key][column], rel=1e-12, abs=0.0)
+                else:
+                    assert value == pytest.approx(want[key][column], rel=0.0, abs=1e-12)
+
+    def test_constant_columns_have_no_shape(self):
+        for kind in ("zero", "constant"):
+            stats = montecarlo._column_stats(_column(kind, 50, 0))
+            assert stats["variance"] == stats["sem_variance"] == 0.0
+            assert stats["skewness"] == stats["excess_kurtosis"] == 0.0
+
+
 class TestCheckLaw:
     """C(n) against the closed forms within both bounds; no record is read."""
 
