@@ -754,6 +754,19 @@ def test_underflowing_bracket_is_a_usage_error(tmp_path, capsys, argv, reason):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_mc_shape_moments_are_scale_free_where_squares_underflow(tmp_path):
+    # sigma * 2**-300 scales the first-order records by 2**-300 exactly; the
+    # squared second moment then underflows (a ZeroDivisionError before)
+    tiny = repr(0.05 * 2.0**-300)
+    argv = ["mc", "--n-trials", "50", "--steps-per-cycle", "64", "--quiet"]
+    assert main([*argv, "-o", str(tmp_path / "ref")]) == 0
+    assert main([*argv, "--sigma12", tiny, "--sigma3", tiny, "-o", str(tmp_path / "tiny")]) == 0
+    ref, tiny_run = (read_json(tmp_path / f"{stem}.summary.json")["empirical"]
+                     for stem in ("ref", "tiny"))
+    for key in ("skewness", "excess_kurtosis"):
+        assert tiny_run[key] == ref[key]
+
+
 @pytest.mark.parametrize("sigma", ["1e154", "1e200"])
 def test_non_finite_field_is_a_usage_error(tmp_path, capsys, sigma):
     # |B| overflows; a RuntimeWarning would fail here, as warnings are errors
@@ -1067,7 +1080,7 @@ _COMMAND_PINS = {
         0,
         {
             "pin.records.csv": "1edc1cb45e24f3764bc8060194db852f0619ac3eb8a49cc4afee0c607255be82",
-            "pin.summary.json": "f47839bbddfa20d467ec9cfdb5fa49a5e828c2629f71dc53f52bb720d6fe1414",
+            "pin.summary.json": "b19e8ed2d72de82cc2401f19682903964861d3d7958ea75ce7b91d49ba9162af",
         },
         [
             "mc: n_trials=200 pass=true wrote <dir>/pin.records.csv <dir>/pin.summary.json",
@@ -1078,7 +1091,7 @@ _COMMAND_PINS = {
         0,
         {
             "pin.records.csv": "b89af76c820defac046c60672acf14470dd932f1d6ce899da8d705480825b3fd",
-            "pin.summary.json": "128c029abf5c9033b7c61db4d938199c35882ae877fdcc9e82627b3cf5a47716",
+            "pin.summary.json": "c26bf294feee4cb2d75fe94e612377f724b9ea148af1c85f8ee67191484b5c9e",
         },
         [
             "mc: n_trials=200 pass=true wrote <dir>/pin.records.csv <dir>/pin.summary.json",
@@ -1089,7 +1102,7 @@ _COMMAND_PINS = {
         0,
         {
             "pin.records.csv": "62ec8133146ec789cdce4a57ffa5e98f342aa2af89c053d197af75f458c7a0d8",
-            "pin.summary.json": "75ef9b44ad8a0f66d6b51eb5b3b9f9c791918506212dc0b29ce72b1bffc6ba14",
+            "pin.summary.json": "e25eb3ee8e73ff530c1769b8d9a7381078995fa46bbf2185c9d5758d7a75efba",
         },
         [
             "mc: n_trials=40 pass=true wrote <dir>/pin.records.csv <dir>/pin.summary.json",
@@ -1102,7 +1115,7 @@ _COMMAND_PINS = {
         0,
         {
             "pin.records.csv": "5f294b59633a46ba155aade0fa7b2a6820b2ce4271e057bf3013a40fb03b2563",
-            "pin.summary.json": "b0361173ccf44bd215d3e1b20648dbb7b6b01bb652f4045cb358c57a8cc55210",
+            "pin.summary.json": "84a9cb784acb0c98593196f7bc0dc4122fe1697cd23f458658ad1c533b7e645e",
         },
         [
             "mc: n_trials=200 pass=true wrote <dir>/pin.records.csv <dir>/pin.summary.json",
@@ -1114,7 +1127,7 @@ _COMMAND_PINS = {
         0,
         {
             "pin.records.csv": "8fae6bced26a0aa3c037479591f55abbcc722d105640599aa7feeb619a8c0574",
-            "pin.summary.json": "7a6e33d3e4ef80739e4afbe1cbd35e82ab4cb7316aad2e0eb6c5b89a13333206",
+            "pin.summary.json": "1a9097bf80b3be53dc4b4896799e10f3f8616735f39c3704bc61ead32798e7fd",
         },
         [
             "mc: n_trials=40 pass=true wrote <dir>/pin.records.csv <dir>/pin.summary.json",
@@ -1235,9 +1248,9 @@ class TestCommandsPinned:
 
     @pytest.mark.parametrize("seed, digests", [
         (42, ("a81a318f4d2da9491ed00d321dbadc6286cbd09010b1b4d3aa04a48a40ef99ab",
-              "8c4f11bed79625b9c82aada3e96837229b11ef8b20e191d3d4408c0d44c7c7df")),
+              "c7d08986259f69c17b75d5500b9e7e2aa09beaa07066b45a11717c5929e61b04")),
         (7, ("8809dde540b1e8585606bf6659b926dcdc2c15c57e4f5a88ab96ab8e1e60213c",
-             "f2303f0180b5c86155570729504d8e2e4ee5ea701b19045f933e0d0cf4fec7e6")),
+             "5f7a862a11bec971a1f5fd0bc57a9bf6e15c771de29bf910c6cbe936889728fe")),
     ])
     def test_full_sim_benchmark_size(self, tmp_path, monkeypatch, seed, digests):
         # the mc_full_sim workload's command: 200 trials x 4096 steps at the reference point

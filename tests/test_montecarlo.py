@@ -899,6 +899,26 @@ class TestPowFreeMoments:
             assert stats["variance"] == stats["sem_variance"] == 0.0
             assert stats["skewness"] == stats["excess_kurtosis"] == 0.0
 
+    # 2**365 overflowed m2**1.5 (OverflowError); 2**-300 underflowed m2*m2 to
+    # zero (ZeroDivisionError)
+    @pytest.mark.parametrize("power", [365, -300])
+    def test_power_of_two_scaling_keeps_the_shape_bitwise(self, power):
+        x = _column("skewed", 1000, 4)
+        want = montecarlo._column_stats(x)
+        got = montecarlo._column_stats(x * 2.0**power)
+        for key in ("skewness", "excess_kurtosis"):
+            assert repr(got[key]) == repr(want[key])
+        assert got["variance"] == want["variance"] * 2.0 ** (2 * power)
+        assert got["sem_variance"] == want["sem_variance"] * 2.0 ** (2 * power)
+
+    def test_overflowing_variance_keeps_a_finite_shape(self):
+        x = _column("gaussian", 1000, 5)
+        want = montecarlo._column_stats(x)
+        got = montecarlo._column_stats(x * 2.0**540)  # dx.dot(dx) overflows
+        assert got["variance"] == got["sem_mean"] == got["sem_variance"] == math.inf
+        for key in ("skewness", "excess_kurtosis"):
+            assert repr(got[key]) == repr(want[key])
+
 
 class TestCheckLaw:
     """C(n) against the closed forms within both bounds; no record is read."""
