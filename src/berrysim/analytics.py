@@ -156,7 +156,13 @@ def geometric_weight(spec: PrecessionSpec) -> Weight:
     """
     s = math.sin(spec.theta0)
     c = math.cos(spec.theta0)
-    amp = math.pi * spec.n_cycles / (spec.t_total * spec.b0)
+    period = spec.t_total * spec.b0
+    if period == 0.0:
+        raise ValueError(
+            f"the geometric weight is not finite at b0={spec.b0:g}, t_total={spec.t_total:g}: "
+            "t_total*b0 underflows to zero in float64"
+        )
+    amp = math.pi * spec.n_cycles / period
     return Weight(-amp * c * s, amp * s * s)
 
 
@@ -187,10 +193,10 @@ def noiseless_berry_phase(theta0: float) -> float:
 def _transverse_bracket(gamma: float, omega: float, t_total: float) -> float:
     """J bracket of the transverse pair; exact when omega*t_total = 2*pi*n.
 
-    nan where the denominator's square underflows to zero.
+    nan where the denominator's square underflows to zero or overflows.
     """
     denom = gamma * gamma + omega * omega
-    if denom**2 == 0.0:
+    if not 0.0 < denom * denom < math.inf:
         return math.nan
     return (
         gamma * t_total / denom
@@ -317,7 +323,7 @@ def berry_phase_variance_broadband(
     """
     j = spec.t_total / model.transverse.gamma
     ell = spec.t_total / model.longitudinal.gamma
-    if max(j, ell) > 0.5 * spec.t_total**2:
+    if max(j, ell) > 0.5 * spec.t_total * spec.t_total:
         return None
     w = geometric_weight(spec)
     return _form(spec, model, w, w, j, ell)["total"]

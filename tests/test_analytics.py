@@ -273,6 +273,14 @@ class TestLimits:
         )
         assert v1 == pytest.approx(2.0 * v2, rel=1e-12)
 
+    def test_broadband_where_t_total_squared_overflows(self):
+        # its bound 0.5*t_total**2 raised OverflowError above t_total ~ 1.34e154;
+        # at gamma*T = 5e155 the limit and the exact form agree to roundoff
+        spec = PrecessionSpec(b0=1.0, theta0=0.7, t_total=1e155, n_cycles=1)
+        model = NoiseModel.from_scalars(0.05, 5.0, 0.05, 5.0)
+        got = berry_phase_variance_broadband(spec, model)
+        assert got == pytest.approx(var_gamma(spec, model)["total"], rel=1e-12)
+
     def test_narrowband_is_none_outside_its_range(self):
         # at the reference point gamma3*T = 10 and the bracket
         # T**2*(1/2 - gamma3*T/6) would give a negative variance

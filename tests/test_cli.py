@@ -754,6 +754,33 @@ def test_underflowing_bracket_is_a_usage_error(tmp_path, capsys, argv, reason):
     assert list(tmp_path.iterdir()) == []
 
 
+_WEIGHT_UNDERFLOWS = (
+    "the geometric weight is not finite at b0=1e-200, t_total=1e-200: "
+    "t_total*b0 underflows to zero in float64"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        # (gamma12**2 + omega**2)**2 overflows in the J bracket (an OverflowError before)
+        (
+            ["analytic", "--gamma12", "1e100"],
+            "closed-form moments are not finite at gamma12=1e+100, omega=0.0628319, "
+            "t_total=100: the J bracket is nan in float64",
+        ),
+        # t_total*b0 underflows to zero in the geometric weight (a ZeroDivisionError before)
+        (["analytic", "--b0", "1e-200", "--t-total", "1e-200"], _WEIGHT_UNDERFLOWS),
+        (["mc", "--b0", "1e-200", "--t-total", "1e-200", "--n-trials", "4"], _WEIGHT_UNDERFLOWS),
+    ],
+    ids=["analytic_j_overflows", "analytic_weight", "mc_weight"],
+)
+def test_float64_edge_of_a_closed_form_is_a_usage_error(tmp_path, capsys, argv, reason):
+    assert main([*argv, "--quiet", "-o", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mc_shape_moments_are_scale_free_where_squares_underflow(tmp_path):
     # sigma * 2**-300 scales the first-order records by 2**-300 exactly; the
     # squared second moment then underflows (a ZeroDivisionError before)
