@@ -156,13 +156,13 @@ def geometric_weight(spec: PrecessionSpec) -> Weight:
     """
     s = math.sin(spec.theta0)
     c = math.cos(spec.theta0)
-    period = spec.t_total * spec.b0
-    if period == 0.0:
+    t_b0 = spec.t_total * spec.b0
+    if t_b0 == 0.0:
         raise ValueError(
             f"the geometric weight is not finite at b0={spec.b0:g}, t_total={spec.t_total:g}: "
             "t_total*b0 underflows to zero in float64"
         )
-    amp = math.pi * spec.n_cycles / period
+    amp = math.pi * spec.n_cycles / t_b0
     return Weight(-amp * c * s, amp * s * s)
 
 

@@ -304,19 +304,13 @@ def run_ensemble(
 
 
 def _column_stats(x: np.ndarray) -> dict:
-    """Moments of one column: mean, variance and sem_mean from the deviations
-    dx; the shape moments from u = dx / 2^k, scaled like ``_law``'s A.
-
-    2^k is the power of two just above max|dx|, so the powers of u neither
-    overflow nor underflow where those of dx would, and scaling a column by
-    a power of two leaves its skewness and kurtosis bitwise unchanged.  The
-    third and fourth moments are products of u*u, never a power call.
-    """
+    """Moments of one column.  mean, variance and sem_mean come from the
+    deviations dx, the shape moments from u = dx / 2^k, 2^k the power of two
+    above max|dx| (as ``_law`` scales A), as products of u*u with no power
+    call; a power-of-two scale of x leaves skewness and kurtosis bitwise."""
     n = x.size
     mean = float(x.mean())
     dx = x - mean
-    with np.errstate(over="ignore"):  # the variance may overflow where u does not
-        variance = float(dx.dot(dx) / (n - 1))
     k = math.frexp(float(np.abs(dx).max()))[1]
     u = np.ldexp(dx, -k)
     u2 = u * u
@@ -325,7 +319,8 @@ def _column_stats(x: np.ndarray) -> dict:
     m4 = float(np.mean(u2 * u2))
     v = float(u.dot(u) / (n - 1))
     sem_var_sq = (m4 - (n - 3) / (n - 1) * v * v) / n
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # these may overflow where u does not
+        variance = float(dx.dot(dx) / (n - 1))
         sem_variance = float(np.ldexp(math.sqrt(max(sem_var_sq, 0.0)), 2 * k))
     return {
         "mean": mean,
@@ -347,13 +342,12 @@ def summarize(ensemble: Ensemble) -> dict:
     and ``se_cov_gamma_delta``.  ``sem_variance`` uses
     var(s^2) = (m4 - (n-3)/(n-1) s^4)/n, exact for any population; the
     skewness and kurtosis standard errors are exact for normal samples of
-    size n.  The third and fourth moments, and so the skewness, kurtosis
-    and ``sem_variance``, come from the deviations divided by a power of
-    two near their largest, as products with no power call
-    (``_column_stats``); they stay finite where the deviations' squares
-    would underflow or overflow.  The alpha variance is
-    var_gamma + var_delta + 2*cov to rounding.  Needs at least four
-    trials: the kurtosis standard error has n - 3 in its denominator.
+    size n.  The third and fourth moments are products of deviations
+    scaled by a power of two (``_column_stats``), with no power call, so
+    they stay finite where the deviations' squares underflow or overflow.
+    The alpha variance is var_gamma + var_delta + 2*cov to rounding.
+    Needs at least four trials: the kurtosis standard error has n - 3 in
+    its denominator.
     """
     n = len(ensemble)
     if n < 4:

@@ -893,12 +893,6 @@ class TestPowFreeMoments:
                 else:
                     assert value == pytest.approx(want[key][column], rel=0.0, abs=1e-12)
 
-    def test_constant_columns_have_no_shape(self):
-        for kind in ("zero", "constant"):
-            stats = montecarlo._column_stats(_column(kind, 50, 0))
-            assert stats["variance"] == stats["sem_variance"] == 0.0
-            assert stats["skewness"] == stats["excess_kurtosis"] == 0.0
-
     # 2**365 overflowed m2**1.5 (OverflowError); 2**-300 underflowed m2*m2 to
     # zero (ZeroDivisionError)
     @pytest.mark.parametrize("power", [365, -300])
