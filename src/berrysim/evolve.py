@@ -101,7 +101,8 @@ def _step_coefficients(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cayley-Klein pair of the exact step propagators, and the field modulus.
 
-    A field ``b`` (shape ``(..., 3)``) frozen over ``dt`` propagates by
+    A field ``b`` (shape ``(3, ...)``, one row per component) frozen over
+    ``dt`` propagates by
     ``U = [[a, b], [-conj(b), conj(a)]]`` with
 
         a = cos(|b| dt / 2) - i s b_z,   b = -s b_y - i s b_x,
@@ -111,9 +112,9 @@ def _step_coefficients(
     the identity.  Returns ``(a, b, |b|)``.  Raises ``ValueError`` when
     |b| is not finite, as when the noise is strong enough to overflow it.
     """
-    x, y, z = b[..., 0], b[..., 1], b[..., 2]
+    x, y, z = b
     with np.errstate(over="ignore"):
-        nb = np.sqrt(x * x + y * y + z * z)  # bitwise np.linalg.norm(b, axis=-1)
+        nb = np.sqrt(x * x + y * y + z * z)  # bitwise np.linalg.norm(b, axis=0)
     if not np.all(np.isfinite(nb)):
         raise ValueError("total field modulus is not finite; the noise overflows it")
     half = 0.5 * nb * dt
@@ -279,46 +280,55 @@ class PhaseExtraction:
 
     @property
     def energy(self) -> np.ndarray:
-        return 0.5 * np.sum(self.b_nodes * self._bloch, axis=1)
+        return 0.5 * np.sum(np.multiply(self.b_nodes, self._bloch, order="C"), axis=1)
 
     @property
     def mean_energy_integral(self) -> float:
-        return 0.5 * self.dt * float(np.sum(self.b_mid * self._bloch[:-1]))
+        # a C-order product, so the sum runs in node-major order whatever the layout
+        return 0.5 * self.dt * float(np.sum(np.multiply(self.b_mid, self._bloch[:-1], order="C")))
 
 
-def _winding_number(b_nodes: np.ndarray) -> tuple[int, np.ndarray]:
-    """Turns of the transverse field, and its node azimuths in [-pi, pi].
+def _winding_number(x: np.ndarray, y: np.ndarray) -> int:
+    """Turns of the transverse field (x, y) over its nodes: np.unwrap's count.
 
-    np.unwrap's count without its float mod at every node: only the steps
-    of pi or more, across the branch cut, take its correction (Python's
-    float % is numpy's mod), summed in node order as its cumsum does.
-    Adding 0.0 squashes IEEE negative zeros, which would otherwise make
-    atan2 report +/-pi on an identically zero transverse component.
+    The node azimuth atan2(y + 0.0, x + 0.0) lies in [0, pi] where
+    y >= 0 and in (-pi, 0) where y < 0, so a step whose ends lie on one
+    side moves the azimuth by at most pi, and by exactly pi only between
+    two y = 0 nodes, where np.unwrap's correction is 0.  So only the
+    steps where y < 0 (signbit(y + 0.0)) flips can take a correction,
+    and atan2 runs only at their ends and at the path's two ends; the corrections of the steps of pi
+    or more are summed in node order, as np.unwrap's cumsum does (Python's
+    float % is numpy's mod).  Adding 0.0 squashes IEEE negative zeros,
+    which would otherwise make atan2 report +/-pi on an identically zero
+    transverse component.  The nodes must not be NaN.
     """
-    azimuth = np.arctan2(b_nodes[:, 1] + 0.0, b_nodes[:, 0] + 0.0)
-    jumps = np.diff(azimuth)
+    below = y < 0.0
+    flips = np.flatnonzero(below[1:] != below[:-1])
+    ends = np.concatenate([flips, flips + 1, [0, y.size - 1]])
+    azimuth = np.arctan2(y[ends] + 0.0, x[ends] + 0.0)
+    jumps = azimuth[flips.size:2 * flips.size] - azimuth[:flips.size]
     shift = 0.0
-    # "not < pi" rather than ">= pi": a NaN step is corrected too, as np.unwrap does
-    for jump in jumps[~(np.abs(jumps) < math.pi)].tolist():
+    for jump in jumps[np.abs(jumps) >= math.pi].tolist():
         wrapped = (jump + math.pi) % math.tau - math.pi
         shift += (math.pi if wrapped == -math.pi and jump > 0.0 else wrapped) - jump
-    return int(round((azimuth[-1] + shift - azimuth[0]) / math.tau)), azimuth
+    return int(round((azimuth[-1] + shift - azimuth[-2]) / math.tau))
 
 
 def _control_grids(spec: PrecessionSpec, n_steps: int) -> tuple[float, np.ndarray, np.ndarray]:
     """The grid's step dt = t_total / n_steps and the control field at its nodes and midpoints.
 
     Node k sits at k*dt, an ulp past t_total at worst, and midpoint k at
-    (k + 1/2)*dt.  Raises :class:`ResolutionError` when one step turns
-    the field by pi/4 or more.
+    (k + 1/2)*dt.  The fields are component-major, shapes (3, n_steps + 1)
+    and (3, n_steps), with contiguous rows.  Raises
+    :class:`ResolutionError` when one step turns the field by pi/4 or more.
     """
     dt = spec.t_total / n_steps
     if spec.b0 * dt >= 0.25 * math.pi:
         raise ResolutionError(
             f"b0*dt = {spec.b0 * dt:.3g} exceeds pi/4; increase steps_per_cycle"
         )
-    nodes = control_field(spec, np.arange(n_steps + 1) * dt)
-    return dt, nodes, control_field(spec, (np.arange(n_steps) + 0.5) * dt)
+    nodes = control_field(spec, np.arange(n_steps + 1) * dt).T.copy()
+    return dt, nodes, control_field(spec, (np.arange(n_steps) + 0.5) * dt).T.copy()
 
 
 def _evolve(
@@ -330,10 +340,13 @@ def _evolve(
 ) -> PhaseExtraction:
     """The evolution kernel, from the control grids and the noise K at the n + 1 nodes.
 
-    The total field is control plus K at the nodes, and control plus the
-    mean of the two end-node K values at each step midpoint; K and the
-    field modulus must be finite.  The state starts in the branch
-    eigenstate of the first node field; step k applies the exact
+    All three are component-major, as ``_control_grids`` returns the
+    first two: K has shape (3, n + 1), and each per-step operation reads
+    a row, contiguous when the row is.  The total field is control plus
+    K at the nodes, and control plus the mean of the two end-node K
+    values at each step midpoint; K and the field modulus must be
+    finite.  The state starts in the branch eigenstate of the first
+    node field; step k applies the exact
     propagator of the k-th midpoint field over ``dt``, and the final
     state is the product of all steps applied to it.  Leakage is
     measured against the branch eigenstate of the last node field; both
@@ -342,12 +355,12 @@ def _evolve(
     if not np.all(np.isfinite(k_nodes)):
         raise ValueError("noise samples must be finite")
     b_nodes = control_nodes + k_nodes
-    b_mid = control_mid + 0.5 * (k_nodes[:-1] + k_nodes[1:])
+    b_mid = control_mid + 0.5 * (k_nodes[:, :-1] + k_nodes[:, 1:])
     step_a, step_b, nb = _step_coefficients(b_mid, dt)
-    winding = _winding_number(b_nodes)[0]
+    winding = _winding_number(b_nodes[0], b_nodes[1])
     field_modulus_integral = float(nb.sum() * dt)
 
-    thetas, phis = zip(polar_angles(b_nodes[0]), polar_angles(b_nodes[-1]))
+    thetas, phis = zip(polar_angles(b_nodes[:, 0]), polar_angles(b_nodes[:, -1]))
     (u0, d0), (ref_u, ref_d) = _eigenvector_chain(thetas, phis, branch).tolist()
     levels = _product_tree(step_a, step_b)
     root_a, root_b = levels[-1]
@@ -362,9 +375,9 @@ def _evolve(
     return PhaseExtraction(
         branch=branch,
         dt=dt,
-        control_nodes=control_nodes,
-        b_nodes=b_nodes,
-        b_mid=b_mid,
+        control_nodes=control_nodes.T,
+        b_nodes=b_nodes.T,
+        b_mid=b_mid.T,
         levels=levels,
         start=(u0, d0),
         field_modulus=nb,
@@ -408,7 +421,7 @@ def evolve_and_extract(
             f"noise has shape {noise.shape} but the grid of steps_per_cycle * n_cycles "
             f"= {n_steps} steps needs {(n_steps + 1, 3)}"
         )
-    return _evolve(control_nodes, control_mid, noise, dt, branch)
+    return _evolve(control_nodes, control_mid, noise.T, dt, branch)
 
 
 def connection_phase_discrete(b_nodes: np.ndarray, *, branch: str = "up") -> float:
@@ -428,14 +441,15 @@ def connection_phase_discrete(b_nodes: np.ndarray, *, branch: str = "up") -> flo
     """
     if branch not in ("up", "down"):
         raise ValueError(f"branch must be 'up' or 'down', got {branch!r}")
-    b_nodes = np.asarray(b_nodes, dtype=float)
+    # C order, so the reductions below add in the same order for every layout
+    b_nodes = np.asarray(b_nodes, dtype=float, order="C")
     if b_nodes.ndim != 2 or b_nodes.shape[0] < 2 or b_nodes.shape[1] != 3:
         raise ValueError(f"b_nodes must have shape (n + 1, 3) with n >= 1, got {b_nodes.shape}")
     r = np.linalg.norm(b_nodes, axis=1)
     if np.any(r < _TINY_FIELD):
         raise DegeneracyError("total field vanishes along the path")
-    winding, azimuth = _winding_number(b_nodes)
-    phi = np.unwrap(azimuth)
+    phi = np.unwrap(np.arctan2(b_nodes[:, 1] + 0.0, b_nodes[:, 0] + 0.0))
+    winding = int(round((phi[-1] - phi[0]) / math.tau))
     theta = np.arccos(np.clip(b_nodes[:, 2] / r, -1.0, 1.0))
     vecs = _eigenvector_chain(theta, phi, branch)
     links = np.sum(np.conj(vecs[:-1]) * vecs[1:], axis=1)

@@ -120,7 +120,8 @@ def _adjoint_matrix(spec: PrecessionSpec, model: NoiseModel, n_steps: int) -> np
     quad = np.full(n_steps + 1, dt)
     quad[0] = quad[-1] = 0.5 * dt
     return np.stack([
-        _ou_filter(model, dt, w.on_grid(spec, times) * quad[:, None], adjoint=True).reshape(-1)
+        _ou_filter(model, dt, (w.on_grid(spec, times) * quad[:, None]).T, adjoint=True)
+        .T.reshape(-1)
         for w in (analytics.geometric_weight(spec), analytics.dynamical_weight(spec))
     ])
 
@@ -293,7 +294,7 @@ def run_ensemble(
         for column, index in enumerate(range(start, stop)):
             xi = _draw_innovations(n_steps, trial_seed(master_seed, index))
             block[:2, column] = adjoint @ xi.reshape(-1)
-            run = _evolve(control_nodes, control_mid, _ou_filter(model, dt, xi), dt, "up")
+            run = _evolve(control_nodes, control_mid, _ou_filter(model, dt, xi.T), dt, "up")
             block[2:, column] = run.geometric_phase, run.leakage
         return block
 

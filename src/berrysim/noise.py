@@ -21,12 +21,16 @@ The path is linear in the innovations, K = L xi; the same filter also
 applies the transpose L^T, which turns a weighted path integral w.K
 into the inner product (L^T w).xi.  Both directions, and the kernel of
 the quadrature oracle in :mod:`berrysim.analytics`, run one numpy AR(1)
-scan, y[k] = d*y[k-1] + x[k], in column layout: one pass per parameter
-set, so one for all three components when their parameters are equal.
+scan, y[k] = d*y[k-1] + x[k], along contiguous rows: one pass per
+parameter set, so one for all three components when their parameters
+are equal.  The filter works component-major, one row of nodes per
+component, and computes its per-grid constants once per grid
+(``_filter_plan``), so an ensemble's trials share them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,7 +96,7 @@ def _draw_innovations(n_steps: int, seed: int) -> np.ndarray:
     return rng.standard_normal((int(n_steps) + 1, 3))
 
 
-# Rows per block of the AR(1) scan, and the largest exponent j*ln(1/d) that
+# Values per block of the AR(1) scan, and the largest exponent j*ln(1/d) that
 # its in-block scaling d**-j may reach, so that scaled values stay finite.
 _AR1_BLOCK = 4096
 _AR1_SPAN = 200.0
@@ -104,25 +108,23 @@ def _ar1_block(d: float) -> int:
     return min(_AR1_BLOCK, 1 + int(_AR1_SPAN / u)) if u > 0.0 else _AR1_BLOCK
 
 
-def _ar1(x: np.ndarray, d: float) -> np.ndarray:
-    """y[k] = d*y[k-1] + x[k] down axis 0, with y[0] = x[0] and 0 <= d <= 1.
-
-    Within a block of B rows, y[j] = d**j * (cumsum(x / d**j) + d*c), where
-    c is the value the previous block ends on.  B keeps d**-j below
-    exp(_AR1_SPAN), and B = 1 when d underflows to 0.  The block end values
-    c come from a doubling scan over blocks with decay d**B (Hillis &
-    Steele, CACM 29(12), 1986), which stops once that decay underflows to
-    zero.  The work is O(len(x)), and all-zero columns come out exactly zero.
-    Each column is scanned over contiguous memory; the result is a view.
-    """
-    n = x.shape[0]
-    rest = x.shape[1:][::-1]
+def _ar1_plan(d: float, n: int) -> tuple[int, int, np.ndarray]:
+    """(n_blocks, block, d**arange(block)) of the AR(1) scan over n values at decay d."""
     n_blocks = -(-n // _ar1_block(d))
     block = -(-n // n_blocks)
-    y = np.zeros(rest + (n_blocks * block,))
-    y[..., :n] = x.T
-    y = y.reshape(rest + (n_blocks, block))
     powers = d ** np.arange(block)
+    powers.setflags(write=False)
+    return n_blocks, block, powers
+
+
+def _ar1_scan(y: np.ndarray, d: float, plan: tuple) -> None:
+    """The AR(1) scan of :func:`_ar1` in place, along the last axis of y.
+
+    y holds n_blocks * block values per row, zero past the scanned ones,
+    with the last axis contiguous, so the blocks are a view.
+    """
+    n_blocks, block, powers = plan
+    y = y.reshape(y.shape[:-1] + (n_blocks, block), copy=False)
     y /= powers
     np.cumsum(y, axis=-1, out=y)
     carry = powers[-1] * y[..., -1]
@@ -132,39 +134,82 @@ def _ar1(x: np.ndarray, d: float) -> np.ndarray:
         step, decay = 2 * step, decay * decay
     y[..., 1:, :] += d * carry[..., :-1, None]
     y *= powers
-    return y.reshape(rest + (n_blocks * block,))[..., :n].T
+
+
+def _ar1(x: np.ndarray, d: float) -> np.ndarray:
+    """y[k] = d*y[k-1] + x[k] along the last axis, with y[0] = x[0] and 0 <= d <= 1.
+
+    Within a block of B values, y[j] = d**j * (cumsum(x / d**j) + d*c), where
+    c is the value the previous block ends on.  B keeps d**-j below
+    exp(_AR1_SPAN), and B = 1 when d underflows to 0.  The block end values
+    c come from a doubling scan over blocks with decay d**B (Hillis &
+    Steele, CACM 29(12), 1986), which stops once that decay underflows to
+    zero.  The work is O(x.shape[-1]), and all-zero rows come out exactly
+    zero.  Each row is scanned over contiguous memory; the result is a view.
+    """
+    n = x.shape[-1]
+    plan = _ar1_plan(d, n)
+    y = np.zeros(x.shape[:-1] + (plan[0] * plan[1],))
+    y[..., :n] = x
+    _ar1_scan(y, d, plan)
+    return y[..., :n]
+
+
+@functools.lru_cache(maxsize=8)
+def _filter_plan(model: NoiseModel, dt: float, n: int) -> tuple[int, tuple]:
+    """The per-grid constants of :func:`_ou_filter` over n nodes: (width, parts).
+
+    A part is (rows, sigma, innov, decay, AR(1) plan) for the components
+    that share one parameter set, a slice of the three rows; parts with
+    sigma = 0 are left out.  width is the widest part's padded scan.  An
+    ensemble filters every trial on one grid, so this runs once for it.
+    """
+    parts = ((slice(0, 2), model.transverse), (slice(2, 3), model.longitudinal))
+    if model.transverse == model.longitudinal:
+        parts = ((slice(0, 3), model.transverse),)
+    planned = []
+    for rows, params in parts:
+        if params.sigma == 0.0:
+            continue
+        decay = math.exp(-params.gamma * dt)
+        innov = params.sigma * math.sqrt(-math.expm1(-2.0 * params.gamma * dt))
+        planned.append((rows, params.sigma, innov, decay, _ar1_plan(decay, n)))
+    return max((p[-1][0] * p[-1][1] for p in planned), default=n), tuple(planned)
 
 
 def _ou_filter(
     model: NoiseModel, dt: float, values: np.ndarray, *, adjoint: bool = False
 ) -> np.ndarray:
-    """Apply the exact OU transition L, or its transpose, down the node axis.
+    """Apply the exact OU transition L, or its transpose, along the node axis.
 
-    ``values`` has shape (n_steps + 1, 3), one column per component.  The
-    forward map K = L xi is the recursion in the module docstring with
-    K[0] = sigma*xi[0]: an AR(1) pass with the decay over the innovations
-    scaled by s = (sigma, innov, innov, ...).  The adjoint u = L^T w is
-    the same AR(1) pass run backwards over w, then scaled by s, so that
+    ``values`` has shape (3, n_steps + 1), one row per component, and so
+    has the result, whose rows are contiguous.  The forward map K = L xi
+    is the recursion in the module docstring with K[0] = sigma*xi[0]: an
+    AR(1) pass with the decay over the innovations scaled by
+    s = (sigma, innov, innov, ...).  The adjoint u = L^T w is the same
+    AR(1) pass run backwards over w, then scaled by s, so that
     ``(w * K).sum() == (u * xi).sum()`` up to rounding.  Components with
     equal parameters share a pass, and those with sigma = 0 come out
-    exactly zero in both directions.
+    exactly zero in both directions.  Each part scans in place in its
+    rows of one zero-padded buffer.
     """
-    out = np.zeros_like(values)
-    parts = (([0, 1], model.transverse), ([2], model.longitudinal))
-    if model.transverse == model.longitudinal:
-        parts = (([0, 1, 2], model.transverse),)
-    for columns, params in parts:
-        if params.sigma == 0.0:
-            continue
-        decay = math.exp(-params.gamma * dt)
-        innov = params.sigma * math.sqrt(-math.expm1(-2.0 * params.gamma * dt))
-        scale = np.full((values.shape[0], 1), innov)
-        scale[0] = params.sigma
+    n = values.shape[-1]
+    width, parts = _filter_plan(model, dt, n)
+    out = np.zeros((3, width))
+    for rows, sigma, innov, decay, plan in parts:
+        y = out[rows, :plan[0] * plan[1]]
+        x = values[rows, ::-1] if adjoint else values[rows]
         if adjoint:
-            out[:, columns] = scale * _ar1(values[::-1, columns], decay)[::-1]
+            y[:, :n] = x
         else:
-            out[:, columns] = _ar1(scale * values[:, columns], decay)
-    return out
+            np.multiply(x, innov, out=y[:, :n])
+            y[:, 0] = sigma * x[:, 0]
+        _ar1_scan(y, decay, plan)
+        if adjoint:
+            first = sigma * y[:, n - 1]
+            np.multiply(y[:, n - 1::-1], innov, out=y[:, :n])
+            y[:, 0] = first
+    return out[:, :n]
 
 
 def sample_path(model: NoiseModel, n_steps: int, dt: float, seed: int) -> np.ndarray:
@@ -199,7 +244,7 @@ def sample_path(model: NoiseModel, n_steps: int, dt: float, seed: int) -> np.nda
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = _ou_filter(model, float(dt), _draw_innovations(int(n_steps), int(seed)))
+        samples = _ou_filter(model, float(dt), _draw_innovations(int(n_steps), int(seed)).T).T
     if not np.all(np.isfinite(samples)):
         raise ValueError(f"noise samples overflow float64 at sigma12={model.transverse.sigma:g}, "
                          f"sigma3={model.longitudinal.sigma:g}")

@@ -248,7 +248,7 @@ class TestFieldModulus:
             rng.standard_normal((64, 3)) * 1e153,
             [[9e153, 0.0, -9e153], [-7e153, 7e153, 7e153]],
         ])
-        _, _, modulus = _step_coefficients(rows, 0.01)
+        _, _, modulus = _step_coefficients(rows.T, 0.01)
         assert modulus.tobytes() == np.linalg.norm(rows, axis=-1).tobytes()
         single = _step_coefficients(rows[7], 0.01)[2]
         assert single.tobytes() == np.linalg.norm(rows[7]).tobytes()
@@ -259,7 +259,7 @@ class TestFieldModulus:
         with np.errstate(over="ignore"):
             assert not np.isfinite(np.linalg.norm(rows, axis=-1)[1])
         with pytest.raises(ValueError, match="not finite"):
-            _step_coefficients(rows, 0.01)
+            _step_coefficients(rows.T, 0.01)
 
 
 class TestIntegratorConfig:
@@ -715,7 +715,7 @@ def _reference_trajectory(b_nodes, b_mid, dt, u0, d0):
     by step, the energy at each node and its integral over the midpoint
     field, as one dict.
     """
-    step_a, step_b, _ = _step_coefficients(b_mid, dt)
+    step_a, step_b, _ = _step_coefficients(b_mid.T, dt)
     amp_up, amp_down = _reference_node_states(step_a, step_b, u0, d0)
     overlap0 = u0.conjugate() * amp_up + d0.conjugate() * amp_down
     overlap0[0] = 1.0
@@ -759,12 +759,13 @@ def _pinned_evolve_and_extract(spec, path, config, branch):
     """
     n_steps = config.steps_per_cycle * spec.n_cycles
     dt, control_nodes, control_mid = _control_grids(spec, n_steps)
+    control_nodes, control_mid = control_nodes.T, control_mid.T
     k_nodes = np.zeros((n_steps + 1, 3)) if path is None else path
     b_nodes = control_nodes + k_nodes
     b_mid = control_mid + 0.5 * (k_nodes[:-1] + k_nodes[1:])
 
     winding, _ = _reference_winding(b_nodes)
-    nb = _step_coefficients(b_mid, dt)[2]
+    nb = _step_coefficients(b_mid.T, dt)[2]
     field_modulus_integral = float(nb.sum() * dt)
     thetas, phis = zip(polar_angles(b_nodes[0]), polar_angles(b_nodes[-1]))
     (u0, d0), (ref_u, ref_d) = _eigenvector_chain(thetas, phis, branch).tolist()
@@ -879,7 +880,7 @@ def _random_steps_evolution(n, branch):
     nodes = rng.standard_normal((n + 1, 3))
     mid = rng.standard_normal((n, 3))
     mid[2::5] = 0.0
-    return _evolve(nodes, mid, np.zeros((n + 1, 3)), 0.3, branch)
+    return _evolve(nodes.T, mid.T, np.zeros((3, n + 1)), 0.3, branch)
 
 
 RANDOM_STEP_COUNTS = [1, 2, 3, 17, 4096, 4097, 65536]
@@ -940,7 +941,7 @@ class TestLongChain:
         norm = np.abs(result.amp_up) ** 2 + np.abs(result.amp_down) ** 2
         assert np.max(np.abs(norm - 1.0)) <= 1e-12
 
-        a, off, _ = _step_coefficients(result.b_mid, result.dt)
+        a, off, _ = _step_coefficients(result.b_mid.T, result.dt)
         sampled = {1, 1000, n_steps // 3, n_steps // 2 + 1, n_steps - 1, n_steps}
         u, d = result.start
         for k, (ak, bk) in enumerate(zip(a.tolist(), off.tolist()), start=1):
@@ -1020,9 +1021,22 @@ class TestTurnCount:
     def test_random_fields(self):
         rng = np.random.default_rng(2024)
         for b_nodes in _random_transverse_fields(rng, 20_000):
-            winding = _winding_number(b_nodes)[0]
+            winding = _winding_number(b_nodes[:, 0], b_nodes[:, 1])
             assert type(winding) is int
             assert winding == _reference_winding(b_nodes)[0], b_nodes[:, :2].tolist()
+
+    def test_only_steps_across_the_x_axis_take_a_correction(self):
+        # np.unwrap's correction of each step, nonzero only where y < 0 flips:
+        # the steps the count evaluates atan2 at
+        rng = np.random.default_rng(7)
+        for b_nodes in _random_transverse_fields(rng, 5_000):
+            azimuth = np.arctan2(b_nodes[:, 1] + 0.0, b_nodes[:, 0] + 0.0)
+            jumps = np.diff(azimuth)
+            wrapped = np.mod(jumps + math.pi, math.tau) - math.pi
+            wrapped[(wrapped == -math.pi) & (jumps > 0.0)] = math.pi
+            corrected = (wrapped != jumps) & ~(np.abs(jumps) < math.pi)
+            below = b_nodes[:, 1] < 0.0
+            assert np.all((below[1:] != below[:-1])[corrected]), b_nodes[:, :2].tolist()
 
     @pytest.mark.parametrize("sigma", [1e-300, 1e-170, 0.05, 0.5, 3.0])
     @pytest.mark.parametrize("n_cycles", [1, 3])
@@ -1035,7 +1049,7 @@ class TestTurnCount:
         dt, control_nodes, _ = _control_grids(spec, n_steps)
         model = NoiseModel.from_scalars(sigma, 0.1, sigma, 0.1)
         for seed in range(20):
-            b_nodes = control_nodes + sample_path(model, n_steps, dt, seed)
-            winding = _winding_number(b_nodes)[0]
+            b_nodes = control_nodes.T + sample_path(model, n_steps, dt, seed)
+            winding = _winding_number(b_nodes[:, 0], b_nodes[:, 1])
             assert type(winding) is int
             assert winding == _reference_winding(b_nodes)[0], seed

@@ -21,6 +21,7 @@ from berrysim import (
     run_ensemble,
     sample_path,
 )
+from berrysim import evolve, montecarlo
 from berrysim.noise import _draw_innovations
 from test_noise import _reference_ou_filter
 
@@ -192,3 +193,35 @@ def test_noise_layout_does_not_move_a_bit(name):
                 assert g.tobytes() == w.tobytes()
             else:
                 assert repr(g) == repr(w)
+
+
+def test_trial_rows_are_contiguous_along_the_nodes(monkeypatch):
+    # the layout guard: every row a trial filters, evolves and counts turns
+    # on is one contiguous run of node values, not a stride-24 column view
+    seen = []
+
+    def spy(module, name, keep):
+        original = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            result = original(*args, **kwargs)
+            seen.extend((name, array) for array in keep(args, result))
+            return result
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(montecarlo, "_ou_filter", lambda args, result: [result])
+    spy(montecarlo, "_evolve", lambda args, result: args[:3])
+    spy(evolve, "_step_coefficients", lambda args, result: [args[0]])
+    spy(evolve, "_winding_number", lambda args, result: args)
+    spec = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)
+    model = NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.3)
+    run_ensemble(spec, model, 2, 42, mode="full_sim", config=IntegratorConfig())
+    names = [name for name, _ in seen]
+    assert names.count("_ou_filter") == 2 + 2  # the adjoint's two weights, then each trial
+    assert names.count("_step_coefficients") == names.count("_winding_number") // 2 == 2
+    for name, array in seen:
+        rows = array if array.ndim == 2 else array[None]
+        assert rows.shape[-1] >= 4096 and rows.strides[-1] == rows.itemsize, name
+    path = sample_path(model, 4096, 100.0 / 4096, 1)
+    assert path.T.strides[-1] == path.itemsize

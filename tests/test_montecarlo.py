@@ -146,7 +146,7 @@ def _reference_adjoint(spec, model, config):
     w_gamma = geometric_weight(spec).on_grid(spec, times) * quad[:, None]
     w_delta = dynamical_weight(spec).on_grid(spec, times) * quad[:, None]
     adjoint = np.stack(
-        [_ou_filter(model, dt, w, adjoint=True).reshape(-1) for w in (w_gamma, w_delta)]
+        [_ou_filter(model, dt, w.T, adjoint=True).T.reshape(-1) for w in (w_gamma, w_delta)]
     )
     return adjoint, n_steps, dt
 
@@ -187,7 +187,7 @@ def _reference_run_ensemble(spec, model, n_trials, master_seed, *, mode="first_o
     for index in range(int(n_trials)):
         xi = _draw_innovations(n_steps, trial_seed(master_seed, index))
         gamma, delta = (adjoint @ xi.reshape(-1)).tolist()
-        run = _evolve(control_nodes, control_mid, _ou_filter(model, dt, xi), dt, "up")
+        run = _evolve(control_nodes, control_mid, _ou_filter(model, dt, xi.T), dt, "up")
         records.append(
             TrialRecord(index, gamma, delta, gamma + delta, run.geometric_phase, run.leakage)
         )
@@ -480,19 +480,21 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("gamma3, widths", PASSES, ids=["gamma12=gamma3", "gamma12!=gamma3"])
     def test_full_sim_filters_once_per_parameter_set(self, monkeypatch, gamma3, widths):
         # the two adjoint weights and each trial's path take one pass per
-        # distinct parameter set, over all the components that share it
+        # distinct parameter set, over all the components that share it:
+        # rows of the filter's buffer, padded past the nodes
         shapes = []
-        original = noise._ar1
+        original = noise._ar1_scan
 
-        def counting(x, d):
-            shapes.append(x.shape)
-            return original(x, d)
+        def counting(y, d, plan):
+            shapes.append(y.shape)
+            return original(y, d, plan)
 
-        monkeypatch.setattr(noise, "_ar1", counting)
+        monkeypatch.setattr(noise, "_ar1_scan", counting)
         model = NoiseModel.from_scalars(0.05, 0.1, 0.05, gamma3)
         run_ensemble(SPEC, model, 5, 19, mode="full_sim", config=FAST)
         nodes = FAST.steps_per_cycle * SPEC.n_cycles + 1
-        assert shapes == [(nodes, width) for width in widths] * (2 + 5)
+        assert [rows for rows, _ in shapes] == widths * (2 + 5)
+        assert all(padded >= nodes for _, padded in shapes)
 
     def test_full_sim_draws_once_for_both_routes(self):
         # one draw per trial feeds the first-order records, A xi bitwise,
@@ -509,7 +511,7 @@ class TestRunEnsemble:
                 gamma.hex(), delta.hex()
             )
             path = sample_path(MODEL, n_steps, dt, seed)
-            assert path.tolist() == _ou_filter(MODEL, dt, xi).tolist()
+            assert path.tolist() == _ou_filter(MODEL, dt, xi.T).T.tolist()
             assert full_sim.gamma_sim[index] == evolve_and_extract(SPEC, path, FAST).geometric_phase
 
     # (sigma12, sigma3): isotropic, longitudinal or transverse only, noiseless, strong

@@ -277,7 +277,7 @@ class TestAr1Kernel:
                 x = rng.standard_normal(shape)
                 for values in (x, x[::-1]):  # reversed, as the adjoint runs it
                     with np.errstate(over="raise", invalid="raise", divide="raise"):
-                        got = _ar1(values, d)
+                        got = _ar1(values.T, d).T
                     want = lfilter([1.0], [1.0, -d], values, axis=0)
                     assert got.shape == want.shape
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -286,7 +286,7 @@ class TestAr1Kernel:
     def test_zero_columns_stay_exactly_zero(self, d):
         x = np.zeros((10_000, 3))
         x[:, 1] = np.random.default_rng(3).standard_normal(10_000)
-        y = _ar1(x, d)
+        y = _ar1(x.T, d).T
         assert np.all(y[:, [0, 2]] == 0.0)
 
 
@@ -358,7 +358,7 @@ class TestScanLayout:
             x = rng.standard_normal(shape)
             for values in (x, x[::-1]):  # reversed, as the adjoint passes it
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    got = _ar1(values, d)
+                    got = _ar1(values.T, d).T
                 want = _reference_ar1(values, d)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
@@ -371,7 +371,7 @@ class TestScanLayout:
         values = np.random.default_rng(n).standard_normal((n, 3))
         # gamma12*dt from 1e-7 to 800, where the one-step decay underflows to 0
         for dt in (1e-6, 0.01, 3.0, 330.0, 8000.0):
-            got = _ou_filter(model, dt, values, adjoint=adjoint)
+            got = _ou_filter(model, dt, values.T, adjoint=adjoint).T
             want = _reference_ou_filter(model, dt, values, adjoint=adjoint)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()

@@ -32,6 +32,6 @@ def test_winding_is_the_unwrap_count(nodes):
     for x, y, negate in nodes:
         xy.append((-xy[-1][0], -xy[-1][1]) if negate and xy else (x, y))
     b_nodes = np.array([(x, y, 1.0) for x, y in xy])
-    winding = _winding_number(b_nodes)[0]
+    winding = _winding_number(b_nodes[:, 0], b_nodes[:, 1])
     assert type(winding) is int
     assert winding == _reference_winding(b_nodes)[0]
