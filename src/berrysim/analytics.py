@@ -422,8 +422,8 @@ def _pass_value(coeffs: tuple, integrals: tuple) -> float:
         if coeff == 0.0:
             continue
         for value in values:
-            total += coeff * value
-    return float(total)
+            total += coeff * float(value)  # Python floats: an inf or nan pass warns nowhere
+    return total
 
 
 def _covariances_by_quadrature(spec: PrecessionSpec, pairs: list, model: NoiseModel) -> tuple:
@@ -460,11 +460,18 @@ def _covariances_by_quadrature(spec: PrecessionSpec, pairs: list, model: NoiseMo
 
 def _extrapolate(pass_value, n: int, rtol: float, max_nodes: int) -> QuadratureEstimate:
     """Double the grid from ``n`` nodes until R2 or R3 meets the tolerance (module docstring)."""
-    prev = pass_value(n)
+
+    def finite_pass(n: int) -> float:
+        value = pass_value(n)
+        if not math.isfinite(value):
+            raise AccuracyError(f"the quadrature pass over {n} nodes is {value}, not finite")
+        return value
+
+    prev = finite_pass(n)
     prev_r2 = None
     while 2 * n <= max_nodes:
         n *= 2
-        cur = pass_value(n)
+        cur = finite_pass(n)
         err = abs(cur - prev) / 3.0
         r2 = cur + (cur - prev) / 3.0
         if err <= rtol * abs(r2):

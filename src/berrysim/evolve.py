@@ -101,9 +101,8 @@ def _step_coefficients(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cayley-Klein pair of the exact step propagators, and the field modulus.
 
-    A field ``b`` (shape ``(3, ...)``, one row per component) frozen over
-    ``dt`` propagates by
-    ``U = [[a, b], [-conj(b), conj(a)]]`` with
+    A field ``b`` (shape ``(3, ...)``, a row per component) frozen over
+    ``dt`` propagates by ``U = [[a, b], [-conj(b), conj(a)]]`` with
 
         a = cos(|b| dt / 2) - i s b_z,   b = -s b_y - i s b_x,
         s = sin(|b| dt / 2) / |b|,
@@ -278,29 +277,29 @@ class PhaseExtraction:
         pz = np.abs(self.amp_up) ** 2 - np.abs(self.amp_down) ** 2
         return np.stack([2.0 * cross.real, 2.0 * cross.imag, pz], axis=1)
 
+    # The products are C-ordered, so the sums add in node-major order, whatever
+    # the layout of the field arrays.
     @property
     def energy(self) -> np.ndarray:
         return 0.5 * np.sum(np.multiply(self.b_nodes, self._bloch, order="C"), axis=1)
 
     @property
     def mean_energy_integral(self) -> float:
-        # a C-order product, so the sum runs in node-major order whatever the layout
-        return 0.5 * self.dt * float(np.sum(np.multiply(self.b_mid, self._bloch[:-1], order="C")))
+        product = np.multiply(self.b_mid, self._bloch[:-1], order="C")
+        return 0.5 * self.dt * float(np.sum(product))
 
 
 def _winding_number(x: np.ndarray, y: np.ndarray) -> int:
     """Turns of the transverse field (x, y) over its nodes: np.unwrap's count.
 
-    The node azimuth atan2(y + 0.0, x + 0.0) lies in [0, pi] where
-    y >= 0 and in (-pi, 0) where y < 0, so a step whose ends lie on one
-    side moves the azimuth by at most pi, and by exactly pi only between
-    two y = 0 nodes, where np.unwrap's correction is 0.  So only the
-    steps where y < 0 (signbit(y + 0.0)) flips can take a correction,
-    and atan2 runs only at their ends and at the path's two ends; the corrections of the steps of pi
-    or more are summed in node order, as np.unwrap's cumsum does (Python's
-    float % is numpy's mod).  Adding 0.0 squashes IEEE negative zeros,
-    which would otherwise make atan2 report +/-pi on an identically zero
-    transverse component.  The nodes must not be NaN.
+    The azimuth atan2(y + 0.0, x + 0.0) lies in [0, pi] where y >= 0 and
+    in (-pi, 0) where y < 0 (adding 0.0 squashes IEEE negative zeros), so
+    a step that stays on one side moves it by at most pi, and by exactly
+    pi only between two y = 0 nodes, where np.unwrap's correction is 0.
+    So atan2 runs only at the ends of the steps where y < 0 flips, and at
+    the path's two ends; the corrections of those steps of pi or more are
+    summed in node order, as np.unwrap's cumsum does (Python's float % is
+    numpy's mod).  The nodes must not be NaN.
     """
     below = y < 0.0
     flips = np.flatnonzero(below[1:] != below[:-1])
@@ -340,17 +339,16 @@ def _evolve(
 ) -> PhaseExtraction:
     """The evolution kernel, from the control grids and the noise K at the n + 1 nodes.
 
-    All three are component-major, as ``_control_grids`` returns the
-    first two: K has shape (3, n + 1), and each per-step operation reads
-    a row, contiguous when the row is.  The total field is control plus
-    K at the nodes, and control plus the mean of the two end-node K
-    values at each step midpoint; K and the field modulus must be
-    finite.  The state starts in the branch eigenstate of the first
-    node field; step k applies the exact
-    propagator of the k-th midpoint field over ``dt``, and the final
-    state is the product of all steps applied to it.  Leakage is
-    measured against the branch eigenstate of the last node field; both
-    eigenstates come from one :func:`_eigenvector_chain` call.
+    All three are component-major, K of shape (3, n + 1), so each
+    per-step operation reads a row.  The total field is control plus K
+    at the nodes, and control plus the mean of the two end-node K values
+    at each step midpoint; K and the field modulus must be finite.  The
+    state starts in the branch eigenstate of the first node field; step
+    k applies the exact propagator of the k-th midpoint field over
+    ``dt``, and the final state is the product of all steps applied to
+    it.  Leakage is measured against the branch eigenstate of the last
+    node field; both eigenstates come from one :func:`_eigenvector_chain`
+    call.
     """
     if not np.all(np.isfinite(k_nodes)):
         raise ValueError("noise samples must be finite")

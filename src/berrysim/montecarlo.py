@@ -345,7 +345,8 @@ def summarize(ensemble: Ensemble) -> dict:
     skewness and kurtosis standard errors are exact for normal samples of
     size n.  The third and fourth moments are products of deviations
     scaled by a power of two (``_column_stats``), with no power call, so
-    they stay finite where the deviations' squares underflow or overflow.
+    they stay finite where the deviations' squares underflow or overflow;
+    ``se_cov_gamma_delta`` scales the two deviation columns the same way.
     The alpha variance is var_gamma + var_delta + 2*cov to rounding.
     Needs at least four trials: the kurtosis standard error has n - 3 in
     its denominator.
@@ -365,8 +366,14 @@ def summarize(ensemble: Ensemble) -> dict:
     dg = columns["gamma_fo"] - columns["gamma_fo"].mean()
     dd = columns["delta_fo"] - columns["delta_fo"].mean()
     cov = float(dg.dot(dd) / (n - 1))
-    m22 = float(np.mean((dg * dd) ** 2))
-    se_cov = math.sqrt(max(m22 - cov * cov, 0.0) / n)
+    # se_cov from the deviations over powers of two, as _column_stats scales
+    # them, so the squared products neither underflow nor overflow
+    kg, kd = (math.frexp(float(np.abs(dx).max()))[1] for dx in (dg, dd))
+    ug, ud = np.ldexp(dg, -kg), np.ldexp(dd, -kd)
+    unit_cov, q = float(ug.dot(ud) / (n - 1)), ug * ud
+    se_cov_sq = max(float(np.mean(q * q)) - unit_cov * unit_cov, 0.0) / n
+    with np.errstate(over="ignore"):
+        se_cov = float(np.ldexp(math.sqrt(se_cov_sq), kg + kd))
 
     se_skew = math.sqrt(6.0 * n * (n - 1) / ((n - 2) * (n + 1) * (n + 3)))
     se_kurt = 2.0 * se_skew * math.sqrt((n * n - 1) / ((n - 3) * (n + 5)))

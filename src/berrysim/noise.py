@@ -109,27 +109,24 @@ def _ar1_block(d: float) -> int:
 
 
 def _ar1_plan(d: float, n: int) -> tuple[int, int, np.ndarray]:
-    """(n_blocks, block, d**arange(block)) of the AR(1) scan over n values at decay d."""
+    """(width, block, d**arange(block)) of the AR(1) scan of n values; width >= n
+    is the whole number of blocks the scan pads them to."""
     n_blocks = -(-n // _ar1_block(d))
     block = -(-n // n_blocks)
     powers = d ** np.arange(block)
-    powers.setflags(write=False)
-    return n_blocks, block, powers
+    powers.setflags(write=False)  # cached plans share it
+    return n_blocks * block, block, powers
 
 
 def _ar1_scan(y: np.ndarray, d: float, plan: tuple) -> None:
-    """The AR(1) scan of :func:`_ar1` in place, along the last axis of y.
-
-    y holds n_blocks * block values per row, zero past the scanned ones,
-    with the last axis contiguous, so the blocks are a view.
-    """
-    n_blocks, block, powers = plan
-    y = y.reshape(y.shape[:-1] + (n_blocks, block), copy=False)
+    """The scan of :func:`_ar1` in place on rows of ``width`` contiguous values, zero-padded."""
+    _, block, powers = plan
+    y = y.reshape(y.shape[:-1] + (-1, block), copy=False)
     y /= powers
     np.cumsum(y, axis=-1, out=y)
     carry = powers[-1] * y[..., -1]
     step, decay = 1, d**block
-    while step < n_blocks and decay > 0.0:
+    while step < y.shape[-2] and decay > 0.0:
         carry[..., step:] += decay * carry[..., :-step]
         step, decay = 2 * step, decay * decay
     y[..., 1:, :] += d * carry[..., :-1, None]
@@ -149,7 +146,7 @@ def _ar1(x: np.ndarray, d: float) -> np.ndarray:
     """
     n = x.shape[-1]
     plan = _ar1_plan(d, n)
-    y = np.zeros(x.shape[:-1] + (plan[0] * plan[1],))
+    y = np.zeros(x.shape[:-1] + plan[:1])
     y[..., :n] = x
     _ar1_scan(y, d, plan)
     return y[..., :n]
@@ -157,12 +154,11 @@ def _ar1(x: np.ndarray, d: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _filter_plan(model: NoiseModel, dt: float, n: int) -> tuple[int, tuple]:
-    """The per-grid constants of :func:`_ou_filter` over n nodes: (width, parts).
+    """(width, parts): the constants of :func:`_ou_filter` over n nodes, once per grid.
 
     A part is (rows, sigma, innov, decay, AR(1) plan) for the components
-    that share one parameter set, a slice of the three rows; parts with
-    sigma = 0 are left out.  width is the widest part's padded scan.  An
-    ensemble filters every trial on one grid, so this runs once for it.
+    that share a parameter set; a part with sigma = 0 is left out.  width
+    is the widest part's padded scan.
     """
     parts = ((slice(0, 2), model.transverse), (slice(2, 3), model.longitudinal))
     if model.transverse == model.longitudinal:
@@ -174,7 +170,7 @@ def _filter_plan(model: NoiseModel, dt: float, n: int) -> tuple[int, tuple]:
         decay = math.exp(-params.gamma * dt)
         innov = params.sigma * math.sqrt(-math.expm1(-2.0 * params.gamma * dt))
         planned.append((rows, params.sigma, innov, decay, _ar1_plan(decay, n)))
-    return max((p[-1][0] * p[-1][1] for p in planned), default=n), tuple(planned)
+    return max((part[-1][0] for part in planned), default=n), tuple(planned)
 
 
 def _ou_filter(
@@ -189,26 +185,23 @@ def _ou_filter(
     s = (sigma, innov, innov, ...).  The adjoint u = L^T w is the same
     AR(1) pass run backwards over w, then scaled by s, so that
     ``(w * K).sum() == (u * xi).sum()`` up to rounding.  Components with
-    equal parameters share a pass, and those with sigma = 0 come out
-    exactly zero in both directions.  Each part scans in place in its
-    rows of one zero-padded buffer.
+    equal parameters share a pass, in place in their rows of one padded
+    buffer, and those with sigma = 0 come out exactly zero in both
+    directions.
     """
     n = values.shape[-1]
     width, parts = _filter_plan(model, dt, n)
     out = np.zeros((3, width))
     for rows, sigma, innov, decay, plan in parts:
-        y = out[rows, :plan[0] * plan[1]]
-        x = values[rows, ::-1] if adjoint else values[rows]
+        y = out[rows, :plan[0]]
+        y[:, :n] = values[rows, ::-1] if adjoint else values[rows]
         if adjoint:
-            y[:, :n] = x
-        else:
-            np.multiply(x, innov, out=y[:, :n])
-            y[:, 0] = sigma * x[:, 0]
-        _ar1_scan(y, decay, plan)
-        if adjoint:
-            first = sigma * y[:, n - 1]
-            np.multiply(y[:, n - 1::-1], innov, out=y[:, :n])
-            y[:, 0] = first
+            _ar1_scan(y, decay, plan)
+            y[:, :n] = y[:, n - 1::-1]
+        y[:, 0] *= sigma
+        y[:, 1:n] *= innov
+        if not adjoint:
+            _ar1_scan(y, decay, plan)
     return out[:, :n]
 
 

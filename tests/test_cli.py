@@ -1529,6 +1529,27 @@ class TestOraclePolicy:
         assert list(tmp_path.iterdir()) == []
 
 
+    # sigma12**2 times the weights' product overflows the transverse
+    # coefficient to inf, so every pass is -inf or nan; the oracle published
+    # Infinity with exit 0 and warned "invalid value encountered in scalar add"
+    _INFINITE_PASS = [
+        "--b0", "1.914936702139999e-09", "--t-total", "1.1446231801323539e-42",
+        "--sigma12", "1.6388618946954713e+116", "--gamma12", "3.0324859943308386e-08",
+        "--sigma3", "1.120407458920105e-138", "--gamma3", "1.7e+308", "--n-cycles", "7",
+    ]
+
+    @pytest.mark.parametrize("command", [
+        ["analytic", "--theta0", "0.3"], ["sweep", "--param", "theta0", "--values", "0.3,1.0"],
+    ])
+    def test_a_non_finite_pass_is_an_accuracy_error(self, tmp_path, capsys, command):
+        argv = [*command, *self._INFINITE_PASS, "--quiet", "-o", str(tmp_path / "x")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "accuracy error: the quadrature pass over 4096 nodes is -inf, not finite\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCompareCommand:
     SMALL = ["--n-trials", "1000", "--steps-per-cycle", "512", "--seed", "3"]
 

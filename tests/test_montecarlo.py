@@ -907,6 +907,17 @@ class TestPowFreeMoments:
         assert got["variance"] == want["variance"] * 2.0 ** (2 * power)
         assert got["sem_variance"] == want["sem_variance"] * 2.0 ** (2 * power)
 
+    # 2**-300 underflowed the squared products to zero, so se_cov read 0.0;
+    # 2**365 overflowed them with a RuntimeWarning
+    @pytest.mark.parametrize("power", [365, -300])
+    def test_power_of_two_scaling_keeps_the_covariance_error(self, power):
+        g, d = _column("gaussian", 1000, 6), _column("skewed", 1000, 7)
+        want = summarize(Ensemble(g, d))
+        got = summarize(Ensemble(g * 2.0**power, d * 2.0**power))
+        for key in ("cov_gamma_delta", "se_cov_gamma_delta"):
+            assert want[key] != 0.0
+            assert got[key] == want[key] * 2.0 ** (2 * power), key
+
     def test_overflowing_variance_keeps_a_finite_shape(self):
         x = _column("gaussian", 1000, 5)
         want = montecarlo._column_stats(x)
