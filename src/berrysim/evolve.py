@@ -25,6 +25,9 @@ fixed by the spec and the config alone: ``steps_per_cycle * n_cycles``
 steps over ``[0, t_total]``.  ``evolve_and_extract`` builds the control
 grids from a spec and runs the kernel on such an array; Monte Carlo
 ensembles build the control grids once and run the kernel per trial.
+The kernel works component-major, on one row of node values per
+component, so every per-step operation reads contiguous memory; the
+(n + 1, 3) arrays of the public API are transposed views of such rows.
 The discrete connection chain runs on a node field, such as the
 kernel's ``b_nodes``.  Branch eigenstates, for the kernel's start state
 and end reference and for the chain, come from one array builder
@@ -177,7 +180,9 @@ class PhaseExtraction:
     run over the n + 1 grid nodes at ``times`` k*dt (``control_nodes``,
     the control field the run used, and ``b_nodes``) or the n steps
     (``b_mid``, ``field_modulus``); ``b_nodes`` and ``b_mid`` are the
-    total field, and ``start`` is the state at t=0.  ``levels`` are the
+    total field, and ``start`` is the state at t=0.  The three field
+    arrays have shape (nodes or steps, 3) as transposed views of the
+    kernel's component rows.  ``levels`` are the
     levels of the product tree of the step propagators' Cayley-Klein
     pairs, from the steps to the whole propagator (``_product_tree``).
     ``geometric_phase`` is folded to (-pi, pi] as described in the
