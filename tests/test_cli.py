@@ -965,6 +965,24 @@ _SIMULATE_ODD_GRID_DIGESTS = {
 }
 
 
+# The same at an odd step count, ``simulate --t-total 7.7 --steps-per-cycle 17
+# --n-cycles 3 --branch BRANCH --seed 7 -o pin``: 51 steps, whose last node
+# 51 * (7.7 / 51) is 7.699999999999999, one ulp below t_total.
+_ODD_STEP_COUNT = ["--t-total", "7.7", "--steps-per-cycle", "17", "--n-cycles", "3"]
+_SIMULATE_ODD_STEP_COUNT_DIGESTS = {
+    "up": (
+        "3e6c522e1002c16ddcec193a64abf66681f870a3dfbd9ff082886f458a478ed7",
+        "b6034b1dccc710bb6b0d157584f593c337b4817f95ca7e02bd0dbb87f93c9f50",
+        "d7a58f42fb0af3e229209ef414c5d40fd6417918f0978e4fc16ff7d2dfdff4cc",
+    ),
+    "down": (
+        "a60456cdad3d50f76ab244a90dcbbfb7144171d39d1cfbd9fa87e16d6ee586ca",
+        "b6034b1dccc710bb6b0d157584f593c337b4817f95ca7e02bd0dbb87f93c9f50",
+        "3e58233e4417a5ca47a4fba3b6e4fd1933bde20e670db578434c40d4e944ecc1",
+    ),
+}
+
+
 class TestSimulatePinned:
     """Fixed-seed simulate outputs, by digest and against reference copies of the chain and the boundary term."""
 
@@ -982,6 +1000,12 @@ class TestSimulatePinned:
         spec = RunConfig(t_total=7.7, n_cycles=3).spec()
         self._check(tmp_path, monkeypatch, _SIMULATE_ODD_GRID, branch, spec,
                     _SIMULATE_ODD_GRID_DIGESTS[branch])
+
+    @pytest.mark.parametrize("branch", ["up", "down"])
+    def test_odd_step_count(self, tmp_path, monkeypatch, branch):
+        spec = RunConfig(t_total=7.7, n_cycles=3).spec()
+        self._check(tmp_path, monkeypatch, _ODD_STEP_COUNT, branch, spec,
+                    _SIMULATE_ODD_STEP_COUNT_DIGESTS[branch])
 
     @staticmethod
     def _check(tmp_path, monkeypatch, flags, branch, spec, want):
@@ -1147,6 +1171,31 @@ _COMMAND_PINS = {
         [
             "mc: n_trials=40 pass=true wrote <dir>/pin.records.csv <dir>/pin.summary.json",
             "warning: 40 of 40 trials have leakage above 1.0e-03; evolution is not adiabatic",
+        ],
+    ),
+    # 51 steps: check_law's coarse grid has 25, so its ratio r is 2.04
+    "mc_odd_step_count": (
+        ["mc", "--n-trials", "200", *_ODD_STEP_COUNT, "--seed", "7", "-o", "pin"],
+        0,
+        {
+            "pin.records.csv": "d0969cfcc155e97bffe0c1be3cd4da05e4097a14c84932c882329e13a61799f0",
+            "pin.summary.json": "1e75b8a29278802c75c85c2fe8a16f69558437a76c2d13e7ff79705ae1577218",
+        },
+        [
+            "mc: n_trials=200 pass=true wrote <dir>/pin.records.csv <dir>/pin.summary.json",
+        ],
+    ),
+    "mc_full_sim_odd_step_count": (
+        ["mc", "--mode", "full_sim", "--n-trials", "200", *_ODD_STEP_COUNT, "--seed", "7",
+         "-o", "pin"],
+        0,
+        {
+            "pin.records.csv": "aa51db6f414abcc056f9c6abac9d809352abec33baa6ad0a40a698e0b124490a",
+            "pin.summary.json": "0afc5cdf9e05df061b0eb8195d4e42fabdf82bf3dcea93fc6d1d99a473939b23",
+        },
+        [
+            "mc: n_trials=200 pass=true wrote <dir>/pin.records.csv <dir>/pin.summary.json",
+            "warning: 200 of 200 trials have leakage above 1.0e-03; evolution is not adiabatic",
         ],
     ),
     "sweep_with_mc": (
