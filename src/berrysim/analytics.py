@@ -92,7 +92,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AccuracyError
-from .field import PrecessionSpec, control_field
+from .field import Grid, PrecessionSpec, control_field
 from .noise import NoiseModel, _ar1
 
 __all__ = [
@@ -270,21 +270,22 @@ def phase_covariance(
     return _form(spec, model, x, y, j, ell)
 
 
+def _moment_weights(spec: PrecessionSpec) -> dict:
+    """The weight pair of each of :func:`second_moments`, under its key and in its order."""
+    gamma, delta = geometric_weight(spec), dynamical_weight(spec)
+    alpha = gamma + delta
+    return {"var_gamma": (gamma, gamma), "var_delta": (delta, delta),
+            "cov_gamma_delta": (gamma, delta), "var_alpha": (alpha, alpha)}
+
+
 def second_moments(spec: PrecessionSpec, model: NoiseModel) -> dict:
     """The four closed-form second moments of gamma, delta and alpha = gamma + delta.
 
     Keys, in this order: ``var_gamma``, ``var_delta``, ``cov_gamma_delta``
     and ``var_alpha``; each value is a :func:`phase_covariance` dict.
     """
-    gamma = geometric_weight(spec)
-    delta = dynamical_weight(spec)
-    alpha = gamma + delta
-    return {
-        "var_gamma": phase_covariance(spec, model, gamma, gamma),
-        "var_delta": phase_covariance(spec, model, delta, delta),
-        "cov_gamma_delta": phase_covariance(spec, model, gamma, delta),
-        "var_alpha": phase_covariance(spec, model, alpha, alpha),
-    }
+    pairs = _moment_weights(spec).items()
+    return {key: phase_covariance(spec, model, x, y) for key, (x, y) in pairs}
 
 
 def berry_phase_variance_narrowband(
@@ -553,17 +554,15 @@ def noncyclic_connection_term(spec: PrecessionSpec, noise: np.ndarray) -> float 
     total field ends at an azimuth shifted by the final noise sample, and
     the neglected connection contribution is A_phi(theta0) times the
     difference of the azimuth deviations at the two endpoints.  ``noise``
-    is K at the n + 1 nodes of a uniform grid over ``[0, t_total]``; only
-    its first and last rows enter.  Returns None at the cone poles
+    is K at the n + 1 nodes of a :class:`~berrysim.field.Grid` of n
+    steps; only its first and last rows enter.  Returns None at the cone poles
     (sin(theta0) < 1e-12), where the control field has no reference
     azimuth.
     """
     if math.sin(spec.theta0) < 1e-12:
         return None
-    # The last node sits at n * dt, as the evolution grid computes it.
-    n_steps = len(noise) - 1
     deviations = []
-    for t, k in ((0.0, noise[0]), (n_steps * (spec.t_total / n_steps), noise[-1])):
+    for t, k in zip(Grid(spec, len(noise) - 1).times[[0, -1]], (noise[0], noise[-1])):
         b = control_field(spec, t)
         total = b + k
         d = math.atan2(total[1], total[0]) - math.atan2(b[1], b[0])

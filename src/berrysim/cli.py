@@ -68,7 +68,7 @@ from .evolve import (
     connection_phase_discrete,
     evolve_and_extract,
 )
-from .field import PrecessionSpec, adiabaticity_report
+from .field import Grid, PrecessionSpec, adiabaticity_report
 from .montecarlo import _MODES, check_law, run_ensemble, summarize
 from .noise import NoiseModel, sample_path
 
@@ -229,11 +229,7 @@ def _analytic_payload(config: RunConfig, oracle: tuple) -> dict:
     spec = config.spec()
     model = config.model()
     variances = analytics.second_moments(spec, model)
-    w_gamma = analytics.geometric_weight(spec)
-    w_delta = analytics.dynamical_weight(spec)
-    w_alpha = w_gamma + w_delta
-    pairs = {"var_gamma": (w_gamma, w_gamma), "var_alpha": (w_alpha, w_alpha),
-             "cov_gamma_delta": (w_gamma, w_delta)}
+    pairs = analytics._moment_weights(spec)
     quads = analytics._covariances_by_quadrature(spec, [pairs[key] for key in oracle], model)
     quadrature = {
         key: {
@@ -319,8 +315,8 @@ def cmd_simulate(config: RunConfig, branch: str) -> Outcome:
     spec = config.spec()
     model = config.model()
     integrator = config.integrator()
-    n_steps = integrator.steps_per_cycle * spec.n_cycles
-    noise = sample_path(model, n_steps, spec.t_total / n_steps, config.seed)
+    grid = Grid(spec, integrator.steps_per_cycle * spec.n_cycles)
+    noise = sample_path(model, grid.n_steps, grid.dt, config.seed)
     extraction = evolve_and_extract(spec, noise, integrator, branch=branch)
     chain_phase = connection_phase_discrete(extraction.b_nodes, branch=branch)
 

@@ -7,9 +7,9 @@ propagator of the field frozen at the step midpoint,
     U = cos(|b| dt / 2) I - i sin(|b| dt / 2) (b_hat . sigma),
 
 so the only discretization error is the O(dt**2) commutator remainder.
-One kernel (``_evolve``) takes the control field at the grid nodes and
-step midpoints and the noise K at the nodes; K enters the midpoint field
-as the mean of the step's two end-node values.  One tree of products
+One kernel (``_evolve``) takes a :class:`~berrysim.field.Grid`, with
+its control field at the nodes and step midpoints, and the noise K at
+the nodes; K enters the midpoint field as the mean of its step's ends.  One tree of products
 serves both of its outputs (``_product_tree``).  Its up-sweep multiplies
 the steps' Cayley-Klein pairs pairwise in log2(n) vectorised levels up
 to the whole propagator, and the kernel applies that root to the start
@@ -20,11 +20,8 @@ builds the trajectory only when it is read.  The down-sweep of the same
 tree gives the states at every node, then come the unwrapped total
 phase, the Bloch vector, the energy and its integral.  Neither sweep
 has a per-step Python loop.
-A noise realization is the array of K at the grid nodes, and the grid is
-fixed by the spec and the config alone: ``steps_per_cycle * n_cycles``
-steps over ``[0, t_total]``.  ``evolve_and_extract`` builds the control
-grids from a spec and runs the kernel on such an array; Monte Carlo
-ensembles build the control grids once and run the kernel per trial.
+The grid has ``steps_per_cycle * n_cycles`` steps; Monte Carlo ensembles
+run the kernel on it per trial, as ``evolve_and_extract`` runs it once.
 The kernel works component-major, on one row of node values per
 component, so every per-step operation reads contiguous memory; the
 (n + 1, 3) arrays of the public API are transposed views of such rows.
@@ -61,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegeneracyError, ResolutionError
-from .field import PrecessionSpec, control_field, polar_angles
+from .field import Grid, PrecessionSpec, polar_angles
 
 __all__ = [
     "IntegratorConfig",
@@ -177,14 +174,14 @@ class PhaseExtraction:
     """One evolution: the phases and diagnostics, with the field and the steps.
 
     The kernel computes the scalars from the final state alone.  Arrays
-    run over the n + 1 grid nodes at ``times`` k*dt (``control_nodes``,
-    the control field the run used, and ``b_nodes``) or the n steps
-    (``b_mid``, ``field_modulus``); ``b_nodes`` and ``b_mid`` are the
-    total field, and ``start`` is the state at t=0.  The three field
-    arrays have shape (nodes or steps, 3) as transposed views of the
-    kernel's component rows.  ``levels`` are the
-    levels of the product tree of the step propagators' Cayley-Klein
-    pairs, from the steps to the whole propagator (``_product_tree``).
+    run over the n + 1 nodes of its :class:`~berrysim.field.Grid` ``grid``
+    (``control_nodes``, the control field the run used, and ``b_nodes``)
+    or its n steps (``b_mid``, ``field_modulus``); ``b_nodes`` and
+    ``b_mid`` are the total field, and ``start`` is the state at t=0.
+    The three field arrays have shape (nodes or steps, 3) as transposed
+    views of the kernel's component rows.  ``levels`` are the levels of
+    the product tree of the step propagators' Cayley-Klein pairs, from
+    the steps to the whole propagator (``_product_tree``).
     ``geometric_phase`` is folded to (-pi, pi] as described in the
     module docstring.  ``non_adiabatic`` flags leakage above
     ``_LEAKAGE_WARN_THRESHOLD``.
@@ -202,7 +199,7 @@ class PhaseExtraction:
     """
 
     branch: str
-    dt: float
+    grid: Grid
     control_nodes: np.ndarray
     b_nodes: np.ndarray
     b_mid: np.ndarray
@@ -266,13 +263,14 @@ class PhaseExtraction:
 
     @property
     def times(self) -> np.ndarray:
-        return np.arange(self.b_nodes.shape[0]) * self.dt
+        return self.grid.times
 
     @property
     def dynamical_phase_nodes(self) -> np.ndarray:
         """The dynamical phase accumulated up to each node; the last is ``dynamical_phase``."""
         sign = 1.0 if self.branch == "up" else -1.0
-        nodes = np.concatenate([[0.0], -sign * 0.5 * np.cumsum(self.field_modulus * self.dt)])
+        steps = self.field_modulus * self.grid.dt
+        nodes = np.concatenate([[0.0], -sign * 0.5 * np.cumsum(steps)])
         nodes[-1] = self.dynamical_phase  # the kernel's pairwise sum, not the cumsum's
         return nodes
 
@@ -291,7 +289,7 @@ class PhaseExtraction:
     @property
     def mean_energy_integral(self) -> float:
         product = np.multiply(self.b_mid, self._bloch[:-1], order="C")
-        return 0.5 * self.dt * float(np.sum(product))
+        return 0.5 * self.grid.dt * float(np.sum(product))
 
 
 def _winding_number(x: np.ndarray, y: np.ndarray) -> int:
@@ -318,50 +316,28 @@ def _winding_number(x: np.ndarray, y: np.ndarray) -> int:
     return int(round((azimuth[-1] + shift - azimuth[-2]) / math.tau))
 
 
-def _control_grids(spec: PrecessionSpec, n_steps: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """The grid's step dt = t_total / n_steps and the control field at its nodes and midpoints.
+def _evolve(grid: Grid, k_nodes: np.ndarray, branch: str) -> PhaseExtraction:
+    """The evolution kernel, on the grid's control field and the noise K at its n + 1 nodes.
 
-    Node k sits at k*dt, an ulp past t_total at worst, and midpoint k at
-    (k + 1/2)*dt.  The fields are component-major, shapes (3, n_steps + 1)
-    and (3, n_steps), with contiguous rows.  Raises
-    :class:`ResolutionError` when one step turns the field by pi/4 or more.
-    """
-    dt = spec.t_total / n_steps
-    if spec.b0 * dt >= 0.25 * math.pi:
-        raise ResolutionError(
-            f"b0*dt = {spec.b0 * dt:.3g} exceeds pi/4; increase steps_per_cycle"
-        )
-    nodes = control_field(spec, np.arange(n_steps + 1) * dt).T.copy()
-    return dt, nodes, control_field(spec, (np.arange(n_steps) + 0.5) * dt).T.copy()
-
-
-def _evolve(
-    control_nodes: np.ndarray,
-    control_mid: np.ndarray,
-    k_nodes: np.ndarray,
-    dt: float,
-    branch: str,
-) -> PhaseExtraction:
-    """The evolution kernel, from the control grids and the noise K at the n + 1 nodes.
-
-    All three are component-major, K of shape (3, n + 1), so each
-    per-step operation reads a row.  The total field is control plus K
-    at the nodes, and control plus the mean of the two end-node K values
-    at each step midpoint; K and the field modulus must be finite.  The
-    state starts in the branch eigenstate of the first node field; step
-    k applies the exact propagator of the k-th midpoint field over
-    ``dt``, and the final state is the product of all steps applied to
-    it.  Leakage is measured against the branch eigenstate of the last
-    node field; both eigenstates come from one :func:`_eigenvector_chain`
-    call.
+    K is component-major, shape (3, n + 1), as the grid's ``control``
+    rows are, so each per-step operation reads a row.  The total field
+    is control plus K at the nodes, and control plus the mean of the two
+    end-node K values at each step midpoint; K and the field modulus
+    must be finite.  The state starts in the branch eigenstate of the
+    first node field; step k applies the exact propagator of the k-th
+    midpoint field over dt, and the final state is the product of all
+    steps applied to it.  Leakage is measured against the branch
+    eigenstate of the last node field; both eigenstates come from one
+    :func:`_eigenvector_chain` call.
     """
     if not np.all(np.isfinite(k_nodes)):
         raise ValueError("noise samples must be finite")
+    control_nodes, control_mid = grid.control
     b_nodes = control_nodes + k_nodes
     b_mid = control_mid + 0.5 * (k_nodes[:, :-1] + k_nodes[:, 1:])
-    step_a, step_b, nb = _step_coefficients(b_mid, dt)
+    step_a, step_b, nb = _step_coefficients(b_mid, grid.dt)
     winding = _winding_number(b_nodes[0], b_nodes[1])
-    field_modulus_integral = float(nb.sum() * dt)
+    field_modulus_integral = float(nb.sum() * grid.dt)
 
     thetas, phis = zip(polar_angles(b_nodes[:, 0]), polar_angles(b_nodes[:, -1]))
     (u0, d0), (ref_u, ref_d) = _eigenvector_chain(thetas, phis, branch).tolist()
@@ -377,7 +353,7 @@ def _evolve(
     dynamical = -sign * 0.5 * field_modulus_integral
     return PhaseExtraction(
         branch=branch,
-        dt=dt,
+        grid=grid,
         control_nodes=control_nodes.T,
         b_nodes=b_nodes.T,
         b_mid=b_mid.T,
@@ -404,27 +380,24 @@ def evolve_and_extract(
 ) -> PhaseExtraction:
     """Evolve from the initial branch eigenstate and extract the phases.
 
-    The grid has ``n = steps_per_cycle * n_cycles`` steps over
-    ``[0, t_total]``.  ``noise``, when given, is K at its n + 1 nodes, an
-    array of shape ``(n + 1, 3)`` such as :func:`berrysim.noise.sample_path`
-    returns for ``dt = t_total / n``; None means no noise.  The state
-    starts in the chosen eigenstate of the total field at t=0 (control
-    plus the first noise row).  The control field is evaluated at the
-    step midpoints, and the kernel averages the noise over the step
-    endpoints.
+    The :class:`~berrysim.field.Grid` has ``n = steps_per_cycle * n_cycles``
+    steps.  ``noise``, when given, is K at its n + 1 nodes, an array of
+    shape ``(n + 1, 3)`` such as :func:`berrysim.noise.sample_path`
+    returns for the grid's dt; None means no noise.  The state starts in
+    the chosen eigenstate of the total field at t=0, and each step
+    evolves under the midpoint field, K averaged over the step's ends.
     """
     if branch not in ("up", "down"):
         raise ValueError(f"branch must be 'up' or 'down', got {branch!r}")
     config = config if config is not None else IntegratorConfig()
     n_steps = config.steps_per_cycle * spec.n_cycles
-    dt, control_nodes, control_mid = _control_grids(spec, n_steps)
     noise = np.zeros((n_steps + 1, 3)) if noise is None else np.asarray(noise, dtype=float)
     if noise.shape != (n_steps + 1, 3):
         raise ValueError(
             f"noise has shape {noise.shape} but the grid of steps_per_cycle * n_cycles "
             f"= {n_steps} steps needs {(n_steps + 1, 3)}"
         )
-    return _evolve(control_nodes, control_mid, noise.T, dt, branch)
+    return _evolve(Grid(spec, n_steps), noise.T, branch)
 
 
 def connection_phase_discrete(b_nodes: np.ndarray, *, branch: str = "up") -> float:

@@ -9,23 +9,26 @@ with ``omega = 2*pi*n_cycles / t_total`` so that the path closes after
 ``n_cycles`` full turns on ``[0, t_total]``.  The total field seen by
 the spin is B(t) + K(t) with K a noise path from :mod:`berrysim.noise`.
 Its polar angles at the first and last grid node fix the evolution's
-start state and end reference.  The adiabaticity report checks the
-perturbative scale separations against fixed thresholds.
+start state and end reference; a :class:`Grid` places the nodes.  The
+adiabaticity report checks the perturbative scale separations against
+fixed thresholds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DegeneracyError
+from .errors import DegeneracyError, ResolutionError
 from .noise import NoiseModel
 
 __all__ = [
     "PrecessionSpec",
     "control_field",
+    "Grid",
     "polar_angles",
     "adiabaticity_report",
 ]
@@ -88,6 +91,37 @@ def control_field(spec: PrecessionSpec, t: float | np.ndarray) -> np.ndarray:
     return spec.b0 * np.stack(
         [s * np.cos(phase), s * np.sin(phase), np.full_like(phase, c)], axis=-1
     )
+
+
+@dataclass(frozen=True)
+class Grid:
+    """The integration grid of every route: ``n_steps`` steps of dt = t_total / n_steps.
+
+    Node k sits at k*dt (``times``), within an ulp of t_total at the last,
+    and midpoint k at (k + 1/2)*dt.  ``control``, built on first read and
+    kept, is the control field at the nodes and at the midpoints, as
+    contiguous rows of shapes (3, n_steps + 1) and (3, n_steps); it raises
+    :class:`ResolutionError` where a step turns the field by b0*dt >= pi/4.
+    """
+
+    spec: PrecessionSpec
+    n_steps: int
+
+    @property
+    def dt(self) -> float:
+        return self.spec.t_total / self.n_steps
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(self.n_steps + 1) * self.dt
+
+    @cached_property
+    def control(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.spec.b0 * self.dt >= 0.25 * math.pi:
+            raise ResolutionError(f"b0*dt = {self.spec.b0 * self.dt:.3g} exceeds pi/4; "
+                                  "increase steps_per_cycle")
+        mid = (np.arange(self.n_steps) + 0.5) * self.dt
+        return control_field(self.spec, self.times).T.copy(), control_field(self.spec, mid).T.copy()
 
 
 def polar_angles(vector: np.ndarray) -> tuple[float, float]:

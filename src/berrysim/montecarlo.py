@@ -10,14 +10,13 @@ adjoint matrix A, and first-order deviations are exactly
 A ``first_order`` ensemble samples that law directly: it factors the
 2x2 matrix C once as L L^T and writes trial i as L z_i, where z_i is
 row i of one (n_trials, 2) standard-normal block.  It draws two normals
-per trial and builds no path.  A ``full_sim`` ensemble computes the
-control grids once; each of its trials draws its own innovations xi,
-filters them into K, runs the evolution kernel on the control grids and
-K, and records A xi for the same draw next to the geometric phase and
-the leakage of the evolution.  The filter and the kernel work on one
-contiguous row per field component, and the filter's constants are
-computed once for the ensemble's grid.  Both come from the final state, so no
-trial builds the states at every node.
+per trial and builds no path.  A ``full_sim`` ensemble builds its grid's
+control field and the filter's constants once; each of its trials draws
+its own innovations xi, filters them into K, runs the evolution kernel
+on the grid and K, and records A xi for the same draw next to the
+geometric phase and the leakage of the evolution, which come from the
+final state, so no trial builds the states at every node.  The filter
+and the kernel work on one contiguous row per field component.
 
 ``run_ensemble`` returns an :class:`Ensemble` of per-trial columns and
 their law C.  ``gamma_fo``, ``delta_fo`` and ``alpha_fo`` are deviations
@@ -52,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from .evolve import IntegratorConfig, _control_grids, _evolve
-from .field import PrecessionSpec
+from .evolve import IntegratorConfig, _evolve
+from .field import Grid, PrecessionSpec
 from .noise import NoiseModel, _draw_innovations, _ou_filter
 
 __all__ = [
@@ -109,17 +108,16 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _adjoint_matrix(spec: PrecessionSpec, model: NoiseModel, n_steps: int) -> np.ndarray:
+def _adjoint_matrix(grid: Grid, model: NoiseModel) -> np.ndarray:
     """The (2, 3(n_steps + 1)) matrix A with (gamma_fo, delta_fo) = A xi.
 
-    Row i is the trapezoid-weighted response weight, at the evolution's
-    nodes k*dt (``_control_grids``), run backwards through the exact OU
-    recursion (the adjoint L^T w), flattened like the innovations xi;
-    the first-order covariance is A A^T.
+    Row i is the trapezoid-weighted response weight, at the grid's
+    nodes, run backwards through the exact OU recursion (the adjoint
+    L^T w), flattened like the innovations xi; the first-order
+    covariance is A A^T.
     """
-    dt = spec.t_total / n_steps
-    times = np.arange(n_steps + 1) * dt
-    quad = np.full(n_steps + 1, dt)
+    spec, dt, times = grid.spec, grid.dt, grid.times
+    quad = np.full(times.size, dt)
     quad[0] = quad[-1] = 0.5 * dt
     return np.stack([
         _ou_filter(model, dt, (w.on_grid(spec, times) * quad[:, None]).T, adjoint=True)
@@ -247,8 +245,8 @@ def run_ensemble(
 ) -> Ensemble:
     """Run ``n_trials`` independent noise realizations.
 
-    Both modes work on the integration grid (``steps_per_cycle *
-    n_cycles`` steps over the schedule).  ``first_order`` trials are
+    Both modes work on the :class:`~berrysim.field.Grid` of
+    ``steps_per_cycle * n_cycles`` steps.  ``first_order`` trials are
     L z_i, with L L^T = C the exact law of the grid's first-order
     deviations and z_i row i of one (n_trials, 2) standard-normal block
     from the first child of ``SeedSequence(master_seed)``.  ``full_sim``
@@ -272,9 +270,9 @@ def run_ensemble(
         raise ValueError(f"n_trials must be a positive integer, got {n_trials}")
     _check_nonnegative("master_seed", master_seed)
     config = config if config is not None else IntegratorConfig()
-    n_steps = config.steps_per_cycle * spec.n_cycles
+    grid = Grid(spec, config.steps_per_cycle * spec.n_cycles)
     # w.K = (L^T w).xi: one adjoint pass here replaces a filtered path per trial.
-    adjoint = _adjoint_matrix(spec, model, n_steps)
+    adjoint = _adjoint_matrix(grid, model)
     covariance, factor = _law(adjoint)
     covariance.setflags(write=False)
     if mode == "first_order":
@@ -288,20 +286,20 @@ def run_ensemble(
         columns.setflags(write=False)
         return Ensemble(*columns, covariance=covariance)
 
-    dt, control_nodes, control_mid = _control_grids(spec, n_steps)
+    grid.control  # built here, once, so no trial or forked child builds it again
 
     def trials(start: int, stop: int) -> np.ndarray:
         """Columns (gamma_fo, delta_fo, gamma_sim, leakage) of trials [start, stop)."""
         block = np.empty((4, stop - start))
         for column, index in enumerate(range(start, stop)):
-            xi = _draw_innovations(n_steps, trial_seed(master_seed, index))
+            xi = _draw_innovations(grid.n_steps, trial_seed(master_seed, index))
             block[:2, column] = adjoint @ xi.reshape(-1)
-            run = _evolve(control_nodes, control_mid, _ou_filter(model, dt, xi.T), dt, "up")
+            run = _evolve(grid, _ou_filter(model, grid.dt, xi.T), "up")
             block[2:, column] = run.geometric_phase, run.leakage
         return block
 
     n_trials = int(n_trials)
-    columns, processes = _run_slices(trials, n_trials, _worker_count(n_trials, n_steps + 1))
+    columns, processes = _run_slices(trials, n_trials, _worker_count(n_trials, grid.n_steps + 1))
     columns.setflags(write=False)
     return Ensemble(*columns, covariance=covariance, processes=processes)
 
@@ -418,11 +416,11 @@ def check_law(
     reads the closed forms from :func:`~berrysim.analytics.phase_moments`
     and no record, so its verdict does not depend on the seed.
     """
-    n_steps = config.steps_per_cycle * spec.n_cycles
+    grid = Grid(spec, config.steps_per_cycle * spec.n_cycles)
     if covariance is None:
-        covariance = _law(_adjoint_matrix(spec, model, n_steps))[0]
-    ratio = n_steps / (n_steps // 2)
-    coarse = _law(_adjoint_matrix(spec, model, n_steps // 2))[0]
+        covariance = _law(_adjoint_matrix(grid, model))[0]
+    ratio = grid.n_steps / (grid.n_steps // 2)
+    coarse = _law(_adjoint_matrix(Grid(spec, grid.n_steps // 2), model))[0]
     root = np.sqrt(np.diag(covariance))
     scale = np.outer(root, root)
     bounds = {

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from berrysim import (
+    Grid,
     IntegratorConfig,
     NoiseModel,
     PrecessionSpec,
@@ -364,7 +365,7 @@ def test_07_first_order_law(capsys):
         steps_per_cycle = max(16, 2048 // spec.n_cycles)
         n_steps = steps_per_cycle * spec.n_cycles
         adjoint, fine, finest = (
-            montecarlo._adjoint_matrix(spec, model, k * n_steps) for k in (1, 2, 4)
+            montecarlo._adjoint_matrix(Grid(spec, k * n_steps), model) for k in (1, 2, 4)
         )
         c_n, c_2n, c_4n = (a @ a.T for a in (adjoint, fine, finest))
         m = second_moments(spec, model)

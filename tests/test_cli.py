@@ -306,7 +306,7 @@ def test_public_surface():
         "__version__",
         "AccuracyError", "BerrysimError", "DegeneracyError", "ResolutionError",
         "NoiseModel", "OuParams", "sample_path",
-        "PrecessionSpec", "adiabaticity_report", "control_field", "polar_angles",
+        "PrecessionSpec", "adiabaticity_report", "control_field", "Grid", "polar_angles",
         "QuadratureEstimate", "Weight", "berry_phase_variance_broadband",
         "berry_phase_variance_narrowband", "covariance_by_quadrature", "dephasing_factor",
         "dynamical_weight", "geometric_weight", "noiseless_berry_phase",

@@ -8,6 +8,7 @@ import pytest
 
 from berrysim import (
     DegeneracyError,
+    Grid,
     IntegratorConfig,
     NoiseModel,
     PrecessionSpec,
@@ -20,7 +21,6 @@ from berrysim import (
     sample_path,
 )
 from berrysim.evolve import (
-    _control_grids,
     _eigenvector_chain,
     _evolve,
     _step_coefficients,
@@ -757,9 +757,9 @@ def _pinned_evolve_and_extract(spec, path, config, branch):
     dynamical phase at the last node is the kernel's, as the trajectory's
     last state is.  Returns the scalars and the per-node arrays as one dict.
     """
-    n_steps = config.steps_per_cycle * spec.n_cycles
-    dt, control_nodes, control_mid = _control_grids(spec, n_steps)
-    control_nodes, control_mid = control_nodes.T, control_mid.T
+    grid = Grid(spec, config.steps_per_cycle * spec.n_cycles)
+    n_steps, dt = grid.n_steps, grid.dt
+    control_nodes, control_mid = (rows.T for rows in grid.control)
     k_nodes = np.zeros((n_steps + 1, 3)) if path is None else path
     b_nodes = control_nodes + k_nodes
     b_mid = control_mid + 0.5 * (k_nodes[:-1] + k_nodes[1:])
@@ -870,6 +870,14 @@ class TestPinnedToTheTracedEvolution:
         self._assert_bitwise(spec, path, branch)
 
 
+class _StandInGrid(NamedTuple):
+    """What the kernel reads of a :class:`Grid`, here with a control field that is no cone."""
+
+    dt: float
+    times: np.ndarray
+    control: tuple
+
+
 def _random_steps_evolution(n, branch):
     """The kernel on n random steps, every fifth one (from the third) the identity.
 
@@ -880,7 +888,8 @@ def _random_steps_evolution(n, branch):
     nodes = rng.standard_normal((n + 1, 3))
     mid = rng.standard_normal((n, 3))
     mid[2::5] = 0.0
-    return _evolve(nodes.T, mid.T, np.zeros((3, n + 1)), 0.3, branch)
+    grid = _StandInGrid(dt=0.3, times=np.arange(n + 1) * 0.3, control=(nodes.T, mid.T))
+    return _evolve(grid, np.zeros((3, n + 1)), branch)
 
 
 RANDOM_STEP_COUNTS = [1, 2, 3, 17, 4096, 4097, 65536]
@@ -891,7 +900,7 @@ class TestNodeStatesMatchTheBlockedScan:
     @pytest.mark.parametrize("n", RANDOM_STEP_COUNTS)
     def test_node_values(self, n, branch):
         result = _random_steps_evolution(n, branch)
-        want = _reference_trajectory(result.b_nodes, result.b_mid, result.dt, *result.start)
+        want = _reference_trajectory(result.b_nodes, result.b_mid, result.grid.dt, *result.start)
         for key, value in want.items():
             got = getattr(result, key)
             assert type(got) is type(value), key
@@ -941,7 +950,7 @@ class TestLongChain:
         norm = np.abs(result.amp_up) ** 2 + np.abs(result.amp_down) ** 2
         assert np.max(np.abs(norm - 1.0)) <= 1e-12
 
-        a, off, _ = _step_coefficients(result.b_mid.T, result.dt)
+        a, off, _ = _step_coefficients(result.b_mid.T, result.grid.dt)
         sampled = {1, 1000, n_steps // 3, n_steps // 2 + 1, n_steps - 1, n_steps}
         u, d = result.start
         for k, (ak, bk) in enumerate(zip(a.tolist(), off.tolist()), start=1):
@@ -1046,10 +1055,10 @@ class TestTurnCount:
     def test_noisy_paths(self, theta0, n_cycles, sigma):
         spec = PrecessionSpec(b0=1.0, theta0=theta0, t_total=100.0, n_cycles=n_cycles)
         n_steps = 256 * n_cycles
-        dt, control_nodes, _ = _control_grids(spec, n_steps)
+        grid = Grid(spec, n_steps)
         model = NoiseModel.from_scalars(sigma, 0.1, sigma, 0.1)
         for seed in range(20):
-            b_nodes = control_nodes.T + sample_path(model, n_steps, dt, seed)
+            b_nodes = grid.control[0].T + sample_path(model, n_steps, grid.dt, seed)
             winding = _winding_number(b_nodes[:, 0], b_nodes[:, 1])
             assert type(winding) is int
             assert winding == _reference_winding(b_nodes)[0], seed

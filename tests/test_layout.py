@@ -44,7 +44,7 @@ def _extraction_values(result):
     """Every field, array and scalar of an extraction, and its chain phase, in a fixed order."""
     levels = [array for level in result.levels for array in level]
     return [
-        result.branch, result.dt, result.control_nodes, result.b_nodes, result.b_mid,
+        result.branch, result.grid.dt, result.control_nodes, result.b_nodes, result.b_mid,
         *levels, *result.start, result.field_modulus, result.dynamical_phase,
         result.geometric_phase, result.leakage, result.field_modulus_integral,
         result.winding, result.degenerate_steps, result.non_adiabatic,
@@ -205,7 +205,7 @@ def test_trial_rows_are_contiguous_along_the_nodes(monkeypatch):
         monkeypatch.setattr(module, name, wrapped)
 
     spy(montecarlo, "_ou_filter", lambda args, result: [result])
-    spy(montecarlo, "_evolve", lambda args, result: args[:3])
+    spy(montecarlo, "_evolve", lambda args, result: [*args[0].control, args[1]])
     spy(evolve, "_step_coefficients", lambda args, result: [args[0]])
     spy(evolve, "_winding_number", lambda args, result: args)
     spec = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)

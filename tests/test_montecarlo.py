@@ -28,7 +28,8 @@ from berrysim import (
     trial_seed,
 )
 from berrysim import analytics, montecarlo, noise
-from berrysim.evolve import _control_grids, _evolve
+from berrysim.evolve import _evolve
+from berrysim.field import Grid
 from berrysim.noise import _draw_innovations, _ou_filter
 
 SPEC = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)
@@ -181,13 +182,13 @@ def _reference_run_ensemble(spec, model, n_trials, master_seed, *, mode="first_o
             TrialRecord(index, gamma, delta, gamma + delta)
             for index, (gamma, delta) in enumerate(draws.tolist())
         ]
-    _, control_nodes, control_mid = _control_grids(spec, n_steps)
+    grid = Grid(spec, n_steps)
 
     records = []
     for index in range(int(n_trials)):
         xi = _draw_innovations(n_steps, trial_seed(master_seed, index))
         gamma, delta = (adjoint @ xi.reshape(-1)).tolist()
-        run = _evolve(control_nodes, control_mid, _ou_filter(model, dt, xi.T), dt, "up")
+        run = _evolve(grid, _ou_filter(model, dt, xi.T), "up")
         records.append(
             TrialRecord(index, gamma, delta, gamma + delta, run.geometric_phase, run.leakage)
         )
@@ -402,7 +403,7 @@ class TestRunEnsemble:
         dt = spec.t_total / n_steps
         sigma12, sigma3 = self.AMPLITUDES[amplitudes]
         model = NoiseModel.from_scalars(sigma12, gamma_dt / dt, sigma3, 3.0 * gamma_dt / dt)
-        adjoint = montecarlo._adjoint_matrix(spec, model, n_steps)
+        adjoint = montecarlo._adjoint_matrix(Grid(spec, n_steps), model)
         for seed in (5, 42, 2024):
             got = np.stack([
                 adjoint @ _draw_innovations(n_steps, trial_seed(seed, index)).reshape(-1)
@@ -502,7 +503,7 @@ class TestRunEnsemble:
         full_sim = run_ensemble(SPEC, MODEL, 4, 19, mode="full_sim", config=FAST)
         n_steps = FAST.steps_per_cycle * SPEC.n_cycles
         dt = SPEC.t_total / n_steps
-        adjoint = montecarlo._adjoint_matrix(SPEC, MODEL, n_steps)
+        adjoint = montecarlo._adjoint_matrix(Grid(SPEC, n_steps), MODEL)
         for index in range(4):
             seed = trial_seed(19, index)
             xi = _draw_innovations(n_steps, seed)
