@@ -528,10 +528,16 @@ def phase_moments(spec: PrecessionSpec, model: NoiseModel) -> dict:
     phase, ``b0*t_total`` for the field-modulus integral, and their sum
     for alpha.  Variances and the covariance are the closed-form totals
     and satisfy var_alpha = var_gamma + var_delta + 2*cov to rounding.
+    Raises ValueError where b0*t_total overflows float64.
     """
     moments = second_moments(spec, model)
     mean_gamma = noiseless_berry_phase(spec.theta0)
     mean_delta = spec.b0 * spec.t_total
+    if mean_delta == math.inf:
+        raise ValueError(
+            f"the noiseless moments are not finite at b0={spec.b0:g}, t_total={spec.t_total:g}: "
+            "b0*t_total overflows float64"
+        )
     return {
         "mean_gamma": mean_gamma,
         "var_gamma": moments["var_gamma"]["total"],
@@ -555,14 +561,18 @@ def noncyclic_connection_term(spec: PrecessionSpec, noise: np.ndarray) -> float 
     the neglected connection contribution is A_phi(theta0) times the
     difference of the azimuth deviations at the two endpoints.  ``noise``
     is K at the n + 1 nodes of a :class:`~berrysim.field.Grid` of n
-    steps; only its first and last rows enter.  Returns None at the cone poles
+    steps, shape ``(n + 1, 3)`` with n >= 1, or ValueError; only its
+    first and last rows enter.  Returns None at the cone poles
     (sin(theta0) < 1e-12), where the control field has no reference
     azimuth.
     """
+    noise = np.asarray(noise, dtype=float)
+    if noise.ndim != 2 or noise.shape[0] < 2 or noise.shape[1] != 3:
+        raise ValueError(f"noise must have shape (n + 1, 3) with n >= 1, got {noise.shape}")
     if math.sin(spec.theta0) < 1e-12:
         return None
     deviations = []
-    for t, k in zip(Grid(spec, len(noise) - 1).times[[0, -1]], (noise[0], noise[-1])):
+    for t, k in zip(Grid(spec, len(noise) - 1).times[[0, -1]], noise[[0, -1]]):
         b = control_field(spec, t)
         total = b + k
         d = math.atan2(total[1], total[0]) - math.atan2(b[1], b[0])

@@ -102,10 +102,16 @@ class Grid:
     kept, is the control field at the nodes and at the midpoints, as
     contiguous rows of shapes (3, n_steps + 1) and (3, n_steps); it raises
     :class:`ResolutionError` where a step turns the field by b0*dt >= pi/4.
+    Raises ``ValueError`` unless ``n_steps`` is a positive integer.
     """
 
     spec: PrecessionSpec
     n_steps: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
+            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
+        object.__setattr__(self, "n_steps", int(self.n_steps))
 
     @property
     def dt(self) -> float:

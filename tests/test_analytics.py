@@ -8,6 +8,7 @@ from scipy.signal import lfilter
 from berrysim import (
     AccuracyError,
     DegeneracyError,
+    Grid,
     IntegratorConfig,
     NoiseModel,
     PrecessionSpec,
@@ -457,6 +458,13 @@ class TestPhaseMoments:
         assert m["cov_gamma_delta"] == pytest.approx(COV_GAMMA_DELTA, rel=1e-14)
         assert m["var_alpha"] == pytest.approx(VAR_ALPHA, rel=1e-14)
 
+    def test_overflowing_field_modulus_integral_is_named(self):
+        # the noiseless mean of delta, b0*t_total, was published as inf
+        spec = PrecessionSpec(b0=1e300, theta0=math.pi / 4, t_total=1e9, n_cycles=1)
+        model = NoiseModel.from_scalars(0.05, 1e-9, 0.05, 1e-9)
+        with pytest.raises(ValueError, match=r"b0\*t_total overflows float64"):
+            phase_moments(spec, model)
+
 
 class TestNoncyclicTerm:
     def _path_with_endpoints(self, k0, k1, n_steps=4):
@@ -484,6 +492,24 @@ class TestNoncyclicTerm:
         # no reference azimuth on the z axis; None, like a limit outside its domain
         spec = PrecessionSpec(b0=1.0, theta0=theta0, t_total=100.0, n_cycles=1)
         assert noncyclic_connection_term(spec, np.full((5, 3), 0.01)) is None
+
+    @pytest.mark.parametrize("shape", [(1, 3), (0, 3), (5, 2), (5,), (2, 5, 3)])
+    @pytest.mark.parametrize("theta0", [math.pi / 4, 0.0])
+    def test_malformed_noise_is_named(self, shape, theta0):
+        # a ZeroDivisionError for one row, an IndexError for none and a
+        # broadcast error for two columns before
+        spec = PrecessionSpec(b0=1.0, theta0=theta0, t_total=100.0, n_cycles=1)
+        with pytest.raises(ValueError, match=r"^noise must have shape \(n \+ 1, 3\) with n >= 1"):
+            noncyclic_connection_term(spec, np.zeros(shape))
+
+    def test_last_node_is_the_grid_node(self):
+        # the last sample sits at n * (t_total / n), within an ulp of t_total
+        spec = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=7.7, n_cycles=3)
+        path = self._path_with_endpoints([0.0, 0.0, 0.0], [0.01, -0.02, 0.0], n_steps=51)
+        times = Grid(spec, 51).times
+        assert times[-1] == 7.699999999999999
+        want = _reference_noncyclic_connection_term(spec, times, path)
+        assert noncyclic_connection_term(spec, path).hex() == want.hex()
 
 
 def _reference_noncyclic_connection_term(spec, times, samples):

@@ -769,6 +769,24 @@ def test_underflowing_weight_amplitude_is_a_usage_error(tmp_path, capsys, comman
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv,where", [
+    (["analytic", "--b0", "1e300", "--t-total", "1e9", "--gamma12", "1e-9", "--gamma3", "1e-9"],
+     "b0=1e+300, t_total=1e+09"),
+    (["mc", "--b0", "1e200", "--t-total", "1e200", "--n-trials", "8", "--steps-per-cycle", "16"],
+     "b0=1e+200, t_total=1e+200"),
+    (["sweep", "--param", "t_total", "--values", "1e9", "--b0", "1e300", "--gamma12", "1e-9",
+      "--gamma3", "1e-9"], "b0=1e+300, t_total=1e+09"),
+], ids=["analytic", "mc", "sweep"])
+def test_overflowing_field_modulus_integral_is_a_usage_error(tmp_path, capsys, argv, where):
+    # b0*t_total, the noiseless mean of delta, overflows: analytic and sweep
+    # published Infinity with exit 0, and mc warned twice and exited 1
+    assert main([*argv, "--quiet", "-o", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: the noiseless moments are not finite at {where}: b0*t_total overflows float64\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mc_shape_moments_are_scale_free_where_squares_underflow(tmp_path):
     # sigma * 2**-300 scales the first-order records by 2**-300 exactly; the
     # squared second moment then underflows (a ZeroDivisionError before)

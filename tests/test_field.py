@@ -8,13 +8,21 @@ import pytest
 
 from berrysim import (
     DegeneracyError,
+    Grid,
     NoiseModel,
     PrecessionSpec,
+    ResolutionError,
     adiabaticity_report,
     control_field,
     polar_angles,
     sample_path,
 )
+
+try:
+    import hypothesis
+    from hypothesis import strategies as st
+except ImportError:  # a test-only tool: without it the Grid property test is skipped
+    hypothesis = None
 
 
 @dataclass(frozen=True)
@@ -120,6 +128,67 @@ class TestControlField:
         south = PrecessionSpec(b0=1.0, theta0=math.pi, t_total=1.0, n_cycles=1)
         assert np.allclose(control_field(north, 0.3), [0.0, 0.0, 1.0], atol=1e-12)
         assert np.allclose(control_field(south, 0.3), [0.0, 0.0, -1.0], atol=1e-12)
+
+
+def _log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+
+
+def _grid_property(test):
+    if hypothesis is None:
+        return pytest.mark.skip(reason="hypothesis is not installed")(test)
+    return hypothesis.settings(max_examples=200, deadline=None, database=None, derandomize=True)(
+        hypothesis.given(
+            t_total=_log_uniform(1e-3, 1e6),
+            n_cycles=st.integers(1, 64),
+            n_steps=st.integers(1, 2**16),
+            b0=_log_uniform(1e-6, 1e9),
+            theta0=st.floats(0.0, math.pi),
+        )(test)
+    )
+
+
+class TestGrid:
+    @_grid_property
+    def test_nodes_and_control_field(self, t_total, n_cycles, n_steps, b0, theta0):
+        spec = PrecessionSpec(b0=b0, theta0=theta0, t_total=t_total, n_cycles=n_cycles)
+        grid = Grid(spec, n_steps)
+        times = grid.times
+        assert times.shape == (n_steps + 1,)
+        assert times[0] == 0.0
+        assert abs(times[-1] - t_total) <= math.ulp(t_total)
+        assert grid.dt == t_total / n_steps
+        if b0 * grid.dt >= 0.25 * math.pi:
+            with pytest.raises(ResolutionError, match="exceeds pi/4"):
+                grid.control
+            return
+        nodes, mid = grid.control
+        assert nodes.shape == (3, n_steps + 1) and mid.shape == (3, n_steps)
+        assert nodes.flags.c_contiguous and mid.flags.c_contiguous
+        assert nodes.tobytes() == control_field(spec, times).T.tobytes()
+        midpoints = (np.arange(n_steps) + 0.5) * grid.dt
+        assert mid.tobytes() == control_field(spec, midpoints).T.tobytes()
+        assert grid.control is grid.control
+
+    def test_resolution_boundary(self):
+        # dt = 1 exactly, so b0*dt is b0: pi/4 itself is refused, the float below it is not
+        quarter = 0.25 * math.pi
+        for b0, refused in ((quarter, True), (math.nextafter(quarter, 0.0), False)):
+            grid = Grid(PrecessionSpec(b0=b0, theta0=0.5, t_total=64.0, n_cycles=1), 64)
+            if refused:
+                with pytest.raises(ResolutionError):
+                    grid.control
+            else:
+                assert grid.control[0].shape == (3, 65)
+
+    @pytest.mark.parametrize("n_steps", [0, -4, 2.0, 1.5, "8", None])
+    def test_rejects_a_step_count_that_is_no_positive_integer(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps must be a positive integer"):
+            Grid(SPEC, n_steps)
+
+    def test_numpy_integer_step_count(self):
+        grid = Grid(SPEC, np.int64(16))
+        assert type(grid.n_steps) is int and grid == Grid(SPEC, 16)
 
 
 class TestPolarAngles:

@@ -27,7 +27,7 @@ from berrysim import (
     summarize,
     trial_seed,
 )
-from berrysim import analytics, montecarlo, noise
+from berrysim import analytics, field, montecarlo, noise
 from berrysim.evolve import _evolve
 from berrysim.field import Grid
 from berrysim.noise import _draw_innovations, _ou_filter
@@ -496,6 +496,27 @@ class TestRunEnsemble:
         nodes = FAST.steps_per_cycle * SPEC.n_cycles + 1
         assert [rows for rows, _ in shapes] == widths * (2 + 5)
         assert all(padded >= nodes for _, padded in shapes)
+
+    @pytest.mark.parametrize("n_trials", [2, 50])
+    def test_full_sim_builds_the_control_field_once(self, monkeypatch, forks, n_trials):
+        # at the nodes, then at the midpoints, in the caller before it forks:
+        # a child that built it again would raise
+        calls = []
+        original = field.control_field
+        caller = os.getpid()
+
+        def counting(spec, t):
+            if os.getpid() != caller:
+                raise AssertionError("a forked child built the control field")
+            calls.append(np.shape(t))
+            return original(spec, t)
+
+        monkeypatch.setattr(field, "control_field", counting)
+        _set_workers(monkeypatch, 2)
+        run_ensemble(SPEC, MODEL, n_trials, 3, mode="full_sim", config=FAST)
+        n_steps = FAST.steps_per_cycle * SPEC.n_cycles
+        assert calls == [(n_steps + 1,), (n_steps,)]
+        assert len(forks) == 1
 
     def test_full_sim_draws_once_for_both_routes(self):
         # one draw per trial feeds the first-order records, A xi bitwise,
