@@ -92,7 +92,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AccuracyError
-from .field import Grid, PrecessionSpec, control_field
+from .field import Grid, PrecessionSpec, _node_array, control_field
 from .noise import NoiseModel, _ar1
 
 __all__ = [
@@ -561,14 +561,12 @@ def noncyclic_connection_term(spec: PrecessionSpec, noise: np.ndarray) -> float 
     the neglected connection contribution is A_phi(theta0) times the
     difference of the azimuth deviations at the two endpoints.  ``noise``
     is K at the n + 1 nodes of a :class:`~berrysim.field.Grid` of n
-    steps, shape ``(n + 1, 3)`` with n >= 1, or ValueError; only its
-    first and last rows enter.  Returns None at the cone poles
-    (sin(theta0) < 1e-12), where the control field has no reference
-    azimuth.
+    steps, a finite array of shape ``(n + 1, 3)`` with n >= 1, or
+    ValueError; only its first and last rows enter.  Returns None at the
+    cone poles (sin(theta0) < 1e-12), where the control field has no
+    reference azimuth.
     """
-    noise = np.asarray(noise, dtype=float)
-    if noise.ndim != 2 or noise.shape[0] < 2 or noise.shape[1] != 3:
-        raise ValueError(f"noise must have shape (n + 1, 3) with n >= 1, got {noise.shape}")
+    noise = _node_array(noise, "noise")
     if math.sin(spec.theta0) < 1e-12:
         return None
     deviations = []

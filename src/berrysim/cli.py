@@ -60,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics
-from .errors import AccuracyError, BerrysimError
+from .errors import AccuracyError, BerrysimError, _count
 from .evolve import (
     _LEAKAGE_WARN_THRESHOLD,
     IntegratorConfig,
@@ -68,7 +68,7 @@ from .evolve import (
     connection_phase_discrete,
     evolve_and_extract,
 )
-from .field import Grid, PrecessionSpec, adiabaticity_report
+from .field import PrecessionSpec, adiabaticity_report
 from .montecarlo import _MODES, check_law, run_ensemble, summarize
 from .noise import NoiseModel, sample_path
 
@@ -100,10 +100,8 @@ class RunConfig:
         self.spec()
         self.model()
         self.integrator()
-        if not isinstance(self.n_trials, int) or self.n_trials < 1:
-            raise ValueError(f"n_trials must be a positive integer, got {self.n_trials}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
+        _count("n_trials", self.n_trials, 1)
+        _count("seed", self.seed, 0)
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.output_format not in _FORMATS:
@@ -315,7 +313,7 @@ def cmd_simulate(config: RunConfig, branch: str) -> Outcome:
     spec = config.spec()
     model = config.model()
     integrator = config.integrator()
-    grid = Grid(spec, integrator.steps_per_cycle * spec.n_cycles)
+    grid = integrator.grid(spec)
     noise = sample_path(model, grid.n_steps, grid.dt, config.seed)
     extraction = evolve_and_extract(spec, noise, integrator, branch=branch)
     chain_phase = connection_phase_discrete(extraction.b_nodes, branch=branch)

@@ -20,7 +20,7 @@ builds the trajectory only when it is read.  The down-sweep of the same
 tree gives the states at every node, then come the unwrapped total
 phase, the Bloch vector, the energy and its integral.  Neither sweep
 has a per-step Python loop.
-The grid has ``steps_per_cycle * n_cycles`` steps; Monte Carlo ensembles
+The grid is ``IntegratorConfig.grid(spec)``; Monte Carlo ensembles
 run the kernel on it per trial, as ``evolve_and_extract`` runs it once.
 The kernel works component-major, on one row of node values per
 component, so every per-step operation reads contiguous memory; the
@@ -57,8 +57,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegeneracyError, ResolutionError
-from .field import Grid, PrecessionSpec, polar_angles
+from .errors import DegeneracyError, ResolutionError, _count
+from .field import Grid, PrecessionSpec, _node_array, polar_angles
 
 __all__ = [
     "IntegratorConfig",
@@ -157,16 +157,18 @@ def _product_tree(
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Evolution grid resolution."""
+    """Evolution grid resolution; ``grid(spec)`` is the grid it gives a schedule."""
 
     steps_per_cycle: int = 4096
 
     def __post_init__(self) -> None:
-        if not isinstance(self.steps_per_cycle, (int, np.integer)) or self.steps_per_cycle < 16:
-            raise ValueError(
-                f"steps_per_cycle must be an integer >= 16, got {self.steps_per_cycle}"
-            )
-        object.__setattr__(self, "steps_per_cycle", int(self.steps_per_cycle))
+        object.__setattr__(
+            self, "steps_per_cycle", _count("steps_per_cycle", self.steps_per_cycle, 16)
+        )
+
+    def grid(self, spec: PrecessionSpec) -> Grid:
+        """The :class:`~berrysim.field.Grid` of ``steps_per_cycle * n_cycles`` steps."""
+        return Grid(spec, self.steps_per_cycle * spec.n_cycles)
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,24 +382,21 @@ def evolve_and_extract(
 ) -> PhaseExtraction:
     """Evolve from the initial branch eigenstate and extract the phases.
 
-    The :class:`~berrysim.field.Grid` has ``n = steps_per_cycle * n_cycles``
-    steps.  ``noise``, when given, is K at its n + 1 nodes, an array of
-    shape ``(n + 1, 3)`` such as :func:`berrysim.noise.sample_path`
-    returns for the grid's dt; None means no noise.  The state starts in
-    the chosen eigenstate of the total field at t=0, and each step
-    evolves under the midpoint field, K averaged over the step's ends.
+    The run is on ``config.grid(spec)``, of n steps.  ``noise``, when
+    given, is K at its n + 1 nodes, a finite array of shape ``(n + 1, 3)``
+    such as :func:`berrysim.noise.sample_path` returns for the grid's dt;
+    None means no noise.  The state starts in the chosen eigenstate of
+    the total field at t=0, and each step evolves under the midpoint
+    field, K averaged over the step's ends.
     """
     if branch not in ("up", "down"):
         raise ValueError(f"branch must be 'up' or 'down', got {branch!r}")
-    config = config if config is not None else IntegratorConfig()
-    n_steps = config.steps_per_cycle * spec.n_cycles
-    noise = np.zeros((n_steps + 1, 3)) if noise is None else np.asarray(noise, dtype=float)
-    if noise.shape != (n_steps + 1, 3):
-        raise ValueError(
-            f"noise has shape {noise.shape} but the grid of steps_per_cycle * n_cycles "
-            f"= {n_steps} steps needs {(n_steps + 1, 3)}"
-        )
-    return _evolve(Grid(spec, n_steps), noise.T, branch)
+    grid = (config if config is not None else IntegratorConfig()).grid(spec)
+    noise = np.zeros((grid.n_steps + 1, 3)) if noise is None else _node_array(noise, "noise")
+    if len(noise) != grid.n_steps + 1:
+        raise ValueError(f"noise has shape {noise.shape} but the grid of {grid.n_steps} steps "
+                         f"needs {(grid.n_steps + 1, 3)}")
+    return _evolve(grid, noise.T, branch)
 
 
 def connection_phase_discrete(b_nodes: np.ndarray, *, branch: str = "up") -> float:
@@ -412,15 +411,14 @@ def connection_phase_discrete(b_nodes: np.ndarray, *, branch: str = "up") -> flo
     extraction through an independent route.  The result is folded into
     (-pi, pi], matching :func:`evolve_and_extract`.
 
-    Raises :class:`ResolutionError` when a chain link or the closing
+    Raises ``ValueError`` unless ``b_nodes`` is a finite ``(n + 1, 3)``
+    array, and :class:`ResolutionError` when a chain link or the closing
     overlap is too small to resolve the phase.
     """
     if branch not in ("up", "down"):
         raise ValueError(f"branch must be 'up' or 'down', got {branch!r}")
     # C order, so the reductions below add in the same order for every layout
-    b_nodes = np.asarray(b_nodes, dtype=float, order="C")
-    if b_nodes.ndim != 2 or b_nodes.shape[0] < 2 or b_nodes.shape[1] != 3:
-        raise ValueError(f"b_nodes must have shape (n + 1, 3) with n >= 1, got {b_nodes.shape}")
+    b_nodes = _node_array(b_nodes, "b_nodes")
     r = np.linalg.norm(b_nodes, axis=1)
     if np.any(r < _TINY_FIELD):
         raise DegeneracyError("total field vanishes along the path")

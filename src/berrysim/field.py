@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegeneracyError, ResolutionError
+from .errors import DegeneracyError, ResolutionError, _count
 from .noise import NoiseModel
 
 __all__ = [
@@ -62,9 +62,7 @@ class PrecessionSpec:
             raise ValueError(f"theta0 must lie in [0, pi], got {self.theta0}")
         if not (math.isfinite(self.t_total) and self.t_total > 0.0):
             raise ValueError(f"t_total must be finite and positive, got {self.t_total}")
-        if not isinstance(self.n_cycles, (int, np.integer)) or self.n_cycles < 1:
-            raise ValueError(f"n_cycles must be a positive integer, got {self.n_cycles}")
-        object.__setattr__(self, "n_cycles", int(self.n_cycles))
+        object.__setattr__(self, "n_cycles", _count("n_cycles", self.n_cycles, 1))
 
     @property
     def omega(self) -> float:
@@ -109,9 +107,7 @@ class Grid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 1:
-            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps!r}")
-        object.__setattr__(self, "n_steps", int(self.n_steps))
+        object.__setattr__(self, "n_steps", _count("n_steps", self.n_steps, 1))
 
     @property
     def dt(self) -> float:
@@ -128,6 +124,16 @@ class Grid:
                                   "increase steps_per_cycle")
         mid = (np.arange(self.n_steps) + 0.5) * self.dt
         return control_field(self.spec, self.times).T.copy(), control_field(self.spec, mid).T.copy()
+
+
+def _node_array(values, name: str) -> np.ndarray:
+    """``values`` as a C-ordered, finite float (n + 1, 3) array, n >= 1, or a named ValueError."""
+    nodes = np.asarray(values, dtype=float, order="C")
+    if nodes.ndim != 2 or nodes.shape[0] < 2 or nodes.shape[1] != 3:
+        raise ValueError(f"{name} must have shape (n + 1, 3) with n >= 1, got {nodes.shape}")
+    if not np.all(np.isfinite(nodes)):
+        raise ValueError(f"{name} must be finite, got a NaN or infinite entry")
+    return nodes
 
 
 def polar_angles(vector: np.ndarray) -> tuple[float, float]:

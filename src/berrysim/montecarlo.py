@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
+from .errors import _count
 from .evolve import IntegratorConfig, _evolve
 from .field import Grid, PrecessionSpec
 from .noise import NoiseModel, _draw_innovations, _ou_filter
@@ -95,16 +96,11 @@ class Ensemble:
         return self.gamma_fo.size
 
 
-def _check_nonnegative(name: str, value) -> None:
-    if not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value}")
-
-
 def trial_seed(master_seed: int, trial_index: int) -> int:
     """Deterministic per-trial seed, independent across trial indices."""
-    _check_nonnegative("master_seed", master_seed)
-    _check_nonnegative("trial_index", trial_index)
-    seq = np.random.SeedSequence((int(master_seed), int(trial_index)))
+    seq = np.random.SeedSequence(
+        (_count("master_seed", master_seed, 0), _count("trial_index", trial_index, 0))
+    )
     return int(seq.generate_state(1, np.uint64)[0])
 
 
@@ -245,11 +241,11 @@ def run_ensemble(
 ) -> Ensemble:
     """Run ``n_trials`` independent noise realizations.
 
-    Both modes work on the :class:`~berrysim.field.Grid` of
-    ``steps_per_cycle * n_cycles`` steps.  ``first_order`` trials are
-    L z_i, with L L^T = C the exact law of the grid's first-order
-    deviations and z_i row i of one (n_trials, 2) standard-normal block
-    from the first child of ``SeedSequence(master_seed)``.  ``full_sim``
+    Both modes work on the :class:`~berrysim.field.Grid`
+    ``config.grid(spec)``.  ``first_order`` trials are L z_i, with
+    L L^T = C the exact law of the grid's first-order deviations and z_i
+    row i of one (n_trials, 2) standard-normal block from the first
+    child of ``SeedSequence(master_seed)``.  ``full_sim``
     trial i draws its innovations xi from ``trial_seed(master_seed, i)``;
     the evolution runs on the path they give, and the first-order
     deviations are A xi of that same draw.  With a fixed ``master_seed``
@@ -266,19 +262,17 @@ def run_ensemble(
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
-        raise ValueError(f"n_trials must be a positive integer, got {n_trials}")
-    _check_nonnegative("master_seed", master_seed)
-    config = config if config is not None else IntegratorConfig()
-    grid = Grid(spec, config.steps_per_cycle * spec.n_cycles)
+    n_trials = _count("n_trials", n_trials, 1)
+    master_seed = _count("master_seed", master_seed, 0)
+    grid = (config if config is not None else IntegratorConfig()).grid(spec)
     # w.K = (L^T w).xi: one adjoint pass here replaces a filtered path per trial.
     adjoint = _adjoint_matrix(grid, model)
     covariance, factor = _law(adjoint)
     covariance.setflags(write=False)
     if mode == "first_order":
         # spawn_key (0,) makes this SeedSequence(master_seed).spawn(1)[0]
-        stream = np.random.SeedSequence(int(master_seed), spawn_key=(0,))
-        z = np.random.default_rng(stream).standard_normal((int(n_trials), 2))
+        stream = np.random.SeedSequence(master_seed, spawn_key=(0,))
+        z = np.random.default_rng(stream).standard_normal((n_trials, 2))
         # "+ 0.0" turns the -0.0 of a zero factor times a negative draw into +0.0
         columns = np.stack([
             factor[0, 0] * z[:, 0], factor[1, 0] * z[:, 0] + factor[1, 1] * z[:, 1]
@@ -298,7 +292,6 @@ def run_ensemble(
             block[2:, column] = run.geometric_phase, run.leakage
         return block
 
-    n_trials = int(n_trials)
     columns, processes = _run_slices(trials, n_trials, _worker_count(n_trials, grid.n_steps + 1))
     columns.setflags(write=False)
     return Ensemble(*columns, covariance=covariance, processes=processes)
@@ -416,7 +409,7 @@ def check_law(
     reads the closed forms from :func:`~berrysim.analytics.phase_moments`
     and no record, so its verdict does not depend on the seed.
     """
-    grid = Grid(spec, config.steps_per_cycle * spec.n_cycles)
+    grid = config.grid(spec)
     if covariance is None:
         covariance = _law(_adjoint_matrix(grid, model))[0]
     ratio = grid.n_steps / (grid.n_steps // 2)

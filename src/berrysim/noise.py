@@ -36,6 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _count
+
 __all__ = [
     "OuParams",
     "NoiseModel",
@@ -230,14 +232,12 @@ def sample_path(model: NoiseModel, n_steps: int, dt: float, seed: int) -> np.nda
     underlying standard-normal innovations are reused.  A sigma large
     enough to overflow a sample, near 1e308, raises ValueError.
     """
-    if not isinstance(n_steps, (int, np.integer)) or n_steps < 1:
-        raise ValueError(f"n_steps must be a positive integer, got {n_steps}")
+    n_steps = _count("n_steps", n_steps, 1)
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    seed = _count("seed", seed, 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        samples = _ou_filter(model, float(dt), _draw_innovations(int(n_steps), int(seed)).T).T
+        samples = _ou_filter(model, float(dt), _draw_innovations(n_steps, seed).T).T
     if not np.all(np.isfinite(samples)):
         raise ValueError(f"noise samples overflow float64 at sigma12={model.transverse.sigma:g}, "
                          f"sigma3={model.longitudinal.sigma:g}")

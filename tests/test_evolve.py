@@ -381,7 +381,8 @@ class TestNoisyEvolution:
         bad_steps = sample_path(self.MODEL, 100, self.SHORT.t_total / 100, seed=1)
         with pytest.raises(ValueError, match=r"needs \(257, 3\)"):
             evolve_and_extract(self.SHORT, bad_steps, config)
-        with pytest.raises(ValueError, match=r"noise has shape \(257, 2\)"):
+        with pytest.raises(ValueError, match=r"noise must have shape \(n \+ 1, 3\) with n >= 1, "
+                                             r"got \(257, 2\)"):
             evolve_and_extract(self.SHORT, np.zeros((257, 2)), config)
 
 
