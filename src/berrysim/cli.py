@@ -278,8 +278,8 @@ def cmd_mc(config: RunConfig) -> Outcome:
     timing = f"mc: ensemble {seconds:.3f} s, {len(ensemble) / max(seconds, 1e-9):.1f} trials/s"
     if ensemble.processes > 1:
         timing += f", {ensemble.processes} processes"
-    stats = summarize(ensemble)
     law = check_law(spec, model, len(ensemble), config.integrator(), ensemble.covariance)
+    stats = summarize(ensemble)
     header = ["trial_index", "gamma_fo", "delta_fo", "alpha_fo", "gamma_sim", "leakage"]
     columns = [np.arange(len(ensemble)), *(getattr(ensemble, name) for name in header[1:])]
     payload = {

@@ -109,14 +109,18 @@ def _step_coefficients(
 
     and s = 0 on degenerate steps (|b| below ``_TINY_FIELD``), where U is
     the identity.  Returns ``(a, b, |b|)``.  Raises ``ValueError`` when
-    |b| is not finite, as when the noise is strong enough to overflow it.
+    |b| dt / 2 is not finite: when |b| is not, as when the noise is strong
+    enough to overflow it, or when the step phase alone overflows.
     """
     x, y, z = b
     with np.errstate(over="ignore"):
         nb = np.sqrt(x * x + y * y + z * z)  # bitwise np.linalg.norm(b, axis=0)
-    if not np.all(np.isfinite(nb)):
-        raise ValueError("total field modulus is not finite; the noise overflows it")
-    half = 0.5 * nb * dt
+        half = 0.5 * nb * dt
+    # half is not finite wherever nb is not, so one reduction covers both
+    if not np.all(np.isfinite(half)):
+        if not np.all(np.isfinite(nb)):
+            raise ValueError("total field modulus is not finite; the noise overflows it")
+        raise ValueError(f"the step phase |b| dt / 2 overflows float64 at dt = {dt:g}")
     s = np.where(nb >= _TINY_FIELD, np.sin(half) / np.maximum(nb, _TINY_FIELD), 0.0)
     a = np.cos(half) - 1j * (s * z)
     off = -(s * y) - 1j * (s * x)
@@ -335,8 +339,9 @@ def _evolve(grid: Grid, k_nodes: np.ndarray, branch: str) -> PhaseExtraction:
     if not np.all(np.isfinite(k_nodes)):
         raise ValueError("noise samples must be finite")
     control_nodes, control_mid = grid.control
-    b_nodes = control_nodes + k_nodes
-    b_mid = control_mid + 0.5 * (k_nodes[:, :-1] + k_nodes[:, 1:])
+    with np.errstate(over="ignore"):  # an overflow is refused by _step_coefficients
+        b_nodes = control_nodes + k_nodes
+        b_mid = control_mid + 0.5 * (k_nodes[:, :-1] + k_nodes[:, 1:])
     step_a, step_b, nb = _step_coefficients(b_mid, grid.dt)
     winding = _winding_number(b_nodes[0], b_nodes[1])
     field_modulus_integral = float(nb.sum() * grid.dt)
@@ -412,14 +417,17 @@ def connection_phase_discrete(b_nodes: np.ndarray, *, branch: str = "up") -> flo
     (-pi, pi], matching :func:`evolve_and_extract`.
 
     Raises ``ValueError`` unless ``b_nodes`` is a finite ``(n + 1, 3)``
-    array, and :class:`ResolutionError` when a chain link or the closing
-    overlap is too small to resolve the phase.
+    array whose node moduli are finite, and :class:`ResolutionError` when
+    a chain link or the closing overlap is too small to resolve the phase.
     """
     if branch not in ("up", "down"):
         raise ValueError(f"branch must be 'up' or 'down', got {branch!r}")
     # C order, so the reductions below add in the same order for every layout
     b_nodes = _node_array(b_nodes, "b_nodes")
-    r = np.linalg.norm(b_nodes, axis=1)
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(b_nodes, axis=1)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("the field modulus along b_nodes is not finite; it overflows float64")
     if np.any(r < _TINY_FIELD):
         raise DegeneracyError("total field vanishes along the path")
     phi = np.unwrap(np.arctan2(b_nodes[:, 1] + 0.0, b_nodes[:, 0] + 0.0))

@@ -48,6 +48,9 @@ class PrecessionSpec:
         Duration of the schedule, strictly positive.
     n_cycles:
         Number of full turns completed over ``t_total``; positive integer.
+
+    ``omega`` must be finite: a ``t_total`` so short that it overflows
+    float64 is a ``ValueError``.
     """
 
     b0: float
@@ -63,6 +66,9 @@ class PrecessionSpec:
         if not (math.isfinite(self.t_total) and self.t_total > 0.0):
             raise ValueError(f"t_total must be finite and positive, got {self.t_total}")
         object.__setattr__(self, "n_cycles", _count("n_cycles", self.n_cycles, 1))
+        if not math.isfinite(self.omega):
+            raise ValueError(f"omega = 2*pi*n_cycles/t_total is not finite at "
+                             f"n_cycles={self.n_cycles}, t_total={self.t_total:g}")
 
     @property
     def omega(self) -> float:
@@ -180,7 +186,8 @@ def adiabaticity_report(spec: PrecessionSpec, model: NoiseModel) -> dict:
     (gamma/b0 at most 0.2) and weak (sigma/b0 at most 0.2).  Returns a
     dict with, in this order, ``ratios`` (each ratio), ``flags`` (True
     where the ratio is at or below its threshold), ``thresholds`` and
-    ``passed`` (the conjunction of all flags).
+    ``passed`` (the conjunction of all flags).  Raises ``ValueError``
+    where a ratio overflows float64, so no report publishes an infinity.
     """
     b0 = spec.b0
     ratios = {
@@ -190,6 +197,9 @@ def adiabaticity_report(spec: PrecessionSpec, model: NoiseModel) -> dict:
         "sigma12_over_b0": model.transverse.sigma / b0,
         "sigma3_over_b0": model.longitudinal.sigma / b0,
     }
+    for key, ratio in ratios.items():
+        if not math.isfinite(ratio):
+            raise ValueError(f"the adiabaticity ratio {key} is not finite; it overflows float64")
     flags = {key: ratios[key] <= _THRESHOLDS[key] for key in ratios}
     return {
         "ratios": ratios,

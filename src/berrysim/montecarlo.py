@@ -110,16 +110,18 @@ def _adjoint_matrix(grid: Grid, model: NoiseModel) -> np.ndarray:
     Row i is the trapezoid-weighted response weight, at the grid's
     nodes, run backwards through the exact OU recursion (the adjoint
     L^T w), flattened like the innovations xi; the first-order
-    covariance is A A^T.
+    covariance is A A^T.  Raises ``ValueError`` where a trapezoid-weighted
+    response weight overflows float64.
     """
     spec, dt, times = grid.spec, grid.dt, grid.times
     quad = np.full(times.size, dt)
     quad[0] = quad[-1] = 0.5 * dt
-    return np.stack([
-        _ou_filter(model, dt, (w.on_grid(spec, times) * quad[:, None]).T, adjoint=True)
-        .T.reshape(-1)
-        for w in (analytics.geometric_weight(spec), analytics.dynamical_weight(spec))
-    ])
+    with np.errstate(over="ignore"):
+        weighted = [(w.on_grid(spec, times) * quad[:, None]).T
+                    for w in (analytics.geometric_weight(spec), analytics.dynamical_weight(spec))]
+    if not all(np.all(np.isfinite(w)) for w in weighted):
+        raise ValueError("the first-order law is not finite: its response weights overflow float64")
+    return np.stack([_ou_filter(model, dt, w, adjoint=True).T.reshape(-1) for w in weighted])
 
 
 def _law(adjoint: np.ndarray) -> tuple:
@@ -342,7 +344,8 @@ def summarize(ensemble: Ensemble) -> dict:
     ``se_cov_gamma_delta`` scales the two deviation columns the same way.
     The alpha variance is var_gamma + var_delta + 2*cov to rounding.
     Needs at least four trials: the kurtosis standard error has n - 3 in
-    its denominator.
+    its denominator.  Raises ``ValueError`` where a moment overflows
+    float64, as the variance of records near 1e154 does.
     """
     n = len(ensemble)
     if n < 4:
@@ -358,7 +361,8 @@ def summarize(ensemble: Ensemble) -> dict:
 
     dg = columns["gamma_fo"] - columns["gamma_fo"].mean()
     dd = columns["delta_fo"] - columns["delta_fo"].mean()
-    cov = float(dg.dot(dd) / (n - 1))
+    with np.errstate(over="ignore"):  # as variance in _column_stats
+        cov = float(dg.dot(dd) / (n - 1))
     # se_cov from the deviations over powers of two, as _column_stats scales
     # them, so the squared products neither underflow nor overflow
     kg, kd = (math.frexp(float(np.abs(dx).max()))[1] for dx in (dg, dd))
@@ -368,6 +372,10 @@ def summarize(ensemble: Ensemble) -> dict:
     with np.errstate(over="ignore"):
         se_cov = float(np.ldexp(math.sqrt(se_cov_sq), kg + kd))
 
+    named = [(f"{stat} of {key}", v) for key, s in per_key.items() for stat, v in s.items()]
+    for name, value in named + [("cov_gamma_delta", cov), ("se_cov_gamma_delta", se_cov)]:
+        if not math.isfinite(value):
+            raise ValueError(f"the sample {name} is not finite; the records overflow float64")
     se_skew = math.sqrt(6.0 * n * (n - 1) / ((n - 2) * (n + 1) * (n + 3)))
     se_kurt = 2.0 * se_skew * math.sqrt((n * n - 1) / ((n - 3) * (n + 5)))
     return {
@@ -407,13 +415,17 @@ def check_law(
     the two bounds, and by ``failures``, which names each entry and bound
     that the error exceeds; the law passes where it is empty.  The check
     reads the closed forms from :func:`~berrysim.analytics.phase_moments`
-    and no record, so its verdict does not depend on the seed.
+    and no record, so its verdict does not depend on the seed.  Raises
+    ``ValueError`` where C(n) or C(m) is not finite.
     """
     grid = config.grid(spec)
     if covariance is None:
         covariance = _law(_adjoint_matrix(grid, model))[0]
     ratio = grid.n_steps / (grid.n_steps // 2)
     coarse = _law(_adjoint_matrix(Grid(spec, grid.n_steps // 2), model))[0]
+    for name, law in (("C(n)", covariance), ("C(n // 2)", coarse)):
+        if not np.all(np.isfinite(law)):
+            raise ValueError(f"the first-order law {name} is not finite; it overflows float64")
     root = np.sqrt(np.diag(covariance))
     scale = np.outer(root, root)
     bounds = {
