@@ -339,7 +339,7 @@ def _evolve(grid: Grid, k_nodes: np.ndarray, branch: str) -> PhaseExtraction:
     if not np.all(np.isfinite(k_nodes)):
         raise ValueError("noise samples must be finite")
     control_nodes, control_mid = grid.control
-    with np.errstate(over="ignore"):  # an overflow is refused by _step_coefficients
+    with np.errstate(over="ignore"):  # _step_coefficients refuses an infinite midpoint field
         b_nodes = control_nodes + k_nodes
         b_mid = control_mid + 0.5 * (k_nodes[:, :-1] + k_nodes[:, 1:])
     step_a, step_b, nb = _step_coefficients(b_mid, grid.dt)
