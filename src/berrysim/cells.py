@@ -4,6 +4,13 @@
 as a row of a NUL-padded ``(n, 24)`` uint8 matrix.  The CLI imports this
 module to write a table, so commands that write none never build its tables.
 
+:func:`write_tables` formats 4,096 rows at a time.  Where the tables hold
+2 * ``_CELLS_PER_WORKER`` cells or more (rows x columns, over all the
+tables), their files have descriptors and ``montecarlo._worker_count``
+allows, it hands the chunks to :mod:`berrysim.ring`, whose forked
+processes format them apart and write them in order, so the files hold
+the bytes that one process writes.
+
 A float x in the fast range 1e-6 < |x| < 1e17 has a decimal exponent E
 in [-6, 16] (the float 1e-6 lies below 10**-6, hence the strict bound),
 and its 17 significant digits are the integer D = |x| * 10**(16 - E),
@@ -21,6 +28,8 @@ formatted by ``"%.17g"`` itself.
 from __future__ import annotations
 
 import numpy as np
+
+from .montecarlo import _worker_count
 
 __all__ = ["float_cells", "write_tables"]
 
@@ -158,6 +167,9 @@ def float_cells(values: np.ndarray) -> np.ndarray:
 
 # Rows formatted per write, so the writer's memory does not grow with the table.
 _CHUNK_ROWS = 4096
+# Cells, rows x columns over all tables, that each extra process needs to pay
+# for its fork: the measured break-even on a 2-vCPU host (CHANGES.md).
+_CELLS_PER_WORKER = 2**17
 
 
 def _fmt(value) -> str:
@@ -203,36 +215,78 @@ def _table(out, header: list, columns: list) -> list:
     return [(a if a is None else (a.ctypes.data, a.strides, a.dtype.str), a) for a in arrays]
 
 
+def _chunk_tables(layouts: list, last: dict, start: int, rows: int):
+    """Yield each table's bytes for rows [start, start + rows), in table order.
+
+    A column is formatted once for all the tables; a table is the cell
+    matrices side by side, with comma and newline columns, NULs dropped.
+    """
+    comma, newline = (np.full((rows, 1), ord(c), np.uint8) for c in ",\n")
+    cells = {}
+    for t, keyed in enumerate(layouts):
+        pieces = []
+        for key, array in keyed:
+            if array is not None:
+                if key not in cells:
+                    cells[key] = _cells(array[start:start + rows])
+                pieces.append(cells[key])
+            pieces.append(comma)
+        pieces[-1] = newline
+        table = np.hstack(pieces)
+        del pieces
+        # keep only the cells that a later table of this chunk reads
+        cells = {key: value for key, value in cells.items() if last[key] > t}
+        yield table[table != 0]
+
+
+def _descriptors(outs: list) -> list | None:
+    """The file descriptors of ``outs``, flushed, or None where one has none (a BytesIO)."""
+    try:
+        fds = [out.fileno() for out in outs]
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return None
+    for out in outs:
+        out.flush()
+    return fds
+
+
 def write_tables(tables: list) -> None:
     """Write each ``(out, header, columns)`` as CSV to the binary file ``out``.
 
     All columns have one length; a 2-D array adds its columns in order.  A
     column of Python objects may hold None, written as an empty cell, as is
     every cell of a column given as None.  A chunk of rows formats a column
-    once for all tables, and goes to each table as one write: the cell
-    matrices side by side, with comma and newline columns, NULs dropped.
+    once for all tables, and goes to each table as one write.
+
+    Tables of at least ``_CELLS_PER_WORKER`` cells per process, whose files
+    all have descriptors, are written by up to one process per usable CPU
+    (``montecarlo._worker_count``): process i % workers formats chunk i and
+    writes it once chunk i - 1 is written.  The files hold the bytes that
+    one process writes, and an error is the one that process raises.
     """
-    layouts = [(out, _table(out, header, columns)) for out, header, columns in tables]
-    lengths = {a.size for _, keyed in layouts for _, a in keyed if a is not None}
+    layouts = [_table(out, header, columns) for out, header, columns in tables]
+    lengths = {a.size for keyed in layouts for _, a in keyed if a is not None}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
     n_rows = max(lengths, default=0)
-    last = {key: t for t, (_, keyed) in enumerate(layouts) for key, _ in keyed}
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, n_rows - start)
-        comma, newline = (np.full((rows, 1), ord(c), np.uint8) for c in ",\n")
-        cells = {}
-        for t, (out, keyed) in enumerate(layouts):
-            pieces = []
-            for key, array in keyed:
-                if array is not None:
-                    if key not in cells:
-                        cells[key] = _cells(array[start:start + rows])
-                    pieces.append(cells[key])
-                pieces.append(comma)
-            pieces[-1] = newline
-            table = np.hstack(pieces)
-            del pieces
-            # keep only the cells that a later table of this chunk reads
-            cells = {key: value for key, value in cells.items() if last[key] > t}
-            out.write(table[table != 0])
+    last = {key: t for t, keyed in enumerate(layouts) for key, _ in keyed}
+    n_chunks = -(-n_rows // _CHUNK_ROWS)
+
+    def chunk(i: int):
+        start = i * _CHUNK_ROWS
+        return _chunk_tables(layouts, last, start, min(_CHUNK_ROWS, n_rows - start))
+
+    outs = [out for out, _, _ in tables]
+    n_cells = n_rows * sum(map(len, layouts))
+    workers = _worker_count(n_cells, _CELLS_PER_WORKER, n_chunks)
+    fds = _descriptors(outs) if workers > 1 else None
+    if fds is not None:
+        # a module of its own, so a table too small to fork never compiles it
+        from .ring import write_ring
+
+        write_ring(chunk, fds, n_chunks, workers)
+        return
+    for i in range(n_chunks):
+        for out, data in zip(outs, chunk(i)):
+            out.write(data)
+            del data  # a chunk's bytes are not kept past their write

@@ -24,7 +24,9 @@ silences both.
 CSV tables hold one value per cell: floats as ``%.17g`` (round-trip
 exact), integers in decimal, and a missing value as an empty cell.
 Tables are written together in chunks of rows, formatting a shared column
-once, so the writer's memory does not grow with their length.  Float cells come from
+once, so the writer's memory does not grow with their length; large
+tables are formatted by forked processes that write the chunks in order,
+byte for byte as one process would.  Float cells come from
 :func:`berrysim.cells.float_cells`, a numpy kernel that writes the exact
 bytes of ``%.17g``: for 1e-6 < |x| < 1e17 it finds the decimal exponent
 and the 17 digits with an error-free product and lays the cell out from

@@ -397,11 +397,14 @@ def evolve_and_extract(
     if branch not in ("up", "down"):
         raise ValueError(f"branch must be 'up' or 'down', got {branch!r}")
     grid = (config if config is not None else IntegratorConfig()).grid(spec)
-    noise = np.zeros((grid.n_steps + 1, 3)) if noise is None else _node_array(noise, "noise")
+    if noise is None:
+        return _evolve(grid, np.zeros((3, grid.n_steps + 1)), branch)
+    noise = _node_array(noise, "noise")
     if len(noise) != grid.n_steps + 1:
         raise ValueError(f"noise has shape {noise.shape} but the grid of {grid.n_steps} steps "
                          f"needs {(grid.n_steps + 1, 3)}")
-    return _evolve(grid, noise.T, branch)
+    # the kernel reads component rows: sample_path's own layout, which is not copied
+    return _evolve(grid, np.ascontiguousarray(noise.T), branch)
 
 
 def connection_phase_discrete(b_nodes: np.ndarray, *, branch: str = "up") -> float:
@@ -423,7 +426,7 @@ def connection_phase_discrete(b_nodes: np.ndarray, *, branch: str = "up") -> flo
     if branch not in ("up", "down"):
         raise ValueError(f"branch must be 'up' or 'down', got {branch!r}")
     # C order, so the reductions below add in the same order for every layout
-    b_nodes = _node_array(b_nodes, "b_nodes")
+    b_nodes = np.ascontiguousarray(_node_array(b_nodes, "b_nodes"))
     with np.errstate(over="ignore"):
         r = np.linalg.norm(b_nodes, axis=1)
     if not np.all(np.isfinite(r)):

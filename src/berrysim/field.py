@@ -133,8 +133,11 @@ class Grid:
 
 
 def _node_array(values, name: str) -> np.ndarray:
-    """``values`` as a C-ordered, finite float (n + 1, 3) array, n >= 1, or a named ValueError."""
-    nodes = np.asarray(values, dtype=float, order="C")
+    """``values`` as a finite float (n + 1, 3) array, n >= 1, or a named ValueError.
+
+    The array keeps the layout of ``values``, so a caller that needs one makes it.
+    """
+    nodes = np.asarray(values, dtype=float)
     if nodes.ndim != 2 or nodes.shape[0] < 2 or nodes.shape[1] != 3:
         raise ValueError(f"{name} must have shape (n + 1, 3) with n >= 1, got {nodes.shape}")
     if not np.all(np.isfinite(nodes)):

@@ -42,6 +42,7 @@ the columns in trial order with fixed-order numpy reductions.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import pickle
@@ -152,18 +153,20 @@ def _law(adjoint: np.ndarray) -> tuple:
 _NODES_PER_WORKER = 250_000
 
 
-def _worker_count(n_trials: int, nodes_per_trial: int) -> int:
-    """One process per usable CPU where that pays; one without CPU affinity
-    (not Linux) or with another thread alive, since a fork copies one thread."""
+def _worker_count(work: int, per_worker: int, parts: int) -> int:
+    """Processes for ``work`` in ``parts`` that can run apart: one per usable
+    CPU and per ``per_worker`` of work, at most one per part, at least one.
+    One without CPU affinity (not Linux) or with another thread alive, since
+    a fork copies one thread."""
     if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
-    paying = n_trials * nodes_per_trial // _NODES_PER_WORKER
-    return max(1, min(len(os.sched_getaffinity(0)), paying, n_trials))
+    return max(1, min(len(os.sched_getaffinity(0)), work // per_worker, parts))
 
 
-def _fork_slice(trials, start: int, stop: int) -> tuple:
-    """(pid, read end) of a child that pipes back ``trials(start, stop)`` pickled,
-    or the exception it raised, and leaves by ``os._exit``."""
+def _fork(work) -> tuple:
+    """(pid, read end) of a child that pipes back ``work()`` pickled, or the
+    exception it raised, and leaves by ``os._exit``, so that it flushes no
+    buffer it inherited."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -176,7 +179,7 @@ def _fork_slice(trials, start: int, stop: int) -> tuple:
         try:
             os.close(read_fd)
             try:
-                payload = trials(start, stop)
+                payload = work()
             except Exception as exc:
                 payload = exc
             with open(write_fd, "wb") as pipe:
@@ -194,7 +197,8 @@ def _run_slices(trials, n_trials: int, workers: int) -> tuple:
     Children take the upper slices, forked highest first; where a fork
     fails, the caller keeps that slice and all below it.  Children are
     read in slice order, so the error raised is the lowest slice's, the
-    caller's first; the children above it are killed.  Every child is
+    caller's first; the children above it are killed.  A child that dies
+    is a ``ChildProcessError`` that names its trials.  Every child is
     reaped on every path.
     """
     bounds = [n_trials * k // workers for k in range(workers + 1)]
@@ -202,7 +206,7 @@ def _run_slices(trials, n_trials: int, workers: int) -> tuple:
     try:
         for k in range(workers - 1, 0, -1):
             try:
-                pid, pipe = _fork_slice(trials, bounds[k], bounds[k + 1])
+                pid, pipe = _fork(functools.partial(trials, bounds[k], bounds[k + 1]))
             except OSError:
                 break
             children.insert(0, (bounds[k], bounds[k + 1], pid, pipe))
@@ -215,7 +219,7 @@ def _run_slices(trials, n_trials: int, workers: int) -> tuple:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
             if status != 0:
-                raise RuntimeError(
+                raise ChildProcessError(
                     f"the process for trials {start} to {stop - 1} exited with status {status}"
                 )
             blocks.append(pickle.loads(data))
@@ -294,7 +298,8 @@ def run_ensemble(
             block[2:, column] = run.geometric_phase, run.leakage
         return block
 
-    columns, processes = _run_slices(trials, n_trials, _worker_count(n_trials, grid.n_steps + 1))
+    workers = _worker_count(n_trials * (grid.n_steps + 1), _NODES_PER_WORKER, n_trials)
+    columns, processes = _run_slices(trials, n_trials, workers)
     columns.setflags(write=False)
     return Ensemble(*columns, covariance=covariance, processes=processes)
 

@@ -29,3 +29,19 @@ def no_child_process_left():
     after = _child_state()
     if before is None and after is not None:
         pytest.fail(f"the test left a child process ({after})")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children ``os.fork`` starts during the test, in order."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import hashlib
 import inspect
+import io
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +26,14 @@ from berrysim.field import PrecessionSpec, adiabaticity_report, control_field
 from berrysim.noise import NoiseModel, sample_path
 from test_analytics import _oracle, _reference_noncyclic_connection_term
 from test_evolve import _reference_connection_phase_discrete
-from test_montecarlo import _reference_adjoint, _reference_law_bounds, _reference_run_ensemble
+from test_montecarlo import (
+    _assert_no_child_left,
+    _reference_adjoint,
+    _reference_law_bounds,
+    _reference_run_ensemble,
+    _set_workers,
+    _trial_index,
+)
 
 
 def read_json(path: Path) -> dict:
@@ -61,6 +70,12 @@ def _reference_write_table(path: Path, header: list, rows: list) -> None:
 def _write_table(path: Path, header: list, columns: list) -> None:
     with path.open("wb") as out:
         cells.write_tables([(out, header, columns)])
+
+
+def _set_writers(monkeypatch, cpus):
+    """Let a table of any size be written by ``cpus`` processes, one per usable CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(cells, "_CELLS_PER_WORKER", 1)
 
 
 class TestRunConfig:
@@ -499,6 +514,30 @@ class TestMcCommand:
         assert (tmp_path / "cpus1.summary.json").read_text().replace("cpus1", "cpus2") == (
             tmp_path / "cpus2.summary.json"
         ).read_text()
+
+    def test_a_child_that_dies_is_a_usage_error(self, tmp_path, monkeypatch, capsys, forks):
+        # a child's death is an OSError, so main names it and exits 2, the
+        # code of a failure to run, not 1, the code of a failed self-check
+        current = _trial_index(monkeypatch)
+        evolve = montecarlo._evolve
+        caller = os.getpid()
+
+        def dying_evolve(*args):
+            if current[0] == 5 and os.getpid() != caller:
+                os._exit(3)
+            return evolve(*args)
+
+        monkeypatch.setattr(montecarlo, "_evolve", dying_evolve)
+        _set_workers(monkeypatch, 3)
+        argv = ["mc", "--mode", "full_sim", "--n-trials", "7", "--steps-per-cycle", "256",
+                "-o", str(tmp_path / "mc")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: the process for trials 4 to 6 exited with status 3\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+        assert len(forks) == 2
+        _assert_no_child_left()
 
     def test_tampered_targets_fail(self, tmp_path, monkeypatch):
         phase_moments = analytics.phase_moments
@@ -1939,8 +1978,11 @@ class TestTableEquivalence:
         _write_table(tmp_path / "new.csv", header, [floats, ints, None, -floats])
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-    def test_tables_sharing_columns(self, tmp_path):
-        # simulate's case: the second table repeats columns of the first
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_tables_sharing_columns(self, tmp_path, monkeypatch, forks, workers):
+        # simulate's case: the second table repeats columns of the first; its
+        # three chunks are written by one, two or three processes
+        _set_writers(monkeypatch, workers)
         n_rows = 10_001
         assert n_rows > 2 * cells._CHUNK_ROWS
         rng = np.random.default_rng(11)
@@ -1964,6 +2006,8 @@ class TestTableEquivalence:
         for name in ("first.csv", "second.csv"):
             assert (tmp_path / f"out.{name}").read_bytes() == (tmp_path / f"ref.{name}").read_bytes()
         assert (tmp_path / "out.json").read_text() == "{}\n"
+        assert len(forks) == workers - 1
+        _assert_no_child_left()
 
     @pytest.mark.parametrize("family", sorted(_FLOAT_FAMILIES))
     def test_float_family(self, tmp_path, family):
@@ -2027,9 +2071,12 @@ class TestTableEquivalence:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert (tmp_path / "new.csv").read_text().splitlines()[2] == "1,"
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("with_noise", [False, True])
-    def test_memory_does_not_grow_with_the_table(self, tmp_path, with_noise):
-        # simulate's shape: 14 float columns, and a noise table that repeats 4 of them
+    def test_memory_does_not_grow_with_the_table(self, tmp_path, monkeypatch, with_noise, workers):
+        # simulate's shape: 14 float columns, and a noise table that repeats 4
+        # of them; with two writers, this process holds no more than its chunks
+        _set_writers(monkeypatch, workers)
         def peak(n_rows):
             block = np.random.default_rng(n_rows).standard_normal((n_rows, 14))
             tables = [(tmp_path / "t.csv", [f"c{i}" for i in range(14)], [block])]
@@ -2051,32 +2098,43 @@ class TestTableEquivalence:
         assert long < 3.5 * chunk_cells
         assert long < 1.25 * short
 
-    def test_simulate_formats_each_column_once_per_chunk(self, tmp_path, monkeypatch):
-        # 14 distinct float columns: the noise table's t and k_1..k_3 reuse the trajectory's
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_simulate_formats_each_column_once_per_chunk(self, tmp_path, monkeypatch, workers):
+        # 14 distinct float columns: the noise table's t and k_1..k_3 reuse the
+        # trajectory's; this process formats chunks 0, workers, 2 workers, ...
+        _set_writers(monkeypatch, workers)
         calls, float_cells = [], cells.float_cells
         monkeypatch.setattr(cells, "float_cells", lambda c: calls.append(c.size) or float_cells(c))
         args = ["simulate", "--steps-per-cycle", "10000", "--quiet", "-o", str(tmp_path / "s")]
         assert main(args) == 0
         chunk = cells._CHUNK_ROWS
-        assert calls == [min(chunk, 10_001 - start) for start in range(0, 10_001, chunk)
-                         for _ in range(14)]
+        assert calls == [min(chunk, 10_001 - start)
+                         for start in range(0, 10_001, chunk * workers) for _ in range(14)]
+        _assert_no_child_left()
 
-    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys):
-        # a kernel that fails on the second chunk, as a full disk would
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys, forks, workers):
+        # a kernel that fails on the second chunk, as a full disk would: the
+        # 15th call here, or the first call of the child that formats it
         calls, float_cells = [], cells.float_cells
+        caller = os.getpid()
 
         def failing(chunk):
             calls.append(chunk)
-            if len(calls) > 14:
+            if len(calls) > 14 if workers == 1 else os.getpid() != caller:
                 raise OSError(28, "No space left on device")
             return float_cells(chunk)
 
+        _set_writers(monkeypatch, workers)
         monkeypatch.setattr(cells, "float_cells", failing)
         args = ["simulate", "--steps-per-cycle", "10000", "--quiet", "-o", str(tmp_path / "s")]
         assert main(args) == 2
-        assert "No space left on device" in capsys.readouterr().err
-        assert len(calls) == 15
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        # with two processes, this one formats chunks 0 and 2 of the three
+        assert len(calls) == (15 if workers == 1 else 28)
+        assert len(forks) == workers - 1
         assert list(tmp_path.iterdir()) == []
+        _assert_no_child_left()
 
     def test_unequal_lengths_raise(self, tmp_path):
         with pytest.raises(ValueError, match="differ in length"):
@@ -2164,3 +2222,202 @@ class TestTableEquivalence:
             tmp_path / "ref.csv", header, [[row[k] for k in header] for row in rows]
         )
         assert (tmp_path / "sw.sweep.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _chunk_of(values: np.ndarray) -> int:
+    """The chunk of a slice of ``TestRingWriter.ROWS``, from its first row."""
+    return int(values[0]) // cells._CHUNK_ROWS
+
+
+class TestRingWriter:
+    """Tables written by forked processes that pass a token hold the serial writer's bytes.
+
+    The table ``ROWS`` has five chunks, the last of 10 rows, and its one
+    column is the row index, so a kernel knows its chunk.  Two processes
+    write chunks 0, 2, 4 (this one) and 1, 3; three write 0, 3 (this
+    one), 1, 4 and 2.
+    """
+
+    ROWS = np.arange(4 * cells._CHUNK_ROWS + 10, dtype=float)
+
+    def _write(self, path: Path, values=ROWS) -> None:
+        _write_table(path, ["row"], [values])
+
+    def _reference(self, path: Path, stop: int = len(ROWS)) -> bytes:
+        _reference_write_table(path, ["row"], [[x] for x in self.ROWS[:stop]])
+        return path.read_bytes()
+
+    def _chunk_kernel(self, monkeypatch, act) -> list:
+        """Call ``act(chunk)`` before each chunk's kernel; return the chunks formatted here."""
+        seen, float_cells = [], cells.float_cells
+
+        def kernel(values):
+            seen.append(_chunk_of(values))
+            act(seen[-1])
+            return float_cells(values)
+
+        monkeypatch.setattr(cells, "float_cells", kernel)
+        return seen
+
+    @pytest.mark.parametrize("failing", [{1}, {2}, {3}, {4}, {1, 3}, {2, 4}, {0, 1}, {3, 4},
+                                         {0, 2, 4}], ids=str)
+    def test_the_earliest_failing_chunk_raises(self, tmp_path, monkeypatch, forks, failing):
+        # the file holds the chunks before it, as the serial writer leaves it
+        def act(chunk):
+            if chunk in failing:
+                raise ValueError(f"chunk {chunk} failed")
+
+        self._chunk_kernel(monkeypatch, act)
+        first = min(failing)
+        want = self._reference(tmp_path / "ref.csv", first * cells._CHUNK_ROWS)
+        # five processes write a chunk each, however many CPUs the host has
+        for workers in (1, 2, 3, 5):
+            _set_writers(monkeypatch, workers)
+            with pytest.raises(ValueError, match=f"^chunk {first} failed$"):
+                self._write(tmp_path / f"w{workers}.csv")
+            assert (tmp_path / f"w{workers}.csv").read_bytes() == want
+            _assert_no_child_left()
+        assert len(forks) == 1 + 2 + 4
+
+    def test_long_simulate_equals_the_serial_output(self, tmp_path, monkeypatch, forks):
+        args = ["simulate", "--steps-per-cycle", "65536", "--quiet"]
+        for workers in (1, 2):
+            _set_writers(monkeypatch, workers)
+            assert main(args + ["-o", str(tmp_path / f"w{workers}")]) == 0
+        assert len(forks) == 1
+        for suffix in (".trajectory.csv", ".noise.csv"):
+            serial, ring = ((tmp_path / f"w{w}{suffix}").read_bytes() for w in (1, 2))
+            assert serial == ring
+        _assert_no_child_left()
+
+    def test_the_break_even(self, tmp_path, monkeypatch, forks):
+        # a second process from twice _CELLS_PER_WORKER cells, counted over
+        # the three columns of the two tables, a column of None among them
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(cells, "_CELLS_PER_WORKER", 6 * cells._CHUNK_ROWS)
+        for n_rows, processes in ((4 * cells._CHUNK_ROWS - 1, 1), (4 * cells._CHUNK_ROWS, 2)):
+            with (tmp_path / "a.csv").open("wb") as a, (tmp_path / "b.csv").open("wb") as b:
+                cells.write_tables([(a, ["row"], [self.ROWS[:n_rows]]),
+                                    (b, ["row", "none"], [self.ROWS[:n_rows], None])])
+            assert len(forks) == processes - 1
+        assert (tmp_path / "a.csv").read_bytes() == self._reference(
+            tmp_path / "ref.csv", 4 * cells._CHUNK_ROWS)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("why", ["thread", "no_affinity", "bytes_io"])
+    def test_one_process_without_a_safe_fork_or_a_file(self, tmp_path, monkeypatch, forks, why):
+        _set_writers(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30.0,))
+        if why == "no_affinity":
+            monkeypatch.delattr(os, "sched_getaffinity")
+        if why == "thread":
+            thread.start()
+        try:
+            if why == "bytes_io":
+                out = io.BytesIO()
+                cells.write_tables([(out, ["row"], [self.ROWS])])
+                (tmp_path / "w.csv").write_bytes(out.getvalue())
+            else:
+                self._write(tmp_path / "w.csv")
+        finally:
+            release.set()
+            if thread.is_alive():
+                thread.join(timeout=30.0)
+        assert forks == []
+        assert (tmp_path / "w.csv").read_bytes() == self._reference(tmp_path / "ref.csv")
+
+    @pytest.mark.parametrize("failing_fork", [1, 2])
+    def test_a_failed_fork_leaves_its_chunks_here(self, tmp_path, monkeypatch, failing_fork):
+        # residues are forked highest first; where the fork of residue r
+        # fails, this process writes the chunks of residues 0 to r
+        _set_writers(monkeypatch, 3)
+        calls = []
+        fork = os.fork
+
+        def limited_fork():
+            calls.append(None)
+            if len(calls) >= failing_fork:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", limited_fork)
+        seen = self._chunk_kernel(monkeypatch, lambda chunk: None)
+        self._write(tmp_path / "w.csv")
+        assert len(calls) == failing_fork
+        assert seen == ([0, 1, 2, 3, 4] if failing_fork == 1 else [0, 1, 3, 4])
+        assert (tmp_path / "w.csv").read_bytes() == self._reference(tmp_path / "ref.csv")
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("rows, named", [(len(ROWS), "1, 3"),
+                                             (9 * cells._CHUNK_ROWS, "1, 3, ..., 7")])
+    def test_a_child_that_dies_is_named(self, tmp_path, monkeypatch, forks, rows, named):
+        caller = os.getpid()
+
+        def act(chunk):
+            if chunk == 3 and os.getpid() != caller:
+                os._exit(3)
+
+        self._chunk_kernel(monkeypatch, act)
+        _set_writers(monkeypatch, 2)
+        died = f"^the process for chunks {named} exited with status 3$"
+        with pytest.raises(ChildProcessError, match=died):
+            self._write(tmp_path / "w.csv", np.arange(rows, dtype=float))
+        assert len(forks) == 1
+        _assert_no_child_left()
+
+    def test_a_child_that_dies_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        caller = os.getpid()
+
+        def dying(values):
+            if os.getpid() != caller:
+                os._exit(3)
+            return values
+
+        _set_writers(monkeypatch, 2)
+        kernel = cells._cells
+        monkeypatch.setattr(cells, "_cells", lambda values: kernel(dying(values)))
+        args = ["simulate", "--steps-per-cycle", "10000", "--quiet", "-o", str(tmp_path / "s")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: the process for chunks 1 exited with status 3\n"
+        assert list(tmp_path.iterdir()) == []
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", [0, 2])
+    def test_an_earlier_chunk_than_a_dead_childs_raises(self, tmp_path, monkeypatch, failing):
+        # the child dies on chunk 1; this process fails on chunk 0, before
+        # it, or on chunk 2, after it
+        caller = os.getpid()
+
+        def act(chunk):
+            if os.getpid() != caller:
+                os._exit(3)
+            if chunk == failing:
+                raise ValueError(f"chunk {chunk} failed")
+
+        self._chunk_kernel(monkeypatch, act)
+        _set_writers(monkeypatch, 2)
+        error = ValueError if failing == 0 else ChildProcessError
+        with pytest.raises(error, match="^chunk 0 failed$" if failing == 0 else "chunks 1, 3 "):
+            self._write(tmp_path / "w.csv")
+        _assert_no_child_left()
+
+    def test_a_failing_caller_kills_its_children(self, tmp_path, monkeypatch, forks):
+        # chunk 0 fails here, so this process need not wait for the children's
+        # chunks, which here would take a minute
+        caller = os.getpid()
+
+        def act(chunk):
+            if os.getpid() != caller:
+                time.sleep(60.0)
+            elif chunk == 0:
+                raise ValueError("chunk 0 failed")
+
+        self._chunk_kernel(monkeypatch, act)
+        _set_writers(monkeypatch, 3)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^chunk 0 failed$"):
+            self._write(tmp_path / "w.csv")
+        assert time.perf_counter() - start < 30.0
+        assert len(forks) == 2
+        _assert_no_child_left()

@@ -318,6 +318,32 @@ class TestNoiselessEvolution:
         result = evolve_and_extract(spec, config=IntegratorConfig(steps_per_cycle=1024))
         assert result.winding == 3
 
+    def test_the_kernel_reads_a_sample_path_without_a_copy(self, monkeypatch):
+        # sample_path returns the transpose of contiguous component rows, the
+        # kernel's layout; its C- and Fortran-ordered copies give the same bits
+        from berrysim import evolve
+
+        spec = PrecessionSpec(b0=1.0, theta0=0.9, t_total=40.0, n_cycles=1)
+        config = IntegratorConfig(steps_per_cycle=512)
+        model = NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1)
+        path = sample_path(model, 512, spec.t_total / 512, seed=4)
+        seen, kernel = [], evolve._evolve
+        monkeypatch.setattr(evolve, "_evolve", lambda grid, k, branch: seen.append(k) or kernel(
+            grid, k, branch))
+        runs = [evolve_and_extract(spec, layout, config)
+                for layout in (path, np.ascontiguousarray(path), np.asfortranarray(path))]
+        assert np.shares_memory(seen[0], path)
+        assert all(k.flags.c_contiguous and k.shape == (3, 513) for k in seen)
+        for run in runs[1:]:
+            for name in ("b_nodes", "field_modulus", "total_phase_nodes", "energy", "amp_up"):
+                assert getattr(run, name).tobytes() == getattr(runs[0], name).tobytes()
+            for name in ("geometric_phase", "dynamical_phase", "leakage"):
+                assert getattr(run, name).hex() == getattr(runs[0], name).hex()
+        b_nodes = runs[0].b_nodes
+        chains = [connection_phase_discrete(layout) for layout in (
+            b_nodes, np.ascontiguousarray(b_nodes), np.asfortranarray(b_nodes))]
+        assert len({chain.hex() for chain in chains}) == 1
+
     def test_node_array_shapes_and_endpoints(self):
         spec = PrecessionSpec(b0=1.0, theta0=0.9, t_total=40.0, n_cycles=1)
         config = IntegratorConfig(steps_per_cycle=512)

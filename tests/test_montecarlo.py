@@ -589,22 +589,6 @@ class TestRunEnsemble:
                 run_ensemble(SPEC, MODEL, 5, -1, mode=mode, config=FAST)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the children ``os.fork`` starts during the test, in order."""
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
-
-
 def _set_workers(monkeypatch, cpus):
     """Let a full_sim ensemble of any size split over ``cpus`` usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
@@ -715,7 +699,7 @@ class TestSplitTrials:
         monkeypatch.setattr(montecarlo, "_evolve", dying_evolve)
         _set_workers(monkeypatch, 3)
         died = "^the process for trials 4 to 6 exited with status 3$"
-        with pytest.raises(RuntimeError, match=died):
+        with pytest.raises(ChildProcessError, match=died):
             run_ensemble(SPEC, MODEL, 7, 1, mode="full_sim", config=FAST)
         assert len(forks) == 2
         _assert_no_child_left()
@@ -780,18 +764,35 @@ class TestSplitTrials:
         _assert_no_child_left()
 
     def test_worker_count(self, monkeypatch):
-        # min(usable CPUs, trials x nodes // _NODES_PER_WORKER, trials), at least one
+        # min(usable CPUs, work // per_worker, parts), at least one
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        per_worker = montecarlo._NODES_PER_WORKER
         count = montecarlo._worker_count
-        assert count(1, per_worker - 1) == 1
-        assert count(2, per_worker - 1) == 1
-        assert count(2, per_worker) == 2
-        assert count(3, per_worker) == 3
-        assert count(100, per_worker) == 4
-        assert count(1, 10 * per_worker) == 1
+        assert count(99, 100, 10) == 1
+        assert count(199, 100, 10) == 1
+        assert count(200, 100, 10) == 2
+        assert count(300, 100, 3) == 3
+        assert count(10_000, 100, 10) == 4
+        assert count(10_000, 100, 1) == 1
+        assert count(10_000, 100, 0) == 1
+        # the ensemble's work is its trial nodes, in parts of one trial
+        per_worker = montecarlo._NODES_PER_WORKER
+        assert count(2 * (per_worker - 1), per_worker, 2) == 1
+        assert count(100 * per_worker, per_worker, 100) == 4
+        assert count(10 * per_worker, per_worker, 1) == 1
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert count(100, per_worker) == 1
+        assert count(10_000, 100, 10) == 1
+
+    def test_worker_count_with_a_live_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30.0,))
+        thread.start()
+        try:
+            assert montecarlo._worker_count(10_000, 100, 10) == 1
+        finally:
+            release.set()
+            thread.join(timeout=30.0)
+        assert montecarlo._worker_count(10_000, 100, 10) == 4
 
 
 class TestSummarize:
