@@ -167,8 +167,9 @@ def float_cells(values: np.ndarray) -> np.ndarray:
 
 # Rows formatted per write, so the writer's memory does not grow with the table.
 _CHUNK_ROWS = 4096
-# Cells, rows x columns over all tables, that each extra process needs to pay
-# for its fork: the measured break-even on a 2-vCPU host (CHANGES.md).
+# Cells, rows x columns over all tables, per writing process: a second process
+# starts at twice this, past the measured break-even on a 2-vCPU host
+# (CHANGES.md).
 _CELLS_PER_WORKER = 2**17
 
 

@@ -16,8 +16,8 @@ chunks in order gives.  Children leave by ``os._exit``, as
 ``montecarlo._fork`` makes them.
 
 cells imports this module only to fork: where the host writes no
-bytecode, compiling it costs about 1 MB of peak resident memory, which
-a command that writes a small table would pay for nothing.
+bytecode, compiling it allocates about 350 KB at its peak, which a
+command that writes a small table would pay for nothing.
 """
 
 from __future__ import annotations
