@@ -6,7 +6,7 @@ module to write a table, so commands that write none never build its tables.
 
 :func:`write_tables` formats 4,096 rows at a time.  Where the tables hold
 2 * ``_CELLS_PER_WORKER`` cells or more (rows x columns, over all the
-tables), their files have descriptors and ``montecarlo._worker_count``
+tables), their files have descriptors and :func:`berrysim.forks._worker_count`
 allows, it hands the chunks to :mod:`berrysim.ring`, whose forked
 processes format them apart and write them in order, so the files hold
 the bytes that one process writes.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .montecarlo import _worker_count
+from .forks import _worker_count
 
 __all__ = ["float_cells", "write_tables"]
 
@@ -261,7 +261,7 @@ def write_tables(tables: list) -> None:
 
     Tables of at least ``_CELLS_PER_WORKER`` cells per process, whose files
     all have descriptors, are written by up to one process per usable CPU
-    (``montecarlo._worker_count``): process i % workers formats chunk i and
+    (:func:`berrysim.forks._worker_count`): process i % workers formats chunk i and
     writes it once chunk i - 1 is written.  The files hold the bytes that
     one process writes, and an error is the one that process raises.
     """

@@ -34,19 +34,17 @@ trial i draws from ``trial_seed(master_seed, i)``.  Either way a run is
 reproducible and extending ``n_trials`` keeps the earlier trials.
 
 A ``full_sim`` ensemble large enough to pay for a process splits into
-contiguous trial slices, one per usable CPU: the caller runs the lowest
-and a forked child each of the others.  The records, and the error of
-the lowest failing slice, are bitwise a serial run's.  Summaries reduce
+contiguous trial slices, one per process that
+:func:`berrysim.forks._worker_count` allows, and
+:func:`berrysim.forks.run_parts` runs the lowest in the caller and each
+of the others in a forked child.  The records, and the error of the
+lowest failing trial, are bitwise a serial run's.  Summaries reduce
 the columns in trial order with fixed-order numpy reductions.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import os
-import pickle
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +53,7 @@ from . import analytics
 from .errors import _count
 from .evolve import IntegratorConfig, _evolve
 from .field import Grid, PrecessionSpec
+from .forks import _worker_count, run_parts
 from .noise import NoiseModel, _draw_innovations, _ou_filter
 
 __all__ = [
@@ -153,89 +152,6 @@ def _law(adjoint: np.ndarray) -> tuple:
 _NODES_PER_WORKER = 250_000
 
 
-def _worker_count(work: int, per_worker: int, parts: int) -> int:
-    """Processes for ``work`` in ``parts`` that can run apart: one per usable
-    CPU and per ``per_worker`` of work, at most one per part, at least one.
-    One without CPU affinity (not Linux) or with another thread alive, since
-    a fork copies one thread."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), work // per_worker, parts))
-
-
-def _fork(work) -> tuple:
-    """(pid, read end) of a child that pipes back ``work()`` pickled, or the
-    exception it raised, and leaves by ``os._exit``, so that it flushes no
-    buffer it inherited."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                payload = work()
-            except Exception as exc:
-                payload = exc
-            with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _run_slices(trials, n_trials: int, workers: int) -> tuple:
-    """(columns, processes) of ``trials`` over [0, n_trials), one slice per worker.
-
-    Children take the upper slices, forked highest first; where a fork
-    fails, the caller keeps that slice and all below it.  Children are
-    read in slice order, so the error raised is the lowest slice's, the
-    caller's first; the children above it are killed.  A child that dies
-    is a ``ChildProcessError`` that names its trials.  Every child is
-    reaped on every path.
-    """
-    bounds = [n_trials * k // workers for k in range(workers + 1)]
-    children = []  # (start, stop, pid, pipe), in slice order
-    try:
-        for k in range(workers - 1, 0, -1):
-            try:
-                pid, pipe = _fork(functools.partial(trials, bounds[k], bounds[k + 1]))
-            except OSError:
-                break
-            children.insert(0, (bounds[k], bounds[k + 1], pid, pipe))
-        processes = 1 + len(children)
-        blocks = [trials(0, children[0][0] if children else n_trials)]
-        while children:
-            start, stop, pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if status != 0:
-                raise ChildProcessError(
-                    f"the process for trials {start} to {stop - 1} exited with status {status}"
-                )
-            blocks.append(pickle.loads(data))
-            if isinstance(blocks[-1], BaseException):
-                raise blocks[-1]
-        return np.concatenate(blocks, axis=1), processes
-    finally:
-        if children:
-            import signal  # only on a failure path, so not at import
-
-            for _, _, pid, pipe in children:
-                os.kill(pid, signal.SIGKILL)
-                pipe.close()
-                os.waitpid(pid, 0)
-
-
 def run_ensemble(
     spec: PrecessionSpec,
     model: NoiseModel,
@@ -261,10 +177,12 @@ def run_ensemble(
 
     A ``full_sim`` ensemble runs on min(usable CPUs, trials *
     (n_steps + 1) // ``_NODES_PER_WORKER``) processes, each a contiguous
-    slice of trials; it stays in this process without
-    ``os.sched_getaffinity`` (not Linux), with another thread alive, and
-    for each slice whose fork fails.  Records and errors are bitwise
-    those of trials run serially, in index order.
+    slice of trials, under the policy of :mod:`berrysim.forks`: one
+    process without ``os.sched_getaffinity`` (not Linux) or with another
+    thread alive, and the caller keeps each slice whose fork fails.
+    Records and errors are bitwise those of trials run serially, in
+    index order; a child that dies is a ``ChildProcessError``, raised
+    only where no trial raised.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -299,9 +217,12 @@ def run_ensemble(
         return block
 
     workers = _worker_count(n_trials * (grid.n_steps + 1), _NODES_PER_WORKER, n_trials)
-    columns, processes = _run_slices(trials, n_trials, workers)
+    bounds = [n_trials * k // workers for k in range(workers + 1)]
+    blocks = run_parts(lambda lo, hi: trials(bounds[lo], bounds[hi]), workers,
+                       lambda k: f"trials {bounds[k]} to {bounds[k + 1] - 1}")
+    columns = np.concatenate(blocks, axis=1)
     columns.setflags(write=False)
-    return Ensemble(*columns, covariance=covariance, processes=processes)
+    return Ensemble(*columns, covariance=covariance, processes=len(blocks))
 
 
 def _column_stats(x: np.ndarray) -> dict:

@@ -12,8 +12,8 @@ before, so at most one process fails, and its chunk is the earliest
 that fails; the caller raises that chunk's exception, from whichever
 process, or a ``ChildProcessError`` for a child that died.  So the files
 hold the bytes, and an error is the one, that one process writing the
-chunks in order gives.  Children leave by ``os._exit``, as
-``montecarlo._fork`` makes them.
+chunks in order gives.  :mod:`berrysim.forks` forks, reads and reaps
+the processes.
 
 cells imports this module only to fork: where the host writes no
 bytecode, compiling it allocates about 350 KB at its peak, which a
@@ -23,12 +23,9 @@ command that writes a small table would pay for nothing.
 from __future__ import annotations
 
 import contextlib
-import functools
 import os
-import pickle
-import signal
 
-from .montecarlo import _fork
+from .forks import run_parts
 
 _GO, _STOP = b"+", b"-"  # the token after a chunk: it is written, or it or one before failed
 
@@ -76,73 +73,37 @@ def _ring_share(chunk, fds, n_chunks, workers, residues, inbound, outbound):
     return failure
 
 
-def _child_share(open_ends: set, inbound: int, outbound: int, *share):
-    """A forked child's share: it closes the token pipe ends that are not its own first."""
-    for fd in open_ends - {inbound, outbound}:
-        os.close(fd)
-    return _ring_share(*share, inbound, outbound)
-
-
 def write_ring(chunk, fds: list, n_chunks: int, workers: int) -> None:
     """Write chunks 0 to n_chunks - 1 on ``fds``, process i % workers writing chunk i.
 
-    Pipe r takes the token into the process of residue r.  Children are
-    forked highest residue first; where a fork fails, the caller keeps that
-    residue and all below it.  The caller raises the earliest failing
-    chunk's exception, or a ``ChildProcessError`` for a child that died,
-    and reaps every child on every path.
+    Pipe r takes the token into the process of residue r; every pipe is
+    made before the first fork.  The residues are the parts of
+    :func:`berrysim.forks.run_parts`, which forks their processes, keeps
+    the residues of a failed fork here, raises the error and reaps every
+    child.  A share first closes the token pipe ends that are not its
+    own, so that a pipe whose writer has left reads as ended, then raises
+    its earliest failing chunk's exception.
     """
-    open_ends = set()  # the token pipe ends open in this process
+    pipes, open_ends = [], set()  # the token pipe ends open in this process
 
-    def pipe() -> tuple:
-        ends = os.pipe()
-        open_ends.update(ends)
-        return ends
-
-    def close(*ends) -> None:
-        for fd in ends:
-            open_ends.discard(fd)
+    def share(lo: int, hi: int) -> None:
+        ends = pipes[lo][0], pipes[hi % workers][1]  # inbound, outbound
+        for fd in open_ends.difference(ends):
             os.close(fd)
-
-    pipes = {0: pipe()}
-    children = []  # (residue, pid, result pipe), lowest residue first
-    try:
-        for r in range(workers - 1, 0, -1):
-            pipes[r] = pipe()
-            inbound, outbound = pipes[r][0], pipes[(r + 1) % workers][1]
-            share = (chunk, fds, n_chunks, workers, range(r, r + 1))
-            try:
-                pid, result = _fork(functools.partial(
-                    _child_share, open_ends, inbound, outbound, *share))
-            except OSError:
-                close(*pipes.pop(r))
-                break
-            children.insert(0, (r, pid, result))
-            close(inbound, outbound)
-        first = children[0][0] if children else workers
-        failure = _ring_share(chunk, fds, n_chunks, workers, range(first),
-                              pipes[0][0], pipes[first % workers][1])
+        open_ends.intersection_update(ends)
+        failure = _ring_share(chunk, fds, n_chunks, workers, range(lo, hi), *ends)
         if failure is not None:
             raise failure
-        died = None
-        while children:
-            r, pid, result = children[0]
-            with result:
-                data = result.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if status != 0:
-                own = range(r, n_chunks, workers)
-                names = ", ".join(map(str, own if len(own) < 4 else (*own[:2], "...", own[-1])))
-                died = died or ChildProcessError(
-                    f"the process for chunks {names} exited with status {status}")
-            elif (payload := pickle.loads(data)) is not None:
-                failure = payload
-        if failure is not None or died is not None:
-            raise failure or died
+
+    def name(r: int) -> str:
+        own = range(r, n_chunks, workers)
+        return "chunks " + ", ".join(map(str, own if len(own) < 4 else (*own[:2], "...", own[-1])))
+
+    try:
+        for _ in range(workers):
+            pipes.append(os.pipe())
+            open_ends.update(pipes[-1])
+        run_parts(share, workers, name)
     finally:
-        close(*open_ends)
-        for _, pid, result in children:
-            os.kill(pid, signal.SIGKILL)
-            result.close()
-            os.waitpid(pid, 0)
+        for fd in open_ends:
+            os.close(fd)
