@@ -18,6 +18,11 @@ def _child_state():
     return "running" if child is None else f"pid {child.si_pid} exited, unreaped"
 
 
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test after which this process has a child it did not have before.

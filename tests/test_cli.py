@@ -24,10 +24,10 @@ from berrysim.cli import RunConfig, config_from_file, main
 from berrysim.evolve import evolve_and_extract
 from berrysim.field import PrecessionSpec, adiabaticity_report, control_field
 from berrysim.noise import NoiseModel, sample_path
+from conftest import _assert_no_child_left
 from test_analytics import _oracle, _reference_noncyclic_connection_term
 from test_evolve import _reference_connection_phase_discrete
 from test_montecarlo import (
-    _assert_no_child_left,
     _reference_adjoint,
     _reference_law_bounds,
     _reference_run_ensemble,

@@ -27,10 +27,11 @@ from berrysim import (
     summarize,
     trial_seed,
 )
-from berrysim import analytics, field, montecarlo, noise
+from berrysim import analytics, field, forks, montecarlo, noise
 from berrysim.evolve import _evolve
 from berrysim.field import Grid
 from berrysim.noise import _draw_innovations, _ou_filter
+from conftest import _assert_no_child_left
 
 SPEC = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)
 MODEL = NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1)
@@ -608,11 +609,6 @@ def _trial_index(monkeypatch):
     return current
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestSplitTrials:
     """full_sim ensembles split over forked processes give the serial records and errors.
 
@@ -766,7 +762,7 @@ class TestSplitTrials:
     def test_worker_count(self, monkeypatch):
         # min(usable CPUs, work // per_worker, parts), at least one
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        count = montecarlo._worker_count
+        count = forks._worker_count
         assert count(99, 100, 10) == 1
         assert count(199, 100, 10) == 1
         assert count(200, 100, 10) == 2
@@ -788,11 +784,11 @@ class TestSplitTrials:
         thread = threading.Thread(target=release.wait, args=(30.0,))
         thread.start()
         try:
-            assert montecarlo._worker_count(10_000, 100, 10) == 1
+            assert forks._worker_count(10_000, 100, 10) == 1
         finally:
             release.set()
             thread.join(timeout=30.0)
-        assert montecarlo._worker_count(10_000, 100, 10) == 4
+        assert forks._worker_count(10_000, 100, 10) == 4
 
 
 class TestSummarize:
