@@ -18,9 +18,22 @@ def _child_state():
     return "running" if child is None else f"pid {child.si_pid} exited, unreaped"
 
 
-def _assert_no_child_left():
+def _open_fds():
+    """The number of file descriptors open in this process, or None where
+    ``/proc/self/fd`` is missing (not Linux)."""
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
+def _assert_no_child_left(fds):
+    """No child of this process is left and, unless ``fds`` is None, as many
+    file descriptors are open as ``fds``, the :func:`_open_fds` count before."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    if fds is not None:
+        assert _open_fds() == fds
 
 
 @pytest.fixture(autouse=True)

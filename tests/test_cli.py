@@ -24,7 +24,7 @@ from berrysim.cli import RunConfig, config_from_file, main
 from berrysim.evolve import evolve_and_extract
 from berrysim.field import PrecessionSpec, adiabaticity_report, control_field
 from berrysim.noise import NoiseModel, sample_path
-from conftest import _assert_no_child_left
+from conftest import _assert_no_child_left, _open_fds
 from test_analytics import _oracle, _reference_noncyclic_connection_term
 from test_evolve import _reference_connection_phase_discrete
 from test_montecarlo import (
@@ -518,6 +518,7 @@ class TestMcCommand:
     def test_a_child_that_dies_is_a_usage_error(self, tmp_path, monkeypatch, capsys, forks):
         # a child's death is an OSError, so main names it and exits 2, the
         # code of a failure to run, not 1, the code of a failed self-check
+        fds = _open_fds()
         current = _trial_index(monkeypatch)
         evolve = montecarlo._evolve
         caller = os.getpid()
@@ -537,7 +538,7 @@ class TestMcCommand:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
         assert len(forks) == 2
-        _assert_no_child_left()
+        _assert_no_child_left(fds)
 
     def test_tampered_targets_fail(self, tmp_path, monkeypatch):
         phase_moments = analytics.phase_moments
@@ -1982,6 +1983,7 @@ class TestTableEquivalence:
     def test_tables_sharing_columns(self, tmp_path, monkeypatch, forks, workers):
         # simulate's case: the second table repeats columns of the first; its
         # three chunks are written by one, two or three processes
+        fds = _open_fds()
         _set_writers(monkeypatch, workers)
         n_rows = 10_001
         assert n_rows > 2 * cells._CHUNK_ROWS
@@ -2007,7 +2009,7 @@ class TestTableEquivalence:
             assert (tmp_path / f"out.{name}").read_bytes() == (tmp_path / f"ref.{name}").read_bytes()
         assert (tmp_path / "out.json").read_text() == "{}\n"
         assert len(forks) == workers - 1
-        _assert_no_child_left()
+        _assert_no_child_left(fds)
 
     @pytest.mark.parametrize("family", sorted(_FLOAT_FAMILIES))
     def test_float_family(self, tmp_path, family):
@@ -2102,6 +2104,7 @@ class TestTableEquivalence:
     def test_simulate_formats_each_column_once_per_chunk(self, tmp_path, monkeypatch, workers):
         # 14 distinct float columns: the noise table's t and k_1..k_3 reuse the
         # trajectory's; this process formats chunks 0, workers, 2 workers, ...
+        fds = _open_fds()
         _set_writers(monkeypatch, workers)
         calls, float_cells = [], cells.float_cells
         monkeypatch.setattr(cells, "float_cells", lambda c: calls.append(c.size) or float_cells(c))
@@ -2110,12 +2113,13 @@ class TestTableEquivalence:
         chunk = cells._CHUNK_ROWS
         assert calls == [min(chunk, 10_001 - start)
                          for start in range(0, 10_001, chunk * workers) for _ in range(14)]
-        _assert_no_child_left()
+        _assert_no_child_left(fds)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, capsys, forks, workers):
         # a kernel that fails on the second chunk, as a full disk would: the
         # 15th call here, or the first call of the child that formats it
+        fds = _open_fds()
         calls, float_cells = [], cells.float_cells
         caller = os.getpid()
 
@@ -2134,7 +2138,7 @@ class TestTableEquivalence:
         assert len(calls) == (15 if workers == 1 else 28)
         assert len(forks) == workers - 1
         assert list(tmp_path.iterdir()) == []
-        _assert_no_child_left()
+        _assert_no_child_left(fds)
 
     def test_unequal_lengths_raise(self, tmp_path):
         with pytest.raises(ValueError, match="differ in length"):
@@ -2263,6 +2267,7 @@ class TestRingWriter:
                                          {0, 2, 4}], ids=str)
     def test_the_earliest_failing_chunk_raises(self, tmp_path, monkeypatch, forks, failing):
         # the file holds the chunks before it, as the serial writer leaves it
+        fds = _open_fds()
         def act(chunk):
             if chunk in failing:
                 raise ValueError(f"chunk {chunk} failed")
@@ -2276,10 +2281,11 @@ class TestRingWriter:
             with pytest.raises(ValueError, match=f"^chunk {first} failed$"):
                 self._write(tmp_path / f"w{workers}.csv")
             assert (tmp_path / f"w{workers}.csv").read_bytes() == want
-            _assert_no_child_left()
+            _assert_no_child_left(fds)
         assert len(forks) == 1 + 2 + 4
 
     def test_long_simulate_equals_the_serial_output(self, tmp_path, monkeypatch, forks):
+        fds = _open_fds()
         args = ["simulate", "--steps-per-cycle", "65536", "--quiet"]
         for workers in (1, 2):
             _set_writers(monkeypatch, workers)
@@ -2288,11 +2294,12 @@ class TestRingWriter:
         for suffix in (".trajectory.csv", ".noise.csv"):
             serial, ring = ((tmp_path / f"w{w}{suffix}").read_bytes() for w in (1, 2))
             assert serial == ring
-        _assert_no_child_left()
+        _assert_no_child_left(fds)
 
     def test_the_break_even(self, tmp_path, monkeypatch, forks):
         # a second process from twice _CELLS_PER_WORKER cells, counted over
         # the three columns of the two tables, a column of None among them
+        fds = _open_fds()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(cells, "_CELLS_PER_WORKER", 6 * cells._CHUNK_ROWS)
         for n_rows, processes in ((4 * cells._CHUNK_ROWS - 1, 1), (4 * cells._CHUNK_ROWS, 2)):
@@ -2302,7 +2309,7 @@ class TestRingWriter:
             assert len(forks) == processes - 1
         assert (tmp_path / "a.csv").read_bytes() == self._reference(
             tmp_path / "ref.csv", 4 * cells._CHUNK_ROWS)
-        _assert_no_child_left()
+        _assert_no_child_left(fds)
 
     @pytest.mark.parametrize("why", ["thread", "no_affinity", "bytes_io"])
     def test_one_process_without_a_safe_fork_or_a_file(self, tmp_path, monkeypatch, forks, why):
@@ -2331,6 +2338,7 @@ class TestRingWriter:
     def test_a_failed_fork_leaves_its_chunks_here(self, tmp_path, monkeypatch, failing_fork):
         # residues are forked highest first; where the fork of residue r
         # fails, this process writes the chunks of residues 0 to r
+        fds = _open_fds()
         _set_writers(monkeypatch, 3)
         calls = []
         fork = os.fork
@@ -2347,11 +2355,12 @@ class TestRingWriter:
         assert len(calls) == failing_fork
         assert seen == ([0, 1, 2, 3, 4] if failing_fork == 1 else [0, 1, 3, 4])
         assert (tmp_path / "w.csv").read_bytes() == self._reference(tmp_path / "ref.csv")
-        _assert_no_child_left()
+        _assert_no_child_left(fds)
 
     @pytest.mark.parametrize("rows, named", [(len(ROWS), "1, 3"),
                                              (9 * cells._CHUNK_ROWS, "1, 3, ..., 7")])
     def test_a_child_that_dies_is_named(self, tmp_path, monkeypatch, forks, rows, named):
+        fds = _open_fds()
         caller = os.getpid()
 
         def act(chunk):
@@ -2364,9 +2373,10 @@ class TestRingWriter:
         with pytest.raises(ChildProcessError, match=died):
             self._write(tmp_path / "w.csv", np.arange(rows, dtype=float))
         assert len(forks) == 1
-        _assert_no_child_left()
+        _assert_no_child_left(fds)
 
     def test_a_child_that_dies_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        fds = _open_fds()
         caller = os.getpid()
 
         def dying(values):
@@ -2381,12 +2391,13 @@ class TestRingWriter:
         assert main(args) == 2
         assert capsys.readouterr().err == "error: the process for chunks 1 exited with status 3\n"
         assert list(tmp_path.iterdir()) == []
-        _assert_no_child_left()
+        _assert_no_child_left(fds)
 
     @pytest.mark.parametrize("failing", [0, 2])
     def test_an_earlier_chunk_than_a_dead_childs_raises(self, tmp_path, monkeypatch, failing):
         # the child dies on chunk 1; this process fails on chunk 0, before
         # it, or on chunk 2, after it
+        fds = _open_fds()
         caller = os.getpid()
 
         def act(chunk):
@@ -2400,11 +2411,12 @@ class TestRingWriter:
         error = ValueError if failing == 0 else ChildProcessError
         with pytest.raises(error, match="^chunk 0 failed$" if failing == 0 else "chunks 1, 3 "):
             self._write(tmp_path / "w.csv")
-        _assert_no_child_left()
+        _assert_no_child_left(fds)
 
     def test_a_failing_caller_kills_its_children(self, tmp_path, monkeypatch, forks):
         # chunk 0 fails here, so this process need not wait for the children's
         # chunks, which here would take a minute
+        fds = _open_fds()
         caller = os.getpid()
 
         def act(chunk):
@@ -2420,4 +2432,4 @@ class TestRingWriter:
             self._write(tmp_path / "w.csv")
         assert time.perf_counter() - start < 30.0
         assert len(forks) == 2
-        _assert_no_child_left()
+        _assert_no_child_left(fds)

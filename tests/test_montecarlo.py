@@ -31,7 +31,7 @@ from berrysim import analytics, field, forks, montecarlo, noise
 from berrysim.evolve import _evolve
 from berrysim.field import Grid
 from berrysim.noise import _draw_innovations, _ou_filter
-from conftest import _assert_no_child_left
+from conftest import _assert_no_child_left, _open_fds
 
 SPEC = PrecessionSpec(b0=1.0, theta0=math.pi / 4, t_total=100.0, n_cycles=1)
 MODEL = NoiseModel.from_scalars(0.05, 0.1, 0.05, 0.1)
@@ -628,6 +628,7 @@ class TestSplitTrials:
     def test_records_match_the_serial_loop(
         self, monkeypatch, forks, theta0, n_cycles, amplitudes, workers
     ):
+        fds = _open_fds()
         _set_workers(monkeypatch, workers)
         spec = PrecessionSpec(b0=1.0, theta0=theta0, t_total=100.0, n_cycles=n_cycles)
         model = NoiseModel.from_scalars(amplitudes[0], 0.1, amplitudes[1], 0.3)
@@ -637,12 +638,13 @@ class TestSplitTrials:
         assert _bits(_rows(ensemble)) == _bits(want)
         with pytest.raises(ValueError, match="read-only"):
             ensemble.leakage[6] = 0.0
-        _assert_no_child_left()
+        _assert_no_child_left(fds)
 
     @pytest.mark.parametrize("failing", [{5}, {6}, {3, 5}, {1, 5}, {0, 2, 4}], ids=str)
     def test_the_lowest_failing_trial_raises(self, monkeypatch, forks, failing):
         # {5} and {6} fail only in the third slice's child, {3, 5} in both
         # children, {1, 5} in the caller's slice and a child, {0, 2, 4} in all
+        fds = _open_fds()
         current = _trial_index(monkeypatch)
         evolve = montecarlo._evolve
 
@@ -656,13 +658,14 @@ class TestSplitTrials:
             _set_workers(monkeypatch, workers)
             with pytest.raises(ValueError, match=f"^trial {min(failing)} failed$"):
                 run_ensemble(SPEC, MODEL, 7, 1, mode="full_sim", config=FAST)
-            _assert_no_child_left()
+            _assert_no_child_left(fds)
         assert len(forks) == 2
 
     def test_a_non_finite_path_in_a_child_raises_the_serial_error(self, monkeypatch, forks):
         # children inherit the caller's errstate and warning filters, so
         # under warnings as errors a child raises the kernel's ValueError,
         # not the filter's overflow warning
+        fds = _open_fds()
         huge = NoiseModel.from_scalars(1e308, 0.1, 0.0, 0.1)
         current = _trial_index(monkeypatch)
         ou_filter = montecarlo._ou_filter
@@ -678,11 +681,12 @@ class TestSplitTrials:
                 with pytest.raises(ValueError, match="must be finite") as error:
                     run_ensemble(SPEC, MODEL, 7, 1, mode="full_sim", config=FAST)
             raised.append((type(error.value), str(error.value)))
-            _assert_no_child_left()
+            _assert_no_child_left(fds)
         assert len(forks) == 2
         assert raised[0] == raised[1]
 
     def test_a_child_that_dies_is_named(self, monkeypatch, forks):
+        fds = _open_fds()
         current = _trial_index(monkeypatch)
         evolve = montecarlo._evolve
         caller = os.getpid()
@@ -698,11 +702,34 @@ class TestSplitTrials:
         with pytest.raises(ChildProcessError, match=died):
             run_ensemble(SPEC, MODEL, 7, 1, mode="full_sim", config=FAST)
         assert len(forks) == 2
-        _assert_no_child_left()
+        _assert_no_child_left(fds)
+
+    def test_an_exception_beats_a_dead_child(self, monkeypatch, forks):
+        # the child for trials 2 to 3 dies, and trial 5 raises in the child
+        # above it: the error is the serial run's, as in the token ring
+        fds = _open_fds()
+        current = _trial_index(monkeypatch)
+        evolve = montecarlo._evolve
+        caller = os.getpid()
+
+        def failing_evolve(*args):
+            if current[0] == 2 and os.getpid() != caller:
+                os._exit(3)
+            if current[0] == 5:
+                raise ValueError("trial 5 failed")
+            return evolve(*args)
+
+        monkeypatch.setattr(montecarlo, "_evolve", failing_evolve)
+        _set_workers(monkeypatch, 3)
+        with pytest.raises(ValueError, match="^trial 5 failed$"):
+            run_ensemble(SPEC, MODEL, 7, 1, mode="full_sim", config=FAST)
+        assert len(forks) == 2
+        _assert_no_child_left(fds)
 
     def test_a_failing_caller_kills_its_children(self, monkeypatch, forks):
         # the caller's own slice fails first, so it need not wait for the
         # children's slices, which here would take a minute
+        fds = _open_fds()
         current = _trial_index(monkeypatch)
         evolve = montecarlo._evolve
         caller = os.getpid()
@@ -721,7 +748,7 @@ class TestSplitTrials:
             run_ensemble(SPEC, MODEL, 7, 1, mode="full_sim", config=FAST)
         assert time.perf_counter() - start < 30.0
         assert len(forks) == 2
-        _assert_no_child_left()
+        _assert_no_child_left(fds)
 
     def test_a_live_thread_keeps_one_process(self, monkeypatch, forks):
         _set_workers(monkeypatch, 3)
@@ -742,6 +769,7 @@ class TestSplitTrials:
     def test_a_failed_fork_runs_its_slices_here(self, monkeypatch, failing_fork):
         # slices are forked highest first; where the fork of slice k fails,
         # the caller runs trials [0, bound k+1) itself
+        fds = _open_fds()
         _set_workers(monkeypatch, 3)
         calls = []
         fork = os.fork
@@ -757,7 +785,7 @@ class TestSplitTrials:
         assert (len(calls), ensemble.processes) == (failing_fork, failing_fork)
         want = _reference_run_ensemble(SPEC, MODEL, 7, 1, mode="full_sim", config=FAST)
         assert _bits(_rows(ensemble)) == _bits(want)
-        _assert_no_child_left()
+        _assert_no_child_left(fds)
 
     def test_worker_count(self, monkeypatch):
         # min(usable CPUs, work // per_worker, parts), at least one
