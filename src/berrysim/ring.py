@@ -16,8 +16,9 @@ chunks in order gives.  :mod:`berrysim.forks` forks, reads and reaps
 the processes.
 
 cells imports this module only to fork: where the host writes no
-bytecode, compiling it allocates about 350 KB at its peak, which a
-command that writes a small table would pay for nothing.
+bytecode, compiling it allocates about 245 KB at its peak (tracemalloc
+around the import, after cells), which a command that writes a small
+table would pay for nothing.
 """
 
 from __future__ import annotations
