@@ -27,9 +27,10 @@ from berrysim import (
     summarize,
     trial_seed,
 )
-from berrysim import analytics, field, forks, montecarlo, noise
+from berrysim import analytics, field, montecarlo, noise
 from berrysim.evolve import _evolve
 from berrysim.field import Grid
+from berrysim.forks import _worker_count
 from berrysim.noise import _draw_innovations, _ou_filter
 from conftest import _assert_no_child_left, _open_fds
 
@@ -790,7 +791,7 @@ class TestSplitTrials:
     def test_worker_count(self, monkeypatch):
         # min(usable CPUs, work // per_worker, parts), at least one
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-        count = forks._worker_count
+        count = _worker_count
         assert count(99, 100, 10) == 1
         assert count(199, 100, 10) == 1
         assert count(200, 100, 10) == 2
@@ -812,11 +813,11 @@ class TestSplitTrials:
         thread = threading.Thread(target=release.wait, args=(30.0,))
         thread.start()
         try:
-            assert forks._worker_count(10_000, 100, 10) == 1
+            assert _worker_count(10_000, 100, 10) == 1
         finally:
             release.set()
             thread.join(timeout=30.0)
-        assert forks._worker_count(10_000, 100, 10) == 4
+        assert _worker_count(10_000, 100, 10) == 4
 
 
 class TestSummarize:
