@@ -56,15 +56,12 @@ bandwidth.  There the limit is None rather than a wrong number.
 The quadrature routines integrate the same double integrals directly
 from cos(omega t), sin(omega t), 1 and the OU kernel, with no reference
 to J or L, and serve as an independent cross-check.  A trapezoid pass
-T(n) over n intervals filters each of the three bases once, whatever the
-weights; the weights only scale the results.  It filters only one of
-the g = gcd(n, n_cycles) drive periods on the grid and carries the AR(1)
-state across the rest, the same sum in another order: within rounding
-of the full-grid sum at g > 1 (even n_cycles, or more than 64 on the
-CLI's grids); at g = 1 the carry is zero and skipped, and the sum is
-bitwise the full-grid one.  The error of T(n) is a series in
-h**2, because the inner integral is exact for piecewise-linear weights,
-so the oracle doubles n and extrapolates twice (Richardson; Romberg):
+T(n) over n intervals sums each basis times its response to the kernel,
+which is exact for piecewise-linear weights; the weights only scale the
+results.  On the nodes of a closed drive the responses are geometric
+series, so a pass is their sum in closed form, O(1) whatever n (see
+:func:`_quadrature_pass`).  Its error is a series in h**2, so the
+oracle doubles n and extrapolates twice (Richardson; Romberg):
 
     R2(n) = T(n) + (T(n) - T(n/2))/3
     R3(n) = R2(n) + (R2(n) - R2(n/2))/15
@@ -72,15 +69,15 @@ so the oracle doubles n and extrapolates twice (Richardson; Romberg):
 At each doubling it accepts R2 if |T(n) - T(n/2)|/3 <= rtol*|R2|, and
 otherwise R3 if |R2(n) - R2(n/2)|/15 <= rtol*|R3|: the first
 rule met wins, and its left side is the reported error.  That error is
-an estimate from successive differences, not a bound.  Near the
-roundoff floor (gamma*T ~ 1e-6 with sigma3 = 0, or gamma ~ 1e6) roundoff
-can meet a rule early or keep both from ever being met.
+an estimate from successive differences, not a bound.  Where the kernel
+is narrower than the grid step (gamma ~ 1e6) the error of T(n) is first
+order in h, and neither rule is met.
 
 The oracle's policy is fixed, not a set of defaults: it starts at
 max(4096, 64*n_cycles) nodes, enough to resolve the fastest weight
 oscillation, with rtol = 1e-8, far below the 1e-6 agreement gate of the
-cross-checks without stalling near the roundoff floor, and gives up
-beyond 2**21 nodes, so it refuses n_cycles > 16384.
+cross-checks, and gives up beyond 2**21 nodes, so it refuses
+n_cycles > 16384.
 """
 
 from __future__ import annotations
@@ -93,7 +90,7 @@ import numpy as np
 
 from .errors import AccuracyError
 from .field import Grid, PrecessionSpec, _node_array, control_field
-from .noise import NoiseModel, _ar1
+from .noise import NoiseModel
 
 __all__ = [
     "Weight",
@@ -342,95 +339,98 @@ class QuadratureEstimate(NamedTuple):
     nodes: int
 
 
-def _filtered_kernel(w: np.ndarray, gamma: float, h: float) -> np.ndarray:
-    """y[k] = integral_0^{t_k} w(t') exp(-gamma*(t_k - t')) dt'.
-
-    Exact for piecewise-linear w, so the only discretization error in the
-    outer integral is the O(h**2) trapezoid remainder.
-    """
-    u = gamma * h
-    i0 = -math.expm1(-u) / gamma
-    if u < 1e-4:
-        i1 = h * (0.5 - u / 6.0 + u * u / 24.0 - u**3 / 120.0)
-    else:
-        i1 = (u + math.expm1(-u)) / (u * gamma)
-    x = np.zeros_like(w)
-    x[1:] = i1 * w[1:] + (i0 - i1) * w[:-1]
-    return _ar1(x, math.exp(-u))
-
-
 # The oracle's fixed policy (module docstring): the tolerance and the largest grid.
 _QUAD_RTOL = 1e-8
 _QUAD_MAX_NODES = 2**21
 
-# The bases each noise part filters: cos(omega t) and sin(omega t) for the
-# transverse pair, the constant 1 for the longitudinal component.
-_BASES = ((np.cos, np.sin), (np.ones_like,))
+# Taylor coefficients, highest order first, of (1 - e**-x)/x, (x - 1 + e**-x)/x**2
+# and (1 - e**-2x - 2x*e**-x)/x**3: below x = 0.1 their direct forms cancel.
+_SERIES = tuple(tuple(map(coeff, range(11, -1, -1))) for coeff in (
+    lambda j: (-1) ** j / math.factorial(j + 1),
+    lambda j: (-1) ** j / math.factorial(j + 2),
+    lambda j: (-1) ** j * (2 ** (j + 3) - 2 * j - 6) / math.factorial(j + 3),
+))
+
+
+def _series(which: int, x: float) -> float:
+    """The series ``_SERIES[which]`` at x, by Horner's rule."""
+    total = 0.0
+    for coeff in _SERIES[which]:
+        total = total * x + coeff
+    return total
 
 
 def _quadrature_pass(
     spec: PrecessionSpec, model: NoiseModel, n_nodes: int, parts: tuple
 ) -> tuple:
-    """The filtered-basis integrals of one trapezoid pass over ``n_nodes`` intervals.
+    """The integral of one trapezoid pass over ``n_nodes`` intervals, per noise part.
 
-    For each basis b of a noise part flagged in ``parts`` (transverse,
-    longitudinal) this is the trapezoid sum of b times b filtered by
-    that part's kernel; an unflagged part gives None.  The weights enter
-    a pass only through their amplitude products, so one pass serves
-    every pair of weights at this grid (see :func:`_pass_value`).
+    For each noise part flagged in ``parts`` (transverse, longitudinal) it
+    is the trapezoid sum over the nodes t_k = k*h of the part's bases times
+    their responses s_k to its kernel; an unflagged part gives None.  The
+    weights enter only through their amplitude products, so one pass
+    serves every pair of weights (see :func:`_pass_value`).
 
-    The bases repeat every m = n_nodes/g nodes, g = gcd(n_nodes, n_cycles),
-    so only the first period is filtered, to s with s[0] = 0.  Period c
-    responds as y[c*m + j] = d**j * Y[c] + s[j] (d = exp(-gamma*h)), and
-    its start is Y[c] = s[m] * G[c], where G[c+1] = d**m * G[c] + 1 is an
-    AR(1) recursion from G[0] = 0 that every basis shares.  The full-grid
-    sum is then g * T1 + h * s[m] * (p * sum(G[:g]) + b[m] * (G[g] - g)/2),
-    with T1 the trapezoid sum over one period and p = sum_{j<m} b[j]*d**j.
-    At g = 1 the second term is exactly zero, so it is skipped.
+    The response is an AR(1) recursion from s_0 = 0 with decay
+    d = exp(-gamma*h), u = gamma*h, and the pass is its exact sum.  With
+    phi(x) = (1 - exp(-x))/x and f = phi(u), a step adds i1*b_k +
+    (i0 - i1)*b_{k-1}, i0 = h*f and i1 = h*(u - 1 + d)/u**2 (the kernel
+    integrated exactly against a linear basis).  With z_k = exp(i*omega*t_k),
+    q = d*exp(-i*omega*h), a = 1 - q and c = i1 + (i0 - i1)*exp(-i*omega*h),
+    conj(z_k)*(s_cos + i*s_sin)_k = c*(1 - q**k)/a, whose real part is the
+    transverse integrand, and the longitudinal s_k is (1 - d**k)/gamma.
+    The drive closes, q**n = d**n, so with E = n*(1 - d) - (1 - d**n) and
+    p = Re(c*conj(a))/(h*u) = f**2 - 2*sin(omega*h/2)**2*(1 - d**2 - 2*u*d)/u**3:
+
+        transverse    h**2 * [u*p*Re((E + n*(a - 1 + d))*conj(a))
+                              + d*sin(omega*h)**2*f**2*(1 - d**n)] / |a|**4
+                      + h**2 * u*p*(1 - d**n) / (2*|a|**2)
+        longitudinal  h**2 * [E/(u*(1 - d)) + n*phi(n*u)/2]
+
+    Each term is positive where omega*h <= pi/2, as on the oracle's grids.
+    phi, E/u**2 and p come from their series below 0.1, where their direct
+    forms cancel, so nothing divides by a quantity that can underflow.
     """
-    g = math.gcd(n_nodes, spec.n_cycles)
-    m = n_nodes // g
-    t = np.linspace(0.0, spec.t_total / g, m + 1)
-    h = spec.t_total / n_nodes
-    phase = spec.omega * t
+    n, h = n_nodes, spec.t_total / n_nodes
+    wh = 2.0 * math.pi * spec.n_cycles / n_nodes
+    s2, sn = 2.0 * math.sin(0.5 * wh) ** 2, math.sin(wh)
     integrals = []
-    for params, bases, needed in zip((model.transverse, model.longitudinal), _BASES, parts):
+    for part, (params, needed) in enumerate(zip((model.transverse, model.longitudinal), parts)):
         if not needed:
             integrals.append(None)
             continue
-        if g > 1:
-            decay = np.exp(-params.gamma * h * np.arange(m + 1))
-            starts = _ar1(np.r_[0.0, np.ones(g - 1)], decay[m])
-            last = decay[m] * starts[-1] + 1.0 - g  # G[g] - g
-            starts_sum = starts.sum()
-        values = []
-        for basis in bases:
-            b = basis(phase)
-            s = _filtered_kernel(b, params.gamma, h)
-            value = np.trapezoid(b * s, dx=h)
-            if g > 1:
-                carried = np.dot(b[:-1], decay[:-1]) * starts_sum + 0.5 * b[-1] * last
-                value = g * value + h * s[-1] * carried
-            values.append(value)
-        integrals.append(values)
+        u = params.gamma * h
+        nu = n * u
+        d, om, dn = math.exp(-u), -math.expm1(-u), -math.expm1(-nu)
+        f = _series(0, u) if u < 0.1 else om / u
+        if nu < 0.1:
+            e2 = n * (n * _series(1, nu) - _series(1, u))  # E/u**2
+            e, el, fn = e2 * u * u, e2 / f, _series(0, nu)
+        else:
+            e, fn = n * om - dn, dn / nu
+            el = e / (u * om)
+        if part == 1:
+            integrals.append(h * h * (el + 0.5 * n * fn))
+            continue
+        chi = _series(2, u) if u < 0.1 else (om * (1.0 + d) - 2.0 * u * d) / (u * u * u)
+        p = f * f - s2 * chi
+        a_re = om + d * s2
+        a2 = a_re * a_re + (d * sn) ** 2
+        q_re = e * a_re + n * d * s2 * (1.0 + d)  # Re((E + n*(a - 1 + d))*conj(a))
+        integrals.append(h * h * ((u * p * q_re + d * sn * sn * f * f * dn) / (a2 * a2)
+                                  + 0.5 * u * p * dn / a2))
     return tuple(integrals)
 
 
 def _pass_value(coeffs: tuple, integrals: tuple) -> float:
-    """One pass of Cov(x, y): each part's coefficient times its basis integrals."""
-    total = 0.0
-    for coeff, values in zip(coeffs, integrals):
-        if coeff == 0.0:
-            continue
-        for value in values:
-            total += coeff * float(value)  # Python floats: an inf or nan pass warns nowhere
-    return total
+    """One pass of Cov(x, y): each part's coefficient times its integral."""
+    return sum((c * value for c, value in zip(coeffs, integrals) if c != 0.0), 0.0)
 
 
 def _covariances_by_quadrature(spec: PrecessionSpec, pairs: list, model: NoiseModel) -> tuple:
     """:func:`covariance_by_quadrature` for each ``(weight_a, weight_b)`` in ``pairs``.
 
-    The pairs share their passes: each grid size is filtered once in this
+    The pairs share their passes: each grid size is summed once in this
     call, whichever pairs need it.  The passes are not kept after it.
     """
     n_nodes = max(4096, 64 * spec.n_cycles)

@@ -19,8 +19,7 @@ with ``xi`` i.i.d. standard normal, so the discrete marginals are exact
 for any step size and the process is stationary from the first sample.
 The path is linear in the innovations, K = L xi; the same filter also
 applies the transpose L^T, which turns a weighted path integral w.K
-into the inner product (L^T w).xi.  Both directions, and the kernel of
-the quadrature oracle in :mod:`berrysim.analytics`, run one numpy AR(1)
+into the inner product (L^T w).xi.  Both directions run one numpy AR(1)
 scan, y[k] = d*y[k-1] + x[k], along contiguous rows: one pass per
 parameter set, so one for all three components when their parameters
 are equal.  The filter works component-major, one row of nodes per
@@ -121,7 +120,15 @@ def _ar1_plan(d: float, n: int) -> tuple[int, int, np.ndarray]:
 
 
 def _ar1_scan(y: np.ndarray, d: float, plan: tuple) -> None:
-    """The scan of :func:`_ar1` in place on rows of ``width`` contiguous values, zero-padded."""
+    """y[k] = d*y[k-1] + y[k] in place along rows of ``width`` contiguous values, zero-padded.
+
+    0 <= d <= 1.  Within a block of B values, y[j] = d**j * (cumsum(y / d**j) + d*c),
+    where c is the value the previous block ends on.  B keeps d**-j below
+    exp(_AR1_SPAN), and B = 1 when d underflows to 0.  The block end values
+    c come from a doubling scan over blocks with decay d**B (Hillis &
+    Steele, CACM 29(12), 1986), which stops once that decay underflows to
+    zero.  The work is O(width), and all-zero rows stay exactly zero.
+    """
     _, block, powers = plan
     y = y.reshape(y.shape[:-1] + (-1, block), copy=False)
     y /= powers
@@ -133,25 +140,6 @@ def _ar1_scan(y: np.ndarray, d: float, plan: tuple) -> None:
         step, decay = 2 * step, decay * decay
     y[..., 1:, :] += d * carry[..., :-1, None]
     y *= powers
-
-
-def _ar1(x: np.ndarray, d: float) -> np.ndarray:
-    """y[k] = d*y[k-1] + x[k] along the last axis, with y[0] = x[0] and 0 <= d <= 1.
-
-    Within a block of B values, y[j] = d**j * (cumsum(x / d**j) + d*c), where
-    c is the value the previous block ends on.  B keeps d**-j below
-    exp(_AR1_SPAN), and B = 1 when d underflows to 0.  The block end values
-    c come from a doubling scan over blocks with decay d**B (Hillis &
-    Steele, CACM 29(12), 1986), which stops once that decay underflows to
-    zero.  The work is O(x.shape[-1]), and all-zero rows come out exactly
-    zero.  Each row is scanned over contiguous memory; the result is a view.
-    """
-    n = x.shape[-1]
-    plan = _ar1_plan(d, n)
-    y = np.zeros(x.shape[:-1] + plan[:1])
-    y[..., :n] = x
-    _ar1_scan(y, d, plan)
-    return y[..., :n]
 
 
 @functools.lru_cache(maxsize=8)

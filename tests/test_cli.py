@@ -1111,9 +1111,9 @@ class TestSimulatePinned:
 _PIN_SMALL = ["--steps-per-cycle", "256", "--seed", "7"]
 # compare lines that do not depend on the ensemble, at the reference point
 _PIN_ORACLE_LINES = [
-    "[PASS] oracle_var_gamma: closed=1.956467746e-03 quadrature=1.956467746e-03 rel=5.41e-14",
-    "[PASS] oracle_var_alpha: closed=3.990375780e+00 quadrature=3.990375780e+00 rel=5.49e-14",
-    "[PASS] oracle_cov: closed=1.189337870e-02 quadrature=1.189337870e-02 rel=1.95e-13",
+    "[PASS] oracle_var_gamma: closed=1.956467746e-03 quadrature=1.956467746e-03 rel=4.43e-16",
+    "[PASS] oracle_var_alpha: closed=3.990375780e+00 quadrature=3.990375780e+00 rel=3.34e-16",
+    "[PASS] oracle_cov: closed=1.189337870e-02 quadrature=1.189337870e-02 rel=4.38e-16",
     "[PASS] narrowband_limit: limit=6.154191e-03 closed=6.154227e-03 rel=5.80e-06",
     "[PASS] broadband_limit: limit=2.467401e-05 closed=2.464885e-05 rel=1.02e-03",
 ]
@@ -1134,7 +1134,7 @@ _COMMAND_PINS = {
         ["analytic", "-o", "pin"],
         0,
         {
-            "pin.analytic.json": "9e62145935631957fe356b7c67e6a6569b03ec82cce535a333ab8c5e8836698a",
+            "pin.analytic.json": "20ff13d43e19fdf7e2697dce112bf28d594562da3aef6774f986e66192b76b7b",
         },
         [
             "analytic: wrote <dir>/pin.analytic.json",
@@ -1144,7 +1144,7 @@ _COMMAND_PINS = {
         ["analytic", "--output-format", "csv", "-o", "pin"],
         0,
         {
-            "pin.analytic.csv": "baf246ef5716a803de5b1964ff5e36376ce4a8c3e8d1793e48c6efc8e5c88ce2",
+            "pin.analytic.csv": "b5b5b285e85b21d82b9607a273baea9b860506a70087d518fbfa04ad7eabffee",
         },
         [
             "analytic: wrote <dir>/pin.analytic.csv",
@@ -1156,7 +1156,7 @@ _COMMAND_PINS = {
         ["analytic", "--sigma12", "0.5", "-o", "pin"],
         0,
         {
-            "pin.analytic.json": "3020d60cabebd0436da236ead24c8afd81c26f43c4f8497dd379f51b7b9eaa2d",
+            "pin.analytic.json": "9f5729eca047b223676ca43695a875de01d2e9ad353ae046aaa3937291f77c39",
         },
         [
             "analytic: wrote <dir>/pin.analytic.json",
@@ -1166,7 +1166,7 @@ _COMMAND_PINS = {
         ["analytic", "--sigma12", "0.5", "--output-format", "csv", "-o", "pin"],
         0,
         {
-            "pin.analytic.csv": "b342cb8a69f9b0ee602b86af4350f8a67ac0fabf31aa4f1ccb7e1d468d7581c0",
+            "pin.analytic.csv": "d1b2853b974ba9f17566e1de8a3bb095fb728f338c5f97aaf9c0edd69cc61d43",
         },
         [
             "analytic: wrote <dir>/pin.analytic.csv",
@@ -1263,8 +1263,8 @@ _COMMAND_PINS = {
         ],
         0,
         {
-            "pin.summary.json": "35aa0a72614f1f3be698d376d98a83f4b031afc7a485554f4d32badb10bef0aa",
-            "pin.sweep.csv": "5e0b931595a0a7d8a235c33b7799874783ad6e2c3b566e0ea9b29879d30a121d",
+            "pin.summary.json": "c8a01e32c10fe4afc6e520c6ff52c4748c90383792c44ade9f45531c026f1b57",
+            "pin.sweep.csv": "dc9dc643aa0513caf1cfe957b55ceded353374000615db839d6241cf73a49d0c",
         },
         [
             "sweep: 2 points over t_total loglog_slope_var_gamma=-0.6054 loglog_slope_var_delta=1.3946 wrote <dir>/pin.sweep.csv <dir>/pin.summary.json",
@@ -1274,7 +1274,7 @@ _COMMAND_PINS = {
         ["compare", "--n-trials", "1000", *_PIN_SMALL, "-o", "pin"],
         0,
         {
-            "pin.compare.json": "b51b3d77ef8668785568d0f6a5ebc09a78efc08e6cb56e84145349882ef29a75",
+            "pin.compare.json": "75fc35018a900339e38251d8cb14ef98702d06d8ecdedc6abe311e211cad836e",
         },
         [
             *_PIN_ORACLE_LINES,
@@ -1287,7 +1287,7 @@ _COMMAND_PINS = {
         ["compare", "--n-trials", "200", *_PIN_SMALL, "-o", "pin"],
         0,
         {
-            "pin.compare.json": "51b18265cb2ebc7fc12b44cdf20754e49d322a5a300f3b7f602ee7a41663d0c6",
+            "pin.compare.json": "3dba4536423a30849173e7471eb8b3e499d46f52767cef643e3e43de7bd02fa2",
         },
         [
             *_PIN_ORACLE_LINES,
@@ -1303,12 +1303,12 @@ _COMMAND_PINS = {
         ],
         1,
         {
-            "pin.compare.json": "d354c06287f0fa2b45b31516b30d31a8c06af6685ef07c420f7417383a8918e8",
+            "pin.compare.json": "5fe6a4ca3edc80292960f8192c1feb878f82c746a5e2056643f32be83ef3a752",
         },
         [
-            "[PASS] oracle_var_gamma: closed=1.956467746e-01 quadrature=1.956467746e-01 rel=5.42e-14",
-            "[PASS] oracle_var_alpha: closed=3.990375780e+02 quadrature=3.990375780e+02 rel=5.51e-14",
-            "[PASS] oracle_cov: closed=1.189337870e+00 quadrature=1.189337870e+00 rel=1.94e-13",
+            "[PASS] oracle_var_gamma: closed=1.956467746e-01 quadrature=1.956467746e-01 rel=4.26e-16",
+            "[PASS] oracle_var_alpha: closed=3.990375780e+02 quadrature=3.990375780e+02 rel=4.27e-16",
+            "[PASS] oracle_cov: closed=1.189337870e+00 quadrature=1.189337870e+00 rel=5.60e-16",
             "[PASS] narrowband_limit: limit=6.154191e-01 closed=6.154227e-01 rel=5.80e-06",
             "[PASS] broadband_limit: limit=2.467401e-03 closed=2.464885e-03 rel=1.02e-03",
             "[PASS] first_order_law: |C - closed| within both bounds: var_gamma 2.51e-05 <= 5.02e-05, var_delta 5.09e-02 <= 1.02e-01, cov_gamma_delta 2.34e-08 <= 2.34e-07",
@@ -1323,12 +1323,12 @@ _COMMAND_PINS = {
         ["compare", "--n-trials", "200", "--sigma12", "0.5", *_PIN_SMALL, "-o", "pin"],
         1,
         {
-            "pin.compare.json": "e4ffb0838e7dfdd3b027c3c10bab6f8737524f6733d2bce522c0a3ed354f3e0e",
+            "pin.compare.json": "56d6599753174b5b176d37d7b768d6724692ef970ba0e069a44c95d95d8e8255",
         },
         [
-            "[PASS] oracle_var_gamma: closed=8.572350106e-02 quadrature=8.572350106e-02 rel=4.05e-14",
-            "[PASS] oracle_var_alpha: closed=1.662799594e+02 quadrature=1.662799594e+02 rel=4.05e-14",
-            "[PASS] oracle_cov: closed=-3.758947964e+00 quadrature=-3.758947964e+00 rel=3.95e-14",
+            "[PASS] oracle_var_gamma: closed=8.572350106e-02 quadrature=8.572350106e-02 rel=1.62e-16",
+            "[PASS] oracle_var_alpha: closed=1.662799594e+02 quadrature=1.662799594e+02 rel=0.00e+00",
+            "[PASS] oracle_cov: closed=-3.758947964e+00 quadrature=-3.758947964e+00 rel=1.18e-16",
             "[PASS] narrowband_limit: limit=6.772941e-03 closed=6.771432e-03 rel=2.23e-04",
             "[PASS] broadband_limit: limit=1.246038e-03 closed=1.244743e-03 rel=1.04e-03",
             "[PASS] first_order_law: |C - closed| within both bounds: var_gamma 1.27e-05 <= 2.54e-05, var_delta 2.57e-02 <= 5.14e-02, cov_gamma_delta 5.59e-04 <= 1.12e-03",
@@ -1342,7 +1342,7 @@ _COMMAND_PINS = {
 }
 
 # sha256 of `analytic`'s stdout when no -o is given
-_ANALYTIC_STDOUT_DIGEST = "097a94702f0b0727751f3342e2714777520d2fc290b63cd92ccdda452bfd960f"
+_ANALYTIC_STDOUT_DIGEST = "8791b0eacc7ad393e611dfcc53505ff40859c2fe9de906a5637341ad7a91f25b"
 
 
 class TestCommandsPinned:
@@ -1637,8 +1637,9 @@ class TestOraclePolicy:
 
 
     # sigma12**2 times the weights' product overflows the transverse
-    # coefficient to inf, so every pass is -inf or nan; the oracle published
-    # Infinity with exit 0 and warned "invalid value encountered in scalar add"
+    # coefficient to inf, and the transverse integral is positive, so every
+    # pass is inf; the oracle once published Infinity with exit 0 and warned
+    # "invalid value encountered in scalar add"
     _INFINITE_PASS = [
         "--b0", "1.914936702139999e-09", "--t-total", "1.1446231801323539e-42",
         "--sigma12", "1.6388618946954713e+116", "--gamma12", "3.0324859943308386e-08",
@@ -1652,7 +1653,7 @@ class TestOraclePolicy:
         argv = [*command, *self._INFINITE_PASS, "--quiet", "-o", str(tmp_path / "x")]
         assert main(argv) == 3
         assert capsys.readouterr().err == (
-            "accuracy error: the quadrature pass over 4096 nodes is -inf, not finite\n"
+            "accuracy error: the quadrature pass over 4096 nodes is inf, not finite\n"
         )
         assert list(tmp_path.iterdir()) == []
 

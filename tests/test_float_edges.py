@@ -88,3 +88,31 @@ def test_non_finite_outputs_are_found(tmp_path, suffix, text):
     path.write_text(text.replace("NaN", "0.5").replace("Infinity", "1").replace("inf", "3")
                     .replace("nan", "4"))
     assert non_finite_outputs([path]) == []
+
+
+# The quadrature pass at its float64 edges, by name: (flags, exit code, stderr).
+# The last input is test_cli.py's non-finite pass: sigma12**2 times the
+# weights' product overflows the transverse coefficient to inf.
+_UNRESOLVED = "accuracy error: quadrature did not reach rtol=1e-08 within 2097152 nodes"
+_ORACLE_EDGES = {
+    "gamma_h_underflows": (["--gamma12", "5e-324", "--gamma3", "5e-324"], 0, ""),
+    "decay_underflows": (["--gamma12", "1e6", "--gamma3", "1e6"], 3, _UNRESOLVED),
+    "grid_limit": (["--n-cycles", "16384", "--t-total", "1638400"], 3, _UNRESOLVED),
+    "infinite_pass": (
+        ["--theta0", "0.3", "--b0", "1.914936702139999e-09",
+         "--t-total", "1.1446231801323539e-42", "--sigma12", "1.6388618946954713e+116",
+         "--gamma12", "3.0324859943308386e-08", "--sigma3", "1.120407458920105e-138",
+         "--gamma3", "1.7e+308", "--n-cycles", "7"],
+        3, "accuracy error: the quadrature pass over 4096 nodes is inf, not finite",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_EDGES))
+def test_oracle_edges_end_finite_or_by_name(tmp_path, capsys, name):
+    flags, code, err = _ORACLE_EDGES[name]
+    assert main(["analytic", *flags, "--quiet", "-o", str(tmp_path / "x")]) == code
+    assert capsys.readouterr().err.startswith(err)
+    written = list(tmp_path.iterdir())
+    assert non_finite_outputs(written) == []
+    assert len(written) == (code == 0)

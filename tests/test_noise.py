@@ -5,7 +5,7 @@ import pytest
 from scipy.signal import lfilter
 
 from berrysim import NoiseModel, OuParams, sample_path
-from berrysim.noise import _AR1_BLOCK, _ar1, _ar1_block, _ou_filter
+from berrysim.noise import _AR1_BLOCK, _ar1_block, _ar1_plan, _ar1_scan, _ou_filter
 
 
 def params_for(model: NoiseModel, index: int) -> OuParams:
@@ -257,6 +257,16 @@ class TestMatchesReference:
             want = _reference_path(model, n_steps, dt, seed)
             assert np.all((got == 0.0) == (want == 0.0))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _ar1(x, d):
+    """y[k] = d*y[k-1] + x[k] along the last axis, through the package's padded scan in place."""
+    n = x.shape[-1]
+    plan = _ar1_plan(d, n)
+    y = np.zeros(x.shape[:-1] + plan[:1])
+    y[..., :n] = x
+    _ar1_scan(y, d, plan)
+    return y[..., :n]
 
 
 class TestAr1Kernel:
